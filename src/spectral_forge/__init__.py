@@ -11,8 +11,8 @@ sections, residual certificates and dense oracles.
 """
 
 from .errors import (NotInTargetSet, PoleHit, RootCountMismatch,
-                     SingularBlock, SingularCandidate, SingularUpdate,
-                     SpectralForgeError, TailInvalid)
+                     SingularBlock, SingularUpdate, SpectralForgeError,
+                     TailInvalid)
 from .model import (BlockVector, CertifiedComplex, GroupUnionSpec,
                     TailProfile, WeightSeq, apply_operator, basis_head,
                     norm1, stochasticity_check, union_points, union_values,

@@ -23,7 +23,7 @@ from .finite import build_finite_section, convergence_table, finite_spectrum, \
     strongly_connected
 from .io import write_csv, write_json
 from .model import GroupUnionSpec, WeightSeq
-from .resolvent import CERTIFIED, SINGULAR
+from .resolvent import CERTIFIED, SINGULAR, _S_GAP_GUARD
 from .scanner import scan_unit_circle
 from .semigroup import FourierState, GeneratorSpec, RationalSchedule, \
     evolve, mode_certificate, scan_imaginary_axis
@@ -248,10 +248,11 @@ def cmd_scan_axis(args) -> int:
               report.csv_rows())
 
     # expected verdicts: certified strictly inside the unit gap, singular
-    # at beta = 0 and beyond |beta| = 1
+    # at beta = 0 and beyond |beta| = 1, with the scan's own gap guard
     mismatches = []
     for p in report.points:
-        expected = CERTIFIED if 1e-6 < abs(p.beta) < 1.0 - 1e-6 else SINGULAR
+        gap = min(abs(p.beta), 1.0 - abs(p.beta))
+        expected = CERTIFIED if gap > _S_GAP_GUARD else SINGULAR
         if p.verdict != expected:
             mismatches.append(p.beta)
     write_json(_out_path(cfg, "scan_axis.json"), {
@@ -410,7 +411,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sgsub.add_parser("scan-axis", parents=[common],
                          help="classify imaginary-axis points")
     p.add_argument("--betas", default=None,
-                   help="comma-separated beta values (default grid in "
+                   help="comma-separated beta values, e.g. "
+                        "--betas=-0.9,0.2 (the '=' form is needed when the "
+                        "list starts with '-'; default grid in "
                         "[-0.95, 0.95] including 0)")
     p.set_defaults(func=cmd_scan_axis)
 

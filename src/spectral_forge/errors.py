@@ -20,10 +20,6 @@ class TailInvalid(SpectralForgeError):
     """
 
 
-class SingularCandidate(SpectralForgeError):
-    """A resolvent evaluation was requested where no certificate exists."""
-
-
 class SingularUpdate(SpectralForgeError):
     """Rank-one update denominator 1 - gamma vanishes (certified disk hits 1).
 

@@ -10,10 +10,13 @@ stochastic matrix T_N whose spectrum splits in closed form:
   groups minus one copy of 1), so it includes (1-q_n) itself with
   multiplicity (number of cyclic factors - 1).
 * secular eigenvalues: the head chain contributes the N+1 roots of
-  phi_N(lam) = 1 - (1/lam) sum_{n<=N} d q_n^2 / (lam - 1 + q_n),
-  located by argument-principle counting on subdivided rectangles and
-  polished by Newton iteration (no dense eigensolver anywhere on this
-  path; dense routines appear only in independent test oracles).
+  phi_N(lam) = 1 - (1/lam) sum_{n<=N} d q_n^2 / (lam - 1 + q_n).
+  The chain is a real arrowhead matrix with positive off-diagonal
+  products d q_n^2, so these roots are real and strictly interlace the
+  poles 1 - q_n (Golub 1973; Bunch, Nielsen and Sorensen 1978).  They are
+  found by bisection on the interlacing brackets in the distance
+  x = 1 - lam (no dense eigensolver anywhere on this path; dense routines
+  appear only in independent test oracles and ``verify``).
 
 The determinant factorisation det(lam - T_N) =
 lam * prod_n (lam - 1 + q_n) * phi_N(lam) * (block factors) underlies the
@@ -29,7 +32,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import PoleHit, RootCountMismatch, SpectralForgeError
+from .errors import PoleHit, RootCountMismatch
 from .model import GroupUnionSpec, WeightSeq, union_points
 
 __all__ = [
@@ -70,6 +73,15 @@ class FiniteOperator:
         return self.matrix.sum(axis=0)
 
 
+def _section_weights(w: WeightSeq, n_blocks: int,
+                     renormalize: bool) -> np.ndarray:
+    """q_1 .. q_N, scaled by 1/(1 - tail mass) when renormalising."""
+    qs = w.values(n_blocks)
+    if renormalize:
+        qs = qs / w.partial_mass(n_blocks)
+    return qs
+
+
 def build_finite_section(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
                          renormalize: bool = True) -> FiniteOperator:
     """Head plus blocks 1..n_blocks as a dense matrix.
@@ -81,9 +93,7 @@ def build_finite_section(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
     if n_blocks < 1:
         raise ValueError("need at least one block")
     d = spec.d
-    qs = w.values(n_blocks)
-    if renormalize:
-        qs = qs / w.partial_mass(n_blocks)
+    qs = _section_weights(w, n_blocks, renormalize)
     dim = 1 + n_blocks * d
     p = spec.permutation_matrix()
     a = np.zeros((dim, dim))
@@ -164,13 +174,6 @@ def strongly_connected(matrix: np.ndarray, tol: float = 0.0) -> bool:
 _POLE_GUARD = 1e-14
 
 
-def _secular_params(spec, w, n_blocks, renormalize=True):
-    qs = w.values(n_blocks)
-    if renormalize:
-        qs = qs / w.partial_mass(n_blocks)
-    return spec.d * qs ** 2, 1.0 - qs     # residue weights, chain poles
-
-
 def secular_value(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
                   lam: complex, renormalize: bool = True) -> complex:
     """phi_N(lam) = 1 - (1/lam) sum_n d q_n^2 / (lam - 1 + q_n).
@@ -180,166 +183,58 @@ def secular_value(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
     1e-14 of a pole.
     """
     lam = complex(lam)
-    dq2, poles = _secular_params(spec, w, n_blocks, renormalize)
+    qs = _section_weights(w, n_blocks, renormalize)
     if abs(lam) < _POLE_GUARD:
         raise PoleHit("lam is numerically at the pole 0")
-    diffs = lam - poles
+    diffs = lam - (1.0 - qs)
     if np.any(np.abs(diffs) < _POLE_GUARD):
         raise PoleHit("lam is numerically at a chain pole 1 - q_n")
-    return complex(1.0 - (dq2 / diffs).sum() / lam)
-
-
-def _phi_dphi(lam_arr, dq2, poles):
-    """Vectorised secular function and derivative (no pole guards)."""
-    lam = np.asarray(lam_arr, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        diff = lam[..., None] - poles
-        g = (dq2 / diff).sum(axis=-1)
-        gp = -(dq2 / diff ** 2).sum(axis=-1)
-        phi = 1.0 - g / lam
-        dphi = g / lam ** 2 - gp / lam
-    return phi, dphi
+    return complex(1.0 - (spec.d * qs ** 2 / diffs).sum() / lam)
 
 
 # ---------------------------------------------------------------------------
-# argument-principle root isolation
+# interlacing root solve
 # ---------------------------------------------------------------------------
 
-_BASE_NODES = 1 << 10
-_MAX_NODES = 1 << 13
-_JITTERS = (0.0, 0.061, -0.057, 0.117, -0.123, 0.179, -0.181, 0.243)
+def _brackets(d: int, qs: np.ndarray):
+    """The N+1 interlacing brackets (lo, hi) in x = 1 - lam, ordered by
+    ascending lam.
 
-
-def _winding(rect, dq2, poles, nodes=_BASE_NODES) -> Optional[int]:
-    """Winding number of phi along the rectangle boundary, or None.
-
-    Trapezoidal quadrature of phi'/phi per edge; the node count doubles
-    until the result is within 0.1 of an integer (None when it never is,
-    e.g. a zero or pole sits on the boundary).
+    The chain's poles sit at x = q_n.  Its largest column sum rho bounds
+    |lam|, which closes the two outer brackets at x = 1 +- rho.
     """
-    x0, x1, y0, y1 = rect
-    corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1),
-               complex(x0, y1), complex(x0, y0)]
-    while nodes <= _MAX_NODES:
-        total = 0j
-        ok = True
-        for a, b in zip(corners[:-1], corners[1:]):
-            ts = np.linspace(0.0, 1.0, nodes + 1)
-            pts = a + (b - a) * ts
-            phi, dphi = _phi_dphi(pts, dq2, poles)
-            if np.any(phi == 0) or not np.all(np.isfinite(phi)):
-                ok = False
-                break
-            integrand = dphi / phi
-            total += 0.5 * np.sum((integrand[1:] + integrand[:-1])
-                                  * np.diff(pts))
-        if ok:
-            wind = total / (2j * math.pi)
-            if abs(wind.imag) <= 0.1 and abs(wind.real - round(wind.real)) <= 0.1:
-                return int(round(wind.real))
-        nodes *= 2
-    return None
-
-
-def _zeros_inside(rect, dq2, poles) -> Optional[int]:
-    wind = _winding(rect, dq2, poles)
-    if wind is None:
-        return None
-    x0, x1, y0, y1 = rect
-    inside = sum(1 for p in poles_with_zero(poles)
-                 if x0 < p.real < x1 and y0 < p.imag < y1)
-    return wind + inside
-
-
-def poles_with_zero(poles) -> list:
-    """Pole multiset of the secular function: 0 plus every chain pole."""
-    return [0j] + [complex(p) for p in poles]
-
-
-def _newton(z0, dq2, poles, tol=1e-12) -> Optional[complex]:
-    z = complex(z0)
-    for _ in range(80):
-        phi, dphi = _phi_dphi(np.array([z]), dq2, poles)
-        phi, dphi = complex(phi[0]), complex(dphi[0])
-        if not (cmath.isfinite(phi) and cmath.isfinite(dphi)) or dphi == 0:
-            return None
-        step = phi / dphi
-        z = z - step
-        if abs(phi) <= tol and abs(step) <= 1e-11:
-            return z
-    phi, _ = _phi_dphi(np.array([z]), dq2, poles)
-    return z if abs(complex(phi[0])) <= tol else None
-
-
-def _isolate_roots(rect, count, dq2, poles, out, depth=0):
-    """Recursive bisection until each rectangle isolates one root."""
-    if count == 0:
-        return
-    x0, x1, y0, y1 = rect
-    width, height = x1 - x0, y1 - y0
-    diam = max(width, height)
-    if count == 1 and diam <= 0.05:
-        pad = 0.1 * diam
-        for seed in (complex((x0 + x1) / 2, (y0 + y1) / 2),
-                     complex(x0 + 0.3 * width, y0 + 0.7 * height),
-                     complex(x0 + 0.7 * width, y0 + 0.3 * height)):
-            z = _newton(seed, dq2, poles)
-            if z is not None and x0 - pad <= z.real <= x1 + pad \
-                    and y0 - pad <= z.imag <= y1 + pad:
-                out.append(z)
-                return
-        # Newton failed or left the box; fall through to further subdivision
-    if diam < 1e-9 or depth > 70:
-        centre = complex((x0 + x1) / 2, (y0 + y1) / 2)
-        out.extend([centre] * count)
-        return
-
-    vertical = width >= height
-    lo, hi = (x0, x1) if vertical else (y0, y1)
-    span = hi - lo
-    all_poles = poles_with_zero(poles)
-    for jit in _JITTERS:
-        cut = lo + (0.5 + jit) * span
-        coords = [p.real if vertical else p.imag for p in all_poles]
-        if any(abs(c - cut) < 1e-3 * span for c in coords):
-            continue
-        if vertical:
-            ra, rb = (x0, cut, y0, y1), (cut, x1, y0, y1)
-        else:
-            ra, rb = (x0, x1, y0, cut), (x0, x1, cut, y1)
-        za = _zeros_inside(ra, dq2, poles)
-        if za is None:
-            continue
-        zb = _zeros_inside(rb, dq2, poles)
-        if zb is None or za + zb != count:
-            continue
-        _isolate_roots(ra, za, dq2, poles, out, depth + 1)
-        _isolate_roots(rb, zb, dq2, poles, out, depth + 1)
-        return
-    raise SpectralForgeError(
-        f"could not split rectangle {rect} holding {count} roots")
+    rho = max(qs.sum(), (d * qs + 1.0 - qs).max())
+    return np.r_[qs, 1.0 - rho], np.r_[1.0 + rho, qs]
 
 
 def secular_roots(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
                   renormalize: bool = True) -> np.ndarray:
-    """All N+1 zeros of the secular function inside |lam| <= 1.1."""
-    dq2, poles = _secular_params(spec, w, n_blocks, renormalize)
-    rect = (-1.1, 1.1, -1.1, 1.1)
-    expected = n_blocks + 1
-    count = _zeros_inside(rect, dq2, poles)
-    if count is None:
-        # a zero sits numerically on the frame; nudge it
-        rect = (-1.1037, 1.1041, -1.1043, 1.1039)
-        count = _zeros_inside(rect, dq2, poles)
-    if count != expected:
-        raise RootCountMismatch(
-            f"secular count {count} != expected {expected}")
-    roots: List[complex] = []
-    _isolate_roots(rect, count, dq2, poles, roots)
-    if len(roots) != expected:
-        raise RootCountMismatch(
-            f"isolated {len(roots)} secular roots, expected {expected}")
-    return np.array(sorted(roots, key=lambda z: (z.real, z.imag)))
+    """All N+1 zeros of the secular function, real and ascending.
+
+    In x = 1 - lam the zeros solve g(x) = 1 - x - sum_n d q_n^2 / (q_n - x),
+    which is strictly decreasing between neighbouring poles, so every
+    bracket holds exactly one root.  All brackets are bisected at once until
+    their ends are neighbouring floats; next to x = 0 a bracket also stops
+    once it is narrower than eps times the smallest pole, which keeps the
+    bisection out of the subnormals.
+    """
+    qs = _section_weights(w, n_blocks, renormalize)
+    dq2 = spec.d * qs ** 2
+    lo, hi = _brackets(spec.d, qs)
+    start = lo.copy()
+    floor = np.finfo(float).eps * qs.min()
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = np.nonzero((lo < mid) & (mid < hi) & (hi - lo > floor))[0]
+        if live.size == 0:
+            break
+        m = mid[live]
+        right = 1.0 - m - (dq2 / (qs - m[:, None])).sum(axis=1) > 0.0
+        lo[live[right]] = m[right]
+        hi[live[~right]] = m[~right]
+    # a lower end that never moved may be a pole: take the upper one
+    x = np.where(lo == start, hi, lo)
+    return 1.0 - x
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +261,8 @@ class SpectrumResult:
         return len(self.records)
 
     def max_residual(self) -> float:
-        return max(r.residual for r in self.records)
+        """Largest residual; NaN when any residual is NaN."""
+        return float(np.max([r.residual for r in self.records]))
 
     def csv_rows(self):
         """Rows for re,im,kind,residual."""
@@ -403,10 +299,11 @@ def finite_spectrum(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
     """Complete eigenvalue list of the finite section.
 
     Block eigenvalues come with their closed-form eigenvectors; secular
-    roots are found by the argument principle and re-expanded into head
-    chain eigenvectors via the resolvent profile q_n/(lam-1+q_n).  Every
-    eigenpair is certified by its residual ||T v - lam v||_1 (v normalised)
-    against the assembled matrix; the total count must equal the dimension.
+    roots come from the interlacing solve and are re-expanded into head
+    chain eigenvectors via the resolvent profile q_n/(q_n - x), x = 1 - lam.
+    Every eigenpair is certified by its residual ||T v - lam v||_1 (v
+    normalised) against the assembled matrix; the total count must equal the
+    dimension.
     """
     op = build_finite_section(spec, w, n_blocks, renormalize)
     a = op.matrix
@@ -426,9 +323,13 @@ def finite_spectrum(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
             lam = damp * zeta
             records.append(EigRecord(lam, "block", residual(vec, lam), n))
 
-    chain = _chain_matrix(d, qs)
-    for lam in secular_roots(spec, w, n_blocks, renormalize):
-        vec = _secular_vector(op, chain, lam)
+    lams = secular_roots(spec, w, n_blocks, renormalize)
+    # x = 1 - lam lies strictly inside its bracket, but rounding lam can put
+    # the recovered x on a pole; clamping keeps every coefficient finite
+    lo, hi = _brackets(d, qs)
+    xs = np.clip(1.0 - lams, np.nextafter(lo, hi), np.nextafter(hi, lo))
+    for lam, x in zip(lams, xs):
+        vec = np.concatenate(([1.0], np.repeat(qs / (qs - x), d)))
         records.append(EigRecord(complex(lam), "secular", residual(vec, lam)))
 
     if len(records) != op.dim:
@@ -438,37 +339,6 @@ def finite_spectrum(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
                                                  r.value.real), 12),
                                 abs(r.value)))
     return SpectrumResult(op, records)
-
-
-def _chain_matrix(d, qs) -> np.ndarray:
-    n = len(qs)
-    m = np.zeros((n + 1, n + 1))
-    m[0, 1:] = d * qs
-    m[1:, 0] = qs
-    m[1:, 1:][np.diag_indices(n)] = 1.0 - qs
-    return m
-
-
-def _secular_vector(op: FiniteOperator, chain: np.ndarray,
-                    lam: complex) -> np.ndarray:
-    """Head-chain eigenvector for a secular root, embedded in full size."""
-    qs = op.tilde_q
-    dens = lam - 1.0 + qs
-    if np.all(np.abs(dens) > 1e-10):
-        coeffs = qs / dens
-        v = np.concatenate(([1.0 + 0j], coeffs))
-    else:
-        # root collides with a chain pole: fall back to a null vector of
-        # the (tiny) chain matrix
-        mat = chain.astype(complex) - lam * np.eye(chain.shape[0])
-        _, _, vh = np.linalg.svd(mat)
-        v = vh[-1].conj()
-    vec = np.zeros(op.dim, dtype=complex)
-    vec[0] = v[0]
-    d = op.spec.d
-    for n in range(1, op.n_blocks + 1):
-        vec[1 + (n - 1) * d: 1 + n * d] = v[n]
-    return vec
 
 
 # ---------------------------------------------------------------------------

@@ -296,11 +296,6 @@ class WeightSeq:
         return np.array([self.value(n) for n in range(1, depth + 1)])
 
 
-def weight(w: WeightSeq, n: int) -> float:
-    """Convenience alias for ``w.value(n)``."""
-    return w.value(n)
-
-
 # ---------------------------------------------------------------------------
 # block vectors
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (SingularBlock, SingularCandidate, SingularUpdate,
-                     SpectralForgeError, TailInvalid)
+from .errors import (SingularBlock, SingularUpdate, SpectralForgeError,
+                     TailInvalid)
 from .model import (BlockVector, CertifiedComplex, GroupUnionSpec, TailProfile,
                     WeightSeq, basis_head, apply_operator, norm1, pair_head,
                     pair_weights, union_values, weight_vector)

@@ -2,11 +2,13 @@
 
 import csv
 import json
+import math
 import os
 
 import pytest
 
 from spectral_forge import cli
+from spectral_forge.finite import EigRecord, finite_spectrum
 
 
 def run(tmp_path, *argv):
@@ -75,6 +77,30 @@ def test_eigs_summary(tmp_path):
     header, rows = read_csv(tmp_path / "eigs.csv")
     assert header == ["re", "im", "kind", "residual"]
     assert len(rows) == summary["count"]
+
+
+@pytest.mark.parametrize("n_blocks", ["40", "80"])
+def test_eigs_large_sections_pass_the_residual_gate(tmp_path, n_blocks):
+    rc = run(tmp_path, "eigs", "--orders", "2,3", "--N", n_blocks)
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "eigs.csv")
+    residuals = [float(r[3]) for r in rows]
+    assert all(math.isfinite(r) and r <= 1e-9 for r in residuals)
+    assert all(float(r[1]) == 0.0 for r in rows if r[2] == "secular")
+
+
+def test_eigs_nan_residual_fails_the_gate(tmp_path, monkeypatch):
+    # a NaN after a finite residual must not slip past the max
+    def with_nan(*args, **kwargs):
+        result = finite_spectrum(*args, **kwargs)
+        bad = result.records[1]
+        result.records[1] = EigRecord(bad.value, bad.kind, math.nan,
+                                      bad.block_index)
+        return result
+
+    monkeypatch.setattr(cli, "finite_spectrum", with_nan)
+    assert run(tmp_path, "eigs", "--orders", "2,3", "--N", "3") == 1
+    assert math.isnan(read_json(tmp_path / "eigs.json")["max_residual"])
 
 
 def test_eigs_raw_truncation_head_sum(tmp_path):
@@ -159,6 +185,15 @@ def test_semigroup_scan_axis(tmp_path):
     assert verdicts[1.5] == "SingularCandidate"
     assert verdicts[0.5] == "CertifiedResolvent"
     summary = read_json(tmp_path / "scan_axis.json")
+    assert summary["mismatched_betas"] == []
+
+
+def test_semigroup_scan_axis_near_the_gap_guard(tmp_path):
+    # both points clear the scan's gap guard and are certified as expected
+    rc = run(tmp_path, "semigroup", "scan-axis", "--betas=1e-7,0.999999")
+    assert rc == 0
+    summary = read_json(tmp_path / "scan_axis.json")
+    assert summary["counts"] == {"CertifiedResolvent": 2}
     assert summary["mismatched_betas"] == []
 
 

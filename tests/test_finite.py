@@ -123,19 +123,21 @@ def test_secular_value_guards_poles():
 
 
 def test_secular_roots_against_dense_oracle():
-    # oracle: eigenvalues of the head chain matrix by a dense solver
-    for orders, n_blocks in [((1,), 1), ((1,), 4), ((2,), 3), ((2, 3), 5)]:
+    # oracle: a dense symmetric solver on the head chain, an arrowhead with
+    # off-diagonal products d q_n^2, made symmetric by a diagonal similarity
+    for orders, n_blocks in [((1,), 1), ((1,), 4), ((2,), 3), ((2, 3), 5),
+                             ((2, 3), 40), ((2, 3), 80), ((4, 6), 40),
+                             ((4, 6), 80), ((5, 7), 40), ((5, 7), 80)]:
         spec, w = _setup(orders)
         roots = secular_roots(spec, w, n_blocks)
+        assert np.isrealobj(roots)
         assert len(roots) == n_blocks + 1
         qs = build_finite_section(spec, w, n_blocks).tilde_q
         chain = np.zeros((n_blocks + 1, n_blocks + 1))
-        chain[0, 1:] = spec.d * qs
-        chain[1:, 0] = qs
+        chain[0, 1:] = chain[1:, 0] = np.sqrt(spec.d) * qs
         chain[1:, 1:][np.diag_indices(n_blocks)] = 1.0 - qs
-        ref = np.sort(np.linalg.eigvals(chain).real)
-        assert np.allclose(np.sort(roots.real), ref, atol=1e-9)
-        assert np.abs(roots.imag).max() < 1e-9
+        ref = np.linalg.eigvalsh(chain)
+        assert np.abs(roots - ref).max() <= 1e-12, (orders, n_blocks)
 
 
 def test_secular_roots_include_one_exactly():
@@ -150,6 +152,7 @@ def test_secular_roots_include_one_exactly():
 
 @pytest.mark.parametrize("orders,n_blocks", [
     ((1,), 1), ((1,), 5), ((2,), 4), ((3,), 3), ((2, 3), 4), ((4, 6), 2),
+    ((1,), 60), ((2,), 60),     # deep poles 1 - q_n that round to 1.0
 ])
 def test_finite_spectrum_matches_dense_eigensolver(orders, n_blocks):
     spec, w = _setup(orders)
