@@ -46,6 +46,10 @@ _DEFAULTS = {
 }
 
 
+# absolute rounding slop of a certificate residual against its closed form
+_CERT_SLOP = 1e-14
+
+
 class UsageError(Exception):
     """Configuration or argument problem; maps to exit status 2."""
 
@@ -133,6 +137,15 @@ def cmd_scan_circle(args) -> int:
     cfg = _resolve_config(args)
     spec, w = _single_operator(cfg)
     depth = cfg["truncation_depth"]
+    if args.cert_block < 1:
+        raise UsageError(f"cert-block: need a block index >= 1, "
+                         f"got {args.cert_block}")
+    q = w.value(args.cert_block)
+    if q <= _CERT_SLOP:
+        raise UsageError(
+            f"cert-block: q_{args.cert_block} = {q:.3e} is within the "
+            f"{_CERT_SLOP:g} rounding slop of 0, so the residual check "
+            f"could not fail; use a shallower block")
     report = scan_unit_circle(spec, w, cfg["grid_size"],
                               float(cfg["exclusion_radius"]), depth,
                               cert_block=args.cert_block)
@@ -142,9 +155,12 @@ def cmd_scan_circle(args) -> int:
                "denominator_abs_lower", "empirical_block_bound"],
               report.csv_rows())
 
-    # closed form 2 * q_n plus the rounding of (1-q)*z - z in the forward map
-    threshold = 2.0 * w.value(args.cert_block) + 1e-14
-    cert_ok = all(c.residual <= threshold for c in report.certificates)
+    # each residual must match its closed form q_n * (1 + |<1, z>|) up to the
+    # rounding of (1-q)*z - z in the forward map; ``threshold`` is the
+    # largest closed form plus that slop, kept in the JSON for reference
+    threshold = 2.0 * q + _CERT_SLOP
+    cert_ok = all(abs(c.residual - q * (1.0 + c.inner_abs)) <= _CERT_SLOP
+                  for c in report.certificates)
     rim = [v for v, ex in zip(report.verdicts, report.excluded) if not ex]
     rim_ok = all(v == CERTIFIED for v in rim)
 
@@ -379,7 +395,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclusion", type=float, default=None,
                    help="radius of the withheld arcs around target points")
     p.add_argument("--cert-block", type=int, default=30,
-                   help="block index used for residual certificates")
+                   help="block index used for residual certificates; its "
+                        "weight q_n must exceed 1e-14 (n <= 44 for orders "
+                        "2,3)")
     p.set_defaults(func=cmd_scan_circle)
 
     p = sub.add_parser("eigs", parents=[common],

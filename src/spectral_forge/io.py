@@ -8,6 +8,7 @@ inputs give byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -20,14 +21,16 @@ __all__ = ["atomic_write_text", "write_csv", "dump_json", "write_json",
            "substream"]
 
 
-def atomic_write_text(path: str, text: str):
-    """Write text to ``path`` via a same-directory temp file and rename."""
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """Text handle on a same-directory temp file, renamed onto ``path`` when
+    the block completes and deleted when it raises."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
                                suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -37,7 +40,15 @@ def atomic_write_text(path: str, text: str):
         raise
 
 
+def atomic_write_text(path: str, text: str):
+    """Write text to ``path`` via a same-directory temp file and rename."""
+    with _atomic_open(path) as fh:
+        fh.write(text)
+
+
 def _format_cell(x) -> str:
+    if type(x) is float:
+        return "%.17g" % x
     if isinstance(x, str):
         return x
     if isinstance(x, (bool, np.bool_)):
@@ -53,10 +64,11 @@ def _format_cell(x) -> str:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(c) for c in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Stream ``rows`` into ``path`` one line at a time, atomically."""
+    with _atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_format_cell, row)) + "\n"
+                      for row in rows)
 
 
 def _jsonable(obj):

@@ -1,8 +1,10 @@
 """Unit-circle scanning and approximate-eigenvector certificates.
 
-The scan walks a uniform angular grid, evaluates the certified rank-one
-denominator at every point, measures the distance to the block-diagonal
-spectrum, and issues one verdict per point.  Points inside the exclusion
+The scan walks a uniform angular grid in fixed-size chunks, evaluates the
+certified rank-one denominator at every point, measures the distance to the
+block-diagonal spectrum, and issues one verdict per point.  Only the
+per-point columns span the whole grid, so memory grows linearly in the grid
+size with a constant set by one chunk.  Points inside the exclusion
 arcs around the prescribed peripheral set never receive a resolvent
 certificate, whatever the denominator says there: floating-point scanning
 needs a buffer, so certification is withheld on the arcs (the certified
@@ -34,6 +36,9 @@ __all__ = [
     "ScanReport",
     "scan_unit_circle",
 ]
+
+# grid points per scan chunk: bounds the (chunk x depth*|U|) distance matrix
+_CHUNK = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +157,13 @@ class ScanReport:
     def csv_rows(self):
         """Rows for theta,re_lambda,im_lambda,verdict,denominator_abs_lower,
         empirical_block_bound."""
-        for i in range(len(self.thetas)):
-            yield (float(self.thetas[i]), float(self.lams[i].real),
-                   float(self.lams[i].imag), self.verdicts[i],
-                   float(self.den_lower[i]), float(self.block_bounds[i]))
+        for s in range(0, len(self.thetas), _CHUNK):
+            part = slice(s, s + _CHUNK)
+            lams = self.lams[part]
+            yield from zip(self.thetas[part].tolist(), lams.real.tolist(),
+                           lams.imag.tolist(), self.verdicts[part],
+                           self.den_lower[part].tolist(),
+                           self.block_bounds[part].tolist())
 
 
 def scan_unit_circle(spec: GroupUnionSpec, w: WeightSeq,
@@ -164,48 +172,66 @@ def scan_unit_circle(spec: GroupUnionSpec, w: WeightSeq,
                      with_certificates: bool = True) -> ScanReport:
     """Classify every grid point exp(2*pi*i*j/grid_size).
 
-    Vectorised evaluation: the certified series, the gap to the
-    block-diagonal spectrum and the observed block-resolvent norms are all
-    computed over the whole grid at once.  The result is deterministic for
-    fixed inputs; conjugation symmetry of the construction is a test-side
-    invariant, not enforced here.
+    The grid is processed in chunks of ``_CHUNK`` points.  Within a chunk the
+    certified series, the gap to the block-diagonal spectrum and the
+    observed block-resolvent norms are vectorised; every per-point result
+    depends on that point alone, so the output does not depend on the chunk
+    size, and memory beyond the per-point columns stays bounded by one
+    chunk.  The result is deterministic for fixed inputs; conjugation
+    symmetry of the construction is a test-side invariant, not enforced
+    here.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be positive")
     thetas = np.arange(grid_size) / grid_size
     lams = np.exp(2j * np.pi * thetas)
 
-    values, radius, valid = coupling_series_batch(spec, w, lams, depth)
-    den = 1.0 - values / lams
-    den_radius = radius / np.abs(lams)
-    den_lower = np.maximum(0.0, np.abs(den) - den_radius)
-
     zeta = union_values(spec)
     qs = w.values(depth)
     scaled = ((1.0 - qs)[:, None] * zeta[None, :]).reshape(-1)
-    per_block = np.min(np.abs(lams[:, None] - scaled[None, :]), axis=1)
-    dist = np.min(np.abs(lams[:, None] - zeta[None, :]), axis=1)
-    limit = dist - w.value(depth + 1)
-    gap = np.maximum(0.0, np.minimum.reduce([np.abs(lams), per_block, limit]))
+    q_limit = w.value(depth + 1)
 
+    den_lower = np.empty(grid_size)
     block_bounds = np.zeros(grid_size)
-    for n in range(1, depth + 1):
-        q = w.value(n)
-        mu = lams / (1.0 - q)
-        absmu = np.abs(mu)
-        for m in set(spec.orders):
-            det = np.abs(mu ** m - 1.0)
-            det = np.maximum(det, 1e-300)
-            s = sum(absmu ** (m - 1 - j) for j in range(m)) / det
-            np.maximum(block_bounds, s / (1.0 - q), out=block_bounds)
+    dist = np.empty(grid_size)
+    excluded = np.empty(grid_size, dtype=bool)
+    verdicts = np.empty(grid_size, dtype=object)
+    for s in range(0, grid_size, _CHUNK):
+        part = slice(s, s + _CHUNK)
+        lam = lams[part]
 
-    excluded = dist <= exclusion_radius
-    verdicts = np.full(grid_size, CERTIFIED, dtype=object)
-    verdicts[valid & ((gap <= _S_GAP_GUARD) | (den_lower <= 0.0))] = SINGULAR
-    verdicts[~valid] = TAIL_INVALID
-    den_lower[~valid] = 0.0
-    # certification is withheld on the exclusion arcs
-    verdicts[excluded & (verdicts == CERTIFIED)] = SINGULAR
+        values, radius, valid = coupling_series_batch(spec, w, lam, depth)
+        den = 1.0 - values / lam
+        den_radius = radius / np.abs(lam)
+        low = np.maximum(0.0, np.abs(den) - den_radius)
+
+        per_block = np.min(np.abs(lam[:, None] - scaled[None, :]), axis=1)
+        near = np.min(np.abs(lam[:, None] - zeta[None, :]), axis=1)
+        limit = near - q_limit
+        gap = np.maximum(0.0, np.minimum.reduce([np.abs(lam), per_block,
+                                                 limit]))
+
+        bounds = block_bounds[part]
+        for q in qs:
+            mu = lam / (1.0 - q)
+            absmu = np.abs(mu)
+            for m in set(spec.orders):
+                det = np.abs(mu ** m - 1.0)
+                det = np.maximum(det, 1e-300)
+                b = sum(absmu ** (m - 1 - j) for j in range(m)) / det
+                np.maximum(bounds, b / (1.0 - q), out=bounds)
+
+        # certification is withheld on the exclusion arcs
+        out = near <= exclusion_radius
+        withheld = (gap <= _S_GAP_GUARD) | (low <= 0.0) | out
+        verdict = verdicts[part]
+        verdict[:] = CERTIFIED
+        verdict[valid & withheld] = SINGULAR
+        verdict[~valid] = TAIL_INVALID
+        low[~valid] = 0.0
+        den_lower[part] = low
+        dist[part] = near
+        excluded[part] = out
 
     on_rim = ~excluded & np.isfinite(block_bounds)
     empirical_m = float(block_bounds[on_rim].max()) if on_rim.any() else 0.0
@@ -216,8 +242,8 @@ def scan_unit_circle(spec: GroupUnionSpec, w: WeightSeq,
                         for a in union_points(spec)]
 
     return ScanReport(
-        thetas, lams, list(verdicts), den_lower, block_bounds, dist, excluded,
-        empirical_m, certificates,
+        thetas, lams, verdicts.tolist(), den_lower, block_bounds, dist,
+        excluded, empirical_m, certificates,
         metadata={
             "orders": list(spec.orders),
             "grid_size": grid_size,

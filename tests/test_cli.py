@@ -1,6 +1,7 @@
 """End-to-end runs of the command line entry points (in process)."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import pytest
 
 from spectral_forge import cli
 from spectral_forge.finite import EigRecord, finite_spectrum
+from spectral_forge.scanner import EigCertificate, scan_unit_circle
 
 
 def run(tmp_path, *argv):
@@ -56,6 +58,54 @@ def test_scan_circle_certificates_cover_targets(tmp_path):
     summary = read_json(tmp_path / "scan_circle.json")
     assert len(summary["certificates"]) == 4       # 1, -1 and the 6th roots
     assert all(c["residual"] < 1e-8 for c in summary["certificates"])
+
+
+def test_scan_circle_default_artifacts_are_pinned(tmp_path):
+    # sha256 of the default run (orders 2,3, grid 3600, depth 40), as
+    # written by the unchunked scan; any byte that moves is a regression
+    assert run(tmp_path, "scan-circle") == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("scan_circle.csv", "scan_circle.json")}
+    assert digests == {
+        "scan_circle.csv": "cfae21fdb1ebcd7eacdba979637740911b0e34d6674ccc"
+                           "39472750cbbec73d9f",
+        "scan_circle.json": "c76a6855305cd9b20e5c8b51526061bad410f54f6adbd8"
+                            "d9be050c22ee0b6f0e",
+    }
+
+
+@pytest.mark.parametrize("block", ["0", "-3", "45", "60"])
+def test_scan_circle_cert_block_out_of_range_is_usage_error(tmp_path, block,
+                                                            capsys):
+    # q_45 = 2^-45/5 is below the 1e-14 slop: the check there cannot fail
+    assert run(tmp_path, "scan-circle", "--grid", "12",
+               f"--cert-block={block}") == 2
+    assert "cert-block" in capsys.readouterr().err
+    assert not (tmp_path / "scan_circle.json").exists()
+
+
+def test_scan_circle_deepest_valid_cert_block(tmp_path):
+    assert run(tmp_path, "scan-circle", "--grid", "12",
+               "--cert-block", "44") == 0
+
+
+def test_scan_circle_zero_residual_fails_the_certificate_check(tmp_path,
+                                                              monkeypatch):
+    # negative control: a residual far below its closed form q_n(1 + |<1,z>|)
+    # must fail, although it passes the one-sided threshold 2 q_n + 1e-14
+    def zero_residual(*args, **kwargs):
+        report = scan_unit_circle(*args, **kwargs)
+        c = report.certificates[0]
+        report.certificates[0] = EigCertificate(
+            c.angle, c.value, c.block_index, c.vector, c.inner_abs, 0.0)
+        return report
+
+    monkeypatch.setattr(cli, "scan_unit_circle", zero_residual)
+    assert run(tmp_path, "scan-circle", "--grid", "60") == 1
+    summary = read_json(tmp_path / "scan_circle.json")
+    assert summary["certificates_ok"] is False
+    assert summary["certificates"][0]["residual"] <= \
+        summary["certificates"][0]["threshold"]
 
 
 # ---------------------------------------------------------------------------

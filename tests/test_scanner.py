@@ -1,11 +1,14 @@
 """Unit-circle scan and peripheral residual certificates."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from spectral_forge import scanner
 from spectral_forge.errors import NotInTargetSet
+from spectral_forge.io import write_csv
 from spectral_forge.model import GroupUnionSpec, WeightSeq, union_points
 from spectral_forge.resolvent import CERTIFIED, SINGULAR, TAIL_INVALID, \
     certify_point
@@ -149,3 +152,42 @@ def test_scan_default_certificates_cover_target_set():
     # deep default block: residuals at the 1e-10 scale
     for c in rep.certificates:
         assert c.residual <= 2.0 * w.value(30) + 1e-14
+
+
+_ARRAYS = ("thetas", "lams", "den_lower", "block_bounds", "dist", "excluded")
+
+
+def _scan_and_csv(spec, w, grid, path):
+    rep = scan_unit_circle(spec, w, grid_size=grid, with_certificates=False)
+    write_csv(str(path), ["theta", "re", "im", "verdict", "low", "bound"],
+              rep.csv_rows())
+    return rep, path.read_bytes()
+
+
+@pytest.mark.parametrize("chunk,grid", [
+    (1, 300), (7, 300), (scanner._CHUNK, 2 * scanner._CHUNK + 301)])
+def test_scan_does_not_depend_on_the_chunk_size(chunk, grid, tmp_path,
+                                                monkeypatch):
+    spec, w = _setup((4, 6))
+    # one chunk over the whole grid is the unchunked arithmetic
+    monkeypatch.setattr(scanner, "_CHUNK", grid)
+    ref, ref_csv = _scan_and_csv(spec, w, grid, tmp_path / "ref.csv")
+    monkeypatch.setattr(scanner, "_CHUNK", chunk)
+    rep, rep_csv = _scan_and_csv(spec, w, grid, tmp_path / "rep.csv")
+    for name in _ARRAYS:
+        np.testing.assert_array_equal(getattr(rep, name), getattr(ref, name))
+    assert rep.verdicts == ref.verdicts
+    assert rep.empirical_m == ref.empirical_m
+    assert rep_csv == ref_csv
+
+
+def test_scan_memory_stays_bounded_by_one_chunk():
+    # the unchunked scan held grid x depth*|U| complex distances: 187 MB here
+    spec, w = _setup((2, 3))
+    tracemalloc.start()
+    try:
+        scan_unit_circle(spec, w, grid_size=50_000, with_certificates=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
