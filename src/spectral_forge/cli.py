@@ -24,7 +24,7 @@ from .finite import build_finite_section, convergence_table, finite_spectrum, \
 from .io import write_csv, write_json
 from .model import GroupUnionSpec, WeightSeq
 from .resolvent import CERTIFIED, SINGULAR, _S_GAP_GUARD
-from .scanner import scan_unit_circle
+from .scanner import CERT_SLOP, certificate_matches, scan_unit_circle
 from .semigroup import FourierState, GeneratorSpec, RationalSchedule, \
     evolve, mode_certificate, scan_imaginary_axis
 from .verify import SUITE_NAMES, run_suites
@@ -44,10 +44,6 @@ _DEFAULTS = {
     "seed": 0,
     "out": ".",
 }
-
-
-# absolute rounding slop of a certificate residual against its closed form
-_CERT_SLOP = 1e-14
 
 
 class UsageError(Exception):
@@ -141,10 +137,10 @@ def cmd_scan_circle(args) -> int:
         raise UsageError(f"cert-block: need a block index >= 1, "
                          f"got {args.cert_block}")
     q = w.value(args.cert_block)
-    if q <= _CERT_SLOP:
+    if q <= CERT_SLOP:
         raise UsageError(
             f"cert-block: q_{args.cert_block} = {q:.3e} is within the "
-            f"{_CERT_SLOP:g} rounding slop of 0, so the residual check "
+            f"{CERT_SLOP:g} rounding slop of 0, so the residual check "
             f"could not fail; use a shallower block")
     report = scan_unit_circle(spec, w, cfg["grid_size"],
                               float(cfg["exclusion_radius"]), depth,
@@ -158,8 +154,8 @@ def cmd_scan_circle(args) -> int:
     # each residual must match its closed form q_n * (1 + |<1, z>|) up to the
     # rounding of (1-q)*z - z in the forward map; ``threshold`` is the
     # largest closed form plus that slop, kept in the JSON for reference
-    threshold = 2.0 * q + _CERT_SLOP
-    cert_ok = all(abs(c.residual - q * (1.0 + c.inner_abs)) <= _CERT_SLOP
+    threshold = 2.0 * q + CERT_SLOP
+    cert_ok = all(certificate_matches(c.residual, q, c.inner_abs)
                   for c in report.certificates)
     rim = [v for v, ex in zip(report.verdicts, report.excluded) if not ex]
     rim_ok = all(v == CERTIFIED for v in rim)

@@ -43,6 +43,11 @@ class NotInTargetSet(SpectralForgeError):
     """The requested point is not in the prescribed peripheral set."""
 
 
+class BlockTooDeep(SpectralForgeError):
+    """A certificate block whose weight q_n is within the rounding slop of 0:
+    a residual check against q_n could no longer fail there."""
+
+
 class PoleHit(SpectralForgeError):
     """A scalar evaluation landed on (or too close to) a pole."""
 

@@ -360,29 +360,46 @@ def cofactor_det_batch(a: np.ndarray, lams: np.ndarray) -> np.ndarray:
 
     The expansion is memoised over column subsets (each subset paired with
     the same number of leading rows), which keeps the classical identity
-    but runs in O(2^n * n) instead of factorial time.  Intended for the
-    small sections of the cross-check; refuses n > 18.
+    but runs in O(2^n * n) instead of factorial time.  The subsets are
+    taken one popcount layer at a time: layer r+1 expands along row r, and
+    for each column j, in ascending order, every subset of the layer that
+    holds j gains the term (-1)^(r + set bits below j) * entry * minor in
+    one array operation, so each subset sums its terms in the classical
+    order.  Off-diagonal zeros of ``a`` are skipped, since a +-0 term
+    leaves a finite sum unchanged.  Only two layers are stored, so memory
+    is O(C(n, n/2) * len(lams)).  Intended for the small sections of the
+    cross-check; refuses n > 18.
     """
     a = np.asarray(a)
     n = a.shape[0]
     if n > 18:
         raise ValueError("cofactor expansion limited to dimension 18")
     lams = np.asarray(lams, dtype=complex)
-    dets = np.empty((1 << n, len(lams)), dtype=complex)
-    dets[0] = 1.0
-    for mask in range(1, 1 << n):
-        r = mask.bit_count() - 1
-        acc = np.zeros(len(lams), dtype=complex)
-        sign = -1.0 if r % 2 else 1.0      # cofactor sign (-1)^(r + position)
-        t = mask
-        while t:
-            j = (t & -t).bit_length() - 1
-            entry = (lams - a[r, j]) if r == j else -a[r, j]
-            acc += sign * entry * dets[mask ^ (1 << j)]
-            sign = -sign
-            t &= t - 1
-        dets[mask] = acc
-    return dets[(1 << n) - 1]
+    bits = np.zeros(1 << n, dtype=np.int64)   # set bits of every subset
+    for k in range(n):
+        bits[1 << k:2 << k] = bits[:1 << k] + 1
+    rank = np.zeros(1 << n, dtype=np.int64)   # index of a subset in its layer
+    prev = np.ones((1, len(lams)), dtype=complex)   # the empty minor
+    for r in range(n):
+        masks = np.flatnonzero(bits == r + 1)
+        rank[masks] = np.arange(len(masks))
+        acc = np.zeros((len(masks), len(lams)), dtype=complex)
+        for j in range(n):
+            if j != r and a[r, j] == 0:
+                continue
+            pos = np.flatnonzero(masks & (1 << j))
+            sub = masks[pos]
+            sign = np.where((r + bits[sub & ((1 << j) - 1)]) % 2, -1.0, 1.0)
+            if j == r:
+                coef = sign[:, None] * (lams - a[r, j])
+            else:
+                coef = (sign * -a[r, j])[:, None]
+            term = prev[rank[sub ^ (1 << j)]]
+            np.multiply(coef, term, out=term)
+            term += acc[pos]
+            acc[pos] = term
+        prev = acc
+    return prev[0]
 
 
 @dataclass(frozen=True)

@@ -24,13 +24,19 @@ __all__ = ["atomic_write_text", "write_csv", "dump_json", "write_json",
 @contextlib.contextmanager
 def _atomic_open(path: str):
     """Text handle on a same-directory temp file, renamed onto ``path`` when
-    the block completes and deleted when it raises."""
+    the block completes and deleted when it raises.
+
+    ``mkstemp`` creates the file as 0600; it gets the mode a plain ``open``
+    would have given it (0666 less the umask) before the rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
                                suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w") as fh:
             yield fh
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

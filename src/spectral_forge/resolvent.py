@@ -32,7 +32,6 @@ __all__ = [
     "cyclic_shift_resolvent",
     "resolvent_diag",
     "spectrum_gap_diag",
-    "circle_gap_holds",
     "coupling_series",
     "coupling_series_batch",
     "resolvent_denominator",
@@ -178,15 +177,6 @@ def spectrum_gap_diag(spec: GroupUnionSpec, w: WeightSeq, lam: complex,
     per_block = float(np.min(np.abs(lam - scaled)))
     limit = float(np.min(np.abs(lam - zeta))) - w.value(depth + 1)
     return max(0.0, min(abs(lam), per_block, limit))
-
-
-def circle_gap_holds(p: float, lam: complex, guard: float = _TAIL_GUARD) -> bool:
-    """Strict inequality p < |lam - 1 + p| with relative guard.
-
-    For |lam| = 1, lam != 1 and p in [0,1) this always holds (the family of
-    circles through 1 shrinking toward it stays inside the unit disk).
-    """
-    return abs(lam - 1.0 + p) > p * (1.0 + guard)
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,16 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import NotInTargetSet, SpectralForgeError
+from .errors import BlockTooDeep, NotInTargetSet, SpectralForgeError
 from .model import (BlockVector, GroupUnionSpec, WeightSeq, apply_operator,
                     norm1, union_points, union_values)
 from .resolvent import (CERTIFIED, SINGULAR, TAIL_INVALID,
                         coupling_series_batch, _S_GAP_GUARD)
 
 __all__ = [
+    "CERT_SLOP",
     "EigCertificate",
+    "certificate_matches",
     "residual_certificate",
     "ScanPoint",
     "ScanReport",
@@ -39,6 +41,11 @@ __all__ = [
 
 # grid points per scan chunk: bounds the (chunk x depth*|U|) distance matrix
 _CHUNK = 8192
+
+# absolute rounding slop of a certificate residual against its closed form;
+# the worst error measured over orders (1,), (2,), (3,), (2,3), (4,6), (5,7),
+# every target point and blocks 1-60 is 2.75 eps = 6.1e-16
+CERT_SLOP = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -63,13 +70,21 @@ class EigCertificate:
     residual: float
 
 
+def certificate_matches(residual: float, q: float, inner_abs: float) -> bool:
+    """True when a certificate residual equals its closed form
+    q_n * (1 + |<1, z>|) up to ``CERT_SLOP``."""
+    return abs(residual - q * (1.0 + inner_abs)) <= CERT_SLOP
+
+
 def residual_certificate(spec: GroupUnionSpec, w: WeightSeq,
                          target, block_index: int = 30) -> EigCertificate:
     """Build the deep-block certificate for one point of the target set.
 
     ``target`` may be an exact angle (Fraction of a full turn) or a complex
     number that matches a target point to 1e-9.  Raises NotInTargetSet
-    otherwise.
+    otherwise, BlockTooDeep when q_n <= CERT_SLOP (the residual check could
+    not fail there), and SpectralForgeError when the residual misses its
+    closed form by more than CERT_SLOP.
     """
     angles = union_points(spec)
     if isinstance(target, Fraction):
@@ -85,6 +100,11 @@ def residual_certificate(spec: GroupUnionSpec, w: WeightSeq,
         angle = angles[k]
     if block_index < 1:
         raise ValueError("block_index must be >= 1")
+    q = w.value(block_index)
+    if q <= CERT_SLOP:
+        raise BlockTooDeep(
+            f"q_{block_index} = {q:.3e} is within the {CERT_SLOP:g} rounding "
+            f"slop of 0, so the residual check could not fail")
 
     lam = complex(np.exp(2j * np.pi * float(angle)))
     # first cyclic sub-block containing the point in its spectrum
@@ -100,14 +120,13 @@ def residual_certificate(spec: GroupUnionSpec, w: WeightSeq,
         z[off + i] = zeta ** (-i) / m
     inner = abs(z.sum())
 
-    q = w.value(block_index)
     vec = BlockVector(spec.d, 0j, {block_index: z})
     image = apply_operator(spec, w, vec)
     resid = norm1(image - lam * vec).value.real
-    closed = q * (1.0 + inner)
-    if abs(resid - closed) > 1e-12:
+    if not certificate_matches(resid, q, inner):
         raise SpectralForgeError(
-            f"certificate residual {resid} does not match closed form {closed}")
+            f"certificate residual {resid} does not match closed form "
+            f"{q * (1.0 + inner)}")
     return EigCertificate(angle, lam, block_index, z, inner, resid)
 
 

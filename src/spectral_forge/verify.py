@@ -173,12 +173,16 @@ def suite_connectivity(seed: int = 0, corrupt: bool = False) -> SuiteResult:
 # eigenvalue multiset vs cofactor characteristic polynomial
 # ---------------------------------------------------------------------------
 
+# (orders, n_blocks) of the sections checked; the largest has dimension 16
+_FACTORIZATION_CASES = (((1,), 3), ((2,), 3), ((3,), 2), ((2, 3), 2),
+                        ((2, 3), 3))
+
+
 def suite_factorization(seed: int = 0, corrupt: bool = False) -> SuiteResult:
     checks = failures = 0
     worst = 0.0
     cases = {}
-    for orders, n_blocks in (((1,), 3), ((2,), 3), ((3,), 2), ((2, 3), 2),
-                             ((2, 3), 3)):
+    for orders, n_blocks in _FACTORIZATION_CASES:
         spec = GroupUnionSpec(orders)
         w = WeightSeq.dyadic_single(spec.d)
         rep = factorization_crosscheck(spec, w, n_blocks, seed=seed)

@@ -203,6 +203,18 @@ def test_verify_reports_are_reproducible(tmp_path):
     assert (a / "verify.json").read_bytes() == (b / "verify.json").read_bytes()
 
 
+@pytest.mark.parametrize("seed,digest", [
+    ("0", "9c6d9b4fc83867e710730d0a9b026133bb9098c3d98b6dde6713cb64bb07ddd2"),
+    ("7", "f0b6a5d0ec59b06a7bc20a9c25f7499e151221bf1860c75e62be4abb36676692"),
+])
+def test_verify_report_is_pinned(tmp_path, seed, digest):
+    # sha256 of verify.json as written with the per-subset cofactor loop;
+    # the layered expansion must reproduce every determinant bit for bit
+    assert run(tmp_path, "verify", "--seed", seed) == 0
+    assert hashlib.sha256(
+        (tmp_path / "verify.json").read_bytes()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # semigroup subcommands
 # ---------------------------------------------------------------------------

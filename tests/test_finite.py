@@ -1,8 +1,12 @@
 """Finite sections: assembly, connectivity, secular roots, full spectra."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from spectral_forge import finite
 from spectral_forge.errors import PoleHit, RootCountMismatch
 from spectral_forge.finite import (_block_eig_vectors, _block_residual,
                                    build_finite_section, cofactor_det_batch,
@@ -11,6 +15,7 @@ from spectral_forge.finite import (_block_eig_vectors, _block_residual,
                                    secular_value, strongly_connected,
                                    tarjan_scc)
 from spectral_forge.model import GroupUnionSpec, WeightSeq, union_values
+from spectral_forge.verify import _FACTORIZATION_CASES
 
 
 def _setup(orders):
@@ -222,14 +227,101 @@ def test_finite_spectrum_no_renormalize_variant():
 # cofactor determinant and cross-check
 # ---------------------------------------------------------------------------
 
+def _dense_dets(a, lams):
+    n = a.shape[0]
+    return np.array([np.linalg.det(l * np.eye(n) - a) for l in lams])
+
+
+def _disk_points(rng, count):
+    return 2.0 * (rng.random(count) + 1j * rng.random(count)) - (1 + 1j)
+
+
+def _per_subset_dets(a, lams):
+    """Reference: the same expansion with one Python iteration per subset."""
+    n = a.shape[0]
+    dets = np.empty((1 << n, len(lams)), dtype=complex)
+    dets[0] = 1.0
+    for mask in range(1, 1 << n):
+        r = mask.bit_count() - 1
+        acc = np.zeros(len(lams), dtype=complex)
+        sign = -1.0 if r % 2 else 1.0
+        t = mask
+        while t:
+            j = (t & -t).bit_length() - 1
+            entry = (lams - a[r, j]) if r == j else -a[r, j]
+            acc += sign * entry * dets[mask ^ (1 << j)]
+            sign = -sign
+            t &= t - 1
+        dets[mask] = acc
+    return dets[-1]
+
+
+def _sparse_matrix(rng, n):
+    """Random entries at density 0.3, about half the diagonal zero, and one
+    row that vanishes off the diagonal."""
+    a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+    a[np.diag_indices(n)] *= rng.random(n) < 0.5
+    i = rng.integers(n)
+    a[i, np.arange(n) != i] = 0.0
+    return a
+
+
 def test_cofactor_det_matches_numpy():
     rng = np.random.default_rng(41)
     for n in range(1, 8):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         lams = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         mine = cofactor_det_batch(a, lams)
-        ref = np.array([np.linalg.det(l * np.eye(n) - a) for l in lams])
+        ref = _dense_dets(a, lams)
         assert np.allclose(mine, ref, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10])
+def test_cofactor_det_is_bitwise_the_per_subset_expansion(n):
+    # the layered expansion adds every subset's terms in the same order and
+    # skips only +-0 terms, so the determinants agree bit for bit
+    rng = np.random.default_rng(n)
+    lams = _disk_points(rng, 5)
+    dense = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for a in (dense, _sparse_matrix(rng, n)):
+        assert (cofactor_det_batch(a, lams).tobytes()
+                == _per_subset_dets(a, lams).tobytes())
+
+
+@pytest.mark.parametrize("orders,n_blocks", _FACTORIZATION_CASES)
+def test_cofactor_det_matches_numpy_on_the_verify_sections(orders, n_blocks):
+    spec, w = _setup(orders)
+    a = build_finite_section(spec, w, n_blocks).matrix
+    lams = _disk_points(np.random.default_rng(7), 2 * a.shape[0])
+    np.testing.assert_allclose(cofactor_det_batch(a, lams),
+                               _dense_dets(a, lams), rtol=1e-10)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_cofactor_det_matches_numpy_on_sparse_matrices(n):
+    # zero diagonal entries and rows that vanish off the diagonal take the
+    # branch that skips zero entries, including a row with no term but the
+    # diagonal one
+    rng = np.random.default_rng(1000 + n)
+    a = _sparse_matrix(rng, n)
+    lams = _disk_points(rng, 6)
+    np.testing.assert_allclose(cofactor_det_batch(a, lams),
+                               _dense_dets(a, lams), rtol=1e-10)
+
+
+def test_cofactor_det_memory_stays_at_two_layers():
+    # dim 16 at 32 points: two popcount layers of C(16, 8) * 32 complex
+    # values; the full 2^16 * 32 table alone is 33.5 MB
+    spec, w = _setup((2, 3))
+    a = build_finite_section(spec, w, 3).matrix
+    lams = _disk_points(np.random.default_rng(3), 32)
+    tracemalloc.start()
+    try:
+        cofactor_det_batch(a, lams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 26e6
 
 
 def test_cofactor_det_refuses_large_matrices():
@@ -245,6 +337,24 @@ def test_factorization_crosscheck_all_small_cases():
         assert rep.passed, (orders, n_blocks, rep.max_rel_error)
         assert rep.max_rel_error < 1e-8
         assert rep.samples == 2 * rep.dim
+
+
+def test_factorization_crosscheck_catches_a_perturbed_eigenvalue(monkeypatch):
+    # negative control: one eigenvalue off by 1e-6 must fail the 1e-8 gate
+    exact = finite.finite_spectrum
+
+    def perturbed(*args, **kwargs):
+        result = exact(*args, **kwargs)
+        rec = result.records[0]
+        result.records[0] = dataclasses.replace(rec, value=rec.value + 1e-6)
+        return result
+
+    spec, w = _setup((2, 3))
+    assert factorization_crosscheck(spec, w, 2).passed
+    monkeypatch.setattr(finite, "finite_spectrum", perturbed)
+    rep = factorization_crosscheck(spec, w, 2)
+    assert not rep.passed
+    assert rep.max_rel_error > 1e-8
 
 
 def test_factorization_crosscheck_is_seeded():

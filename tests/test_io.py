@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from spectral_forge.io import write_csv
+from spectral_forge.io import write_csv, write_json
 
 
 def _rows_then_fail(n):
@@ -37,3 +37,17 @@ def test_write_csv_formats_cells_by_type(tmp_path):
         "a,b,c,d,e\n"
         "0.10000000000000001,0.10000000000000001,3,true,x\n"
         "1e-300,-0,0,false,\n")
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_artifacts_follow_the_umask(tmp_path, umask, mode):
+    # a plain open() would give 0666 less the umask; mkstemp alone gives 0600
+    old = os.umask(umask)
+    try:
+        write_csv(str(tmp_path / "a.csv"), ["x"], [(1.0,)])
+        write_json(str(tmp_path / "a.json"), {"x": 1.0})
+    finally:
+        os.umask(old)
+    for name in ("a.csv", "a.json"):
+        assert os.stat(tmp_path / name).st_mode & 0o777 == mode

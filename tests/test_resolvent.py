@@ -12,8 +12,8 @@ from spectral_forge.model import (BlockVector, CertifiedComplex,
                                   basis_head, norm1, weight_vector)
 from spectral_forge.resolvent import (CERTIFIED, SINGULAR, TAIL_INVALID,
                                       RankOneUpdate, block_resolvent_bound,
-                                      certify_point, circle_gap_holds,
-                                      coupling_series, coupling_series_batch,
+                                      certify_point, coupling_series,
+                                      coupling_series_batch,
                                       cyclic_shift_resolvent,
                                       resolvent_denominator, resolvent_diag,
                                       resolvent_full,
@@ -106,12 +106,6 @@ def test_spectrum_gap_examples():
     assert spectrum_gap_diag(spec, w, -(1.0 - w.value(3))) < 1e-15
     # but i keeps distance 1 to {0} and ~sqrt(2) to the rest
     assert spectrum_gap_diag(spec, w, 1j) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_circle_gap_holds_basics():
-    assert circle_gap_holds(0.25, -1.0)
-    assert not circle_gap_holds(0.25, 1.0)
-    assert not circle_gap_holds(0.25, 0.75)     # lam = 1 - p sits on the circle
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from spectral_forge import scanner
-from spectral_forge.errors import NotInTargetSet
+from spectral_forge.errors import (BlockTooDeep, NotInTargetSet,
+                                   SpectralForgeError)
 from spectral_forge.io import write_csv
 from spectral_forge.model import GroupUnionSpec, WeightSeq, union_points
 from spectral_forge.resolvent import CERTIFIED, SINGULAR, TAIL_INVALID, \
@@ -68,6 +69,37 @@ def test_certificate_residual_shrinks_with_depth():
            for n in (5, 10, 20, 30)]
     assert all(a > b for a, b in zip(res, res[1:]))
     assert res[-1] == pytest.approx(2.0 ** -30 / 3, rel=1e-9)
+
+
+@pytest.mark.parametrize("orders", [(1,), (2,), (3,), (2, 3), (4, 6),
+                                    (5, 7)],
+                         ids=["1", "2", "3", "2,3", "4,6", "5,7"])
+def test_certificate_gate_holds_down_to_the_slop(orders):
+    # every block with q_n above the slop passes the two-sided check, with
+    # the rounding error far inside it; deeper blocks are refused by type
+    spec, w = _setup(orders)
+    deepest = max(n for n in range(1, 61) if w.value(n) > scanner.CERT_SLOP)
+    for angle in union_points(spec):
+        for n in range(1, deepest + 1):
+            c = residual_certificate(spec, w, angle, n)
+            closed = w.value(n) * (1.0 + c.inner_abs)
+            assert abs(c.residual - closed) <= 4 * np.finfo(float).eps
+        with pytest.raises(BlockTooDeep):
+            residual_certificate(spec, w, angle, deepest + 1)
+
+
+@pytest.mark.parametrize("block", [30, 38, 40, 44])
+def test_certificate_gate_rejects_a_zero_residual(monkeypatch, block):
+    # negative control: an operator that maps z to lam * z leaves residual 0,
+    # which must fail at every block the gate admits, not only at shallow
+    # ones (an absolute 1e-12 check accepted it from block 38 on)
+    spec, w = _setup((2, 3))
+    lam = np.exp(2j * np.pi / 3)
+    monkeypatch.setattr(scanner, "apply_operator",
+                        lambda spec, w, vec: lam * vec)
+    with pytest.raises(SpectralForgeError, match="does not match") as info:
+        residual_certificate(spec, w, Fraction(1, 3), block)
+    assert not isinstance(info.value, BlockTooDeep)
 
 
 # ---------------------------------------------------------------------------
