@@ -10,7 +10,7 @@ certified truncation radii, and cross-checks everything against finite
 sections, residual certificates and dense oracles.
 """
 
-from .errors import (BlockTooDeep, NotInTargetSet, PoleHit,
+from .errors import (BlockTooDeep, NoSamples, NotInTargetSet, PoleHit,
                      RootCountMismatch, SingularBlock, SingularUpdate,
                      SpectralForgeError, TailInvalid)
 from .model import (BlockVector, CertifiedComplex, GroupUnionSpec,

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -243,10 +245,13 @@ def _parse_betas(text: Optional[str]) -> List[float]:
         ks = np.arange(-19, 20)
         return [round(0.05 * k, 10) for k in ks]
     try:
-        return [float(s) for s in text.replace(" ", "").split(",") if s]
+        betas = [float(s) for s in text.replace(" ", "").split(",") if s]
     except ValueError:
         raise UsageError(f"betas: {text!r} is not a comma-separated "
                          "list of floats")
+    if not all(map(math.isfinite, betas)):
+        raise UsageError(f"betas: {text!r} holds a non-finite value")
+    return betas
 
 
 def cmd_scan_axis(args) -> int:
@@ -261,18 +266,15 @@ def cmd_scan_axis(args) -> int:
 
     # expected verdicts: certified strictly inside the unit gap, singular
     # at beta = 0 and beyond |beta| = 1, with the scan's own gap guard
-    mismatches = []
-    for p in report.points:
-        gap = min(abs(p.beta), 1.0 - abs(p.beta))
-        expected = CERTIFIED if gap > _S_GAP_GUARD else SINGULAR
-        if p.verdict != expected:
-            mismatches.append(p.beta)
+    b = report.betas
+    expected = np.minimum(np.abs(b), 1.0 - np.abs(b)) > _S_GAP_GUARD
+    mismatches = b[report.certified != expected].tolist()
     write_json(_out_path(cfg, "scan_axis.json"), {
         "depth": g.depth,
         "counts": report.counts(),
         "mismatched_betas": mismatches,
     })
-    print(f"semigroup scan-axis: {report.counts()} over {len(report.points)} "
+    print(f"semigroup scan-axis: {report.counts()} over {b.size} "
           f"points, {len(mismatches)} unexpected verdicts")
     return 0 if not mismatches else 1
 
@@ -318,23 +320,28 @@ def cmd_evolve(args) -> int:
             raise UsageError("mode: block index must be >= 1")
         f0 = FourierState.single_mode(n, k, 1.0 / (2.0 * np.pi))
 
+    if not (math.isfinite(args.t) and args.t >= 0.0):
+        raise UsageError(f"t: need a finite final time >= 0, got {args.t}")
+    if args.samples < 1:
+        raise UsageError(f"samples: need at least one sample, got "
+                         f"{args.samples}")
+
     times = np.linspace(0.0, args.t, args.samples)
+    ft = evolve(g, f0, times)
+    mass = ft.mass().real
     mass0 = f0.mass().real
-    rows = []
-    worst_drift = 0.0
-    for t in times:
-        ft = evolve(g, f0, float(t))
-        mass = ft.mass().real
-        worst_drift = max(worst_drift, abs(mass - mass0))
-        blocks = [2.0 * np.pi * ft.coeff(n, 0).real
-                  for n in range(1, args.trace_blocks + 1)]
-        rows.append((float(t), mass, ft.head.real, *blocks))
+    # np.max propagates NaN, and a NaN drift fails the gate below
+    worst_drift = float(np.max(np.abs(mass - mass0)))
+    cols = [times, mass, ft.head.real] + [
+        np.broadcast_to(2.0 * np.pi * ft.coeff(n, 0).real, times.shape)
+        for n in range(1, args.trace_blocks + 1)]
 
     headers = ["t", "mass", "head"] + \
         [f"block_mass_{n}" for n in range(1, args.trace_blocks + 1)]
-    write_csv(_out_path(cfg, "evolve.csv"), headers, rows)
+    write_csv(_out_path(cfg, "evolve.csv"), headers,
+              zip(*(c.tolist() for c in cols)))
     tol = 1e-8 * max(1.0, abs(mass0))
-    print(f"semigroup evolve: {len(rows)} samples to t={args.t}, "
+    print(f"semigroup evolve: {times.size} samples to t={args.t}, "
           f"mass drift {worst_drift:.3e} (tolerance {tol:.1e})")
     return 0 if worst_drift <= tol else 1
 
@@ -425,10 +432,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sgsub.add_parser("scan-axis", parents=[common],
                          help="classify imaginary-axis points")
     p.add_argument("--betas", default=None,
-                   help="comma-separated beta values, e.g. "
-                        "--betas=-0.9,0.2 (the '=' form is needed when the "
-                        "list starts with '-'; default grid in "
-                        "[-0.95, 0.95] including 0)")
+                   help="comma-separated finite beta values, e.g. "
+                        "--betas -0.9,0.2 or --betas=-0.9,0.2 (default "
+                        "grid in [-0.95, 0.95] including 0)")
+    # argparse reads '-0.9' as a value but '-0.9,0.2' as an option; widen
+    # its negative-number rule to anything that starts like a number
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     p.set_defaults(func=cmd_scan_axis)
 
     p = sgsub.add_parser("cert", parents=[common],
@@ -441,9 +450,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sgsub.add_parser("evolve", parents=[common],
                          help="orbit of the semigroup with mass trace")
-    p.add_argument("--t", type=float, default=10.0, help="final time")
+    p.add_argument("--t", type=float, default=10.0,
+                   help="final time, finite and >= 0")
     p.add_argument("--samples", type=int, default=51,
-                   help="number of trace samples")
+                   help="number of trace samples, at least 1")
     p.add_argument("--mode", default=None,
                    help="start from a single mode 'n,k' instead of the head")
     p.add_argument("--trace-blocks", type=int, default=8,

@@ -48,6 +48,11 @@ class BlockTooDeep(SpectralForgeError):
     a residual check against q_n could no longer fail there."""
 
 
+class NoSamples(SpectralForgeError):
+    """A randomised check was left with no sample to check, so it could
+    not fail."""
+
+
 class PoleHit(SpectralForgeError):
     """A scalar evaluation landed on (or too close to) a pole."""
 

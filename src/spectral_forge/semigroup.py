@@ -13,16 +13,21 @@ q_n = 2^-n / (2*pi) make the coupling vector q a unit mass.
 
 Purely imaginary spectral parameters are probed through the certified
 denominator 1 - h(beta)/(i*beta+1) with h(beta) = sum_n 2*pi*q_n^2 /
-(i*beta + q_n); approximate point spectrum on the axis is exhibited by
-single-Fourier-mode states whose residual equals q_n exactly.
+(i*beta + q_n), evaluated for a whole array of beta by one kernel whose
+arithmetic is that of ``CertifiedComplex``; approximate point spectrum on
+the axis is exhibited by single-Fourier-mode states whose residual equals
+q_n exactly.  Orbits are sampled by stepping the head/mode-0 chain from one
+time to the next with a memoised matrix exponential.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Dict, List, Optional
 
@@ -30,7 +35,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import SingularBlock, SpectralForgeError
-from .model import CertifiedComplex, WeightSeq
+from .model import _RADIUS_SLOP, CertifiedComplex, WeightSeq
 from .resolvent import CERTIFIED, SINGULAR, _S_GAP_GUARD
 
 __all__ = [
@@ -273,6 +278,43 @@ def resolvent_block_generator(g: GeneratorSpec, beta: float,
     return out
 
 
+def _smith(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) elementwise by Smith's formula, written as
+    CPython's complex division writes it, so the two agree bit for bit
+    (numpy's complex ``/`` does not)."""
+    big = np.abs(br) >= np.abs(bi)
+    ratio = np.where(big, bi / br, br / bi)
+    den = np.where(big, br + bi * ratio, br * ratio + bi)
+    return (np.where(big, ar + ai * ratio, ar * ratio + ai) / den,
+            np.where(big, ai - ar * ratio, ai * ratio - ar) / den)
+
+
+def _axis_kernel(g: GeneratorSpec, betas, depth: int):
+    """h(beta) and the denominator 1 - h(beta)/(i*beta + 1), each as a
+    (real, imag) pair of arrays, and the denominator's radius.
+
+    This is ``CertifiedComplex``'s arithmetic, operation for operation:
+    terms summed over n = 1..depth in order, quotients by ``_smith``,
+    moduli by ``np.hypot`` (as ``abs`` of a complex) and the same
+    ``_RADIUS_SLOP`` terms, so a batch of one is the scalar evaluation.
+    """
+    im = np.asarray(betas, dtype=float) + 0.0     # Im(i*beta + x), x real
+    hr, hi = np.zeros_like(im), np.zeros_like(im)
+    with np.errstate(all="ignore"):               # as silent as Python floats
+        for n in range(1, depth + 1):
+            q = g.weights.value(n)
+            tr, ti = _smith(TWO_PI * q * q, 0.0, q, im)
+            hr += tr
+            hi += ti
+        # the divisor i*beta + 1 is exact, so only h's radius is divided
+        mod = np.hypot(1.0, im)
+        xr, xi = _smith(hr, hi, 1.0, im)
+        rad = (mod * g.weights.tail_mass(depth) / (mod * mod)
+               + _RADIUS_SLOP * np.hypot(xr, xi))
+        dr, di = 1.0 - xr, 0.0 - xi               # zeros signed as 1.0 - x
+        return (hr, hi), (dr, di), rad + _RADIUS_SLOP * np.hypot(dr, di)
+
+
 def generator_series(g: GeneratorSpec, beta: float,
                      depth: Optional[int] = None) -> CertifiedComplex:
     """Certified h(beta) = sum_n 2*pi*q_n^2 / (i*beta + q_n).
@@ -282,18 +324,16 @@ def generator_series(g: GeneratorSpec, beta: float,
     beta = 0, which is precisely the interesting parameter).
     """
     depth = g.depth if depth is None else depth
-    total = 0j
-    for n in range(1, depth + 1):
-        q = g.weights.value(n)
-        total += TWO_PI * q * q / (1j * beta + q)
-    return CertifiedComplex(total, g.weights.tail_mass(depth))
+    (hr, hi), _, _ = _axis_kernel(g, [beta], depth)
+    return CertifiedComplex(complex(hr[0], hi[0]), g.weights.tail_mass(depth))
 
 
 def generator_denominator(g: GeneratorSpec, beta: float,
                           depth: Optional[int] = None) -> CertifiedComplex:
     """Certified 1 - h(beta)/(i*beta + 1)."""
-    return 1.0 - generator_series(g, beta, depth) \
-        / CertifiedComplex(1j * beta + 1.0)
+    _, (dr, di), rad = _axis_kernel(g, [beta],
+                                    g.depth if depth is None else depth)
+    return CertifiedComplex(complex(dr[0], di[0]), float(rad[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -353,46 +393,52 @@ class AxisPoint:
 
 @dataclass
 class AxisReport:
-    points: List[AxisPoint]
-    metadata: dict = field(default_factory=dict)
+    """Per-beta columns of an axis scan at truncation depth ``depth``."""
+
+    betas: np.ndarray
+    certified: np.ndarray
+    denominator_abs_lower: np.ndarray
+    depth: int
+
+    def verdicts(self) -> List[str]:
+        return [CERTIFIED if c else SINGULAR for c in self.certified.tolist()]
+
+    @property
+    def points(self) -> List[AxisPoint]:
+        return [AxisPoint(*row) for row in self.csv_rows()]
 
     def csv_rows(self):
         """Rows for beta,verdict,denominator_abs_lower."""
-        for p in self.points:
-            yield (p.beta, p.verdict, p.denominator_abs_lower)
+        return zip(self.betas.tolist(), self.verdicts(),
+                   self.denominator_abs_lower.tolist())
 
     def counts(self) -> dict:
-        out: Dict[str, int] = {}
-        for p in self.points:
-            out[p.verdict] = out.get(p.verdict, 0) + 1
-        return out
+        """Verdict counts, keyed in order of first appearance."""
+        return dict(Counter(self.verdicts()))
 
 
 def scan_imaginary_axis(g: GeneratorSpec, betas,
                         depth: Optional[int] = None) -> AxisReport:
-    """Classify i*beta for each requested beta.
+    """Classify i*beta for each requested beta, in one call of the kernel.
 
     A point is certified only when the denominator disk excludes zero and
     i*beta keeps a positive distance to the closure of the block spectra,
     which on the axis means 0 < |beta| < 1 with margin min(|beta|, 1-|beta|).
     beta = 0 (denominator exactly the tail mass, disk touching zero) and
     |beta| >= 1 come out as SingularCandidate; membership in the spectrum
-    is never asserted by the scan itself.
+    is never asserted by the scan itself.  Each verdict and lower bound is
+    the one ``generator_denominator`` gives at that beta, bit for bit.
     """
     depth = g.depth if depth is None else depth
-    pts = []
-    for beta in betas:
-        beta = float(beta)
-        den = generator_denominator(g, beta, depth)
-        axis_gap = min(abs(beta), 1.0 - abs(beta))
-        if axis_gap <= _S_GAP_GUARD or not den.excludes_zero():
-            verdict = SINGULAR
-        else:
-            verdict = CERTIFIED
-        pts.append(AxisPoint(beta, verdict,
-                             den.abs_lower() if verdict == CERTIFIED else 0.0))
-    return AxisReport(pts, metadata={"depth": depth,
-                                     "betas": [p.beta for p in pts]})
+    beta = np.fromiter(betas, dtype=float)
+    if not np.all(np.isfinite(beta)):
+        raise ValueError("betas must be finite")
+    _, (dr, di), rad = _axis_kernel(g, beta, depth)
+    mod = np.hypot(dr, di)
+    gap = np.minimum(np.abs(beta), 1.0 - np.abs(beta))
+    certified = (gap > _S_GAP_GUARD) & (mod > rad)
+    return AxisReport(beta, certified, np.where(certified, mod - rad, 0.0),
+                      depth)
 
 
 # ---------------------------------------------------------------------------
@@ -410,36 +456,54 @@ def chain_generator(g: GeneratorSpec, n_blocks: int) -> np.ndarray:
     return m
 
 
-def evolve(g: GeneratorSpec, f0: FourierState, t: float,
+def evolve(g: GeneratorSpec, f0: FourierState, t,
            chain_depth: Optional[int] = None) -> FourierState:
-    """Semigroup orbit e^{tA} f0.
+    """Semigroup orbit e^{tA} f0 at a time t or an ascending array of times.
 
     Modes k != 0 decay in closed form by exp((i w_n k - q_n) t).  The head
     and the mode-0 coefficients of blocks 1..chain_depth form a closed
-    linear system integrated by the matrix exponential (scaling and
-    squaring); mode-0 content beyond the chain depth evolves by its
-    decoupled decay only, the neglected head feed being bounded in mass by
-    2^-chain_depth.
+    linear system with generator M; mode-0 content beyond the chain depth
+    evolves by its decoupled decay only, the neglected head feed being
+    bounded in mass by 2^-chain_depth.  The chain steps from sample to
+    sample, v_k = expm(dt_k M) v_{k-1} with dt_k = t_k - t_{k-1} and
+    t_0 = 0, one scaling-and-squaring exponential per distinct increment:
+    a uniform grid from 0 needs one, its dt_k are exact (Sterbenz) and sum
+    to t_k, and expm(dt M) >= 0 keeps a nonnegative chain nonnegative.
+    A scalar t gives a state; an array gives one state whose head and
+    coefficients are arrays over the times.
     """
-    if t < 0:
-        raise ValueError("evolution runs forward in time")
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    steps = np.diff(ts, prepend=0.0)
+    if not (np.all(np.isfinite(ts)) and np.all(steps >= 0.0)):
+        raise ValueError("evolution runs forward in time: need finite, "
+                         "ascending times >= 0")
     n_chain = g.depth if chain_depth is None else chain_depth
-    out = FourierState(0j)
 
-    v0 = np.zeros(n_chain + 1, dtype=complex)
-    v0[0] = f0.head
+    v = np.zeros(n_chain + 1, dtype=complex)
+    v[0] = f0.head
+    blocks: Dict[int, Dict[int, np.ndarray]] = {}
     for n, modes in f0.blocks.items():
         for k, c in modes.items():
             if k == 0 and n <= n_chain:
-                v0[n] += c
+                v[n] += c
                 continue
             q = g.weights.value(n)
             rate = (1j * g.omega_float(n, k) - q) if k != 0 else -q
-            out.set_coeff(n, k, c * cmath.exp(rate * t))
+            blocks.setdefault(n, {})[k] = np.array(
+                [c * cmath.exp(rate * s) for s in ts.tolist()])
 
-    vt = expm(t * chain_generator(g, n_chain)) @ v0
-    out.head += vt[0]
+    m = chain_generator(g, n_chain)
+    step = lru_cache(maxsize=16)(lambda dt: expm(dt * m))
+    chain = np.empty((ts.size, n_chain + 1), dtype=complex)
+    for i, dt in enumerate(steps.tolist()):
+        v = chain[i] = step(dt) @ v
     for n in range(1, n_chain + 1):
-        if vt[n] != 0:
-            out.set_coeff(n, 0, out.coeff(n, 0) + vt[n])
+        blocks.setdefault(n, {})[0] = chain[:, n]
+    if np.ndim(t) != 0:
+        return FourierState(chain[:, 0], blocks)
+    out = FourierState(0j)
+    out.head += chain[0, 0]
+    for n, modes in blocks.items():
+        for k, c in modes.items():
+            out.set_coeff(n, k, c[0])
     return out

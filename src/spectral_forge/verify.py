@@ -14,6 +14,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from .errors import NoSamples
 from .finite import build_finite_section, factorization_crosscheck, \
     strongly_connected
 from .io import substream
@@ -110,6 +111,9 @@ def suite_circles(seed: int = 0, samples: int = 100_000,
     lam = np.exp(2j * np.pi * theta)
     keep = lam != 1.0
     p, lam = p[keep], lam[keep]
+    if not p.size:
+        raise NoSamples(f"circles: none of the {samples} samples has "
+                        "lambda != 1, so nothing was checked")
     if corrupt:
         p = 2.0 - p                    # push the weights outside [0,1)
     shifted = np.abs(lam - 1.0 + p)

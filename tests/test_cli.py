@@ -269,6 +269,43 @@ def test_semigroup_scan_axis_default_grid(tmp_path):
     assert summary["counts"]["SingularCandidate"] == 1
 
 
+def test_semigroup_scan_axis_default_artifacts_are_pinned(tmp_path):
+    # sha256 of the default run (39 betas, depth 40) as written by the
+    # per-beta CertifiedComplex loop; the array kernel must match it
+    assert run(tmp_path, "semigroup", "scan-axis") == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("scan_axis.csv", "scan_axis.json")}
+    assert digests == {
+        "scan_axis.csv": "384c10c2b95234cbbafb9d765b7995b3a6a5ebce74b939"
+                         "968cab73a6d55efb8a",
+        "scan_axis.json": "5a203e2b11326b6c2799c8cedae1fff41f146f570ced6b"
+                          "fcea7098066047d789",
+    }
+
+
+def test_semigroup_scan_axis_betas_space_form(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(a, "semigroup", "scan-axis", "--betas", "-0.9,0.2") == 0
+    assert run(b, "semigroup", "scan-axis", "--betas=-0.9,0.2") == 0
+    for name in ("scan_axis.csv", "scan_axis.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    _, rows = read_csv(a / "scan_axis.csv")
+    assert [r[0] for r in rows] == ["-0.90000000000000002",
+                                    "0.20000000000000001"]
+    # an option after --betas is still read as an option, not as the list
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "semigroup", "scan-axis", "--betas", "--depth", "3")
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("betas", ["nan", "0.5,inf", "-inf"])
+def test_semigroup_scan_axis_rejects_non_finite_betas(tmp_path, betas,
+                                                      capsys):
+    assert run(tmp_path, "semigroup", "scan-axis", f"--betas={betas}") == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "scan_axis.csv").exists()
+
+
 def test_semigroup_evolve(tmp_path):
     rc = run(tmp_path, "semigroup", "evolve", "--t", "2.0",
              "--samples", "5", "--trace-blocks", "3")
@@ -288,6 +325,45 @@ def test_semigroup_evolve_mode_flag(tmp_path):
     _, rows = read_csv(tmp_path / "evolve.csv")
     assert all(abs(float(r[1])) < 1e-12 for r in rows)   # massless mode
     assert run(tmp_path, "semigroup", "evolve", "--mode", "banana") == 2
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf", "-1"])
+def test_semigroup_evolve_rejects_bad_final_times(tmp_path, t, capsys):
+    assert run(tmp_path, "semigroup", "evolve", f"--t={t}") == 2
+    assert "finite final time" in capsys.readouterr().err
+    assert not (tmp_path / "evolve.csv").exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_semigroup_evolve_rejects_too_few_samples(tmp_path, samples, capsys):
+    # a gate over no samples would pass without checking anything
+    assert run(tmp_path, "semigroup", "evolve", "--samples", samples) == 2
+    assert "at least one sample" in capsys.readouterr().err
+    assert not (tmp_path / "evolve.csv").exists()
+
+
+def test_semigroup_evolve_single_sample(tmp_path):
+    assert run(tmp_path, "semigroup", "evolve", "--t", "0",
+               "--samples", "1") == 0
+    _, rows = read_csv(tmp_path / "evolve.csv")
+    assert rows == [["0", "1", "1"] + ["0"] * 8]
+
+
+def test_semigroup_evolve_nan_mass_fails_the_drift_gate(tmp_path,
+                                                        monkeypatch, capsys):
+    # negative control: a NaN in the orbit must fail the gate, where
+    # max(0.0, nan) == 0.0 used to report a drift of zero
+    real = cli.evolve
+
+    def poisoned(g, f0, t):
+        ft = real(g, f0, t)
+        ft.head[-1] = float("nan")
+        return ft
+
+    monkeypatch.setattr(cli, "evolve", poisoned)
+    assert run(tmp_path, "semigroup", "evolve", "--t", "2.0",
+               "--samples", "5") == 1
+    assert "mass drift nan" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

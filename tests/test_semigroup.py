@@ -6,9 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import cmath
+
+from scipy.linalg import expm
+
+from spectral_forge import semigroup
 from spectral_forge.errors import SingularBlock
 from spectral_forge.resolvent import CERTIFIED, SINGULAR
-from spectral_forge.model import WeightSeq
+from spectral_forge.model import CertifiedComplex, WeightSeq
 from spectral_forge.semigroup import (TWO_PI, FourierState, GeneratorSpec,
                                       RationalSchedule, apply_block_generator,
                                       apply_generator, chain_generator,
@@ -182,6 +187,63 @@ def test_generator_denominator_at_zero_is_the_tail(gen):
     assert not den.excludes_zero()           # the disk touches the origin
 
 
+def _per_beta_denominator(g, beta, depth):
+    """The scalar CertifiedComplex evaluation the axis kernel replaced."""
+    total = 0j
+    for n in range(1, depth + 1):
+        q = g.weights.value(n)
+        total += TWO_PI * q * q / (1j * beta + q)
+    h = CertifiedComplex(total, g.weights.tail_mass(depth))
+    return h, 1.0 - h / CertifiedComplex(1j * beta + 1.0)
+
+
+_EDGE_BETAS = [0.0, -0.0, 1.0, -1.0, 1e-7, -1e-7, 0.999999, -0.999999]
+
+
+@pytest.mark.parametrize("depth", [1, 40, 60])
+def test_axis_kernel_is_bitwise_the_per_beta_loop(gen, depth):
+    rng = np.random.default_rng(depth)
+    betas = np.concatenate([_EDGE_BETAS, rng.uniform(-1.0, 1.0, 400),
+                            rng.normal(0.0, 5.0, 100),
+                            rng.uniform(-1e-4, 1e-4, 100)])
+    h, den, rad = semigroup._axis_kernel(gen, betas, depth)
+    ref = [_per_beta_denominator(gen, float(b), depth) for b in betas]
+    h_ref = np.array([r[0].value for r in ref])
+    den_ref = np.array([r[1].value for r in ref])
+    # tobytes compares every bit, the signs of zeros included
+    for got, want in [(h[0], h_ref.real), (h[1], h_ref.imag),
+                      (den[0], den_ref.real), (den[1], den_ref.imag),
+                      (rad, [r[1].radius for r in ref])]:
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_scalar_queries_are_batches_of_one(gen):
+    for beta in _EDGE_BETAS + [0.3, -2.5]:
+        h_ref, d_ref = _per_beta_denominator(gen, beta, 40)
+        h, d = generator_series(gen, beta), generator_denominator(gen, beta)
+        assert (h.value, h.radius) == (h_ref.value, h_ref.radius)
+        assert (d.value, d.radius) == (d_ref.value, d_ref.radius)
+
+
+def test_scan_axis_uses_the_scalar_verdict_rule(gen):
+    betas = _EDGE_BETAS + [0.05 * k for k in range(-25, 26)]
+    rep = scan_imaginary_axis(gen, betas)
+    for p in rep.points:
+        den = generator_denominator(gen, p.beta)
+        gap = min(abs(p.beta), 1.0 - abs(p.beta))
+        certified = gap > 1e-9 and den.excludes_zero()
+        assert p.verdict == (CERTIFIED if certified else SINGULAR)
+        assert p.denominator_abs_lower == (den.abs_lower() if certified
+                                           else 0.0)
+    # counts are keyed in order of first appearance, as the JSON shows them
+    assert list(rep.counts()) == [SINGULAR, CERTIFIED]
+    assert list(scan_imaginary_axis(gen, [0.5, 0.0]).counts()) == \
+        [CERTIFIED, SINGULAR]
+    assert scan_imaginary_axis(gen, []).counts() == {}
+    with pytest.raises(ValueError):
+        scan_imaginary_axis(gen, [0.5, float("nan")])
+
+
 def test_generator_denominator_depth_monotone(gen):
     # a deeper certified disk is contained in the shallower one
     for beta in (0.1, 0.3, 0.5, 0.7, 0.9, -0.2, -0.8):
@@ -301,3 +363,93 @@ def test_evolve_approximates_generator(gen):
         errs.append(((1.0 / h) * (fh - f0) - af).norm1())
     slope = np.polyfit(np.log([1e-2, 1e-3, 1e-4]), np.log(errs), 1)[0]
     assert slope >= 0.9
+
+
+def _per_time_evolve(g, f0, t, n_chain=None):
+    """The one-exponential-per-time orbit that the stepped one replaced."""
+    n_chain = g.depth if n_chain is None else n_chain
+    out = FourierState(0j)
+    v0 = np.zeros(n_chain + 1, dtype=complex)
+    v0[0] = f0.head
+    for n, modes in f0.blocks.items():
+        for k, c in modes.items():
+            if k == 0 and n <= n_chain:
+                v0[n] += c
+                continue
+            q = g.weights.value(n)
+            rate = (1j * g.omega_float(n, k) - q) if k != 0 else -q
+            out.set_coeff(n, k, c * cmath.exp(rate * t))
+    vt = expm(t * chain_generator(g, n_chain)) @ v0
+    out.head += vt[0]
+    for n in range(1, n_chain + 1):
+        if vt[n] != 0:
+            out.set_coeff(n, 0, out.coeff(n, 0) + vt[n])
+    return out
+
+
+_STATES = [FourierState.head_unit(),
+           FourierState(0.3, {2: {0: 0.1}, 6: {1: 0.2j}, 45: {0: 0.05}}),
+           FourierState.single_mode(6, 1, 1.0 / TWO_PI)]
+
+
+def _bits(state):
+    return (complex(state.head),
+            {n: {k: complex(c) for k, c in m.items()}
+             for n, m in state.blocks.items()})
+
+
+@pytest.mark.parametrize("f0", _STATES, ids=["head", "mixed", "mode"])
+def test_scalar_evolve_is_the_per_time_orbit(gen, f0):
+    for t in (0.0, 0.25, 3.7, 50.0):
+        assert _bits(evolve(gen, f0, t)) == _bits(_per_time_evolve(gen, f0, t))
+
+
+@pytest.mark.parametrize("f0", _STATES, ids=["head", "mixed", "mode"])
+def test_batched_evolve_starts_as_the_scalar_calls(gen, f0):
+    times = np.linspace(0.0, 10.0, 51)
+    orbit = evolve(gen, f0, times)
+    for i in (0, 1):
+        one = evolve(gen, f0, float(times[i]))
+        assert orbit.head[i] == one.head
+        assert np.signbit(orbit.head[i].real) == np.signbit(one.head.real)
+        for n, modes in orbit.blocks.items():
+            for k, col in modes.items():
+                assert col[i] == one.coeff(n, k)
+    # the t = 0 row is the initial state itself
+    assert orbit.head[0] == f0.head
+    for n in range(1, gen.depth + 1):
+        assert orbit.coeff(n, 0)[0] == f0.coeff(n, 0)
+
+
+def test_batched_evolve_stays_close_and_nonnegative(gen):
+    f0 = FourierState.head_unit()
+    times = np.linspace(0.0, 500.0, 2001)
+    orbit = evolve(gen, f0, times)
+    chain = np.column_stack([orbit.head] + [orbit.coeff(n, 0)
+                                            for n in range(1, gen.depth + 1)])
+    assert np.all(chain.imag == 0.0)
+    assert np.all(chain.real >= 0.0)
+    for i in (2, 7, 100, 1000, 2000):
+        ref = _per_time_evolve(gen, f0, float(times[i]))
+        ref_chain = [ref.head] + [ref.coeff(n, 0)
+                                  for n in range(1, gen.depth + 1)]
+        assert np.abs(chain[i] - ref_chain).max() <= 1e-13
+    assert np.abs(orbit.mass().real - 1.0).max() <= 1e-8
+
+
+def test_batched_evolve_needs_one_exponential_per_increment(gen,
+                                                          monkeypatch):
+    calls = []
+    monkeypatch.setattr(semigroup, "expm",
+                        lambda a: calls.append(a) or expm(a))
+    evolve(gen, FourierState.head_unit(), np.linspace(0.0, 500.0, 2001))
+    assert len(calls) == 2                   # increments 0 and 0.25
+
+
+@pytest.mark.parametrize("t", [[0.0, 2.0, 1.0], [-1.0, 0.0], [0.0, np.nan],
+                               [0.0, np.inf], -1.0, np.nan],
+                         ids=["descending", "negative", "nan", "inf",
+                              "negative-scalar", "nan-scalar"])
+def test_evolve_rejects_bad_times(gen, t):
+    with pytest.raises(ValueError):
+        evolve(gen, FourierState.head_unit(), t)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spectral_forge import verify
+from spectral_forge.errors import NoSamples
 from spectral_forge.verify import suite_circles
 
 
@@ -40,3 +41,14 @@ def test_suite_circles_cases(monkeypatch, p, theta, corrupt, checks,
     res = suite_circles(samples=len(p), corrupt=corrupt)
     assert (res.checks, res.failures) == (checks, failures)
     assert res.passed == (failures == 0)
+
+
+@pytest.mark.parametrize("p,theta", [([], []), ([0.25], [0.0]),
+                                     ([0.25, 0.5], [0.0, 0.0])],
+                         ids=["no-samples", "one-at-one", "all-at-one"])
+def test_suite_circles_without_samples_raises(monkeypatch, p, theta):
+    # a suite left with nothing to check must not report a pass
+    monkeypatch.setattr(verify, "substream",
+                        lambda seed, label: _FixedDraws(p, theta))
+    with pytest.raises(NoSamples, match="nothing was checked"):
+        suite_circles(samples=len(p))
