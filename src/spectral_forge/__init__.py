@@ -17,10 +17,9 @@ from .model import (BlockVector, CertifiedComplex, GroupUnionSpec,
                     TailProfile, WeightSeq, apply_operator, basis_head,
                     norm1, stochasticity_check, union_points, union_values,
                     weight_vector)
-from .resolvent import (CERTIFIED, SINGULAR, TAIL_INVALID, PointCertificate,
-                        block_resolvent_bound, certify_point,
-                        coupling_series, cyclic_shift_resolvent,
-                        resolvent_denominator, resolvent_diag, resolvent_full,
+from .resolvent import (CERTIFIED, SINGULAR, TAIL_INVALID,
+                        coupling_series_batch, cyclic_shift_resolvent,
+                        resolvent_diag, resolvent_full,
                         sherman_morrison_resolvent)
 from .scanner import EigCertificate, ScanReport, residual_certificate, \
     scan_unit_circle

@@ -21,8 +21,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import SpectralForgeError
-from .finite import build_finite_section, convergence_table, finite_spectrum, \
-    strongly_connected
+from .finite import convergence_table, finite_spectrum, strongly_connected
 from .io import write_csv, write_json
 from .model import GroupUnionSpec, WeightSeq
 from .resolvent import CERTIFIED, SINGULAR, _S_GAP_GUARD
@@ -32,12 +31,11 @@ from .semigroup import FourierState, GeneratorSpec, RationalSchedule, \
 from .verify import SUITE_NAMES, run_suites
 
 _CONFIG_KEYS = {
-    "construction", "orders", "weight_rule", "truncation_depth",
-    "grid_size", "exclusion_radius", "seed", "out",
+    "orders", "weight_rule", "truncation_depth", "grid_size",
+    "exclusion_radius", "seed", "out",
 }
 
 _DEFAULTS = {
-    "construction": "single-operator",
     "orders": (2, 3),
     "weight_rule": "dyadic",
     "truncation_depth": 40,
@@ -47,6 +45,10 @@ _DEFAULTS = {
     "out": ".",
 }
 
+# deepest series truncation whose dyadic tail radius 2^-depth is still a
+# positive float; 2.0**-1075 rounds to 0
+_MAX_DEPTH = 1074
+
 
 class UsageError(Exception):
     """Configuration or argument problem; maps to exit status 2."""
@@ -55,24 +57,6 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------
-
-def _parse_orders(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        items = list(text)
-    else:
-        items = [s for s in str(text).replace(" ", "").split(",") if s]
-    if not items:
-        raise UsageError("orders: need at least one cyclic order")
-    try:
-        orders = tuple(int(x) for x in items)
-    except (TypeError, ValueError):
-        raise UsageError(f"orders: {text!r} is not a comma-separated "
-                         "list of integers")
-    bad = [m for m in orders if m < 1]
-    if bad:
-        raise UsageError(f"orders: cyclic orders must be >= 1, got {bad}")
-    return orders
-
 
 def _load_config(path: str) -> dict:
     try:
@@ -91,7 +75,17 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _is_int(x) -> bool:
+    # JSON true/false arrive as bool, which is a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _resolve_config(args) -> dict:
+    """Merge defaults, the config file and the flags, and check every value.
+
+    Config values come from outside the program, so each one is checked
+    for type and range here; a bad one is a UsageError (exit 2).
+    """
     cfg = dict(_DEFAULTS)
     if getattr(args, "config", None):
         cfg.update(_load_config(args.config))
@@ -101,18 +95,44 @@ def _resolve_config(args) -> dict:
         val = getattr(args, attr, None)
         if val is not None:
             cfg[key] = val
-    cfg["orders"] = _parse_orders(cfg["orders"])
+
+    orders = cfg["orders"]
+    items = list(orders) if isinstance(orders, (list, tuple)) else \
+        [s for s in str(orders).replace(" ", "").split(",") if s]
+    try:
+        # integers, or strings of integers as the --orders flag gives them
+        parsed = tuple(int(x) if isinstance(x, str) else x for x in items)
+    except ValueError:
+        parsed = ()
+    if not parsed or not all(map(_is_int, parsed)):
+        raise UsageError(f"orders: {orders!r} is not a non-empty "
+                         "comma-separated list of integers")
+    bad = [m for m in parsed if m < 1]
+    if bad:
+        raise UsageError(f"orders: cyclic orders must be >= 1, got {bad}")
+    cfg["orders"] = parsed
 
     if cfg["weight_rule"] != "dyadic":
         raise UsageError(f"weight_rule: only 'dyadic' is implemented, "
                          f"got {cfg['weight_rule']!r}")
-    if not isinstance(cfg["truncation_depth"], int) \
-            or cfg["truncation_depth"] < 1:
-        raise UsageError("truncation_depth: need a positive integer")
-    if cfg["grid_size"] < 1:
-        raise UsageError("grid_size: need a positive integer")
-    if not 0.0 <= float(cfg["exclusion_radius"]) < 1.0:
-        raise UsageError("exclusion_radius: need a radius in [0, 1)")
+    depth = cfg["truncation_depth"]
+    if not _is_int(depth) or not 1 <= depth <= _MAX_DEPTH:
+        raise UsageError(
+            f"truncation_depth: need an integer in [1, {_MAX_DEPTH}], got "
+            f"{depth!r}; beyond {_MAX_DEPTH} the tail radius 2^-depth "
+            f"underflows to 0")
+    if not _is_int(cfg["grid_size"]) or cfg["grid_size"] < 1:
+        raise UsageError(f"grid_size: need a positive integer, got "
+                         f"{cfg['grid_size']!r}")
+    radius = cfg["exclusion_radius"]
+    if not (isinstance(radius, (int, float)) and not isinstance(radius, bool)
+            and 0.0 <= radius < 1.0):
+        raise UsageError(f"exclusion_radius: need a number in [0, 1), got "
+                         f"{radius!r}")
+    if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
+        raise UsageError(f"seed: need an integer >= 0, got {cfg['seed']!r}")
+    if not isinstance(cfg["out"], str) or not cfg["out"]:
+        raise UsageError(f"out: need a directory path, got {cfg['out']!r}")
     return cfg
 
 

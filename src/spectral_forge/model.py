@@ -15,7 +15,7 @@ soon as the masses d*q_n sum to one; the default dyadic rule q_n = 2^-n / d
 does exactly that, with the exact tail identity sum_{n>N} d*q_n = 2^-N.
 
 This module provides the spec of the permutation part (``GroupUnionSpec``),
-the weight rule (``WeightSeq``), structured vectors with an optional
+the dyadic weights (``WeightSeq``), structured vectors with an optional
 closed-form tail (``BlockVector``), certified scalars (``CertifiedComplex``),
 the forward map ``apply_operator`` and the certified norm ``norm1``.
 """
@@ -183,9 +183,6 @@ class GroupUnionSpec:
         """lcm of the orders; P**period is the identity."""
         return math.lcm(*self.orders)
 
-    def one(self) -> np.ndarray:
-        return np.ones(self.d)
-
     def permute(self, x: np.ndarray) -> np.ndarray:
         """Apply the block permutation P to a length-d vector."""
         x = np.asarray(x)
@@ -216,66 +213,45 @@ def union_values(spec: GroupUnionSpec) -> np.ndarray:
     return np.array([np.exp(2j * np.pi * float(a)) for a in union_points(spec)])
 
 
-def dist_to_union(spec: GroupUnionSpec, lam: complex) -> float:
-    return float(np.min(np.abs(union_values(spec) - lam)))
-
-
 # ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class WeightSeq:
-    """Summable coupling weights with an exact tail-mass rule.
+    """Dyadic coupling weights q_n = 2^-n / unit.
 
     ``kind`` is "single" (mass unit d, masses d*q_n) or "semigroup" (mass
-    unit 2*pi).  The default dyadic rule q_n = 2^-n / unit satisfies
-    sum_{n>N} unit*q_n = 2^-N exactly, also in floating point.  Alternative
-    rules may be supplied but must bring their own exact tail function.
+    unit 2*pi).  The masses unit*q_n = 2^-n satisfy
+    sum_{n>N} unit*q_n = 2^-N exactly, also in floating point.
     """
 
     kind: str
     mass_unit: float
-    rule: Callable[[int], float]
-    tail_rule: Callable[[int], float]
-    name: str = "dyadic"
 
     def __post_init__(self):
         if self.kind not in ("single", "semigroup"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        q1 = self.rule(1)
+        q1 = self.value(1)
         hi = 0.5 if self.kind == "single" else 1.0
         if not 0.0 < q1 <= hi:
             raise ValueError(f"q_1 = {q1} outside (0, {hi}]")
-        # spot-check the tail rule against the masses it claims to sum
-        for n in (1, 2, 7):
-            lhs = self.mass_unit * self.rule(n)
-            rhs = self.tail_rule(n - 1) - self.tail_rule(n)
-            if abs(lhs - rhs) > 1e-13 * max(1.0, abs(lhs)):
-                raise ValueError(
-                    f"tail rule inconsistent with masses at n={n}: "
-                    f"{lhs} vs {rhs}")
 
     @classmethod
     def dyadic_single(cls, d: int) -> "WeightSeq":
         if d < 1:
             raise ValueError("d must be >= 1")
-        return cls("single", float(d),
-                   lambda n: 2.0 ** -n / d,
-                   lambda n: 2.0 ** -n)
+        return cls("single", float(d))
 
     @classmethod
     def dyadic_semigroup(cls) -> "WeightSeq":
-        unit = 2.0 * math.pi
-        return cls("semigroup", unit,
-                   lambda n: 2.0 ** -n / unit,
-                   lambda n: 2.0 ** -n)
+        return cls("semigroup", 2.0 * math.pi)
 
     def value(self, n: int) -> float:
         """q_n (n >= 1)."""
         if n < 1:
             raise ValueError("weights are indexed from 1")
-        return self.rule(n)
+        return 2.0 ** -n / self.mass_unit
 
     def mass(self, n: int) -> float:
         """The mass carried by block n: unit * q_n."""
@@ -285,7 +261,7 @@ class WeightSeq:
         """Exact value of sum_{m>n} mass(m)."""
         if n < 0:
             raise ValueError("tail index must be >= 0")
-        return self.tail_rule(n)
+        return 2.0 ** -n
 
     def partial_mass(self, n: int) -> float:
         """sum_{m<=n} mass(m), via the exact tail rule."""
@@ -293,7 +269,7 @@ class WeightSeq:
 
     def values(self, depth: int) -> np.ndarray:
         """q_1 .. q_depth as an array."""
-        return np.array([self.value(n) for n in range(1, depth + 1)])
+        return np.ldexp(1.0, -np.arange(1, depth + 1)) / self.mass_unit
 
 
 # ---------------------------------------------------------------------------

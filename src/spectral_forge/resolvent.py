@@ -4,13 +4,13 @@ Everything here works at a fixed spectral parameter.  The block-diagonal
 part S = diag(0, (1-q_1)P, (1-q_2)P, ...) has an explicit resolvent built
 from the circulant inverse of ``mu*I - C_m``; the coupled operator
 T = S + (e x q) + (q x e) is reached through two Sherman-Morrison steps
-whose scalar denominator ``1 - <q, R(lam,S) q>/lam`` is evaluated as a
-certified partial sum with an exact dyadic tail bound.
+whose scalar denominator ``1 - <q, R(lam,S) q>/lam`` rests on the coupling
+series, evaluated over an array of parameters as a partial sum with an
+exact dyadic tail bound.
 
-A point is certified to lie in the resolvent set of T only when *both*
-ingredients hold: a positive certified gap to the spectrum of S (which
-accumulates at the prescribed peripheral set) and a denominator disk that
-excludes zero.
+Whether a point lies in the resolvent set of T is decided by the scanner's
+certification kernel, which combines that series with the gap to the
+spectrum of S.
 """
 
 from __future__ import annotations
@@ -25,21 +25,16 @@ from .errors import (SingularBlock, SingularUpdate, SpectralForgeError,
                      TailInvalid)
 from .model import (BlockVector, CertifiedComplex, GroupUnionSpec, TailProfile,
                     WeightSeq, basis_head, apply_operator, norm1, pair_head,
-                    pair_weights, union_values, weight_vector)
+                    pair_weights, weight_vector)
 
 __all__ = [
     "CyclicResolvent",
     "cyclic_shift_resolvent",
     "resolvent_diag",
-    "spectrum_gap_diag",
-    "coupling_series",
     "coupling_series_batch",
-    "resolvent_denominator",
     "RankOneUpdate",
     "sherman_morrison_resolvent",
     "resolvent_full",
-    "certify_point",
-    "block_resolvent_bound",
     "CERTIFIED", "SINGULAR", "TAIL_INVALID",
 ]
 
@@ -123,7 +118,7 @@ def resolvent_diag(spec: GroupUnionSpec, w: WeightSeq, lam: complex,
     cutoff is deep enough.
 
     This is the action formula; whether lam lies in the resolvent set of S
-    globally is a separate question answered by :func:`spectrum_gap_diag`.
+    globally is a separate question answered by the scanner's kernel.
     """
     lam = complex(lam)
     if abs(lam) <= _BLOCK_GUARD:
@@ -161,79 +156,32 @@ def resolvent_diag(spec: GroupUnionSpec, w: WeightSeq, lam: complex,
     return BlockVector(spec.d, f.head / lam, blocks, tail)
 
 
-def spectrum_gap_diag(spec: GroupUnionSpec, w: WeightSeq, lam: complex,
-                      depth: int = 40) -> float:
-    """Certified lower bound for dist(lam, sigma(S)).
-
-    sigma(S) = {0} together with the closure of all (1-q_n) * zeta over
-    blocks n and peripheral points zeta; the closure contributes the
-    peripheral set itself.  The bound checks n <= depth explicitly and
-    covers n > depth by |lam - zeta| - q_{depth+1}.
-    """
-    lam = complex(lam)
-    zeta = union_values(spec)
-    qs = w.values(depth)
-    scaled = (1.0 - qs)[:, None] * zeta[None, :]
-    per_block = float(np.min(np.abs(lam - scaled)))
-    limit = float(np.min(np.abs(lam - zeta))) - w.value(depth + 1)
-    return max(0.0, min(abs(lam), per_block, limit))
-
-
 # ---------------------------------------------------------------------------
 # certified coupling series
 # ---------------------------------------------------------------------------
 
-def coupling_series(spec: GroupUnionSpec, w: WeightSeq, lam: complex,
-                    depth: int = 40) -> CertifiedComplex:
-    """Certified value of <q, R(lam, S) q> = sum_n d q_n^2 / (lam - 1 + q_n).
+def coupling_series_batch(spec: GroupUnionSpec, w: WeightSeq,
+                          lams: np.ndarray, depth: int = 40):
+    """Certified <q, R(lam, S) q> = sum_n d q_n^2 / (lam - 1 + q_n) over an
+    array of parameters.
 
     Sums n <= depth and bounds the tail by the exact remaining mass
     tail_mass(depth), valid because q_n / |lam - 1 + q_n| < 1 for every
-    tail index.  The guard inequality is checked for n <= depth + 1; the
+    tail index.  Returns ``(values, radius, valid)`` where ``valid`` flags
+    the points whose guard inequality holds for every n <= depth + 1; the
     endpoint check extends to the whole tail by convexity of the violation
-    set in q.  Raises TailInvalid otherwise (this is where lam = 1 and
-    pole-adjacent parameters are rejected).
-    """
-    lam = complex(lam)
-    total = 0j
-    for n in range(1, depth + 2):
-        q = w.value(n)
-        den = lam - 1.0 + q
-        if not abs(den) > q * (1.0 + _TAIL_GUARD):
-            raise TailInvalid(
-                f"|lam-1+q_{n}| = {abs(den):.3e} <= q_{n}*(1+guard)")
-        if n <= depth:
-            total += spec.d * q * q / den
-    return CertifiedComplex(total, w.tail_mass(depth))
-
-
-def coupling_series_batch(spec: GroupUnionSpec, w: WeightSeq,
-                          lams: np.ndarray, depth: int = 40):
-    """Vectorised :func:`coupling_series` over an array of parameters.
-
-    Returns ``(values, radius, valid)`` where ``valid`` flags the points
-    whose guard inequality holds for every n <= depth + 1.  Values at
+    set in q (lam = 1 and pole-adjacent parameters fail it).  Values at
     invalid points are still returned (they may be finite) but carry no
     certificate.
     """
     lams = np.asarray(lams, dtype=complex)
     qs = w.values(depth + 1)
     dens = lams[:, None] - 1.0 + qs[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         valid = (np.abs(dens) > qs[None, :] * (1.0 + _TAIL_GUARD)).all(axis=1)
         terms = spec.d * qs[None, :depth] ** 2 / dens[:, :depth]
         values = terms.sum(axis=1)
     return values, w.tail_mass(depth), valid
-
-
-def resolvent_denominator(spec: GroupUnionSpec, w: WeightSeq, lam: complex,
-                          depth: int = 40) -> CertifiedComplex:
-    """Certified Sherman-Morrison denominator 1 - <q, R(lam,S) q>/lam."""
-    lam = complex(lam)
-    if abs(lam) <= _BLOCK_GUARD:
-        raise SingularBlock("denominator needs lam != 0")
-    series = coupling_series(spec, w, lam, depth)
-    return 1.0 - series / CertifiedComplex(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -337,74 +285,14 @@ def _resolvent_full_once(spec, w, lam, f, depth):
                                        gamma=CertifiedComplex(0j))
 
     # step 2: add (q x e); gamma_2 = series / lam, certified
-    series = coupling_series(spec, w, lam, depth)
-    gamma2 = series / CertifiedComplex(lam)
+    values, radius, valid = coupling_series_batch(spec, w, [lam], depth)
+    if not valid[0]:
+        raise TailInvalid(f"lam = {lam}: |lam-1+q_n| <= q_n*(1+guard) for "
+                          f"some n <= {depth + 1}")
+    gamma2 = CertifiedComplex(complex(values[0]), radius) \
+        / CertifiedComplex(lam)
     upd2 = RankOneUpdate(
         w=e, phi=q,
         pair=lambda _phi, vec: pair_weights(spec, w, vec, depth))
     step2 = sherman_morrison_resolvent(step1, upd2, gamma=gamma2)
     return step2(f)
-
-
-# ---------------------------------------------------------------------------
-# pointwise certification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PointCertificate:
-    lam: complex
-    verdict: str
-    denominator: Optional[CertifiedComplex]
-    diag_gap: float
-
-    @property
-    def denominator_abs_lower(self) -> float:
-        if self.denominator is None:
-            return 0.0
-        return self.denominator.abs_lower()
-
-
-def certify_point(spec: GroupUnionSpec, w: WeightSeq, lam: complex,
-                  depth: int = 40,
-                  s_gap_guard: float = _S_GAP_GUARD) -> PointCertificate:
-    """Classify one spectral parameter.
-
-    TailInvalid: the certified series has no valid tail bound there
-    (lam on / next to the distinguished direction through 1).
-    SingularCandidate: either the certified gap to sigma(S) collapses or
-    the denominator disk contains 0; never a claim of spectrum membership.
-    CertifiedResolvent: both checks pass, so lam is rigorously in the
-    resolvent set of the coupled operator.
-    """
-    lam = complex(lam)
-    gap = spectrum_gap_diag(spec, w, lam, depth)
-    try:
-        den = resolvent_denominator(spec, w, lam, depth)
-    except TailInvalid:
-        return PointCertificate(lam, TAIL_INVALID, None, gap)
-    except SingularBlock:           # lam numerically 0: head spectrum
-        return PointCertificate(lam, SINGULAR, None, gap)
-    if gap <= s_gap_guard or not den.excludes_zero():
-        return PointCertificate(lam, SINGULAR, den, gap)
-    return PointCertificate(lam, CERTIFIED, den, gap)
-
-
-def block_resolvent_bound(spec: GroupUnionSpec, w: WeightSeq, lam: complex,
-                          depth: int = 40) -> float:
-    """Largest observed l1 norm of a block resolvent R(lam, (1-q_n) P).
-
-    The measured stand-in for the uniform bound whose existence the
-    compactness argument provides; reported, never asserted.
-    """
-    lam = complex(lam)
-    worst = 0.0
-    for n in range(1, depth + 1):
-        q = w.value(n)
-        mu = lam / (1.0 - q)
-        for m in set(spec.orders):
-            det = abs(mu ** m - 1.0)
-            if det <= _BLOCK_GUARD:
-                return math.inf
-            s = sum(abs(mu) ** (m - 1 - j) for j in range(m)) / det
-            worst = max(worst, s / (1.0 - q))
-    return worst

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -185,72 +185,109 @@ class ScanReport:
                            self.block_bounds[part].tolist())
 
 
+class _CircleBatch(NamedTuple):
+    """Per-point output of :func:`_circle_kernel`, one array per field."""
+
+    den: np.ndarray          # centre of the disk of 1 - <q, R(lam,S) q>/lam
+    den_radius: np.ndarray   # its certified radius
+    den_lower: np.ndarray    # certified lower bound of |den|, 0 if invalid
+    gap: np.ndarray          # certified lower bound of dist(lam, sigma(S))
+    block_bound: np.ndarray  # largest observed block-resolvent l1 norm
+    dist: np.ndarray         # distance to the peripheral set
+    excluded: np.ndarray     # dist <= exclusion_radius
+    valid: np.ndarray        # the tail guard holds for every n <= depth + 1
+    verdict: np.ndarray      # CERTIFIED, SINGULAR or TAIL_INVALID
+
+
+def _circle_kernel(spec: GroupUnionSpec, w: WeightSeq, lams, depth: int,
+                   exclusion_radius: float = 0.0) -> _CircleBatch:
+    """Certify every spectral parameter in ``lams``, on the circle or off it.
+
+    TailInvalid: the series has no valid tail bound (lam on or next to the
+    distinguished direction through 1).  SingularCandidate: lam lies on an
+    exclusion arc, its certified gap to sigma(S) collapses (always at
+    lam = 0) or its denominator disk contains 0; never a claim of spectrum
+    membership.  CertifiedResolvent: lam is rigorously in the resolvent set.
+
+    sigma(S) is {0}, every (1-q_n) * zeta and the peripheral set; the gap
+    checks n <= depth explicitly and covers n > depth by
+    |lam - zeta| - q_{depth+1}.  The block bound is the measured stand-in
+    for the uniform bound the compactness argument provides; reported,
+    never asserted.  Each result depends on its own point alone, so a
+    scalar query is a batch of one.
+    """
+    lam = np.asarray(lams, dtype=complex)
+    zeta = union_values(spec)
+    qs = w.values(depth)
+    scaled = ((1.0 - qs)[:, None] * zeta[None, :]).reshape(-1)
+    q_limit = w.value(depth + 1)
+
+    values, radius, valid = coupling_series_batch(spec, w, lam, depth)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = 1.0 - values / lam
+        den_radius = radius / np.abs(lam)
+        # fmax: the undefined disk at lam = 0 gets the lower bound 0
+        low = np.fmax(0.0, np.abs(den) - den_radius)
+
+    per_block = np.min(np.abs(lam[:, None] - scaled[None, :]), axis=1)
+    near = np.min(np.abs(lam[:, None] - zeta[None, :]), axis=1)
+    limit = near - q_limit
+    gap = np.maximum(0.0, np.minimum.reduce([np.abs(lam), per_block, limit]))
+
+    bounds = np.zeros(lam.shape)
+    for q in qs:
+        mu = lam / (1.0 - q)
+        absmu = np.abs(mu)
+        for m in set(spec.orders):
+            det = np.abs(mu ** m - 1.0)
+            det = np.maximum(det, 1e-300)
+            b = sum(absmu ** (m - 1 - j) for j in range(m)) / det
+            np.maximum(bounds, b / (1.0 - q), out=bounds)
+
+    # certification is withheld on the exclusion arcs
+    out = near <= exclusion_radius
+    withheld = (gap <= _S_GAP_GUARD) | (low <= 0.0) | out
+    # slice assignment shares one str; np.full would copy it per point
+    verdict = np.empty(lam.shape, dtype=object)
+    verdict[:] = CERTIFIED
+    verdict[valid & withheld] = SINGULAR
+    verdict[~valid] = TAIL_INVALID
+    low[~valid] = 0.0
+    return _CircleBatch(den, den_radius, low, gap, bounds, near, out, valid,
+                        verdict)
+
+
 def scan_unit_circle(spec: GroupUnionSpec, w: WeightSeq,
                      grid_size: int = 3600, exclusion_radius: float = 0.05,
                      depth: int = 40, cert_block: int = 30,
                      with_certificates: bool = True) -> ScanReport:
     """Classify every grid point exp(2*pi*i*j/grid_size).
 
-    The grid is processed in chunks of ``_CHUNK`` points.  Within a chunk the
-    certified series, the gap to the block-diagonal spectrum and the
-    observed block-resolvent norms are vectorised; every per-point result
-    depends on that point alone, so the output does not depend on the chunk
-    size, and memory beyond the per-point columns stays bounded by one
-    chunk.  The result is deterministic for fixed inputs; conjugation
-    symmetry of the construction is a test-side invariant, not enforced
-    here.
+    The grid is processed in chunks of ``_CHUNK`` points, each certified by
+    :func:`_circle_kernel`.  Every per-point result depends on that point
+    alone, so the output does not depend on the chunk size, and memory
+    beyond the per-point columns stays bounded by one chunk.  The result is
+    deterministic for fixed inputs; conjugation symmetry of the
+    construction is a test-side invariant, not enforced here.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be positive")
     thetas = np.arange(grid_size) / grid_size
     lams = np.exp(2j * np.pi * thetas)
 
-    zeta = union_values(spec)
-    qs = w.values(depth)
-    scaled = ((1.0 - qs)[:, None] * zeta[None, :]).reshape(-1)
-    q_limit = w.value(depth + 1)
-
     den_lower = np.empty(grid_size)
-    block_bounds = np.zeros(grid_size)
+    block_bounds = np.empty(grid_size)
     dist = np.empty(grid_size)
     excluded = np.empty(grid_size, dtype=bool)
     verdicts = np.empty(grid_size, dtype=object)
     for s in range(0, grid_size, _CHUNK):
         part = slice(s, s + _CHUNK)
-        lam = lams[part]
-
-        values, radius, valid = coupling_series_batch(spec, w, lam, depth)
-        den = 1.0 - values / lam
-        den_radius = radius / np.abs(lam)
-        low = np.maximum(0.0, np.abs(den) - den_radius)
-
-        per_block = np.min(np.abs(lam[:, None] - scaled[None, :]), axis=1)
-        near = np.min(np.abs(lam[:, None] - zeta[None, :]), axis=1)
-        limit = near - q_limit
-        gap = np.maximum(0.0, np.minimum.reduce([np.abs(lam), per_block,
-                                                 limit]))
-
-        bounds = block_bounds[part]
-        for q in qs:
-            mu = lam / (1.0 - q)
-            absmu = np.abs(mu)
-            for m in set(spec.orders):
-                det = np.abs(mu ** m - 1.0)
-                det = np.maximum(det, 1e-300)
-                b = sum(absmu ** (m - 1 - j) for j in range(m)) / det
-                np.maximum(bounds, b / (1.0 - q), out=bounds)
-
-        # certification is withheld on the exclusion arcs
-        out = near <= exclusion_radius
-        withheld = (gap <= _S_GAP_GUARD) | (low <= 0.0) | out
-        verdict = verdicts[part]
-        verdict[:] = CERTIFIED
-        verdict[valid & withheld] = SINGULAR
-        verdict[~valid] = TAIL_INVALID
-        low[~valid] = 0.0
-        den_lower[part] = low
-        dist[part] = near
-        excluded[part] = out
+        k = _circle_kernel(spec, w, lams[part], depth, exclusion_radius)
+        den_lower[part] = k.den_lower
+        block_bounds[part] = k.block_bound
+        dist[part] = k.dist
+        excluded[part] = k.excluded
+        verdicts[part] = k.verdict
 
     on_rim = ~excluded & np.isfinite(block_bounds)
     empirical_m = float(block_bounds[on_rim].max()) if on_rim.any() else 0.0

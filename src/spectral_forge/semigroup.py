@@ -447,7 +447,7 @@ def scan_imaginary_axis(g: GeneratorSpec, betas,
 
 def chain_generator(g: GeneratorSpec, n_blocks: int) -> np.ndarray:
     """Generator of the closed head/mode-0 subsystem, size n_blocks + 1."""
-    qs = np.array([g.weights.value(n) for n in range(1, n_blocks + 1)])
+    qs = g.weights.values(n_blocks)
     m = np.zeros((n_blocks + 1, n_blocks + 1))
     m[0, 0] = -1.0
     m[0, 1:] = TWO_PI * qs

@@ -396,11 +396,59 @@ def test_config_flag_overrides_file(tmp_path):
     {"weight_rule": "uniform"},            # unimplemented rule
     {"truncation_depth": 0},
     {"exclusion_radius": 1.5},
+    # accepted and ignored: scan-circle ran the single operator whatever
+    # it said; now an unknown key
+    {"construction": "semigroup"},
+    # values of the wrong type, which used to crash with a traceback (exit
+    # 1, the "verification failed" code) or run with a silently changed
+    # value (true as depth 1, 2.5 as order 2)
+    {"grid_size": "100"}, {"grid_size": 50.5}, {"grid_size": None},
+    {"grid_size": True},
+    {"exclusion_radius": "x"}, {"exclusion_radius": None},
+    {"exclusion_radius": True},
+    {"truncation_depth": True}, {"truncation_depth": None},
+    {"truncation_depth": 40.0},
+    {"orders": [2.5, 3]}, {"orders": [True, 3]}, {"orders": None},
+    {"orders": []},
+    {"seed": "abc"}, {"seed": None}, {"seed": -1},
+    {"out": 5},
 ])
-def test_config_rejections(tmp_path, payload):
+def test_config_rejections(tmp_path, capsys, payload):
+    # a config file is input from outside: every bad value exits 2 with its
+    # key named; every command resolves the config the same way
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(payload))
-    assert run(tmp_path, "scan-circle", "--config", str(cfg)) == 2
+    out = tmp_path / "out"
+    flags = [] if "out" in payload else ["--out", str(out)]
+    assert cli.main(["scan-circle", "--config", str(cfg), *flags]) == 2
+    key, = payload
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_unknown_key_lists_the_allowed_ones(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"construction": "semigroup"}))
+    assert run(tmp_path, "verify", "--config", str(cfg)) == 2
+    assert "unknown keys ['construction']; allowed: ['exclusion_radius', " \
+        "'grid_size', 'orders', 'out', 'seed', 'truncation_depth', " \
+        "'weight_rule']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["scan-circle", "--grid", "16"],
+    ["semigroup", "scan-axis", "--betas=-0.5,0,0.5"],
+], ids=["scan-circle", "scan-axis"])
+def test_depth_is_bounded_where_the_tail_radius_underflows(tmp_path, capsys,
+                                                          command):
+    # 2^-1074 is the smallest positive float; at 1075 every certified radius
+    # would be exactly 0
+    assert run(tmp_path / "ok", *command, "--depth", "1074") == 0
+    capsys.readouterr()
+    assert run(tmp_path / "bad", *command, "--depth", "1075") == 2
+    err = capsys.readouterr().err
+    assert "truncation_depth" in err and "underflows" in err
+    assert not (tmp_path / "bad").exists()
 
 
 def test_bad_orders_flag(tmp_path):

@@ -11,14 +11,16 @@ from spectral_forge.model import (BlockVector, CertifiedComplex,
                                   GroupUnionSpec, WeightSeq, apply_operator,
                                   basis_head, norm1, weight_vector)
 from spectral_forge.resolvent import (CERTIFIED, SINGULAR, TAIL_INVALID,
-                                      RankOneUpdate, block_resolvent_bound,
-                                      certify_point, coupling_series,
-                                      coupling_series_batch,
-                                      cyclic_shift_resolvent,
-                                      resolvent_denominator, resolvent_diag,
+                                      RankOneUpdate, coupling_series_batch,
+                                      cyclic_shift_resolvent, resolvent_diag,
                                       resolvent_full,
-                                      sherman_morrison_resolvent,
-                                      spectrum_gap_diag)
+                                      sherman_morrison_resolvent)
+from spectral_forge.scanner import _circle_kernel
+
+
+def _point(spec, w, lam, depth=40):
+    """The kernel's answer at one parameter: a batch of one."""
+    return _circle_kernel(spec, w, [lam], depth)
 
 
 def _cyclic_matrix(m):
@@ -98,14 +100,18 @@ def test_resolvent_diag_tail_coefficients():
 def test_spectrum_gap_examples():
     spec = GroupUnionSpec((2,))
     w = WeightSeq.dyadic_single(2)
+
+    def gap(lam):
+        return _point(spec, w, lam).gap[0]
+
     # at the origin and at peripheral points the gap collapses
-    assert spectrum_gap_diag(spec, w, 0.0) == 0.0
-    assert spectrum_gap_diag(spec, w, -1.0) == 0.0
-    assert spectrum_gap_diag(spec, w, 1.0) == 0.0
+    assert gap(0.0) == 0.0
+    assert gap(-1.0) == 0.0
+    assert gap(1.0) == 0.0
     # the damped copy of -1 is spectrum too (up to the rounding of exp(i*pi))
-    assert spectrum_gap_diag(spec, w, -(1.0 - w.value(3))) < 1e-15
+    assert gap(-(1.0 - w.value(3))) < 1e-15
     # but i keeps distance 1 to {0} and ~sqrt(2) to the rest
-    assert spectrum_gap_diag(spec, w, 1j) == pytest.approx(1.0, abs=1e-12)
+    assert gap(1j) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -116,45 +122,47 @@ def test_coupling_series_frozen_reference():
     # partial sum of 2^-2n / (lam - 1 + 2^-n) at lam = -1, thirty terms
     spec = GroupUnionSpec((1,))
     w = WeightSeq.dyadic_single(1)
-    g = coupling_series(spec, w, -1.0, 30)
-    assert g.value == pytest.approx(-0.21339030483058352, abs=1e-16)
-    assert g.radius == 2.0 ** -30
+    values, radius, valid = coupling_series_batch(spec, w, [-1.0], 30)
+    assert values[0] == pytest.approx(-0.21339030483058352, abs=1e-16)
+    assert radius == 2.0 ** -30
+    assert valid[0]
 
 
 def test_coupling_series_tail_bound_is_honest():
+    # the depth-25 denominator disk holds the depth-50 centre
     spec = GroupUnionSpec((2, 3))
     w = WeightSeq.dyadic_single(spec.d)
     rng = np.random.default_rng(17)
-    for _ in range(25):
-        lam = np.exp(2j * np.pi * rng.random())
-        if abs(lam - 1.0) < 0.2:
-            continue
-        shallow = coupling_series(spec, w, lam, 25)
-        deep = coupling_series(spec, w, lam, 50)
-        assert abs(shallow.value - deep.value) <= shallow.radius
-        assert deep.radius < shallow.radius
+    lams = np.exp(2j * np.pi * rng.random(25))
+    lams = lams[np.abs(lams - 1.0) >= 0.2]
+    shallow = _circle_kernel(spec, w, lams, 25)
+    deep = _circle_kernel(spec, w, lams, 50)
+    assert shallow.valid.all() and deep.valid.all()
+    assert (np.abs(shallow.den - deep.den) <= shallow.den_radius).all()
+    assert (deep.den_radius < shallow.den_radius).all()
 
 
 def test_coupling_series_rejects_the_distinguished_direction():
     spec = GroupUnionSpec((2,))
     w = WeightSeq.dyadic_single(2)
-    with pytest.raises(TailInvalid):
-        coupling_series(spec, w, 1.0)
-    # the centre of the violating circle for n = 5
-    with pytest.raises(TailInvalid):
-        coupling_series(spec, w, 1.0 - 2.0 * w.value(5))
+    # lam = 1 and the centre of the violating circle for n = 5
+    k = _circle_kernel(spec, w, [1.0, 1.0 - 2.0 * w.value(5)], 40)
+    assert not k.valid.any()
+    assert list(k.verdict) == [TAIL_INVALID, TAIL_INVALID]
+    assert (k.den_lower == 0.0).all()
 
 
 def test_coupling_series_batch_agrees_with_scalar():
+    # a scalar query is a batch of one, bit for bit
     spec = GroupUnionSpec((2, 3))
     w = WeightSeq.dyadic_single(spec.d)
     lams = np.exp(2j * np.pi * np.linspace(0.03, 0.97, 40))
     values, radius, valid = coupling_series_batch(spec, w, lams, 40)
     assert radius == 2.0 ** -40
-    for lam, val, ok in zip(lams, values, valid):
-        assert ok
-        ref = coupling_series(spec, w, lam, 40)
-        assert val == pytest.approx(ref.value, abs=1e-15)
+    assert valid.all()
+    for lam, val in zip(lams, values):
+        one, radius1, _ = coupling_series_batch(spec, w, [lam], 40)
+        assert one[0] == val and radius1 == radius
     # lam = 1 is flagged invalid instead of raising
     _, _, valid1 = coupling_series_batch(spec, w, np.array([1.0 + 0j]), 40)
     assert not valid1[0]
@@ -162,15 +170,16 @@ def test_coupling_series_batch_agrees_with_scalar():
 
 def test_resolvent_denominator_frozen_values():
     spec1 = GroupUnionSpec((1,))
-    den1 = resolvent_denominator(spec1, WeightSeq.dyadic_single(1), -1.0, 30)
-    assert den1.value == pytest.approx(0.7866096951694165, abs=1e-16)
-    assert den1.excludes_zero()
+    den1 = _point(spec1, WeightSeq.dyadic_single(1), -1.0, 30)
+    assert den1.den[0] == pytest.approx(0.7866096951694165, abs=1e-16)
+    assert den1.den_radius[0] == 2.0 ** -30
+    assert den1.den_lower[0] > 0.0
 
     spec2 = GroupUnionSpec((2,))
-    den2 = resolvent_denominator(spec2, WeightSeq.dyadic_single(2), -1.0, 40)
+    den2 = _point(spec2, WeightSeq.dyadic_single(2), -1.0, 40)
     # the denominator alone would wrongly suggest a resolvent point at -1
-    assert den2.value == pytest.approx(0.9065527236721663, abs=1e-15)
-    assert den2.excludes_zero()
+    assert den2.den[0] == pytest.approx(0.9065527236721663, abs=1e-15)
+    assert den2.den_lower[0] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +307,13 @@ def test_resolvent_full_raises_at_singular_points():
     f = basis_head(spec)
     with pytest.raises((SingularUpdate, SingularBlock, SpectralForgeError)):
         resolvent_full(spec, w, 1.0, f)
+    # where the series' batch of one fails the tail guard: TailInvalid
+    with pytest.raises(TailInvalid):
+        resolvent_full(spec, w, 1.0 - 2.0 * w.value(5), f)
 
 
 # ---------------------------------------------------------------------------
-# pointwise certification
+# pointwise certification through the scanner's kernel
 # ---------------------------------------------------------------------------
 
 def test_certify_point_verdicts():
@@ -310,29 +322,26 @@ def test_certify_point_verdicts():
     spec1 = GroupUnionSpec((1,))
     spec2 = GroupUnionSpec((2,))
 
-    assert certify_point(spec1, w1, -1.0).verdict == CERTIFIED
-    assert certify_point(spec1, w1, 1j).verdict == CERTIFIED
-    assert certify_point(spec1, w1, 1.0).verdict == TAIL_INVALID
+    k1 = _circle_kernel(spec1, w1, [-1.0, 1j, 1.0], 40)
+    assert list(k1.verdict) == [CERTIFIED, CERTIFIED, TAIL_INVALID]
 
     # with the second group the point -1 is peripheral spectrum: the
     # denominator still excludes zero there, so the gap check must veto
-    cert = certify_point(spec2, w2, -1.0)
-    assert cert.verdict == SINGULAR
-    assert cert.denominator is not None
-    assert cert.denominator.excludes_zero()
-    assert cert.diag_gap == 0.0
-
-    assert certify_point(spec2, w2, 0.5j).verdict == CERTIFIED
-    assert certify_point(spec2, w2, 0.0).verdict == SINGULAR
+    k2 = _circle_kernel(spec2, w2, [-1.0, 0.5j, 0.0], 40)
+    assert list(k2.verdict) == [SINGULAR, CERTIFIED, SINGULAR]
+    assert k2.valid[0] and k2.den_lower[0] > 0.0
+    assert k2.gap[0] == 0.0
+    # lam = 0 is head spectrum: no gap and no denominator disk
+    assert k2.gap[2] == 0.0 and k2.den_lower[2] == 0.0
 
 
 def test_certified_point_denominator_lower_bound():
     spec = GroupUnionSpec((2, 3))
     w = WeightSeq.dyadic_single(spec.d)
-    cert = certify_point(spec, w, np.exp(0.41j * 2 * np.pi))
-    assert cert.verdict == CERTIFIED
-    assert cert.denominator_abs_lower > 0.0
-    assert cert.denominator_abs_lower <= abs(cert.denominator.value)
+    k = _point(spec, w, np.exp(0.41j * 2 * np.pi))
+    assert k.verdict[0] == CERTIFIED
+    assert k.den_lower[0] > 0.0
+    assert k.den_lower[0] <= abs(k.den[0])
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +352,7 @@ def test_block_resolvent_bound_matches_dense():
     spec = GroupUnionSpec((2,))
     w = WeightSeq.dyadic_single(2)
     lam = 1j
-    bound = block_resolvent_bound(spec, w, lam, depth=6)
+    bound = _point(spec, w, lam, depth=6).block_bound[0]
     c = _cyclic_matrix(2)
     worst = 0.0
     for n in range(1, 7):
@@ -354,6 +363,8 @@ def test_block_resolvent_bound_matches_dense():
 
 
 def test_block_resolvent_bound_blows_up_on_spectrum():
+    # on the damped copy of -1 the block determinant vanishes; the kernel
+    # floors it at 1e-300, so the bound is astronomically large
     spec = GroupUnionSpec((2,))
     w = WeightSeq.dyadic_single(2)
-    assert block_resolvent_bound(spec, w, -(1.0 - w.value(2))) == math.inf
+    assert _point(spec, w, -(1.0 - w.value(2))).block_bound[0] >= 1e300
