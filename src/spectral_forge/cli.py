@@ -179,12 +179,13 @@ def cmd_scan_circle(args) -> int:
     threshold = 2.0 * q + CERT_SLOP
     cert_ok = all(certificate_matches(c.residual, q, c.inner_abs)
                   for c in report.certificates)
-    rim = [v for v, ex in zip(report.verdicts, report.excluded) if not ex]
-    rim_ok = all(v == CERTIFIED for v in rim)
+    rim = np.asarray(report.verdicts, dtype=object)[~report.excluded]
+    rim_ok = bool(np.all(rim == CERTIFIED))
+    counts = report.counts()
 
     write_json(_out_path(cfg, "scan_circle.json"), {
         "metadata": report.metadata,
-        "counts": report.counts(),
+        "counts": counts,
         "empirical_resolvent_bound": report.empirical_m,
         "certificates": [{
             "angle": str(c.angle), "re": c.value.real, "im": c.value.imag,
@@ -194,7 +195,6 @@ def cmd_scan_circle(args) -> int:
         "all_nonexcluded_certified": rim_ok,
         "certificates_ok": cert_ok,
     })
-    counts = report.counts()
     print(f"scan-circle: {counts[CERTIFIED]} certified, "
           f"{counts[SINGULAR]} withheld of {len(report)} points; "
           f"{len(report.certificates)} certificates "

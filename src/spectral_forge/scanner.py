@@ -17,6 +17,7 @@ misses the eigenvalue equation by exactly q_n * (1 + |<1, z>|).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, NamedTuple
@@ -39,7 +40,8 @@ __all__ = [
     "scan_unit_circle",
 ]
 
-# grid points per scan chunk: bounds the (chunk x depth*|U|) distance matrix
+# grid points per scan chunk: bounds the (chunk x |U|) root distances and the
+# (chunk x depth) ring distances of one candidate root
 _CHUNK = 8192
 
 # absolute rounding slop of a certificate residual against its closed form;
@@ -168,9 +170,8 @@ class ScanReport:
         return len(self.thetas)
 
     def counts(self) -> dict:
-        out = {CERTIFIED: 0, SINGULAR: 0, TAIL_INVALID: 0}
-        for v in self.verdicts:
-            out[v] += 1
+        out = dict.fromkeys((CERTIFIED, SINGULAR, TAIL_INVALID), 0)
+        out.update(Counter(self.verdicts))
         return out
 
     def csv_rows(self):
@@ -219,7 +220,6 @@ def _circle_kernel(spec: GroupUnionSpec, w: WeightSeq, lams, depth: int,
     lam = np.asarray(lams, dtype=complex)
     zeta = union_values(spec)
     qs = w.values(depth)
-    scaled = ((1.0 - qs)[:, None] * zeta[None, :]).reshape(-1)
     q_limit = w.value(depth + 1)
 
     values, radius, valid = coupling_series_batch(spec, w, lam, depth)
@@ -229,8 +229,18 @@ def _circle_kernel(spec: GroupUnionSpec, w: WeightSeq, lams, depth: int,
         # fmax: the undefined disk at lam = 0 gets the lower bound 0
         low = np.fmax(0.0, np.abs(den) - den_radius)
 
-    per_block = np.min(np.abs(lam[:, None] - scaled[None, :]), axis=1)
-    near = np.min(np.abs(lam[:, None] - zeta[None, :]), axis=1)
+    to_root = np.abs(lam[:, None] - zeta[None, :])
+    near = np.min(to_root, axis=1)
+    # |lam - r zeta|^2 = |lam|^2 + r^2 - 2 r |lam| cos(lam, zeta) orders the
+    # roots by angle for every r > 0, so each ring's nearest point lies on
+    # the ray of lam's nearest root; the runner-up covers rounding near-ties
+    # at midpoints.  At lam = 0 every root ties, but there the gap is 0.
+    nearest = np.argsort(to_root, axis=1)[:, :2]
+    rings = (1.0 - qs)[None, :] * zeta[:, None]   # row k: (1 - q_n) zeta_k
+    per_block = np.full(lam.shape, np.inf)
+    for root in nearest.T:
+        ring = np.abs(lam[:, None] - rings[root])
+        np.minimum(per_block, ring.min(axis=1), out=per_block)
     limit = near - q_limit
     gap = np.maximum(0.0, np.minimum.reduce([np.abs(lam), per_block, limit]))
 

@@ -32,7 +32,6 @@ from math import gcd
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import SingularBlock, SpectralForgeError
 from .model import _RADIUS_SLOP, CertifiedComplex, WeightSeq
@@ -454,6 +453,13 @@ def chain_generator(g: GeneratorSpec, n_blocks: int) -> np.ndarray:
     m[1:, 0] = qs
     m[1:, 1:][np.diag_indices(n_blocks)] = -qs
     return m
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by ``scipy.linalg.expm``; SciPy is imported on the
+    first call, so importing the package does not load it."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(a)
 
 
 def evolve(g: GeneratorSpec, f0: FourierState, t,

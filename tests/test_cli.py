@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -26,6 +28,21 @@ def read_csv(path):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+# ---------------------------------------------------------------------------
+# start-up
+# ---------------------------------------------------------------------------
+
+def test_importing_the_cli_does_not_load_scipy():
+    # SciPy serves only semigroup evolve, which imports it on first use
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, spectral_forge.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +88,24 @@ def test_scan_circle_default_artifacts_are_pinned(tmp_path):
                            "39472750cbbec73d9f",
         "scan_circle.json": "c76a6855305cd9b20e5c8b51526061bad410f54f6adbd8"
                             "d9be050c22ee0b6f0e",
+    }
+
+
+def sha256_of(tmp_path, *names):
+    return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in names}
+
+
+def test_scan_circle_multi_chunk_artifacts_are_pinned(tmp_path):
+    # grid 20011 spans three scan chunks and five CSV batches; sha256 as
+    # written by the full distance matrix and the per-cell CSV formatter
+    assert run(tmp_path, "scan-circle", "--orders", "4,6", "--depth", "60",
+               "--grid", "20011") == 0
+    assert sha256_of(tmp_path, "scan_circle.csv", "scan_circle.json") == {
+        "scan_circle.csv": "f570d586659f90e9677bfd2d99d015379870c016351124"
+                           "a69f709f6d0bc5b84a",
+        "scan_circle.json": "d4a5b893931d3090c41eb14254fc7514272e697800764c"
+                            "466101555bc07af23b",
     }
 
 
@@ -169,6 +204,19 @@ def test_convergence_table(tmp_path):
     assert header == ["n_blocks", "angle", "distance", "bound", "within_bound"]
     assert len(rows) == 2 * 6                      # two target angles
     assert all(r[4] == "true" for r in rows)
+
+
+def test_eigs_and_convergence_csvs_are_pinned(tmp_path):
+    # sha256 as written by the per-cell CSV formatter: these rows carry
+    # np.float64, int and bool cells and take the formatter's general path
+    assert run(tmp_path, "eigs") == 0
+    assert run(tmp_path, "convergence", "--n-max", "16") == 0
+    assert sha256_of(tmp_path, "eigs.csv", "convergence.csv") == {
+        "eigs.csv": "fb320326f1a08b660a5af3dbb1894124d48114744c7bc8c4a8ab1"
+                    "6456529b90f",
+        "convergence.csv": "06c51fd7a27a3164e487729f9407b115a7408448a22c17"
+                           "c2387b289ea2f6c37b",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +373,18 @@ def test_semigroup_evolve_mode_flag(tmp_path):
     _, rows = read_csv(tmp_path / "evolve.csv")
     assert all(abs(float(r[1])) < 1e-12 for r in rows)   # massless mode
     assert run(tmp_path, "semigroup", "evolve", "--mode", "banana") == 2
+
+
+@pytest.mark.parametrize("mode,digest", [
+    (None, "ce5532a4830ee1f0505a3a98aa05f10bd73bd14e2a5d9be28b42c4089bb6ae1d"),
+    ("3,0", "7f872220e0ae9ef7362cb071ef56d622f1abdfe5d50094e9e8462cb2a745ccd9"),
+], ids=["head", "mode-3-0"])
+def test_semigroup_evolve_csv_is_pinned(tmp_path, mode, digest):
+    # sha256 of evolve.csv at the default time and samples, as written by
+    # the per-cell CSV formatter
+    argv = ["semigroup", "evolve"] + (["--mode", mode] if mode else [])
+    assert run(tmp_path, *argv) == 0
+    assert sha256_of(tmp_path, "evolve.csv") == {"evolve.csv": digest}
 
 
 @pytest.mark.parametrize("t", ["nan", "inf", "-inf", "-1"])

@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from spectral_forge.io import write_csv, write_json
+from spectral_forge import io
+from spectral_forge.io import _BATCH, _format_cell, write_csv, write_json
 
 
 def _rows_then_fail(n):
@@ -51,3 +52,80 @@ def test_artifacts_follow_the_umask(tmp_path, umask, mode):
         os.umask(old)
     for name in ("a.csv", "a.json"):
         assert os.stat(tmp_path / name).st_mode & 0o777 == mode
+
+
+def _general_path(header, rows):
+    """The per-cell formatter applied to every row: the reference bytes."""
+    return "".join(",".join(map(_format_cell, row)) + "\n"
+                   for row in [header, *rows])
+
+
+def _write(tmp_path, header, rows):
+    target = tmp_path / "out.csv"
+    write_csv(str(target), header, rows)
+    return target.read_text()
+
+
+def test_write_csv_formats_plain_batches_without_the_cell_formatter(
+        tmp_path, monkeypatch):
+    # rows of exact floats and strs take the one-format-per-batch path
+    rows = [(i / 7, "x%d" % i) for i in range(2 * _BATCH + 3)]
+    expected = _general_path(["a", "b"], rows)
+    calls = []
+    monkeypatch.setattr(io, "_format_cell",
+                        lambda x: calls.append(x) or _format_cell(x))
+    assert _write(tmp_path, ["a", "b"], iter(rows)) == expected
+    assert calls == []
+
+
+@pytest.mark.parametrize("at", [0, 1, _BATCH - 1, _BATCH, _BATCH + 1,
+                                2 * _BATCH + 5])
+@pytest.mark.parametrize("column,cell", [
+    (0, 3), (0, True), (0, np.float64(0.1)), (0, np.int64(-7)),
+    (1, 5), (1, np.str_("y")), (1, 2.5), (1, False)],
+    ids=["float-int", "float-bool", "float-float64", "float-int64",
+         "str-int", "str-np_str", "str-float", "str-bool"])
+def test_write_csv_mixed_batches_match_the_cell_formatter(tmp_path, at,
+                                                          column, cell):
+    # one cell of another type, mid-file or at a batch boundary, sends its
+    # batch to the general path; every batch renders the same bytes
+    rows = [[i / 3, "r%d" % i] for i in range(2 * _BATCH + 10)]
+    rows[at][column] = cell
+    assert _write(tmp_path, ["a", "b"], rows) == \
+        _general_path(["a", "b"], rows)
+
+
+@pytest.mark.parametrize("at", [0, _BATCH - 1, _BATCH + 2])
+def test_write_csv_ragged_rows_match_the_cell_formatter(tmp_path, at):
+    # a row of another width must not shift the cells of its batch
+    rows = [(float(i), float(-i)) for i in range(_BATCH + 5)]
+    rows[at] = (1.5,)
+    rows[at + 1] = (2.5, 3.5, 4.5)
+    assert _write(tmp_path, ["a", "b"], rows) == \
+        _general_path(["a", "b"], rows)
+
+
+def test_write_csv_special_floats_match_the_cell_formatter(tmp_path):
+    specials = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"),
+                1e-300, 5e-324, -5e-324, 1.7976931348623157e308, 0.1]
+    fast = [(x, "s") for x in specials]
+    # the same values as np.float64 take the general path
+    general = [(np.float64(x), "s") for x in specials]
+    text = _write(tmp_path, ["x", "s"], fast)
+    assert text == _general_path(["x", "s"], fast)
+    assert text == _write(tmp_path, ["x", "s"], general)
+    assert text.splitlines()[1:4] == ["-0,s", "0,s", "nan,s"]
+
+
+@pytest.mark.parametrize("rows", [[], iter(())], ids=["list", "iterator"])
+def test_write_csv_without_rows_writes_the_header_only(tmp_path, rows):
+    assert _write(tmp_path, ["theta", "verdict"], rows) == "theta,verdict\n"
+
+
+@pytest.mark.parametrize("n", [5, _BATCH, _BATCH + 1, 3 * _BATCH - 7])
+def test_write_csv_failure_mid_batch_leaves_no_file(tmp_path, n):
+    # the row source fails inside the first, at the end of, or after a batch
+    target = tmp_path / "scan.csv"
+    with pytest.raises(RuntimeError, match="row source failed"):
+        write_csv(str(target), ["theta", "verdict"], _rows_then_fail(n))
+    assert os.listdir(tmp_path) == []

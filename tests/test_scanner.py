@@ -10,8 +10,10 @@ from spectral_forge import scanner
 from spectral_forge.errors import (BlockTooDeep, NotInTargetSet,
                                    SpectralForgeError)
 from spectral_forge.io import write_csv
-from spectral_forge.model import GroupUnionSpec, WeightSeq, union_points
-from spectral_forge.resolvent import CERTIFIED, SINGULAR, TAIL_INVALID
+from spectral_forge.model import (GroupUnionSpec, WeightSeq, union_points,
+                                  union_values)
+from spectral_forge.resolvent import (CERTIFIED, SINGULAR, TAIL_INVALID,
+                                      _S_GAP_GUARD, coupling_series_batch)
 from spectral_forge.scanner import residual_certificate, scan_unit_circle
 
 
@@ -226,3 +228,100 @@ def test_scan_memory_stays_bounded_by_one_chunk():
     # the verdict column holds references to three labels, not a string per
     # point (a per-point copy added 60 bytes a point)
     assert len({id(v) for v in rep.verdicts}) <= 3
+
+
+# ---------------------------------------------------------------------------
+# the kernel against the full distance matrix
+# ---------------------------------------------------------------------------
+
+def _full_matrix_kernel(spec, w, lams, depth, exclusion_radius, rings):
+    """The kernel with the gap taken over every ring point (1 - q) zeta at
+    once, for ``rings`` = the q of each ring; the reference arithmetic."""
+    lam = np.asarray(lams, dtype=complex)
+    zeta = union_values(spec)
+    qs = w.values(depth)
+    scaled = ((1.0 - rings)[:, None] * zeta[None, :]).reshape(-1)
+    values, radius, valid = coupling_series_batch(spec, w, lam, depth)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = 1.0 - values / lam
+        den_radius = radius / np.abs(lam)
+        low = np.fmax(0.0, np.abs(den) - den_radius)
+    per_block = np.min(np.abs(lam[:, None] - scaled[None, :]), axis=1)
+    near = np.min(np.abs(lam[:, None] - zeta[None, :]), axis=1)
+    limit = near - w.value(depth + 1)
+    gap = np.maximum(0.0, np.minimum.reduce([np.abs(lam), per_block, limit]))
+    bounds = np.zeros(lam.shape)
+    for q in qs:
+        mu = lam / (1.0 - q)
+        absmu = np.abs(mu)
+        for m in set(spec.orders):
+            det = np.maximum(np.abs(mu ** m - 1.0), 1e-300)
+            b = sum(absmu ** (m - 1 - j) for j in range(m)) / det
+            np.maximum(bounds, b / (1.0 - q), out=bounds)
+    out = near <= exclusion_radius
+    withheld = (gap <= _S_GAP_GUARD) | (low <= 0.0) | out
+    verdict = np.full(lam.shape, CERTIFIED, dtype=object)
+    verdict[valid & withheld] = SINGULAR
+    verdict[~valid] = TAIL_INVALID
+    low[~valid] = 0.0
+    return scanner._CircleBatch(den, den_radius, low, gap, bounds, near, out,
+                                valid, verdict)
+
+
+def _oracle_points(spec, w, depth):
+    """Circle grid, root midpoints on and off the circle and on rings,
+    random points off the circle, tiny |lam| and lam = 0."""
+    rng = np.random.default_rng(depth)
+    angles = np.array([float(a) for a in union_points(spec)] + [1.0])
+    mid = np.exp(1j * np.pi * (angles[:-1] + angles[1:]))
+    radii = 1.0 - np.array([0.0, 0.5, 0.1, -0.2, w.value(1), w.value(2),
+                            w.value(depth)])
+    tiny = np.array([1e-6, 3e-9, 1e-300, 5e-324]) * \
+        np.exp(2j * np.pi * rng.random(4))
+    return np.concatenate([
+        np.exp(2j * np.pi * np.arange(720) / 720),
+        (radii[:, None] * mid[None, :]).ravel(),
+        rng.uniform(0.0, 2.0, 600) * np.exp(2j * np.pi * rng.random(600)),
+        tiny, tiny * 1e-6, [0.0]])
+
+
+def _mismatched_fields(got, ref):
+    """Names of the fields that differ in any bit (NaN and -0 included)."""
+    def bits(a):
+        a = np.ascontiguousarray(a)
+        return a.view(np.uint8) if a.dtype.kind in "fc" else a
+    return [name for name in scanner._CircleBatch._fields
+            if not np.array_equal(bits(getattr(got, name)),
+                                  bits(getattr(ref, name)))]
+
+
+_KERNEL_ORDERS = [(1,), (2, 3), (4, 6), (5, 7), (2, 3, 5)]
+_KERNEL_IDS = ["1", "2,3", "4,6", "5,7", "2,3,5"]
+
+
+# |lam| near 5e-324 overflows the series quotient; both sides see it
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("depth", [1, 20, 60])
+@pytest.mark.parametrize("orders", _KERNEL_ORDERS, ids=_KERNEL_IDS)
+def test_kernel_matches_the_full_distance_matrix(orders, depth):
+    # the two nearest roots give every field of the full |lam - (1-q) zeta|
+    # minimum, bit for bit
+    spec, w = _setup(orders)
+    lams = _oracle_points(spec, w, depth)
+    ref = _full_matrix_kernel(spec, w, lams, depth, 0.05, w.values(depth))
+    assert _mismatched_fields(
+        scanner._circle_kernel(spec, w, lams, depth, 0.05), ref) == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("depth", [1, 20, 60])
+@pytest.mark.parametrize("orders", _KERNEL_ORDERS, ids=_KERNEL_IDS)
+def test_kernel_oracle_catches_shifted_rings(orders, depth):
+    # negative control: a kernel whose rings run over q_2..q_{depth+1}
+    # differs from the reference in its gap on these points
+    spec, w = _setup(orders)
+    lams = _oracle_points(spec, w, depth)
+    ref = _full_matrix_kernel(spec, w, lams, depth, 0.05, w.values(depth))
+    shifted = _full_matrix_kernel(spec, w, lams, depth, 0.05,
+                                  w.values(depth + 1)[1:])
+    assert "gap" in _mismatched_fields(shifted, ref)
