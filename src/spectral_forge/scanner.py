@@ -235,24 +235,41 @@ def _circle_kernel(spec: GroupUnionSpec, w: WeightSeq, lams, depth: int,
     # roots by angle for every r > 0, so each ring's nearest point lies on
     # the ray of lam's nearest root; the runner-up covers rounding near-ties
     # at midpoints.  At lam = 0 every root ties, but there the gap is 0.
-    nearest = np.argsort(to_root, axis=1)[:, :2]
-    rings = (1.0 - qs)[None, :] * zeta[:, None]   # row k: (1 - q_n) zeta_k
+    pair = zeta[np.argsort(to_root, axis=1)[:, :2].T]   # 2 x chunk, or 1 x
+
+    # one pass per distinct ring radius r = 1 - q_n: blocks whose radius
+    # rounds to the same float (n >~ 51 at d = 5) have the same ring and the
+    # same block bound, and min and max do not depend on the order
     per_block = np.full(lam.shape, np.inf)
-    for root in nearest.T:
-        ring = np.abs(lam[:, None] - rings[root])
-        np.minimum(per_block, ring.min(axis=1), out=per_block)
+    bounds = np.zeros(lam.shape)
+    cbuf, mu, power = (np.empty(lam.shape, dtype=complex) for _ in range(3))
+    fbuf, absmu, det, acc = (np.empty(lam.shape) for _ in range(4))
+    orders = sorted(set(spec.orders))
+    for r in np.unique(1.0 - qs):
+        for z in pair:
+            np.subtract(lam, np.multiply(r, z, out=cbuf), out=cbuf)
+            np.minimum(per_block, np.abs(cbuf, out=fbuf), out=per_block)
+        np.divide(lam, r, out=mu)
+        np.abs(mu, out=absmu)
+        for m in orders:
+            # |mu^m - 1|, floored so that a hit on sigma(S) stays finite
+            if m == 2:
+                np.square(mu, out=power)
+            else:
+                np.power(mu, m, out=power)
+            np.subtract(power, 1.0, out=power)
+            np.maximum(np.abs(power, out=det), 1e-300, out=det)
+            # sum_{j<m} |mu|^j, highest power first
+            acc.fill(0.0)
+            for k in range(m - 1, 1, -1):
+                np.add(acc, np.power(absmu, k, out=fbuf), out=acc)
+            if m > 1:
+                np.add(acc, absmu, out=acc)
+            np.add(acc, 1.0, out=acc)
+            np.divide(acc, det, out=acc)
+            np.maximum(bounds, np.divide(acc, r, out=acc), out=bounds)
     limit = near - q_limit
     gap = np.maximum(0.0, np.minimum.reduce([np.abs(lam), per_block, limit]))
-
-    bounds = np.zeros(lam.shape)
-    for q in qs:
-        mu = lam / (1.0 - q)
-        absmu = np.abs(mu)
-        for m in set(spec.orders):
-            det = np.abs(mu ** m - 1.0)
-            det = np.maximum(det, 1e-300)
-            b = sum(absmu ** (m - 1 - j) for j in range(m)) / det
-            np.maximum(bounds, b / (1.0 - q), out=bounds)
 
     # certification is withheld on the exclusion arcs
     out = near <= exclusion_radius
