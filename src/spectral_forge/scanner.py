@@ -88,10 +88,7 @@ def residual_certificate(spec: GroupUnionSpec, w: WeightSeq,
     not fail there), and SpectralForgeError when the residual misses its
     closed form by more than CERT_SLOP.
     """
-    angles = union_points(spec)
     if isinstance(target, Fraction):
-        if target % 1 not in [a % 1 for a in angles]:
-            raise NotInTargetSet(f"angle {target} not in the target set")
         angle = target % 1
     else:
         lam_t = complex(target)
@@ -99,7 +96,14 @@ def residual_certificate(spec: GroupUnionSpec, w: WeightSeq,
         k = int(np.argmin(np.abs(vals - lam_t)))
         if abs(vals[k] - lam_t) > 1e-9:
             raise NotInTargetSet(f"{lam_t} is not a target point")
-        angle = angles[k]
+        angle = union_points(spec)[k]
+    # first cyclic sub-block containing the point in its spectrum; the
+    # target set is exactly the angles some sub-block carries
+    for off, m in zip(spec.offsets, spec.orders):
+        if (angle * m).denominator == 1:
+            break
+    else:
+        raise NotInTargetSet(f"angle {target} not in the target set")
     if block_index < 1:
         raise ValueError("block_index must be >= 1")
     q = w.value(block_index)
@@ -109,12 +113,6 @@ def residual_certificate(spec: GroupUnionSpec, w: WeightSeq,
             f"slop of 0, so the residual check could not fail")
 
     lam = complex(np.exp(2j * np.pi * float(angle)))
-    # first cyclic sub-block containing the point in its spectrum
-    for off, m in zip(spec.offsets, spec.orders):
-        if (angle * m).denominator == 1:
-            break
-    else:  # pragma: no cover - union_points guarantees a match
-        raise NotInTargetSet(f"no sub-block carries angle {angle}")
 
     z = np.zeros(spec.d, dtype=complex)
     zeta = np.exp(2j * np.pi * float(angle))
@@ -223,7 +221,8 @@ def _circle_kernel(spec: GroupUnionSpec, w: WeightSeq, lams, depth: int,
     q_limit = w.value(depth + 1)
 
     values, radius, valid = coupling_series_batch(spec, w, lam, depth)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # |lam| below ~1e-308 overflows the quotient; the gap |lam| decides there
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         den = 1.0 - values / lam
         den_radius = radius / np.abs(lam)
         # fmax: the undefined disk at lam = 0 gets the lower bound 0

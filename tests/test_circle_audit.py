@@ -5,7 +5,9 @@ mpmath over n = 1..200 (the omitted tail is below 1e-100 on the rim), with
 exact dyadic weights and lam taken exactly from its float.  The kernel's
 disk must hold that value at 52 rim points of the default scan.  The gap
 to sigma(S) is checked against a brute-force minimum over the explicit
-spectrum {0}, (1 - q_n) zeta for n <= 200, and U itself.
+spectrum {0}, (1 - q_n) zeta for n <= 200, and U itself.  The empirical
+block bound is checked against the same formula evaluated in 50 digits
+from the kernel's float inputs lam and r = 1 - q_n.
 """
 
 import cmath
@@ -123,3 +125,82 @@ def test_gap_is_a_lower_bound_within_the_tail_weight(orders, depth):
         true = _brute_gap(orders, complex(lam))
         assert g <= true + slack
         assert g >= true - w.value(depth + 1) - slack
+
+
+# ---------------------------------------------------------------------------
+# the empirical block bound
+# ---------------------------------------------------------------------------
+
+BOUND_RTOL = 32 * np.finfo(float).eps
+BOUND_DEPTHS = [20, 40, 60]
+
+
+@functools.lru_cache(maxsize=None)
+def _block_truth(orders):
+    """120 rim points and, for n <= 60, the exact value at each of them of
+    max_m sum_{j<m} |mu|^j / |mu^m - 1| / r, mu = lam / r, r = 1 - q_n
+    as the kernel rounds it."""
+    spec, w = _setup(orders)
+    lams = _rim(spec, w, points=120)
+    radii = 1.0 - w.values(max(BOUND_DEPTHS))
+    with mpmath.workdps(50):
+        truth = np.empty((radii.size, lams.size), dtype=object)
+        for i, r in enumerate(radii):
+            r = mpmath.mpf(r)
+            for k, lam in enumerate(lams):
+                mu = mpmath.mpc(lam.real, lam.imag) / r
+                truth[i, k] = max(_geometric(abs(mu), m) / abs(mu ** m - 1)
+                                  for m in set(orders)) / r
+    return lams, radii, truth
+
+
+def _geometric(a, m):
+    """sum_{j<m} a^j."""
+    total = term = mpmath.mpf(1)
+    for _ in range(m - 1):
+        term *= a
+        total += term
+    return total
+
+
+def _bound_errors(orders, depth, bounds):
+    """Relative error of ``bounds`` against the exact block bound at depth."""
+    lams, _, truth = _block_truth(orders)
+    with mpmath.workdps(50):
+        return np.array([float(abs(mpmath.mpf(b) - t) / t) for b, t in
+                         zip(bounds, truth[:depth].max(axis=0))])
+
+
+@pytest.mark.parametrize("depth", BOUND_DEPTHS)
+@pytest.mark.parametrize("orders", ORDERS, ids=IDS)
+def test_block_bound_matches_the_exact_formula(orders, depth):
+    spec, w = _setup(orders)
+    lams, _, _ = _block_truth(orders)
+    bounds = _circle_kernel(spec, w, lams, depth).block_bound
+    err = _bound_errors(orders, depth, bounds)
+    assert err.max() <= BOUND_RTOL, f"worst {err.max() / BOUND_RTOL:.3g} tol"
+
+
+def _horner_without_final_one(orders, depth):
+    """The block bound with sum_{j<m} |mu|^j evaluated by Horner's rule
+    whose last step drops its + 1."""
+    lams, radii, _ = _block_truth(orders)
+    bounds = np.zeros(lams.shape)
+    for r in radii[:depth]:
+        mu = lams / r
+        for m in set(orders):
+            acc = np.ones(lams.shape)
+            for step in range(m - 1):
+                acc = acc * np.abs(mu) + (step < m - 2)
+            bounds = np.maximum(bounds, acc / np.abs(mu ** m - 1.0) / r)
+    return bounds
+
+
+@pytest.mark.parametrize("depth", BOUND_DEPTHS)
+@pytest.mark.parametrize("orders", ORDERS[1:], ids=IDS[1:])
+def test_block_bound_audit_catches_a_dropped_horner_term(orders, depth):
+    # negative control: without the j = 0 term the sum is off by about 1/m
+    # relative, far above the tolerance at every point (order 1 has no
+    # Horner step to mutate)
+    err = _bound_errors(orders, depth, _horner_without_final_one(orders, depth))
+    assert (err > BOUND_RTOL).all()

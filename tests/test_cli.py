@@ -109,6 +109,34 @@ def test_scan_circle_multi_chunk_artifacts_are_pinned(tmp_path):
     }
 
 
+def sha256_without_block_bound(tmp_path):
+    """sha256 of scan_circle.csv without its last column (the empirical
+    block bound) and of scan_circle.json without empirical_resolvent_bound."""
+    with open(tmp_path / "scan_circle.csv", "rb") as fh:
+        columns = b"".join(line.rsplit(b",", 1)[0] + b"\n" for line in fh)
+    summary = read_json(tmp_path / "scan_circle.json")
+    del summary["empirical_resolvent_bound"]
+    return (hashlib.sha256(columns).hexdigest(),
+            hashlib.sha256(json.dumps(summary, sort_keys=True)
+                           .encode()).hexdigest())
+
+
+@pytest.mark.parametrize("argv,digests", [
+    ([], ("1e5617c95d873e053f9c146dbfdb5ee60df95eabe83e8de7533acb3ec4cf860b",
+          "29faec5ce3f6d4e40c8ec8ae59a8abbac15108cc3fb1e65f6d4fc3b9f7e508c9")),
+    (["--orders", "4,6", "--depth", "60", "--grid", "20011"],
+     ("61b5f71d123ec7dfb004407b705d6cea9c489300db13e891c53cf87cd646a822",
+      "bc12063d542d28ea194c40d195e633598d4206e42c456022e494cf79e33fb6e9")),
+], ids=["default", "grid-20011"])
+def test_scan_circle_columns_outside_the_block_bound_are_pinned(
+        tmp_path, argv, digests):
+    # angle, lambda, verdict and the denominator lower bound do not depend
+    # on how the block bound is evaluated; sha256 as written by the kernel
+    # that summed |mu|^j from NumPy powers
+    assert run(tmp_path, "scan-circle", *argv) == 0
+    assert sha256_without_block_bound(tmp_path) == digests
+
+
 @pytest.mark.parametrize("block", ["0", "-3", "45", "60"])
 def test_scan_circle_cert_block_out_of_range_is_usage_error(tmp_path, block,
                                                             capsys):

@@ -64,6 +64,15 @@ def test_certificate_rejects_off_target_points():
         residual_certificate(spec, w, 0.99 + 0.1j)
 
 
+def test_certificate_takes_fraction_targets_modulo_one():
+    spec, w = _setup((2, 3))
+    assert residual_certificate(spec, w, Fraction(4, 3), 8).angle == \
+        Fraction(1, 3)
+    with pytest.raises(NotInTargetSet,
+                       match="angle 6/5 not in the target set"):
+        residual_certificate(spec, w, Fraction(6, 5))
+
+
 def test_certificate_residual_shrinks_with_depth():
     spec, w = _setup((3,))
     res = [residual_certificate(spec, w, Fraction(1, 3), n).residual
@@ -301,11 +310,12 @@ _KERNEL_IDS = ["1", "2,3", "4,6", "5,7", "2,3,5"]
 
 # |lam| near 5e-324 overflows the series quotient; both sides see it
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.parametrize("depth", [1, 20, 60])
+@pytest.mark.parametrize("depth", [1, 20, 60, 200])
 @pytest.mark.parametrize("orders", _KERNEL_ORDERS, ids=_KERNEL_IDS)
 def test_kernel_matches_the_full_distance_matrix(orders, depth):
     # the two nearest roots give every field of the full |lam - (1-q) zeta|
-    # minimum, bit for bit
+    # minimum, bit for bit; at depth 200 most 1 - q_n round to 1, so the
+    # kernel's one pass per distinct radius stands in for many blocks
     spec, w = _setup(orders)
     lams = _oracle_points(spec, w, depth)
     ref = _full_matrix_kernel(spec, w, lams, depth, 0.05, w.values(depth))
@@ -314,7 +324,7 @@ def test_kernel_matches_the_full_distance_matrix(orders, depth):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.parametrize("depth", [1, 20, 60])
+@pytest.mark.parametrize("depth", [1, 20, 60, 200])
 @pytest.mark.parametrize("orders", _KERNEL_ORDERS, ids=_KERNEL_IDS)
 def test_kernel_oracle_catches_shifted_rings(orders, depth):
     # negative control: a kernel whose rings run over q_2..q_{depth+1}
@@ -325,3 +335,15 @@ def test_kernel_oracle_catches_shifted_rings(orders, depth):
     shifted = _full_matrix_kernel(spec, w, lams, depth, 0.05,
                                   w.values(depth + 1)[1:])
     assert "gap" in _mismatched_fields(shifted, ref)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("size", [1e-310, 5e-324])
+def test_kernel_is_silent_at_subnormal_lambda(size):
+    # the series quotient overflows below |lam| ~ 1e-308; the kernel must
+    # not warn, and the gap |lam| still withholds the certificate
+    spec, w = _setup((2, 3))
+    lam = size * np.exp(0.3j)
+    k = scanner._circle_kernel(spec, w, [lam], 40, 0.05)
+    assert k.verdict[0] == SINGULAR
+    assert k.gap[0] == abs(lam)
