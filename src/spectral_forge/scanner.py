@@ -40,8 +40,8 @@ __all__ = [
     "scan_unit_circle",
 ]
 
-# grid points per scan chunk: bounds the (chunk x |U|) root distances and the
-# (chunk x depth) ring distances of one candidate root
+# grid points per scan chunk: bounds the (chunk x |U|) root distances; every
+# other kernel buffer is one chunk long
 _CHUNK = 8192
 
 # absolute rounding slop of a certificate residual against its closed form;
@@ -212,8 +212,13 @@ def _circle_kernel(spec: GroupUnionSpec, w: WeightSeq, lams, depth: int,
     checks n <= depth explicitly and covers n > depth by
     |lam - zeta| - q_{depth+1}.  The block bound is the measured stand-in
     for the uniform bound the compactness argument provides; reported,
-    never asserted.  Each result depends on its own point alone, so a
-    scalar query is a batch of one.
+    never asserted.  It is the largest
+    sum_{j<m} |mu|^j / (r |mu^m - 1|), mu = lam / r, over the ring radii
+    r = 1 - q_n, n <= depth, and the orders m.  One pass per distinct radius
+    computes both the ring distances and the block bound on chunk-length
+    arrays, with mu^m by repeated multiplication and the sum by Horner's
+    rule (Higham 2002, ch. 5).  Each result depends on its own point alone,
+    so a scalar query is a batch of one.
     """
     lam = np.asarray(lams, dtype=complex)
     zeta = union_values(spec)
@@ -241,30 +246,32 @@ def _circle_kernel(spec: GroupUnionSpec, w: WeightSeq, lams, depth: int,
     # same block bound, and min and max do not depend on the order
     per_block = np.full(lam.shape, np.inf)
     bounds = np.zeros(lam.shape)
-    cbuf, mu, power = (np.empty(lam.shape, dtype=complex) for _ in range(3))
-    fbuf, absmu, det, acc = (np.empty(lam.shape) for _ in range(4))
-    orders = sorted(set(spec.orders))
+    mu, power, spare = (np.empty(lam.shape, dtype=complex) for _ in range(3))
+    dist, absmu, det, acc = (np.empty(lam.shape) for _ in range(4))
     for r in np.unique(1.0 - qs):
         for z in pair:
-            np.subtract(lam, np.multiply(r, z, out=cbuf), out=cbuf)
-            np.minimum(per_block, np.abs(cbuf, out=fbuf), out=per_block)
+            np.subtract(lam, np.multiply(r, z, out=spare), out=spare)
+            np.minimum(per_block, np.abs(spare, out=dist), out=per_block)
         np.divide(lam, r, out=mu)
         np.abs(mu, out=absmu)
-        for m in orders:
-            # |mu^m - 1|, floored so that a hit on sigma(S) stays finite
-            if m == 2:
-                np.square(mu, out=power)
-            else:
-                np.power(mu, m, out=power)
+        for m in set(spec.orders):
+            # |mu^m - 1| with mu^m by repeated multiplication, floored so
+            # that a hit on sigma(S) (mu^m = 1 exactly) stays finite.  Each
+            # product goes to the other buffer: NumPy computes a one-element
+            # product in place without the fused multiply-add of its vector
+            # loop, so a batch of one would not match the scan
+            np.copyto(power, mu)
+            for _ in range(m - 1):
+                np.multiply(power, mu, out=spare)
+                power, spare = spare, power
             np.subtract(power, 1.0, out=power)
             np.maximum(np.abs(power, out=det), 1e-300, out=det)
-            # sum_{j<m} |mu|^j, highest power first
-            acc.fill(0.0)
-            for k in range(m - 1, 1, -1):
-                np.add(acc, np.power(absmu, k, out=fbuf), out=acc)
-            if m > 1:
-                np.add(acc, absmu, out=acc)
-            np.add(acc, 1.0, out=acc)
+            # sum_{j<m} |mu|^j by Horner's rule: no 0/0 at |mu| = 1 and no
+            # cancellation near it, unlike (|mu|^m - 1) / (|mu| - 1)
+            acc.fill(1.0)
+            for _ in range(m - 1):
+                np.multiply(acc, absmu, out=acc)
+                np.add(acc, 1.0, out=acc)
             np.divide(acc, det, out=acc)
             np.maximum(bounds, np.divide(acc, r, out=acc), out=bounds)
     limit = near - q_limit

@@ -79,13 +79,14 @@ def test_scan_circle_certificates_cover_targets(tmp_path):
 
 def test_scan_circle_default_artifacts_are_pinned(tmp_path):
     # sha256 of the default run (orders 2,3, grid 3600, depth 40), as
-    # written by the unchunked scan; any byte that moves is a regression
+    # written by the unchunked scan with the block bound of Horner's rule;
+    # any byte that moves is a regression
     assert run(tmp_path, "scan-circle") == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("scan_circle.csv", "scan_circle.json")}
     assert digests == {
-        "scan_circle.csv": "cfae21fdb1ebcd7eacdba979637740911b0e34d6674ccc"
-                           "39472750cbbec73d9f",
+        "scan_circle.csv": "71caa0d65d49551b91ef14de8e3d860fca6e7ee478b8f7"
+                           "14e529d021c87ea90b",
         "scan_circle.json": "c76a6855305cd9b20e5c8b51526061bad410f54f6adbd8"
                             "d9be050c22ee0b6f0e",
     }
@@ -98,14 +99,15 @@ def sha256_of(tmp_path, *names):
 
 def test_scan_circle_multi_chunk_artifacts_are_pinned(tmp_path):
     # grid 20011 spans three scan chunks and five CSV batches; sha256 as
-    # written by the full distance matrix and the per-cell CSV formatter
+    # written by the full distance matrix and the per-cell CSV formatter,
+    # with the block bound of Horner's rule
     assert run(tmp_path, "scan-circle", "--orders", "4,6", "--depth", "60",
                "--grid", "20011") == 0
     assert sha256_of(tmp_path, "scan_circle.csv", "scan_circle.json") == {
-        "scan_circle.csv": "f570d586659f90e9677bfd2d99d015379870c016351124"
-                           "a69f709f6d0bc5b84a",
-        "scan_circle.json": "d4a5b893931d3090c41eb14254fc7514272e697800764c"
-                            "466101555bc07af23b",
+        "scan_circle.csv": "58446a9703e78ee475a0441ebca5c7d2534b5558f8a7a5"
+                           "ed1f22934c9e27d963",
+        "scan_circle.json": "2d0ae343e23bfd98107b72b3ec1ee3637398b997463450"
+                            "fbdd57d3f41fe5b5d2",
     }
 
 

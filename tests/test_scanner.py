@@ -264,9 +264,14 @@ def _full_matrix_kernel(spec, w, lams, depth, exclusion_radius, rings):
         mu = lam / (1.0 - q)
         absmu = np.abs(mu)
         for m in set(spec.orders):
-            det = np.maximum(np.abs(mu ** m - 1.0), 1e-300)
-            b = sum(absmu ** (m - 1 - j) for j in range(m)) / det
-            np.maximum(bounds, b / (1.0 - q), out=bounds)
+            power = mu
+            for _ in range(m - 1):
+                power = power * mu
+            det = np.maximum(np.abs(power - 1.0), 1e-300)
+            b = np.ones(lam.shape)
+            for _ in range(m - 1):
+                b = b * absmu + 1.0
+            np.maximum(bounds, b / det / (1.0 - q), out=bounds)
     out = near <= exclusion_radius
     withheld = (gap <= _S_GAP_GUARD) | (low <= 0.0) | out
     verdict = np.full(lam.shape, CERTIFIED, dtype=object)
