@@ -168,10 +168,12 @@ def cmd_scan_circle(args) -> int:
                               float(cfg["exclusion_radius"]), depth,
                               cert_block=args.cert_block)
 
+    verdicts = np.asarray(report.verdicts, dtype=object)
     write_csv(_out_path(cfg, "scan_circle.csv"),
               ["theta", "re_lambda", "im_lambda", "verdict",
                "denominator_abs_lower", "empirical_block_bound"],
-              report.csv_rows())
+              [report.thetas, report.lams.real, report.lams.imag, verdicts,
+               report.den_lower, report.block_bounds])
 
     # each residual must match its closed form q_n * (1 + |<1, z>|) up to the
     # rounding of (1-q)*z - z in the forward map; ``threshold`` is the
@@ -179,8 +181,7 @@ def cmd_scan_circle(args) -> int:
     threshold = 2.0 * q + CERT_SLOP
     cert_ok = all(certificate_matches(c.residual, q, c.inner_abs)
                   for c in report.certificates)
-    rim = np.asarray(report.verdicts, dtype=object)[~report.excluded]
-    rim_ok = bool(np.all(rim == CERTIFIED))
+    rim_ok = bool(np.all(verdicts[~report.excluded] == CERTIFIED))
     counts = report.counts()
 
     write_json(_out_path(cfg, "scan_circle.json"), {
@@ -209,12 +210,14 @@ def cmd_eigs(args) -> int:
                              renormalize=not args.no_renormalize)
     op = result.operator
 
-    write_csv(_out_path(cfg, "eigs.csv"),
-              ["re", "im", "kind", "residual"], result.csv_rows())
+    values = result.values()
+    write_csv(_out_path(cfg, "eigs.csv"), ["re", "im", "kind", "residual"],
+              [values.real, values.imag, [r.kind for r in result.records],
+               np.array([r.residual for r in result.records])])
 
     col = op.column_sums()
-    vals = np.abs(result.values())
-    top = result.values()[vals > vals.max() - 1e-10]
+    vals = np.abs(values)
+    top = values[vals > vals.max() - 1e-10]
     summary = {
         "orders": list(spec.orders),
         "n_blocks": args.n_blocks,
@@ -241,8 +244,9 @@ def cmd_convergence(args) -> int:
     rows = convergence_table(spec, w, args.n_max)
     write_csv(_out_path(cfg, "convergence.csv"),
               ["n_blocks", "angle", "distance", "bound", "within_bound"],
-              ((r.n_blocks, str(r.angle), r.distance, r.bound, r.ok)
-               for r in rows))
+              [[r.n_blocks for r in rows], [str(r.angle) for r in rows],
+               np.array([r.distance for r in rows]),
+               np.array([r.bound for r in rows]), [r.ok for r in rows]])
     ok = all(r.ok for r in rows)
     worst = max(r.distance / r.bound for r in rows)
     print(f"convergence: {len(rows)} rows up to N={args.n_max}, "
@@ -282,7 +286,7 @@ def cmd_scan_axis(args) -> int:
 
     write_csv(_out_path(cfg, "scan_axis.csv"),
               ["beta", "verdict", "denominator_abs_lower"],
-              report.csv_rows())
+              [report.betas, report.verdicts(), report.denominator_abs_lower])
 
     # expected verdicts: certified strictly inside the unit gap, singular
     # at beta = 0 and beyond |beta| = 1, with the scan's own gap guard
@@ -358,8 +362,7 @@ def cmd_evolve(args) -> int:
 
     headers = ["t", "mass", "head"] + \
         [f"block_mass_{n}" for n in range(1, args.trace_blocks + 1)]
-    write_csv(_out_path(cfg, "evolve.csv"), headers,
-              zip(*(c.tolist() for c in cols)))
+    write_csv(_out_path(cfg, "evolve.csv"), headers, cols)
     tol = 1e-8 * max(1.0, abs(mass0))
     print(f"semigroup evolve: {times.size} samples to t={args.t}, "
           f"mass drift {worst_drift:.3e} (tolerance {tol:.1e})")

@@ -264,11 +264,6 @@ class SpectrumResult:
         """Largest residual; NaN when any residual is NaN."""
         return float(np.max([r.residual for r in self.records]))
 
-    def csv_rows(self):
-        """Rows for re,im,kind,residual."""
-        for r in self.records:
-            yield (r.value.real, r.value.imag, r.kind, r.residual)
-
 
 def _block_eig_vectors(spec: GroupUnionSpec):
     """Per-block eigenpairs of P orthogonal to the coupled direction.

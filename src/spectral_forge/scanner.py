@@ -172,17 +172,6 @@ class ScanReport:
         out.update(Counter(self.verdicts))
         return out
 
-    def csv_rows(self):
-        """Rows for theta,re_lambda,im_lambda,verdict,denominator_abs_lower,
-        empirical_block_bound."""
-        for s in range(0, len(self.thetas), _CHUNK):
-            part = slice(s, s + _CHUNK)
-            lams = self.lams[part]
-            yield from zip(self.thetas[part].tolist(), lams.real.tolist(),
-                           lams.imag.tolist(), self.verdicts[part],
-                           self.den_lower[part].tolist(),
-                           self.block_bounds[part].tolist())
-
 
 class _CircleBatch(NamedTuple):
     """Per-point output of :func:`_circle_kernel`, one array per field."""

@@ -404,12 +404,9 @@ class AxisReport:
 
     @property
     def points(self) -> List[AxisPoint]:
-        return [AxisPoint(*row) for row in self.csv_rows()]
-
-    def csv_rows(self):
-        """Rows for beta,verdict,denominator_abs_lower."""
-        return zip(self.betas.tolist(), self.verdicts(),
-                   self.denominator_abs_lower.tolist())
+        return [AxisPoint(*row) for row in zip(
+            self.betas.tolist(), self.verdicts(),
+            self.denominator_abs_lower.tolist())]
 
     def counts(self) -> dict:
         """Verdict counts, keyed in order of first appearance."""

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from spectral_forge import cli
+from spectral_forge import cli, io
 from spectral_forge.finite import EigRecord, finite_spectrum
 from spectral_forge.scanner import EigCertificate, scan_unit_circle
 
@@ -415,6 +415,29 @@ def test_semigroup_evolve_csv_is_pinned(tmp_path, mode, digest):
     argv = ["semigroup", "evolve"] + (["--mode", mode] if mode else [])
     assert run(tmp_path, *argv) == 0
     assert sha256_of(tmp_path, "evolve.csv") == {"evolve.csv": digest}
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["scan-circle"], "scan_circle.csv"),
+    (["scan-circle", "--orders", "4,6", "--depth", "60", "--grid", "20011"],
+     "scan_circle.csv"),
+    (["eigs"], "eigs.csv"),
+    (["convergence", "--n-max", "16"], "convergence.csv"),
+    (["semigroup", "scan-axis"], "scan_axis.csv"),
+    (["semigroup", "evolve"], "evolve.csv"),
+    (["semigroup", "evolve", "--mode", "3,0"], "evolve.csv"),
+], ids=["scan-default", "scan-20011", "eigs", "convergence", "scan-axis",
+        "evolve-head", "evolve-mode-3-0"])
+def test_pinned_csvs_do_not_need_extended_precision(tmp_path, monkeypatch,
+                                                    argv, name):
+    # the pinned CSVs come from the float kernel where long double has a
+    # 64-bit significand; with every cell sent to Python's '%.17g' instead,
+    # as on platforms without one, not a byte may move
+    assert run(tmp_path / "kernel", *argv) == 0
+    monkeypatch.setattr(io, "_has_extended", lambda: False)
+    assert run(tmp_path / "python", *argv) == 0
+    assert (tmp_path / "kernel" / name).read_bytes() == \
+        (tmp_path / "python" / name).read_bytes()
 
 
 @pytest.mark.parametrize("t", ["nan", "inf", "-inf", "-1"])

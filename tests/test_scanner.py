@@ -176,15 +176,14 @@ def test_scan_empirical_bound_and_metadata():
     assert rep.metadata["orders"] == [2]
 
 
-def test_scan_csv_rows_shape_and_determinism():
+def test_scan_csv_rows_shape_and_determinism(tmp_path):
     spec, w = _setup((2, 3))
-    rep1 = scan_unit_circle(spec, w, grid_size=60, with_certificates=False)
-    rep2 = scan_unit_circle(spec, w, grid_size=60, with_certificates=False)
-    rows1 = list(rep1.csv_rows())
-    rows2 = list(rep2.csv_rows())
-    assert rows1 == rows2
-    assert len(rows1) == 60
-    assert len(rows1[0]) == 6
+    _, csv1 = _scan_and_csv(spec, w, 60, tmp_path / "a.csv")
+    _, csv2 = _scan_and_csv(spec, w, 60, tmp_path / "b.csv")
+    assert csv1 == csv2
+    rows = csv1.decode().splitlines()[1:]
+    assert len(rows) == 60
+    assert {len(r.split(",")) for r in rows} == {6}
 
 
 def test_scan_default_certificates_cover_target_set():
@@ -202,7 +201,8 @@ _ARRAYS = ("thetas", "lams", "den_lower", "block_bounds", "dist", "excluded")
 def _scan_and_csv(spec, w, grid, path):
     rep = scan_unit_circle(spec, w, grid_size=grid, with_certificates=False)
     write_csv(str(path), ["theta", "re", "im", "verdict", "low", "bound"],
-              rep.csv_rows())
+              [rep.thetas, rep.lams.real, rep.lams.imag, rep.verdicts,
+               rep.den_lower, rep.block_bounds])
     return rep, path.read_bytes()
 
 
