@@ -257,7 +257,7 @@ def _decide(x: np.ndarray, buffers: _FloatBuffers) -> np.ndarray:
 
 
 # rows formatted per batch: bounds the batch's cells and text
-_BATCH = 4096
+_BATCH = 2048
 
 
 def write_csv(path: str, header: Sequence[str], columns: Sequence):

@@ -85,8 +85,8 @@ def test_write_csv_formats_plain_batches_without_the_cell_formatter(
     assert calls == []
 
 
-@pytest.mark.parametrize("at", [0, 1, _BATCH - 1, _BATCH, _BATCH + 1,
-                                2 * _BATCH + 5])
+@pytest.mark.parametrize("at", [0, 1, 2 * _BATCH - 1, 2 * _BATCH,
+                                2 * _BATCH + 1, 4 * _BATCH + 5])
 @pytest.mark.parametrize("column,cell", [
     (0, 3), (0, True), (0, np.float64(0.1)), (0, np.int64(-7)),
     (1, 5), (1, np.str_("y")), (1, 2.5), (1, False)],
@@ -97,7 +97,7 @@ def test_write_csv_mixed_batches_match_the_cell_formatter(tmp_path, at,
     # one cell of another type, mid-file or at a batch boundary, makes its
     # column a list for the cell formatter; the float64 array column next
     # to it takes the kernel; every batch renders the same bytes
-    n = 2 * _BATCH + 10
+    n = 4 * _BATCH + 10
     columns = [np.arange(n) / 3, ["r%d" % i for i in range(n)]]
     columns[column] = list(columns[column])
     columns[column][at] = cell
@@ -105,10 +105,10 @@ def test_write_csv_mixed_batches_match_the_cell_formatter(tmp_path, at,
         _general_path(["a", "b"], columns)
 
 
-@pytest.mark.parametrize("at", [0, _BATCH - 1, _BATCH + 2])
+@pytest.mark.parametrize("at", [0, 2 * _BATCH - 1, 2 * _BATCH + 2])
 def test_write_csv_ragged_columns_leave_no_file(tmp_path, at):
     # a column of another length must not shift the cells of its rows
-    n = _BATCH + 5
+    n = 2 * _BATCH + 5
     with pytest.raises(ValueError, match="unequal length"):
         write_csv(str(tmp_path / "out.csv"), ["a", "b"],
                   [np.arange(n, dtype=float), -np.arange(at, dtype=float)])
@@ -141,13 +141,14 @@ def test_write_csv_without_rows_writes_the_header_only(tmp_path, columns):
         "theta,verdict\n"
 
 
-@pytest.mark.parametrize("n", [5, _BATCH, _BATCH + 1, 3 * _BATCH - 7])
+@pytest.mark.parametrize("n", [5, 2 * _BATCH, 2 * _BATCH + 1,
+                               6 * _BATCH - 7])
 def test_write_csv_failure_mid_batch_leaves_no_file(tmp_path, n):
     # the bad cell sits inside the first, at the end of, or after a batch
     target = tmp_path / "scan.csv"
     with pytest.raises(TypeError, match="cannot format object"):
         write_csv(str(target), ["theta", "verdict"],
-                  _theta_verdict(3 * _BATCH + 10, n - 1))
+                  _theta_verdict(6 * _BATCH + 10, n - 1))
     assert os.listdir(tmp_path) == []
 
 
