@@ -102,6 +102,7 @@ _POW_LO, _POW_HI = -310, 345    # the 10**k table covers 16 - E, E +- 1
 _E_MIN, _E_MAX = -324, 308      # decimal exponents of nonzero doubles
 _BAND = 0.0125                  # undecided half-width around frac(y) = 1/2
 _WIDTH = 24                     # longest cell: -1.2345678901234567e-308
+_KERNEL_MIN = 256               # fewer cells are faster in Python alone
 
 # byte columns of a cell's source row: three NUL pads, the 17 digits, then
 # constants; a layout is a list of these positions, NUL-padded to _WIDTH
@@ -158,7 +159,7 @@ class _Layouts:
     def lookup(self, exponent, negative, digits) -> np.ndarray:
         at = exponent - _E_MIN
         if not self.built[at].all():
-            for k in np.unique(at[~self.built[at]]).tolist():
+            for k in set(at[~self.built[at]].tolist()):
                 for neg in (0, 1):
                     for s in range(1, 18):
                         row = _layout(k + _E_MIN, neg, s)
@@ -194,7 +195,7 @@ def _format_floats(x: np.ndarray, buffers: _FloatBuffers = None):
         buffers = _FloatBuffers(x.size)
     cells = buffers.cells[:x.size]
     undecided = np.arange(x.size)
-    if _has_extended():
+    if x.size >= _KERNEL_MIN and _has_extended():
         undecided = _decide(x, buffers)
     if undecided.size:
         text = ("%.17g\0" * undecided.size) % tuple(x[undecided].tolist())

@@ -123,8 +123,9 @@ def test_write_csv_header_must_name_every_column(tmp_path):
 
 
 def test_write_csv_special_floats_match_the_cell_formatter(tmp_path):
+    # repeated so that the batch is large enough for the array kernel
     specials = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"),
-                1e-300, 5e-324, -5e-324, 1.7976931348623157e308, 0.1]
+                1e-300, 5e-324, -5e-324, 1.7976931348623157e308, 0.1] * 30
     fast = [np.array(specials), ["s"] * len(specials)]
     # the same values as np.float64 cells take the cell formatter
     general = [[np.float64(x) for x in specials], ["s"] * len(specials)]
@@ -194,12 +195,11 @@ def _oracle_columns():
     yield "uniform", rng.random(200_000)
     yield "normal", (rng.standard_normal(200_000)
                      * 10.0 ** rng.integers(-300, 300, 200_000))
-    yield "specials", np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
-                                -5e-324, np.finfo(float).max,
-                                -np.finfo(float).max])
-    yield "powers", np.concatenate([
+    yield "powers and specials", np.concatenate([
         s * np.array([p, np.nextafter(p, 0), np.nextafter(p, np.inf)])
-        for p in pows for s in (1, -1)])
+        for p in pows for s in (1, -1)] + [np.array(
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+             np.finfo(float).max, -np.finfo(float).max])])
     yield "carries", np.array([float(f"9.99999999999999999e{k}")
                                for k in range(-324, 308)]
                               + [float(f"9.9999999999999999e{k}")
@@ -252,10 +252,22 @@ def test_powers_of_ten_are_within_half_an_ulp():
 
 def test_python_formatter_covers_every_cell_without_extended_precision(
         monkeypatch):
-    x = np.array([0.1, -2.5e-300, 123456789.0, np.nan])
+    x = np.tile([0.1, -2.5e-300, 123456789.0, np.nan], io._KERNEL_MIN)
     monkeypatch.setattr(io, "_decide", None)        # must not be reached
     monkeypatch.setattr(io, "_has_extended", lambda: False)
     assert io._format_floats(x).tolist() == _python_cells(x)
+
+
+def test_small_batches_skip_the_kernel(monkeypatch):
+    # below _KERNEL_MIN cells the kernel's fixed cost exceeds Python's
+    x = np.arange(io._KERNEL_MIN) / 7
+    decided = []
+    decide = io._decide
+    monkeypatch.setattr(io, "_decide",
+                        lambda x, b: decided.append(x.size) or decide(x, b))
+    assert io._format_floats(x[1:]).tolist() == _python_cells(x[1:])
+    assert io._format_floats(x).tolist() == _python_cells(x)
+    assert decided == [io._KERNEL_MIN]
 
 
 def test_scan_columns_leave_few_cells_undecided():
