@@ -257,15 +257,33 @@ def _decide(x: np.ndarray, buffers: _FloatBuffers) -> np.ndarray:
     return np.flatnonzero(~sure)
 
 
-# rows formatted per batch: bounds the batch's cells and text
+# rows formatted per batch: bounds the batch's cells and text, and keeps its
+# NumPy temporaries small enough to reuse freed heap
 _BATCH = 2048
+
+
+def _join_rows(cells: list) -> bytes:
+    """CSV lines from one batch of each column's NUL-padded ``S`` cells.
+
+    Each row is laid out with every cell in a slot of its column's width
+    followed by the separator; dropping the NUL padding leaves the line."""
+    widths = [c.itemsize for c in cells]
+    table = np.empty((len(cells[0]), sum(widths) + len(widths)), np.uint8)
+    end = 0
+    for c, w in zip(cells, widths):
+        table[:, end:end + w] = c.view(np.uint8).reshape(-1, w)
+        table[:, end + w] = ord(",")
+        end += w + 1
+    table[:, -1] = ord("\n")
+    return table[table != 0].tobytes()
 
 
 def write_csv(path: str, header: Sequence[str], columns: Sequence):
     """Write ``columns`` (equal-length sequences, one per header name) to
     ``path`` as CSV, atomically, in batches of ``_BATCH`` rows.
 
-    Text cells must not end in NUL: cells travel as NumPy ``S`` strings.
+    Text cells must not contain NUL: each row is assembled in a NUL-padded
+    table.
     """
     columns = list(columns)
     if len(header) != len(columns):
@@ -279,18 +297,16 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence):
     with _atomic_open(path) as fh:
         fh.write((",".join(header) + "\n").encode())
         for lo in range(0, rows, _BATCH):
-            line = None
+            cells = []
             for col in columns:
                 part = col[lo:lo + _BATCH]
                 if isinstance(part, np.ndarray) and part.dtype == np.float64:
-                    cells = _format_floats(part, buffers)
+                    # the buffers are reused by the next float column
+                    cells.append(_format_floats(part, buffers).copy())
                 else:
-                    cells = np.array([_format_cell(c).encode() for c in part],
-                                     dtype=bytes)
-                # the float cells live in a buffer the next column reuses
-                line = cells.copy() if line is None else \
-                    np.char.add(np.char.add(line, b","), cells)
-            fh.write(b"".join(np.char.add(line, b"\n").tolist()))
+                    cells.append(np.array(
+                        [_format_cell(c).encode() for c in part], dtype=bytes))
+            fh.write(_join_rows(cells))
 
 
 def _jsonable(obj):
