@@ -38,7 +38,7 @@ import json
 import os
 import tempfile
 import zlib
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -104,9 +104,10 @@ _BAND = 0.0125                  # undecided half-width around frac(y) = 1/2
 _WIDTH = 24                     # longest cell: -1.2345678901234567e-308
 _KERNEL_MIN = 256               # fewer cells are faster in Python alone
 
-# byte columns of a cell's source row: three NUL pads, the 17 digits, then
-# constants; a layout is a list of these positions, NUL-padded to _WIDTH
-_NUL, _DIGIT = 0, 3
+# byte columns of a cell's source row: three NULs (so that the digit groups
+# start 4-aligned), the 17 digits, then constants; a layout is a list of
+# these positions, padded to _WIDTH with position 0, a NUL
+_DIGIT = 3
 _TAIL = b".-e+0123456789\0\0"
 _DOT, _MINUS, _E, _PLUS, _CHAR0 = (_DIGIT + 17 + _TAIL.index(c)
                                    for c in b".-e+0")
@@ -186,7 +187,7 @@ class _FloatBuffers:
         self.offsets = np.arange(size)[:, None] * _SOURCE
 
 
-def _format_floats(x: np.ndarray, buffers: _FloatBuffers = None):
+def _format_floats(x: np.ndarray, buffers: Optional[_FloatBuffers] = None):
     """'%.17g' of every cell of the float64 array ``x``, as ``S24`` bytes.
 
     The result is a view of ``buffers.cells``, valid until the next call
