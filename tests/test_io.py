@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spectral_forge import io
+from spectral_forge import cli, io
 from spectral_forge.io import _BATCH, _format_cell, write_csv, write_json
 from spectral_forge.model import GroupUnionSpec, WeightSeq
 from spectral_forge.scanner import scan_unit_circle
@@ -270,15 +270,22 @@ def test_small_batches_skip_the_kernel(monkeypatch):
     assert decided == [io._KERNEL_MIN]
 
 
-def test_scan_columns_leave_few_cells_undecided():
-    # a silent fall onto Python's formatter would show here: about 2.5% of
-    # the cells sit in the band around 1/2, plus the zeros
-    if not io._has_extended():
-        pytest.skip("every cell takes Python's formatter here")
-    spec = GroupUnionSpec((2, 3))
-    rep = scan_unit_circle(spec, WeightSeq.dyadic_single(spec.d),
-                           with_certificates=False)
-    x = np.concatenate([rep.thetas, rep.lams.real, rep.lams.imag,
-                        rep.den_lower, rep.block_bounds])
-    undecided = io._decide(x, io._FloatBuffers(x.size))
-    assert 0 < undecided.size <= 0.03 * x.size
+def test_scan_csv_leaves_few_cells_to_python(tmp_path, monkeypatch):
+    # a silent fall onto Python's formatter would show here: every float
+    # cell of the default scan must reach the kernel, and about 2.5% of
+    # them sit in the band around 1/2 (plus the zeros)
+    if np.finfo(np.longdouble).nmant < 63:
+        pytest.skip("long double has no 64-bit significand here")
+    seen = []
+    decide = io._decide
+
+    def spy(x, buffers):
+        undecided = decide(x, buffers)
+        seen.append((x.size, undecided.size))
+        return undecided
+
+    monkeypatch.setattr(io, "_decide", spy)
+    assert cli.main(["scan-circle", "--out", str(tmp_path)]) == 0
+    cells, undecided = map(sum, zip(*seen))
+    assert cells == 5 * 3600
+    assert 0 < undecided <= 0.03 * cells
