@@ -163,7 +163,9 @@ def _python_cells(x):
 
 def _mismatches(x):
     """Indices where the array kernel and '%.17g' disagree."""
-    got = io._format_floats(x).tolist()
+    # in slices, which bounds the kernel's buffers
+    got = [c for lo in range(0, x.size, 16384)
+           for c in io._format_floats(x[lo:lo + 16384]).tolist()]
     return [i for i, (g, w) in enumerate(zip(got, _python_cells(x)))
             if g != w]
 
