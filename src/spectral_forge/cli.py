@@ -22,10 +22,11 @@ import numpy as np
 
 from .errors import SpectralForgeError
 from .finite import convergence_table, finite_spectrum, strongly_connected
-from .io import write_csv, write_json
+from .io import Lookup, write_csv, write_json
 from .model import GroupUnionSpec, WeightSeq
 from .resolvent import CERTIFIED, SINGULAR, _S_GAP_GUARD
-from .scanner import CERT_SLOP, certificate_matches, scan_unit_circle
+from .scanner import (CERT_SLOP, VERDICTS, certificate_matches,
+                      scan_unit_circle, verdict_counts)
 from .semigroup import FourierState, GeneratorSpec, RationalSchedule, \
     evolve, mode_certificate, scan_imaginary_axis
 from .verify import SUITE_NAMES, run_suites
@@ -168,11 +169,12 @@ def cmd_scan_circle(args) -> int:
                               float(cfg["exclusion_radius"]), depth,
                               cert_block=args.cert_block)
 
-    verdicts = np.asarray(report.verdicts, dtype=object)
+    codes = report.codes()
     write_csv(_out_path(cfg, "scan_circle.csv"),
               ["theta", "re_lambda", "im_lambda", "verdict",
                "denominator_abs_lower", "empirical_block_bound"],
-              [report.thetas, report.lams.real, report.lams.imag, verdicts,
+              [report.thetas, report.lams.real, report.lams.imag,
+               Lookup(np.array(VERDICTS, dtype=bytes), codes),
                report.den_lower, report.block_bounds])
 
     # each residual must match its closed form q_n * (1 + |<1, z>|) up to the
@@ -181,8 +183,8 @@ def cmd_scan_circle(args) -> int:
     threshold = 2.0 * q + CERT_SLOP
     cert_ok = all(certificate_matches(c.residual, q, c.inner_abs)
                   for c in report.certificates)
-    rim_ok = bool(np.all(verdicts[~report.excluded] == CERTIFIED))
-    counts = report.counts()
+    rim_ok = not codes[~report.excluded].any()
+    counts = verdict_counts(codes)
 
     write_json(_out_path(cfg, "scan_circle.json"), {
         "metadata": report.metadata,
@@ -286,7 +288,10 @@ def cmd_scan_axis(args) -> int:
 
     write_csv(_out_path(cfg, "scan_axis.csv"),
               ["beta", "verdict", "denominator_abs_lower"],
-              [report.betas, report.verdicts(), report.denominator_abs_lower])
+              [report.betas,
+               np.where(report.certified, CERTIFIED.encode(),
+                        SINGULAR.encode()),
+               report.denominator_abs_lower])
 
     # expected verdicts: certified strictly inside the unit gap, singular
     # at beta = 0 and beyond |beta| = 1, with the scan's own gap guard

@@ -7,8 +7,9 @@ inputs give byte-identical files.
 
 CSVs are written from columns, in batches of rows.  A float64 ndarray
 column is rendered by :func:`_format_floats`, which gives exactly the bytes
-of ``'%.17g' % x`` for every cell; any other column goes cell by cell
-through :func:`_format_cell`.
+of ``'%.17g' % x`` for every cell; a NumPy ``S`` (bytes) column, or a
+:class:`Lookup` that yields one per batch, is written as it is; any other
+column goes cell by cell through :func:`_format_cell`.
 
 Why the float kernel is exact.  For finite nonzero x with decimal exponent
 E (corrected so that |x| * 10**(16-E) lies in [1e16, 1e17)), '%.17g' prints
@@ -42,8 +43,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = ["atomic_write_text", "write_csv", "dump_json", "write_json",
-           "substream"]
+__all__ = ["atomic_write_text", "Lookup", "write_csv", "dump_json",
+           "write_json", "substream"]
 
 
 @contextlib.contextmanager
@@ -258,6 +259,21 @@ def _decide(x: np.ndarray, buffers: _FloatBuffers) -> np.ndarray:
     return np.flatnonzero(~sure)
 
 
+class Lookup:
+    """The column ``table[codes]``, for a small bytes ``table``: looked up
+    one CSV batch at a time, so no bytes column as long as ``codes`` is
+    ever built."""
+
+    def __init__(self, table: np.ndarray, codes: np.ndarray):
+        self.table, self.codes = table, codes
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __getitem__(self, rows):
+        return self.table[self.codes[rows]]
+
+
 # rows formatted per batch: bounds the batch's cells and text, and keeps its
 # NumPy temporaries small enough to reuse freed heap
 _BATCH = 2048
@@ -284,7 +300,8 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence):
     ``path`` as CSV, atomically, in batches of ``_BATCH`` rows.
 
     Text cells must not contain NUL: each row is assembled in a NUL-padded
-    table.
+    table.  An ``S`` column's cells are taken as they are, so they must be
+    the bytes the file should hold.
     """
     columns = list(columns)
     if len(header) != len(columns):
@@ -304,6 +321,8 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence):
                 if isinstance(part, np.ndarray) and part.dtype == np.float64:
                     # the buffers are reused by the next float column
                     cells.append(_format_floats(part, buffers).copy())
+                elif isinstance(part, np.ndarray) and part.dtype.kind == "S":
+                    cells.append(np.ascontiguousarray(part))
                 else:
                     cells.append(np.array(
                         [_format_cell(c).encode() for c in part], dtype=bytes))

@@ -17,7 +17,6 @@ misses the eigenvalue equation by exactly q_n * (1 + |<1, z>|).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, NamedTuple
@@ -37,8 +36,13 @@ __all__ = [
     "residual_certificate",
     "ScanPoint",
     "ScanReport",
+    "VERDICTS",
     "scan_unit_circle",
+    "verdict_counts",
 ]
+
+# the verdicts in the order of their codes (``ScanReport.codes``)
+VERDICTS = (CERTIFIED, SINGULAR, TAIL_INVALID)
 
 # grid points per scan chunk: bounds the (chunk x |U|) root distances; every
 # other kernel buffer is one chunk long
@@ -167,10 +171,22 @@ class ScanReport:
     def __len__(self):
         return len(self.thetas)
 
+    def codes(self) -> np.ndarray:
+        """Each point's verdict as its index in ``VERDICTS``, as uint8."""
+        verdicts = np.asarray(self.verdicts, dtype=object)
+        codes = np.zeros(len(verdicts), dtype=np.uint8)
+        codes[verdicts == SINGULAR] = 1
+        codes[verdicts == TAIL_INVALID] = 2
+        return codes
+
     def counts(self) -> dict:
-        out = dict.fromkeys((CERTIFIED, SINGULAR, TAIL_INVALID), 0)
-        out.update(Counter(self.verdicts))
-        return out
+        return verdict_counts(self.codes())
+
+
+def verdict_counts(codes: np.ndarray) -> dict:
+    """Points per verdict, for verdict codes as ``ScanReport.codes`` gives
+    them, keyed in the order of ``VERDICTS``."""
+    return dict(zip(VERDICTS, np.bincount(codes, minlength=3).tolist()))
 
 
 class _CircleBatch(NamedTuple):
@@ -197,74 +213,118 @@ def _circle_kernel(spec: GroupUnionSpec, w: WeightSeq, lams, depth: int,
     lam = 0) or its denominator disk contains 0; never a claim of spectrum
     membership.  CertifiedResolvent: lam is rigorously in the resolvent set.
 
-    sigma(S) is {0}, every (1-q_n) * zeta and the peripheral set; the gap
-    checks n <= depth explicitly and covers n > depth by
-    |lam - zeta| - q_{depth+1}.  The block bound is the measured stand-in
-    for the uniform bound the compactness argument provides; reported,
-    never asserted.  It is the largest
-    sum_{j<m} |mu|^j / (r |mu^m - 1|), mu = lam / r, over the ring radii
-    r = 1 - q_n, n <= depth, and the orders m.  One pass per distinct radius
-    computes both the ring distances and the block bound on chunk-length
-    arrays, with mu^m by repeated multiplication and the sum by Horner's
-    rule (Higham 2002, ch. 5).  Each result depends on its own point alone,
-    so a scalar query is a batch of one.
+    sigma(S) is {0}, every r * zeta with r = 1 - q_n, and the peripheral
+    set; the gap checks n <= depth explicitly and covers n > depth by
+    |lam - zeta| - q_{depth+1}.  |lam - r zeta|^2 = |lam|^2 + r^2 -
+    2 r Re(lam conj(zeta)) orders the roots by angle for every r > 0, so the
+    nearest ring point lies on the ray of lam's nearest root; the runner-up
+    covers rounding near-ties at midpoints.  With c + i s = lam conj(zeta)
+    for those two roots, the ring distance is sqrt(t^2 + s^2), where t is
+    the smallest |r - c| over the distinct radii.  fl(r - c) is monotone in
+    r, so one of the two radii bracketing c attains that minimum
+    (``searchsorted``), and since fl(t^2), fl(t^2 + s^2) and sqrt are
+    monotone in |t|, the result is bit for bit the minimum of the same
+    expression over every radius.
+
+    The block bound is the measured stand-in for the uniform bound the
+    compactness argument provides; reported, never asserted.  It is the
+    largest sum_{j<m} |mu|^j / (r |mu^m - 1|), mu = lam / r, over the radii
+    r and the orders m, evaluated as the equal
+    S_m(|lam| / r) r^(m-1) / |lam^m - r^m| with S_m(a) = sum_{j<m} a^j.
+    lam^m is formed once per point by repeated multiplication; per distinct
+    radius only real arithmetic runs: a = |lam| * (1/r), S_m(a) by one
+    Horner chain over the sorted orders (no 0/0 at a = 1 and no
+    cancellation near it, unlike (a^m - 1) / (a - 1); Higham 2002, ch. 5),
+    and |lam^m - r^m| from the real and imaginary parts.  Each result
+    depends on its own point alone, so a scalar query is a batch of one.
     """
     lam = np.asarray(lams, dtype=complex)
     zeta = union_values(spec)
-    qs = w.values(depth)
+    radii = np.unique(1.0 - w.values(depth))    # ascending, each once
     q_limit = w.value(depth + 1)
 
     values, radius, valid = coupling_series_batch(spec, w, lam, depth)
+    rho = np.abs(lam)
     # |lam| below ~1e-308 overflows the quotient; the gap |lam| decides there
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         den = 1.0 - values / lam
-        den_radius = radius / np.abs(lam)
+        den_radius = radius / rho
         # fmax: the undefined disk at lam = 0 gets the lower bound 0
         low = np.fmax(0.0, np.abs(den) - den_radius)
 
+    # the two nearest roots in one pass over the columns; ``near`` is their
+    # exact minimum.  At lam = 0 every root ties, but there the gap is 0
     to_root = np.abs(lam[:, None] - zeta[None, :])
-    near = np.min(to_root, axis=1)
-    # |lam - r zeta|^2 = |lam|^2 + r^2 - 2 r |lam| cos(lam, zeta) orders the
-    # roots by angle for every r > 0, so each ring's nearest point lies on
-    # the ray of lam's nearest root; the runner-up covers rounding near-ties
-    # at midpoints.  At lam = 0 every root ties, but there the gap is 0.
-    pair = zeta[np.argsort(to_root, axis=1)[:, :2].T]   # 2 x chunk, or 1 x
+    near = to_root[:, 0].copy()
+    first = np.zeros(lam.shape, dtype=np.intp)
+    runner_up = np.full(lam.shape, np.inf)
+    second = np.zeros(lam.shape, dtype=np.intp)
+    for k in range(1, zeta.size):
+        col = to_root[:, k]
+        closer = col < near
+        beats = ~closer & (col < runner_up)
+        np.copyto(runner_up, near, where=closer)
+        np.copyto(second, first, where=closer)
+        np.copyto(runner_up, col, where=beats)
+        np.copyto(second, k, where=beats)
+        np.copyto(near, col, where=closer)
+        np.copyto(first, k, where=closer)
 
-    # one pass per distinct ring radius r = 1 - q_n: blocks whose radius
-    # rounds to the same float (n >~ 51 at d = 5) have the same ring and the
-    # same block bound, and min and max do not depend on the order
+    # the ring term of the gap, in closed form per root (with one root,
+    # ``second`` is that root again)
     per_block = np.full(lam.shape, np.inf)
-    bounds = np.zeros(lam.shape)
-    mu, power, spare = (np.empty(lam.shape, dtype=complex) for _ in range(3))
-    dist, absmu, det, acc = (np.empty(lam.shape) for _ in range(4))
-    for r in np.unique(1.0 - qs):
-        for z in pair:
-            np.subtract(lam, np.multiply(r, z, out=spare), out=spare)
-            np.minimum(per_block, np.abs(spare, out=dist), out=per_block)
-        np.divide(lam, r, out=mu)
-        np.abs(mu, out=absmu)
-        for m in set(spec.orders):
-            # |mu^m - 1| with mu^m by repeated multiplication, floored so
-            # that a hit on sigma(S) (mu^m = 1 exactly) stays finite.  Each
-            # product goes to the other buffer: NumPy computes a one-element
-            # product in place without the fused multiply-add of its vector
-            # loop, so a batch of one would not match the scan
-            np.copyto(power, mu)
-            for _ in range(m - 1):
-                np.multiply(power, mu, out=spare)
-                power, spare = spare, power
-            np.subtract(power, 1.0, out=power)
-            np.maximum(np.abs(power, out=det), 1e-300, out=det)
-            # sum_{j<m} |mu|^j by Horner's rule: no 0/0 at |mu| = 1 and no
-            # cancellation near it, unlike (|mu|^m - 1) / (|mu| - 1)
-            acc.fill(1.0)
-            for _ in range(m - 1):
-                np.multiply(acc, absmu, out=acc)
-                np.add(acc, 1.0, out=acc)
-            np.divide(acc, det, out=acc)
-            np.maximum(bounds, np.divide(acc, r, out=acc), out=bounds)
+    for root in (first, second):
+        re, im = zeta.real[root], zeta.imag[root]
+        c = lam.real * re + lam.imag * im
+        s = lam.imag * re - lam.real * im
+        above = np.minimum(np.searchsorted(radii, c), radii.size - 1)
+        below = np.maximum(above - 1, 0)
+        t = np.minimum(np.abs(radii[below] - c), np.abs(radii[above] - c))
+        np.minimum(per_block, np.sqrt(t * t + s * s), out=per_block)
     limit = near - q_limit
-    gap = np.maximum(0.0, np.minimum.reduce([np.abs(lam), per_block, limit]))
+    gap = np.maximum(0.0, np.minimum.reduce([rho, per_block, limit]))
+
+    # lam^m for each order, with the real part and the squared imaginary
+    # part kept.  Each product goes to the other buffer: NumPy computes a
+    # one-element product in place without the fused multiply-add of its
+    # vector loop, so a batch of one would not match the scan
+    orders = sorted(set(spec.orders))
+    parts = []
+    power, spare = lam.copy(), np.empty_like(lam)
+    for m in range(1, orders[-1] + 1):
+        if m > 1:
+            np.multiply(power, lam, out=spare)
+            power, spare = spare, power
+        if m in orders:
+            parts.append((m, power.real.copy(), power.imag * power.imag))
+
+    # one pass per distinct radius: blocks whose radius rounds to the same
+    # float (n >~ 51 at d = 5) have the same block bound, and max does not
+    # depend on the order
+    bounds = np.zeros(lam.shape)
+    a, acc, dist, ratio = (np.empty(lam.shape) for _ in range(4))
+    for r in radii.tolist():
+        rpow = [1.0]
+        for _ in range(orders[-1]):
+            rpow.append(rpow[-1] * r)
+        np.multiply(rho, 1.0 / r, out=a)
+        acc.fill(1.0)
+        terms = 1
+        for m, re, im2 in parts:
+            # S_{j+1} = S_j a + 1, continued from the previous order
+            for _ in range(m - terms):
+                np.multiply(acc, a, out=acc)
+                np.add(acc, 1.0, out=acc)
+            terms = m
+            # |lam^m - r^m|, floored so that a hit on sigma(S) stays finite
+            np.subtract(re, rpow[m], out=dist)
+            np.multiply(dist, dist, out=dist)
+            np.add(dist, im2, out=dist)
+            np.sqrt(dist, out=dist)
+            np.maximum(dist, 1e-300, out=dist)
+            np.multiply(acc, rpow[m - 1], out=ratio)
+            np.divide(ratio, dist, out=ratio)
+            np.maximum(bounds, ratio, out=bounds)
 
     # certification is withheld on the exclusion arcs
     out = near <= exclusion_radius

@@ -102,7 +102,7 @@ def _brute_gap(orders, lam, terms=TERMS):
     return best
 
 
-@pytest.mark.parametrize("depth", [5, 20, 40])
+@pytest.mark.parametrize("depth", [5, 20, 40, 60, 200])
 @pytest.mark.parametrize("orders", ORDERS, ids=IDS)
 def test_gap_is_a_lower_bound_within_the_tail_weight(orders, depth):
     # the kernel's gap is min over n <= depth and |lam - zeta| - q_{depth+1}

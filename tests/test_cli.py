@@ -79,16 +79,16 @@ def test_scan_circle_certificates_cover_targets(tmp_path):
 
 def test_scan_circle_default_artifacts_are_pinned(tmp_path):
     # sha256 of the default run (orders 2,3, grid 3600, depth 40), as
-    # written by the unchunked scan with the block bound of Horner's rule;
+    # written with the block bound S_m(|lam|/r) r^(m-1) / |lam^m - r^m|;
     # any byte that moves is a regression
     assert run(tmp_path, "scan-circle") == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("scan_circle.csv", "scan_circle.json")}
     assert digests == {
-        "scan_circle.csv": "71caa0d65d49551b91ef14de8e3d860fca6e7ee478b8f7"
-                           "14e529d021c87ea90b",
-        "scan_circle.json": "c76a6855305cd9b20e5c8b51526061bad410f54f6adbd8"
-                            "d9be050c22ee0b6f0e",
+        "scan_circle.csv": "74f460324ca0cdfdc77448240f68c4aa6d294fe662bba1"
+                           "6545c0137d1df18d14",
+        "scan_circle.json": "46bb2793517be79733340a4d7ed2dacf9a749b432fc012"
+                            "d5a8382b3fa4daad22",
     }
 
 
@@ -99,15 +99,14 @@ def sha256_of(tmp_path, *names):
 
 def test_scan_circle_multi_chunk_artifacts_are_pinned(tmp_path):
     # grid 20011 spans three scan chunks and five CSV batches; sha256 as
-    # written by the full distance matrix and the per-cell CSV formatter,
-    # with the block bound of Horner's rule
+    # written with the block bound S_m(|lam|/r) r^(m-1) / |lam^m - r^m|
     assert run(tmp_path, "scan-circle", "--orders", "4,6", "--depth", "60",
                "--grid", "20011") == 0
     assert sha256_of(tmp_path, "scan_circle.csv", "scan_circle.json") == {
-        "scan_circle.csv": "58446a9703e78ee475a0441ebca5c7d2534b5558f8a7a5"
-                           "ed1f22934c9e27d963",
-        "scan_circle.json": "2d0ae343e23bfd98107b72b3ec1ee3637398b997463450"
-                            "fbdd57d3f41fe5b5d2",
+        "scan_circle.csv": "70a0766de7b72bf61f9ba68712d72d3fa549c5ee5e0903"
+                           "a7c430a40bac14f9ce",
+        "scan_circle.json": "8e43be81857e8af94bc30a3ee5d12dfca008f95ed251cf"
+                            "c1534bf2e2a1f3c2e1",
     }
 
 

@@ -85,6 +85,29 @@ def test_write_csv_formats_plain_batches_without_the_cell_formatter(
     assert calls == []
 
 
+def test_write_csv_takes_bytes_columns_as_they_are(tmp_path, monkeypatch):
+    # a NumPy S column is written as its bytes; no cell reaches the cell
+    # formatter, and an empty cell stays empty; ``Lookup`` hands the writer
+    # such a column one batch at a time
+    n = 2 * _BATCH + 3
+    labels = np.array([b"CertifiedResolvent", b"SingularCandidate",
+                       b""])[np.arange(n) % 3]
+    columns = [np.arange(n) / 7, labels]
+    expected = _general_path(["a", "v"],
+                             [columns[0], [c.decode() for c in labels]])
+    monkeypatch.setattr(io, "_format_cell", None)       # must not be reached
+    assert _write(tmp_path, ["a", "v"], columns) == expected
+    # a strided S column too
+    assert _write(tmp_path, ["a", "v"], [columns[0][::2], labels[::2]]) == \
+        "".join(expected.splitlines(True)[i] for i in
+                [0, *range(1, n + 1, 2)])
+    # and the same column as codes into a table, looked up per batch
+    table = np.array([b"CertifiedResolvent", b"SingularCandidate", b""])
+    lookup = io.Lookup(table, np.arange(n) % 3)
+    assert len(lookup) == n
+    assert _write(tmp_path, ["a", "v"], [columns[0], lookup]) == expected
+
+
 @pytest.mark.parametrize("at", [0, 1, 2 * _BATCH - 1, 2 * _BATCH,
                                 2 * _BATCH + 1, 4 * _BATCH + 5])
 @pytest.mark.parametrize("column,cell", [

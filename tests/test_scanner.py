@@ -245,33 +245,49 @@ def test_scan_memory_stays_bounded_by_one_chunk():
 
 def _full_matrix_kernel(spec, w, lams, depth, exclusion_radius, rings):
     """The kernel with the gap taken over every ring point (1 - q) zeta at
-    once, for ``rings`` = the q of each ring; the reference arithmetic."""
+    once and the block bound over every q, for ``rings`` = the q of each
+    ring; the reference arithmetic.
+
+    Each ring distance is sqrt((r - c)^2 + s^2) with c + i s = lam conj(zeta)
+    taken in real arithmetic for every root, and each block term is
+    S_m(|lam| / r) r^(m-1) / max(|lam^m - r^m|, 1e-300), with S_m by
+    Horner's rule and the powers of r by repeated multiplication."""
     lam = np.asarray(lams, dtype=complex)
     zeta = union_values(spec)
-    qs = w.values(depth)
-    scaled = ((1.0 - rings)[:, None] * zeta[None, :]).reshape(-1)
     values, radius, valid = coupling_series_batch(spec, w, lam, depth)
     with np.errstate(divide="ignore", invalid="ignore"):
         den = 1.0 - values / lam
         den_radius = radius / np.abs(lam)
         low = np.fmax(0.0, np.abs(den) - den_radius)
-    per_block = np.min(np.abs(lam[:, None] - scaled[None, :]), axis=1)
+    c = (lam.real[:, None] * zeta.real[None, :]
+         + lam.imag[:, None] * zeta.imag[None, :])
+    s = (lam.imag[:, None] * zeta.real[None, :]
+         - lam.real[:, None] * zeta.imag[None, :])
+    per_block = np.full(lam.shape, np.inf)
+    for r in 1.0 - rings:
+        ring = np.sqrt((r - c) * (r - c) + s * s)
+        per_block = np.minimum(per_block, ring.min(axis=1))
     near = np.min(np.abs(lam[:, None] - zeta[None, :]), axis=1)
     limit = near - w.value(depth + 1)
     gap = np.maximum(0.0, np.minimum.reduce([np.abs(lam), per_block, limit]))
     bounds = np.zeros(lam.shape)
-    for q in qs:
-        mu = lam / (1.0 - q)
-        absmu = np.abs(mu)
+    for q in w.values(depth):
+        r = 1.0 - q
+        a = np.abs(lam) * (1.0 / r)
         for m in set(spec.orders):
-            power = mu
+            power = lam
             for _ in range(m - 1):
-                power = power * mu
-            det = np.maximum(np.abs(power - 1.0), 1e-300)
-            b = np.ones(lam.shape)
+                power = power * lam
+            r_m = r_m1 = 1.0
+            for _ in range(m):
+                r_m1, r_m = r_m, r_m * r
+            dist = np.sqrt((power.real - r_m) * (power.real - r_m)
+                           + power.imag * power.imag)
+            total = np.ones(lam.shape)
             for _ in range(m - 1):
-                b = b * absmu + 1.0
-            np.maximum(bounds, b / det / (1.0 - q), out=bounds)
+                total = total * a + 1.0
+            bounds = np.maximum(
+                bounds, total * r_m1 / np.maximum(dist, 1e-300))
     out = near <= exclusion_radius
     withheld = (gap <= _S_GAP_GUARD) | (low <= 0.0) | out
     verdict = np.full(lam.shape, CERTIFIED, dtype=object)
@@ -284,7 +300,10 @@ def _full_matrix_kernel(spec, w, lams, depth, exclusion_radius, rings):
 
 def _oracle_points(spec, w, depth):
     """Circle grid, root midpoints on and off the circle and on rings,
-    random points off the circle, tiny |lam| and lam = 0."""
+    random points off the circle, tiny |lam| and lam = 0; and, on the rays
+    of the roots 1 and -1 (where Re(lam conj(zeta)) is exactly c), points
+    with c on every radius, halfway between neighbouring radii, below the
+    first, above 1 and in the cluster of radii that round to 1."""
     rng = np.random.default_rng(depth)
     angles = np.array([float(a) for a in union_points(spec)] + [1.0])
     mid = np.exp(1j * np.pi * (angles[:-1] + angles[1:]))
@@ -292,11 +311,18 @@ def _oracle_points(spec, w, depth):
                             w.value(depth)])
     tiny = np.array([1e-6, 3e-9, 1e-300, 5e-324]) * \
         np.exp(2j * np.pi * rng.random(4))
+    rings = np.unique(1.0 - w.values(depth))
+    one = np.nextafter(1.0, 0.0)
+    cs = np.concatenate([
+        rings, (rings[:-1] + rings[1:]) / 2.0,
+        [0.5 * rings[0], 1.0, 1.0 + 1e-3, 2.0, one, one - 2.0 ** -52,
+         1.0 - w.value(depth + 1)]])
+    on_rays = (cs[:, None] + 1j * np.array([0.0, 1e-9, 1e-3, 0.2])[None, :])
     return np.concatenate([
         np.exp(2j * np.pi * np.arange(720) / 720),
         (radii[:, None] * mid[None, :]).ravel(),
         rng.uniform(0.0, 2.0, 600) * np.exp(2j * np.pi * rng.random(600)),
-        tiny, tiny * 1e-6, [0.0]])
+        tiny, tiny * 1e-6, [0.0], on_rays.ravel(), -cs])
 
 
 def _mismatched_fields(got, ref):
@@ -340,6 +366,22 @@ def test_kernel_oracle_catches_shifted_rings(orders, depth):
     shifted = _full_matrix_kernel(spec, w, lams, depth, 0.05,
                                   w.values(depth + 1)[1:])
     assert "gap" in _mismatched_fields(shifted, ref)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("depth", [20, 60, 200])
+@pytest.mark.parametrize("orders", _KERNEL_ORDERS, ids=_KERNEL_IDS)
+def test_kernel_oracle_catches_a_shifted_bracket(orders, depth, monkeypatch):
+    # negative control: a radius lookup one index too high brackets c
+    # between the two radii above it, and misses the nearer one below c
+    # (at depth 1 there is one radius and nothing to shift)
+    spec, w = _setup(orders)
+    lams = _oracle_points(spec, w, depth)
+    ref = _full_matrix_kernel(spec, w, lams, depth, 0.05, w.values(depth))
+    search = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda a, v: search(a, v) + 1)
+    got = scanner._circle_kernel(spec, w, lams, depth, 0.05)
+    assert "gap" in _mismatched_fields(got, ref)
 
 
 @pytest.mark.filterwarnings("error")
