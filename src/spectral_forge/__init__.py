@@ -29,8 +29,7 @@ from .finite import (FiniteOperator, SpectrumResult, build_finite_section,
                      tarjan_scc)
 from .semigroup import (FourierState, GeneratorSpec, ModeCertificate,
                         RationalSchedule, apply_generator, chain_generator,
-                        evolve, generator_denominator, generator_series,
-                        mode_certificate, scan_imaginary_axis)
+                        evolve, mode_certificate, scan_imaginary_axis)
 from .verify import run_suite, run_suites
 
 __version__ = "0.1.0"

@@ -169,7 +169,7 @@ def cmd_scan_circle(args) -> int:
                               float(cfg["exclusion_radius"]), depth,
                               cert_block=args.cert_block)
 
-    codes = report.codes()
+    codes = report.codes
     write_csv(_out_path(cfg, "scan_circle.csv"),
               ["theta", "re_lambda", "im_lambda", "verdict",
                "denominator_abs_lower", "empirical_block_bound"],

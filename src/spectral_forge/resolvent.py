@@ -4,9 +4,9 @@ Everything here works at a fixed spectral parameter.  The block-diagonal
 part S = diag(0, (1-q_1)P, (1-q_2)P, ...) has an explicit resolvent built
 from the circulant inverse of ``mu*I - C_m``; the coupled operator
 T = S + (e x q) + (q x e) is reached through two Sherman-Morrison steps
-whose scalar denominator ``1 - <q, R(lam,S) q>/lam`` rests on the coupling
-series, evaluated over an array of parameters as a partial sum with an
-exact dyadic tail bound.
+whose scalar denominator ``1 - <q, R(lam,S) q>/lam`` is certified over an
+array of parameters by ``coupling_series_batch``, the one primitive that
+also certifies the semigroup's denominator on the imaginary axis.
 
 Whether a point lies in the resolvent set of T is decided by the scanner's
 certification kernel, which combines that series with the gap to the
@@ -45,6 +45,11 @@ TAIL_INVALID = "TailInvalid"
 
 # guard for the strict circles inequality |lam - 1 + q| > q * (1 + GUARD)
 _TAIL_GUARD = 1e-9
+# terms of the coupling series summed at most; the rest weighs 2^-300
+_MAX_TERMS = 300
+# |lam|^2 outside this range gets no denominator disk (radius inf)
+_LAM2_MIN, _LAM2_MAX = 2.0 ** -200, 2.0 ** 200
+_UNIT_ROUNDOFF = 2.0 ** -53
 # a block resolvent within this distance of an eigenvalue is refused
 _BLOCK_GUARD = 1e-14
 # certified gap to the block-diagonal spectrum below which no certificate
@@ -160,28 +165,94 @@ def resolvent_diag(spec: GroupUnionSpec, w: WeightSeq, lam: complex,
 # certified coupling series
 # ---------------------------------------------------------------------------
 
-def coupling_series_batch(spec: GroupUnionSpec, w: WeightSeq,
-                          lams: np.ndarray, depth: int = 40):
-    """Certified <q, R(lam, S) q> = sum_n d q_n^2 / (lam - 1 + q_n) over an
-    array of parameters.
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u) for the unit roundoff u."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
 
-    Sums n <= depth and bounds the tail by the exact remaining mass
-    tail_mass(depth), valid because q_n / |lam - 1 + q_n| < 1 for every
-    tail index.  Returns ``(values, radius, valid)`` where ``valid`` flags
-    the points whose guard inequality holds for every n <= depth + 1; the
-    endpoint check extends to the whole tail by convexity of the violation
-    set in q (lam = 1 and pole-adjacent parameters fail it).  Values at
-    invalid points are still returned (they may be finite) but carry no
-    certificate.
+
+def coupling_series_batch(w: WeightSeq, lams, depth: int):
+    """Certified rank-one denominator D(lam) = 1 - lam^-1 sum_n t_n, with
+    t_n = 2^-n q_n / a_n and a_n = lam - 1 + q_n, over an array of lam.
+
+    sum_n t_n is <q, R(lam, S) q> for the discrete operator and h(beta) for
+    the semigroup at lam = 1 + i beta, so D serves both constructions.
+    Returns ``(den, radius, valid)``: the centre of D (complex), a radius
+    with |D - den| <= radius, and ``valid``, the tail guard
+    |a_1| > q_1 (1 + 1e-9).  The disks |lam - 1 + q| <= q (1 + g) grow and
+    nest as q grows, so the guard at n = 1 gives |a_n| > q_n for every n;
+    on the axis |q_n + i beta| >= q_n holds for every real beta, and the
+    guard need not be consulted.  The radius holds wherever |a_n| >= q_n
+    for every n, i.e. |t_n| <= 2^-n: at every valid point and on the whole
+    axis.
+
+    The loop sums N = min(depth, 300) terms, n = 1..N in order, in real
+    arithmetic: with x = Re lam - 1, y = Im lam and c = 2^-n q_n (exact),
+    s = (x + q)^2 + y^2, Re t = (x + q) c / s and Im t = -y c / s, so that
+    a_n = q_n gives t_n = 2^-n exactly (D(1) = 2^-depth for depth <= 53).
+    With u = 2^-53 and gamma_k = k u / (1 - k u) (Higham 2002, *Accuracy
+    and Stability of Numerical Algorithms*, ch. 3-4):
+
+    - the float q_n is q_n (1 + theta_2), and fl(fl(x) + q_n) misses Re a_n
+      by at most gamma_5 |a_n|, as |Re lam - 1| <= |a_n| + q_n <= 2 |a_n|;
+      so c over the computed a_n is within gamma_7 |t_n| of t_n;
+    - each part of the term takes four more roundings (theta_4), so each
+      computed term is within gamma_11 |t_n| of t_n;
+    - the recursive sum: the k-th addition errs by at most
+      min(u |partial sum|, |computed t_k|) per part, the partial sums stay
+      below M = 1 + 2^-40 and |computed t_k| <= 2^-k (1 + gamma_11), so the
+      additions k = 2..N err by at most (min(N, 54) - 1) u M;
+    - the terms n > N, the tail included, weigh at most 2^-N, which is
+      ``tail_mass(depth)`` whenever depth <= 300;
+    - the division by lam, as S conj(lam) / |lam|^2, errs by at most
+      sqrt(2) gamma_5 |S| / |lam|;
+    - the subtraction from 1 errs by at most
+      u (1 + M (1 + sqrt(2) gamma_5) / |lam|).
+
+    Hence |den - D| <= (2^-N + C_N) / |lam| + u, with C_N =
+    (min(N, 54) - 1) u M + gamma_11 + sqrt(2) gamma_5 M (1 + u) + u M,
+    about 58 u at N = 40 and 72 u from N = 54 on.  The radius evaluates
+    that bound in floats, C_N included, and multiplies it by
+    1 + 2^-48 = 1 + 32 u, which covers the roundings of that evaluation
+    (12 u at most) with over 16 u of the radius, at least 16 u^2, to spare.
+    The spare also covers every underflow: for n <= 300, d < 2^64 and
+    |lam|^2 in [2^-200, 2^200] they move D by less than 2^-200 in all.
+    Outside that range of |lam| the radius is inf.
     """
-    lams = np.asarray(lams, dtype=complex)
-    qs = w.values(depth + 1)
-    dens = lams[:, None] - 1.0 + qs[None, :]
+    lam = np.asarray(lams, dtype=complex)
+    n_sum = min(depth, _MAX_TERMS)
+    x = lam.real - 1.0
+    y = np.ascontiguousarray(lam.imag)
+    yy = y * y
+    re, im = np.zeros(lam.shape), np.zeros(lam.shape)
+    ar, s, t = (np.empty(lam.shape) for _ in range(3))
+    q1 = w.value(1)
     with np.errstate(all="ignore"):
-        valid = (np.abs(dens) > qs[None, :] * (1.0 + _TAIL_GUARD)).all(axis=1)
-        terms = spec.d * qs[None, :depth] ** 2 / dens[:, :depth]
-        values = terms.sum(axis=1)
-    return values, w.tail_mass(depth), valid
+        valid = (x + q1) ** 2 + yy > (q1 * (1.0 + _TAIL_GUARD)) ** 2
+        for n, q in enumerate(w.values(n_sum).tolist(), 1):
+            c = math.ldexp(q, -n)
+            np.add(x, q, out=ar)
+            np.multiply(ar, ar, out=s)
+            np.add(s, yy, out=s)
+            np.multiply(ar, c, out=t)
+            np.divide(t, s, out=t)
+            np.add(re, t, out=re)
+            np.multiply(y, c, out=t)
+            np.divide(t, s, out=t)
+            np.subtract(im, t, out=im)
+        lr = lam.real
+        lam2 = lr * lr + yy
+        den = np.empty(lam.shape, dtype=complex)
+        den.real = 1.0 - (re * lr + im * y) / lam2
+        den.imag = -((im * lr - re * y) / lam2)
+        m_sum = 1.0 + 2.0 ** -40                         # M
+        div = math.sqrt(2.0) * _gamma(5)
+        c_n = ((min(n_sum, 54) - 1) * _UNIT_ROUNDOFF * m_sum + _gamma(11)
+               + div * m_sum * (1.0 + _UNIT_ROUNDOFF)
+               + _UNIT_ROUNDOFF * m_sum)
+        radius = ((w.tail_mass(n_sum) + c_n) / np.abs(lam)
+                  + _UNIT_ROUNDOFF) * (1.0 + 2.0 ** -48)
+    radius[~((lam2 >= _LAM2_MIN) & (lam2 <= _LAM2_MAX))] = np.inf
+    return den, radius, valid
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +355,11 @@ def _resolvent_full_once(spec, w, lam, f, depth):
     step1 = sherman_morrison_resolvent(apply_r1, upd1,
                                        gamma=CertifiedComplex(0j))
 
-    # step 2: add (q x e); gamma_2 = series / lam, certified
-    values, radius, valid = coupling_series_batch(spec, w, [lam], depth)
+    # step 2: add (q x e); gamma_2 = series / lam = 1 - D, certified
+    den, radius, valid = coupling_series_batch(w, [lam], depth)
     if not valid[0]:
-        raise TailInvalid(f"lam = {lam}: |lam-1+q_n| <= q_n*(1+guard) for "
-                          f"some n <= {depth + 1}")
-    gamma2 = CertifiedComplex(complex(values[0]), radius) \
-        / CertifiedComplex(lam)
+        raise TailInvalid(f"lam = {lam}: |lam-1+q_1| <= q_1*(1+guard)")
+    gamma2 = 1.0 - CertifiedComplex(complex(den[0]), float(radius[0]))
     upd2 = RankOneUpdate(
         w=e, phi=q,
         pair=lambda _phi, vec: pair_weights(spec, w, vec, depth))

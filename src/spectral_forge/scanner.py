@@ -34,14 +34,13 @@ __all__ = [
     "EigCertificate",
     "certificate_matches",
     "residual_certificate",
-    "ScanPoint",
     "ScanReport",
     "VERDICTS",
     "scan_unit_circle",
     "verdict_counts",
 ]
 
-# the verdicts in the order of their codes (``ScanReport.codes``)
+# the verdicts in the order of their uint8 codes (``ScanReport.codes``)
 VERDICTS = (CERTIFIED, SINGULAR, TAIL_INVALID)
 
 # grid points per scan chunk: bounds the (chunk x |U|) root distances; every
@@ -138,22 +137,11 @@ def residual_certificate(spec: GroupUnionSpec, w: WeightSeq,
 # the scan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScanPoint:
-    theta: float
-    lam: complex
-    verdict: str
-    denominator_abs_lower: float
-    block_bound: float
-    dist_to_target: float
-    excluded: bool
-
-
 @dataclass
 class ScanReport:
     thetas: np.ndarray
     lams: np.ndarray
-    verdicts: List[str]
+    codes: np.ndarray            # uint8 index of each point's verdict
     den_lower: np.ndarray
     block_bounds: np.ndarray
     dist: np.ndarray
@@ -162,29 +150,15 @@ class ScanReport:
     certificates: List[EigCertificate]
     metadata: dict = field(default_factory=dict)
 
-    def point(self, i: int) -> ScanPoint:
-        return ScanPoint(float(self.thetas[i]), complex(self.lams[i]),
-                         self.verdicts[i], float(self.den_lower[i]),
-                         float(self.block_bounds[i]), float(self.dist[i]),
-                         bool(self.excluded[i]))
-
     def __len__(self):
         return len(self.thetas)
 
-    def codes(self) -> np.ndarray:
-        """Each point's verdict as its index in ``VERDICTS``, as uint8."""
-        verdicts = np.asarray(self.verdicts, dtype=object)
-        codes = np.zeros(len(verdicts), dtype=np.uint8)
-        codes[verdicts == SINGULAR] = 1
-        codes[verdicts == TAIL_INVALID] = 2
-        return codes
-
     def counts(self) -> dict:
-        return verdict_counts(self.codes())
+        return verdict_counts(self.codes)
 
 
 def verdict_counts(codes: np.ndarray) -> dict:
-    """Points per verdict, for verdict codes as ``ScanReport.codes`` gives
+    """Points per verdict, for verdict codes as ``ScanReport.codes`` holds
     them, keyed in the order of ``VERDICTS``."""
     return dict(zip(VERDICTS, np.bincount(codes, minlength=3).tolist()))
 
@@ -199,8 +173,8 @@ class _CircleBatch(NamedTuple):
     block_bound: np.ndarray  # largest observed block-resolvent l1 norm
     dist: np.ndarray         # distance to the peripheral set
     excluded: np.ndarray     # dist <= exclusion_radius
-    valid: np.ndarray        # the tail guard holds for every n <= depth + 1
-    verdict: np.ndarray      # CERTIFIED, SINGULAR or TAIL_INVALID
+    valid: np.ndarray        # the tail guard holds (at n = 1, so at every n)
+    verdict: np.ndarray      # uint8 index into VERDICTS
 
 
 def _circle_kernel(spec: GroupUnionSpec, w: WeightSeq, lams, depth: int,
@@ -212,6 +186,7 @@ def _circle_kernel(spec: GroupUnionSpec, w: WeightSeq, lams, depth: int,
     exclusion arc, its certified gap to sigma(S) collapses (always at
     lam = 0) or its denominator disk contains 0; never a claim of spectrum
     membership.  CertifiedResolvent: lam is rigorously in the resolvent set.
+    The denominator disk and the tail guard are ``coupling_series_batch``'s.
 
     sigma(S) is {0}, every r * zeta with r = 1 - q_n, and the peripheral
     set; the gap checks n <= depth explicitly and covers n > depth by
@@ -243,13 +218,11 @@ def _circle_kernel(spec: GroupUnionSpec, w: WeightSeq, lams, depth: int,
     radii = np.unique(1.0 - w.values(depth))    # ascending, each once
     q_limit = w.value(depth + 1)
 
-    values, radius, valid = coupling_series_batch(spec, w, lam, depth)
+    den, den_radius, valid = coupling_series_batch(w, lam, depth)
     rho = np.abs(lam)
-    # |lam| below ~1e-308 overflows the quotient; the gap |lam| decides there
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den = 1.0 - values / lam
-        den_radius = radius / rho
-        # fmax: the undefined disk at lam = 0 gets the lower bound 0
+    # fmax: the undefined disk at lam = 0 (and at subnormal |lam|, where
+    # the radius is inf) gets the lower bound 0; the gap |lam| decides there
+    with np.errstate(invalid="ignore"):
         low = np.fmax(0.0, np.abs(den) - den_radius)
 
     # the two nearest roots in one pass over the columns; ``near`` is their
@@ -329,11 +302,8 @@ def _circle_kernel(spec: GroupUnionSpec, w: WeightSeq, lams, depth: int,
     # certification is withheld on the exclusion arcs
     out = near <= exclusion_radius
     withheld = (gap <= _S_GAP_GUARD) | (low <= 0.0) | out
-    # slice assignment shares one str; np.full would copy it per point
-    verdict = np.empty(lam.shape, dtype=object)
-    verdict[:] = CERTIFIED
-    verdict[valid & withheld] = SINGULAR
-    verdict[~valid] = TAIL_INVALID
+    verdict = withheld.astype(np.uint8)      # CERTIFIED 0, SINGULAR 1
+    verdict[~valid] = 2                      # TAIL_INVALID
     low[~valid] = 0.0
     return _CircleBatch(den, den_radius, low, gap, bounds, near, out, valid,
                         verdict)
@@ -361,7 +331,7 @@ def scan_unit_circle(spec: GroupUnionSpec, w: WeightSeq,
     block_bounds = np.empty(grid_size)
     dist = np.empty(grid_size)
     excluded = np.empty(grid_size, dtype=bool)
-    verdicts = np.empty(grid_size, dtype=object)
+    codes = np.empty(grid_size, dtype=np.uint8)
     for s in range(0, grid_size, _CHUNK):
         part = slice(s, s + _CHUNK)
         k = _circle_kernel(spec, w, lams[part], depth, exclusion_radius)
@@ -369,7 +339,7 @@ def scan_unit_circle(spec: GroupUnionSpec, w: WeightSeq,
         block_bounds[part] = k.block_bound
         dist[part] = k.dist
         excluded[part] = k.excluded
-        verdicts[part] = k.verdict
+        codes[part] = k.verdict
 
     on_rim = ~excluded & np.isfinite(block_bounds)
     empirical_m = float(block_bounds[on_rim].max()) if on_rim.any() else 0.0
@@ -380,7 +350,7 @@ def scan_unit_circle(spec: GroupUnionSpec, w: WeightSeq,
                         for a in union_points(spec)]
 
     return ScanReport(
-        thetas, lams, verdicts.tolist(), den_lower, block_bounds, dist,
+        thetas, lams, codes, den_lower, block_bounds, dist,
         excluded, empirical_m, certificates,
         metadata={
             "orders": list(spec.orders),

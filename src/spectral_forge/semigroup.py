@@ -13,8 +13,9 @@ q_n = 2^-n / (2*pi) make the coupling vector q a unit mass.
 
 Purely imaginary spectral parameters are probed through the certified
 denominator 1 - h(beta)/(i*beta+1) with h(beta) = sum_n 2*pi*q_n^2 /
-(i*beta + q_n), evaluated for a whole array of beta by one kernel whose
-arithmetic is that of ``CertifiedComplex``; approximate point spectrum on
+(i*beta + q_n), which is the discrete operator's denominator at
+lam = 1 + i*beta and comes from the same primitive,
+``resolvent.coupling_series_batch``; approximate point spectrum on
 the axis is exhibited by single-Fourier-mode states whose residual equals
 q_n exactly.  Orbits are sampled by stepping the head/mode-0 chain from one
 time to the next with a memoised matrix exponential.
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -34,8 +34,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .errors import SingularBlock, SpectralForgeError
-from .model import _RADIUS_SLOP, CertifiedComplex, WeightSeq
-from .resolvent import CERTIFIED, SINGULAR, _S_GAP_GUARD
+from .model import WeightSeq
+from .resolvent import (CERTIFIED, SINGULAR, _S_GAP_GUARD,
+                        coupling_series_batch)
 
 __all__ = [
     "TWO_PI",
@@ -45,8 +46,6 @@ __all__ = [
     "apply_block_generator",
     "apply_generator",
     "resolvent_block_generator",
-    "generator_series",
-    "generator_denominator",
     "ModeCertificate",
     "mode_certificate",
     "AxisReport",
@@ -277,64 +276,6 @@ def resolvent_block_generator(g: GeneratorSpec, beta: float,
     return out
 
 
-def _smith(ar, ai, br, bi):
-    """(ar + i ai) / (br + i bi) elementwise by Smith's formula, written as
-    CPython's complex division writes it, so the two agree bit for bit
-    (numpy's complex ``/`` does not)."""
-    big = np.abs(br) >= np.abs(bi)
-    ratio = np.where(big, bi / br, br / bi)
-    den = np.where(big, br + bi * ratio, br * ratio + bi)
-    return (np.where(big, ar + ai * ratio, ar * ratio + ai) / den,
-            np.where(big, ai - ar * ratio, ai * ratio - ar) / den)
-
-
-def _axis_kernel(g: GeneratorSpec, betas, depth: int):
-    """h(beta) and the denominator 1 - h(beta)/(i*beta + 1), each as a
-    (real, imag) pair of arrays, and the denominator's radius.
-
-    This is ``CertifiedComplex``'s arithmetic, operation for operation:
-    terms summed over n = 1..depth in order, quotients by ``_smith``,
-    moduli by ``np.hypot`` (as ``abs`` of a complex) and the same
-    ``_RADIUS_SLOP`` terms, so a batch of one is the scalar evaluation.
-    """
-    im = np.asarray(betas, dtype=float) + 0.0     # Im(i*beta + x), x real
-    hr, hi = np.zeros_like(im), np.zeros_like(im)
-    with np.errstate(all="ignore"):               # as silent as Python floats
-        for n in range(1, depth + 1):
-            q = g.weights.value(n)
-            tr, ti = _smith(TWO_PI * q * q, 0.0, q, im)
-            hr += tr
-            hi += ti
-        # the divisor i*beta + 1 is exact, so only h's radius is divided
-        mod = np.hypot(1.0, im)
-        xr, xi = _smith(hr, hi, 1.0, im)
-        rad = (mod * g.weights.tail_mass(depth) / (mod * mod)
-               + _RADIUS_SLOP * np.hypot(xr, xi))
-        dr, di = 1.0 - xr, 0.0 - xi               # zeros signed as 1.0 - x
-        return (hr, hi), (dr, di), rad + _RADIUS_SLOP * np.hypot(dr, di)
-
-
-def generator_series(g: GeneratorSpec, beta: float,
-                     depth: Optional[int] = None) -> CertifiedComplex:
-    """Certified h(beta) = sum_n 2*pi*q_n^2 / (i*beta + q_n).
-
-    The tail is bounded by the exact remaining mass 2^-depth since
-    |q_n / (i*beta + q_n)| <= 1 for every real beta (equality only at
-    beta = 0, which is precisely the interesting parameter).
-    """
-    depth = g.depth if depth is None else depth
-    (hr, hi), _, _ = _axis_kernel(g, [beta], depth)
-    return CertifiedComplex(complex(hr[0], hi[0]), g.weights.tail_mass(depth))
-
-
-def generator_denominator(g: GeneratorSpec, beta: float,
-                          depth: Optional[int] = None) -> CertifiedComplex:
-    """Certified 1 - h(beta)/(i*beta + 1)."""
-    _, (dr, di), rad = _axis_kernel(g, [beta],
-                                    g.depth if depth is None else depth)
-    return CertifiedComplex(complex(dr[0], di[0]), float(rad[0]))
-
-
 # ---------------------------------------------------------------------------
 # approximate eigenvalue certificates on the axis
 # ---------------------------------------------------------------------------
@@ -383,13 +324,6 @@ def mode_certificate(g: GeneratorSpec, r, occurrence: int = 1) -> ModeCertificat
 # axis scan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AxisPoint:
-    beta: float
-    verdict: str
-    denominator_abs_lower: float
-
-
 @dataclass
 class AxisReport:
     """Per-beta columns of an axis scan at truncation depth ``depth``."""
@@ -399,38 +333,36 @@ class AxisReport:
     denominator_abs_lower: np.ndarray
     depth: int
 
-    def verdicts(self) -> List[str]:
-        return [CERTIFIED if c else SINGULAR for c in self.certified.tolist()]
-
-    @property
-    def points(self) -> List[AxisPoint]:
-        return [AxisPoint(*row) for row in zip(
-            self.betas.tolist(), self.verdicts(),
-            self.denominator_abs_lower.tolist())]
-
     def counts(self) -> dict:
         """Verdict counts, keyed in order of first appearance."""
-        return dict(Counter(self.verdicts()))
+        n = int(np.count_nonzero(self.certified))
+        pairs = [(CERTIFIED, n), (SINGULAR, self.certified.size - n)]
+        if not self.certified[:1].all():     # the first point is singular
+            pairs.reverse()
+        return {k: v for k, v in pairs if v}
 
 
 def scan_imaginary_axis(g: GeneratorSpec, betas,
                         depth: Optional[int] = None) -> AxisReport:
-    """Classify i*beta for each requested beta, in one call of the kernel.
+    """Classify i*beta for each requested beta, in one call of
+    ``coupling_series_batch`` at lam = 1 + i*beta.
 
     A point is certified only when the denominator disk excludes zero and
     i*beta keeps a positive distance to the closure of the block spectra,
     which on the axis means 0 < |beta| < 1 with margin min(|beta|, 1-|beta|).
     beta = 0 (denominator exactly the tail mass, disk touching zero) and
     |beta| >= 1 come out as SingularCandidate; membership in the spectrum
-    is never asserted by the scan itself.  Each verdict and lower bound is
-    the one ``generator_denominator`` gives at that beta, bit for bit.
+    is never asserted by the scan itself.  The series' tail guard is not
+    consulted: |i*beta + q_n| >= q_n bounds the tail for every real beta,
+    while the guard's strict margin would refuse |beta| below about
+    4.5e-5 q_n.
     """
     depth = g.depth if depth is None else depth
     beta = np.fromiter(betas, dtype=float)
     if not np.all(np.isfinite(beta)):
         raise ValueError("betas must be finite")
-    _, (dr, di), rad = _axis_kernel(g, beta, depth)
-    mod = np.hypot(dr, di)
+    den, rad, _ = coupling_series_batch(g.weights, 1.0 + 1j * beta, depth)
+    mod = np.abs(den)
     gap = np.minimum(np.abs(beta), 1.0 - np.abs(beta))
     certified = (gap > _S_GAP_GUARD) & (mod > rad)
     return AxisReport(beta, certified, np.where(certified, mod - rad, 0.0),

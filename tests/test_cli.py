@@ -79,14 +79,15 @@ def test_scan_circle_certificates_cover_targets(tmp_path):
 
 def test_scan_circle_default_artifacts_are_pinned(tmp_path):
     # sha256 of the default run (orders 2,3, grid 3600, depth 40), as
-    # written with the block bound S_m(|lam|/r) r^(m-1) / |lam^m - r^m|;
-    # any byte that moves is a regression
+    # written with the block bound S_m(|lam|/r) r^(m-1) / |lam^m - r^m|
+    # and the denominator radius that includes rounding; any byte that
+    # moves is a regression
     assert run(tmp_path, "scan-circle") == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("scan_circle.csv", "scan_circle.json")}
     assert digests == {
-        "scan_circle.csv": "74f460324ca0cdfdc77448240f68c4aa6d294fe662bba1"
-                           "6545c0137d1df18d14",
+        "scan_circle.csv": "6dc9d3b189301f8e719c7ad55c4c70bc8f915020b935fc"
+                           "fffa9be8e86ab06e64",
         "scan_circle.json": "46bb2793517be79733340a4d7ed2dacf9a749b432fc012"
                             "d5a8382b3fa4daad22",
     }
@@ -100,11 +101,12 @@ def sha256_of(tmp_path, *names):
 def test_scan_circle_multi_chunk_artifacts_are_pinned(tmp_path):
     # grid 20011 spans three scan chunks and five CSV batches; sha256 as
     # written with the block bound S_m(|lam|/r) r^(m-1) / |lam^m - r^m|
+    # and the denominator radius that includes rounding
     assert run(tmp_path, "scan-circle", "--orders", "4,6", "--depth", "60",
                "--grid", "20011") == 0
     assert sha256_of(tmp_path, "scan_circle.csv", "scan_circle.json") == {
-        "scan_circle.csv": "70a0766de7b72bf61f9ba68712d72d3fa549c5ee5e0903"
-                           "a7c430a40bac14f9ce",
+        "scan_circle.csv": "aff6a4462987f06254b30f154de781e489633087f305f1"
+                           "bde7ccba025e90359c",
         "scan_circle.json": "8e43be81857e8af94bc30a3ee5d12dfca008f95ed251cf"
                             "c1534bf2e2a1f3c2e1",
     }
@@ -123,17 +125,17 @@ def sha256_without_block_bound(tmp_path):
 
 
 @pytest.mark.parametrize("argv,digests", [
-    ([], ("1e5617c95d873e053f9c146dbfdb5ee60df95eabe83e8de7533acb3ec4cf860b",
+    ([], ("d9adf4f9a8fdc90b77f149aa1f7c4c858f0ce18b9f9a943b0d179496b5ef8947",
           "29faec5ce3f6d4e40c8ec8ae59a8abbac15108cc3fb1e65f6d4fc3b9f7e508c9")),
     (["--orders", "4,6", "--depth", "60", "--grid", "20011"],
-     ("61b5f71d123ec7dfb004407b705d6cea9c489300db13e891c53cf87cd646a822",
+     ("8d1c9312783bad35d5f76dcfaeed84da2cdb6db2a7178c59fbd1e8427e256845",
       "bc12063d542d28ea194c40d195e633598d4206e42c456022e494cf79e33fb6e9")),
 ], ids=["default", "grid-20011"])
 def test_scan_circle_columns_outside_the_block_bound_are_pinned(
         tmp_path, argv, digests):
     # angle, lambda, verdict and the denominator lower bound do not depend
-    # on how the block bound is evaluated; sha256 as written by the kernel
-    # that summed |mu|^j from NumPy powers
+    # on how the block bound is evaluated; sha256 as written with the
+    # denominator radius that includes rounding
     assert run(tmp_path, "scan-circle", *argv) == 0
     assert sha256_without_block_bound(tmp_path) == digests
 
@@ -348,13 +350,14 @@ def test_semigroup_scan_axis_default_grid(tmp_path):
 
 def test_semigroup_scan_axis_default_artifacts_are_pinned(tmp_path):
     # sha256 of the default run (39 betas, depth 40) as written by the
-    # per-beta CertifiedComplex loop; the array kernel must match it
+    # shared series at lam = 1 + i beta, with the radius that includes
+    # rounding
     assert run(tmp_path, "semigroup", "scan-axis") == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("scan_axis.csv", "scan_axis.json")}
     assert digests == {
-        "scan_axis.csv": "384c10c2b95234cbbafb9d765b7995b3a6a5ebce74b939"
-                         "968cab73a6d55efb8a",
+        "scan_axis.csv": "3a094739fce9a2bc05e4df082b3f2e8c73a440e4a81982"
+                         "6ff9235a37fed155b5",
         "scan_axis.json": "5a203e2b11326b6c2799c8cedae1fff41f146f570ced6b"
                           "fcea7098066047d789",
     }

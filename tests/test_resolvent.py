@@ -15,7 +15,11 @@ from spectral_forge.resolvent import (CERTIFIED, SINGULAR, TAIL_INVALID,
                                       cyclic_shift_resolvent, resolvent_diag,
                                       resolvent_full,
                                       sherman_morrison_resolvent)
-from spectral_forge.scanner import _circle_kernel
+from spectral_forge.scanner import VERDICTS, _circle_kernel
+
+# the depth-30 radius at |lam| = 1: the tail 2^-30 plus the rounding bound
+# (29 + 11 + 7.07 + 1) u, plus u for the subtraction from 1, times 1 + 2^-48
+RADIUS_30 = 9.313280225984146e-10
 
 
 def _point(spec, w, lam, depth=40):
@@ -119,12 +123,11 @@ def test_spectrum_gap_examples():
 # ---------------------------------------------------------------------------
 
 def test_coupling_series_frozen_reference():
-    # partial sum of 2^-2n / (lam - 1 + 2^-n) at lam = -1, thirty terms
-    spec = GroupUnionSpec((1,))
+    # 1 + sum of 2^-2n / (lam - 1 + 2^-n) at lam = -1, thirty terms
     w = WeightSeq.dyadic_single(1)
-    values, radius, valid = coupling_series_batch(spec, w, [-1.0], 30)
-    assert values[0] == pytest.approx(-0.21339030483058352, abs=1e-16)
-    assert radius == 2.0 ** -30
+    den, radius, valid = coupling_series_batch(w, [-1.0], 30)
+    assert den[0] == pytest.approx(1.0 - 0.21339030483058352, abs=1e-16)
+    assert radius[0] == RADIUS_30
     assert valid[0]
 
 
@@ -148,23 +151,22 @@ def test_coupling_series_rejects_the_distinguished_direction():
     # lam = 1 and the centre of the violating circle for n = 5
     k = _circle_kernel(spec, w, [1.0, 1.0 - 2.0 * w.value(5)], 40)
     assert not k.valid.any()
-    assert list(k.verdict) == [TAIL_INVALID, TAIL_INVALID]
+    assert [VERDICTS[c] for c in k.verdict] == [TAIL_INVALID, TAIL_INVALID]
     assert (k.den_lower == 0.0).all()
 
 
 def test_coupling_series_batch_agrees_with_scalar():
     # a scalar query is a batch of one, bit for bit
-    spec = GroupUnionSpec((2, 3))
-    w = WeightSeq.dyadic_single(spec.d)
+    w = WeightSeq.dyadic_single(5)
     lams = np.exp(2j * np.pi * np.linspace(0.03, 0.97, 40))
-    values, radius, valid = coupling_series_batch(spec, w, lams, 40)
-    assert radius == 2.0 ** -40
+    den, radius, valid = coupling_series_batch(w, lams, 40)
+    assert (radius > 2.0 ** -40 / np.abs(lams)).all()
     assert valid.all()
-    for lam, val in zip(lams, values):
-        one, radius1, _ = coupling_series_batch(spec, w, [lam], 40)
-        assert one[0] == val and radius1 == radius
+    for lam, val, rad in zip(lams, den, radius):
+        one, radius1, _ = coupling_series_batch(w, [lam], 40)
+        assert one[0] == val and radius1[0] == rad
     # lam = 1 is flagged invalid instead of raising
-    _, _, valid1 = coupling_series_batch(spec, w, np.array([1.0 + 0j]), 40)
+    _, _, valid1 = coupling_series_batch(w, np.array([1.0 + 0j]), 40)
     assert not valid1[0]
 
 
@@ -172,7 +174,7 @@ def test_resolvent_denominator_frozen_values():
     spec1 = GroupUnionSpec((1,))
     den1 = _point(spec1, WeightSeq.dyadic_single(1), -1.0, 30)
     assert den1.den[0] == pytest.approx(0.7866096951694165, abs=1e-16)
-    assert den1.den_radius[0] == 2.0 ** -30
+    assert den1.den_radius[0] == RADIUS_30
     assert den1.den_lower[0] > 0.0
 
     spec2 = GroupUnionSpec((2,))
@@ -323,12 +325,14 @@ def test_certify_point_verdicts():
     spec2 = GroupUnionSpec((2,))
 
     k1 = _circle_kernel(spec1, w1, [-1.0, 1j, 1.0], 40)
-    assert list(k1.verdict) == [CERTIFIED, CERTIFIED, TAIL_INVALID]
+    assert [VERDICTS[c] for c in k1.verdict] == [CERTIFIED, CERTIFIED,
+                                                 TAIL_INVALID]
 
     # with the second group the point -1 is peripheral spectrum: the
     # denominator still excludes zero there, so the gap check must veto
     k2 = _circle_kernel(spec2, w2, [-1.0, 0.5j, 0.0], 40)
-    assert list(k2.verdict) == [SINGULAR, CERTIFIED, SINGULAR]
+    assert [VERDICTS[c] for c in k2.verdict] == [SINGULAR, CERTIFIED,
+                                                 SINGULAR]
     assert k2.valid[0] and k2.den_lower[0] > 0.0
     assert k2.gap[0] == 0.0
     # lam = 0 is head spectrum: no gap and no denominator disk
@@ -339,7 +343,7 @@ def test_certified_point_denominator_lower_bound():
     spec = GroupUnionSpec((2, 3))
     w = WeightSeq.dyadic_single(spec.d)
     k = _point(spec, w, np.exp(0.41j * 2 * np.pi))
-    assert k.verdict[0] == CERTIFIED
+    assert VERDICTS[k.verdict[0]] == CERTIFIED
     assert k.den_lower[0] > 0.0
     assert k.den_lower[0] <= abs(k.den[0])
 

@@ -12,13 +12,12 @@ from scipy.linalg import expm
 
 from spectral_forge import semigroup
 from spectral_forge.errors import SingularBlock
-from spectral_forge.resolvent import CERTIFIED, SINGULAR
-from spectral_forge.model import CertifiedComplex, WeightSeq
+from spectral_forge.resolvent import (CERTIFIED, SINGULAR,
+                                      coupling_series_batch)
 from spectral_forge.semigroup import (TWO_PI, FourierState, GeneratorSpec,
                                       RationalSchedule, apply_block_generator,
                                       apply_generator, chain_generator,
-                                      evolve, generator_denominator,
-                                      generator_series, mode_certificate,
+                                      evolve, mode_certificate,
                                       resolvent_block_generator,
                                       scan_imaginary_axis)
 
@@ -169,76 +168,60 @@ def test_resolvent_block_generator_guards_modes(gen):
 # certified series and denominator
 # ---------------------------------------------------------------------------
 
+def _axis_denominator(g, beta, depth=40):
+    """D at i*beta and its radius, from the shared series as a batch of
+    one at lam = 1 + i*beta."""
+    den, radius, _ = coupling_series_batch(g.weights, [1.0 + 1j * beta],
+                                           depth)
+    return den[0], radius[0]
+
+
 def test_generator_series_brute_force():
     gen = GeneratorSpec.default()
     for beta in (0.0, 0.25, -0.7):
-        h = generator_series(gen, beta)
-        brute = sum(TWO_PI * gen.weights.value(n) ** 2
-                    / (1j * beta + gen.weights.value(n))
-                    for n in range(1, 200))
-        assert abs(h.value - brute) <= h.radius
-        assert h.radius == 2.0 ** -40
+        den, radius = _axis_denominator(gen, beta)
+        h = sum(TWO_PI * gen.weights.value(n) ** 2
+                / (1j * beta + gen.weights.value(n)) for n in range(1, 200))
+        assert abs(den - (1.0 - h / (1j * beta + 1.0))) <= radius
+        assert radius >= 2.0 ** -40 / abs(1j * beta + 1.0)
 
 
 def test_generator_denominator_at_zero_is_the_tail(gen):
-    den = generator_denominator(gen, 0.0)
+    den, radius = _axis_denominator(gen, 0.0)
     # telescoping: sum_{n<=N} 2 pi q_n^2 / q_n = 1 - 2^-N, exactly in floats
-    assert den.value == 2.0 ** -40
-    assert not den.excludes_zero()           # the disk touches the origin
-
-
-def _per_beta_denominator(g, beta, depth):
-    """The scalar CertifiedComplex evaluation the axis kernel replaced."""
-    total = 0j
-    for n in range(1, depth + 1):
-        q = g.weights.value(n)
-        total += TWO_PI * q * q / (1j * beta + q)
-    h = CertifiedComplex(total, g.weights.tail_mass(depth))
-    return h, 1.0 - h / CertifiedComplex(1j * beta + 1.0)
+    assert den == 2.0 ** -40
+    assert not abs(den) > radius             # the disk touches the origin
 
 
 _EDGE_BETAS = [0.0, -0.0, 1.0, -1.0, 1e-7, -1e-7, 0.999999, -0.999999]
 
 
-@pytest.mark.parametrize("depth", [1, 40, 60])
-def test_axis_kernel_is_bitwise_the_per_beta_loop(gen, depth):
-    rng = np.random.default_rng(depth)
-    betas = np.concatenate([_EDGE_BETAS, rng.uniform(-1.0, 1.0, 400),
-                            rng.normal(0.0, 5.0, 100),
-                            rng.uniform(-1e-4, 1e-4, 100)])
-    h, den, rad = semigroup._axis_kernel(gen, betas, depth)
-    ref = [_per_beta_denominator(gen, float(b), depth) for b in betas]
-    h_ref = np.array([r[0].value for r in ref])
-    den_ref = np.array([r[1].value for r in ref])
-    # tobytes compares every bit, the signs of zeros included
-    for got, want in [(h[0], h_ref.real), (h[1], h_ref.imag),
-                      (den[0], den_ref.real), (den[1], den_ref.imag),
-                      (rad, [r[1].radius for r in ref])]:
-        assert got.tobytes() == np.array(want).tobytes()
-
-
 def test_scalar_queries_are_batches_of_one(gen):
-    for beta in _EDGE_BETAS + [0.3, -2.5]:
-        h_ref, d_ref = _per_beta_denominator(gen, beta, 40)
-        h, d = generator_series(gen, beta), generator_denominator(gen, beta)
-        assert (h.value, h.radius) == (h_ref.value, h_ref.radius)
-        assert (d.value, d.radius) == (d_ref.value, d_ref.radius)
+    betas = np.array(_EDGE_BETAS + [0.3, -2.5])
+    den, radius, _ = coupling_series_batch(gen.weights, 1.0 + 1j * betas, 40)
+    rep = scan_imaginary_axis(gen, betas)
+    for i, beta in enumerate(betas.tolist()):
+        assert _axis_denominator(gen, beta) == (den[i], radius[i])
+        one = scan_imaginary_axis(gen, [beta])
+        assert one.certified[0] == rep.certified[i]
+        assert one.denominator_abs_lower[0] == rep.denominator_abs_lower[i]
 
 
 def test_scan_axis_uses_the_scalar_verdict_rule(gen):
     betas = _EDGE_BETAS + [0.05 * k for k in range(-25, 26)]
     rep = scan_imaginary_axis(gen, betas)
-    for p in rep.points:
-        den = generator_denominator(gen, p.beta)
-        gap = min(abs(p.beta), 1.0 - abs(p.beta))
-        certified = gap > 1e-9 and den.excludes_zero()
-        assert p.verdict == (CERTIFIED if certified else SINGULAR)
-        assert p.denominator_abs_lower == (den.abs_lower() if certified
-                                           else 0.0)
+    for beta, got, low in zip(rep.betas.tolist(), rep.certified,
+                              rep.denominator_abs_lower):
+        den, radius = _axis_denominator(gen, beta)
+        gap = min(abs(beta), 1.0 - abs(beta))
+        certified = gap > 1e-9 and np.abs(den) > radius
+        assert got == certified
+        assert low == (np.abs(den) - radius if certified else 0.0)
     # counts are keyed in order of first appearance, as the JSON shows them
     assert list(rep.counts()) == [SINGULAR, CERTIFIED]
     assert list(scan_imaginary_axis(gen, [0.5, 0.0]).counts()) == \
         [CERTIFIED, SINGULAR]
+    assert scan_imaginary_axis(gen, [0.5]).counts() == {CERTIFIED: 1}
     assert scan_imaginary_axis(gen, []).counts() == {}
     with pytest.raises(ValueError):
         scan_imaginary_axis(gen, [0.5, float("nan")])
@@ -247,10 +230,10 @@ def test_scan_axis_uses_the_scalar_verdict_rule(gen):
 def test_generator_denominator_depth_monotone(gen):
     # a deeper certified disk is contained in the shallower one
     for beta in (0.1, 0.3, 0.5, 0.7, 0.9, -0.2, -0.8):
-        d40 = generator_denominator(gen, beta, 40)
-        d50 = generator_denominator(gen, beta, 50)
-        assert abs(d50.value - d40.value) + d50.radius <= d40.radius * 1.001
-        assert d40.excludes_zero()
+        d40, r40 = _axis_denominator(gen, beta, 40)
+        d50, r50 = _axis_denominator(gen, beta, 50)
+        assert abs(d50 - d40) + r50 <= r40 * 1.001
+        assert abs(d40) > r40
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +243,13 @@ def test_generator_denominator_depth_monotone(gen):
 def test_scan_axis_verdicts(gen):
     betas = [0.0, 0.1, -0.1, 0.5, 0.9, -0.9, 1.0, -1.3]
     rep = scan_imaginary_axis(gen, betas)
-    verdicts = {p.beta: p.verdict for p in rep.points}
-    assert verdicts[0.0] == SINGULAR
-    assert verdicts[1.0] == SINGULAR
-    assert verdicts[-1.3] == SINGULAR
+    verdicts = dict(zip(rep.betas.tolist(), rep.certified.tolist()))
+    assert not verdicts[0.0]
+    assert not verdicts[1.0]
+    assert not verdicts[-1.3]
     for b in (0.1, -0.1, 0.5, 0.9, -0.9):
-        assert verdicts[b] == CERTIFIED
-    certified = [p for p in rep.points if p.verdict == CERTIFIED]
-    assert all(p.denominator_abs_lower > 0.5 for p in certified)
+        assert verdicts[b]
+    assert (rep.denominator_abs_lower[rep.certified] > 0.5).all()
 
 
 def test_mode_certificates_residual_is_exactly_the_weight(gen):
