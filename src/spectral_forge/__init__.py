@@ -10,9 +10,10 @@ certified truncation radii, and cross-checks everything against finite
 sections, residual certificates and dense oracles.
 """
 
-from .errors import (BlockTooDeep, NoSamples, NotInTargetSet, PoleHit,
-                     RootCountMismatch, SingularBlock, SingularUpdate,
-                     SpectralForgeError, TailInvalid)
+from .errors import (BlockTooDeep, ExponentialUnresolved, NoSamples,
+                     NotInTargetSet, PoleHit, RootCountMismatch,
+                     SingularBlock, SingularUpdate, SpectralForgeError,
+                     TailInvalid)
 from .model import (BlockVector, CertifiedComplex, GroupUnionSpec,
                     TailProfile, WeightSeq, apply_operator, basis_head,
                     norm1, stochasticity_check, union_points, union_values,

@@ -20,7 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import SpectralForgeError
+from .errors import ExponentialUnresolved, SpectralForgeError
 from .finite import convergence_table, finite_spectrum, strongly_connected
 from .io import Lookup, write_csv, write_json
 from .model import GroupUnionSpec, WeightSeq
@@ -356,7 +356,11 @@ def cmd_evolve(args) -> int:
                          f"{args.samples}")
 
     times = np.linspace(0.0, args.t, args.samples)
-    ft = evolve(g, f0, times)
+    try:
+        ft = evolve(g, f0, times)
+    except ExponentialUnresolved as exc:
+        raise UsageError(f"t: {args.t} over {args.samples} samples steps "
+                         f"too far to certify: {exc}")
     mass = ft.mass().real
     mass0 = f0.mass().real
     # np.max propagates NaN, and a NaN drift fails the gate below

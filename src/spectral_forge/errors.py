@@ -48,6 +48,11 @@ class BlockTooDeep(SpectralForgeError):
     a residual check against q_n could no longer fail there."""
 
 
+class ExponentialUnresolved(SpectralForgeError):
+    """A matrix exponential needs so many squarings that its a-priori
+    rounding bound exceeds the result itself: no digit would be certified."""
+
+
 class NoSamples(SpectralForgeError):
     """A randomised check was left with no sample to check, so it could
     not fail."""

@@ -33,7 +33,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .errors import SingularBlock, SpectralForgeError
+from .errors import (ExponentialUnresolved, SingularBlock,
+                     SpectralForgeError)
 from .model import WeightSeq
 from .resolvent import (CERTIFIED, SINGULAR, _S_GAP_GUARD,
                         coupling_series_batch)
@@ -51,6 +52,7 @@ __all__ = [
     "AxisReport",
     "scan_imaginary_axis",
     "chain_generator",
+    "expm",
     "evolve",
 ]
 
@@ -384,11 +386,156 @@ def chain_generator(g: GeneratorSpec, n_blocks: int) -> np.ndarray:
     return m
 
 
+# unit roundoff of binary64, and the relative error bound gamma_k = k u /
+# (1 - k u) of k successive roundings (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., section 3.1)
+_U = 2.0 ** -53
+
+
+def _gamma(k: int) -> float:
+    return k * _U / (1.0 - k * _U)
+
+
+def _taylor_tail(tau: float, theta: float, k: int) -> float:
+    """Bound on the 1-norm of sum_{j>k} X^j/j! for X >= 0 with ||X||_1 =
+    theta < 1, given a bound tau on ||X^k/k!||_1: each further term is at
+    most theta/(k+1) times the one before, so the tail is at most a
+    geometric series."""
+    return tau * theta / (k + 1.0 - theta)
+
+
+# the most Taylor terms any input needs: the first K whose tail bound at
+# theta = 1/2 is at most u (the bound grows with theta)
+_TAYLOR_MAX = next(k for k in range(1, 64)
+                   if _taylor_tail(0.5 ** k / math.factorial(k), 0.5, k) <= _U)
+
+
+def _taylor_degree(theta: float) -> int:
+    """The first K whose remainder bound, from ||X^K/K!||_1 <= theta^K/K!,
+    is at most the unit roundoff."""
+    tau = 1.0
+    for k in range(1, _TAYLOR_MAX):
+        tau *= theta / k
+        if _taylor_tail(tau, theta, k) <= _U:
+            return k
+    return _TAYLOR_MAX
+
+
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by ``scipy.linalg.expm``; SciPy is imported on the
-    first call, so importing the package does not load it."""
-    from scipy.linalg import expm as scipy_expm
-    return scipy_expm(a)
+    """e^A for an essentially nonnegative (Metzler) real matrix A, by
+    uniformisation, Taylor series and scaling and squaring, in numpy alone.
+
+    Method.  With alpha = max(0, -min_i a_ii), B = A + alpha I >= 0 and
+    e^A = e^-alpha e^B.  Let s >= 0 be the smallest integer with
+    max(||B||_1, alpha) < 2^(s-1), read off binary exponents (no power 2^s
+    is ever formed), X = B / 2^s and y = alpha / 2^s, so that
+    theta = ||X||_1 < 1/2 and y < 1/2.  Every Taylor term X^k/k! is >= 0
+    with 1-norm at most tau_k = theta^k/k!, and each later term is at most
+    theta/(k+1) times the one before, so the terms after the k-th sum to
+    at most
+
+        rho_k = tau_k theta / (k + 1 - theta).
+
+    The sum S of the terms k = 1..K, K the first with rho_K <= u = 2^-53,
+    and T = I + S therefore satisfy
+
+        T <= e^X <= T + R,   R >= 0,   ||R||_1 <= u,
+
+    and as rho_K grows with theta, K <= 14 for every input
+    (``_TAYLOR_MAX``).  S is evaluated by Horner's rule in the form
+    G_K = X/K, G_k = (X + X G_(k+1))/k, S = G_1, so no level adds the
+    identity.  The shift is folded in before the squarings: E_0 = e^-y T
+    is formed as I + (c S + (c - 1) I) with c = e^-y and c - 1 from
+    ``expm1``, so that the entries near 1 are rounded once; each iterate
+    E_j = E_(j-1)^2 then approximates e^(A/2^(s-j)), none carries a factor
+    e^alpha, and E_s is returned.  The result is entrywise nonnegative by
+    construction: off the diagonal it is made of sums and products of
+    nonnegative numbers, and E_0's diagonal is at least c > 1/2.
+
+    Error.  Every rounding is componentwise relative: u on the shifted
+    diagonal, gamma_(n+3) for each Horner level (a product, a sum and a
+    quotient of nonnegative numbers), so gamma_(K(n+3)) on S, 3u more for
+    the fold off the diagonal and 5u on it (expm1 to within 2u; the one
+    subtraction, c S_ii + (c - 1), stays below 2/3 of E_0's entry), and
+    gamma_n on each squaring of an n x n matrix; gamma_k = k u / (1 - k u).  With m = 2^s, delta = gamma_(14(n+3)+5) + gamma_n
+    and F = e^-y T, the computed result E satisfies
+    |E - F^m| <= (exp(m delta) - 1) F^m componentwise, while
+    0 <= e^A - F^m = Delta = sum_i e^(iA/m) (e^-y R) F^(m-1-i).  Hence
+
+        |E - e^A| <= (exp(m delta) - 1) e^A + Delta.
+
+    In a monotone norm in which every e^(tA), t >= 0, is a contraction,
+    ||Delta|| <= m kappa u, with kappa bounding that norm of R by its
+    1-norm.  For the chain generator M of ``chain_generator`` the mass
+    weights w = (1, 2 pi, ..., 2 pi) give w^T M <= 0, so the weighted norm
+    ||W P W^-1||_1 with W = diag(w) serves, kappa = 2 pi, and entrywise
+
+        |E - e^(hM)|_ij <= (exp(m delta) - 1) e^(hM)_ij
+                           + (w_j / w_i) 2 pi m u.
+
+    The analysis assumes no underflow.  The bound is void once
+    exp(m delta) - 1 exceeds 1, i.e. once the squarings may have amplified
+    the roundings past the size of the result itself; expm then raises
+    ``ExponentialUnresolved`` instead of squaring.  It raises
+    ``ValueError`` for a matrix that is not square, real and finite with
+    nonnegative off-diagonal entries, and ``OverflowError`` when e^A
+    exceeds the float range.  It terminates for every finite input: at
+    most 13 products for the series, and at most 46 squarings (n = 1;
+    fewer for larger n) as the refusal comes first.
+    """
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise ValueError(f"expm needs a non-empty square matrix, got shape "
+                         f"{a.shape}")
+    if np.iscomplexobj(a):
+        raise ValueError("expm needs a real matrix")
+    b = np.array(a, dtype=float, order="C")
+    if not np.isfinite(b).all():
+        raise ValueError("expm needs a finite matrix")
+    n = b.shape[0]
+    diag = b.ravel()[::n + 1]                  # a view of the diagonal
+    alpha = max(0.0, -float(diag.min()))
+    if math.isinf(float(diag.max()) + alpha):
+        # a_ii + alpha > 2^1024 needs a_ii > 2^1023: e^a_ii overflows
+        raise OverflowError("e^A exceeds the float range")
+    diag += alpha
+    if float(b.min()) < 0.0:                   # the diagonal is now >= 0
+        raise ValueError("expm needs an essentially nonnegative matrix: an "
+                         "off-diagonal entry is negative")
+
+    top = max(float(b.max()), alpha)
+    s = 0
+    if top > 0.0:
+        p = math.frexp(top)[1]                 # top < 2^p, so the norm of
+        norm = max(float(np.ldexp(b, -p).sum(axis=0).max()),   # b/2^p is
+                   math.ldexp(alpha, -p))                       # <= n
+        s = max(0, p + math.frexp(norm)[1] + 1)
+    delta = _gamma(_TAYLOR_MAX * (n + 3) + 5) + _gamma(n)
+    # exp(2^s delta) - 1 > 1, compared in logarithms so nothing overflows
+    if s + math.log2(delta) > math.log2(math.log(2.0)):
+        raise ExponentialUnresolved(
+            f"e^A needs {s} squarings, after which its rounding bound "
+            f"exp(2^{s} * {delta:.2e}) - 1 exceeds the result itself")
+
+    x = np.ldexp(b, -s)
+    k_max = _taylor_degree(float(x.sum(axis=0).max()))
+    e = x / k_max
+    for k in range(k_max - 1, 0, -1):
+        e = x @ e
+        e += x
+        e /= k
+    d = math.expm1(-math.ldexp(alpha, -s))
+    e += d * e
+    diag = e.ravel()[::n + 1]
+    diag += d
+    diag += 1.0
+    if s:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(s):
+                e = e @ e
+        if not np.isfinite(e).all():
+            raise OverflowError("e^A exceeds the float range")
+    return e
 
 
 def evolve(g: GeneratorSpec, f0: FourierState, t,
@@ -403,7 +550,10 @@ def evolve(g: GeneratorSpec, f0: FourierState, t,
     sample, v_k = expm(dt_k M) v_{k-1} with dt_k = t_k - t_{k-1} and
     t_0 = 0, one scaling-and-squaring exponential per distinct increment:
     a uniform grid from 0 needs one, its dt_k are exact (Sterbenz) and sum
-    to t_k, and expm(dt M) >= 0 keeps a nonnegative chain nonnegative.
+    to t_k, and expm(dt M), a sum and product of nonnegative matrices, is
+    entrywise nonnegative by construction, so a nonnegative chain stays
+    nonnegative.  A step too long for expm's error bound raises
+    ``ExponentialUnresolved``.
     A scalar t gives a state; an array gives one state whose head and
     coefficients are arrays over the times.
     """

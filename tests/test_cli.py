@@ -1,10 +1,13 @@
 """End-to-end runs of the command line entry points (in process)."""
 
+import ast
 import csv
 import hashlib
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -34,15 +37,67 @@ def read_json(path):
 # start-up
 # ---------------------------------------------------------------------------
 
-def test_importing_the_cli_does_not_load_scipy():
-    # SciPy serves only semigroup evolve, which imports it on first use
+_SCIPY_MODULES = ("print(sorted(m for m in sys.modules "
+                  "if m.split('.')[0] == 'scipy'))")
+
+
+def _fresh_interpreter(code):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, spectral_forge.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    # the package needs numpy only; SciPy is a test oracle
+    assert _fresh_interpreter(
+        "import sys, spectral_forge.cli; " + _SCIPY_MODULES) == "[]\n"
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    runs = [["scan-circle", "--grid", "60"], ["eigs", "--N", "4"],
+            ["convergence", "--n-max", "4"], ["verify"],
+            ["semigroup", "scan-axis", "--betas", "0.5,1.5"],
+            ["semigroup", "cert", "--r", "1,3/2"],
+            ["semigroup", "evolve", "--t", "5", "--samples", "11"]]
+    code = ("import sys\nfrom spectral_forge import cli\n"
+            f"codes = [cli.main(argv + ['--out', {str(tmp_path)!r}]) "
+            f"for argv in {runs!r}]\n"
+            "print(codes)\n" + _SCIPY_MODULES)
+    assert _fresh_interpreter(code).splitlines()[-2:] == \
+        [str([0] * len(runs)), "[]"]
+    for name in ("scan_circle.csv", "eigs.csv", "convergence.csv",
+                 "verify.json", "scan_axis.csv", "semigroup_cert.json",
+                 "evolve.csv"):
+        assert (tmp_path / name).exists()
+
+
+def _third_party_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top not in sys.stdlib_module_names and top != "spectral_forge":
+                yield top
+
+
+def test_the_package_imports_no_third_party_module_but_numpy(tmp_path):
+    src = pathlib.Path(cli.__file__).parent.parent
+    found = {f"{path.relative_to(src)}: {top}"
+             for path in sorted(src.rglob("*.py"))
+             for top in _third_party_imports(path) if top != "numpy"}
+    assert not found
+    # the scan sees imports inside functions, as SciPy's used to be
+    lazy = tmp_path / "lazy.py"
+    lazy.write_text("import numpy as np\nfrom . import io\n"
+                    "def f():\n    from scipy.linalg import expm\n")
+    assert list(_third_party_imports(lazy)) == ["numpy", "scipy"]
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +463,8 @@ def test_semigroup_evolve_mode_flag(tmp_path):
 
 
 @pytest.mark.parametrize("mode,digest", [
-    (None, "ce5532a4830ee1f0505a3a98aa05f10bd73bd14e2a5d9be28b42c4089bb6ae1d"),
-    ("3,0", "7f872220e0ae9ef7362cb071ef56d622f1abdfe5d50094e9e8462cb2a745ccd9"),
+    (None, "3e46f6f5b144186e500353499aa99fff9b3dedf20b7e6492b58d690b324152db"),
+    ("3,0", "949efc2e3d6c4b205d2ed81e104312f120eb551443a47d017416e1a13e9206fa"),
 ], ids=["head", "mode-3-0"])
 def test_semigroup_evolve_csv_is_pinned(tmp_path, mode, digest):
     # sha256 of evolve.csv at the default time and samples, as written by
@@ -455,6 +510,34 @@ def test_semigroup_evolve_rejects_too_few_samples(tmp_path, samples, capsys):
     assert run(tmp_path, "semigroup", "evolve", "--samples", samples) == 2
     assert "at least one sample" in capsys.readouterr().err
     assert not (tmp_path / "evolve.csv").exists()
+
+
+def test_semigroup_evolve_refuses_a_step_no_digit_of_which_is_certified(
+        tmp_path, capsys):
+    # a step of 5e299 needs 998 squarings; the exponential's error
+    # bound is void long before, so the command stops with the reason
+    # instead of writing rows of nan
+    assert run(tmp_path, "semigroup", "evolve", "--t", "1e300",
+               "--samples", "3") == 2
+    err = capsys.readouterr().err
+    assert "t: 1e+300 over 3 samples steps too far to certify" in err
+    assert "998 squarings" in err and "exceeds the result" in err
+    assert not (tmp_path / "evolve.csv").exists()
+
+
+def test_semigroup_evolve_long_steps_leave_the_drift_gate_to_decide(
+        tmp_path, capsys):
+    # a step of 5e11 is still certified: every row is finite and
+    # nonnegative, and the depth-40 chain's mass leak, 2^-40 of the head
+    # (about 0.0043) per unit time, about 4e-3 by t = 1e12, fails the
+    # drift gate honestly
+    assert run(tmp_path, "semigroup", "evolve", "--t", "1e12",
+               "--samples", "3") == 1
+    drift = re.search(r"mass drift (\S+) ", capsys.readouterr().out)
+    assert 3e-3 < float(drift.group(1)) < 5e-3
+    _, rows = read_csv(tmp_path / "evolve.csv")
+    values = [float(v) for r in rows for v in r]
+    assert all(math.isfinite(v) and v >= 0.0 for v in values)
 
 
 def test_semigroup_evolve_single_sample(tmp_path):

@@ -3,17 +3,18 @@
 The reference is e^{tM} e_0 for the float chain generator M, taken exactly
 into 40-digit mpmath: one ``mpmath.expm`` at t = 1, raised to the integer
 powers 100 and 500.  The batched ``evolve`` on a 2001-sample grid must land
-within 1e-13 of it at the last sample; a perturbed step must not.
+within 1e-13 of it at the last sample; a perturbed step, or a Taylor sum
+one term short of the remainder bound's degree or without the bound, must
+not.
 """
 
 import mpmath
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from spectral_forge import semigroup
 from spectral_forge.semigroup import (FourierState, GeneratorSpec,
-                                      chain_generator, evolve)
+                                      chain_generator, evolve, expm)
 
 GATE = 1e-13
 TIMES = (1, 100, 500)
@@ -51,3 +52,17 @@ def test_audit_catches_a_perturbed_step(audit, t, monkeypatch):
     monkeypatch.setattr(semigroup, "expm",
                         lambda a: expm(a * (1.0 + 1e-9)))
     assert audit(t) > GATE
+
+
+_DEGREE = semigroup._taylor_degree
+_SHORT_SUMS = {
+    "one-term-early": ("_taylor_degree",
+                       lambda theta: max(1, _DEGREE(theta) - 1)),
+    "no-remainder-check": ("_taylor_tail", lambda tau, theta, k: 0.0),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_SHORT_SUMS))
+def test_audit_catches_a_short_taylor_sum(audit, variant, monkeypatch):
+    monkeypatch.setattr(semigroup, *_SHORT_SUMS[variant])
+    assert max(audit(t) for t in TIMES) > GATE

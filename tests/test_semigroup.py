@@ -8,8 +8,6 @@ import pytest
 
 import cmath
 
-from scipy.linalg import expm
-
 from spectral_forge import semigroup
 from spectral_forge.errors import SingularBlock
 from spectral_forge.resolvent import (CERTIFIED, SINGULAR,
@@ -17,7 +15,7 @@ from spectral_forge.resolvent import (CERTIFIED, SINGULAR,
 from spectral_forge.semigroup import (TWO_PI, FourierState, GeneratorSpec,
                                       RationalSchedule, apply_block_generator,
                                       apply_generator, chain_generator,
-                                      evolve, mode_certificate,
+                                      evolve, expm, mode_certificate,
                                       resolvent_block_generator,
                                       scan_imaginary_axis)
 
@@ -348,7 +346,8 @@ def test_evolve_approximates_generator(gen):
 
 
 def _per_time_evolve(g, f0, t, n_chain=None):
-    """The one-exponential-per-time orbit that the stepped one replaced."""
+    """The one-exponential-per-time orbit that the stepped one replaced,
+    with the same exponential."""
     n_chain = g.depth if n_chain is None else n_chain
     out = FourierState(0j)
     v0 = np.zeros(n_chain + 1, dtype=complex)
