@@ -16,11 +16,19 @@ stochastic matrix T_N whose spectrum splits in closed form:
   poles 1 - q_n (Golub 1973; Bunch, Nielsen and Sorensen 1978).  They are
   found by bisection on the interlacing brackets in the distance
   x = 1 - lam (no dense eigensolver anywhere on this path; dense routines
-  appear only in independent test oracles and ``verify``).
+  appear only in independent test oracles and ``verify``).  One loop,
+  ``_bisect``, bisects brackets of any number of sections together:
+  ``secular_roots`` hands it every bracket of one section.
 
 The determinant factorisation det(lam - T_N) =
 lam * prod_n (lam - 1 + q_n) * phi_N(lam) * (block factors) underlies the
 cofactor cross-check.
+
+``convergence_table`` needs only the eigenvalue nearest to each target
+point u, for every N up to n_max, so it assembles no section: the block
+eigenvalues give each target's nearest block distance in closed form, and
+only the brackets whose lam-interval comes that close to some u are
+bisected, those of all sections in the one loop.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +49,8 @@ __all__ = [
     "tarjan_scc",
     "strongly_connected",
     "secular_value",
+    "secular_roots",
+    "section_limit",
     "EigRecord",
     "SpectrumResult",
     "finite_spectrum",
@@ -196,6 +206,9 @@ def secular_value(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
 # interlacing root solve
 # ---------------------------------------------------------------------------
 
+_EPS = float(np.finfo(float).eps)
+
+
 def _brackets(d: int, qs: np.ndarray):
     """The N+1 interlacing brackets (lo, hi) in x = 1 - lam, ordered by
     ascending lam.
@@ -207,34 +220,94 @@ def _brackets(d: int, qs: np.ndarray):
     return np.r_[qs, 1.0 - rho], np.r_[1.0 + rho, qs]
 
 
-def secular_roots(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
-                  renormalize: bool = True) -> np.ndarray:
-    """All N+1 zeros of the secular function, real and ascending.
+def _bisect(d: int, sections: Sequence[np.ndarray], sec: np.ndarray,
+            lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The secular root lam = 1 - x in each bracket (lo, hi), for brackets
+    of several sections at once.
 
-    In x = 1 - lam the zeros solve g(x) = 1 - x - sum_n d q_n^2 / (q_n - x),
-    which is strictly decreasing between neighbouring poles, so every
-    bracket holds exactly one root.  All brackets are bisected at once until
-    their ends are neighbouring floats; next to x = 0 a bracket also stops
-    once it is narrower than eps times the smallest pole, which keeps the
-    bisection out of the subnormals.
+    ``sections[k]`` holds the weights q_1 .. q_N of section k and ``sec``
+    the section of each bracket, in ascending order.  In x = 1 - lam the
+    zeros solve g(x) = 1 - x - sum_n d q_n^2 / (q_n - x), which is strictly
+    decreasing between neighbouring poles, so every bracket holds exactly
+    one root.  All brackets are bisected together.  A bracket stops when
+    its ends are neighbouring floats; next to x = 0 also once it is
+    narrower than eps times its section's smallest pole, which keeps the
+    bisection out of the subnormals; and as soon as both ends give the same
+    lam = 1 - x, because 1 - x rounds monotonically, so every later
+    midpoint and the root returned round to that same lam.
+
+    Each midpoint's sum runs over exactly the N terms of its own section:
+    the live rows of one section are reduced as one (rows, N) block, and a
+    row's sum does not depend on how many rows share the block.  So a root
+    does not depend on which other brackets are bisected with it.  (Padding
+    shorter sections with zero terms would change NumPy's pairwise
+    summation, and with it some roots.)
     """
-    qs = _section_weights(w, n_blocks, renormalize)
-    dq2 = spec.d * qs ** 2
-    lo, hi = _brackets(spec.d, qs)
+    sizes = [len(q) for q in sections]
+    poles = np.full((len(sections), max(sizes)), np.inf)
+    for k, q in enumerate(sections):
+        poles[k, :sizes[k]] = q
+    # padded columns hold 0 / inf = 0 and are never summed
+    dq2 = np.where(np.isinf(poles), 0.0, d * poles ** 2)
     start = lo.copy()
-    floor = np.finfo(float).eps * qs.min()
+    # the live brackets: their indices, ends, floors and sections
+    act = np.arange(lo.size)
+    a, b, floor, s = lo, hi, _EPS * poles.min(axis=1)[sec], sec
+    groups = None
     while True:
-        mid = 0.5 * (lo + hi)
-        live = np.nonzero((lo < mid) & (mid < hi) & (hi - lo > floor))[0]
-        if live.size == 0:
-            break
-        m = mid[live]
-        right = 1.0 - m - (dq2 / (qs - m[:, None])).sum(axis=1) > 0.0
-        lo[live[right]] = m[right]
-        hi[live[~right]] = m[~right]
+        mid = 0.5 * (a + b)
+        live = (a < mid) & (mid < b) & (b - a > floor) & \
+            (1.0 - a != 1.0 - b)
+        if groups is None or not live.all():
+            lo[act], hi[act] = a, b
+            act, a, b, mid, floor, s = (v[live] for v in
+                                        (act, a, b, mid, floor, s))
+            if act.size == 0:
+                break
+            cuts = [0, *(np.flatnonzero(s[1:] != s[:-1]) + 1).tolist(),
+                    s.size]
+            groups = [(i, j, sizes[s[i]]) for i, j in zip(cuts, cuts[1:])]
+        if len(groups) == 1:
+            # one section, as in every ``secular_roots`` call: no gather
+            k, n = s[0], groups[0][2]
+            total = np.add.reduce(dq2[k, :n] / (poles[k, :n] - mid[:, None]),
+                                  axis=1)
+        else:
+            terms = dq2[s] / (poles[s] - mid[:, None])
+            total = np.empty_like(mid)
+            for i, j, n in groups:
+                np.add.reduce(terms[i:j, :n], axis=1, out=total[i:j])
+        right = 1.0 - mid - total > 0.0
+        a = np.where(right, mid, a)
+        b = np.where(right, b, mid)
     # a lower end that never moved may be a pole: take the upper one
     x = np.where(lo == start, hi, lo)
     return 1.0 - x
+
+
+def secular_roots(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
+                  renormalize: bool = True) -> np.ndarray:
+    """All N+1 zeros of the secular function, real and ascending: the
+    bisection of every interlacing bracket of the one section."""
+    qs = _section_weights(w, n_blocks, renormalize)
+    lo, hi = _brackets(spec.d, qs)
+    return _bisect(spec.d, [qs], np.zeros(lo.size, dtype=np.intp), lo, hi)
+
+
+def section_limit(w: WeightSeq, renormalize: bool = True) -> int:
+    """Largest section size N whose bisection floor eps * q~_N, with q~_N
+    the section's last and smallest weight, is still a normal float."""
+    def normal(n):
+        q = w.value(n) / w.partial_mass(n) if renormalize else w.value(n)
+        return _EPS * q >= np.finfo(float).tiny
+
+    good, bad = 0, 1
+    while normal(bad):
+        good, bad = bad, 2 * bad
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        good, bad = (mid, bad) if normal(mid) else (good, mid)
+    return good
 
 
 # ---------------------------------------------------------------------------
@@ -265,28 +338,41 @@ class SpectrumResult:
         return float(np.max([r.residual for r in self.records]))
 
 
+def _block_zetas(spec: GroupUnionSpec):
+    """Eigenvalues of P on the complement of the coupled direction: the
+    nontrivial roots of each cyclic factor, then 1 once for each factor
+    after the first."""
+    for m in spec.orders:
+        for j in range(1, m):
+            yield cmath.exp(2j * math.pi * j / m)
+    for _ in spec.orders[1:]:
+        yield 1.0 + 0j
+
+
 def _block_eig_vectors(spec: GroupUnionSpec):
     """Per-block eigenpairs of P orthogonal to the coupled direction.
 
-    Yields (zeta, vector) with P v = zeta v and <1, v> = 0: the nontrivial
-    Fourier modes of each cyclic factor plus, when there are several
-    factors, the differences of their normalised fixed vectors (these carry
-    the eigenvalue 1 with multiplicity factors-1).
+    Yields (zeta, vector) with P v = zeta v and <1, v> = 0, in the order of
+    ``_block_zetas``: the nontrivial Fourier modes of each cyclic factor
+    plus, when there are several factors, the differences of their
+    normalised fixed vectors (these carry the eigenvalue 1 with
+    multiplicity factors-1).
     """
     d = spec.d
-    for off, m in zip(spec.offsets, spec.orders):
-        for j in range(1, m):
-            zeta = cmath.exp(2j * math.pi * j / m)
+    offs, ords = spec.offsets, spec.orders
+    zetas = _block_zetas(spec)
+    for off, m in zip(offs, ords):
+        for _ in range(1, m):
+            zeta = next(zetas)
             v = np.zeros(d, dtype=complex)
             for i in range(m):
                 v[off + i] = zeta ** (-i) / m
             yield zeta, v
-    offs, ords = spec.offsets, spec.orders
     for k in range(len(ords) - 1):
         v = np.zeros(d, dtype=complex)
         v[offs[k]:offs[k] + ords[k]] = 1.0 / ords[k]
         v[offs[k + 1]:offs[k + 1] + ords[k + 1]] = -1.0 / ords[k + 1]
-        yield 1.0 + 0j, v / np.abs(v).sum()
+        yield next(zetas), v / np.abs(v).sum()
 
 
 def _block_residual(a: np.ndarray, n: int, v: np.ndarray,
@@ -440,25 +526,112 @@ class ConvergenceRow:
     angle: object               # Fraction of a full turn
     distance: float
     bound: float                # 2 * tilde_q_N
-    ok: bool
+    tolerance: float            # rounding tolerance tau_N of the distance
+
+    @property
+    def resolved(self) -> bool:
+        """False when rounding alone could move the distance by the whole
+        bound, so that the check below could not tell a right distance from
+        a wrong one."""
+        return self.bound > self.tolerance
+
+    @property
+    def ok(self) -> bool:
+        return self.distance <= self.bound + self.tolerance
+
+
+# relative slack on the nearest block distance when pruning brackets
+_PRUNE_MARGIN = 2.0 ** -48
+
+
+def _kept_brackets(a: np.ndarray, b: np.ndarray, us: np.ndarray,
+                   near: np.ndarray) -> np.ndarray:
+    """Brackets whose lam-interval [a, b] may hold a root nearer to some
+    target us[k] than ``near[k]``, the nearest block eigenvalue's distance.
+
+    The distance from u to [a, b] is formed with the operations that form a
+    root's distance: the real gap from Re u to the nearer end and the
+    complex modulus with Im u.
+    """
+    re = us.real
+    gap = np.maximum(np.maximum(a[:, None] - re, re - b[:, None]), 0.0)
+    to_interval = np.abs(gap + 1j * us.imag)
+    return (to_interval <= near * (1.0 + _PRUNE_MARGIN)).any(axis=1)
 
 
 def convergence_table(spec: GroupUnionSpec, w: WeightSeq,
                       n_max: int) -> List[ConvergenceRow]:
     """dist(u, sigma(T_N)) for every target point u and N <= n_max.
 
-    The bound 2 * tilde_q_N comes from the damped block eigenvalue next to
-    u (u != 1) and from the exact secular root at 1.
+    The bound 2 * tilde_q_N comes from the damped block eigenvalue
+    (1 - tilde_q_N) u next to u (u != 1) and from the secular root at 1.
+
+    Computed without assembling any section.  The block eigenvalues of T_N
+    are (1 - tilde_q_n) zeta, n <= N, in closed form, which gives each
+    target's nearest block distance.  The secular roots are real, one in
+    each interlacing bracket, and a root in [a, b] is no nearer to u than
+    the interval is.  A bracket is bisected only if its interval lies
+    within the nearest block distance, times 1 + 2^-48, of some target.
+    The margin is safe: for any lam in [a, b] the rounded lam - Re u is at
+    least the rounded gap, since rounding is monotone, so only the complex
+    modulus can make a pruned root's computed distance smaller than the
+    interval's; NumPy's modulus is within 2 ulps of the exact one (1.9 at
+    most on 80 000 samples against 200-bit arithmetic), and 2^-48 = 16 eps
+    covers up to 7 ulps on either side.  The kept brackets of all sections
+    are bisected together (``_bisect``), so every distance, the minimum
+    over the block eigenvalues and the kept roots, equals bit for bit the
+    minimum over the whole spectrum that ``finite_spectrum`` lists.
+
+    Each row carries a tolerance tau_N = (2N + 32) eps, with eps = 2^-52,
+    and passes when distance <= bound + tau_N.  tau_N bounds the error of
+    the computed distance to the witness eigenvalue v, |v - u| <= tilde_q_N:
+    * a block witness: u and zeta are ``cmath.exp`` of an angle formed with
+      three roundings (pi, the quotient j/m, the product), each within
+      11 eps of the exact point; 1 - tilde_q and the products add 1.5 eps,
+      the differences eps, the modulus (2 ulps of a value below 2) 2 eps:
+      26.5 eps in all;
+    * the secular root at 1: the bisection ends where the computed g
+      changes sign, and g falls with slope <= -1, so the root found is
+      within delta of the exact one, with delta the error of g near x = 0:
+      N positive terms, each at most 2 d q_n and four roundings off, plus
+      two subtractions, (N + 5.5) eps; the exact root lies within 1.5 eps
+      of x = 0 (d * sum tilde_q_n = 1 up to two roundings per weight), and
+      lam = 1 - x rounds once more: (N + 8) eps.
+    Both are below tau_N.  A row whose bound is at most tau_N is not
+    resolved (``ConvergenceRow.resolved``): rounding alone may then move the
+    distance by as much as the bound.  For a resolved row tilde_q_N >
+    (N + 16) eps, which also keeps the computed g of the bisection's last
+    ends within the bound used above.
     """
-    rows = []
+    if n_max < 1:
+        raise ValueError("need at least one block")
+    angles = union_points(spec)
+    us = np.array([cmath.exp(2j * math.pi * float(a)) for a in angles])
+    zetas = np.array(list(_block_zetas(spec)), dtype=complex)
+    q_all = w.values(n_max)
+    sections, nearest, lo, hi, sec = [], [], [], [], []
     for n_blocks in range(1, n_max + 1):
-        result = finite_spectrum(spec, w, n_blocks)
-        vals = result.values()
-        tq = float(result.operator.tilde_q[-1])
-        for angle in union_points(spec):
-            u = cmath.exp(2j * math.pi * float(angle))
-            dist = float(np.min(np.abs(vals - u)))
-            bound = 2.0 * tq
-            rows.append(ConvergenceRow(n_blocks, angle, dist, bound,
-                                       dist <= bound + 1e-12))
+        qs = q_all[:n_blocks] / w.partial_mass(n_blocks)
+        blocks = ((1.0 - qs)[:, None] * zetas).ravel()
+        near = np.abs(blocks[:, None] - us).min(axis=0, initial=np.inf)
+        b_lo, b_hi = _brackets(spec.d, qs)
+        keep = _kept_brackets(1.0 - b_hi, 1.0 - b_lo, us, near)
+        sections.append(qs)
+        nearest.append(near)
+        lo.append(b_lo[keep])
+        hi.append(b_hi[keep])
+        sec.append(np.full(keep.sum(), n_blocks - 1))
+    sec = np.concatenate(sec)
+    roots = _bisect(spec.d, sections, sec, np.concatenate(lo),
+                    np.concatenate(hi))
+    dist = np.array(nearest)
+    np.minimum.at(dist, sec, np.abs(roots.astype(complex)[:, None] - us))
+
+    rows = []
+    for n_blocks, qs, row in zip(range(1, n_max + 1), sections,
+                                 dist.tolist()):
+        bound = 2.0 * float(qs[-1])
+        tol = (2 * n_blocks + 32) * _EPS
+        rows.extend(ConvergenceRow(n_blocks, angle, distance, bound, tol)
+                    for angle, distance in zip(angles, row))
     return rows

@@ -578,7 +578,9 @@ def evolve(g: GeneratorSpec, f0: FourierState, t,
                 [c * cmath.exp(rate * s) for s in ts.tolist()])
 
     m = chain_generator(g, n_chain)
-    step = lru_cache(maxsize=16)(lambda dt: expm(dt * m))
+    # complex once per increment: a real step times the complex state
+    # would be cast to complex again on every product
+    step = lru_cache(maxsize=16)(lambda dt: expm(dt * m).astype(complex))
     chain = np.empty((ts.size, n_chain + 1), dtype=complex)
     for i, dt in enumerate(steps.tolist()):
         v = chain[i] = step(dt) @ v

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,7 +15,7 @@ import sys
 import pytest
 
 from spectral_forge import cli, io
-from spectral_forge.finite import EigRecord, finite_spectrum
+from spectral_forge.finite import EigRecord, convergence_table, finite_spectrum
 from spectral_forge.scanner import EigCertificate, scan_unit_circle
 
 
@@ -290,6 +291,51 @@ def test_convergence_table(tmp_path):
     assert header == ["n_blocks", "angle", "distance", "bound", "within_bound"]
     assert len(rows) == 2 * 6                      # two target angles
     assert all(r[4] == "true" for r in rows)
+
+
+@pytest.mark.parametrize("argv,work", [
+    (["convergence", "--n-max"], "convergence_table"),
+    (["eigs", "--N"], "finite_spectrum"),
+], ids=["convergence", "eigs"])
+@pytest.mark.parametrize("size", ["0", "-3", "968"])
+def test_out_of_range_section_sizes_exit_2(tmp_path, monkeypatch, capsys,
+                                           argv, work, size):
+    # 968 is one past the last section of orders 2,3 whose bisection floor
+    # eps * q~_N is a normal float; nothing is computed or written
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{work} ran for an out-of-range size")
+
+    monkeypatch.setattr(cli, work, refuse)
+    assert run(tmp_path, *argv, size) == 2
+    assert "need a section size in [1, 967]" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_convergence_marks_unresolved_rows(tmp_path, capsys):
+    # orders 2,3: from N = 44 the bound 2 q~_N is within the rounding
+    # tolerance (2N + 32) eps of the distance
+    assert run(tmp_path, "convergence", "--n-max", "50") == 0
+    _, rows = read_csv(tmp_path / "convergence.csv")
+    assert [r[4] for r in rows] == \
+        ["true"] * 43 * 4 + ["unresolved"] * 7 * 4
+    assert "200 rows up to N=50, 28 unresolved" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n_blocks,cell,rc", [(10, "false", 1),
+                                              (48, "unresolved", 0)])
+def test_convergence_gate_fails_a_resolved_row_only(tmp_path, monkeypatch,
+                                                    n_blocks, cell, rc):
+    # negative control: a distance pushed past bound + tau fails a resolved
+    # row and the command; an unresolved row does not decide the exit code
+    def pushed(spec, w, n_max):
+        return [dataclasses.replace(r, distance=2.0 * (r.bound + r.tolerance))
+                if r.n_blocks == n_blocks and r.angle == 0 else r
+                for r in convergence_table(spec, w, n_max)]
+
+    monkeypatch.setattr(cli, "convergence_table", pushed)
+    assert run(tmp_path, "convergence", "--n-max", "50") == rc
+    _, rows = read_csv(tmp_path / "convergence.csv")
+    assert [r[4] for r in rows if r[:2] == [str(n_blocks), "0"]] == [cell]
 
 
 def test_eigs_and_convergence_csvs_are_pinned(tmp_path):

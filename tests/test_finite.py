@@ -1,6 +1,8 @@
 """Finite sections: assembly, connectivity, secular roots, full spectra."""
 
+import cmath
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,7 +16,8 @@ from spectral_forge.finite import (_block_eig_vectors, _block_residual,
                                    finite_spectrum, secular_roots,
                                    secular_value, strongly_connected,
                                    tarjan_scc)
-from spectral_forge.model import GroupUnionSpec, WeightSeq, union_values
+from spectral_forge.model import (GroupUnionSpec, WeightSeq, union_points,
+                                  union_values)
 from spectral_forge.verify import _FACTORIZATION_CASES
 
 
@@ -144,6 +147,73 @@ def test_secular_roots_against_dense_oracle():
         chain[1:, 1:][np.diag_indices(n_blocks)] = 1.0 - qs
         ref = np.linalg.eigvalsh(chain)
         assert np.abs(roots - ref).max() <= 1e-12, (orders, n_blocks)
+
+
+def _reference_secular_roots(spec, w, n_blocks, renormalize=True):
+    """Oracle: every bracket bisected until its ends are neighbouring
+    floats or, next to x = 0, narrower than eps times the smallest pole."""
+    qs = finite._section_weights(w, n_blocks, renormalize)
+    dq2 = spec.d * qs ** 2
+    lo, hi = finite._brackets(spec.d, qs)
+    start = lo.copy()
+    floor = np.finfo(float).eps * qs.min()
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = np.nonzero((lo < mid) & (mid < hi) & (hi - lo > floor))[0]
+        if live.size == 0:
+            break
+        m = mid[live]
+        right = 1.0 - m - (dq2 / (qs - m[:, None])).sum(axis=1) > 0.0
+        lo[live[right]] = m[right]
+        hi[live[~right]] = m[~right]
+    return 1.0 - np.where(lo == start, hi, lo)
+
+
+@pytest.mark.parametrize("orders", [(1,), (2,), (3,), (2, 3), (4, 6),
+                                    (5, 7)])
+def test_secular_roots_bitwise_the_full_bisection(orders):
+    # a bracket stops once both ends give the same lam = 1 - x; the roots
+    # must be those of bisecting every bracket to the end
+    spec, w = _setup(orders)
+    for n_blocks in [*range(1, 70), 100, 200, 967]:
+        for renormalize in (True, False):
+            assert secular_roots(spec, w, n_blocks, renormalize).tobytes() \
+                == _reference_secular_roots(spec, w, n_blocks,
+                                            renormalize).tobytes(), \
+                (n_blocks, renormalize)
+
+
+@pytest.mark.parametrize("orders", [(1,), (2, 3), (5, 7)])
+def test_batched_bisection_is_bitwise_per_section(orders):
+    # all brackets of sections 1..60 in one loop give each section's roots
+    spec, w = _setup(orders)
+    sections, lo, hi, sec = [], [], [], []
+    for n_blocks in range(1, 61):
+        qs = finite._section_weights(w, n_blocks, True)
+        b_lo, b_hi = finite._brackets(spec.d, qs)
+        sections.append(qs)
+        lo.append(b_lo)
+        hi.append(b_hi)
+        sec.append(np.full(b_lo.size, n_blocks - 1))
+    sec = np.concatenate(sec)
+    roots = finite._bisect(spec.d, sections, sec, np.concatenate(lo),
+                           np.concatenate(hi))
+    for n_blocks in range(1, 61):
+        assert roots[sec == n_blocks - 1].tobytes() == \
+            secular_roots(spec, w, n_blocks).tobytes(), n_blocks
+
+
+def test_section_limit_is_the_last_normal_bisection_floor():
+    # orders 2,3: q~_N = 2^-N / 5 from N = 54 on, and eps * q~_N is normal
+    # while 2^-(52 + N) / 5 >= 2^-1022
+    spec, w = _setup((2, 3))
+    limit = finite.section_limit(w)
+    assert limit == 967
+    for n_blocks, normal in ((limit, True), (limit + 1, False)):
+        floor = np.finfo(float).eps * 2.0 ** -n_blocks / 5.0
+        assert bool(floor >= np.finfo(float).tiny) is normal
+    assert finite.section_limit(w, renormalize=False) == 967
+    assert finite.section_limit(WeightSeq.dyadic_single(1)) == 970
 
 
 def test_secular_roots_include_one_exactly():
@@ -367,6 +437,111 @@ def test_factorization_crosscheck_is_seeded():
 # ---------------------------------------------------------------------------
 # convergence toward the target set
 # ---------------------------------------------------------------------------
+
+def _oracle_convergence(spec, w, n_max):
+    """The per-section route: each section's full spectrum, then the
+    nearest eigenvalue to every target."""
+    rows = []
+    for n_blocks in range(1, n_max + 1):
+        result = finite_spectrum(spec, w, n_blocks)
+        vals = result.values()
+        bound = 2.0 * float(result.operator.tilde_q[-1])
+        for angle in union_points(spec):
+            u = cmath.exp(2j * math.pi * float(angle))
+            rows.append((n_blocks, angle, float(np.min(np.abs(vals - u))),
+                         bound))
+    return rows
+
+
+def _fields(rows):
+    return [(r.n_blocks, r.angle, r.distance, r.bound) for r in rows]
+
+
+ORACLE_ORDERS = [(1,), (2,), (2, 3), (4, 6), (5, 7)]
+
+
+@pytest.mark.parametrize("orders", ORACLE_ORDERS)
+def test_convergence_matches_the_per_section_oracle_bitwise(orders):
+    spec, w = _setup(orders)
+    rows = convergence_table(spec, w, 60)
+    assert _fields(rows) == _oracle_convergence(spec, w, 60)
+
+
+def test_convergence_assembles_no_section(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("convergence_table assembled a section")
+
+    monkeypatch.setattr(finite, "finite_spectrum", refuse)
+    monkeypatch.setattr(finite, "build_finite_section", refuse)
+    spec, w = _setup((2, 3))
+    assert len(convergence_table(spec, w, 16)) == 16 * 4
+
+
+@pytest.mark.parametrize("orders,kept", [((1,), 152), ((2,), 152),
+                                         ((2, 3), 47), ((5, 7), 32)])
+def test_convergence_bisects_only_the_kept_brackets(monkeypatch, orders,
+                                                    kept):
+    # orders 1 and 2 have no block eigenvalue at u = 1, so they keep every
+    # one of the 2 + 3 + ... + 17 brackets of n-max 16
+    masks = []
+    prune = finite._kept_brackets
+    monkeypatch.setattr(finite, "_kept_brackets",
+                        lambda *args: masks.append(prune(*args)) or masks[-1])
+    spec, w = _setup(orders)
+    convergence_table(spec, w, 16)
+    assert len(masks) == 16
+    assert sum(int(m.sum()) for m in masks) == kept
+
+
+def test_pruning_the_bracket_at_one_fails_the_oracle(monkeypatch):
+    # negative control: a pruning that drops the bracket whose interval
+    # holds Re u = 1 changes every u = 1 row
+    prune = finite._kept_brackets
+
+    def drop_one(a, b, us, near):
+        return prune(a, b, us, near) & ~((a <= 1.0) & (1.0 <= b))
+
+    monkeypatch.setattr(finite, "_kept_brackets", drop_one)
+    spec, w = _setup((2, 3))
+    rows = _fields(convergence_table(spec, w, 16))
+    oracle = _oracle_convergence(spec, w, 16)
+    changed = [r[:2] for r, o in zip(rows, oracle) if r != o]
+    assert changed == [(n, 0) for n in range(1, 17)]
+
+
+def test_convergence_rows_resolved_up_to_the_rounding_tolerance():
+    # tau_N = (2N + 32) eps; orders 2,3 have bound 2 q~_N = 2^(1-N) / 5
+    # above it up to N = 43
+    spec, w = _setup((2, 3))
+    rows = convergence_table(spec, w, 60)
+    eps = np.finfo(float).eps
+    for r in rows:
+        assert r.tolerance == (2 * r.n_blocks + 32) * eps
+        assert r.resolved is (r.n_blocks <= 43)
+        assert r.ok
+    # past N = 51 (1 - q~_N) u rounds to u: distances of 0 that the old
+    # absolute 1e-12 slack passed as checked
+    assert any(r.distance == 0.0 and r.angle != 0 for r in rows)
+    assert all(not r.resolved for r in rows if r.distance == 0.0
+               and r.angle != 0)
+
+
+def test_convergence_row_gate_can_fail():
+    # negative control: a resolved distance just past bound + tau fails
+    row = finite.ConvergenceRow(10, 0, 0.0, 2e-4, 1e-15)
+    assert row.resolved and row.ok
+    past = dataclasses.replace(
+        row, distance=np.nextafter(row.bound + row.tolerance, 1.0))
+    assert past.resolved and not past.ok
+    # a bound at or below tau is not resolved, whatever the distance
+    assert not dataclasses.replace(row, bound=1e-15).resolved
+
+
+def test_convergence_refuses_an_empty_table():
+    spec, w = _setup((2,))
+    with pytest.raises(ValueError):
+        convergence_table(spec, w, 0)
+
 
 def test_convergence_rows_within_bound():
     spec, w = _setup((2, 3))
