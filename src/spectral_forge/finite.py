@@ -256,8 +256,11 @@ def _bisect(d: int, sections: Sequence[np.ndarray], sec: np.ndarray,
     groups = None
     while True:
         mid = 0.5 * (a + b)
-        live = (a < mid) & (mid < b) & (b - a > floor) & \
-            (1.0 - a != 1.0 - b)
+        live = (a < mid) & (mid < b)
+        live &= b - a > floor
+        live &= 1.0 - a != 1.0 - b
+        # the first pass copies the ends, so the updates below never write
+        # into lo and hi; the groups change only when a bracket stops
         if groups is None or not live.all():
             lo[act], hi[act] = a, b
             act, a, b, mid, floor, s = (v[live] for v in
@@ -267,19 +270,19 @@ def _bisect(d: int, sections: Sequence[np.ndarray], sec: np.ndarray,
             cuts = [0, *(np.flatnonzero(s[1:] != s[:-1]) + 1).tolist(),
                     s.size]
             groups = [(i, j, sizes[s[i]]) for i, j in zip(cuts, cuts[1:])]
-        if len(groups) == 1:
-            # one section, as in every ``secular_roots`` call: no gather
             k, n = s[0], groups[0][2]
-            total = np.add.reduce(dq2[k, :n] / (poles[k, :n] - mid[:, None]),
-                                  axis=1)
+            # one section, as in every ``secular_roots`` call: no gather
+            one = (dq2[k, :n], poles[k, :n]) if len(groups) == 1 else None
+        if one is not None:
+            total = np.add.reduce(one[0] / (one[1] - mid[:, None]), axis=1)
         else:
             terms = dq2[s] / (poles[s] - mid[:, None])
             total = np.empty_like(mid)
             for i, j, n in groups:
                 np.add.reduce(terms[i:j, :n], axis=1, out=total[i:j])
         right = 1.0 - mid - total > 0.0
-        a = np.where(right, mid, a)
-        b = np.where(right, b, mid)
+        np.copyto(a, mid, where=right)
+        np.copyto(b, mid, where=~right)
     # a lower end that never moved may be a pole: take the upper one
     x = np.where(lo == start, hi, lo)
     return 1.0 - x
