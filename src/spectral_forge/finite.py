@@ -220,6 +220,22 @@ def _brackets(d: int, qs: np.ndarray):
     return np.r_[qs, 1.0 - rho], np.r_[1.0 + rho, qs]
 
 
+# cells of one gathered block of secular terms in ``_bisect``
+_RUN_CELLS = 1 << 16
+
+
+def _runs(groups):
+    """Consecutive groups (first row, end row, N) in runs whose
+    rows * largest N stay within ``_RUN_CELLS``, or of one group."""
+    runs, run = [], []
+    for g in groups:
+        if run and (g[1] - run[0][0]) * g[2] > _RUN_CELLS:
+            runs.append(run)
+            run = []
+        run.append(g)
+    return runs + [run]
+
+
 def _bisect(d: int, sections: Sequence[np.ndarray], sec: np.ndarray,
             lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The secular root lam = 1 - x in each bracket (lo, hi), for brackets
@@ -244,16 +260,17 @@ def _bisect(d: int, sections: Sequence[np.ndarray], sec: np.ndarray,
     summation, and with it some roots.)
     """
     sizes = [len(q) for q in sections]
+    # padded columns hold 0 / inf = 0 and are never summed
     poles = np.full((len(sections), max(sizes)), np.inf)
+    dq2 = np.zeros_like(poles)
     for k, q in enumerate(sections):
         poles[k, :sizes[k]] = q
-    # padded columns hold 0 / inf = 0 and are never summed
-    dq2 = np.where(np.isinf(poles), 0.0, d * poles ** 2)
+        dq2[k, :sizes[k]] = d * q ** 2
     start = lo.copy()
     # the live brackets: their indices, ends, floors and sections
     act = np.arange(lo.size)
     a, b, floor, s = lo, hi, _EPS * poles.min(axis=1)[sec], sec
-    groups = None
+    runs = None
     while True:
         mid = 0.5 * (a + b)
         live = (a < mid) & (mid < b)
@@ -261,7 +278,7 @@ def _bisect(d: int, sections: Sequence[np.ndarray], sec: np.ndarray,
         live &= 1.0 - a != 1.0 - b
         # the first pass copies the ends, so the updates below never write
         # into lo and hi; the groups change only when a bracket stops
-        if groups is None or not live.all():
+        if runs is None or not live.all():
             lo[act], hi[act] = a, b
             act, a, b, mid, floor, s = (v[live] for v in
                                         (act, a, b, mid, floor, s))
@@ -269,17 +286,17 @@ def _bisect(d: int, sections: Sequence[np.ndarray], sec: np.ndarray,
                 break
             cuts = [0, *(np.flatnonzero(s[1:] != s[:-1]) + 1).tolist(),
                     s.size]
-            groups = [(i, j, sizes[s[i]]) for i, j in zip(cuts, cuts[1:])]
-            k, n = s[0], groups[0][2]
-            # one section, as in every ``secular_roots`` call: no gather
-            one = (dq2[k, :n], poles[k, :n]) if len(groups) == 1 else None
-        if one is not None:
-            total = np.add.reduce(one[0] / (one[1] - mid[:, None]), axis=1)
-        else:
-            terms = dq2[s] / (poles[s] - mid[:, None])
-            total = np.empty_like(mid)
-            for i, j, n in groups:
-                np.add.reduce(terms[i:j, :n], axis=1, out=total[i:j])
+            runs = _runs([(i, j, sizes[s[i]]) for i, j in zip(cuts, cuts[1:])])
+        total = np.empty_like(mid)
+        for run in runs:
+            # one gathered (rows, width) block per run; a run of one
+            # section, as in every ``secular_roots`` call, needs no gather
+            i0, j1, width = run[0][0], run[-1][1], run[-1][2]
+            r = s[i0] if len(run) == 1 else s[i0:j1]
+            terms = dq2[r, :width] / (poles[r, :width] - mid[i0:j1, None])
+            for i, j, n in run:
+                np.add.reduce(terms[i - i0:j - i0, :n], axis=1,
+                              out=total[i:j])
         right = 1.0 - mid - total > 0.0
         np.copyto(a, mid, where=right)
         np.copyto(b, mid, where=~right)
@@ -549,8 +566,9 @@ _PRUNE_MARGIN = 2.0 ** -48
 
 def _kept_brackets(a: np.ndarray, b: np.ndarray, us: np.ndarray,
                    near: np.ndarray) -> np.ndarray:
-    """Brackets whose lam-interval [a, b] may hold a root nearer to some
-    target us[k] than ``near[k]``, the nearest block eigenvalue's distance.
+    """Brackets whose lam-interval [a, b] may hold a root strictly nearer
+    to some target us[k] than ``near[k]``, the nearest block eigenvalue's
+    distance (a root no nearer leaves the minimum as it is).
 
     The distance from u to [a, b] is formed with the operations that form a
     root's distance: the real gap from Re u to the nearer end and the
@@ -559,7 +577,7 @@ def _kept_brackets(a: np.ndarray, b: np.ndarray, us: np.ndarray,
     re = us.real
     gap = np.maximum(np.maximum(a[:, None] - re, re - b[:, None]), 0.0)
     to_interval = np.abs(gap + 1j * us.imag)
-    return (to_interval <= near * (1.0 + _PRUNE_MARGIN)).any(axis=1)
+    return (to_interval < near * (1.0 + _PRUNE_MARGIN)).any(axis=1)
 
 
 def convergence_table(spec: GroupUnionSpec, w: WeightSeq,
@@ -573,8 +591,8 @@ def convergence_table(spec: GroupUnionSpec, w: WeightSeq,
     are (1 - tilde_q_n) zeta, n <= N, in closed form, which gives each
     target's nearest block distance.  The secular roots are real, one in
     each interlacing bracket, and a root in [a, b] is no nearer to u than
-    the interval is.  A bracket is bisected only if its interval lies
-    within the nearest block distance, times 1 + 2^-48, of some target.
+    the interval is.  A bracket is bisected only if its interval comes
+    nearer to some target than the nearest block distance times 1 + 2^-48.
     The margin is safe: for any lam in [a, b] the rounded lam - Re u is at
     least the rounded gap, since rounding is monotone, so only the complex
     modulus can make a pruned root's computed distance smaller than the
