@@ -225,15 +225,17 @@ _RUN_CELLS = 1 << 16
 
 
 def _runs(groups):
-    """Consecutive groups (first row, end row, N) in runs whose
-    rows * largest N stay within ``_RUN_CELLS``, or of one group."""
+    """Consecutive groups (first row, end row, N) as runs (first row, end
+    row, width, groups) of at most ``_RUN_CELLS`` cells, rows times the
+    largest N, unless one group alone is larger."""
     runs, run = [], []
     for g in groups:
-        if run and (g[1] - run[0][0]) * g[2] > _RUN_CELLS:
-            runs.append(run)
+        if run and (g[1] - run[0][0]) * max(g[2], width) > _RUN_CELLS:
+            runs.append((run[0][0], run[-1][1], width, run))
             run = []
+        width = max(g[2], width) if run else g[2]
         run.append(g)
-    return runs + [run]
+    return runs + [(run[0][0], run[-1][1], width, run)]
 
 
 def _bisect(d: int, sections: Sequence[np.ndarray], sec: np.ndarray,
@@ -288,10 +290,9 @@ def _bisect(d: int, sections: Sequence[np.ndarray], sec: np.ndarray,
                     s.size]
             runs = _runs([(i, j, sizes[s[i]]) for i, j in zip(cuts, cuts[1:])])
         total = np.empty_like(mid)
-        for run in runs:
+        for i0, j1, width, run in runs:
             # one gathered (rows, width) block per run; a run of one
             # section, as in every ``secular_roots`` call, needs no gather
-            i0, j1, width = run[0][0], run[-1][1], run[-1][2]
             r = s[i0] if len(run) == 1 else s[i0:j1]
             terms = dq2[r, :width] / (poles[r, :width] - mid[i0:j1, None])
             for i, j, n in run:

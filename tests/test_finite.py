@@ -183,9 +183,13 @@ def test_secular_roots_bitwise_the_full_bisection(orders):
                 (n_blocks, renormalize)
 
 
+@pytest.mark.parametrize("run_cells", [finite._RUN_CELLS, 64])
 @pytest.mark.parametrize("orders", [(1,), (2, 3), (5, 7)])
-def test_batched_bisection_is_bitwise_per_section(orders):
-    # all brackets of sections 1..60 in one loop give each section's roots
+def test_batched_bisection_is_bitwise_per_section(monkeypatch, orders,
+                                                  run_cells):
+    # all brackets of sections 1..60 in one loop give each section's roots,
+    # in gathered runs of many sections or of one section each
+    monkeypatch.setattr(finite, "_RUN_CELLS", run_cells)
     spec, w = _setup(orders)
     sections, lo, hi, sec = [], [], [], []
     for n_blocks in range(1, 61):
