@@ -461,10 +461,7 @@ def _fields(rows):
     return [(r.n_blocks, r.angle, r.distance, r.bound) for r in rows]
 
 
-ORACLE_ORDERS = [(1,), (2,), (2, 3), (4, 6), (5, 7)]
-
-
-@pytest.mark.parametrize("orders", ORACLE_ORDERS)
+@pytest.mark.parametrize("orders", [(1,), (2,), (2, 3), (4, 6), (5, 7)])
 def test_convergence_matches_the_per_section_oracle_bitwise(orders):
     spec, w = _setup(orders)
     rows = convergence_table(spec, w, 60)
