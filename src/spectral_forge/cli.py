@@ -402,8 +402,12 @@ def cmd_evolve(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _resolve_config(args)
     names = None
-    if args.suites:
+    if args.suites is not None:
         names = [s for s in args.suites.replace(" ", "").split(",") if s]
+        if not names:
+            raise UsageError(f"suites: {args.suites!r} names no suite, so "
+                             f"nothing would be checked; choices: "
+                             f"{list(SUITE_NAMES)}")
         unknown = set(names) - set(SUITE_NAMES)
         if unknown:
             raise UsageError(f"suites: unknown {sorted(unknown)}; "

@@ -28,7 +28,9 @@ cofactor cross-check.
 point u, for every N up to n_max, so it assembles no section: the block
 eigenvalues give each target's nearest block distance in closed form, and
 only the brackets whose lam-interval comes that close to some u are
-bisected, those of all sections in the one loop.
+bisected, those of all sections in one loop.  Where no block eigenvalue is
+near u, the bracket nearest Re u is bisected first, and its root prunes
+the rest.
 """
 
 from __future__ import annotations
@@ -457,50 +459,78 @@ def finite_spectrum(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
 # cofactor cross-check
 # ---------------------------------------------------------------------------
 
+# odd parity of every 9-bit value: two lookups cover any subset of n <= 18
+_PARITY9 = np.array([bin(v).count("1") % 2 for v in range(512)], dtype=bool)
+
+
+def _odd_parity(x: np.ndarray) -> np.ndarray:
+    """True where the subset mask x (below 2^18) has an odd number of set
+    bits."""
+    return _PARITY9[x & 511] ^ _PARITY9[x >> 9]
+
+
+def _sorted_union(parts: List[np.ndarray]) -> np.ndarray:
+    """The distinct values of ``parts``, ascending."""
+    s = np.sort(np.concatenate(parts))
+    keep = np.empty(s.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 def cofactor_det_batch(a: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """det(lam*I - a) for every lam, by first-row cofactor expansion.
 
     The expansion is memoised over column subsets (each subset paired with
     the same number of leading rows), which keeps the classical identity
-    but runs in O(2^n * n) instead of factorial time.  The subsets are
-    taken one popcount layer at a time: layer r+1 expands along row r, and
-    for each column j, in ascending order, every subset of the layer that
-    holds j gains the term (-1)^(r + set bits below j) * entry * minor in
-    one array operation, so each subset sums its terms in the classical
-    order.  Off-diagonal zeros of ``a`` are skipped, since a +-0 term
-    leaves a finite sum unchanged.  Only two layers are stored, so memory
-    is O(C(n, n/2) * len(lams)).  Intended for the small sections of the
-    cross-check; refuses n > 18.
+    but costs at most O(2^n * n) terms instead of factorial time.  The
+    subsets are taken one popcount layer at a time: layer r+1 expands along
+    row r, and for each column j, in ascending order, every subset of the
+    layer that holds j gains the term (-1)^(r + set bits below j) * entry *
+    minor in one array operation, so each subset sums its terms in the
+    classical order.
+
+    Only structurally nonzero minors are carried: the column subsets that
+    rows 0..r can fill with a perfect matching in the pattern of
+    lam*I - a, where row r reaches column r and the columns of its nonzero
+    off-diagonal entries.  Layer r+1 is every subset of layer r plus one
+    column that row r reaches, kept sorted, and each term finds its place
+    in it by ``searchsorted``.  Every term left out is +-0 for finite input:
+    its entry is an off-diagonal zero, or by induction its smaller minor
+    is a subset no matching fills, whose expansion holds only +-0 terms and
+    so sums to +0.  A +-0 term leaves a sum that starts at +0 unchanged, so
+    the determinants are bit for bit those of the full expansion over all
+    2^n subsets.  Only two layers are stored, so memory is O(largest
+    reachable layer * len(lams)).  A dense ``a`` still reaches every one of
+    the 2^n subsets, so the expansion refuses n > 18 whatever the pattern;
+    it is intended for the small sections of the cross-check.
     """
     a = np.asarray(a)
     n = a.shape[0]
     if n > 18:
         raise ValueError("cofactor expansion limited to dimension 18")
     lams = np.asarray(lams, dtype=complex)
-    bits = np.zeros(1 << n, dtype=np.int64)   # set bits of every subset
-    for k in range(n):
-        bits[1 << k:2 << k] = bits[:1 << k] + 1
-    rank = np.zeros(1 << n, dtype=np.int64)   # index of a subset in its layer
-    prev = np.ones((1, len(lams)), dtype=complex)   # the empty minor
+    masks = np.zeros(1, dtype=np.int64)             # the empty subset ...
+    prev = np.ones((1, len(lams)), dtype=complex)   # ... and its minor
     for r in range(n):
-        masks = np.flatnonzero(bits == r + 1)
-        rank[masks] = np.arange(len(masks))
-        acc = np.zeros((len(masks), len(lams)), dtype=complex)
-        for j in range(n):
-            if j != r and a[r, j] == 0:
-                continue
-            pos = np.flatnonzero(masks & (1 << j))
-            sub = masks[pos]
-            sign = np.where((r + bits[sub & ((1 << j) - 1)]) % 2, -1.0, 1.0)
+        cols = [j for j in range(n) if j == r or a[r, j] != 0]
+        free = [np.flatnonzero((masks & (1 << j)) == 0) for j in cols]
+        grown = [masks[f] | (1 << j) for f, j in zip(free, cols)]
+        layer = _sorted_union(grown)
+        acc = np.zeros((len(layer), len(lams)), dtype=complex)
+        for j, f, sub in zip(cols, free, grown):
+            pos = np.searchsorted(layer, sub)
+            odd = _odd_parity(sub & ((1 << j) - 1)) ^ bool(r % 2)
+            sign = np.where(odd, -1.0, 1.0)
             if j == r:
                 coef = sign[:, None] * (lams - a[r, j])
             else:
                 coef = (sign * -a[r, j])[:, None]
-            term = prev[rank[sub ^ (1 << j)]]
+            term = prev[f]
             np.multiply(coef, term, out=term)
             term += acc[pos]
             acc[pos] = term
-        prev = acc
+        masks, prev = layer, acc
     return prev[0]
 
 
@@ -565,20 +595,41 @@ class ConvergenceRow:
 _PRUNE_MARGIN = 2.0 ** -48
 
 
+def _gaps(a: np.ndarray, b: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Real gap from Re us[k] to each lam-interval [a, b], brackets by
+    targets (0 where the interval holds Re u)."""
+    re = us.real
+    return np.maximum(np.maximum(a[:, None] - re, re - b[:, None]), 0.0)
+
+
 def _kept_brackets(a: np.ndarray, b: np.ndarray, us: np.ndarray,
                    near: np.ndarray) -> np.ndarray:
     """Brackets whose lam-interval [a, b] may hold a root strictly nearer
-    to some target us[k] than ``near[k]``, the nearest block eigenvalue's
-    distance (a root no nearer leaves the minimum as it is).
+    to some target us[k] than ``near[k]``, the distance of an eigenvalue
+    already found (a root no nearer leaves the minimum as it is).
 
     The distance from u to [a, b] is formed with the operations that form a
     root's distance: the real gap from Re u to the nearer end and the
     complex modulus with Im u.
     """
-    re = us.real
-    gap = np.maximum(np.maximum(a[:, None] - re, re - b[:, None]), 0.0)
-    to_interval = np.abs(gap + 1j * us.imag)
+    to_interval = np.abs(_gaps(a, b, us) + 1j * us.imag)
     return (to_interval < near * (1.0 + _PRUNE_MARGIN)).any(axis=1)
+
+
+def _first_brackets(a: np.ndarray, b: np.ndarray, us: np.ndarray,
+                    near: np.ndarray) -> np.ndarray:
+    """For each target us[k] whose nearest block eigenvalue, at distance
+    ``near[k]``, is farther than both ends of the bracket nearest Re u:
+    that bracket, whose root is then nearer than every block eigenvalue.
+    Bisected first, it gives the other brackets a tighter distance to be
+    pruned with.  The choice moves only the count of brackets bisected,
+    never a distance.
+    """
+    idx = _gaps(a, b, us).argmin(axis=0)
+    far = np.maximum(np.abs(a[idx] - us), np.abs(b[idx] - us))
+    first = np.zeros(a.size, dtype=bool)
+    first[idx[far < near]] = True
+    return first
 
 
 def convergence_table(spec: GroupUnionSpec, w: WeightSeq,
@@ -592,17 +643,22 @@ def convergence_table(spec: GroupUnionSpec, w: WeightSeq,
     are (1 - tilde_q_n) zeta, n <= N, in closed form, which gives each
     target's nearest block distance.  The secular roots are real, one in
     each interlacing bracket, and a root in [a, b] is no nearer to u than
-    the interval is.  A bracket is bisected only if its interval comes
-    nearer to some target than the nearest block distance times 1 + 2^-48.
-    The margin is safe: for any lam in [a, b] the rounded lam - Re u is at
-    least the rounded gap, since rounding is monotone, so only the complex
-    modulus can make a pruned root's computed distance smaller than the
-    interval's; NumPy's modulus is within 2 ulps of the exact one (1.9 at
-    most on 80 000 samples against 200-bit arithmetic), and 2^-48 = 16 eps
-    covers up to 7 ulps on either side.  The kept brackets of all sections
-    are bisected together (``_bisect``), so every distance, the minimum
-    over the block eigenvalues and the kept roots, equals bit for bit the
-    minimum over the whole spectrum that ``finite_spectrum`` lists.
+    the interval is.  Where no block eigenvalue comes as near to u as the
+    far end of the bracket nearest Re u (orders 1 and 2 at u = 1), that
+    bracket is bisected first (``_first_brackets``), and its root's distance
+    joins the block distances.  Any other bracket is bisected only if its
+    interval comes nearer to some target than the nearest distance found so
+    far times 1 + 2^-48.  The margin is safe: for any lam in [a, b] the
+    rounded lam - Re u is at least the rounded gap, since rounding is
+    monotone, so only the complex modulus can make a pruned root's computed
+    distance smaller than the interval's; NumPy's modulus is within 2 ulps
+    of the exact one (1.9 at most on 80 000 samples against 200-bit
+    arithmetic), and 2^-48 = 16 eps covers up to 7 ulps on either side.
+    The first brackets of all sections are bisected together
+    (``_bisect``), then the kept ones; a root does not depend on its batch,
+    so every distance, the minimum over the block eigenvalues and the
+    bisected roots, equals bit for bit the minimum over the whole spectrum
+    that ``finite_spectrum`` lists.
 
     Each row carries a tolerance tau_N = (2N + 32) eps, with eps = 2^-52,
     and passes when distance <= bound + tau_N.  tau_N bounds the error of
@@ -631,23 +687,32 @@ def convergence_table(spec: GroupUnionSpec, w: WeightSeq,
     us = np.array([cmath.exp(2j * math.pi * float(a)) for a in angles])
     zetas = np.array(list(_block_zetas(spec)), dtype=complex)
     q_all = w.values(n_max)
-    sections, nearest, lo, hi, sec = [], [], [], [], []
+    sections, brackets, nearest = [], [], []
     for n_blocks in range(1, n_max + 1):
         qs = q_all[:n_blocks] / w.partial_mass(n_blocks)
         blocks = ((1.0 - qs)[:, None] * zetas).ravel()
-        near = np.abs(blocks[:, None] - us).min(axis=0, initial=np.inf)
-        b_lo, b_hi = _brackets(spec.d, qs)
-        keep = _kept_brackets(1.0 - b_hi, 1.0 - b_lo, us, near)
         sections.append(qs)
-        nearest.append(near)
-        lo.append(b_lo[keep])
-        hi.append(b_hi[keep])
-        sec.append(np.full(keep.sum(), n_blocks - 1))
-    sec = np.concatenate(sec)
-    roots = _bisect(spec.d, sections, sec, np.concatenate(lo),
-                    np.concatenate(hi))
+        brackets.append(_brackets(spec.d, qs))
+        nearest.append(np.abs(blocks[:, None] - us).min(axis=0,
+                                                        initial=np.inf))
     dist = np.array(nearest)
-    np.minimum.at(dist, sec, np.abs(roots.astype(complex)[:, None] - us))
+
+    def bisect(masks):
+        """Bisect the masked brackets of every section together and fold
+        their roots' distances into ``dist``."""
+        sec = np.concatenate([np.full(m.sum(), k)
+                              for k, m in enumerate(masks)])
+        ends = [np.concatenate([b[m] for b, m in zip(side, masks)])
+                for side in zip(*brackets)]
+        roots = _bisect(spec.d, sections, sec, *ends)
+        np.minimum.at(dist, sec, np.abs(roots.astype(complex)[:, None] - us))
+
+    first = [_first_brackets(1.0 - b_hi, 1.0 - b_lo, us, near)
+             for (b_lo, b_hi), near in zip(brackets, nearest)]
+    if any(m.any() for m in first):
+        bisect(first)
+    bisect([_kept_brackets(1.0 - b_hi, 1.0 - b_lo, us, near) & ~m
+            for (b_lo, b_hi), near, m in zip(brackets, dist, first)])
 
     rows = []
     for n_blocks, qs, row in zip(range(1, n_max + 1), sections,

@@ -376,6 +376,16 @@ def test_verify_unknown_suite_is_usage_error(tmp_path):
     assert run(tmp_path, "verify", "--suites", "nope") == 2
 
 
+@pytest.mark.parametrize("suites", [",", "", " , ,"],
+                         ids=["comma", "empty", "blanks"])
+def test_verify_suites_naming_no_suite_is_usage_error(tmp_path, capsys,
+                                                      suites):
+    # a gate that checked nothing must not pass
+    assert run(tmp_path, "verify", "--suites", suites) == 2
+    assert "names no suite" in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
+
+
 def test_verify_reports_are_reproducible(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run(a, "verify", "--seed", "7") == 0

@@ -350,16 +350,29 @@ def test_cofactor_det_matches_numpy():
         assert np.allclose(mine, ref, rtol=1e-10, atol=1e-10)
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 10])
+@pytest.mark.parametrize("n", range(1, 13))
 def test_cofactor_det_is_bitwise_the_per_subset_expansion(n):
     # the layered expansion adds every subset's terms in the same order and
-    # skips only +-0 terms, so the determinants agree bit for bit
+    # skips only +-0 terms, so the determinants agree bit for bit: on dense
+    # matrices, where every subset is reachable, and on sparse ones
     rng = np.random.default_rng(n)
     lams = _disk_points(rng, 5)
     dense = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     for a in (dense, _sparse_matrix(rng, n)):
         assert (cofactor_det_batch(a, lams).tobytes()
                 == _per_subset_dets(a, lams).tobytes())
+
+
+@pytest.mark.parametrize("orders,n_blocks", _FACTORIZATION_CASES)
+def test_cofactor_det_is_bitwise_the_per_subset_expansion_on_verify_sections(
+        orders, n_blocks):
+    # dimensions 4 to 16; the per-subset reference visits all 2^16 subsets
+    # of the largest, the pruned expansion about one in sixty
+    spec, w = _setup(orders)
+    a = build_finite_section(spec, w, n_blocks).matrix
+    lams = _disk_points(np.random.default_rng(11), 2 * a.shape[0])
+    assert (cofactor_det_batch(a, lams).tobytes()
+            == _per_subset_dets(a, lams).tobytes())
 
 
 @pytest.mark.parametrize("orders,n_blocks", _FACTORIZATION_CASES)
@@ -383,9 +396,10 @@ def test_cofactor_det_matches_numpy_on_sparse_matrices(n):
                                _dense_dets(a, lams), rtol=1e-10)
 
 
-def test_cofactor_det_memory_stays_at_two_layers():
-    # dim 16 at 32 points: two popcount layers of C(16, 8) * 32 complex
-    # values; the full 2^16 * 32 table alone is 33.5 MB
+def test_cofactor_det_memory_stays_at_the_reachable_layers():
+    # dim 16 at 32 points: two layers of structurally nonzero minors, a few
+    # hundred subsets each; the full 2^16 * 32 table alone is 33.5 MB, and
+    # two full popcount layers of C(16, 8) * 32 values 12.3 MB
     spec, w = _setup((2, 3))
     a = build_finite_section(spec, w, 3).matrix
     lams = _disk_points(np.random.default_rng(3), 32)
@@ -395,7 +409,7 @@ def test_cofactor_det_memory_stays_at_two_layers():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 26e6
+    assert peak < 3e6
 
 
 def test_cofactor_det_refuses_large_matrices():
@@ -478,20 +492,36 @@ def test_convergence_assembles_no_section(monkeypatch):
     assert len(convergence_table(spec, w, 16)) == 16 * 4
 
 
-@pytest.mark.parametrize("orders,kept", [((1,), 152), ((2,), 152),
+def _bisected(monkeypatch, orders, n_max):
+    """Brackets that ``convergence_table`` bisects, per ``_bisect`` call."""
+    sizes = []
+    bisect = finite._bisect
+    monkeypatch.setattr(finite, "_bisect",
+                        lambda d, sections, sec, lo, hi:
+                        sizes.append(lo.size) or bisect(d, sections, sec,
+                                                        lo, hi))
+    spec, w = _setup(orders)
+    convergence_table(spec, w, n_max)
+    return sizes
+
+
+@pytest.mark.parametrize("orders,kept", [((1,), 16), ((2,), 32),
                                          ((2, 3), 47), ((5, 7), 32)])
 def test_convergence_bisects_only_the_kept_brackets(monkeypatch, orders,
                                                     kept):
-    # orders 1 and 2 have no block eigenvalue at u = 1, so they keep every
-    # one of the 2 + 3 + ... + 17 brackets of n-max 16
-    masks = []
-    prune = finite._kept_brackets
-    monkeypatch.setattr(finite, "_kept_brackets",
-                        lambda *args: masks.append(prune(*args)) or masks[-1])
-    spec, w = _setup(orders)
-    convergence_table(spec, w, 16)
-    assert len(masks) == 16
-    assert sum(int(m.sum()) for m in masks) == kept
+    # orders 1 and 2 have no block eigenvalue near u = 1, so each section
+    # bisects the bracket that holds 1 first, and its root prunes every
+    # other bracket for that target: of the 2 + 3 + ... + 17 brackets of
+    # n-max 16, order 1 keeps only those 16 and order 2 adds one per
+    # section for u = -1
+    assert sum(_bisected(monkeypatch, orders, 16)) == kept
+
+
+def test_convergence_prunes_orders_one_with_the_root_at_one(monkeypatch):
+    # n-max 60: the 60 brackets that hold 1 first, then the 35 whose
+    # interval still comes within the distance of the root at 1, against
+    # all 1890 when only block eigenvalues pruned
+    assert _bisected(monkeypatch, (1,), 60) == [60, 35]
 
 
 def test_pruning_the_bracket_at_one_fails_the_oracle(monkeypatch):

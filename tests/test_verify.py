@@ -52,3 +52,10 @@ def test_suite_circles_without_samples_raises(monkeypatch, p, theta):
                         lambda seed, label: _FixedDraws(p, theta))
     with pytest.raises(NoSamples, match="nothing was checked"):
         suite_circles(samples=len(p))
+
+
+@pytest.mark.parametrize("names", [[], ()], ids=["list", "tuple"])
+def test_run_suites_refuses_an_empty_selection(names):
+    # a report over no suite would carry all_passed = true
+    with pytest.raises(ValueError, match="no suite to run"):
+        verify.run_suites(names)
