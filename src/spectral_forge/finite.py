@@ -469,15 +469,6 @@ def _odd_parity(x: np.ndarray) -> np.ndarray:
     return _PARITY9[x & 511] ^ _PARITY9[x >> 9]
 
 
-def _sorted_union(parts: List[np.ndarray]) -> np.ndarray:
-    """The distinct values of ``parts``, ascending."""
-    s = np.sort(np.concatenate(parts))
-    keep = np.empty(s.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(s[1:], s[:-1], out=keep[1:])
-    return s[keep]
-
-
 def cofactor_det_batch(a: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """det(lam*I - a) for every lam, by first-row cofactor expansion.
 
@@ -516,7 +507,7 @@ def cofactor_det_batch(a: np.ndarray, lams: np.ndarray) -> np.ndarray:
         cols = [j for j in range(n) if j == r or a[r, j] != 0]
         free = [np.flatnonzero((masks & (1 << j)) == 0) for j in cols]
         grown = [masks[f] | (1 << j) for f, j in zip(free, cols)]
-        layer = _sorted_union(grown)
+        layer = np.unique(np.concatenate(grown))
         acc = np.zeros((len(layer), len(lams)), dtype=complex)
         for j, f, sub in zip(cols, free, grown):
             pos = np.searchsorted(layer, sub)
