@@ -397,9 +397,9 @@ def test_cofactor_det_matches_numpy_on_sparse_matrices(n):
 
 
 def test_cofactor_det_memory_stays_at_the_reachable_layers():
-    # dim 16 at 32 points: two layers of structurally nonzero minors, a few
-    # hundred subsets each; the full 2^16 * 32 table alone is 33.5 MB, and
-    # two full popcount layers of C(16, 8) * 32 values 12.3 MB
+    # dim 16 at 32 points: two layers of structurally nonzero minors, at
+    # most 146 subsets each; the full 2^16 * 32 table alone is 33.5 MB, and
+    # two full popcount layers of C(16, 8) * 32 values 13.2 MB
     spec, w = _setup((2, 3))
     a = build_finite_section(spec, w, 3).matrix
     lams = _disk_points(np.random.default_rng(3), 32)
