@@ -5,23 +5,18 @@ weighted l1 sum of cyclic blocks whose peripheral spectrum is exactly a
 prescribed finite union of root-of-unity groups, and a stochastic
 C0-semigroup on a sum of circle spaces whose generator meets the
 imaginary axis exactly in {0} and i(R \\ (-1, 1)).  The library builds
-both, inverts them in closed form through rank-one update formulas with
-certified truncation radii, and cross-checks everything against finite
-sections, residual certificates and dense oracles.
+both, certifies their resolvent sets through the rank-one update
+denominator with certified truncation radii, and cross-checks everything
+against finite sections, residual certificates and dense oracles.
 """
 
 from .errors import (BlockTooDeep, ExponentialUnresolved, NoSamples,
                      NotInTargetSet, PoleHit, RootCountMismatch,
-                     SingularBlock, SingularUpdate, SpectralForgeError,
-                     TailInvalid)
-from .model import (BlockVector, CertifiedComplex, GroupUnionSpec,
-                    TailProfile, WeightSeq, apply_operator, basis_head,
-                    norm1, stochasticity_check, union_points, union_values,
-                    weight_vector)
+                     SpectralForgeError)
+from .model import (GroupUnionSpec, WeightSeq, apply_operator,
+                    stochasticity_check, union_points, union_values)
 from .resolvent import (CERTIFIED, SINGULAR, TAIL_INVALID,
-                        coupling_series_batch, cyclic_shift_resolvent,
-                        resolvent_diag, resolvent_full,
-                        sherman_morrison_resolvent)
+                        coupling_series_batch)
 from .scanner import EigCertificate, ScanReport, residual_certificate, \
     scan_unit_circle
 from .finite import (FiniteOperator, SpectrumResult, build_finite_section,

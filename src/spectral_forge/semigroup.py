@@ -33,8 +33,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .errors import (ExponentialUnresolved, SingularBlock,
-                     SpectralForgeError)
+from .errors import ExponentialUnresolved, SpectralForgeError
 from .model import WeightSeq
 from .resolvent import (CERTIFIED, SINGULAR, _S_GAP_GUARD,
                         coupling_series_batch)
@@ -46,7 +45,6 @@ __all__ = [
     "FourierState",
     "apply_block_generator",
     "apply_generator",
-    "resolvent_block_generator",
     "ModeCertificate",
     "mode_certificate",
     "AxisReport",
@@ -231,7 +229,7 @@ class FourierState:
 
 
 # ---------------------------------------------------------------------------
-# generator and resolvent actions
+# generator action
 # ---------------------------------------------------------------------------
 
 def apply_block_generator(g: GeneratorSpec, f: FourierState) -> FourierState:
@@ -259,22 +257,6 @@ def apply_generator(g: GeneratorSpec, f: FourierState) -> FourierState:
     pairing = TWO_PI * sum(g.weights.value(n) * modes.get(0, 0j)
                            for n, modes in f.blocks.items())
     out.head += pairing
-    return out
-
-
-def resolvent_block_generator(g: GeneratorSpec, beta: float,
-                              f: FourierState) -> FourierState:
-    """R(i*beta, B) f, componentwise division with a singularity guard."""
-    den_head = 1j * beta + 1.0
-    out = FourierState(f.head / den_head)
-    for n, modes in f.blocks.items():
-        q = g.weights.value(n)
-        for k, c in modes.items():
-            den = 1j * beta + q - 1j * g.omega_float(n, k)
-            if abs(den) <= 1e-14:
-                raise SingularBlock(
-                    f"mode (n={n}, k={k}) is singular at beta={beta}")
-            out.set_coeff(n, k, c / den)
     return out
 
 

@@ -1,20 +1,13 @@
-"""Closed-form resolvents, certified series, rank-one updates."""
-
-import math
+"""The certified rank-one denominator, the gap to sigma(S), and the
+resolvent of T against the dense raw finite section."""
 
 import numpy as np
 import pytest
 
-from spectral_forge.errors import (SingularBlock, SingularUpdate,
-                                   SpectralForgeError, TailInvalid)
-from spectral_forge.model import (BlockVector, CertifiedComplex,
-                                  GroupUnionSpec, WeightSeq, apply_operator,
-                                  basis_head, norm1, weight_vector)
+from spectral_forge.finite import build_finite_section
+from spectral_forge.model import GroupUnionSpec, WeightSeq, apply_operator
 from spectral_forge.resolvent import (CERTIFIED, SINGULAR, TAIL_INVALID,
-                                      RankOneUpdate, coupling_series_batch,
-                                      cyclic_shift_resolvent, resolvent_diag,
-                                      resolvent_full,
-                                      sherman_morrison_resolvent)
+                                      coupling_series_batch)
 from spectral_forge.scanner import VERDICTS, _circle_kernel
 
 # the depth-30 radius at |lam| = 1: the tail 2^-30 plus the rounding bound
@@ -35,71 +28,8 @@ def _cyclic_matrix(m):
 
 
 # ---------------------------------------------------------------------------
-# cyclic blocks
+# the gap to sigma(S)
 # ---------------------------------------------------------------------------
-
-def test_cyclic_resolvent_m2_at_two_exact():
-    res = cyclic_shift_resolvent(2, 2.0)
-    assert res.coeffs[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert res.coeffs[1] == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert res.norm1() == pytest.approx(1.0, abs=1e-15)
-
-
-def test_cyclic_resolvent_matches_dense_inverse():
-    rng = np.random.default_rng(2)
-    for m in (1, 2, 3, 5, 8):
-        c = _cyclic_matrix(m)
-        for _ in range(6):
-            mu = complex(rng.normal(), rng.normal()) * 1.5
-            if abs(mu ** m - 1.0) < 1e-6:
-                continue
-            res = cyclic_shift_resolvent(m, mu)
-            ref = np.linalg.inv(mu * np.eye(m) - c)
-            assert np.allclose(res.matrix(), ref, atol=1e-10)
-            x = rng.normal(size=m) + 1j * rng.normal(size=m)
-            assert np.allclose(res.apply(x), ref @ x, atol=1e-10)
-            assert res.norm1() == pytest.approx(
-                np.abs(ref).sum(axis=0).max(), rel=1e-12)
-
-
-def test_cyclic_resolvent_refuses_roots_of_unity():
-    for m, mu in [(1, 1.0), (2, -1.0), (3, np.exp(2j * np.pi / 3)), (4, 1j)]:
-        with pytest.raises(SingularBlock):
-            cyclic_shift_resolvent(m, mu)
-
-
-# ---------------------------------------------------------------------------
-# block-diagonal resolvent
-# ---------------------------------------------------------------------------
-
-def test_resolvent_diag_inverts_blockwise():
-    rng = np.random.default_rng(9)
-    spec = GroupUnionSpec((2, 3))
-    w = WeightSeq.dyadic_single(spec.d)
-    lam = 0.3 + 0.7j
-    f = BlockVector(spec.d, 1.5 - 0.5j,
-                    {2: rng.normal(size=5) + 0j, 6: rng.normal(size=5) + 0j})
-    g = resolvent_diag(spec, w, lam, f)
-    # (lam - S) g must reproduce f: head is lam * g_0, block n is
-    # lam g_n - (1-q_n) P g_n
-    assert lam * g.head == pytest.approx(f.head)
-    for n in (2, 6):
-        q = w.value(n)
-        back = lam * g.block(n) - (1.0 - q) * spec.permute(g.block(n))
-        assert np.allclose(back, f.block(n), atol=1e-12)
-
-
-def test_resolvent_diag_tail_coefficients():
-    spec = GroupUnionSpec((2,))
-    w = WeightSeq.dyadic_single(2)
-    q = weight_vector(spec, w)
-    g = resolvent_diag(spec, w, 2.0, q)
-    n = 5
-    assert g.tail.coeff(n) == pytest.approx(w.value(n) / (1.0 + w.value(n)))
-    # remainder: mass 2^-N over the uniform gap |lam-1| - q_{N+1}
-    assert g.tail.remainder(10) == pytest.approx(
-        2.0 ** -10 / (1.0 - w.value(11)))
-
 
 def test_spectrum_gap_examples():
     spec = GroupUnionSpec((2,))
@@ -185,133 +115,65 @@ def test_resolvent_denominator_frozen_values():
 
 
 # ---------------------------------------------------------------------------
-# rank-one updates
-# ---------------------------------------------------------------------------
-
-def test_sherman_morrison_dense_oracle():
-    rng = np.random.default_rng(31)
-    for _ in range(40):
-        n = int(rng.integers(1, 6))
-        a = (rng.standard_normal((n, n))
-             + 1j * rng.standard_normal((n, n))) / math.sqrt(n)
-        wvec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        phi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        lam = 3.0 * np.exp(2j * np.pi * rng.random())
-        r = np.linalg.inv(lam * np.eye(n) - a)
-        gamma = phi @ r @ wvec
-        if abs(1.0 - gamma) < 0.05:
-            continue
-        upd = RankOneUpdate(w=wvec, phi=phi,
-                            pair=lambda p, v: complex(p @ v))
-        action = sherman_morrison_resolvent(lambda v: r @ v, upd)
-        direct = np.linalg.inv(lam * np.eye(n) - a - np.outer(wvec, phi))
-        for _ in range(3):
-            f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            assert np.allclose(action(f), direct @ f, atol=1e-9)
-
-
-def test_sherman_morrison_scalar_case():
-    # 1-d sanity: A = 0.5, update w=phi=1, resolvent 1/(lam - 0.5 - 1)
-    lam = 3.0
-    r = 1.0 / (lam - 0.5)
-    upd = RankOneUpdate(w=np.array([1.0 + 0j]), phi=np.array([1.0 + 0j]),
-                        pair=lambda p, v: complex(p @ v))
-    action = sherman_morrison_resolvent(lambda v: r * v, upd)
-    out = action(np.array([1.0 + 0j]))
-    assert out[0] == pytest.approx(1.0 / (lam - 1.5), abs=1e-15)
-
-
-def test_sherman_morrison_rejects_disk_containing_one():
-    upd = RankOneUpdate(w=np.array([1.0]), phi=np.array([1.0]),
-                        pair=lambda p, v: complex(p @ v))
-    with pytest.raises(SingularUpdate) as info:
-        sherman_morrison_resolvent(lambda v: v, upd,
-                                   gamma=CertifiedComplex(1.0 + 0j, 0.0))
-    assert not info.value.radius_dominated
-    with pytest.raises(SingularUpdate) as info:
-        sherman_morrison_resolvent(lambda v: v, upd,
-                                   gamma=CertifiedComplex(1.001, 0.01))
-    assert info.value.radius_dominated
-
-
-# ---------------------------------------------------------------------------
-# full resolvent
+# the resolvent of T against the dense raw section
 # ---------------------------------------------------------------------------
 
 def _dense_section(spec, w, n_keep):
-    p = spec.permutation_matrix()
-    dim = 1 + n_keep * spec.d
-    dense = np.zeros((dim, dim))
-    for n in range(1, n_keep + 1):
-        q = w.value(n)
-        sl = slice(1 + (n - 1) * spec.d, 1 + n * spec.d)
-        dense[sl, sl] = (1.0 - q) * p
-        dense[0, sl] = q
-        dense[sl, 0] = q
-    return dense
+    """The raw section T_K: head plus blocks 1..K, weights q_n unscaled."""
+    return build_finite_section(spec, w, n_keep, renormalize=False).matrix
 
 
-def _flatten(vec, spec, n_keep):
-    x = np.zeros(1 + n_keep * spec.d, dtype=complex)
-    x[0] = vec.head
-    for n in range(1, n_keep + 1):
-        x[1 + (n - 1) * spec.d: 1 + n * spec.d] = vec.block(n)
-    return x
+def _denominator_ratio(a, lam):
+    """det(lam - T_K) / det(lam - S_K), S_K being T_K without its head row
+    and column, through log-determinants."""
+    s_k = a.copy()
+    s_k[0, :] = 0.0
+    s_k[:, 0] = 0.0
+    eye = np.eye(a.shape[0])
+    sign_t, log_t = np.linalg.slogdet(lam * eye - a)
+    sign_s, log_s = np.linalg.slogdet(lam * eye - s_k)
+    return sign_t / sign_s * np.exp(log_t - log_s)
 
 
-def test_resolvent_full_residual_identity():
-    spec = GroupUnionSpec((2, 3))
+@pytest.mark.parametrize("orders", [(1,), (2, 3), (4, 6), (5, 7)])
+def test_certified_denominator_is_the_operators(orders):
+    # the two rank-one steps give det(lam - T_K) / det(lam - S_K) =
+    # 1 - <q, R(lam, S_K) q> / lam = D_K(lam) on the raw section; the
+    # certified disk of the series must hold it
+    spec = GroupUnionSpec(orders)
     w = WeightSeq.dyadic_single(spec.d)
-    f = BlockVector(spec.d, 1.0 + 0j, {1: np.arange(5.0) + 0j})
-    for lam in (2.0, -1.0 + 0.4j, 0.3 + 0.8j):
-        g = resolvent_full(spec, w, lam, f)
-        gt, dropped = g.truncate(50)
-        resid = lam * gt - apply_operator(spec, w, gt) - f
-        assert norm1(resid).abs_upper() <= 1e-9 * norm1(f).value.real \
-            + (abs(lam) + 1.0) * dropped + 1e-12
+    depth = 40
+    a = _dense_section(spec, w, depth)
+    doubled = a.copy()                 # negative control: q -> 2 q
+    doubled[0, 1:] *= 2.0
+    doubled[1:, 0] *= 2.0
+    for theta in (0.0082, 0.02, 0.13, 0.41, 0.49, 0.77, 0.95):
+        lam = np.exp(2j * np.pi * theta)
+        den, radius, valid = coupling_series_batch(w, [lam], depth)
+        assert valid[0]
+        assert abs(_denominator_ratio(a, lam) - den[0]) <= radius[0]
+        assert abs(_denominator_ratio(doubled, lam) - den[0]) > radius[0]
 
 
-def test_resolvent_full_matches_dense_solve_outside_disk():
-    # independent oracle at lam = 2: a deep raw finite section differs from
-    # the full operator only by a 2^-45-mass column truncation
-    spec = GroupUnionSpec((2,))
-    w = WeightSeq.dyadic_single(2)
-    n_keep = 45
-    dense = _dense_section(spec, w, n_keep)
-    f = BlockVector(spec.d, 0.7 + 0j, {2: np.array([1.0, -2.0 + 0j])})
-    g = resolvent_full(spec, w, 2.0, f)
-    x = np.linalg.solve(2.0 * np.eye(dense.shape[0]) - dense,
-                        _flatten(f, spec, n_keep))
-    assert np.allclose(_flatten(g.materialize(n_keep), spec, n_keep), x,
-                       atol=1e-10)
-
-
-def test_resolvent_full_neumann_oracle():
-    # second route: R(2, T) f = sum_k T^k f / 2^(k+1), iterated through
-    # truncated forward maps
-    spec = GroupUnionSpec((1,))
-    w = WeightSeq.dyadic_single(1)
-    f = BlockVector(1, 1.0 + 0j, {1: np.array([1.0 + 0j])})
-    acc = BlockVector(1, 0j)
-    term = f
-    for k in range(60):
-        acc = acc + (0.5 ** (k + 1)) * term
-        term, _ = apply_operator(spec, w, term).truncate(70)
-    g = resolvent_full(spec, w, 2.0, f)
-    diff = g.materialize(70) - acc
-    diff_f, drop = diff.truncate(70)
-    assert norm1(diff_f).value.real + drop < 1e-9
-
-
-def test_resolvent_full_raises_at_singular_points():
-    spec = GroupUnionSpec((2,))
-    w = WeightSeq.dyadic_single(2)
-    f = basis_head(spec)
-    with pytest.raises((SingularUpdate, SingularBlock, SpectralForgeError)):
-        resolvent_full(spec, w, 1.0, f)
-    # where the series' batch of one fails the tail guard: TailInvalid
-    with pytest.raises(TailInvalid):
-        resolvent_full(spec, w, 1.0 - 2.0 * w.value(5), f)
+def test_neumann_resolvent_at_two_matches_dense_solve():
+    # R(2, T) f = sum_k T^k f / 2^(k+1) through the forward map, against a
+    # dense solve on the same deep raw section
+    rng = np.random.default_rng(41)
+    for orders in ((1,), (2, 3)):
+        spec = GroupUnionSpec(orders)
+        w = WeightSeq.dyadic_single(spec.d)
+        dense = _dense_section(spec, w, 45)
+        f = np.zeros(dense.shape[0], dtype=complex)
+        f[0] = 0.7
+        f[1 + spec.d:1 + 3 * spec.d] = (rng.normal(size=2 * spec.d)
+                                        + 1j * rng.normal(size=2 * spec.d))
+        acc = np.zeros_like(f)
+        term = f
+        for k in range(60):
+            acc += 0.5 ** (k + 1) * term
+            term = apply_operator(spec, w, term)
+        x = np.linalg.solve(2.0 * np.eye(dense.shape[0]) - dense, f)
+        assert np.abs(acc - x).sum() <= 1e-12 * np.abs(f).sum()
 
 
 # ---------------------------------------------------------------------------

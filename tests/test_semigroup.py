@@ -9,14 +9,12 @@ import pytest
 import cmath
 
 from spectral_forge import semigroup
-from spectral_forge.errors import SingularBlock
 from spectral_forge.resolvent import (CERTIFIED, SINGULAR,
                                       coupling_series_batch)
 from spectral_forge.semigroup import (TWO_PI, FourierState, GeneratorSpec,
                                       RationalSchedule, apply_block_generator,
                                       apply_generator, chain_generator,
                                       evolve, expm, mode_certificate,
-                                      resolvent_block_generator,
                                       scan_imaginary_axis)
 
 
@@ -138,28 +136,6 @@ def test_mass_derivative_telescopes(gen):
     f = FourierState(1.0, {5: {0: 0.125}})
     af = apply_generator(gen, f)
     assert abs(af.mass() + 2.0 ** -gen.depth) < 1e-18
-
-
-def test_resolvent_block_generator_inverts(gen):
-    f = FourierState(1.0, {1: {1: 1.0}, 6: {-2: 0.5j}})
-    beta = 0.3
-    g = resolvent_block_generator(gen, beta, f)
-    back = (1j * beta) * g - apply_block_generator(gen, g)
-    assert abs(back.head - f.head) < 1e-14
-    assert abs(back.coeff(1, 1) - 1.0) < 1e-14
-    assert abs(back.coeff(6, -2) - 0.5j) < 1e-14
-
-
-def test_resolvent_block_generator_guards_modes(gen):
-    # at a deep block the weight drops below the guard, so hitting the
-    # rotation frequency exactly leaves a denominator of modulus q_n
-    n = 44
-    beta = gen.omega_float(n, 1)
-    q = gen.weights.value(n)
-    assert q < 1e-14
-    z = FourierState.single_mode(n, 1, 1.0)
-    with pytest.raises(SingularBlock):
-        resolvent_block_generator(gen, beta, z)
 
 
 # ---------------------------------------------------------------------------
