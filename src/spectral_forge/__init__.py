@@ -23,8 +23,8 @@ from .finite import (FiniteOperator, SpectrumResult, build_finite_section,
                      convergence_table, factorization_crosscheck,
                      finite_spectrum, secular_value, strongly_connected,
                      tarjan_scc)
-from .semigroup import (FourierState, GeneratorSpec, ModeCertificate,
-                        RationalSchedule, apply_generator, chain_generator,
+from .semigroup import (GeneratorSpec, ModeCertificate, RationalSchedule,
+                        SemigroupState, apply_generator, chain_generator,
                         evolve, mode_certificate, scan_imaginary_axis)
 from .verify import run_suite, run_suites
 

@@ -28,7 +28,7 @@ from .model import GroupUnionSpec, WeightSeq
 from .resolvent import CERTIFIED, SINGULAR, _S_GAP_GUARD
 from .scanner import (CERT_SLOP, VERDICTS, certificate_matches,
                       scan_unit_circle, verdict_counts)
-from .semigroup import FourierState, GeneratorSpec, RationalSchedule, \
+from .semigroup import GeneratorSpec, RationalSchedule, SemigroupState, \
     evolve, mode_certificate, scan_imaginary_axis
 from .verify import SUITE_NAMES, run_suites
 
@@ -336,11 +336,12 @@ def _parse_rationals(text: str) -> List[Fraction]:
 def cmd_cert(args) -> int:
     cfg = _resolve_config(args)
     g = _generator(cfg)
-    certs = []
-    for r in _parse_rationals(args.r):
-        if r < 1:
-            raise UsageError(f"r: target speeds must be >= 1, got {r}")
-        certs.append(mode_certificate(g, r, args.occurrence))
+    speeds = _parse_rationals(args.r)
+    if not speeds or min(speeds) < 1:
+        raise UsageError(f"r: need one or more speeds >= 1, got {args.r!r}")
+    if args.occurrence < 1:
+        raise UsageError(f"occurrence: need 1 or more, got {args.occurrence}")
+    certs = [mode_certificate(g, r, args.occurrence) for r in speeds]
     write_json(_out_path(cfg, "semigroup_cert.json"), [{
         "r": str(c.r), "omega": str(c.omega), "k": c.k, "n": c.block_index,
         "q_n": c.q_n, "residual": c.residual, "matches": c.matches,
@@ -355,22 +356,23 @@ def cmd_cert(args) -> int:
 def cmd_evolve(args) -> int:
     cfg = _resolve_config(args)
     g = _generator(cfg)
-    f0 = FourierState.head_unit()
+    f0 = SemigroupState(1.0)
     if args.mode:
         try:
-            n_s, k_s = args.mode.split(",")
-            n, k = int(n_s), int(k_s)
+            n, k = (int(s) for s in args.mode.split(","))
+            f0 = SemigroupState.single_mode(n, k, 1.0 / (2.0 * np.pi))
         except ValueError:
-            raise UsageError(f"mode: {args.mode!r} is not 'n,k'")
-        if n < 1:
-            raise UsageError("mode: block index must be >= 1")
-        f0 = FourierState.single_mode(n, k, 1.0 / (2.0 * np.pi))
+            raise UsageError(f"mode: {args.mode!r} is not 'n,k' with a "
+                             "block index n >= 1")
 
     if not (math.isfinite(args.t) and args.t >= 0.0):
         raise UsageError(f"t: need a finite final time >= 0, got {args.t}")
     if args.samples < 1:
         raise UsageError(f"samples: need at least one sample, got "
                          f"{args.samples}")
+    if args.trace_blocks < 0:
+        raise UsageError(f"trace-blocks: need 0 or more, got "
+                         f"{args.trace_blocks}")
 
     times = np.linspace(0.0, args.t, args.samples)
     try:
@@ -501,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", required=True,
                    help="comma-separated rational speeds >= 1, e.g. 1,3/2,7/3")
     p.add_argument("--occurrence", type=int, default=1,
-                   help="which recurrence of the speed to use")
+                   help="which recurrence of the speed to use, from 1")
     p.set_defaults(func=cmd_cert)
 
     p = sgsub.add_parser("evolve", parents=[common],
@@ -513,7 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default=None,
                    help="start from a single mode 'n,k' instead of the head")
     p.add_argument("--trace-blocks", type=int, default=8,
-                   help="number of leading block masses in the CSV")
+                   help="number of leading block masses in the CSV, >= 0")
     p.set_defaults(func=cmd_evolve)
 
     return parser

@@ -7,9 +7,9 @@ The generator acts on C x (L^1 of the circle)^N as
 
 where D differentiates (multiplication by i*k on Fourier mode k) and the
 speed schedule (w_n) enumerates the rationals in [1, 2] so that every value
-recurs infinitely often.  States are stored by Fourier coefficients per
-block; the mass functional is f_0 + sum_n 2*pi*f_{n,0} and the weights
-q_n = 2^-n / (2*pi) make the coupling vector q a unit mass.
+recurs infinitely often.  A state is the head plus flat arrays of (block,
+mode, coefficient) entries; the mass functional is f_0 + sum_n 2*pi*f_{n,0}
+and the weights q_n = 2^-n / (2*pi) make the coupling vector q a unit mass.
 
 Purely imaginary spectral parameters are probed through the certified
 denominator 1 - h(beta)/(i*beta+1) with h(beta) = sum_n 2*pi*q_n^2 /
@@ -23,17 +23,15 @@ time to the next with a memoised matrix exponential.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from .errors import ExponentialUnresolved, SpectralForgeError
+from .errors import ExponentialUnresolved
 from .model import WeightSeq
 from .resolvent import (CERTIFIED, SINGULAR, _S_GAP_GUARD,
                         coupling_series_batch)
@@ -42,8 +40,7 @@ __all__ = [
     "TWO_PI",
     "RationalSchedule",
     "GeneratorSpec",
-    "FourierState",
-    "apply_block_generator",
+    "SemigroupState",
     "apply_generator",
     "ModeCertificate",
     "mode_certificate",
@@ -78,7 +75,7 @@ class RationalSchedule:
         while len(self._base) < count:
             s = self._next_den
             for p in range(s, 2 * s + 1):
-                if gcd(p, s) == 1:
+                if math.gcd(p, s) == 1:
                     self._base.append(Fraction(p, s))
             self._next_den += 1
 
@@ -90,23 +87,18 @@ class RationalSchedule:
         return self._base[i - 1]
 
     def base_index(self, r) -> int:
-        """Position of r in the base enumeration (exact rational compare)."""
+        """Position of r in the base enumeration (lowest terms compared)."""
         r = Fraction(r)
         if not 1 <= r <= 2:
             raise ValueError(f"{r} is outside [1, 2]")
         i = 0
         for s in range(1, r.denominator + 1):
             for p in range(s, 2 * s + 1):
-                if gcd(p, s) == 1:
+                if math.gcd(p, s) == 1:
                     i += 1
-                    if Fraction(p, s) == r:
+                    if (p, s) == (r.numerator, r.denominator):
                         return i
         raise ValueError(f"{r} not reached")      # pragma: no cover
-
-    @staticmethod
-    def _pair_index(i: int, m: int) -> int:
-        t = i + m
-        return (t - 2) * (t - 1) // 2 + i
 
     def omega(self, n: int) -> Fraction:
         """Speed of block n (exact rational)."""
@@ -122,7 +114,9 @@ class RationalSchedule:
         """Block index of the ``occurrence``-th appearance of speed r."""
         if occurrence < 1:
             raise ValueError("occurrence starts at 1")
-        return self._pair_index(self.base_index(r), occurrence)
+        i = self.base_index(r)
+        t = i + occurrence                 # the anti-diagonal of (i, m)
+        return (t - 2) * (t - 1) // 2 + i
 
 
 # ---------------------------------------------------------------------------
@@ -151,113 +145,79 @@ class GeneratorSpec:
         return float(self.schedule.omega(n) * k)
 
 
-@dataclass
-class FourierState:
-    """head coordinate plus per-block Fourier coefficients {n: {k: c}}."""
+@dataclass(frozen=True, eq=False)
+class SemigroupState:
+    """Head coordinate plus flat Fourier entries: coefficient c[j] of mode
+    k[j] in block n[j].  On an orbit, ``head`` and ``c`` carry a leading
+    time axis.  Entries may repeat an (n, k) pair; they then add up."""
 
     head: complex = 0j
-    blocks: Dict[int, Dict[int, complex]] = field(default_factory=dict)
+    n: np.ndarray = ()
+    k: np.ndarray = ()
+    c: np.ndarray = ()
+
+    def __post_init__(self):
+        for name, dtype in (("n", int), ("k", int), ("c", complex)):
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=dtype))
+        if not self.n.shape == self.k.shape == self.c.shape[-1:]:
+            raise ValueError("n, k and the last axis of c differ in shape")
+        if self.n.size and self.n.min() < 1:
+            raise ValueError("blocks are indexed from 1")
 
     @classmethod
-    def head_unit(cls) -> "FourierState":
-        return cls(1.0 + 0j)
+    def single_mode(cls, n: int, k: int, coeff: complex) -> "SemigroupState":
+        return cls(0j, [n], [k], [coeff])
 
-    @classmethod
-    def single_mode(cls, n: int, k: int, coeff: complex) -> "FourierState":
-        return cls(0j, {n: {k: complex(coeff)}})
+    def coeff(self, n: int, k: int):
+        """The (n, k) coefficient: the sum of its entries, 0 without any."""
+        return self.c[..., (self.n == n) & (self.k == k)].sum(axis=-1)
 
-    def copy(self) -> "FourierState":
-        return FourierState(self.head,
-                            {n: dict(m) for n, m in self.blocks.items()})
-
-    def coeff(self, n: int, k: int) -> complex:
-        return self.blocks.get(n, {}).get(k, 0j)
-
-    def set_coeff(self, n: int, k: int, c: complex):
-        if c == 0:
-            self.blocks.get(n, {}).pop(k, None)
-            if n in self.blocks and not self.blocks[n]:
-                del self.blocks[n]
-            return
-        self.blocks.setdefault(n, {})[k] = complex(c)
-
-    def __add__(self, other: "FourierState") -> "FourierState":
-        out = self.copy()
-        out.head += other.head
-        for n, modes in other.blocks.items():
-            for k, c in modes.items():
-                out.set_coeff(n, k, out.coeff(n, k) + c)
-        return out
-
-    def __sub__(self, other: "FourierState") -> "FourierState":
-        return self + (-1.0) * other
-
-    def __mul__(self, s) -> "FourierState":
-        s = complex(s)
-        return FourierState(
-            s * self.head,
-            {n: {k: s * c for k, c in modes.items()}
-             for n, modes in self.blocks.items()})
-
-    __rmul__ = __mul__
-
-    def mass(self) -> complex:
+    def mass(self):
         """Pairing with the invariant functional (1, 1, 1, ...)."""
-        return self.head + TWO_PI * sum(m.get(0, 0j)
-                                        for m in self.blocks.values())
+        return self.head + TWO_PI * sum(self.c[..., j]
+                                        for j in np.flatnonzero(self.k == 0))
 
-    def norm1(self, quad_nodes: int = 4096) -> float:
-        """|head| plus the L1 norms of the blocks.
-
-        Exact for blocks holding at most one mode; multi-mode blocks are
-        integrated by the trapezoidal rule on ``quad_nodes`` points.
-        """
-        total = abs(self.head)
-        for modes in self.blocks.values():
-            live = {k: c for k, c in modes.items() if c != 0}
-            if not live:
-                continue
-            if len(live) == 1:
-                total += TWO_PI * abs(next(iter(live.values())))
-                continue
-            theta = np.arange(quad_nodes) * (TWO_PI / quad_nodes)
-            vals = np.zeros(quad_nodes, dtype=complex)
-            for k, c in live.items():
-                vals += c * np.exp(1j * k * theta)
-            total += float(np.abs(vals).sum() * (TWO_PI / quad_nodes))
-        return total
+    def norm1(self):
+        """|head| + 2 pi sum |c| once equal (n, k) entries are merged: the
+        L1 norm where every block holds one mode, an upper bound on it by
+        the triangle inequality where a block holds several."""
+        slot = {}
+        inv = [slot.setdefault(key, len(slot))
+               for key in zip(self.n.tolist(), self.k.tolist())]
+        merged = np.zeros(self.c.shape[:-1] + (len(slot),), dtype=complex)
+        np.add.at(merged.T, inv, self.c.T)
+        return np.abs(self.head) + TWO_PI * np.abs(merged).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # generator action
 # ---------------------------------------------------------------------------
 
-def apply_block_generator(g: GeneratorSpec, f: FourierState) -> FourierState:
-    """B f: head -> -head, mode (n,k) -> (i w_n k - q_n) times itself."""
-    out = FourierState(-f.head)
-    for n, modes in f.blocks.items():
-        q = g.weights.value(n)
-        for k, c in modes.items():
-            out.set_coeff(n, k, (1j * g.omega_float(n, k) - q) * c)
-    return out
+def _rates(g: GeneratorSpec, n: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Per-entry multipliers i w_n k - q_n of the block part of A."""
+    return np.array([1j * g.omega_float(a, b) - g.weights.value(a)
+                     for a, b in zip(n.tolist(), k.tolist())], dtype=complex)
 
 
-def apply_generator(g: GeneratorSpec, f: FourierState) -> FourierState:
-    """A f = B f + f_0 * q + <q, f> * e.
+def apply_generator(g: GeneratorSpec, f: SemigroupState,
+                    lam: complex = 0.0) -> SemigroupState:
+    """(A - lam) f for a state without a time axis, with
+    A f = B f + f_0 * q + <q, f> * e.
 
     The head-driven coupling term f_0 * q has unbounded support; it is
     truncated at the spec depth, which perturbs the mass balance by at most
-    |f_0| * 2^-depth (9.1e-13 at the default depth).
+    |f_0| * 2^-depth (9.1e-13 at the default depth).  Its entries are
+    appended, not merged, to those of B f.
     """
-    out = apply_block_generator(g, f)
+    rate = _rates(g, f.n, f.k)
+    pairing = -TWO_PI * np.sum(rate.real[f.k == 0] * f.c[f.k == 0])
+    n, k, c = f.n, f.k, (rate - lam) * f.c
     if f.head != 0:
-        for n in range(1, g.depth + 1):
-            q = g.weights.value(n)
-            out.set_coeff(n, 0, out.coeff(n, 0) + f.head * q)
-    pairing = TWO_PI * sum(g.weights.value(n) * modes.get(0, 0j)
-                           for n, modes in f.blocks.items())
-    out.head += pairing
-    return out
+        feed = np.arange(1, g.depth + 1)
+        n, k = np.concatenate([n, feed]), np.concatenate([k, 0 * feed])
+        c = np.concatenate([c, f.head * g.weights.values(g.depth)])
+    return SemigroupState((-1.0 - lam) * f.head + pairing, n, k, c)
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +252,10 @@ def mode_certificate(g: GeneratorSpec, r, occurrence: int = 1) -> ModeCertificat
     else:
         k = (r.numerator - 1) // r.denominator     # largest integer < r
         omega = r / k
-    if not 1 <= omega <= 2:                        # pragma: no cover
-        raise SpectralForgeError(f"derived speed {omega} escaped [1,2]")
     n = g.schedule.index_of(omega, occurrence)
     q = g.weights.value(n)
-
-    z = FourierState.single_mode(n, k, 1.0 / TWO_PI)
-    lam = 1j * float(r)
-    resid = (apply_generator(g, z) - lam * z).norm1()
+    z = SemigroupState.single_mode(n, k, 1.0 / TWO_PI)
+    resid = float(apply_generator(g, z, 1j * float(r)).norm1())
     return ModeCertificate(r, omega, k, n, q, resid,
                            abs(resid - q) <= 1e-12)
 
@@ -520,8 +476,8 @@ def expm(a: np.ndarray) -> np.ndarray:
     return e
 
 
-def evolve(g: GeneratorSpec, f0: FourierState, t,
-           chain_depth: Optional[int] = None) -> FourierState:
+def evolve(g: GeneratorSpec, f0: SemigroupState, t,
+           chain_depth: Optional[int] = None) -> SemigroupState:
     """Semigroup orbit e^{tA} f0 at a time t or an ascending array of times.
 
     Modes k != 0 decay in closed form by exp((i w_n k - q_n) t).  The head
@@ -536,8 +492,9 @@ def evolve(g: GeneratorSpec, f0: FourierState, t,
     entrywise nonnegative by construction, so a nonnegative chain stays
     nonnegative.  A step too long for expm's error bound raises
     ``ExponentialUnresolved``.
-    A scalar t gives a state; an array gives one state whose head and
-    coefficients are arrays over the times.
+    f0 has no time axis.  The result holds the chain blocks 1..chain_depth
+    at mode 0, then the entries of f0 that decay in closed form.  An array
+    of times gives it a leading time axis; a scalar t, the first row.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     steps = np.diff(ts, prepend=0.0)
@@ -546,33 +503,24 @@ def evolve(g: GeneratorSpec, f0: FourierState, t,
                          "ascending times >= 0")
     n_chain = g.depth if chain_depth is None else chain_depth
 
+    chained = (f0.k == 0) & (f0.n <= n_chain)
     v = np.zeros(n_chain + 1, dtype=complex)
     v[0] = f0.head
-    blocks: Dict[int, Dict[int, np.ndarray]] = {}
-    for n, modes in f0.blocks.items():
-        for k, c in modes.items():
-            if k == 0 and n <= n_chain:
-                v[n] += c
-                continue
-            q = g.weights.value(n)
-            rate = (1j * g.omega_float(n, k) - q) if k != 0 else -q
-            blocks.setdefault(n, {})[k] = np.array(
-                [c * cmath.exp(rate * s) for s in ts.tolist()])
+    np.add.at(v, f0.n[chained], f0.c[chained])
+    n, k, c = f0.n[~chained], f0.k[~chained], f0.c[~chained]
+    # one row per time: the head, the chain blocks, the closed-form decays
+    out = np.empty((ts.size, n_chain + 1 + n.size), dtype=complex)
+    chain, decays = out[:, :n_chain + 1], out[:, n_chain + 1:]
+    np.multiply(c, np.exp(np.multiply.outer(ts, _rates(g, n, k))), out=decays)
 
     m = chain_generator(g, n_chain)
     # complex once per increment: a real step times the complex state
     # would be cast to complex again on every product
     step = lru_cache(maxsize=16)(lambda dt: expm(dt * m).astype(complex))
-    chain = np.empty((ts.size, n_chain + 1), dtype=complex)
     for i, dt in enumerate(steps.tolist()):
         v = chain[i] = step(dt) @ v
-    for n in range(1, n_chain + 1):
-        blocks.setdefault(n, {})[0] = chain[:, n]
-    if np.ndim(t) != 0:
-        return FourierState(chain[:, 0], blocks)
-    out = FourierState(0j)
-    out.head += chain[0, 0]
-    for n, modes in blocks.items():
-        for k, c in modes.items():
-            out.set_coeff(n, k, c[0])
-    return out
+    row = slice(None) if np.ndim(t) else 0
+    return SemigroupState(out[row, 0],
+                          np.concatenate([np.arange(1, n_chain + 1), n]),
+                          np.concatenate([np.zeros(n_chain, int), k]),
+                          out[row, 1:])

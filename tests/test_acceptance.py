@@ -16,7 +16,7 @@ from spectral_forge.io import dump_json
 from spectral_forge.model import GroupUnionSpec, WeightSeq, union_values
 from spectral_forge.resolvent import coupling_series_batch
 from spectral_forge.scanner import _circle_kernel, scan_unit_circle
-from spectral_forge.semigroup import (FourierState, GeneratorSpec, evolve,
+from spectral_forge.semigroup import (GeneratorSpec, SemigroupState, evolve,
                                       mode_certificate, scan_imaginary_axis)
 from spectral_forge.verify import run_suite, run_suites
 
@@ -141,14 +141,14 @@ def test_6_imaginary_axis_scan_and_mode_certificates():
 
 def test_7_evolution_conserves_mass_and_decays_single_modes():
     g = GeneratorSpec.default()
-    ft = evolve(g, FourierState.head_unit(), 50.0)
+    ft = evolve(g, SemigroupState(1.0), 50.0)
     drift = abs(ft.mass().real - 1.0)
     ok_mass = drift <= 1e-8
     chain = [ft.head.real] + [ft.coeff(n, 0).real for n in range(1, 41)]
     ok_pos = min(chain) >= -1e-10
 
     q6 = g.weights.value(6)
-    z = FourierState.single_mode(6, 1, 1.0 / (2.0 * np.pi))
+    z = SemigroupState.single_mode(6, 1, 1.0 / (2.0 * np.pi))
     decay = max(abs(evolve(g, z, t).norm1() - np.exp(-q6 * t))
                 for t in (0.5, 5.0, 50.0))
     ok_decay = decay <= 1e-10

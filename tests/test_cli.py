@@ -4,6 +4,7 @@ import ast
 import csv
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -99,6 +100,28 @@ def test_the_package_imports_no_third_party_module_but_numpy(tmp_path):
     lazy.write_text("import numpy as np\nfrom . import io\n"
                     "def f():\n    from scipy.linalg import expm\n")
     assert list(_third_party_imports(lazy)) == ["numpy", "scipy"]
+
+
+def test_every_public_name_resolves():
+    # each module's __all__ names only objects the module defines, and
+    # the package re-exports only names that its modules make public
+    src = pathlib.Path(cli.__file__).parent
+    missing = [f"{path.stem}.{name}"
+               for path in sorted(src.glob("[!_]*.py"))
+               for module in [importlib.import_module(
+                   f"spectral_forge.{path.stem}")]
+               for name in getattr(module, "__all__", ())
+               if not hasattr(module, name)]
+    assert not missing
+    package = importlib.import_module("spectral_forge")
+    for node in ast.parse((src / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            module = importlib.import_module(f"spectral_forge.{node.module}")
+            public = getattr(module, "__all__", dir(module))
+            for alias in node.names:
+                assert alias.name in public, (node.module, alias.name)
+                assert getattr(package, alias.name) is \
+                    getattr(module, alias.name)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +445,34 @@ def test_semigroup_cert(tmp_path):
                            "residual": by_r["7/3"]["q_n"], "matches": True}
 
 
+def test_semigroup_cert_json_is_pinned(tmp_path):
+    # sha256 of the certificates for k = 1 and k = 2, for r = 17/6 on the
+    # subnormal-weight block 1035 and for r = 15/7 on block 1830, where
+    # q_n = 0.0 (a gate that cannot fail there; see test_semigroup.py)
+    assert run(tmp_path, "semigroup", "cert",
+               "--r", "1,3/2,2,7/3,17/6,15/7") == 0
+    assert sha256_of(tmp_path, "semigroup_cert.json") == {
+        "semigroup_cert.json": "b16e71c16d2ceca0a80fcf9285914861f9a20647e7"
+                               "44c1f20017740a136d1d3a"}
+
+
 def test_semigroup_cert_rejects_small_speed(tmp_path):
     assert run(tmp_path, "semigroup", "cert", "--r", "1/2") == 2
+    assert run(tmp_path, "semigroup", "cert", "--r", "3/2,1/2") == 2
+    assert not (tmp_path / "semigroup_cert.json").exists()
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["--r", ","], "need one or more speeds >= 1"),
+    (["--r", ""], "need one or more speeds >= 1"),
+    (["--r", "3/2", "--occurrence", "0"], "occurrence: need 1 or more"),
+    (["--r", "3/2", "--occurrence", "-1"], "occurrence: need 1 or more"),
+], ids=["comma", "empty", "occurrence-0", "occurrence-negative"])
+def test_semigroup_cert_refuses_bad_input(tmp_path, capsys, argv, reason):
+    # an empty speed list would pass with nothing certified
+    assert run(tmp_path, "semigroup", "cert", *argv) == 2
+    assert reason in capsys.readouterr().err
+    assert not (tmp_path / "semigroup_cert.json").exists()
 
 
 def test_semigroup_scan_axis(tmp_path):
@@ -594,6 +643,14 @@ def test_semigroup_evolve_long_steps_leave_the_drift_gate_to_decide(
     _, rows = read_csv(tmp_path / "evolve.csv")
     values = [float(v) for r in rows for v in r]
     assert all(math.isfinite(v) and v >= 0.0 for v in values)
+
+
+def test_semigroup_evolve_refuses_negative_trace_blocks(tmp_path, capsys):
+    assert run(tmp_path, "semigroup", "evolve", "--trace-blocks", "-2") == 2
+    assert "trace-blocks: need 0 or more" in capsys.readouterr().err
+    assert not (tmp_path / "evolve.csv").exists()
+    assert run(tmp_path, "semigroup", "evolve", "--trace-blocks", "0") == 0
+    assert read_csv(tmp_path / "evolve.csv")[0] == ["t", "mass", "head"]
 
 
 def test_semigroup_evolve_single_sample(tmp_path):

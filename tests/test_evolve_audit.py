@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from spectral_forge import semigroup
-from spectral_forge.semigroup import (FourierState, GeneratorSpec,
+from spectral_forge.semigroup import (GeneratorSpec, SemigroupState,
                                       chain_generator, evolve, expm)
 
 GATE = 1e-13
@@ -32,7 +32,7 @@ def audit():
                  for t, e in powers.items()}
 
     def error(t):
-        orbit = evolve(g, FourierState.head_unit(), np.linspace(0.0, t, 2001))
+        orbit = evolve(g, SemigroupState(1.0), np.linspace(0.0, t, 2001))
         got = [orbit.head[-1]] + [orbit.coeff(n, 0)[-1]
                                   for n in range(1, g.depth + 1)]
         with mpmath.workdps(40):

@@ -1,4 +1,4 @@
-"""Rational speed schedule, Fourier states, generator, axis scan, evolution."""
+"""Rational speed schedule, flat states, generator, axis scan, evolution."""
 
 import math
 from fractions import Fraction
@@ -9,10 +9,11 @@ import pytest
 import cmath
 
 from spectral_forge import semigroup
+from spectral_forge.errors import BlockTooDeep
 from spectral_forge.resolvent import (CERTIFIED, SINGULAR,
                                       coupling_series_batch)
-from spectral_forge.semigroup import (TWO_PI, FourierState, GeneratorSpec,
-                                      RationalSchedule, apply_block_generator,
+from spectral_forge.semigroup import (TWO_PI, GeneratorSpec,
+                                      RationalSchedule, SemigroupState,
                                       apply_generator, chain_generator,
                                       evolve, expm, mode_certificate,
                                       scan_imaginary_axis)
@@ -73,34 +74,37 @@ def test_every_speed_recurs(gen):
 # ---------------------------------------------------------------------------
 
 def test_fourier_state_mass_and_norm_single_mode():
-    z = FourierState.single_mode(3, 2, 1.0 / TWO_PI)
+    z = SemigroupState.single_mode(3, 2, 1.0 / TWO_PI)
     assert z.mass() == 0j                    # no mode-0 content
     assert z.norm1() == pytest.approx(1.0, abs=1e-15)
-    h = FourierState.head_unit()
+    h = SemigroupState(1.0)
     assert h.mass() == 1.0
     assert h.norm1() == 1.0
 
 
-def test_fourier_state_norm_multimode_quadrature():
-    # oracle: dense sampling of |sum c_k e^(i k theta)| on a fine grid
-    rng = np.random.default_rng(13)
-    modes = {k: complex(rng.normal(), rng.normal()) for k in (-2, 0, 1, 3)}
-    f = FourierState(0j, {1: modes})
+def _dense_l1(modes):
+    """L1 norm of sum c_k e^(i k theta) by dense sampling."""
     theta = np.linspace(0.0, TWO_PI, 200001)
     vals = sum(c * np.exp(1j * k * theta) for k, c in modes.items())
-    ref = float(np.trapezoid(np.abs(vals), theta))
-    assert f.norm1() == pytest.approx(ref, rel=1e-6)
+    return float(np.trapezoid(np.abs(vals), theta))
 
 
-def test_fourier_state_algebra():
-    a = FourierState(1.0, {2: {1: 0.5j}})
-    b = FourierState(-0.5, {2: {1: 0.25}, 3: {0: 1.0}})
-    s = a + 2.0 * b
-    assert s.head == 0.0
-    assert s.coeff(2, 1) == 0.5j + 0.5
-    assert s.coeff(3, 0) == 2.0
-    d = s - s
-    assert d.norm1() == 0.0
+def test_fourier_state_norm_bounds_the_multimode_l1_norm():
+    # one mode: exactly 2 pi |c|; several: the triangle inequality bounds
+    # the L1 norm from above, and by a margin where the modes cancel
+    rng = np.random.default_rng(13)
+    modes = {k: complex(rng.normal(), rng.normal()) for k in (-2, 0, 1, 3)}
+    f = SemigroupState(0j, [1] * 4, list(modes), list(modes.values()))
+    bound = TWO_PI * sum(abs(c) for c in modes.values())
+    assert f.norm1() == pytest.approx(bound, rel=1e-15)
+    assert f.norm1() >= _dense_l1(modes) * (1.0 + 1e-6)
+    c = complex(rng.normal(), rng.normal())
+    one = SemigroupState.single_mode(1, 3, c)
+    assert one.norm1() == TWO_PI * abs(c)
+    assert one.norm1() == pytest.approx(_dense_l1({3: c}), rel=1e-9)
+    # repeated (n, k) entries are merged before their modulus is taken
+    twice = SemigroupState(0j, [1, 1], [3, 3], [c, -c])
+    assert twice.norm1() == 0.0 and twice.coeff(1, 3) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +112,8 @@ def test_fourier_state_algebra():
 # ---------------------------------------------------------------------------
 
 def test_block_generator_multipliers(gen):
-    f = FourierState(2.0, {1: {1: 1.0}, 6: {1: 1.0}})
-    bf = apply_block_generator(gen, f)
+    f = SemigroupState(2.0, [1, 6], [1, 1], [1.0, 1.0])
+    bf = apply_generator(gen, f)             # no mode 0: B f off the head
     assert bf.head == -2.0
     q1 = gen.weights.value(1)
     assert bf.coeff(1, 1) == pytest.approx(1j - q1)
@@ -119,7 +123,7 @@ def test_block_generator_multipliers(gen):
 
 
 def test_apply_generator_couples_head_and_masses(gen):
-    f = FourierState(1.0, {2: {0: 0.25}})
+    f = SemigroupState(1.0, [2], [0], [0.25])
     af = apply_generator(gen, f)
     q2 = gen.weights.value(2)
     # head receives <q, f> and loses itself
@@ -133,7 +137,7 @@ def test_apply_generator_couples_head_and_masses(gen):
 
 def test_mass_derivative_telescopes(gen):
     # d/dt mass = -head * 2^-depth exactly (the truncated coupling)
-    f = FourierState(1.0, {5: {0: 0.125}})
+    f = SemigroupState(1.0, [5], [0], [0.125])
     af = apply_generator(gen, f)
     assert abs(af.mass() + 2.0 ** -gen.depth) < 1e-18
 
@@ -249,6 +253,39 @@ def test_mode_certificate_rejects_small_speeds(gen):
         mode_certificate(gen, Fraction(1, 2))
 
 
+# The certificate's gate is the absolute |residual - q_n| <= 1e-12, which
+# cannot fail once q_n is below 1e-12 (from block 38 on).  A relative gate,
+# or BlockTooDeep where q_n is not a normal float, would close it; the two
+# tests below stay expected failures until then.
+_OPEN_GATE = pytest.mark.xfail(strict=True, raises=AssertionError,
+                               reason="the mode certificate's absolute "
+                                      "1e-12 gate cannot fail at deep "
+                                      "blocks")
+
+
+@_OPEN_GATE
+def test_mode_certificate_refuses_a_block_whose_weight_underflows(gen):
+    # q_1830 = 2^-1830 / (2 pi) rounds to 0.0, and a residual of 0.0 there
+    # certifies nothing
+    try:
+        c = mode_certificate(gen, Fraction(15, 7))
+    except BlockTooDeep:
+        return
+    assert (c.block_index, c.q_n, c.residual) == (1830, 0.0, 0.0)
+    assert not c.matches
+
+
+@_OPEN_GATE
+def test_mode_certificate_gate_rejects_a_zero_residual(gen, monkeypatch):
+    # negative control: a generator map that returns the zero state makes
+    # the residual 0, which must not match q_78 = 5.3e-25
+    monkeypatch.setattr(semigroup, "apply_generator",
+                        lambda g, z, lam: SemigroupState())
+    c = mode_certificate(gen, Fraction(7, 3))
+    assert (c.block_index, c.residual) == (78, 0.0)
+    assert not c.matches
+
+
 # ---------------------------------------------------------------------------
 # evolution
 # ---------------------------------------------------------------------------
@@ -266,7 +303,7 @@ def test_chain_generator_columns_balance(gen):
 
 
 def test_evolve_identity_at_zero(gen):
-    f0 = FourierState(0.3, {2: {0: 0.1}, 6: {1: 0.2j}})
+    f0 = SemigroupState(0.3, [2, 6], [0, 1], [0.1, 0.2j])
     f = evolve(gen, f0, 0.0)
     assert abs(f.head - 0.3) < 1e-15
     assert abs(f.coeff(2, 0) - 0.1) < 1e-15
@@ -274,7 +311,7 @@ def test_evolve_identity_at_zero(gen):
 
 
 def test_evolve_semigroup_property(gen):
-    f0 = FourierState.head_unit()
+    f0 = SemigroupState(1.0)
     a = evolve(gen, evolve(gen, f0, 1.7), 2.3)
     b = evolve(gen, f0, 4.0)
     assert abs(a.head - b.head) < 1e-12
@@ -283,7 +320,7 @@ def test_evolve_semigroup_property(gen):
 
 
 def test_evolve_conserves_mass_and_positivity(gen):
-    f0 = FourierState.head_unit()
+    f0 = SemigroupState(1.0)
     for t in (1.0, 10.0, 50.0):
         ft = evolve(gen, f0, t)
         assert abs(ft.mass().real - 1.0) < 1e-8
@@ -293,7 +330,7 @@ def test_evolve_conserves_mass_and_positivity(gen):
 
 
 def test_evolve_single_mode_decay(gen):
-    z = FourierState.single_mode(6, 1, 1.0 / TWO_PI)
+    z = SemigroupState.single_mode(6, 1, 1.0 / TWO_PI)
     q6 = gen.weights.value(6)
     for t in (0.5, 3.0, 25.0):
         zt = evolve(gen, z, t)
@@ -304,55 +341,66 @@ def test_evolve_single_mode_decay(gen):
 
 
 def test_evolve_deep_blocks_decay_decoupled(gen):
-    f0 = FourierState(0j, {45: {0: 1.0}})    # beyond the chain depth
+    f0 = SemigroupState(0j, [45], [0], [1.0])   # beyond the chain depth
     ft = evolve(gen, f0, 2.0)
     q45 = gen.weights.value(45)
     assert abs(ft.coeff(45, 0) - math.exp(-2.0 * q45)) < 1e-14
 
 
 def test_evolve_approximates_generator(gen):
-    f0 = FourierState(1.0, {3: {0: 0.2}, 6: {1: 0.1}})
+    f0 = SemigroupState(1.0, [3, 6], [0, 1], [0.2, 0.1])
     af = apply_generator(gen, f0)
     errs = []
     for h in (1e-2, 1e-3, 1e-4):
         fh = evolve(gen, f0, h)
-        errs.append(((1.0 / h) * (fh - f0) - af).norm1())
+        errs.append(_combination((1.0 / h, fh), (-1.0 / h, f0),
+                                 (-1.0, af)).norm1())
     slope = np.polyfit(np.log([1e-2, 1e-3, 1e-4]), np.log(errs), 1)[0]
     assert slope >= 0.9
 
 
+def _combination(*terms):
+    """sum s * f over the (s, f) terms, as one state that repeats the
+    (n, k) pairs the terms share"""
+    return SemigroupState(sum(s * f.head for s, f in terms),
+                          np.concatenate([f.n for _, f in terms]),
+                          np.concatenate([f.k for _, f in terms]),
+                          np.concatenate([s * f.c for s, f in terms]))
+
+
 def _per_time_evolve(g, f0, t, n_chain=None):
     """The one-exponential-per-time orbit that the stepped one replaced,
-    with the same exponential."""
+    with the same exponential and a Python exponential per entry."""
     n_chain = g.depth if n_chain is None else n_chain
-    out = FourierState(0j)
+    entries = {}
     v0 = np.zeros(n_chain + 1, dtype=complex)
     v0[0] = f0.head
-    for n, modes in f0.blocks.items():
-        for k, c in modes.items():
-            if k == 0 and n <= n_chain:
-                v0[n] += c
-                continue
-            q = g.weights.value(n)
-            rate = (1j * g.omega_float(n, k) - q) if k != 0 else -q
-            out.set_coeff(n, k, c * cmath.exp(rate * t))
+    for n, k, c in zip(f0.n.tolist(), f0.k.tolist(), f0.c.tolist()):
+        if k == 0 and n <= n_chain:
+            v0[n] += c
+            continue
+        q = g.weights.value(n)
+        rate = (1j * g.omega_float(n, k) - q) if k != 0 else -q
+        entries[n, k] = c * cmath.exp(rate * t)
     vt = expm(t * chain_generator(g, n_chain)) @ v0
-    out.head += vt[0]
     for n in range(1, n_chain + 1):
-        if vt[n] != 0:
-            out.set_coeff(n, 0, out.coeff(n, 0) + vt[n])
-    return out
+        entries[n, 0] = entries.get((n, 0), 0j) + vt[n]
+    return SemigroupState(vt[0], [n for n, _ in entries],
+                          [k for _, k in entries], list(entries.values()))
 
 
-_STATES = [FourierState.head_unit(),
-           FourierState(0.3, {2: {0: 0.1}, 6: {1: 0.2j}, 45: {0: 0.05}}),
-           FourierState.single_mode(6, 1, 1.0 / TWO_PI)]
+_STATES = [SemigroupState(1.0),
+           SemigroupState(0.3, [2, 6, 45], [0, 1, 0], [0.1, 0.2j, 0.05]),
+           SemigroupState.single_mode(6, 1, 1.0 / TWO_PI)]
 
 
 def _bits(state):
+    """head and the nonzero coefficients by (n, k), for a state whose
+    (n, k) pairs do not repeat"""
     return (complex(state.head),
-            {n: {k: complex(c) for k, c in m.items()}
-             for n, m in state.blocks.items()})
+            {(n, k): complex(c) for n, k, c in zip(
+                state.n.tolist(), state.k.tolist(), state.c.tolist())
+             if c != 0})
 
 
 @pytest.mark.parametrize("f0", _STATES, ids=["head", "mixed", "mode"])
@@ -369,9 +417,8 @@ def test_batched_evolve_starts_as_the_scalar_calls(gen, f0):
         one = evolve(gen, f0, float(times[i]))
         assert orbit.head[i] == one.head
         assert np.signbit(orbit.head[i].real) == np.signbit(one.head.real)
-        for n, modes in orbit.blocks.items():
-            for k, col in modes.items():
-                assert col[i] == one.coeff(n, k)
+        for n, k, col in zip(orbit.n, orbit.k, orbit.c.T):
+            assert col[i] == one.coeff(n, k)
     # the t = 0 row is the initial state itself
     assert orbit.head[0] == f0.head
     for n in range(1, gen.depth + 1):
@@ -379,7 +426,7 @@ def test_batched_evolve_starts_as_the_scalar_calls(gen, f0):
 
 
 def test_batched_evolve_stays_close_and_nonnegative(gen):
-    f0 = FourierState.head_unit()
+    f0 = SemigroupState(1.0)
     times = np.linspace(0.0, 500.0, 2001)
     orbit = evolve(gen, f0, times)
     chain = np.column_stack([orbit.head] + [orbit.coeff(n, 0)
@@ -399,7 +446,7 @@ def test_batched_evolve_needs_one_exponential_per_increment(gen,
     calls = []
     monkeypatch.setattr(semigroup, "expm",
                         lambda a: calls.append(a) or expm(a))
-    evolve(gen, FourierState.head_unit(), np.linspace(0.0, 500.0, 2001))
+    evolve(gen, SemigroupState(1.0), np.linspace(0.0, 500.0, 2001))
     assert len(calls) == 2                   # increments 0 and 0.25
 
 
@@ -409,4 +456,4 @@ def test_batched_evolve_needs_one_exponential_per_increment(gen,
                               "negative-scalar", "nan-scalar"])
 def test_evolve_rejects_bad_times(gen, t):
     with pytest.raises(ValueError):
-        evolve(gen, FourierState.head_unit(), t)
+        evolve(gen, SemigroupState(1.0), t)
