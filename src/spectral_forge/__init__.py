@@ -21,8 +21,7 @@ from .scanner import EigCertificate, ScanReport, residual_certificate, \
     scan_unit_circle
 from .finite import (FiniteOperator, SpectrumResult, build_finite_section,
                      convergence_table, factorization_crosscheck,
-                     finite_spectrum, secular_value, strongly_connected,
-                     tarjan_scc)
+                     finite_spectrum, secular_value, strongly_connected)
 from .semigroup import (GeneratorSpec, ModeCertificate, RationalSchedule,
                         SemigroupState, apply_generator, chain_generator,
                         evolve, mode_certificate, scan_imaginary_axis)

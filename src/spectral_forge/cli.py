@@ -25,7 +25,7 @@ from .finite import convergence_table, finite_spectrum, section_limit, \
     strongly_connected
 from .io import Lookup, write_csv, write_json
 from .model import GroupUnionSpec, WeightSeq
-from .resolvent import CERTIFIED, SINGULAR, _S_GAP_GUARD
+from .resolvent import CERTIFIED, SINGULAR, _MAX_TERMS, _S_GAP_GUARD
 from .scanner import (CERT_SLOP, VERDICTS, certificate_matches,
                       scan_unit_circle, verdict_counts)
 from .semigroup import GeneratorSpec, RationalSchedule, SemigroupState, \
@@ -317,6 +317,7 @@ def cmd_scan_axis(args) -> int:
     mismatches = b[report.certified != expected].tolist()
     write_json(_out_path(cfg, "scan_axis.json"), {
         "depth": g.depth,
+        "series_terms": min(g.depth, _MAX_TERMS),
         "counts": report.counts(),
         "mismatched_betas": mismatches,
     })

@@ -48,7 +48,6 @@ from .model import GroupUnionSpec, WeightSeq, union_points
 __all__ = [
     "FiniteOperator",
     "build_finite_section",
-    "tarjan_scc",
     "strongly_connected",
     "secular_value",
     "secular_roots",
@@ -119,64 +118,24 @@ def build_finite_section(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
 
 
 # ---------------------------------------------------------------------------
-# strong connectivity (Tarjan, iterative)
+# strong connectivity
 # ---------------------------------------------------------------------------
 
-def tarjan_scc(adj: List[List[int]]) -> List[List[int]]:
-    """Strongly connected components of a digraph given as adjacency lists."""
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: List[int] = []
-    comps: List[List[int]] = []
-    counter = 0
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(adj[v])):
-                u = adj[v][k]
-                if index[u] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((u, 0))
-                    advanced = True
-                    break
-                if on_stack[u]:
-                    low[v] = min(low[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp.append(u)
-                    if u == v:
-                        break
-                comps.append(comp)
-    return comps
-
-
 def strongly_connected(matrix: np.ndarray, tol: float = 0.0) -> bool:
-    """True when the support digraph of ``matrix`` is one strongly
-    connected component (entries with absolute value > tol are edges)."""
+    """True when the support digraph of ``matrix`` is strongly connected
+    (entries with absolute value > tol are edges, column to row): vertex 0
+    reaches every vertex both along the edges and against them.  Each
+    vertex joins the frontier once, so the search is O(n^2)."""
     m = np.abs(np.asarray(matrix)) > tol
-    adj = [list(np.nonzero(m[:, j])[0]) for j in range(m.shape[0])]
-    return len(tarjan_scc(adj)) == 1
+    for edges in (m, m.T):
+        seen = np.arange(m.shape[0]) == 0
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = edges[:, frontier].any(axis=1) & ~seen
+            seen |= frontier
+        if not seen.all():
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

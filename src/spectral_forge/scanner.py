@@ -27,7 +27,7 @@ from .errors import BlockTooDeep, NotInTargetSet, SpectralForgeError
 from .model import (GroupUnionSpec, WeightSeq, apply_operator, union_points,
                     union_values)
 from .resolvent import (CERTIFIED, SINGULAR, TAIL_INVALID,
-                        coupling_series_batch, _S_GAP_GUARD)
+                        coupling_series_batch, _MAX_TERMS, _S_GAP_GUARD)
 
 __all__ = [
     "CERT_SLOP",
@@ -360,5 +360,6 @@ def scan_unit_circle(spec: GroupUnionSpec, w: WeightSeq,
             "grid_size": grid_size,
             "exclusion_radius": exclusion_radius,
             "depth": depth,
+            "series_terms": min(depth, _MAX_TERMS),
             "cert_block": cert_block,
         })

@@ -1,15 +1,16 @@
 """Seeded property suites bundled behind the ``verify`` command.
 
 Each suite checks one pillar of the construction against an independent
-route (dense inversion, dense eigensolve, brute-force inequalities,
-graph search) and reports a machine-readable pass/fail record.  The
-``corrupt`` flag deliberately mis-signs one formula so the harness can be
-shown to catch regressions.
+route (exact decimal arithmetic, dense eigensolve, graph search) and
+reports a machine-readable pass/fail record.  The ``corrupt`` flag
+deliberately breaks one check of each suite (a bound, a control or a
+measured value) so the harness can be shown to catch regressions.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from decimal import Decimal, localcontext
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -19,6 +20,7 @@ from .finite import build_finite_section, factorization_crosscheck, \
     strongly_connected
 from .io import substream
 from .model import GroupUnionSpec, WeightSeq, stochasticity_check
+from .resolvent import coupling_series_batch
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite", "run_suites"]
 
@@ -33,94 +35,73 @@ class SuiteResult:
 
 
 # ---------------------------------------------------------------------------
-# rank-one update formula vs dense inversion
+# certified denominator disk vs the exact truncated series
 # ---------------------------------------------------------------------------
 
-def _sm_trial(rng, corrupt: bool):
-    size = int(rng.integers(1, 7))
-    a = (rng.standard_normal((size, size))
-         + 1j * rng.standard_normal((size, size))) / np.sqrt(size)
-    w = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    phi = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    update = np.outer(w, phi)          # x -> <phi, x> w with bilinear pairing
+def suite_denominator(seed: int = 0, corrupt: bool = False) -> SuiteResult:
+    """``coupling_series_batch``'s disk must hold the truncated series
+    D_K(lam), K = depth, widened by its tail 2^-K/|lam|.
 
-    for _ in range(50):
-        lam = (2.0 + 2.0 * rng.random()) * np.exp(2j * np.pi * rng.random())
-        base = lam * np.eye(size) - a
-        r = np.linalg.inv(base)
-        gamma = phi @ r @ w
-        if abs(1.0 - gamma) > 0.1:
-            break
-    else:                              # pragma: no cover - measure-zero setup
-        return None
+    Per order set and depth 20 or 60, six seeded lam: three on the rim and
+    three with |lam| in [0.5, 2].  A float lam and q_n = 1/(d 2^n) make
+    D_K(lam) a Gaussian rational; ``Decimal(float)`` is exact, and 60-digit
+    decimal rounds each operation by at most u = 5e-60.  A valid point
+    passes when |den - D_K| + 2^-K/|lam| + delta <= radius, compared as
+    squares; points the kernel calls invalid are not checked.
 
-    sign = -1.0 if corrupt else 1.0
-    via_formula = r + np.outer(r @ w, phi @ r) / (1.0 - sign * gamma)
-    direct = np.linalg.inv(base - update)
-    scale = max(1.0, float(np.abs(direct).max()))
-    formula_err = float(np.abs(via_formula - direct).max()) / scale
+    delta = ((2K + 32)/|lam| + 18) u.  At a valid point |a_n| >= q_n, so
+    |t_n| <= 2^-n and |Re lam - 1| <= 2 |a_n|: the computed a_n is within
+    5u |a_n| and each term within 12u 2^-n; the K - 1 additions err by
+    sqrt(2) u each; the division by lam adds 9u/|lam| and the subtraction
+    from den u (1 + 2/|lam|), so D_K is within ((2K + 32)/|lam| + 2) u.
+    The roundings of the comparison, whose sides are below 1, add 16u.
 
-    # gamma = 1 exactly at the eigenvalues the update creates
-    eigs_updated = np.linalg.eigvals(a + update)
-    eigs_base = np.linalg.eigvals(a)
-    predicate_err = None
-    for lam_star in eigs_updated:
-        if np.min(np.abs(eigs_base - lam_star)) < 1e-3:
-            continue                   # too close to a pole of R(., A)
-        g = phi @ np.linalg.inv(lam_star * np.eye(size) - a) @ w
-        predicate_err = abs(1.0 - g)
-        break
-    return formula_err, predicate_err
-
-
-def suite_sherman_morrison(seed: int = 0, trials: int = 200,
-                           corrupt: bool = False) -> SuiteResult:
-    rng = substream(seed, "sherman-morrison")
-    worst_formula = 0.0
-    worst_predicate = 0.0
-    checks = failures = 0
-    for _ in range(trials):
-        out = _sm_trial(rng, corrupt)
-        if out is None:
-            continue
-        formula_err, predicate_err = out
-        checks += 1
-        worst_formula = max(worst_formula, formula_err)
-        if formula_err > 1e-10:
-            failures += 1
-        if predicate_err is not None:
-            worst_predicate = max(worst_predicate, predicate_err)
-            if predicate_err > 1e-8:
-                failures += 1
-    return SuiteResult("sherman-morrison", failures == 0, checks, failures,
-                       {"worst_formula_error": worst_formula,
-                        "worst_predicate_error": worst_predicate,
-                        "tolerance_formula": 1e-10,
-                        "tolerance_predicate": 1e-8})
-
-
-# ---------------------------------------------------------------------------
-# the strict inequality p < |lam - 1 + p| off lam = 1
-# ---------------------------------------------------------------------------
-
-def suite_circles(seed: int = 0, samples: int = 100_000,
-                  corrupt: bool = False) -> SuiteResult:
-    rng = substream(seed, "circles")
-    p = rng.random(samples)
-    theta = rng.random(samples)
-    lam = np.exp(2j * np.pi * theta)
-    keep = lam != 1.0
-    p, lam = p[keep], lam[keep]
-    if not p.size:
-        raise NoSamples(f"circles: none of the {samples} samples has "
-                        "lambda != 1, so nothing was checked")
-    if corrupt:
-        p = 2.0 - p                    # push the weights outside [0,1)
-    shifted = np.abs(lam - 1.0 + p)
-    violations = int(np.count_nonzero(~(p < shifted)))
-    margin = float(np.min(shifted - p))
-    return SuiteResult("circles", violations == 0, int(p.size), violations,
-                       {"min_margin": margin, "samples": int(p.size)})
+    ``corrupt`` drops the rounding term: the radius becomes the tail
+    2^-K/|lam| (1 + 2^-48) alone, which the float evaluation misses.
+    """
+    rng = substream(seed, "denominator")
+    u = Decimal("5e-60")               # unit roundoff of 60-digit decimal
+    checks = failures = invalid = 0
+    worst = 0.0
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for d in (1, 5, 10, 12):         # orders (1,), (2,3), (4,6), (5,7)
+            w = WeightSeq.dyadic_single(d)
+            for depth in (20, 60):
+                mod = np.r_[np.ones(3), 0.5 + 1.5 * rng.random(3)]
+                lams = mod * np.exp(2j * np.pi * rng.random(6))
+                den, radius, valid = coupling_series_batch(w, lams, depth)
+                if corrupt:
+                    radius = w.tail_mass(depth) / np.abs(lams) \
+                        * (1.0 + 2.0 ** -48)
+                invalid += int(np.count_nonzero(~valid))
+                terms = [(1 / Decimal(d << n), 1 / Decimal(d << 2 * n))
+                         for n in range(1, depth + 1)]
+                for lam, c, r in zip(lams[valid], den[valid], radius[valid]):
+                    lr, y = Decimal(lam.real), Decimal(lam.imag)
+                    x, yy = lr - 1, y * y
+                    sr = si = Decimal(0)
+                    for q, cn in terms:  # t_n = c_n / (lam - 1 + q_n)
+                        ar = x + q
+                        s = ar * ar + yy
+                        sr += ar * cn / s
+                        si -= y * cn / s
+                    l2 = lr * lr + yy
+                    er = Decimal(c.real) - 1 + (sr * lr + si * y) / l2
+                    ei = Decimal(c.imag) - (sr * y - si * lr) / l2
+                    err2 = er * er + ei * ei
+                    slack = Decimal(r) - 18 * u - (
+                        Decimal(w.tail_mass(depth)) + (2 * depth + 32) * u
+                    ) / l2.sqrt()
+                    checks += 1
+                    failures += slack < 0 or err2 > slack * slack
+                    worst = max(worst, float(err2.sqrt() / Decimal(r)))
+    if not checks:
+        raise NoSamples(f"denominator: the kernel called none of the "
+                        f"{invalid} points valid, so nothing was checked")
+    return SuiteResult("denominator", failures == 0, checks, failures,
+                       {"worst_error_over_radius": worst,
+                        "invalid_points": invalid})
 
 
 # ---------------------------------------------------------------------------
@@ -158,18 +139,13 @@ def suite_connectivity(seed: int = 0, corrupt: bool = False) -> SuiteResult:
         spec = GroupUnionSpec(orders)
         w = WeightSeq.dyadic_single(spec.d)
         op = build_finite_section(spec, w, n_blocks)
-        checks += 1
-        if not strongly_connected(op.matrix):
-            failures += 1
         # negative control: removing the head coupling must disconnect
         uncoupled = op.matrix.copy()
-        uncoupled[0, :] = 0.0
-        uncoupled[:, 0] = 0.0
-        if corrupt:
-            uncoupled = op.matrix
-        checks += 1
-        if strongly_connected(uncoupled):
-            failures += 1
+        if not corrupt:
+            uncoupled[0, :] = uncoupled[:, 0] = 0.0
+        checks += 2
+        failures += (not strongly_connected(op.matrix)) \
+            + strongly_connected(uncoupled)
     return SuiteResult("connectivity", failures == 0, checks, failures, {})
 
 
@@ -206,8 +182,7 @@ def suite_factorization(seed: int = 0, corrupt: bool = False) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 _SUITES = {
-    "sherman-morrison": suite_sherman_morrison,
-    "circles": suite_circles,
+    "denominator": suite_denominator,
     "stochasticity": suite_stochasticity,
     "connectivity": suite_connectivity,
     "factorization": suite_factorization,

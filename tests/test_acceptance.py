@@ -72,20 +72,20 @@ def test_2_coupling_series_stays_strictly_below_one():
             f"<= {worst:.4f} < 1, {failures} failures")
 
 
-def test_3_rank_one_update_formula_matches_dense_inversion():
+def test_3_certified_denominator_holds_the_exact_series():
+    # D(lam) = 1 - <q, R(lam,S) q>/lam against its truncated series in
+    # 60-digit decimal, at seeded lam on and off the rim, orders (1,),
+    # (2,3), (4,6), (5,7) and depths 20, 60; the tail-only radius must fail
     t0 = time.perf_counter()
-    res = run_suite("sherman-morrison", seed=0)
+    res = run_suite("denominator", seed=0)
     elapsed = time.perf_counter() - t0
-    _report("3 rank-one update", res.passed and elapsed < 1.0,
-            f"{res.checks} checks (200 trials, sizes 1-6) to 1e-10/1e-8, "
-            f"{res.failures} failures, {elapsed:.2f}s < 1s")
-
-
-def test_4_circle_inequality_brute_force():
-    res = run_suite("circles", seed=0)
-    _report("4 circle inequality", res.passed and res.checks == 100_000,
-            f"p < |lam - 1 + p| in {res.checks} random samples, "
-            f"{res.failures} violations")
+    bad = run_suite("denominator", seed=0, corrupt=True)
+    worst = res.detail["worst_error_over_radius"]
+    _report("3 certified denominator",
+            res.passed and bad.failures == bad.checks and elapsed < 1.0,
+            f"{res.checks} points inside the disk, worst |den - D_K| = "
+            f"{worst:.3f} radius; tail-only radius misses "
+            f"{bad.failures}/{bad.checks}, {elapsed:.3f}s < 1s")
 
 
 def test_5_finite_sections_reproduce_the_peripheral_targets():

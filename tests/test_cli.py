@@ -18,6 +18,7 @@ import pytest
 from spectral_forge import cli, io
 from spectral_forge.finite import EigRecord, convergence_table, finite_spectrum
 from spectral_forge.scanner import EigCertificate, scan_unit_circle
+from spectral_forge.verify import SUITE_NAMES
 
 
 def run(tmp_path, *argv):
@@ -167,8 +168,8 @@ def test_scan_circle_default_artifacts_are_pinned(tmp_path):
     assert digests == {
         "scan_circle.csv": "6dc9d3b189301f8e719c7ad55c4c70bc8f915020b935fc"
                            "fffa9be8e86ab06e64",
-        "scan_circle.json": "46bb2793517be79733340a4d7ed2dacf9a749b432fc012"
-                            "d5a8382b3fa4daad22",
+        "scan_circle.json": "68033fb51b242e3661d1deff25e8daa0571bcbb5a66fb6"
+                            "fc67ed8e893d09f424",
     }
 
 
@@ -186,8 +187,8 @@ def test_scan_circle_multi_chunk_artifacts_are_pinned(tmp_path):
     assert sha256_of(tmp_path, "scan_circle.csv", "scan_circle.json") == {
         "scan_circle.csv": "aff6a4462987f06254b30f154de781e489633087f305f1"
                            "bde7ccba025e90359c",
-        "scan_circle.json": "8e43be81857e8af94bc30a3ee5d12dfca008f95ed251cf"
-                            "c1534bf2e2a1f3c2e1",
+        "scan_circle.json": "6c8bb6682ec98bbd1814154c649508946f4ad91d4adf2a"
+                            "0846dc7fd6f796317d",
     }
 
 
@@ -205,10 +206,10 @@ def sha256_without_block_bound(tmp_path):
 
 @pytest.mark.parametrize("argv,digests", [
     ([], ("d9adf4f9a8fdc90b77f149aa1f7c4c858f0ce18b9f9a943b0d179496b5ef8947",
-          "29faec5ce3f6d4e40c8ec8ae59a8abbac15108cc3fb1e65f6d4fc3b9f7e508c9")),
+          "3dd33d2dc7977a92104de1a21165b8998e117098a5f1299a4afb678569c37ead")),
     (["--orders", "4,6", "--depth", "60", "--grid", "20011"],
      ("8d1c9312783bad35d5f76dcfaeed84da2cdb6db2a7178c59fbd1e8427e256845",
-      "bc12063d542d28ea194c40d195e633598d4206e42c456022e494cf79e33fb6e9")),
+      "8d12d6c6913953a74c536238774e1d8ec5334a2dc0ac00986d6bfba133888830")),
 ], ids=["default", "grid-20011"])
 def test_scan_circle_columns_outside_the_block_bound_are_pinned(
         tmp_path, argv, digests):
@@ -217,6 +218,20 @@ def test_scan_circle_columns_outside_the_block_bound_are_pinned(
     # denominator radius that includes rounding
     assert run(tmp_path, "scan-circle", *argv) == 0
     assert sha256_without_block_bound(tmp_path) == digests
+
+
+@pytest.mark.parametrize("depth,terms", [(1, 1), (40, 40), (300, 300),
+                                         (301, 300), (1074, 300)])
+def test_scan_json_reports_the_series_terms_summed(tmp_path, depth, terms):
+    # --depth reaches 1074, but the coupling series stops after 300 terms
+    assert run(tmp_path, "scan-circle", "--grid", "12",
+               "--depth", str(depth)) == 0
+    assert run(tmp_path, "semigroup", "scan-axis", "--betas", "0.5",
+               "--depth", str(depth)) == 0
+    for name in ("scan_circle.json", "scan_axis.json"):
+        summary = read_json(tmp_path / name)
+        meta = summary.get("metadata", summary)
+        assert (meta["depth"], meta["series_terms"]) == (depth, terms)
 
 
 @pytest.mark.parametrize("block", ["0", "-3", "45", "60"])
@@ -379,20 +394,36 @@ def test_eigs_and_convergence_csvs_are_pinned(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_verify_single_suite(tmp_path):
-    rc = run(tmp_path, "verify", "--suites", "circles")
+    rc = run(tmp_path, "verify", "--suites", "denominator")
     assert rc == 0
     report = read_json(tmp_path / "verify.json")
     assert report["all_passed"] is True
-    assert list(report["suites"]) == ["circles"]
-    assert report["suites"]["circles"]["failures"] == 0
+    assert list(report["suites"]) == ["denominator"]
+    assert report["suites"]["denominator"]["failures"] == 0
 
 
 def test_verify_corrupt_control_fails(tmp_path):
-    rc = run(tmp_path, "verify", "--suites", "sherman-morrison,circles",
-             "--corrupt")
+    assert run(tmp_path, "verify", "--corrupt") == 1
+    report = read_json(tmp_path / "verify.json")
+    assert report["all_passed"] is False
+    assert all(not r["passed"] for r in report["suites"].values())
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_verify_corrupt_control_fails_for_each_suite_alone(tmp_path, suite):
+    # every suite alone must fail its own negative control
+    rc = run(tmp_path, "verify", "--suites", suite, "--corrupt")
     assert rc == 1
     report = read_json(tmp_path / "verify.json")
     assert report["all_passed"] is False
+    assert report["suites"][suite]["failures"] > 0
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_verify_passes_and_the_denominator_control_fails(tmp_path, seed):
+    assert run(tmp_path / "ok", "verify", "--seed", str(seed)) == 0
+    assert run(tmp_path / "bad", "verify", "--suites", "denominator",
+               "--corrupt", "--seed", str(seed)) == 1
 
 
 def test_verify_unknown_suite_is_usage_error(tmp_path):
@@ -417,12 +448,13 @@ def test_verify_reports_are_reproducible(tmp_path):
 
 
 @pytest.mark.parametrize("seed,digest", [
-    ("0", "9c6d9b4fc83867e710730d0a9b026133bb9098c3d98b6dde6713cb64bb07ddd2"),
-    ("7", "f0b6a5d0ec59b06a7bc20a9c25f7499e151221bf1860c75e62be4abb36676692"),
-])
+    ("0", "44c799756ae1b84f1c003365274501423adbff9d7fe794b84472592db19c8e63"),
+    ("7", "79bb9bf61964faf1b6f3fd5fa3c8c7b66cadeb11d6ba1ae69cda4d60a5bca1a9"),
+], ids=["seed-0", "seed-7"])
 def test_verify_report_is_pinned(tmp_path, seed, digest):
-    # sha256 of verify.json as written with the per-subset cofactor loop;
-    # the layered expansion must reproduce every determinant bit for bit
+    # sha256 of verify.json as written with the denominator suite in place
+    # of sherman-morrison and circles; the factorization cases must keep
+    # every determinant bit of the per-subset cofactor loop
     assert run(tmp_path, "verify", "--seed", seed) == 0
     assert hashlib.sha256(
         (tmp_path / "verify.json").read_bytes()).hexdigest() == digest
@@ -518,8 +550,8 @@ def test_semigroup_scan_axis_default_artifacts_are_pinned(tmp_path):
     assert digests == {
         "scan_axis.csv": "3a094739fce9a2bc05e4df082b3f2e8c73a440e4a81982"
                          "6ff9235a37fed155b5",
-        "scan_axis.json": "5a203e2b11326b6c2799c8cedae1fff41f146f570ced6b"
-                          "fcea7098066047d789",
+        "scan_axis.json": "77d3ecc49964619da7839a7ee265259d77c91637f69e81"
+                          "3df1f9e9115f7dc070",
     }
 
 

@@ -14,8 +14,7 @@ from spectral_forge.finite import (_block_eig_vectors, _block_residual,
                                    build_finite_section, cofactor_det_batch,
                                    convergence_table, factorization_crosscheck,
                                    finite_spectrum, secular_roots,
-                                   secular_value, strongly_connected,
-                                   tarjan_scc)
+                                   secular_value, strongly_connected)
 from spectral_forge.model import (GroupUnionSpec, WeightSeq, union_points,
                                   union_values)
 from spectral_forge.verify import _FACTORIZATION_CASES
@@ -80,23 +79,62 @@ def test_build_rejects_empty_section():
 # strong connectivity
 # ---------------------------------------------------------------------------
 
-def test_tarjan_on_known_graphs():
-    # two 2-cycles joined one-way: two components
-    adj = [[1], [0], [3, 0], [2]]
-    comps = tarjan_scc(adj)
-    assert sorted(sorted(c) for c in comps) == [[0, 1], [2, 3]]
-    # a single cycle through all vertices
-    ring = [[(i + 1) % 5] for i in range(5)]
-    assert len(tarjan_scc(ring)) == 1
-    # DAG: every vertex its own component
-    dag = [[1, 2], [2], []]
-    assert len(tarjan_scc(dag)) == 3
+def _digraph(n, edges):
+    """Matrix with a nonzero (row v, column u) for each edge u -> v."""
+    m = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        m[v, u] = True
+    return m
 
 
-def test_tarjan_handles_deep_paths_iteratively():
+@pytest.mark.parametrize("n,edges,connected", [
+    (5, [(i, (i + 1) % 5) for i in range(5)], True),
+    # two 2-cycles joined one way
+    (4, [(0, 1), (1, 0), (2, 3), (3, 2), (2, 0)], False),
+    (3, [(0, 1), (0, 2), (1, 2)], False),
+    (1, [], True),
+], ids=["5-ring", "two-2-cycles-one-way", "dag", "one-vertex"])
+def test_strongly_connected_on_known_graphs(n, edges, connected):
+    m = _digraph(n, edges)
+    assert strongly_connected(m) is connected
+    assert strongly_connected(m.T) is connected
+
+
+def test_strongly_connected_on_a_long_path_and_ring():
+    # 5000 frontier steps each way; a path is one-way, a ring is not
     n = 5000
-    path = [[i + 1] for i in range(n - 1)] + [[]]
-    assert len(tarjan_scc(path)) == n       # would overflow a recursive version
+    path = _digraph(n, [(i, i + 1) for i in range(n - 1)])
+    assert not strongly_connected(path)
+    ring = path.copy()
+    ring[0, n - 1] = True
+    assert strongly_connected(ring)
+
+
+def test_strongly_connected_respects_the_tolerance():
+    m = 0.5 * _digraph(3, [(0, 1), (1, 2), (2, 0)])
+    assert strongly_connected(m, tol=0.25)
+    assert not strongly_connected(m, tol=0.5)
+
+
+def _scipy_strongly_connected(matrix):
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    count, _ = csgraph.connected_components(matrix != 0.0, directed=True,
+                                            connection="strong")
+    return count == 1
+
+
+@pytest.mark.parametrize("orders", [(1,), (2, 3), (4, 6), (5, 7)])
+def test_strongly_connected_agrees_with_scipy_on_every_section(orders):
+    # the sections eigs builds (N = 1..40, both normalisations) and the
+    # coupled and uncoupled ones the connectivity suite builds
+    spec, w = _setup(orders)
+    for n in range(1, 41):
+        for renormalize in (True, False):
+            op = build_finite_section(spec, w, n, renormalize)
+            uncoupled = op.matrix.copy()
+            uncoupled[0, :] = uncoupled[:, 0] = 0.0
+            for m in (op.matrix, uncoupled):
+                assert strongly_connected(m) == _scipy_strongly_connected(m)
 
 
 def test_sections_strongly_connected_and_control():
