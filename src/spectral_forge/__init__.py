@@ -11,8 +11,7 @@ against finite sections, residual certificates and dense oracles.
 """
 
 from .errors import (BlockTooDeep, ExponentialUnresolved, NoSamples,
-                     NotInTargetSet, PoleHit, RootCountMismatch,
-                     SpectralForgeError)
+                     NotInTargetSet, RootCountMismatch, SpectralForgeError)
 from .model import (GroupUnionSpec, WeightSeq, apply_operator,
                     stochasticity_check, union_points, union_values)
 from .resolvent import (CERTIFIED, SINGULAR, TAIL_INVALID,
@@ -21,7 +20,7 @@ from .scanner import EigCertificate, ScanReport, residual_certificate, \
     scan_unit_circle
 from .finite import (FiniteOperator, SpectrumResult, build_finite_section,
                      convergence_table, factorization_crosscheck,
-                     finite_spectrum, secular_value, strongly_connected)
+                     finite_spectrum, strongly_connected)
 from .semigroup import (GeneratorSpec, ModeCertificate, RationalSchedule,
                         SemigroupState, apply_generator, chain_generator,
                         evolve, mode_certificate, scan_imaginary_axis)

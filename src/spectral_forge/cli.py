@@ -20,26 +20,25 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import ExponentialUnresolved, SpectralForgeError
+from .errors import BlockTooDeep, ExponentialUnresolved, SpectralForgeError
 from .finite import convergence_table, finite_spectrum, section_limit, \
     strongly_connected
 from .io import Lookup, write_csv, write_json
 from .model import GroupUnionSpec, WeightSeq
-from .resolvent import CERTIFIED, SINGULAR, _MAX_TERMS, _S_GAP_GUARD
-from .scanner import (CERT_SLOP, VERDICTS, certificate_matches,
-                      scan_unit_circle, verdict_counts)
-from .semigroup import GeneratorSpec, RationalSchedule, SemigroupState, \
-    evolve, mode_certificate, scan_imaginary_axis
+from .resolvent import CERTIFIED, SINGULAR, VERDICTS, _MAX_TERMS, \
+    _S_GAP_GUARD
+from .scanner import CERT_SLOP, scan_unit_circle
+from .semigroup import GeneratorSpec, SemigroupState, evolve, \
+    mode_certificate, scan_imaginary_axis
 from .verify import SUITE_NAMES, run_suites
 
 _CONFIG_KEYS = {
-    "orders", "weight_rule", "truncation_depth", "grid_size",
+    "orders", "truncation_depth", "grid_size",
     "exclusion_radius", "seed", "out",
 }
 
 _DEFAULTS = {
     "orders": (2, 3),
-    "weight_rule": "dyadic",
     "truncation_depth": 40,
     "grid_size": 3600,
     "exclusion_radius": 0.05,
@@ -114,9 +113,6 @@ def _resolve_config(args) -> dict:
         raise UsageError(f"orders: cyclic orders must be >= 1, got {bad}")
     cfg["orders"] = parsed
 
-    if cfg["weight_rule"] != "dyadic":
-        raise UsageError(f"weight_rule: only 'dyadic' is implemented, "
-                         f"got {cfg['weight_rule']!r}")
     depth = cfg["truncation_depth"]
     if not _is_int(depth) or not 1 <= depth <= _MAX_DEPTH:
         raise UsageError(
@@ -170,15 +166,12 @@ def cmd_scan_circle(args) -> int:
     if args.cert_block < 1:
         raise UsageError(f"cert-block: need a block index >= 1, "
                          f"got {args.cert_block}")
-    q = w.value(args.cert_block)
-    if q <= CERT_SLOP:
-        raise UsageError(
-            f"cert-block: q_{args.cert_block} = {q:.3e} is within the "
-            f"{CERT_SLOP:g} rounding slop of 0, so the residual check "
-            f"could not fail; use a shallower block")
-    report = scan_unit_circle(spec, w, cfg["grid_size"],
-                              float(cfg["exclusion_radius"]), depth,
-                              cert_block=args.cert_block)
+    try:
+        report = scan_unit_circle(spec, w, cfg["grid_size"],
+                                  float(cfg["exclusion_radius"]), depth,
+                                  cert_block=args.cert_block)
+    except BlockTooDeep as exc:
+        raise UsageError(f"cert-block: {exc}; use a shallower block")
 
     codes = report.codes
     write_csv(_out_path(cfg, "scan_circle.csv"),
@@ -188,14 +181,13 @@ def cmd_scan_circle(args) -> int:
                Lookup(np.array(VERDICTS, dtype=bytes), codes),
                report.den_lower, report.block_bounds])
 
-    # each residual must match its closed form q_n * (1 + |<1, z>|) up to the
-    # rounding of (1-q)*z - z in the forward map; ``threshold`` is the
-    # largest closed form plus that slop, kept in the JSON for reference
-    threshold = 2.0 * q + CERT_SLOP
-    cert_ok = all(certificate_matches(c.residual, q, c.inner_abs)
-                  for c in report.certificates)
+    # each residual must match its closed form q_n * (1 + |<1, z>|), which
+    # the scanner records as ``matches``; ``threshold`` is the largest
+    # closed form plus the rounding slop, kept in the JSON for reference
+    threshold = 2.0 * w.value(args.cert_block) + CERT_SLOP
+    cert_ok = all(c.matches for c in report.certificates)
     rim_ok = not codes[~report.excluded].any()
-    counts = verdict_counts(codes)
+    counts = report.counts()
 
     write_json(_out_path(cfg, "scan_circle.json"), {
         "metadata": report.metadata,
@@ -277,11 +269,6 @@ def cmd_convergence(args) -> int:
 # semigroup commands
 # ---------------------------------------------------------------------------
 
-def _generator(cfg: dict) -> GeneratorSpec:
-    return GeneratorSpec(WeightSeq.dyadic_semigroup(), RationalSchedule(),
-                         cfg["truncation_depth"])
-
-
 def _parse_betas(text: Optional[str]) -> List[float]:
     if text is None:
         # default grid: +-0.05..0.95 plus the showcase point beta = 0
@@ -299,7 +286,7 @@ def _parse_betas(text: Optional[str]) -> List[float]:
 
 def cmd_scan_axis(args) -> int:
     cfg = _resolve_config(args)
-    g = _generator(cfg)
+    g = GeneratorSpec(cfg["truncation_depth"])
     betas = _parse_betas(args.betas)
     report = scan_imaginary_axis(g, betas)
 
@@ -336,7 +323,7 @@ def _parse_rationals(text: str) -> List[Fraction]:
 
 def cmd_cert(args) -> int:
     cfg = _resolve_config(args)
-    g = _generator(cfg)
+    g = GeneratorSpec(cfg["truncation_depth"])
     speeds = _parse_rationals(args.r)
     if not speeds or min(speeds) < 1:
         raise UsageError(f"r: need one or more speeds >= 1, got {args.r!r}")
@@ -356,7 +343,7 @@ def cmd_cert(args) -> int:
 
 def cmd_evolve(args) -> int:
     cfg = _resolve_config(args)
-    g = _generator(cfg)
+    g = GeneratorSpec(cfg["truncation_depth"])
     f0 = SemigroupState(1.0)
     if args.mode:
         try:

@@ -26,9 +26,5 @@ class NoSamples(SpectralForgeError):
     not fail."""
 
 
-class PoleHit(SpectralForgeError):
-    """A scalar evaluation landed on (or too close to) a pole."""
-
-
 class RootCountMismatch(SpectralForgeError):
     """Eigenvalue bookkeeping of a finite section does not add up."""

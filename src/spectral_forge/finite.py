@@ -42,20 +42,20 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import PoleHit, RootCountMismatch
+from .errors import RootCountMismatch
 from .model import GroupUnionSpec, WeightSeq, union_points
 
 __all__ = [
     "FiniteOperator",
     "build_finite_section",
     "strongly_connected",
-    "secular_value",
     "secular_roots",
     "section_limit",
     "EigRecord",
     "SpectrumResult",
     "finite_spectrum",
     "cofactor_det_batch",
+    "CROSSCHECK_TOL",
     "factorization_crosscheck",
     "convergence_table",
 ]
@@ -121,12 +121,12 @@ def build_finite_section(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
 # strong connectivity
 # ---------------------------------------------------------------------------
 
-def strongly_connected(matrix: np.ndarray, tol: float = 0.0) -> bool:
+def strongly_connected(matrix: np.ndarray) -> bool:
     """True when the support digraph of ``matrix`` is strongly connected
-    (entries with absolute value > tol are edges, column to row): vertex 0
+    (nonzero entries are edges, column to row): vertex 0
     reaches every vertex both along the edges and against them.  Each
     vertex joins the frontier once, so the search is O(n^2)."""
-    m = np.abs(np.asarray(matrix)) > tol
+    m = np.abs(np.asarray(matrix)) > 0.0
     for edges in (m, m.T):
         seen = np.arange(m.shape[0]) == 0
         frontier = seen.copy()
@@ -136,31 +136,6 @@ def strongly_connected(matrix: np.ndarray, tol: float = 0.0) -> bool:
         if not seen.all():
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# secular function
-# ---------------------------------------------------------------------------
-
-_POLE_GUARD = 1e-14
-
-
-def secular_value(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
-                  lam: complex, renormalize: bool = True) -> complex:
-    """phi_N(lam) = 1 - (1/lam) sum_n d q_n^2 / (lam - 1 + q_n).
-
-    Zeros (with the poles at 0 and 1 - q_n known exactly) enumerate the
-    head-chain eigenvalues of the finite section.  Raises PoleHit within
-    1e-14 of a pole.
-    """
-    lam = complex(lam)
-    qs = _section_weights(w, n_blocks, renormalize)
-    if abs(lam) < _POLE_GUARD:
-        raise PoleHit("lam is numerically at the pole 0")
-    diffs = lam - (1.0 - qs)
-    if np.any(np.abs(diffs) < _POLE_GUARD):
-        raise PoleHit("lam is numerically at a chain pole 1 - q_n")
-    return complex(1.0 - (spec.d * qs ** 2 / diffs).sum() / lam)
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +459,10 @@ def cofactor_det_batch(a: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return prev[0]
 
 
+# largest relative mismatch of the two determinants the cross-check passes
+CROSSCHECK_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class CrosscheckReport:
     n_blocks: int
@@ -494,15 +473,15 @@ class CrosscheckReport:
 
 
 def factorization_crosscheck(spec: GroupUnionSpec, w: WeightSeq,
-                             n_blocks: int, seed: int = 0,
-                             tol: float = 1e-8) -> CrosscheckReport:
+                             n_blocks: int, seed: int = 0) -> CrosscheckReport:
     """Polynomial identity test: eigenvalue multiset vs characteristic
     polynomial.
 
     Samples 2 * dim random points in the disk of radius 2 and compares the
     cofactor determinant of (lam - T_N) with the product over the computed
     spectrum.  Agreement at dim+1 or more points pins the monic polynomial,
-    so matching at 2*dim points to ``tol`` certifies the multiset.
+    so matching at 2*dim points to ``CROSSCHECK_TOL`` certifies the
+    multiset.
     """
     result = finite_spectrum(spec, w, n_blocks)
     a = result.operator.matrix
@@ -514,7 +493,8 @@ def factorization_crosscheck(spec: GroupUnionSpec, w: WeightSeq,
     prods = np.prod(lams[:, None] - result.values()[None, :], axis=1)
     scale = np.maximum(1.0, np.maximum(np.abs(dets), np.abs(prods)))
     err = float(np.max(np.abs(dets - prods) / scale))
-    return CrosscheckReport(n_blocks, dim, len(lams), err, err <= tol)
+    return CrosscheckReport(n_blocks, dim, len(lams), err,
+                            err <= CROSSCHECK_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -89,9 +89,6 @@ def _format_cell(x) -> str:
         return str(int(x))
     if isinstance(x, (float, np.floating)):
         return "%.17g" % float(x)
-    if isinstance(x, (complex, np.complexfloating)):
-        # split into two cells upstream instead; keep a readable fallback
-        return "%.17g%+.17gj" % (x.real, x.imag)
     raise TypeError(f"cannot format {type(x).__name__} for CSV")
 
 

@@ -74,11 +74,6 @@ class GroupUnionSpec:
             pos += m
         return tuple(out)
 
-    @property
-    def period(self) -> int:
-        """lcm of the orders; P**period is the identity."""
-        return math.lcm(*self.orders)
-
     def permute(self, x: np.ndarray) -> np.ndarray:
         """Apply the block permutation P along the last axis (length d)."""
         x = np.asarray(x)
@@ -149,18 +144,14 @@ class WeightSeq:
             raise ValueError("weights are indexed from 1")
         return 2.0 ** -n / self.mass_unit
 
-    def mass(self, n: int) -> float:
-        """The mass carried by block n: unit * q_n."""
-        return self.mass_unit * self.value(n)
-
     def tail_mass(self, n: int) -> float:
-        """Exact value of sum_{m>n} mass(m)."""
+        """Exact value of sum_{m>n} unit * q_m."""
         if n < 0:
             raise ValueError("tail index must be >= 0")
         return 2.0 ** -n
 
     def partial_mass(self, n: int) -> float:
-        """sum_{m<=n} mass(m), via the exact tail rule."""
+        """sum_{m<=n} unit * q_m, via the exact tail rule."""
         return self.tail_mass(0) - self.tail_mass(n)
 
     def values(self, depth: int) -> np.ndarray:

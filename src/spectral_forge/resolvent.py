@@ -21,13 +21,22 @@ import numpy as np
 
 __all__ = [
     "coupling_series_batch",
-    "CERTIFIED", "SINGULAR", "TAIL_INVALID",
+    "CERTIFIED", "SINGULAR", "TAIL_INVALID", "VERDICTS", "verdict_counts",
 ]
 
 # verdict labels used by the scanners and the CLI
 CERTIFIED = "CertifiedResolvent"
 SINGULAR = "SingularCandidate"
 TAIL_INVALID = "TailInvalid"
+# the verdicts in the order of their uint8 codes
+VERDICTS = (CERTIFIED, SINGULAR, TAIL_INVALID)
+
+
+def verdict_counts(codes: np.ndarray) -> dict:
+    """Points per verdict, for uint8 indices into ``VERDICTS``, keyed in
+    the order of ``VERDICTS``."""
+    return dict(zip(VERDICTS, np.bincount(codes, minlength=3).tolist()))
+
 
 # guard for the strict circles inequality |lam - 1 + q| > q * (1 + GUARD)
 _TAIL_GUARD = 1e-9

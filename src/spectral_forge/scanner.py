@@ -23,25 +23,19 @@ from typing import List, NamedTuple
 
 import numpy as np
 
-from .errors import BlockTooDeep, NotInTargetSet, SpectralForgeError
+from .errors import BlockTooDeep, NotInTargetSet
 from .model import (GroupUnionSpec, WeightSeq, apply_operator, union_points,
                     union_values)
-from .resolvent import (CERTIFIED, SINGULAR, TAIL_INVALID,
-                        coupling_series_batch, _MAX_TERMS, _S_GAP_GUARD)
+from .resolvent import (coupling_series_batch, verdict_counts, _MAX_TERMS,
+                        _S_GAP_GUARD)
 
 __all__ = [
     "CERT_SLOP",
     "EigCertificate",
-    "certificate_matches",
     "residual_certificate",
     "ScanReport",
-    "VERDICTS",
     "scan_unit_circle",
-    "verdict_counts",
 ]
-
-# the verdicts in the order of their uint8 codes (``ScanReport.codes``)
-VERDICTS = (CERTIFIED, SINGULAR, TAIL_INVALID)
 
 # grid points per scan chunk: bounds the (chunk x |U|) root distances; every
 # other kernel buffer is one chunk long
@@ -64,7 +58,8 @@ class EigCertificate:
     ``vector`` is the l1-normalised discrete Fourier eigenvector of the
     first cyclic sub-block whose spectrum contains the point, embedded in
     block ``block_index``.  ``residual`` is ||(T - lam) z||_1 computed by
-    the forward map; it equals q_n * (1 + inner_abs) exactly.
+    the forward map; it equals q_n * (1 + inner_abs) in exact arithmetic,
+    and ``matches`` records whether it does up to ``CERT_SLOP``.
     """
 
     angle: Fraction
@@ -73,33 +68,20 @@ class EigCertificate:
     vector: np.ndarray
     inner_abs: float
     residual: float
-
-
-def certificate_matches(residual: float, q: float, inner_abs: float) -> bool:
-    """True when a certificate residual equals its closed form
-    q_n * (1 + |<1, z>|) up to ``CERT_SLOP``."""
-    return abs(residual - q * (1.0 + inner_abs)) <= CERT_SLOP
+    matches: bool
 
 
 def residual_certificate(spec: GroupUnionSpec, w: WeightSeq,
-                         target, block_index: int = 30) -> EigCertificate:
+                         target: Fraction,
+                         block_index: int = 30) -> EigCertificate:
     """Build the deep-block certificate for one point of the target set.
 
-    ``target`` may be an exact angle (Fraction of a full turn) or a complex
-    number that matches a target point to 1e-9.  Raises NotInTargetSet
-    otherwise, BlockTooDeep when q_n <= CERT_SLOP (the residual check could
-    not fail there), and SpectralForgeError when the residual misses its
-    closed form by more than CERT_SLOP.
+    ``target`` is an exact angle, a Fraction of a full turn.  Raises
+    NotInTargetSet when it is not a target point and BlockTooDeep when
+    q_n <= CERT_SLOP (the residual check could not fail there).  A
+    residual that misses its closed form is recorded, not raised.
     """
-    if isinstance(target, Fraction):
-        angle = target % 1
-    else:
-        lam_t = complex(target)
-        vals = union_values(spec)
-        k = int(np.argmin(np.abs(vals - lam_t)))
-        if abs(vals[k] - lam_t) > 1e-9:
-            raise NotInTargetSet(f"{lam_t} is not a target point")
-        angle = union_points(spec)[k]
+    angle = target % 1
     # first cyclic sub-block containing the point in its spectrum; the
     # target set is exactly the angles some sub-block carries
     for off, m in zip(spec.offsets, spec.orders):
@@ -129,11 +111,8 @@ def residual_certificate(spec: GroupUnionSpec, w: WeightSeq,
     # the l1 norm, each block's sum first: the order the artifacts pin
     resid = float(abs(r[0])
                   + np.abs(r[1:]).reshape(-1, spec.d).sum(axis=1).sum())
-    if not certificate_matches(resid, q, inner):
-        raise SpectralForgeError(
-            f"certificate residual {resid} does not match closed form "
-            f"{q * (1.0 + inner)}")
-    return EigCertificate(angle, lam, block_index, z, inner, resid)
+    return EigCertificate(angle, lam, block_index, z, inner, resid,
+                          bool(abs(resid - q * (1.0 + inner)) <= CERT_SLOP))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +126,6 @@ class ScanReport:
     codes: np.ndarray            # uint8 index of each point's verdict
     den_lower: np.ndarray
     block_bounds: np.ndarray
-    dist: np.ndarray
     excluded: np.ndarray
     empirical_m: float
     certificates: List[EigCertificate]
@@ -158,12 +136,6 @@ class ScanReport:
 
     def counts(self) -> dict:
         return verdict_counts(self.codes)
-
-
-def verdict_counts(codes: np.ndarray) -> dict:
-    """Points per verdict, for verdict codes as ``ScanReport.codes`` holds
-    them, keyed in the order of ``VERDICTS``."""
-    return dict(zip(VERDICTS, np.bincount(codes, minlength=3).tolist()))
 
 
 class _CircleBatch(NamedTuple):
@@ -177,7 +149,7 @@ class _CircleBatch(NamedTuple):
     dist: np.ndarray         # distance to the peripheral set
     excluded: np.ndarray     # dist <= exclusion_radius
     valid: np.ndarray        # the tail guard holds (at n = 1, so at every n)
-    verdict: np.ndarray      # uint8 index into VERDICTS
+    verdict: np.ndarray      # uint8 index into resolvent.VERDICTS
 
 
 def _circle_kernel(spec: GroupUnionSpec, w: WeightSeq, lams, depth: int,
@@ -314,11 +286,11 @@ def _circle_kernel(spec: GroupUnionSpec, w: WeightSeq, lams, depth: int,
 
 def scan_unit_circle(spec: GroupUnionSpec, w: WeightSeq,
                      grid_size: int = 3600, exclusion_radius: float = 0.05,
-                     depth: int = 40, cert_block: int = 30,
-                     with_certificates: bool = True) -> ScanReport:
+                     depth: int = 40, cert_block: int = 30) -> ScanReport:
     """Classify every grid point exp(2*pi*i*j/grid_size).
 
-    The grid is processed in chunks of ``_CHUNK`` points, each certified by
+    The residual certificates come first, so that a ``cert_block`` too
+    deep for them (BlockTooDeep) is refused before any grid work.  The grid is processed in chunks of ``_CHUNK`` points, each certified by
     :func:`_circle_kernel`.  Every per-point result depends on that point
     alone, so the output does not depend on the chunk size, and memory
     beyond the per-point columns stays bounded by one chunk.  The result is
@@ -327,12 +299,13 @@ def scan_unit_circle(spec: GroupUnionSpec, w: WeightSeq,
     """
     if grid_size < 1:
         raise ValueError("grid_size must be positive")
+    certificates = [residual_certificate(spec, w, a, cert_block)
+                    for a in union_points(spec)]
     thetas = np.arange(grid_size) / grid_size
     lams = np.exp(2j * np.pi * thetas)
 
     den_lower = np.empty(grid_size)
     block_bounds = np.empty(grid_size)
-    dist = np.empty(grid_size)
     excluded = np.empty(grid_size, dtype=bool)
     codes = np.empty(grid_size, dtype=np.uint8)
     for s in range(0, grid_size, _CHUNK):
@@ -340,21 +313,15 @@ def scan_unit_circle(spec: GroupUnionSpec, w: WeightSeq,
         k = _circle_kernel(spec, w, lams[part], depth, exclusion_radius)
         den_lower[part] = k.den_lower
         block_bounds[part] = k.block_bound
-        dist[part] = k.dist
         excluded[part] = k.excluded
         codes[part] = k.verdict
 
     on_rim = ~excluded & np.isfinite(block_bounds)
     empirical_m = float(block_bounds[on_rim].max()) if on_rim.any() else 0.0
 
-    certificates = []
-    if with_certificates:
-        certificates = [residual_certificate(spec, w, a, cert_block)
-                        for a in union_points(spec)]
-
     return ScanReport(
-        thetas, lams, codes, den_lower, block_bounds, dist,
-        excluded, empirical_m, certificates,
+        thetas, lams, codes, den_lower, block_bounds, excluded, empirical_m,
+        certificates,
         metadata={
             "orders": list(spec.orders),
             "grid_size": grid_size,

@@ -27,14 +27,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional
+from typing import ClassVar, List
 
 import numpy as np
 
 from .errors import ExponentialUnresolved
 from .model import WeightSeq
-from .resolvent import (CERTIFIED, SINGULAR, _S_GAP_GUARD,
-                        coupling_series_batch)
+from .resolvent import _S_GAP_GUARD, coupling_series_batch, verdict_counts
 
 __all__ = [
     "TWO_PI",
@@ -125,19 +124,16 @@ class RationalSchedule:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    weights: WeightSeq
-    schedule: RationalSchedule
+    """The generator at truncation depth ``depth``: the dyadic weights
+    q_n = 2^-n / (2 pi) and the one rational speed schedule are fixed."""
+
     depth: int = 40
+    weights: ClassVar[WeightSeq] = WeightSeq.dyadic_semigroup()
+    schedule: ClassVar[RationalSchedule] = RationalSchedule()
 
     def __post_init__(self):
-        if self.weights.kind != "semigroup":
-            raise ValueError("GeneratorSpec needs a semigroup weight rule")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-
-    @classmethod
-    def default(cls, depth: int = 40) -> "GeneratorSpec":
-        return cls(WeightSeq.dyadic_semigroup(), RationalSchedule(), depth)
 
     def omega_float(self, n: int, k: int = 1) -> float:
         # one rounding of the exact rational product, so that
@@ -270,24 +266,20 @@ def mode_certificate(g: GeneratorSpec, r, occurrence: int = 1) -> ModeCertificat
 
 @dataclass
 class AxisReport:
-    """Per-beta columns of an axis scan at truncation depth ``depth``."""
+    """Per-beta columns of an axis scan."""
 
     betas: np.ndarray
     certified: np.ndarray
     denominator_abs_lower: np.ndarray
-    depth: int
 
     def counts(self) -> dict:
-        """Verdict counts, keyed in order of first appearance."""
-        n = int(np.count_nonzero(self.certified))
-        pairs = [(CERTIFIED, n), (SINGULAR, self.certified.size - n)]
-        if not self.certified[:1].all():     # the first point is singular
-            pairs.reverse()
-        return {k: v for k, v in pairs if v}
+        """The nonzero verdict counts, keyed in the order of
+        ``resolvent.VERDICTS``."""
+        codes = (~self.certified).astype(np.uint8)   # CERTIFIED 0, SINGULAR 1
+        return {k: v for k, v in verdict_counts(codes).items() if v}
 
 
-def scan_imaginary_axis(g: GeneratorSpec, betas,
-                        depth: Optional[int] = None) -> AxisReport:
+def scan_imaginary_axis(g: GeneratorSpec, betas) -> AxisReport:
     """Classify i*beta for each requested beta, in one call of
     ``coupling_series_batch`` at lam = 1 + i*beta.
 
@@ -301,16 +293,14 @@ def scan_imaginary_axis(g: GeneratorSpec, betas,
     while the guard's strict margin would refuse |beta| below about
     4.5e-5 q_n.
     """
-    depth = g.depth if depth is None else depth
     beta = np.fromiter(betas, dtype=float)
     if not np.all(np.isfinite(beta)):
         raise ValueError("betas must be finite")
-    den, rad, _ = coupling_series_batch(g.weights, 1.0 + 1j * beta, depth)
+    den, rad, _ = coupling_series_batch(g.weights, 1.0 + 1j * beta, g.depth)
     mod = np.abs(den)
     gap = np.minimum(np.abs(beta), 1.0 - np.abs(beta))
     certified = (gap > _S_GAP_GUARD) & (mod > rad)
-    return AxisReport(beta, certified, np.where(certified, mod - rad, 0.0),
-                      depth)
+    return AxisReport(beta, certified, np.where(certified, mod - rad, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +470,14 @@ def expm(a: np.ndarray) -> np.ndarray:
     return e
 
 
-def evolve(g: GeneratorSpec, f0: SemigroupState, t,
-           chain_depth: Optional[int] = None) -> SemigroupState:
+def evolve(g: GeneratorSpec, f0: SemigroupState, t) -> SemigroupState:
     """Semigroup orbit e^{tA} f0 at a time t or an ascending array of times.
 
     Modes k != 0 decay in closed form by exp((i w_n k - q_n) t).  The head
-    and the mode-0 coefficients of blocks 1..chain_depth form a closed
-    linear system with generator M; mode-0 content beyond the chain depth
+    and the mode-0 coefficients of blocks 1..g.depth form a closed linear
+    system with generator M; mode-0 content beyond the chain depth
     evolves by its decoupled decay only, the neglected head feed being
-    bounded in mass by 2^-chain_depth.  The chain steps from sample to
+    bounded in mass by 2^-g.depth.  The chain steps from sample to
     sample, v_k = expm(dt_k M) v_{k-1} with dt_k = t_k - t_{k-1} and
     t_0 = 0, one scaling-and-squaring exponential per distinct increment:
     a uniform grid from 0 needs one, its dt_k are exact (Sterbenz) and sum
@@ -496,7 +485,7 @@ def evolve(g: GeneratorSpec, f0: SemigroupState, t,
     entrywise nonnegative by construction, so a nonnegative chain stays
     nonnegative.  A step too long for expm's error bound raises
     ``ExponentialUnresolved``.
-    f0 has no time axis.  The result holds the chain blocks 1..chain_depth
+    f0 has no time axis.  The result holds the chain blocks 1..g.depth
     at mode 0, then the entries of f0 that decay in closed form.  An array
     of times gives it a leading time axis; a scalar t, the first row.
     """
@@ -505,7 +494,7 @@ def evolve(g: GeneratorSpec, f0: SemigroupState, t,
     if not (np.all(np.isfinite(ts)) and np.all(steps >= 0.0)):
         raise ValueError("evolution runs forward in time: need finite, "
                          "ascending times >= 0")
-    n_chain = g.depth if chain_depth is None else chain_depth
+    n_chain = g.depth
 
     chained = (f0.k == 0) & (f0.n <= n_chain)
     v = np.zeros(n_chain + 1, dtype=complex)

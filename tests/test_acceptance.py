@@ -122,7 +122,7 @@ def test_5_finite_sections_reproduce_the_peripheral_targets():
 
 def test_6_imaginary_axis_scan_and_mode_certificates():
     t0 = time.perf_counter()
-    g = GeneratorSpec.default()
+    g = GeneratorSpec()
     betas = [s * k / 10.0 for k in range(1, 10) for s in (+1, -1)]
     rep = scan_imaginary_axis(g, betas)
     ok_axis = rep.certified.all()
@@ -140,7 +140,7 @@ def test_6_imaginary_axis_scan_and_mode_certificates():
 
 
 def test_7_evolution_conserves_mass_and_decays_single_modes():
-    g = GeneratorSpec.default()
+    g = GeneratorSpec()
     ft = evolve(g, SemigroupState(1.0), 50.0)
     drift = abs(ft.mass().real - 1.0)
     ok_mass = drift <= 1e-8

@@ -48,7 +48,7 @@ def _truth():
 def _errors(depth):
     """|den - D| and the radius at every beta."""
     betas, values = _truth()
-    g = GeneratorSpec.default()
+    g = GeneratorSpec()
     den, radius, _ = coupling_series_batch(g.weights, 1.0 + 1j * betas, depth)
     with mpmath.workdps(50):
         err = np.array([float(abs(mpmath.mpc(c.real, c.imag) - v))

@@ -15,9 +15,10 @@ import sys
 
 import pytest
 
-from spectral_forge import cli, io
+import numpy as np
+
+from spectral_forge import cli, io, scanner
 from spectral_forge.finite import EigRecord, convergence_table, finite_spectrum
-from spectral_forge.scanner import EigCertificate, scan_unit_circle
 from spectral_forge.verify import SUITE_NAMES
 
 
@@ -236,8 +237,14 @@ def test_scan_json_reports_the_series_terms_summed(tmp_path, depth, terms):
 
 @pytest.mark.parametrize("block", ["0", "-3", "45", "60"])
 def test_scan_circle_cert_block_out_of_range_is_usage_error(tmp_path, block,
-                                                            capsys):
-    # q_45 = 2^-45/5 is below the 1e-14 slop: the check there cannot fail
+                                                            capsys,
+                                                            monkeypatch):
+    # q_45 = 2^-45/5 is below the 1e-14 slop: the check there cannot fail.
+    # The block is refused before any grid point is scanned
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the grid was scanned")
+
+    monkeypatch.setattr(scanner, "_circle_kernel", no_scan)
     assert run(tmp_path, "scan-circle", "--grid", "12",
                f"--cert-block={block}") == 2
     assert "cert-block" in capsys.readouterr().err
@@ -251,21 +258,20 @@ def test_scan_circle_deepest_valid_cert_block(tmp_path):
 
 def test_scan_circle_zero_residual_fails_the_certificate_check(tmp_path,
                                                               monkeypatch):
-    # negative control: a residual far below its closed form q_n(1 + |<1,z>|)
-    # must fail, although it passes the one-sided threshold 2 q_n + 1e-14
-    def zero_residual(*args, **kwargs):
-        report = scan_unit_circle(*args, **kwargs)
-        c = report.certificates[0]
-        report.certificates[0] = EigCertificate(
-            c.angle, c.value, c.block_index, c.vector, c.inner_abs, 0.0)
-        return report
-
-    monkeypatch.setattr(cli, "scan_unit_circle", zero_residual)
+    # negative control: an operator that maps every vector to lam x leaves
+    # the certificate at lam residual 0, far below its closed form
+    # q_n(1 + |<1,z>|) although within the one-sided threshold 2 q_n + 1e-14;
+    # the run must still write its artifacts and fail
+    lam = np.exp(2j * np.pi / 3)
+    monkeypatch.setattr(scanner, "apply_operator",
+                        lambda spec, w, vec: lam * vec)
     assert run(tmp_path, "scan-circle", "--grid", "60") == 1
     summary = read_json(tmp_path / "scan_circle.json")
     assert summary["certificates_ok"] is False
-    assert summary["certificates"][0]["residual"] <= \
-        summary["certificates"][0]["threshold"]
+    cert = summary["certificates"][1]
+    assert cert["angle"] == "1/3"
+    assert cert["residual"] == 0.0 <= cert["threshold"]
+    assert "matches" not in cert
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +742,7 @@ def test_config_flag_overrides_file(tmp_path):
 
 @pytest.mark.parametrize("payload", [
     {"grid": 10},                          # unknown key
-    {"weight_rule": "uniform"},            # unimplemented rule
+    {"weight_rule": "dyadic"},             # the weights are fixed: no key
     {"truncation_depth": 0},
     {"exclusion_radius": 1.5},
     # accepted and ignored: scan-circle ran the single operator whatever
@@ -774,8 +780,8 @@ def test_config_unknown_key_lists_the_allowed_ones(tmp_path, capsys):
     cfg.write_text(json.dumps({"construction": "semigroup"}))
     assert run(tmp_path, "verify", "--config", str(cfg)) == 2
     assert "unknown keys ['construction']; allowed: ['exclusion_radius', " \
-        "'grid_size', 'orders', 'out', 'seed', 'truncation_depth', " \
-        "'weight_rule']" in capsys.readouterr().err
+        "'grid_size', 'orders', 'out', 'seed', 'truncation_depth']" \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [

@@ -22,7 +22,7 @@ TIMES = (1, 100, 500)
 
 @pytest.fixture(scope="module")
 def audit():
-    g = GeneratorSpec.default()
+    g = GeneratorSpec()
     with mpmath.workdps(40):
         e1 = mpmath.expm(mpmath.matrix(chain_generator(g, g.depth).tolist()))
         powers = {1: e1}

@@ -51,7 +51,7 @@ def chain_bound(a, ref):
 
 @pytest.fixture(scope="module")
 def chain():
-    g = GeneratorSpec.default()
+    g = GeneratorSpec()
     return chain_generator(g, g.depth)
 
 

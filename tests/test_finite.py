@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 from spectral_forge import finite
-from spectral_forge.errors import PoleHit, RootCountMismatch
 from spectral_forge.finite import (_block_eig_vectors, _block_residual,
                                    build_finite_section, cofactor_det_batch,
                                    convergence_table, factorization_crosscheck,
                                    finite_spectrum, secular_roots,
-                                   secular_value, strongly_connected)
+                                   strongly_connected)
 from spectral_forge.model import (GroupUnionSpec, WeightSeq, union_points,
                                   union_values)
 from spectral_forge.verify import _FACTORIZATION_CASES
@@ -110,12 +109,6 @@ def test_strongly_connected_on_a_long_path_and_ring():
     assert strongly_connected(ring)
 
 
-def test_strongly_connected_respects_the_tolerance():
-    m = 0.5 * _digraph(3, [(0, 1), (1, 2), (2, 0)])
-    assert strongly_connected(m, tol=0.25)
-    assert not strongly_connected(m, tol=0.5)
-
-
 def _scipy_strongly_connected(matrix):
     csgraph = pytest.importorskip("scipy.sparse.csgraph")
     count, _ = csgraph.connected_components(matrix != 0.0, directed=True,
@@ -151,23 +144,6 @@ def test_sections_strongly_connected_and_control():
 # ---------------------------------------------------------------------------
 # secular function and roots
 # ---------------------------------------------------------------------------
-
-def test_secular_value_simplest_case():
-    # one block of size one, renormalised weight 1: phi = 1 - 1/lam^2
-    spec, w = _setup((1,))
-    for lam in (2.0, -2.0, 0.5 + 0.5j):
-        assert secular_value(spec, w, 1, lam) == pytest.approx(
-            1.0 - 1.0 / lam ** 2, abs=1e-14)
-
-
-def test_secular_value_guards_poles():
-    spec, w = _setup((1,))
-    with pytest.raises(PoleHit):
-        secular_value(spec, w, 3, 0.0)
-    op = build_finite_section(spec, w, 3)
-    with pytest.raises(PoleHit):
-        secular_value(spec, w, 3, 1.0 - op.tilde_q[1])
-
 
 def test_secular_roots_against_dense_oracle():
     # oracle: a dense symmetric solver on the head chain, an arrowhead with

@@ -234,7 +234,7 @@ def _oracle_columns():
     for orders, depth, grid in (((2, 3), 40, 3600), ((4, 6), 60, 20011)):
         spec = GroupUnionSpec(orders)
         rep = scan_unit_circle(spec, WeightSeq.dyadic_single(spec.d), grid,
-                               0.05, depth, with_certificates=False)
+                               0.05, depth)
         for col in (rep.thetas, rep.lams.real, rep.lams.imag, rep.den_lower,
                     rep.block_bounds):
             yield "scan", col

@@ -21,8 +21,6 @@ def test_group_union_spec_layout():
     spec = GroupUnionSpec((2, 3))
     assert spec.d == 5
     assert spec.offsets == (0, 2)
-    assert spec.period == 6
-    assert GroupUnionSpec((4, 6)).period == 12
 
 
 def test_group_union_spec_rejects_bad_orders():
@@ -51,7 +49,7 @@ def test_permute_matches_matrix():
         for _ in range(5):
             x = rng.normal(size=spec.d) + 1j * rng.normal(size=spec.d)
             assert np.allclose(spec.permute(x), p @ x)
-        assert np.allclose(np.linalg.matrix_power(p, spec.period),
+        assert np.allclose(np.linalg.matrix_power(p, math.lcm(*orders)),
                            np.eye(spec.d))
         # a stack of vectors is permuted along its last axis
         rows = rng.normal(size=(3, spec.d))
@@ -80,7 +78,7 @@ def test_dyadic_tail_identity_is_exact_in_floats():
         w = WeightSeq.dyadic_single(d)
         total = 0.0
         for n in range(1, 53):
-            total += w.mass(n)
+            total += w.mass_unit * w.value(n)
             assert total == 1.0 - 2.0 ** -n          # exact, no tolerance
             assert w.tail_mass(n) == 2.0 ** -n
         assert w.partial_mass(40) == 1.0 - 2.0 ** -40
@@ -108,7 +106,7 @@ def test_weight_rule_validation():
 def test_semigroup_weights_unit_mass():
     w = WeightSeq.dyadic_semigroup()
     assert w.mass_unit == pytest.approx(2.0 * math.pi)
-    assert w.mass(1) == pytest.approx(0.5)
+    assert w.mass_unit * w.value(1) == pytest.approx(0.5)
     assert w.tail_mass(0) == 1.0
 
 

@@ -7,8 +7,8 @@ import pytest
 from spectral_forge.finite import build_finite_section
 from spectral_forge.model import GroupUnionSpec, WeightSeq, apply_operator
 from spectral_forge.resolvent import (CERTIFIED, SINGULAR, TAIL_INVALID,
-                                      coupling_series_batch)
-from spectral_forge.scanner import VERDICTS, _circle_kernel
+                                      VERDICTS, coupling_series_batch)
+from spectral_forge.scanner import _circle_kernel
 
 # the depth-30 radius at |lam| = 1: the tail 2^-30 plus the rounding bound
 # (29 + 11 + 7.07 + 1) u, plus u for the subtraction from 1, times 1 + 2^-48

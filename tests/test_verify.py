@@ -7,7 +7,10 @@ import pytest
 
 from spectral_forge import verify
 from spectral_forge.errors import NoSamples
-from spectral_forge.verify import SUITE_NAMES, run_suite, suite_denominator
+from spectral_forge.model import (GroupUnionSpec, WeightSeq,
+                                  stochasticity_check)
+from spectral_forge.verify import (SUITE_NAMES, run_suite, suite_denominator,
+                                   suite_stochasticity)
 
 
 def test_suite_names():
@@ -53,6 +56,21 @@ def test_suite_denominator_without_valid_points_raises(monkeypatch):
                  (den, rad, np.zeros_like(valid)))
     with pytest.raises(NoSamples, match="none of the 48 points valid"):
         suite_denominator(seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_suite_stochasticity_control_breaks_the_operator(seed):
+    # the control's weights 2^-n / (d + 1) leave the head column mass
+    # d / (d + 1); the suite reports the defect the check measures on that
+    # operator, not a correct defect shifted by a constant
+    bad = suite_stochasticity(seed=seed, corrupt=True)
+    assert not bad.passed and bad.failures == 3
+    for orders in ((1,), (2, 3), (4, 6)):
+        spec = GroupUnionSpec(orders)
+        broken = stochasticity_check(
+            spec, WeightSeq.dyadic_single(spec.d + 1), trials=40, seed=seed)
+        case = bad.detail["cases"][",".join(map(str, orders))]
+        assert case["max_norm_defect"] == broken.max_norm_defect > 1e-12
 
 
 def _package_modules_called(fn):
