@@ -16,8 +16,8 @@ from .model import (GroupUnionSpec, WeightSeq, apply_operator,
                     stochasticity_check, union_points, union_values)
 from .resolvent import (CERTIFIED, SINGULAR, TAIL_INVALID,
                         coupling_series_batch)
-from .scanner import EigCertificate, ScanReport, residual_certificate, \
-    scan_unit_circle
+from .scanner import EigCertificate, ScanChunk, ScanReport, \
+    residual_certificate, scan_unit_circle
 from .finite import (FiniteOperator, SpectrumResult, build_finite_section,
                      convergence_table, factorization_crosscheck,
                      finite_spectrum, strongly_connected)

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import BlockTooDeep, ExponentialUnresolved, SpectralForgeError
 from .finite import convergence_table, finite_spectrum, section_limit, \
     strongly_connected
-from .io import Lookup, write_csv, write_json
+from .io import write_csv, write_json
 from .model import GroupUnionSpec, WeightSeq
 from .resolvent import CERTIFIED, SINGULAR, VERDICTS, _MAX_TERMS, \
     _S_GAP_GUARD
@@ -162,37 +162,48 @@ def _check_section_size(name: str, n_blocks: int, w: WeightSeq,
 def cmd_scan_circle(args) -> int:
     cfg = _resolve_config(args)
     spec, w = _single_operator(cfg)
-    depth = cfg["truncation_depth"]
     if args.cert_block < 1:
         raise UsageError(f"cert-block: need a block index >= 1, "
                          f"got {args.cert_block}")
     try:
         report = scan_unit_circle(spec, w, cfg["grid_size"],
-                                  float(cfg["exclusion_radius"]), depth,
-                                  cert_block=args.cert_block)
+                                  float(cfg["exclusion_radius"]),
+                                  cfg["truncation_depth"], args.cert_block)
     except BlockTooDeep as exc:
         raise UsageError(f"cert-block: {exc}; use a shallower block")
 
-    codes = report.codes
+    labels = np.array(VERDICTS, dtype=bytes)
+    tally = np.zeros(len(VERDICTS), dtype=np.int64)
+    empirical_m, rim_ok = 0.0, True
+
+    def batches():
+        # each summary folds exactly: a sum, a max (bounds are >= 0), an all
+        nonlocal empirical_m, rim_ok
+        for c in report.chunks:
+            tally[:] += np.bincount(c.codes, minlength=tally.size)
+            rim = ~c.excluded
+            rim_ok = rim_ok and not c.codes[rim].any()
+            rim &= np.isfinite(c.block_bounds)
+            empirical_m = max(empirical_m, float(
+                np.max(c.block_bounds, where=rim, initial=0.0)))
+            yield [c.thetas, c.lams.real, c.lams.imag, labels[c.codes],
+                   c.den_lower, c.block_bounds]
+
     write_csv(_out_path(cfg, "scan_circle.csv"),
               ["theta", "re_lambda", "im_lambda", "verdict",
-               "denominator_abs_lower", "empirical_block_bound"],
-              [report.thetas, report.lams.real, report.lams.imag,
-               Lookup(np.array(VERDICTS, dtype=bytes), codes),
-               report.den_lower, report.block_bounds])
+               "denominator_abs_lower", "empirical_block_bound"], batches())
 
     # each residual must match its closed form q_n * (1 + |<1, z>|), which
     # the scanner records as ``matches``; ``threshold`` is the largest
     # closed form plus the rounding slop, kept in the JSON for reference
     threshold = 2.0 * w.value(args.cert_block) + CERT_SLOP
     cert_ok = all(c.matches for c in report.certificates)
-    rim_ok = not codes[~report.excluded].any()
-    counts = report.counts()
+    counts = dict(zip(VERDICTS, tally.tolist()))
 
     write_json(_out_path(cfg, "scan_circle.json"), {
         "metadata": report.metadata,
         "counts": counts,
-        "empirical_resolvent_bound": report.empirical_m,
+        "empirical_resolvent_bound": empirical_m,
         "certificates": [{
             "angle": str(c.angle), "re": c.value.real, "im": c.value.imag,
             "block_index": c.block_index, "inner_abs": c.inner_abs,
@@ -202,7 +213,7 @@ def cmd_scan_circle(args) -> int:
         "certificates_ok": cert_ok,
     })
     print(f"scan-circle: {counts[CERTIFIED]} certified, "
-          f"{counts[SINGULAR]} withheld of {len(report)} points; "
+          f"{counts[SINGULAR]} withheld of {cfg['grid_size']} points; "
           f"{len(report.certificates)} certificates "
           f"(max residual {max((c.residual for c in report.certificates), default=0.0):.3e})")
     return 0 if (rim_ok and cert_ok) else 1
@@ -218,8 +229,8 @@ def cmd_eigs(args) -> int:
 
     values = result.values()
     write_csv(_out_path(cfg, "eigs.csv"), ["re", "im", "kind", "residual"],
-              [values.real, values.imag, [r.kind for r in result.records],
-               np.array([r.residual for r in result.records])])
+              [[values.real, values.imag, [r.kind for r in result.records],
+                np.array([r.residual for r in result.records])]])
 
     col = op.column_sums()
     vals = np.abs(values)
@@ -251,10 +262,10 @@ def cmd_convergence(args) -> int:
     rows = convergence_table(spec, w, args.n_max)
     write_csv(_out_path(cfg, "convergence.csv"),
               ["n_blocks", "angle", "distance", "bound", "within_bound"],
-              [[r.n_blocks for r in rows], [str(r.angle) for r in rows],
-               np.array([r.distance for r in rows]),
-               np.array([r.bound for r in rows]),
-               [r.ok if r.resolved else "unresolved" for r in rows]])
+              [[[r.n_blocks for r in rows], [str(r.angle) for r in rows],
+                np.array([r.distance for r in rows]),
+                np.array([r.bound for r in rows]),
+                [r.ok if r.resolved else "unresolved" for r in rows]]])
     # rows whose bound is within the distance's rounding tolerance cannot
     # fail the check, so they do not decide the exit status
     resolved = [r for r in rows if r.resolved]
@@ -292,10 +303,10 @@ def cmd_scan_axis(args) -> int:
 
     write_csv(_out_path(cfg, "scan_axis.csv"),
               ["beta", "verdict", "denominator_abs_lower"],
-              [report.betas,
-               np.where(report.certified, CERTIFIED.encode(),
-                        SINGULAR.encode()),
-               report.denominator_abs_lower])
+              [[report.betas,
+                np.where(report.certified, CERTIFIED.encode(),
+                         SINGULAR.encode()),
+                report.denominator_abs_lower]])
 
     # expected verdicts: certified strictly inside the unit gap, singular
     # at beta = 0 and beyond |beta| = 1, with the scan's own gap guard
@@ -378,7 +389,7 @@ def cmd_evolve(args) -> int:
 
     headers = ["t", "mass", "head"] + \
         [f"block_mass_{n}" for n in range(1, args.trace_blocks + 1)]
-    write_csv(_out_path(cfg, "evolve.csv"), headers, cols)
+    write_csv(_out_path(cfg, "evolve.csv"), headers, [cols])
     tol = 1e-8 * max(1.0, abs(mass0))
     print(f"semigroup evolve: {times.size} samples to t={args.t}, "
           f"mass drift {worst_drift:.3e} (tolerance {tol:.1e})")

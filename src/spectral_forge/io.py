@@ -5,11 +5,11 @@ so interrupted runs never leave partial artifacts.  Floats are rendered by
 repr (shortest round-trip form) in JSON and by %.17g in CSV so that equal
 inputs give byte-identical files.
 
-CSVs are written from columns, in batches of rows.  A float64 ndarray
-column is rendered by :func:`_format_floats`, which gives exactly the bytes
-of ``'%.17g' % x`` for every cell; a NumPy ``S`` (bytes) column, or a
-:class:`Lookup` that yields one per batch, is written as it is; any other
-column goes cell by cell through :func:`_format_cell`.
+CSVs are written from a stream of column batches, ``_BATCH`` rows at a
+time.  A float64 ndarray column is rendered by :func:`_format_floats`,
+which gives exactly the bytes of ``'%.17g' % x`` for every cell; a NumPy
+``S`` (bytes) column is written as it is; any other column goes cell by
+cell through :func:`_format_cell`.
 
 Why the float kernel is exact.  For finite nonzero x with decimal exponent
 E (corrected so that |x| * 10**(16-E) lies in [1e16, 1e17)), '%.17g' prints
@@ -39,12 +39,12 @@ import json
 import os
 import tempfile
 import zlib
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["atomic_write_text", "Lookup", "write_csv", "dump_json",
-           "write_json", "substream"]
+__all__ = ["atomic_write_text", "write_csv", "dump_json", "write_json",
+           "substream"]
 
 
 @contextlib.contextmanager
@@ -256,21 +256,6 @@ def _decide(x: np.ndarray, buffers: _FloatBuffers) -> np.ndarray:
     return np.flatnonzero(~sure)
 
 
-class Lookup:
-    """The column ``table[codes]``, for a small bytes ``table``: looked up
-    one CSV batch at a time, so no bytes column as long as ``codes`` is
-    ever built."""
-
-    def __init__(self, table: np.ndarray, codes: np.ndarray):
-        self.table, self.codes = table, codes
-
-    def __len__(self):
-        return len(self.codes)
-
-    def __getitem__(self, rows):
-        return self.table[self.codes[rows]]
-
-
 # rows formatted per batch: bounds the batch's cells and text, and keeps its
 # NumPy temporaries small enough to reuse freed heap
 _BATCH = 2048
@@ -292,29 +277,37 @@ def _join_rows(cells: list) -> bytes:
     return table[table != 0].tobytes()
 
 
-def write_csv(path: str, header: Sequence[str], columns: Sequence):
-    """Write ``columns`` (equal-length sequences, one per header name) to
-    ``path`` as CSV, atomically, in batches of ``_BATCH`` rows.
+def _pieces(header: Sequence[str], batches: Iterable):
+    """Each batch's columns, checked, in slices of at most ``_BATCH`` rows."""
+    for columns in batches:
+        columns = list(columns)
+        if len(header) != len(columns):
+            raise ValueError(f"{len(header)} header names for "
+                             f"{len(columns)} columns")
+        sizes = {len(c) for c in columns}
+        if len(sizes) > 1:
+            raise ValueError(f"columns of unequal length: {sorted(sizes)}")
+        for lo in range(0, sizes.pop() if sizes else 0, _BATCH):
+            yield [col[lo:lo + _BATCH] for col in columns]
 
-    Text cells must not contain NUL: each row is assembled in a NUL-padded
-    table.  An ``S`` column's cells are taken as they are, so they must be
-    the bytes the file should hold.
+
+def write_csv(path: str, header: Sequence[str], batches: Iterable):
+    """Write the rows of ``batches`` to ``path`` as CSV, atomically.
+
+    Each batch is a list of equal-length columns, one per header name; its
+    rows follow the previous batch's, ``_BATCH`` formatted at a time, so a
+    stream is written in memory bounded by one batch.  Text cells must not
+    contain NUL (rows are assembled in a NUL-padded table), and an ``S``
+    column's cells must be the bytes the file should hold.
     """
-    columns = list(columns)
-    if len(header) != len(columns):
-        raise ValueError(f"{len(header)} header names for "
-                         f"{len(columns)} columns")
-    sizes = {len(c) for c in columns}
-    if len(sizes) > 1:
-        raise ValueError(f"columns of unequal length: {sorted(sizes)}")
-    rows = sizes.pop() if sizes else 0
-    buffers = _FloatBuffers(min(rows, _BATCH))
+    buffers = _FloatBuffers(0)
     with _atomic_open(path) as fh:
         fh.write((",".join(header) + "\n").encode())
-        for lo in range(0, rows, _BATCH):
+        for parts in _pieces(header, batches):
+            if len(buffers.cells) < len(parts[0]):
+                buffers = _FloatBuffers(len(parts[0]))
             cells = []
-            for col in columns:
-                part = col[lo:lo + _BATCH]
+            for part in parts:
                 if isinstance(part, np.ndarray) and part.dtype == np.float64:
                     # the buffers are reused by the next float column
                     cells.append(_format_floats(part, buffers).copy())

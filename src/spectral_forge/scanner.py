@@ -2,13 +2,12 @@
 
 The scan walks a uniform angular grid in fixed-size chunks, evaluates the
 certified rank-one denominator at every point, measures the distance to the
-block-diagonal spectrum, and issues one verdict per point.  Only the
-per-point columns span the whole grid, so memory grows linearly in the grid
-size with a constant set by one chunk.  Points inside the exclusion
-arcs around the prescribed peripheral set never receive a resolvent
-certificate, whatever the denominator says there: floating-point scanning
-needs a buffer, so certification is withheld on the arcs (the certified
-lower bound is still recorded).
+block-diagonal spectrum, and issues one verdict per point.  The chunks
+are yielded one at a time, so memory is set by one chunk, not by the grid
+size.  Points inside the exclusion arcs around the prescribed peripheral
+set never receive a resolvent certificate, whatever the denominator says
+there: floating-point scanning needs a buffer, so certification is withheld
+on the arcs (the certified lower bound is still recorded).
 
 For each peripheral point the complementary certificate is an explicit
 finite vector living in a single deep block whose image under the operator
@@ -17,22 +16,22 @@ misses the eigenvalue equation by exactly q_n * (1 + |<1, z>|).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, NamedTuple
+from typing import Iterator, List, NamedTuple
 
 import numpy as np
 
 from .errors import BlockTooDeep, NotInTargetSet
 from .model import (GroupUnionSpec, WeightSeq, apply_operator, union_points,
                     union_values)
-from .resolvent import (coupling_series_batch, verdict_counts, _MAX_TERMS,
-                        _S_GAP_GUARD)
+from .resolvent import coupling_series_batch, _MAX_TERMS, _S_GAP_GUARD
 
 __all__ = [
     "CERT_SLOP",
     "EigCertificate",
     "residual_certificate",
+    "ScanChunk",
     "ScanReport",
     "scan_unit_circle",
 ]
@@ -119,23 +118,22 @@ def residual_certificate(spec: GroupUnionSpec, w: WeightSeq,
 # the scan
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ScanReport:
+class ScanChunk(NamedTuple):
+    """One chunk's per-point columns: views of buffers that the next chunk
+    overwrites, so copy what must outlive the step of the iteration."""
+
     thetas: np.ndarray
     lams: np.ndarray
     codes: np.ndarray            # uint8 index of each point's verdict
     den_lower: np.ndarray
     block_bounds: np.ndarray
     excluded: np.ndarray
-    empirical_m: float
+
+
+class ScanReport(NamedTuple):
     certificates: List[EigCertificate]
-    metadata: dict = field(default_factory=dict)
-
-    def __len__(self):
-        return len(self.thetas)
-
-    def counts(self) -> dict:
-        return verdict_counts(self.codes)
+    metadata: dict
+    chunks: Iterator[ScanChunk]  # one pass over the grid, chunk by chunk
 
 
 class _CircleBatch(NamedTuple):
@@ -287,46 +285,44 @@ def _circle_kernel(spec: GroupUnionSpec, w: WeightSeq, lams, depth: int,
 def scan_unit_circle(spec: GroupUnionSpec, w: WeightSeq,
                      grid_size: int = 3600, exclusion_radius: float = 0.05,
                      depth: int = 40, cert_block: int = 30) -> ScanReport:
-    """Classify every grid point exp(2*pi*i*j/grid_size).
+    """Classify every grid point exp(2*pi*i*j/grid_size), as a stream.
 
     The residual certificates come first, so that a ``cert_block`` too
-    deep for them (BlockTooDeep) is refused before any grid work.  The grid is processed in chunks of ``_CHUNK`` points, each certified by
-    :func:`_circle_kernel`.  Every per-point result depends on that point
-    alone, so the output does not depend on the chunk size, and memory
-    beyond the per-point columns stays bounded by one chunk.  The result is
-    deterministic for fixed inputs; conjugation symmetry of the
-    construction is a test-side invariant, not enforced here.
+    deep for them (BlockTooDeep) is refused before any grid work.  The
+    grid is certified only as ``chunks`` is read, ``_CHUNK`` points at a
+    time by :func:`_circle_kernel`, into one chunk's buffers.  Each result
+    depends on its point alone, so the output does not depend on the chunk
+    size, and memory is bounded by one chunk at any grid size.  Conjugation
+    symmetry of the construction is a test-side invariant, not enforced.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be positive")
     certificates = [residual_certificate(spec, w, a, cert_block)
                     for a in union_points(spec)]
-    thetas = np.arange(grid_size) / grid_size
-    lams = np.exp(2j * np.pi * thetas)
 
-    den_lower = np.empty(grid_size)
-    block_bounds = np.empty(grid_size)
-    excluded = np.empty(grid_size, dtype=bool)
-    codes = np.empty(grid_size, dtype=np.uint8)
-    for s in range(0, grid_size, _CHUNK):
-        part = slice(s, s + _CHUNK)
-        k = _circle_kernel(spec, w, lams[part], depth, exclusion_radius)
-        den_lower[part] = k.den_lower
-        block_bounds[part] = k.block_bound
-        excluded[part] = k.excluded
-        codes[part] = k.verdict
+    # one chunk's columns, refilled per chunk, made below the kernels' heap
+    size = min(grid_size, _CHUNK)
+    columns = ScanChunk(*(np.empty(size, dtype=t) for t in (
+        float, complex, np.uint8, float, float, bool)))
 
-    on_rim = ~excluded & np.isfinite(block_bounds)
-    empirical_m = float(block_bounds[on_rim].max()) if on_rim.any() else 0.0
+    def chunks():
+        for start in range(0, grid_size, size):
+            part = ScanChunk(*(c[:grid_size - start] for c in columns))
+            np.divide(np.arange(start, start + part.thetas.size), grid_size,
+                      out=part.thetas)
+            np.exp(2j * np.pi * part.thetas, out=part.lams)
+            k = _circle_kernel(spec, w, part.lams, depth, exclusion_radius)
+            for column, value in zip(part[2:], (k.verdict, k.den_lower,
+                                                k.block_bound, k.excluded)):
+                column[...] = value
+            # ``k`` lives until the next kernel returns, so that the heap is
+            # not trimmed and faulted in again; no kernel follows the last
+            if start + size >= grid_size:
+                del k, value
+            yield part
 
-    return ScanReport(
-        thetas, lams, codes, den_lower, block_bounds, excluded, empirical_m,
-        certificates,
-        metadata={
-            "orders": list(spec.orders),
-            "grid_size": grid_size,
-            "exclusion_radius": exclusion_radius,
-            "depth": depth,
-            "series_terms": min(depth, _MAX_TERMS),
-            "cert_block": cert_block,
-        })
+    return ScanReport(certificates, {
+        "orders": list(spec.orders), "grid_size": grid_size,
+        "exclusion_radius": exclusion_radius, "depth": depth,
+        "series_terms": min(depth, _MAX_TERMS), "cert_block": cert_block,
+    }, chunks())

@@ -248,7 +248,8 @@ def test_scan_circle_cert_block_out_of_range_is_usage_error(tmp_path, block,
     assert run(tmp_path, "scan-circle", "--grid", "12",
                f"--cert-block={block}") == 2
     assert "cert-block" in capsys.readouterr().err
-    assert not (tmp_path / "scan_circle.json").exists()
+    # refused before the CSV's temp file exists: no artifact, no leftover
+    assert os.listdir(tmp_path) == []
 
 
 def test_scan_circle_deepest_valid_cert_block(tmp_path):

@@ -28,7 +28,7 @@ def test_write_csv_leaves_no_partial_file_when_rows_fail(tmp_path, existing):
     # enough rows that the stream has reached the temp file before failing
     with pytest.raises(TypeError, match="cannot format object"):
         write_csv(str(target), ["theta", "verdict"],
-                  _theta_verdict(20_000, 15_000))
+                  [_theta_verdict(20_000, 15_000)])
     assert os.listdir(tmp_path) == ([] if existing is None else ["scan.csv"])
     if existing is not None:
         assert target.read_bytes() == existing
@@ -38,8 +38,8 @@ def test_write_csv_formats_cells_by_type(tmp_path):
     # a float64 array and NumPy float64 cells render to the same %.17g bytes
     target = tmp_path / "out.csv"
     write_csv(str(target), ["a", "b", "c", "d", "e"],
-              [np.array([0.1, 1e-300]), [np.float64(0.1), np.float64(-0.0)],
-               [3, np.int64(0)], [True, np.bool_(False)], ["x", ""]])
+              [[np.array([0.1, 1e-300]), [np.float64(0.1), np.float64(-0.0)],
+                [3, np.int64(0)], [True, np.bool_(False)], ["x", ""]]])
     assert target.read_text() == (
         "a,b,c,d,e\n"
         "0.10000000000000001,0.10000000000000001,3,true,x\n"
@@ -52,7 +52,7 @@ def test_artifacts_follow_the_umask(tmp_path, umask, mode):
     # a plain open() would give 0666 less the umask; mkstemp alone gives 0600
     old = os.umask(umask)
     try:
-        write_csv(str(tmp_path / "a.csv"), ["x"], [np.array([1.0])])
+        write_csv(str(tmp_path / "a.csv"), ["x"], [[np.array([1.0])]])
         write_json(str(tmp_path / "a.json"), {"x": 1.0})
     finally:
         os.umask(old)
@@ -68,7 +68,7 @@ def _general_path(header, columns):
 
 def _write(tmp_path, header, columns):
     target = tmp_path / "out.csv"
-    write_csv(str(target), header, columns)
+    write_csv(str(target), header, [columns])
     return target.read_text()
 
 
@@ -87,8 +87,7 @@ def test_write_csv_formats_plain_batches_without_the_cell_formatter(
 
 def test_write_csv_takes_bytes_columns_as_they_are(tmp_path, monkeypatch):
     # a NumPy S column is written as its bytes; no cell reaches the cell
-    # formatter, and an empty cell stays empty; ``Lookup`` hands the writer
-    # such a column one batch at a time
+    # formatter, and an empty cell stays empty
     n = 2 * _BATCH + 3
     labels = np.array([b"CertifiedResolvent", b"SingularCandidate",
                        b""])[np.arange(n) % 3]
@@ -101,11 +100,6 @@ def test_write_csv_takes_bytes_columns_as_they_are(tmp_path, monkeypatch):
     assert _write(tmp_path, ["a", "v"], [columns[0][::2], labels[::2]]) == \
         "".join(expected.splitlines(True)[i] for i in
                 [0, *range(1, n + 1, 2)])
-    # and the same column as codes into a table, looked up per batch
-    table = np.array([b"CertifiedResolvent", b"SingularCandidate", b""])
-    lookup = io.Lookup(table, np.arange(n) % 3)
-    assert len(lookup) == n
-    assert _write(tmp_path, ["a", "v"], [columns[0], lookup]) == expected
 
 
 @pytest.mark.parametrize("at", [0, 1, 2 * _BATCH - 1, 2 * _BATCH,
@@ -128,20 +122,46 @@ def test_write_csv_mixed_batches_match_the_cell_formatter(tmp_path, at,
         _general_path(["a", "b"], columns)
 
 
+@pytest.mark.parametrize("edges", [
+    [], [0, 1], [1, 2, 3], [7], [_BATCH - 1], [_BATCH + 1, 2 * _BATCH + 1],
+    [300, 3000]], ids=lambda e: "-".join(map(str, e)) or "one")
+def test_write_csv_batches_follow_each_other_row_for_row(tmp_path, edges):
+    # a stream of batches cut anywhere, also into empty and one-row batches
+    # or a small batch before a large one, writes the bytes of one batch
+    n = 3 * _BATCH + 5
+    labels = np.array([b"ab", b"c", b""])[np.arange(n) % 3]
+    columns = [np.arange(n) / 7, labels, ["r%d" % i for i in range(n)]]
+    cuts = [0, *edges, n]
+    batches = [[col[lo:hi] for col in columns]
+               for lo, hi in zip(cuts, cuts[1:])]
+    target = tmp_path / "out.csv"
+    write_csv(str(target), ["a", "b", "c"], iter(batches))
+    assert target.read_bytes() == \
+        _write(tmp_path, ["a", "b", "c"], columns).encode()
+
+
+def test_write_csv_bad_later_batch_leaves_no_file(tmp_path):
+    good = [np.zeros(2 * _BATCH), np.zeros(2 * _BATCH)]
+    with pytest.raises(ValueError, match="2 header names for 1 columns"):
+        write_csv(str(tmp_path / "out.csv"), ["a", "b"],
+                  [good, good, [np.zeros(3)]])
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("at", [0, 2 * _BATCH - 1, 2 * _BATCH + 2])
 def test_write_csv_ragged_columns_leave_no_file(tmp_path, at):
     # a column of another length must not shift the cells of its rows
     n = 2 * _BATCH + 5
     with pytest.raises(ValueError, match="unequal length"):
         write_csv(str(tmp_path / "out.csv"), ["a", "b"],
-                  [np.arange(n, dtype=float), -np.arange(at, dtype=float)])
+                  [[np.arange(n, dtype=float), -np.arange(at, dtype=float)]])
     assert os.listdir(tmp_path) == []
 
 
 def test_write_csv_header_must_name_every_column(tmp_path):
     with pytest.raises(ValueError, match="1 header names for 2 columns"):
         write_csv(str(tmp_path / "out.csv"), ["a"],
-                  [np.zeros(3), np.zeros(3)])
+                  [[np.zeros(3), np.zeros(3)]])
     assert os.listdir(tmp_path) == []
 
 
@@ -158,11 +178,13 @@ def test_write_csv_special_floats_match_the_cell_formatter(tmp_path):
     assert text.splitlines()[1:4] == ["-0,s", "0,s", "nan,s"]
 
 
-@pytest.mark.parametrize("columns", [
-    [[], []], iter([np.zeros(0), np.zeros(0)])], ids=["list", "iterator"])
-def test_write_csv_without_rows_writes_the_header_only(tmp_path, columns):
-    assert _write(tmp_path, ["theta", "verdict"], columns) == \
-        "theta,verdict\n"
+@pytest.mark.parametrize("batches", [
+    [[[], []]], iter([iter([np.zeros(0), np.zeros(0)])]), []],
+    ids=["list", "iterator", "no-batch"])
+def test_write_csv_without_rows_writes_the_header_only(tmp_path, batches):
+    target = tmp_path / "out.csv"
+    write_csv(str(target), ["theta", "verdict"], batches)
+    assert target.read_text() == "theta,verdict\n"
 
 
 @pytest.mark.parametrize("n", [5, 2 * _BATCH, 2 * _BATCH + 1,
@@ -172,7 +194,7 @@ def test_write_csv_failure_mid_batch_leaves_no_file(tmp_path, n):
     target = tmp_path / "scan.csv"
     with pytest.raises(TypeError, match="cannot format object"):
         write_csv(str(target), ["theta", "verdict"],
-                  _theta_verdict(6 * _BATCH + 10, n - 1))
+                  [_theta_verdict(6 * _BATCH + 10, n - 1)])
     assert os.listdir(tmp_path) == []
 
 
@@ -235,9 +257,10 @@ def _oracle_columns():
         spec = GroupUnionSpec(orders)
         rep = scan_unit_circle(spec, WeightSeq.dyadic_single(spec.d), grid,
                                0.05, depth)
-        for col in (rep.thetas, rep.lams.real, rep.lams.imag, rep.den_lower,
-                    rep.block_bounds):
-            yield "scan", col
+        for c in rep.chunks:
+            for col in (c.thetas, c.lams.real, c.lams.imag, c.den_lower,
+                        c.block_bounds):
+                yield "scan", col
 
 
 def test_format_floats_matches_python_on_a_million_values():

@@ -1,20 +1,20 @@
 """Unit-circle scan and peripheral residual certificates."""
 
 import inspect
+import json
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from spectral_forge import scanner
+from spectral_forge import cli, scanner
 from spectral_forge.errors import BlockTooDeep, NotInTargetSet
-from spectral_forge.io import Lookup, write_csv
 from spectral_forge.model import (GroupUnionSpec, WeightSeq, union_points,
                                   union_values)
 from spectral_forge.resolvent import (CERTIFIED, SINGULAR, TAIL_INVALID,
                                       VERDICTS, _S_GAP_GUARD,
-                                      coupling_series_batch)
+                                      coupling_series_batch, verdict_counts)
 from spectral_forge.scanner import residual_certificate, scan_unit_circle
 
 SINGULAR_CODE = VERDICTS.index(SINGULAR)
@@ -111,13 +111,21 @@ def test_certificate_gate_rejects_a_zero_residual(monkeypatch, block):
 # the scan
 # ---------------------------------------------------------------------------
 
+def _whole(report):
+    """The scan's chunks joined into whole-grid columns; each chunk is
+    copied before the next one overwrites its buffers."""
+    chunks = [[col.copy() for col in c] for c in report.chunks]
+    return scanner.ScanChunk(*map(np.concatenate, zip(*chunks)))
+
+
 def test_scan_small_grid_single_group():
     spec, w = _setup((1,))
-    rep = scan_unit_circle(spec, w, grid_size=8, exclusion_radius=0.05)
-    counts = rep.counts()
+    rep = _whole(scan_unit_circle(spec, w, grid_size=8,
+                                  exclusion_radius=0.05))
+    counts = verdict_counts(rep.codes)
     assert counts[CERTIFIED] == 7
     assert counts[TAIL_INVALID] == 1          # the excluded point lam = 1
-    assert len(rep) == 8
+    assert len(rep.thetas) == 8
     assert rep.excluded[0]
     assert not rep.excluded[3]
 
@@ -125,8 +133,9 @@ def test_scan_small_grid_single_group():
 def test_scan_matches_pointwise_certification():
     # every scan point is the kernel's answer to a batch of one, bit for bit
     spec, w = _setup((2, 3))
-    rep = scan_unit_circle(spec, w, grid_size=180, exclusion_radius=0.05)
-    for i in range(len(rep)):
+    rep = _whole(scan_unit_circle(spec, w, grid_size=180,
+                                  exclusion_radius=0.05))
+    for i in range(len(rep.thetas)):
         ref = scanner._circle_kernel(spec, w, [rep.lams[i]], 40, 0.05)
         assert rep.codes[i] == ref.verdict[0]
         assert rep.den_lower[i] == ref.den_lower[0]
@@ -136,7 +145,8 @@ def test_scan_matches_pointwise_certification():
 
 def test_scan_withholds_certification_on_exclusion_arcs():
     spec, w = _setup((2, 3))
-    rep = scan_unit_circle(spec, w, grid_size=720, exclusion_radius=0.1)
+    rep = _whole(scan_unit_circle(spec, w, grid_size=720,
+                                  exclusion_radius=0.1))
     assert np.isin(rep.codes[rep.excluded],
                    [SINGULAR_CODE, TAIL_INVALID_CODE]).all()
     dist = np.abs(rep.lams[:, None] - union_values(spec)).min(axis=1)
@@ -146,8 +156,8 @@ def test_scan_withholds_certification_on_exclusion_arcs():
 def test_scan_verdicts_conjugation_symmetric():
     # the construction has real coefficients, so theta and 1-theta agree
     spec, w = _setup((2, 3))
-    rep = scan_unit_circle(spec, w, grid_size=360)
-    n = len(rep)
+    rep = _whole(scan_unit_circle(spec, w, grid_size=360))
+    n = len(rep.thetas)
     for i in range(1, n // 2):
         assert rep.codes[i] == rep.codes[n - i]
         assert rep.den_lower[i] == pytest.approx(rep.den_lower[n - i],
@@ -157,20 +167,12 @@ def test_scan_verdicts_conjugation_symmetric():
 def test_scan_empirical_bound_and_metadata():
     spec, w = _setup((2,))
     rep = scan_unit_circle(spec, w, grid_size=90, depth=25)
-    assert np.isfinite(rep.empirical_m)
-    assert rep.empirical_m >= 1.0      # resolvent norms near the rim are >= 1
     assert rep.metadata["depth"] == 25
     assert rep.metadata["orders"] == [2]
-
-
-def test_scan_csv_rows_shape_and_determinism(tmp_path):
-    spec, w = _setup((2, 3))
-    _, csv1 = _scan_and_csv(spec, w, 60, tmp_path / "a.csv")
-    _, csv2 = _scan_and_csv(spec, w, 60, tmp_path / "b.csv")
-    assert csv1 == csv2
-    rows = csv1.decode().splitlines()[1:]
-    assert len(rows) == 60
-    assert {len(r.split(",")) for r in rows} == {6}
+    rim = _whole(rep)
+    bounds = rim.block_bounds[~rim.excluded]
+    assert np.isfinite(bounds).all()
+    assert bounds.max() >= 1.0      # resolvent norms near the rim are >= 1
 
 
 def test_scan_default_certificates_cover_target_set():
@@ -182,46 +184,84 @@ def test_scan_default_certificates_cover_target_set():
         assert c.residual <= 2.0 * w.value(30) + 1e-14
 
 
-_ARRAYS = ("thetas", "lams", "codes", "den_lower", "block_bounds", "excluded")
+def test_scan_certifies_no_point_before_the_stream_is_read(monkeypatch):
+    # the certificates are built at once; the grid only as it is iterated
+    spec, w = _setup((2, 3))
+    calls = []
+    kernel = scanner._circle_kernel
+    monkeypatch.setattr(scanner, "_circle_kernel",
+                        lambda *a: calls.append(len(a[2])) or kernel(*a))
+    monkeypatch.setattr(scanner, "_CHUNK", 5)
+    rep = scan_unit_circle(spec, w, grid_size=12)
+    assert len(rep.certificates) == 4 and calls == []
+    sizes = [len(c.thetas) for c in rep.chunks]
+    assert sizes == calls == [5, 5, 2]
 
 
-def _scan_and_csv(spec, w, grid, path):
-    rep = scan_unit_circle(spec, w, grid_size=grid)
-    write_csv(str(path), ["theta", "re", "im", "verdict", "low", "bound"],
-              [rep.thetas, rep.lams.real, rep.lams.imag,
-               Lookup(np.array(VERDICTS, dtype=bytes), rep.codes),
-               rep.den_lower, rep.block_bounds])
-    return rep, path.read_bytes()
+def _scan_circle(tmp_path, name, grid, *flags):
+    """Exit code, CSV bytes and JSON summary of one ``scan-circle`` run."""
+    out = tmp_path / name
+    rc = cli.main(["scan-circle", "--grid", str(grid), "--out", str(out),
+                   *flags])
+    return (rc, (out / "scan_circle.csv").read_bytes(),
+            json.loads((out / "scan_circle.json").read_text()))
 
 
+def test_scan_csv_rows_shape_and_determinism(tmp_path):
+    _, csv1, _ = _scan_circle(tmp_path, "a", 60)
+    _, csv2, _ = _scan_circle(tmp_path, "b", 60)
+    assert csv1 == csv2
+    rows = csv1.decode().splitlines()[1:]
+    assert len(rows) == 60
+    assert {len(r.split(",")) for r in rows} == {6}
+
+
+# chunk 2048 is the CSV batch; a chunk of 3000 ends inside a CSV batch; the
+# grids 295, 4097, 6001 and 16385 leave one point in the last chunk
 @pytest.mark.parametrize("chunk,grid", [
-    (1, 300), (7, 300), (scanner._CHUNK, 2 * scanner._CHUNK + 301)])
+    (1, 300), (7, 300), (7, 295), (2048, 4097), (3000, 6001),
+    (scanner._CHUNK, 2 * scanner._CHUNK + 1),
+    (scanner._CHUNK, 2 * scanner._CHUNK + 301)])
 def test_scan_does_not_depend_on_the_chunk_size(chunk, grid, tmp_path,
                                                 monkeypatch):
-    spec, w = _setup((4, 6))
-    # one chunk over the whole grid is the unchunked arithmetic
-    monkeypatch.setattr(scanner, "_CHUNK", grid)
-    ref, ref_csv = _scan_and_csv(spec, w, grid, tmp_path / "ref.csv")
-    monkeypatch.setattr(scanner, "_CHUNK", chunk)
-    rep, rep_csv = _scan_and_csv(spec, w, grid, tmp_path / "rep.csv")
-    for name in _ARRAYS:
-        np.testing.assert_array_equal(getattr(rep, name), getattr(ref, name))
-    assert rep.empirical_m == ref.empirical_m
-    assert rep_csv == ref_csv
+    # the streamed command writes the bytes and folds the counts, the rim
+    # maximum and the rim flag of one chunk over the whole grid; at depth 1
+    # and narrow arcs the rim holds withheld points, so the flag is false
+    for depth, exclusion in (("40", "0.05"), ("1", "0.01")):
+        flags = ("--orders", "4,6", "--depth", depth, "--exclusion",
+                 exclusion)
+        monkeypatch.setattr(scanner, "_CHUNK", grid)
+        ref = _scan_circle(tmp_path, f"ref{depth}", grid, *flags)
+        monkeypatch.setattr(scanner, "_CHUNK", chunk)
+        got = _scan_circle(tmp_path, f"got{depth}", grid, *flags)
+        assert got[:2] == ref[:2]
+        for key in ("counts", "empirical_resolvent_bound",
+                    "all_nonexcluded_certified"):
+            assert got[2][key] == ref[2][key], key
+        assert got[2] == ref[2]
+    assert ref[0] == 1 and not ref[2]["all_nonexcluded_certified"]
 
 
-def test_scan_memory_stays_bounded_by_one_chunk():
-    # the unchunked scan held grid x depth*|U| complex distances: 187 MB here
-    spec, w = _setup((2, 3))
+def _scan_circle_peak(tmp_path, grid) -> int:
+    """Peak traced heap of one in-process ``scan-circle`` run."""
     tracemalloc.start()
     try:
-        rep = scan_unit_circle(spec, w, grid_size=50_000)
-        peak = tracemalloc.get_traced_memory()[1]
+        assert cli.main(["scan-circle", "--grid", str(grid),
+                         "--out", str(tmp_path)]) == 0
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64e6
-    # the verdict column is one uint8 code a point, not a label reference
-    assert rep.codes.dtype == np.uint8
+
+
+def test_scan_circle_memory_does_not_grow_with_the_grid(tmp_path,
+                                                        monkeypatch):
+    # scan and CSV together: a column spanning the grid (42 bytes a point
+    # over the six per-point columns) adds 1.3 MB at 16 times the grid
+    monkeypatch.setattr(scanner, "_CHUNK", 512)
+    _scan_circle_peak(tmp_path, 2048)               # one-time tables
+    small = _scan_circle_peak(tmp_path, 2048)
+    large = _scan_circle_peak(tmp_path, 16 * 2048)
+    assert large <= small + 256_000, (small, large)
 
 
 def test_kernel_memory_does_not_grow_with_depth():
@@ -257,7 +297,10 @@ def test_kernel_calls_the_series_through_its_traced_name(monkeypatch):
 
     monkeypatch.setattr(scanner, "coupling_series_batch", spy)
     spec, w = _setup((2, 3))
-    scan_unit_circle(spec, w, grid_size=100, depth=30)
+    rep = scan_unit_circle(spec, w, grid_size=100, depth=30)
+    assert calls == []
+    for _ in rep.chunks:
+        pass
     assert calls == [(100, 30)]
 
 
