@@ -18,9 +18,10 @@ from .resolvent import (CERTIFIED, SINGULAR, TAIL_INVALID,
                         coupling_series_batch)
 from .scanner import EigCertificate, ScanChunk, ScanReport, \
     residual_certificate, scan_unit_circle
-from .finite import (FiniteOperator, SpectrumResult, build_finite_section,
-                     convergence_table, factorization_crosscheck,
-                     finite_spectrum, strongly_connected)
+from .finite import (FiniteOperator, FiniteSection, SpectrumResult,
+                     build_finite_section, convergence_table,
+                     factorization_crosscheck, finite_spectrum,
+                     strongly_connected)
 from .semigroup import (GeneratorSpec, ModeCertificate, RationalSchedule,
                         SemigroupState, apply_generator, chain_generator,
                         evolve, mode_certificate, scan_imaginary_axis)

@@ -21,8 +21,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import BlockTooDeep, ExponentialUnresolved, SpectralForgeError
-from .finite import convergence_table, finite_spectrum, section_limit, \
-    strongly_connected
+from .finite import convergence_table, finite_spectrum, section_limit
 from .io import write_csv, write_json
 from .model import GroupUnionSpec, WeightSeq
 from .resolvent import CERTIFIED, SINGULAR, VERDICTS, _MAX_TERMS, \
@@ -193,10 +192,8 @@ def cmd_scan_circle(args) -> int:
               ["theta", "re_lambda", "im_lambda", "verdict",
                "denominator_abs_lower", "empirical_block_bound"], batches())
 
-    # each residual must match its closed form q_n * (1 + |<1, z>|), which
-    # the scanner records as ``matches``; ``threshold`` is the largest
-    # closed form plus the rounding slop, kept in the JSON for reference
-    threshold = 2.0 * w.value(args.cert_block) + CERT_SLOP
+    # each residual must match its closed form q_n * (1 + |<1, z>|) to
+    # within CERT_SLOP, which the scanner records as ``matches``
     cert_ok = all(c.matches for c in report.certificates)
     counts = dict(zip(VERDICTS, tally.tolist()))
 
@@ -207,7 +204,8 @@ def cmd_scan_circle(args) -> int:
         "certificates": [{
             "angle": str(c.angle), "re": c.value.real, "im": c.value.imag,
             "block_index": c.block_index, "inner_abs": c.inner_abs,
-            "residual": c.residual, "threshold": threshold,
+            "residual": c.residual, "expected": c.expected,
+            "tolerance": CERT_SLOP, "matches": c.matches,
         } for c in report.certificates],
         "all_nonexcluded_certified": rim_ok,
         "certificates_ok": cert_ok,
@@ -225,31 +223,31 @@ def cmd_eigs(args) -> int:
     _check_section_size("N", args.n_blocks, w, not args.no_renormalize)
     result = finite_spectrum(spec, w, args.n_blocks,
                              renormalize=not args.no_renormalize)
-    op = result.operator
+    sec = result.section
 
     values = result.values()
     write_csv(_out_path(cfg, "eigs.csv"), ["re", "im", "kind", "residual"],
               [[values.real, values.imag, [r.kind for r in result.records],
                 np.array([r.residual for r in result.records])]])
 
-    col = op.column_sums()
+    col = sec.column_sums()
     vals = np.abs(values)
     top = values[vals > vals.max() - 1e-10]
     summary = {
         "orders": list(spec.orders),
         "n_blocks": args.n_blocks,
-        "dimension": op.dim,
-        "renormalized": op.renormalized,
+        "dimension": sec.dim,
+        "renormalized": sec.renormalized,
         "count": len(result),
         "max_residual": result.max_residual(),
         "head_column_sum": float(col[0]),
         "max_column_sum_deviation": float(np.abs(col - 1.0).max()),
-        "strongly_connected": strongly_connected(op.matrix),
+        "strongly_connected": sec.strongly_connected(),
         "spectral_radius": float(vals.max()),
         "peripheral_values": [{"re": z.real, "im": z.imag} for z in top],
     }
     write_json(_out_path(cfg, "eigs.json"), summary)
-    print(f"eigs: {len(result)} eigenvalues of the {op.dim}-dimensional "
+    print(f"eigs: {len(result)} eigenvalues of the {sec.dim}-dimensional "
           f"section, max residual {result.max_residual():.3e}, "
           f"head column sum {col[0]:.12f}")
     return 0 if result.max_residual() <= 1e-9 else 1

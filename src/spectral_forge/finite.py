@@ -20,6 +20,13 @@ stochastic matrix T_N whose spectrum splits in closed form:
   ``_bisect``, bisects brackets of any number of sections together:
   ``secular_roots`` hands it every bracket of one section.
 
+``finite_spectrum`` assembles no section: the section is its weights
+(``FiniteSection``), each eigenpair's residual comes from the one block its
+vector touches or from the flat forward map ``model.apply_operator``, and
+column sums and connectivity come in closed form and from the sparse
+pattern, so ``eigs`` costs O(N d) memory and time per eigenvector.  The
+dense ``build_finite_section`` is an oracle for the tests and ``verify``.
+
 The determinant factorisation det(lam - T_N) =
 lam * prod_n (lam - 1 + q_n) * phi_N(lam) * (block factors) underlies the
 cofactor cross-check.
@@ -43,9 +50,10 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import RootCountMismatch
-from .model import GroupUnionSpec, WeightSeq, union_points
+from .model import GroupUnionSpec, WeightSeq, apply_operator, union_points
 
 __all__ = [
+    "FiniteSection",
     "FiniteOperator",
     "build_finite_section",
     "strongly_connected",
@@ -62,14 +70,14 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# building the section
+# the section
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FiniteOperator:
-    """Dense finite section with its construction data."""
+class FiniteSection:
+    """Head plus blocks 1..N of the operator, described by its weights and
+    never assembled; the layout is that of ``model.apply_operator``."""
 
-    matrix: np.ndarray
     spec: GroupUnionSpec
     weights: WeightSeq
     n_blocks: int
@@ -81,12 +89,53 @@ class FiniteOperator:
         return 1 + self.n_blocks * self.spec.d
 
     def column_sums(self) -> np.ndarray:
-        return self.matrix.sum(axis=0)
+        """Column sums in closed form, bit for bit those of the assembled
+        matrix: down the head column the q~_n of every block entry add one
+        at a time, and block column j of block n holds q~_n in the head row
+        and 1 - q~_n in one row of its block."""
+        qs = np.repeat(self.tilde_q, self.spec.d)
+        return np.r_[np.cumsum(qs)[-1], qs + (1.0 - qs)]
+
+    def strongly_connected(self) -> bool:
+        """``strongly_connected`` on the section's sparse pattern: the head
+        and each block entry feed each other where q~_n != 0, and P moves
+        each block entry into the next of its cycle where 1 - q~_n != 0.
+        Vertex 0 must reach every vertex along the edges and against them;
+        each step of the search is one pass over the O(dim) edges, and in
+        a coupled section every vertex is one edge from 0 both ways."""
+        d, q = self.spec.d, np.repeat(self.tilde_q, self.spec.d)
+        first = 1 + d * np.arange(self.n_blocks)[:, None]
+        entry = (first + np.arange(d)).ravel()
+        source = (first + self.spec.gather).ravel()
+        fed, moved = entry[q != 0.0], (1.0 - q) != 0.0
+        src = np.r_[np.zeros_like(fed), fed, source[moved]]
+        dst = np.r_[fed, np.zeros_like(fed), entry[moved]]
+        for a, b in ((src, dst), (dst, src)):
+            seen = np.arange(self.dim) == 0
+            frontier = seen.copy()
+            while frontier.any():
+                reached = np.zeros_like(seen)
+                reached[b[frontier[a]]] = True
+                frontier = reached & ~seen
+                seen |= frontier
+            if not seen.all():
+                return False
+        return True
+
+
+@dataclass(frozen=True)
+class FiniteOperator(FiniteSection):
+    """The section assembled as a dense matrix: an oracle for tests and
+    ``verify``, never built on the ``eigs`` path."""
+
+    matrix: np.ndarray
 
 
 def _section_weights(w: WeightSeq, n_blocks: int,
                      renormalize: bool) -> np.ndarray:
     """q_1 .. q_N, scaled by 1/(1 - tail mass) when renormalising."""
+    if n_blocks < 1:
+        raise ValueError("need at least one block")
     qs = w.values(n_blocks)
     if renormalize:
         qs = qs / w.partial_mass(n_blocks)
@@ -101,8 +150,6 @@ def build_finite_section(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
     head column sums to exactly one; block columns always do.  Without it
     the head column sums to the partial mass 1 - 2^-N.
     """
-    if n_blocks < 1:
-        raise ValueError("need at least one block")
     d = spec.d
     qs = _section_weights(w, n_blocks, renormalize)
     dim = 1 + n_blocks * d
@@ -114,11 +161,11 @@ def build_finite_section(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
         a[sl, 0] = q                    # head feeds every block entry
         a[0, sl] = q                    # blocks feed the head
         a[sl, sl] = (1.0 - q) * p
-    return FiniteOperator(a, spec, w, n_blocks, renormalize, qs)
+    return FiniteOperator(spec, w, n_blocks, renormalize, qs, a)
 
 
 # ---------------------------------------------------------------------------
-# strong connectivity
+# strong connectivity of a dense matrix
 # ---------------------------------------------------------------------------
 
 def strongly_connected(matrix: np.ndarray) -> bool:
@@ -281,7 +328,7 @@ class EigRecord:
 
 @dataclass
 class SpectrumResult:
-    operator: FiniteOperator
+    section: FiniteSection
     records: List[EigRecord] = field(default_factory=list)
 
     def values(self) -> np.ndarray:
@@ -309,38 +356,34 @@ def _block_zetas(spec: GroupUnionSpec):
 def _block_eig_vectors(spec: GroupUnionSpec):
     """Per-block eigenpairs of P orthogonal to the coupled direction.
 
-    Yields (zeta, vector) with P v = zeta v and <1, v> = 0, in the order of
-    ``_block_zetas``: the nontrivial Fourier modes of each cyclic factor
-    plus, when there are several factors, the differences of their
-    normalised fixed vectors (these carry the eigenvalue 1 with
-    multiplicity factors-1).
+    Returns the eigenvalues zeta, in the order of ``_block_zetas``, and the
+    vectors v as the rows of a (count, d) array, with P v = zeta v and
+    <1, v> = 0: the nontrivial Fourier modes of each cyclic factor plus,
+    when there are several factors, the differences of their normalised
+    fixed vectors (these carry the eigenvalue 1 with multiplicity
+    factors-1).
     """
-    d = spec.d
     offs, ords = spec.offsets, spec.orders
-    zetas = _block_zetas(spec)
+    zetas = list(_block_zetas(spec))
+    vs = np.zeros((len(zetas), spec.d), dtype=complex)
+    row = 0
     for off, m in zip(offs, ords):
         for _ in range(1, m):
-            zeta = next(zetas)
-            v = np.zeros(d, dtype=complex)
             for i in range(m):
-                v[off + i] = zeta ** (-i) / m
-            yield zeta, v
+                vs[row, off + i] = zetas[row] ** (-i) / m
+            row += 1
     for k in range(len(ords) - 1):
-        v = np.zeros(d, dtype=complex)
+        v = vs[row]
         v[offs[k]:offs[k] + ords[k]] = 1.0 / ords[k]
         v[offs[k + 1]:offs[k + 1] + ords[k + 1]] = -1.0 / ords[k + 1]
-        yield next(zetas), v / np.abs(v).sum()
+        v /= np.abs(v).sum()
+        row += 1
+    return np.array(zetas, dtype=complex), vs
 
 
-def _block_residual(a: np.ndarray, n: int, v: np.ndarray,
-                    lam: complex) -> float:
-    """||a z - lam z||_1 / ||z||_1 for z equal to ``v`` on block n and 0
-    elsewhere, from the block's columns of the assembled matrix only."""
-    d = len(v)
-    block = slice(1 + (n - 1) * d, 1 + n * d)
-    r = a[:, block] @ v
-    r[block] -= lam * v
-    return float(np.abs(r).sum() / np.abs(v).sum())
+# secular eigenvectors per call of the forward map in ``finite_spectrum``;
+# each call's buffers are a few times this many rows of the section
+_RESIDUAL_ROWS = 32
 
 
 def finite_spectrum(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
@@ -350,43 +393,54 @@ def finite_spectrum(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
     Block eigenvalues come with their closed-form eigenvectors; secular
     roots come from the interlacing solve and are re-expanded into head
     chain eigenvectors via the resolvent profile q_n/(q_n - x), x = 1 - lam.
-    Every eigenpair is certified by its residual ||T v - lam v||_1 (v
-    normalised) against the assembled matrix; the total count must equal the
-    dimension.
+    Every eigenpair is certified by its residual ||T v - lam v||_1 / ||v||_1,
+    and the total count must equal the dimension.  No section is
+    assembled, so memory and time are O(N d) per eigenvector:
+    * a block eigenvector v on block n alone has image q~_n <1, v> at the
+      head and (1 - q~_n) P v on block n, so its residual is
+      |q~_n <1, v>| + ||(1 - q~_n) P v - lam v||_1 over ||v||_1, all blocks
+      at once;
+    * the secular eigenvectors go through ``model.apply_operator`` with
+      the section's weights q~, ``_RESIDUAL_ROWS`` of them a call.
     """
-    op = build_finite_section(spec, w, n_blocks, renormalize)
-    a = op.matrix
     d = spec.d
-    qs = op.tilde_q
-    records: List[EigRecord] = []
+    qs = _section_weights(w, n_blocks, renormalize)
+    section = FiniteSection(spec, w, n_blocks, renormalize, qs)
 
-    def residual(vec, lam):
-        nv = np.abs(vec).sum()
-        return float(np.abs(a @ vec - lam * vec).sum() / nv)
-
-    for n in range(1, n_blocks + 1):
-        damp = 1.0 - qs[n - 1]
-        for zeta, v in _block_eig_vectors(spec):
-            lam = damp * zeta
-            records.append(EigRecord(
-                lam, "block", _block_residual(a, n, v, lam), n))
+    zetas, vs = _block_eig_vectors(spec)
+    damp = (1.0 - qs)[:, None]
+    block_lams = damp * zetas
+    r = damp[..., None] * spec.permute(vs) - block_lams[..., None] * vs
+    head = np.abs(qs[:, None] * vs.sum(axis=1))
+    block_res = (head + np.abs(r).sum(axis=2)) / np.abs(vs).sum(axis=1)
+    records = [EigRecord(lam, "block", res, n)
+               for n, lams, ress in zip(range(1, n_blocks + 1),
+                                        block_lams.tolist(),
+                                        block_res.tolist())
+               for lam, res in zip(lams, ress)]
 
     lams = secular_roots(spec, w, n_blocks, renormalize)
     # x = 1 - lam lies strictly inside its bracket, but rounding lam can put
     # the recovered x on a pole; clamping keeps every coefficient finite
     lo, hi = _brackets(d, qs)
     xs = np.clip(1.0 - lams, np.nextafter(lo, hi), np.nextafter(hi, lo))
-    for lam, x in zip(lams, xs):
-        vec = np.concatenate(([1.0], np.repeat(qs / (qs - x), d)))
-        records.append(EigRecord(complex(lam), "secular", residual(vec, lam)))
+    for i in range(0, lams.size, _RESIDUAL_ROWS):
+        lam = lams[i:i + _RESIDUAL_ROWS, None]
+        vecs = np.ones((lam.size, section.dim))
+        vecs[:, 1:] = np.repeat(qs / (qs - xs[i:i + _RESIDUAL_ROWS, None]),
+                                d, axis=1)
+        r = apply_operator(spec, w, vecs, qs) - lam * vecs
+        res = np.abs(r).sum(axis=1) / np.abs(vecs).sum(axis=1)
+        records.extend(EigRecord(complex(v), "secular", e)
+                       for v, e in zip(lam[:, 0].tolist(), res.tolist()))
 
-    if len(records) != op.dim:
+    if len(records) != section.dim:
         raise RootCountMismatch(
-            f"{len(records)} eigenvalues for dimension {op.dim}")
+            f"{len(records)} eigenvalues for dimension {section.dim}")
     records.sort(key=lambda r: (round(math.atan2(r.value.imag,
                                                  r.value.real), 12),
                                 abs(r.value)))
-    return SpectrumResult(op, records)
+    return SpectrumResult(section, records)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +538,8 @@ def factorization_crosscheck(spec: GroupUnionSpec, w: WeightSeq,
     multiset.
     """
     result = finite_spectrum(spec, w, n_blocks)
-    a = result.operator.matrix
-    dim = result.operator.dim
+    a = build_finite_section(spec, w, n_blocks).matrix
+    dim = result.section.dim
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFAC7]))
     zs = 2.0 * (rng.random(2 * dim) + 1j * rng.random(2 * dim)) - (1 + 1j)
     lams = 2.0 * zs / np.maximum(1.0, np.abs(zs))   # clamp into |z| <= 2

@@ -21,9 +21,11 @@ finite-support vectors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -74,13 +76,16 @@ class GroupUnionSpec:
             pos += m
         return tuple(out)
 
+    @functools.cached_property
+    def gather(self) -> np.ndarray:
+        """Index of the entry that P moves into each entry:
+        (P x)[j] = x[gather[j]], the previous entry of j's cycle."""
+        return np.concatenate([off + np.roll(np.arange(m), 1)
+                               for off, m in zip(self.offsets, self.orders)])
+
     def permute(self, x: np.ndarray) -> np.ndarray:
         """Apply the block permutation P along the last axis (length d)."""
-        x = np.asarray(x)
-        out = np.empty_like(x)
-        for off, m in zip(self.offsets, self.orders):
-            out[..., off:off + m] = np.roll(x[..., off:off + m], 1, axis=-1)
-        return out
+        return np.asarray(x)[..., self.gather]
 
     def permutation_matrix(self) -> np.ndarray:
         p = np.zeros((self.d, self.d))
@@ -163,30 +168,38 @@ class WeightSeq:
 # forward operator
 # ---------------------------------------------------------------------------
 
-def apply_operator(spec: GroupUnionSpec, w: WeightSeq,
-                   x: np.ndarray) -> np.ndarray:
-    """Forward map T x for a finite-support vector.
+def apply_operator(spec: GroupUnionSpec, w: WeightSeq, x: np.ndarray,
+                   weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """Forward map T x for a finite-support vector, or for a stack of them
+    along a leading axis.
 
-    ``x`` is flat, in the layout of ``finite.build_finite_section``: the
-    head, then blocks 1..N (N >= 1) of length d each.  The result is T x on
-    the same support, i.e. the raw section's matrix times x; past block N
-    the image continues in closed form as the tail x[0] * q_n * 1, n > N,
-    whose l1 mass is |x[0]| 2^-N.
+    Each vector is flat, in the layout of ``finite.build_finite_section``:
+    the head, then blocks 1..N (N >= 1) of length d each.  The result is
+    T x on the same support, i.e. the raw section's matrix times x; past
+    block N the image continues in closed form as the tail x[0] * q_n * 1,
+    n > N, whose l1 mass is |x[0]| 2^-N.  ``weights``, when given, replaces
+    q_1 .. q_N: with a section's renormalised weights the result is that
+    section's matrix times x.  Real input gives a real result.
     """
     if w.kind != "single":
         raise ValueError("apply_operator needs a single-operator weight rule")
-    x = np.asarray(x, dtype=complex)
-    n_blocks, partial = divmod(x.size - 1, spec.d)
-    if x.ndim != 1 or n_blocks < 1 or partial:
+    x = np.asarray(x)
+    x = x.astype(np.result_type(x, float), copy=False)
+    n_blocks, partial = divmod(x.shape[-1] - 1, spec.d) if x.ndim else (0, 0)
+    if x.ndim not in (1, 2) or n_blocks < 1 or partial:
         raise ValueError(f"expected a head and whole blocks of {spec.d}, "
                          f"got shape {x.shape}")
-    blocks = x[1:].reshape(n_blocks, spec.d)
-    q = w.values(n_blocks)[:, None]
+    q = w.values(n_blocks) if weights is None else np.asarray(weights, float)
+    if q.shape != (n_blocks,):
+        raise ValueError(f"{q.shape} weights for {n_blocks} blocks")
+    q = q[:, None]
+    blocks = x[..., 1:].reshape(x.shape[:-1] + (n_blocks, spec.d))
     out = np.empty_like(x)
     # the head pairing sum_n q_n <1, x_n>, summed in block order (cumsum
     # adds one term at a time, as the pinned artifacts were summed)
-    out[0] = np.cumsum(q[:, 0] * blocks.sum(axis=1))[-1]
-    out[1:] = ((1.0 - q) * spec.permute(blocks) + x[0] * q).ravel()
+    out[..., 0] = np.cumsum(q[:, 0] * blocks.sum(axis=-1), axis=-1)[..., -1]
+    out[..., 1:] = ((1.0 - q) * spec.permute(blocks)
+                    + x[..., :1, None] * q).reshape(x.shape[:-1] + (-1,))
     return out
 
 
@@ -235,11 +248,18 @@ def stochasticity_check(spec: GroupUnionSpec, w: WeightSeq, trials: int = 50,
         ntf = abs(tf[0])
         for s in np.abs(tf[1:]).reshape(depth, d).sum(axis=1).tolist():
             ntf += s
-        n, rem = depth, abs(head) * w.tail_mass(depth)
-        while rem > 1e-16:
-            n += 1
-            ntf += abs(head * w.value(n)) * d
-            rem = abs(head) * w.tail_mass(n)
+        # the tail runs to the first block ``stop`` whose remainder
+        # |f_0| 2^-stop is at most 1e-16; halving is exact, so with
+        # |f_0| 2^-depth = f 2^e and 1e-16 = g 2^k (f, g in [1/2, 1)) that
+        # is e - k blocks further, one more where f > g
+        stop, rem = depth, abs(head) * w.tail_mass(depth)
+        if rem > 1e-16:
+            (f, e), (g, k) = math.frexp(rem), math.frexp(1e-16)
+            stop += e - k + (f > g)
+            rem = abs(head) * w.tail_mass(stop)
+            # added one term at a time after the support mass
+            tail = np.abs(head * w.values(stop)[depth:]) * d
+            ntf = np.cumsum(np.concatenate(([ntf], tail)))[-1]
         worst_defect = max(worst_defect, abs(ntf - nf) / nf + rem / nf)
 
         neg = min(0.0, float(np.min(tf[1:].real)))

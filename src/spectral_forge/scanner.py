@@ -57,8 +57,9 @@ class EigCertificate:
     ``vector`` is the l1-normalised discrete Fourier eigenvector of the
     first cyclic sub-block whose spectrum contains the point, embedded in
     block ``block_index``.  ``residual`` is ||(T - lam) z||_1 computed by
-    the forward map; it equals q_n * (1 + inner_abs) in exact arithmetic,
-    and ``matches`` records whether it does up to ``CERT_SLOP``.
+    the forward map; it equals ``expected`` = q_n * (1 + inner_abs) in exact
+    arithmetic, and ``matches`` records whether it does up to
+    ``CERT_SLOP``.
     """
 
     angle: Fraction
@@ -67,6 +68,7 @@ class EigCertificate:
     vector: np.ndarray
     inner_abs: float
     residual: float
+    expected: float
     matches: bool
 
 
@@ -110,8 +112,9 @@ def residual_certificate(spec: GroupUnionSpec, w: WeightSeq,
     # the l1 norm, each block's sum first: the order the artifacts pin
     resid = float(abs(r[0])
                   + np.abs(r[1:]).reshape(-1, spec.d).sum(axis=1).sum())
-    return EigCertificate(angle, lam, block_index, z, inner, resid,
-                          bool(abs(resid - q * (1.0 + inner)) <= CERT_SLOP))
+    expected = q * (1.0 + inner)
+    return EigCertificate(angle, lam, block_index, z, inner, resid, expected,
+                          bool(abs(resid - expected) <= CERT_SLOP))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spectral_forge import finite
-from spectral_forge.finite import (_block_eig_vectors, _block_residual,
+from spectral_forge.finite import (_block_eig_vectors, _block_zetas,
                                    build_finite_section, cofactor_det_batch,
                                    convergence_table, factorization_crosscheck,
                                    finite_spectrum, secular_roots,
@@ -56,6 +56,16 @@ def test_column_sums_renormalized_and_raw():
     cols = raw.column_sums()
     assert cols[0] == pytest.approx(1.0 - 2.0 ** -10, abs=1e-15)
     assert np.abs(cols[1:] - 1.0).max() < 1e-15
+
+
+@pytest.mark.parametrize("orders", [(1,), (2, 3), (4, 6), (5, 7)])
+def test_closed_form_column_sums_are_the_dense_ones_bitwise(orders):
+    spec, w = _setup(orders)
+    for n in [*range(1, 31), 60, 100]:
+        for renormalize in (True, False):
+            op = build_finite_section(spec, w, n, renormalize)
+            assert op.column_sums().tobytes() == \
+                op.matrix.sum(axis=0).tobytes(), (n, renormalize)
 
 
 def test_section_matches_operator_structure():
@@ -110,7 +120,11 @@ def test_strongly_connected_on_a_long_path_and_ring():
 
 
 def _scipy_strongly_connected(matrix):
-    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    """SciPy's answer, or None where SciPy is not installed."""
+    try:
+        from scipy.sparse import csgraph
+    except ImportError:
+        return None
     count, _ = csgraph.connected_components(matrix != 0.0, directed=True,
                                             connection="strong")
     return count == 1
@@ -118,16 +132,25 @@ def _scipy_strongly_connected(matrix):
 
 @pytest.mark.parametrize("orders", [(1,), (2, 3), (4, 6), (5, 7)])
 def test_strongly_connected_agrees_with_scipy_on_every_section(orders):
-    # the sections eigs builds (N = 1..40, both normalisations) and the
-    # coupled and uncoupled ones the connectivity suite builds
+    # the sections eigs checks (N = 1..40, both normalisations) and the
+    # coupled and uncoupled ones the connectivity suite builds: the search
+    # on the section's sparse pattern, which eigs runs, against the dense
+    # search and SciPy on the assembled matrix; all weights 0 zero the head
+    # row and column of the pattern
     spec, w = _setup(orders)
     for n in range(1, 41):
         for renormalize in (True, False):
             op = build_finite_section(spec, w, n, renormalize)
             uncoupled = op.matrix.copy()
             uncoupled[0, :] = uncoupled[:, 0] = 0.0
+            zeroed = dataclasses.replace(op, tilde_q=np.zeros(n))
+            assert op.strongly_connected() is strongly_connected(op.matrix) \
+                is True
+            assert zeroed.strongly_connected() is \
+                strongly_connected(uncoupled) is False
             for m in (op.matrix, uncoupled):
-                assert strongly_connected(m) == _scipy_strongly_connected(m)
+                assert _scipy_strongly_connected(m) in (None,
+                                                        strongly_connected(m))
 
 
 def test_sections_strongly_connected_and_control():
@@ -251,32 +274,139 @@ def test_secular_roots_include_one_exactly():
 def test_finite_spectrum_matches_dense_eigensolver(orders, n_blocks):
     spec, w = _setup(orders)
     result = finite_spectrum(spec, w, n_blocks)
-    assert len(result) == result.operator.dim
+    assert len(result) == result.section.dim
     assert result.max_residual() < 1e-9
-    ref = np.linalg.eigvals(result.operator.matrix)
+    ref = np.linalg.eigvals(build_finite_section(spec, w, n_blocks).matrix)
     assert _multiset_gap(result.values(), ref) < 1e-8
 
 
-@pytest.mark.parametrize("orders,n_blocks", [((2, 3), 6), ((4, 6), 5)])
-def test_block_residuals_match_the_dense_product(orders, n_blocks):
-    # the block-local residual against ||a @ vec - lam vec||_1 over the
-    # whole section, for every block eigenpair that finite_spectrum reports
-    spec, w = _setup(orders)
-    result = finite_spectrum(spec, w, n_blocks)
-    a = result.operator.matrix
-    d = spec.d
-    local = []
+_U = np.finfo(float).eps / 2            # unit roundoff
+
+
+def _dense_residuals(spec, w, n_blocks, renormalize):
+    """Every eigenpair of the section as ``finite_spectrum`` builds it, in
+    its order, with ||a v - lam v||_1 / ||v||_1 on the assembled matrix a
+    and a bound on the rounding of any evaluation of that quotient.
+
+    The values are formed as the per-block loop before the matrix-free
+    residuals formed them: (1 - q~_n) zeta one scalar product at a time,
+    block after block, then the secular roots, sorted by angle and modulus.
+    Each product a v takes only the columns where v is nonzero.
+
+    The bound: both routes evaluate the same quotient for the same float
+    v and lam on the same float entries.  Row i of (a - lam) v sums k_i
+    nonzero products, where the dense product has k_i nonzeros in row i
+    and the flat map at most k_i + 2 roundings (the head row takes N block
+    sums of d entries: N + d <= N d + 1 = k_0 + 1; a block row takes two
+    products and a sum), so its error is at most (k_i + 2) u sum_j
+    |a_ij| |v_j|; the product lam v_i and the subtraction add 3 u |lam v_i|;
+    complex products with a real factor round each part on its own, which
+    costs a factor sqrt 2.  The modulus, the pairwise sum of dim terms and
+    the division add (dim + 4) u times the residual.  Two routes differ by
+    at most twice that.
+    """
+    a = build_finite_section(spec, w, n_blocks, renormalize).matrix
+    abs_a = np.abs(a)
+    d, qs = spec.d, finite._section_weights(w, n_blocks, renormalize)
+    k = np.count_nonzero(a, axis=1)
+    pairs = []
+    _, vs = _block_eig_vectors(spec)
     for n in range(1, n_blocks + 1):
-        damp = 1.0 - result.operator.tilde_q[n - 1]
-        for zeta, v in _block_eig_vectors(spec):
-            lam = damp * zeta
-            vec = np.zeros(result.operator.dim, dtype=complex)
-            vec[1 + (n - 1) * d: 1 + n * d] = v
-            dense = np.abs(a @ vec - lam * vec).sum() / np.abs(vec).sum()
-            local.append(_block_residual(a, n, v, lam))
-            assert abs(local[-1] - dense) <= 1e-16
-    reported = [r.residual for r in result.records if r.kind == "block"]
-    assert sorted(reported) == sorted(local)
+        damp = 1.0 - qs[n - 1]
+        for zeta, v in zip(_block_zetas(spec), vs):
+            vec = np.zeros(a.shape[0], dtype=complex)
+            vec[1 + (n - 1) * d:1 + n * d] = v
+            pairs.append((damp * zeta, "block", n, vec))
+    lams = secular_roots(spec, w, n_blocks, renormalize)
+    lo, hi = finite._brackets(d, qs)
+    xs = np.clip(1.0 - lams, np.nextafter(lo, hi), np.nextafter(hi, lo))
+    for lam, x in zip(lams, xs):
+        vec = np.concatenate(([1.0], np.repeat(qs / (qs - x), d)))
+        pairs.append((complex(lam), "secular", None, vec))
+    pairs.sort(key=lambda p: (round(math.atan2(p[0].imag, p[0].real), 12),
+                              abs(p[0])))
+    out = []
+    for lam, kind, n, vec in pairs:
+        cols = np.flatnonzero(vec)
+        nv = np.abs(vec).sum()
+        res = np.abs(a[:, cols] @ vec[cols] - lam * vec).sum() / nv
+        rows = (k + 2) * (abs_a[:, cols] @ np.abs(vec[cols])) \
+            + 3 * abs(lam) * np.abs(vec)
+        slack = 2 * _U * (math.sqrt(2) * rows.sum() / nv
+                          + (a.shape[0] + 4) * res)
+        out.append((lam, kind, n, res, slack))
+    return out
+
+
+def _worst_residual_gap(orders, sizes):
+    """Largest |residual - dense residual| / bound over every eigenpair of
+    the given sections, both normalisations; the values, kinds, blocks and
+    order must be those of the dense route."""
+    spec, w = _setup(orders)
+    worst = 0.0
+    for n_blocks in sizes:
+        for renormalize in (True, False):
+            result = finite_spectrum(spec, w, n_blocks, renormalize)
+            ref = _dense_residuals(spec, w, n_blocks, renormalize)
+            assert [(r.kind, r.block_index) for r in result.records] == \
+                [(kind, n) for _, kind, n, _, _ in ref]
+            assert result.values().tobytes() == \
+                np.array([lam for lam, *_ in ref]).tobytes()
+            worst = max(worst, max(abs(r.residual - res) / slack
+                                   for r, (*_, res, slack)
+                                   in zip(result.records, ref)))
+    return worst
+
+
+_ORACLE_SIZES = [*range(1, 31), 40, 60, 100]
+
+
+@pytest.mark.parametrize("orders", [(1,), (2, 3), (4, 6), (5, 7)])
+def test_residuals_match_the_dense_section(orders):
+    # the matrix-free residuals against the assembled section's product,
+    # eigenpair by eigenpair, to within the derived rounding bound
+    assert _worst_residual_gap(orders, _ORACLE_SIZES) <= 1.0
+
+
+def test_mis_signed_head_feed_fails_the_dense_oracle(monkeypatch):
+    # negative control: a flat map that feeds -x_0 q~_n 1 into the blocks
+    # moves the secular residuals far past the bound
+    exact = finite.apply_operator
+
+    def mis_signed(spec, w, x, weights):
+        return exact(spec, w, x, weights) - np.concatenate(
+            ([0.0], 2.0 * np.repeat(weights, spec.d))) * x[..., :1]
+
+    monkeypatch.setattr(finite, "apply_operator", mis_signed)
+    assert _worst_residual_gap((2, 3), [1, 6, 40]) > 1.0
+
+
+def test_finite_spectrum_assembles_no_section(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("finite_spectrum assembled a section")
+
+    monkeypatch.setattr(finite, "build_finite_section", refuse)
+    monkeypatch.setattr(finite, "strongly_connected", refuse)
+    spec, w = _setup((2, 3))
+    result = finite_spectrum(spec, w, 40)
+    assert len(result) == result.section.dim == 201
+    assert result.section.strongly_connected()
+
+
+def test_finite_spectrum_memory_is_linear_in_the_section():
+    # orders 2,3 at the largest N: the dense section alone would be
+    # 4836^2 doubles, 187 MB; the residuals take 32 secular eigenvectors
+    # a call
+    spec, w = _setup((2, 3))
+    tracemalloc.start()
+    try:
+        result = finite_spectrum(spec, w, 967)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result) == 4836
+    assert result.max_residual() < 1e-9
+    assert peak < 32e6
 
 
 def test_finite_spectrum_block_multiplicities():
@@ -285,7 +415,7 @@ def test_finite_spectrum_block_multiplicities():
     spec, w = _setup((2, 3))
     result = finite_spectrum(spec, w, 3)
     for n in range(1, 4):
-        damp = 1.0 - result.operator.tilde_q[n - 1]
+        damp = 1.0 - result.section.tilde_q[n - 1]
         hits = [r for r in result.records
                 if r.kind == "block" and abs(r.value - damp) < 1e-13]
         assert len(hits) == 1
@@ -305,9 +435,10 @@ def test_finite_spectrum_peripheral_only_at_one():
 def test_finite_spectrum_no_renormalize_variant():
     spec, w = _setup((2,))
     result = finite_spectrum(spec, w, 4, renormalize=False)
-    assert len(result) == result.operator.dim
+    assert len(result) == result.section.dim
     assert result.max_residual() < 1e-9
-    ref = np.linalg.eigvals(result.operator.matrix)
+    ref = np.linalg.eigvals(
+        build_finite_section(spec, w, 4, renormalize=False).matrix)
     assert _multiset_gap(result.values(), ref) < 1e-8
 
 
@@ -477,7 +608,7 @@ def _oracle_convergence(spec, w, n_max):
     for n_blocks in range(1, n_max + 1):
         result = finite_spectrum(spec, w, n_blocks)
         vals = result.values()
-        bound = 2.0 * float(result.operator.tilde_q[-1])
+        bound = 2.0 * float(result.section.tilde_q[-1])
         for angle in union_points(spec):
             u = cmath.exp(2j * math.pi * float(angle))
             rows.append((n_blocks, angle, float(np.min(np.abs(vals - u))),

@@ -155,10 +155,40 @@ def test_apply_operator_rejects_partial_blocks_and_wrong_kind():
     for size in (0, 1, 2, 4):
         with pytest.raises(ValueError):
             apply_operator(spec, w, np.ones(size))
-    with pytest.raises(ValueError):
-        apply_operator(spec, w, np.ones((1, 3)))
+        with pytest.raises(ValueError):
+            apply_operator(spec, w, np.ones((2, size)))
+    # one leading batch axis at most, and one weight per block
+    for shape in ((), (1, 1, 3)):
+        with pytest.raises(ValueError):
+            apply_operator(spec, w, np.ones(shape))
+    for q in (np.ones(1), np.ones(3), np.ones((2, 1))):
+        with pytest.raises(ValueError):
+            apply_operator(spec, w, np.ones(5), q)
     with pytest.raises(ValueError):
         apply_operator(spec, WeightSeq.dyadic_semigroup(), np.ones(3))
+
+
+@pytest.mark.parametrize("orders", [(1,), (2, 3), (4, 6), (5, 7)])
+def test_apply_operator_stacks_and_section_weights(orders):
+    # a stack of vectors maps row by row, bit for bit; the section's
+    # renormalised weights give the renormalised section's product; a
+    # real stack stays real
+    rng = np.random.default_rng(len(orders) + sum(orders))
+    spec = GroupUnionSpec(orders)
+    w = WeightSeq.dyadic_single(spec.d)
+    for n_keep in (1, 7):
+        op = build_finite_section(spec, w, n_keep)
+        dim = op.matrix.shape[0]
+        real = rng.normal(size=(4, dim))
+        stacked = real + 1j * rng.normal(size=(4, dim))
+        for xs in (real, stacked):
+            for q in (None, op.tilde_q):
+                tx = apply_operator(spec, w, xs, q)
+                assert tx.dtype == xs.dtype
+                assert tx.tobytes() == np.array(
+                    [apply_operator(spec, w, x, q) for x in xs]).tobytes()
+            tx = apply_operator(spec, w, xs, op.tilde_q)
+            assert np.allclose(tx, xs @ op.matrix.T, rtol=0.0, atol=1e-14)
 
 
 def test_weight_vector_has_unit_norm():
@@ -181,3 +211,80 @@ def test_stochasticity_check_passes():
     assert rep.trials == 30
     assert rep.max_norm_defect <= 1e-12
     assert rep.max_negativity <= 1e-15
+
+
+def _loop_norm_defect(spec, w, trials, seed):
+    """The worst norm defect with the tail summed the way the closed form
+    replaced: one block at a time until |f_0| 2^-n <= 1e-16."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x510C]))
+    d = spec.d
+    worst = 0.0
+    for _ in range(trials):
+        nblocks = int(rng.integers(1, 7))
+        idx = [int(n) for n in
+               rng.choice(np.arange(1, 13), size=nblocks, replace=False)]
+        blocks = [rng.random(d) for _ in idx]
+        head = complex(rng.random())
+        depth = max(idx)
+        f = np.zeros(1 + depth * d, dtype=complex)
+        f[0] = head
+        for n, b in zip(idx, blocks):
+            f[1 + (n - 1) * d:1 + n * d] = b
+        tf = apply_operator(spec, w, f)
+        nf = abs(head)
+        for b in blocks:
+            nf += float(np.abs(b).sum())
+        ntf = abs(tf[0])
+        for s in np.abs(tf[1:]).reshape(depth, d).sum(axis=1).tolist():
+            ntf += s
+        n, rem = depth, abs(head) * w.tail_mass(depth)
+        while rem > 1e-16:
+            n += 1
+            ntf += abs(head * w.value(n)) * d
+            rem = abs(head) * w.tail_mass(n)
+        worst = max(worst, abs(ntf - nf) / nf + rem / nf)
+    return worst
+
+
+@pytest.mark.parametrize("orders", [(1,), (2, 3), (4, 6), (5, 7)])
+def test_closed_form_tail_is_the_loop(orders):
+    # the tail's stop from frexp and its one cumsum give the loop's defect
+    # exactly, for the stochastic weights and the corrupt ones of verify
+    spec = GroupUnionSpec(orders)
+    for unit in (spec.d, spec.d + 1):
+        w = WeightSeq.dyadic_single(unit)
+        for seed in range(6):
+            rep = stochasticity_check(spec, w, trials=40, seed=seed)
+            assert rep.max_norm_defect == _loop_norm_defect(spec, w, 40, seed)
+
+
+class _GivenHeads:
+    """A seeded generator whose scalar draws, the trials' heads, come from
+    a given list instead."""
+
+    def __init__(self, rng, heads):
+        self._rng, self._heads = rng, iter(heads)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def random(self, size=None):
+        return next(self._heads) if size is None else self._rng.random(size)
+
+
+def test_closed_form_tail_stops_where_the_loop_does_on_the_boundary(
+        monkeypatch):
+    # heads whose remainders land exactly on 1e-16 after some halvings, and
+    # one float either side of it: the loop stops at the first remainder
+    # <= 1e-16, and so must the closed form
+    heads = [h for m in range(20, 54)
+             for h in (np.nextafter(1e-16 * 2.0 ** m, 0.0), 1e-16 * 2.0 ** m,
+                       np.nextafter(1e-16 * 2.0 ** m, 1.0))]
+    seeded = np.random.default_rng
+    spec = GroupUnionSpec((2, 3))
+    w = WeightSeq.dyadic_single(spec.d + 1)      # a defect that shows
+    for first in range(0, len(heads), 6):
+        monkeypatch.setattr(np.random, "default_rng", lambda seq: _GivenHeads(
+            seeded(seq), heads[first:first + 6]))
+        rep = stochasticity_check(spec, w, trials=6)
+        assert rep.max_norm_defect == _loop_norm_defect(spec, w, 6, 0)
