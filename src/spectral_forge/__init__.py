@@ -6,8 +6,10 @@ prescribed finite union of root-of-unity groups, and a stochastic
 C0-semigroup on a sum of circle spaces whose generator meets the
 imaginary axis exactly in {0} and i(R \\ (-1, 1)).  The library builds
 both, certifies their resolvent sets through the rank-one update
-denominator with certified truncation radii, and cross-checks everything
-against finite sections, residual certificates and dense oracles.
+denominator with certified truncation radii, and cross-checks them
+against matrix-free finite sections, residual certificates and the closed
+form of the sections' characteristic polynomial.  The dense and cofactor
+oracles live with the tests, not in the package.
 """
 
 from .errors import (BlockTooDeep, ExponentialUnresolved, NoSamples,
@@ -18,10 +20,8 @@ from .resolvent import (CERTIFIED, SINGULAR, TAIL_INVALID,
                         coupling_series_batch)
 from .scanner import EigCertificate, ScanChunk, ScanReport, \
     residual_certificate, scan_unit_circle
-from .finite import (FiniteOperator, FiniteSection, SpectrumResult,
-                     build_finite_section, convergence_table,
-                     factorization_crosscheck, finite_spectrum,
-                     strongly_connected)
+from .finite import (FiniteSection, SpectrumResult, convergence_table,
+                     finite_spectrum)
 from .semigroup import (GeneratorSpec, ModeCertificate, RationalSchedule,
                         SemigroupState, apply_generator, chain_generator,
                         evolve, mode_certificate, scan_imaginary_axis)

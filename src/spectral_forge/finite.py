@@ -15,8 +15,7 @@ stochastic matrix T_N whose spectrum splits in closed form:
   products d q_n^2, so these roots are real and strictly interlace the
   poles 1 - q_n (Golub 1973; Bunch, Nielsen and Sorensen 1978).  They are
   found by bisection on the interlacing brackets in the distance
-  x = 1 - lam (no dense eigensolver anywhere on this path; dense routines
-  appear only in independent test oracles and ``verify``).  One loop,
+  x = 1 - lam (no dense eigensolver anywhere on this path).  One loop,
   ``_bisect``, bisects brackets of any number of sections together:
   ``secular_roots`` hands it every bracket of one section.
 
@@ -24,12 +23,10 @@ stochastic matrix T_N whose spectrum splits in closed form:
 (``FiniteSection``), each eigenpair's residual comes from the one block its
 vector touches or from the flat forward map ``model.apply_operator``, and
 column sums and connectivity come in closed form and from the sparse
-pattern, so ``eigs`` costs O(N d) memory and time per eigenvector.  The
-dense ``build_finite_section`` is an oracle for the tests and ``verify``.
-
-The determinant factorisation det(lam - T_N) =
-lam * prod_n (lam - 1 + q_n) * phi_N(lam) * (block factors) underlies the
-cofactor cross-check.
+pattern, so ``eigs`` costs O(N d) memory and time per eigenvector.
+``verify`` checks the spectrum against the closed form det(lam - T_N) =
+lam phi_N(lam) prod_n prod_k (lam^m_k - (1 - q_n)^m_k), m_k the cyclic
+orders; the dense section and the cofactor determinant are test oracles.
 
 ``convergence_table`` needs only the eigenvalue nearest to each target
 point u, for every N up to n_max, so it assembles no section: the block
@@ -54,17 +51,11 @@ from .model import GroupUnionSpec, WeightSeq, apply_operator, union_points
 
 __all__ = [
     "FiniteSection",
-    "FiniteOperator",
-    "build_finite_section",
-    "strongly_connected",
     "secular_roots",
     "section_limit",
     "EigRecord",
     "SpectrumResult",
     "finite_spectrum",
-    "cofactor_det_batch",
-    "CROSSCHECK_TOL",
-    "factorization_crosscheck",
     "convergence_table",
 ]
 
@@ -84,6 +75,18 @@ class FiniteSection:
     renormalized: bool
     tilde_q: np.ndarray       # the (possibly renormalised) weights used
 
+    @classmethod
+    def of(cls, spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
+           renormalize: bool = True) -> "FiniteSection":
+        """The section of ``n_blocks`` blocks, its weights q_1 .. q_N scaled
+        by 1/(1 - tail mass) when renormalising."""
+        if n_blocks < 1:
+            raise ValueError("need at least one block")
+        qs = w.values(n_blocks)
+        if renormalize:
+            qs = qs / w.partial_mass(n_blocks)
+        return cls(spec, w, n_blocks, renormalize, qs)
+
     @property
     def dim(self) -> int:
         return 1 + self.n_blocks * self.spec.d
@@ -97,7 +100,7 @@ class FiniteSection:
         return np.r_[np.cumsum(qs)[-1], qs + (1.0 - qs)]
 
     def strongly_connected(self) -> bool:
-        """``strongly_connected`` on the section's sparse pattern: the head
+        """Strong connectivity of the section's sparse pattern: the head
         and each block entry feed each other where q~_n != 0, and P moves
         each block entry into the next of its cycle where 1 - q~_n != 0.
         Vertex 0 must reach every vertex along the edges and against them;
@@ -121,68 +124,6 @@ class FiniteSection:
             if not seen.all():
                 return False
         return True
-
-
-@dataclass(frozen=True)
-class FiniteOperator(FiniteSection):
-    """The section assembled as a dense matrix: an oracle for tests and
-    ``verify``, never built on the ``eigs`` path."""
-
-    matrix: np.ndarray
-
-
-def _section_weights(w: WeightSeq, n_blocks: int,
-                     renormalize: bool) -> np.ndarray:
-    """q_1 .. q_N, scaled by 1/(1 - tail mass) when renormalising."""
-    if n_blocks < 1:
-        raise ValueError("need at least one block")
-    qs = w.values(n_blocks)
-    if renormalize:
-        qs = qs / w.partial_mass(n_blocks)
-    return qs
-
-
-def build_finite_section(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
-                         renormalize: bool = True) -> FiniteOperator:
-    """Head plus blocks 1..n_blocks as a dense matrix.
-
-    With ``renormalize`` the weights are scaled by 1/(1 - tail mass) so the
-    head column sums to exactly one; block columns always do.  Without it
-    the head column sums to the partial mass 1 - 2^-N.
-    """
-    d = spec.d
-    qs = _section_weights(w, n_blocks, renormalize)
-    dim = 1 + n_blocks * d
-    p = spec.permutation_matrix()
-    a = np.zeros((dim, dim))
-    for n in range(1, n_blocks + 1):
-        q = qs[n - 1]
-        sl = slice(1 + (n - 1) * d, 1 + n * d)
-        a[sl, 0] = q                    # head feeds every block entry
-        a[0, sl] = q                    # blocks feed the head
-        a[sl, sl] = (1.0 - q) * p
-    return FiniteOperator(spec, w, n_blocks, renormalize, qs, a)
-
-
-# ---------------------------------------------------------------------------
-# strong connectivity of a dense matrix
-# ---------------------------------------------------------------------------
-
-def strongly_connected(matrix: np.ndarray) -> bool:
-    """True when the support digraph of ``matrix`` is strongly connected
-    (nonzero entries are edges, column to row): vertex 0
-    reaches every vertex both along the edges and against them.  Each
-    vertex joins the frontier once, so the search is O(n^2)."""
-    m = np.abs(np.asarray(matrix)) > 0.0
-    for edges in (m, m.T):
-        seen = np.arange(m.shape[0]) == 0
-        frontier = seen.copy()
-        while frontier.any():
-            frontier = edges[:, frontier].any(axis=1) & ~seen
-            seen |= frontier
-        if not seen.all():
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +234,7 @@ def secular_roots(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
                   renormalize: bool = True) -> np.ndarray:
     """All N+1 zeros of the secular function, real and ascending: the
     bisection of every interlacing bracket of the one section."""
-    qs = _section_weights(w, n_blocks, renormalize)
+    qs = FiniteSection.of(spec, w, n_blocks, renormalize).tilde_q
     lo, hi = _brackets(spec.d, qs)
     return _bisect(spec.d, [qs], np.zeros(lo.size, dtype=np.intp), lo, hi)
 
@@ -404,8 +345,8 @@ def finite_spectrum(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
       the section's weights q~, ``_RESIDUAL_ROWS`` of them a call.
     """
     d = spec.d
-    qs = _section_weights(w, n_blocks, renormalize)
-    section = FiniteSection(spec, w, n_blocks, renormalize, qs)
+    section = FiniteSection.of(spec, w, n_blocks, renormalize)
+    qs = section.tilde_q
 
     zetas, vs = _block_eig_vectors(spec)
     damp = (1.0 - qs)[:, None]
@@ -441,114 +382,6 @@ def finite_spectrum(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
                                                  r.value.real), 12),
                                 abs(r.value)))
     return SpectrumResult(section, records)
-
-
-# ---------------------------------------------------------------------------
-# cofactor cross-check
-# ---------------------------------------------------------------------------
-
-# odd parity of every 9-bit value: two lookups cover any subset of n <= 18
-_PARITY9 = np.array([bin(v).count("1") % 2 for v in range(512)], dtype=bool)
-
-
-def _odd_parity(x: np.ndarray) -> np.ndarray:
-    """True where the subset mask x (below 2^18) has an odd number of set
-    bits."""
-    return _PARITY9[x & 511] ^ _PARITY9[x >> 9]
-
-
-def cofactor_det_batch(a: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """det(lam*I - a) for every lam, by first-row cofactor expansion.
-
-    The expansion is memoised over column subsets (each subset paired with
-    the same number of leading rows), which keeps the classical identity
-    but costs at most O(2^n * n) terms instead of factorial time.  The
-    subsets are taken one popcount layer at a time: layer r+1 expands along
-    row r, and for each column j, in ascending order, every subset of the
-    layer that holds j gains the term (-1)^(r + set bits below j) * entry *
-    minor in one array operation, so each subset sums its terms in the
-    classical order.
-
-    Only structurally nonzero minors are carried: the column subsets that
-    rows 0..r can fill with a perfect matching in the pattern of
-    lam*I - a, where row r reaches column r and the columns of its nonzero
-    off-diagonal entries.  Layer r+1 is every subset of layer r plus one
-    column that row r reaches, kept sorted, and each term finds its place
-    in it by ``searchsorted``.  Every term left out is +-0 for finite input:
-    its entry is an off-diagonal zero, or by induction its smaller minor
-    is a subset no matching fills, whose expansion holds only +-0 terms and
-    so sums to +0.  A +-0 term leaves a sum that starts at +0 unchanged, so
-    the determinants are bit for bit those of the full expansion over all
-    2^n subsets.  Only two layers are stored, so memory is O(largest
-    reachable layer * len(lams)).  A dense ``a`` still reaches every one of
-    the 2^n subsets, so the expansion refuses n > 18 whatever the pattern;
-    it is intended for the small sections of the cross-check.
-    """
-    a = np.asarray(a)
-    n = a.shape[0]
-    if n > 18:
-        raise ValueError("cofactor expansion limited to dimension 18")
-    lams = np.asarray(lams, dtype=complex)
-    masks = np.zeros(1, dtype=np.int64)             # the empty subset ...
-    prev = np.ones((1, len(lams)), dtype=complex)   # ... and its minor
-    for r in range(n):
-        cols = [j for j in range(n) if j == r or a[r, j] != 0]
-        free = [np.flatnonzero((masks & (1 << j)) == 0) for j in cols]
-        grown = [masks[f] | (1 << j) for f, j in zip(free, cols)]
-        layer = np.unique(np.concatenate(grown))
-        acc = np.zeros((len(layer), len(lams)), dtype=complex)
-        for j, f, sub in zip(cols, free, grown):
-            pos = np.searchsorted(layer, sub)
-            odd = _odd_parity(sub & ((1 << j) - 1)) ^ bool(r % 2)
-            sign = np.where(odd, -1.0, 1.0)
-            if j == r:
-                coef = sign[:, None] * (lams - a[r, j])
-            else:
-                coef = (sign * -a[r, j])[:, None]
-            term = prev[f]
-            np.multiply(coef, term, out=term)
-            term += acc[pos]
-            acc[pos] = term
-        masks, prev = layer, acc
-    return prev[0]
-
-
-# largest relative mismatch of the two determinants the cross-check passes
-CROSSCHECK_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class CrosscheckReport:
-    n_blocks: int
-    dim: int
-    samples: int
-    max_rel_error: float
-    passed: bool
-
-
-def factorization_crosscheck(spec: GroupUnionSpec, w: WeightSeq,
-                             n_blocks: int, seed: int = 0) -> CrosscheckReport:
-    """Polynomial identity test: eigenvalue multiset vs characteristic
-    polynomial.
-
-    Samples 2 * dim random points in the disk of radius 2 and compares the
-    cofactor determinant of (lam - T_N) with the product over the computed
-    spectrum.  Agreement at dim+1 or more points pins the monic polynomial,
-    so matching at 2*dim points to ``CROSSCHECK_TOL`` certifies the
-    multiset.
-    """
-    result = finite_spectrum(spec, w, n_blocks)
-    a = build_finite_section(spec, w, n_blocks).matrix
-    dim = result.section.dim
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFAC7]))
-    zs = 2.0 * (rng.random(2 * dim) + 1j * rng.random(2 * dim)) - (1 + 1j)
-    lams = 2.0 * zs / np.maximum(1.0, np.abs(zs))   # clamp into |z| <= 2
-    dets = cofactor_det_batch(a, lams)
-    prods = np.prod(lams[:, None] - result.values()[None, :], axis=1)
-    scale = np.maximum(1.0, np.maximum(np.abs(dets), np.abs(prods)))
-    err = float(np.max(np.abs(dets - prods) / scale))
-    return CrosscheckReport(n_blocks, dim, len(lams), err,
-                            err <= CROSSCHECK_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -87,13 +87,6 @@ class GroupUnionSpec:
         """Apply the block permutation P along the last axis (length d)."""
         return np.asarray(x)[..., self.gather]
 
-    def permutation_matrix(self) -> np.ndarray:
-        p = np.zeros((self.d, self.d))
-        for off, m in zip(self.offsets, self.orders):
-            for i in range(m):
-                p[off + (i + 1) % m, off + i] = 1.0
-        return p
-
 
 def union_points(spec: GroupUnionSpec) -> list:
     """Angles of the prescribed peripheral set, as exact fractions of a turn.
@@ -173,9 +166,9 @@ def apply_operator(spec: GroupUnionSpec, w: WeightSeq, x: np.ndarray,
     """Forward map T x for a finite-support vector, or for a stack of them
     along a leading axis.
 
-    Each vector is flat, in the layout of ``finite.build_finite_section``:
-    the head, then blocks 1..N (N >= 1) of length d each.  The result is
-    T x on the same support, i.e. the raw section's matrix times x; past
+    Each vector is flat, in the layout of ``finite.FiniteSection``: the
+    head, then blocks 1..N (N >= 1) of length d each.  The result is T x
+    on the same support, i.e. the raw section's matrix times x; past
     block N the image continues in closed form as the tail x[0] * q_n * 1,
     n > N, whose l1 mass is |x[0]| 2^-N.  ``weights``, when given, replaces
     q_1 .. q_N: with a section's renormalised weights the result is that

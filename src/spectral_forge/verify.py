@@ -1,23 +1,25 @@
 """Seeded property suites bundled behind the ``verify`` command.
 
 Each suite checks one pillar of the construction against an independent
-route (exact decimal arithmetic, dense eigensolve, graph search) and
-reports a machine-readable pass/fail record.  The ``corrupt`` flag
-deliberately breaks one check of each suite (a bound, a control or a
-measured value) so the harness can be shown to catch regressions.
+route (exact decimal arithmetic, the closed-form characteristic
+polynomial, the graph search ``eigs`` runs on the sparse pattern, with a
+negative control) and reports a machine-readable pass/fail record.  The
+``corrupt`` flag breaks one thing in each suite, a bound, the operator or
+the control, so the harness can be shown to catch regressions; no
+control adds to a reported number.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, replace
 from decimal import Decimal, localcontext
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from .errors import NoSamples
-from .finite import CROSSCHECK_TOL, build_finite_section, \
-    factorization_crosscheck, strongly_connected
+from .finite import FiniteSection, finite_spectrum
 from .io import substream
 from .model import GroupUnionSpec, WeightSeq, stochasticity_check
 from .resolvent import coupling_series_batch
@@ -134,51 +136,124 @@ def suite_stochasticity(seed: int = 0, corrupt: bool = False) -> SuiteResult:
 
 
 # ---------------------------------------------------------------------------
-# irreducibility: coupled sections are one component, uncoupled are not
+# matrix-free sections: connectivity and the closed-form determinant
 # ---------------------------------------------------------------------------
+
+# (orders, smallest N, largest N) of the seeded sections; orders 2,3 have
+# dimension 501 to 551
+_SECTIONS = (((1,), 30, 60), ((2, 3), 100, 110), ((4, 6), 10, 20),
+             ((5, 7), 8, 16))
+_POINTS = 32                    # seeded lam per section
+_U = 2.0 ** -53                 # unit roundoff
+
+
+def _sections(rng: np.random.Generator):
+    """(orders label, section) per order set, N drawn from its range."""
+    for orders, lo, hi in _SECTIONS:
+        spec, n_blocks = GroupUnionSpec(orders), int(rng.integers(lo, hi + 1))
+        yield ",".join(map(str, orders)), FiniteSection.of(
+            spec, WeightSeq.dyadic_single(spec.d), n_blocks)
+
 
 def suite_connectivity(seed: int = 0, corrupt: bool = False) -> SuiteResult:
-    checks = failures = 0
-    for orders, n_blocks in (((1,), 4), ((2, 3), 6), ((4, 6), 3)):
-        spec = GroupUnionSpec(orders)
-        w = WeightSeq.dyadic_single(spec.d)
-        op = build_finite_section(spec, w, n_blocks)
-        # negative control: removing the head coupling must disconnect
-        uncoupled = op.matrix.copy()
-        if not corrupt:
-            uncoupled[0, :] = uncoupled[:, 0] = 0.0
-        checks += 2
-        failures += (not strongly_connected(op.matrix)) \
-            + strongly_connected(uncoupled)
-    return SuiteResult("connectivity", failures == 0, checks, failures, {})
+    """``FiniteSection.strongly_connected``, the search ``eigs`` runs, must
+    call each seeded section connected and, as a negative control, the
+    section with every weight zero disconnected.  ``corrupt`` skips the
+    zeroing, so the control stays coupled."""
+    failures, cases = 0, {}
+    for label, sec in _sections(substream(seed, "connectivity")):
+        control = sec if corrupt else replace(sec, tilde_q=0.0 * sec.tilde_q)
+        coupled = sec.strongly_connected()
+        uncoupled = control.strongly_connected()
+        failures += (not coupled) + uncoupled
+        cases[label] = {"n_blocks": sec.n_blocks, "coupled": coupled,
+                        "uncoupled": uncoupled}
+    return SuiteResult("connectivity", failures == 0, 2 * len(cases),
+                       failures, {"cases": cases})
 
 
-# ---------------------------------------------------------------------------
-# eigenvalue multiset vs cofactor characteristic polynomial
-# ---------------------------------------------------------------------------
+def _log_sum(f: np.ndarray, err):
+    """sum_j log f_j over the last axis, log f = log |f| + i arg f, summed
+    pairwise by halving, and its error bound (``_factorization_gaps``)
+    when each f_j is off by err_j."""
+    mod = np.abs(f)
+    logs = np.log(mod) + 1j * np.arctan2(f.imag, f.real)
+    size = np.abs(logs.real) + np.abs(logs.imag)
+    bound = (err / mod).sum(-1) + _U * (
+        5.0 * (1.0 + size) + math.ceil(math.log2(f.shape[-1])) * size).sum(-1)
+    while logs.shape[-1] > 1:       # an odd last term waits a level
+        h = logs.shape[-1] // 2
+        logs = np.concatenate([logs[:, :h] + logs[:, h:2 * h],
+                               logs[:, 2 * h:]], axis=-1)
+    return logs[:, 0], bound
 
-# (orders, n_blocks) of the sections checked; the largest has dimension 16
-_FACTORIZATION_CASES = (((1,), 3), ((2,), 3), ((3,), 2), ((2, 3), 2),
-                        ((2, 3), 3))
+
+def _log_char_poly(sec: FiniteSection, lams: np.ndarray):
+    """log det(lam - T_N) at each lam from its closed form, the head's
+    Schur complement: lam D_N(lam) prod_n prod_k (lam^m_k - r_n^m_k), with
+    r_n = 1 - q~_n and D_N(lam) = 1 - lam^-1 sum_n t_n, t_n = d q~_n^2 /
+    z_n, z_n = lam - 1 + q~_n; and ``_log_sum``'s bound."""
+    d, qs, lam = sec.spec.d, sec.tilde_q, lams[:, None]
+    r, z = 1.0 - qs, lam - 1.0 + qs
+    t = d * qs ** 2 / z
+    err_t = np.abs(t) * (qs.size + 12 + np.abs(lam - 1.0) / np.abs(z))
+    factors = [lam, 1.0 - t.sum(axis=1, keepdims=True) / lam]
+    errs = [np.zeros(lam.shape), err_t.sum(1, keepdims=True) / np.abs(lam)]
+    for m in sec.spec.orders:
+        lm, rm = lam, r
+        for _ in range(m - 1):
+            lm, rm = lm * lam, rm * r
+        factors.append(lm - rm)
+        errs.append(3 * m * (np.abs(lm) + rm))
+    return _log_sum(np.hstack(factors), _U * np.hstack(errs))
+
+
+def _factorization_gaps(sec: FiniteSection, values: np.ndarray,
+                        lams: np.ndarray):
+    """|A - B| at each lam, imaginary part modulo 2 pi, for A = log prod_i
+    (lam - mu_i) over ``values`` and B = ``_log_char_poly``, and its
+    tolerance: twice the first-order error bounds, in units of u:
+    * each log factor f_j off by err_j, then rounded: err_j / |f_j| + 1;
+      log |f| and arctan2 4 (1 + |log f_j|); the sum ceil(log2 T) sum
+      |log f_j| over T terms;
+    * A: mu_i within kappa = (2N + 32) eps of the float section's
+      eigenvalue (block values 13 eps; a secular root the error of its
+      secular function over its slope, below (N + 16) eps);
+    * B: lam^m and r^m are m - 1 products (sqrt 5 a complex one) after
+      r's rounding, 3m (|lam|^m + r^m); t_n (d q~^2 two roundings, z_n
+      two, the quotient 5) (8 + |lam - 1| / |z_n|) |t_n|, its sum
+      (N - 1) sum |t_n|, the division by lam 5;
+    * A - B and its reduction: 4 (|A| + |B| + 4)."""
+    kappa = (2 * sec.n_blocks + 32) * 2.0 * _U
+    a, err_a = _log_sum(lams[:, None] - values, kappa)
+    b, err_b = _log_char_poly(sec, lams)
+    g = a - b
+    gap = np.hypot(g.real, (g.imag + np.pi) % (2 * np.pi) - np.pi)
+    return gap, 2.0 * (err_a + err_b + 4 * _U * (abs(a) + abs(b) + 4.0))
 
 
 def suite_factorization(seed: int = 0, corrupt: bool = False) -> SuiteResult:
-    checks = failures = 0
-    worst = 0.0
-    cases = {}
-    for orders, n_blocks in _FACTORIZATION_CASES:
-        spec = GroupUnionSpec(orders)
-        w = WeightSeq.dyadic_single(spec.d)
-        rep = factorization_crosscheck(spec, w, n_blocks, seed=seed)
-        err = rep.max_rel_error + (1.0 if corrupt else 0.0)
-        checks += 1
-        if err > CROSSCHECK_TOL:
-            failures += 1
-        worst = max(worst, err)
-        cases[f"{','.join(map(str, orders))}@N={n_blocks}"] = err
-    return SuiteResult("factorization", failures == 0, checks, failures,
-                       {"worst_error": worst, "cases": cases,
-                        "tolerance": CROSSCHECK_TOL})
+    """The eigenvalues of ``finite_spectrum`` must give the closed-form
+    det(lam - T_N): ``_factorization_gaps`` at 32 seeded lam in the disk
+    of radius 2 per seeded section.  A wrong multiset makes the two sides
+    differ as analytic functions, so almost every lam shows it.  Each case
+    reports gap, tolerance and margin at its largest gap over tolerance.
+    ``corrupt`` takes the spectrum with the weights 2^-n / (d + 1)."""
+    rng = substream(seed, "factorization")
+    failures, cases = 0, {}
+    for label, sec in _sections(rng):
+        values = finite_spectrum(sec.spec, WeightSeq.dyadic_single(
+            sec.spec.d + int(corrupt)), sec.n_blocks).values()
+        lams = 2.0 * np.sqrt(rng.random(_POINTS)) \
+            * np.exp(2j * np.pi * rng.random(_POINTS))
+        gap, tol = _factorization_gaps(sec, values, lams)
+        failures += int(np.count_nonzero(~(gap <= tol)))
+        k = int(np.argmax(gap / tol))
+        cases[label] = {"n_blocks": sec.n_blocks, "dim": sec.dim,
+                        "gap": float(gap[k]), "tolerance": float(tol[k]),
+                        "margin": float(tol[k] - gap[k])}
+    return SuiteResult("factorization", failures == 0,
+                       _POINTS * len(cases), failures, {"cases": cases})
 
 
 # ---------------------------------------------------------------------------

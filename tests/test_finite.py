@@ -8,15 +8,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
+from oracles import (SMALL_SECTIONS, build_finite_section,
+                     cofactor_det_batch, factorization_crosscheck,
+                     strongly_connected)
 from spectral_forge import finite
-from spectral_forge.finite import (_block_eig_vectors, _block_zetas,
-                                   build_finite_section, cofactor_det_batch,
-                                   convergence_table, factorization_crosscheck,
-                                   finite_spectrum, secular_roots,
-                                   strongly_connected)
+from spectral_forge.finite import (FiniteSection, _block_eig_vectors,
+                                   _block_zetas, convergence_table,
+                                   finite_spectrum, secular_roots)
 from spectral_forge.model import (GroupUnionSpec, WeightSeq, union_points,
                                   union_values)
-from spectral_forge.verify import _FACTORIZATION_CASES
 
 
 def _setup(orders):
@@ -189,7 +190,7 @@ def test_secular_roots_against_dense_oracle():
 def _reference_secular_roots(spec, w, n_blocks, renormalize=True):
     """Oracle: every bracket bisected until its ends are neighbouring
     floats or, next to x = 0, narrower than eps times the smallest pole."""
-    qs = finite._section_weights(w, n_blocks, renormalize)
+    qs = FiniteSection.of(spec, w, n_blocks, renormalize).tilde_q
     dq2 = spec.d * qs ** 2
     lo, hi = finite._brackets(spec.d, qs)
     start = lo.copy()
@@ -230,7 +231,7 @@ def test_batched_bisection_is_bitwise_per_section(monkeypatch, orders,
     spec, w = _setup(orders)
     sections, lo, hi, sec = [], [], [], []
     for n_blocks in range(1, 61):
-        qs = finite._section_weights(w, n_blocks, True)
+        qs = FiniteSection.of(spec, w, n_blocks).tilde_q
         b_lo, b_hi = finite._brackets(spec.d, qs)
         sections.append(qs)
         lo.append(b_lo)
@@ -307,7 +308,8 @@ def _dense_residuals(spec, w, n_blocks, renormalize):
     """
     a = build_finite_section(spec, w, n_blocks, renormalize).matrix
     abs_a = np.abs(a)
-    d, qs = spec.d, finite._section_weights(w, n_blocks, renormalize)
+    d = spec.d
+    qs = FiniteSection.of(spec, w, n_blocks, renormalize).tilde_q
     k = np.count_nonzero(a, axis=1)
     pairs = []
     _, vs = _block_eig_vectors(spec)
@@ -385,8 +387,9 @@ def test_finite_spectrum_assembles_no_section(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("finite_spectrum assembled a section")
 
-    monkeypatch.setattr(finite, "build_finite_section", refuse)
-    monkeypatch.setattr(finite, "strongly_connected", refuse)
+    # the dense section and its search exist only among the test oracles
+    monkeypatch.setattr(oracles, "build_finite_section", refuse)
+    monkeypatch.setattr(oracles, "strongly_connected", refuse)
     spec, w = _setup((2, 3))
     result = finite_spectrum(spec, w, 40)
     assert len(result) == result.section.dim == 201
@@ -508,7 +511,7 @@ def test_cofactor_det_is_bitwise_the_per_subset_expansion(n):
                 == _per_subset_dets(a, lams).tobytes())
 
 
-@pytest.mark.parametrize("orders,n_blocks", _FACTORIZATION_CASES)
+@pytest.mark.parametrize("orders,n_blocks", SMALL_SECTIONS)
 def test_cofactor_det_is_bitwise_the_per_subset_expansion_on_verify_sections(
         orders, n_blocks):
     # dimensions 4 to 16; the per-subset reference visits all 2^16 subsets
@@ -520,7 +523,7 @@ def test_cofactor_det_is_bitwise_the_per_subset_expansion_on_verify_sections(
             == _per_subset_dets(a, lams).tobytes())
 
 
-@pytest.mark.parametrize("orders,n_blocks", _FACTORIZATION_CASES)
+@pytest.mark.parametrize("orders,n_blocks", SMALL_SECTIONS)
 def test_cofactor_det_matches_numpy_on_the_verify_sections(orders, n_blocks):
     spec, w = _setup(orders)
     a = build_finite_section(spec, w, n_blocks).matrix
@@ -632,7 +635,7 @@ def test_convergence_assembles_no_section(monkeypatch):
         raise AssertionError("convergence_table assembled a section")
 
     monkeypatch.setattr(finite, "finite_spectrum", refuse)
-    monkeypatch.setattr(finite, "build_finite_section", refuse)
+    monkeypatch.setattr(oracles, "build_finite_section", refuse)
     spec, w = _setup((2, 3))
     assert len(convergence_table(spec, w, 16)) == 16 * 4
 

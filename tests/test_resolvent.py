@@ -4,7 +4,7 @@ resolvent of T against the dense raw finite section."""
 import numpy as np
 import pytest
 
-from spectral_forge.finite import build_finite_section
+from oracles import build_finite_section
 from spectral_forge.model import GroupUnionSpec, WeightSeq, apply_operator
 from spectral_forge.resolvent import (CERTIFIED, SINGULAR, TAIL_INVALID,
                                       VERDICTS, coupling_series_batch)

@@ -1,16 +1,21 @@
 """Seeded property suites."""
 
+import dataclasses
 import sys
 
 import numpy as np
 import pytest
 
+from oracles import SMALL_SECTIONS, build_finite_section, cofactor_det_batch
 from spectral_forge import verify
 from spectral_forge.errors import NoSamples
+from spectral_forge.finite import finite_spectrum
+from spectral_forge.io import dump_json
 from spectral_forge.model import (GroupUnionSpec, WeightSeq,
                                   stochasticity_check)
-from spectral_forge.verify import (SUITE_NAMES, run_suite, suite_denominator,
-                                   suite_stochasticity)
+from spectral_forge.verify import (SUITE_NAMES, run_suite,
+                                   suite_connectivity, suite_denominator,
+                                   suite_factorization, suite_stochasticity)
 
 
 def test_suite_names():
@@ -71,6 +76,113 @@ def test_suite_stochasticity_control_breaks_the_operator(seed):
             spec, WeightSeq.dyadic_single(spec.d + 1), trials=40, seed=seed)
         case = bad.detail["cases"][",".join(map(str, orders))]
         assert case["max_norm_defect"] == broken.max_norm_defect > 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the matrix-free section suites
+# ---------------------------------------------------------------------------
+
+def _disk(rng, count):
+    """Seeded lam spread uniformly over the disk of radius 2."""
+    return 2.0 * np.sqrt(rng.random(count)) \
+        * np.exp(2j * np.pi * rng.random(count))
+
+
+def _closed_form_gap(op, log_det, lams):
+    """|log_det - the closed-form log det(lam - T_N)| at each lam, the
+    imaginary part modulo 2 pi, and the factorization suite's tolerance
+    for the section's computed spectrum at the same lam."""
+    g = log_det - verify._log_char_poly(op, lams)[0]
+    gap = np.hypot(g.real, (g.imag + np.pi) % (2 * np.pi) - np.pi)
+    values = finite_spectrum(op.spec, op.weights, op.n_blocks).values()
+    return gap, verify._factorization_gaps(op, values, lams)[1]
+
+
+def _dense_section(orders, n_blocks):
+    spec = GroupUnionSpec(orders)
+    return build_finite_section(spec, WeightSeq.dyadic_single(spec.d),
+                                n_blocks)
+
+
+@pytest.mark.parametrize("orders,n_blocks", SMALL_SECTIONS)
+def test_closed_form_is_the_cofactor_determinant(orders, n_blocks):
+    # the factorisation the suite checks against, tied to the matrix: the
+    # cofactor expansion of det(lam - T_N) on the assembled section
+    op = _dense_section(orders, n_blocks)
+    lams = _disk(np.random.default_rng(n_blocks), 32)
+    gap, tol = _closed_form_gap(op, np.log(cofactor_det_batch(op.matrix,
+                                                              lams)), lams)
+    assert (gap <= tol).all(), (gap / tol).max()
+
+
+@pytest.mark.parametrize("orders,n_blocks", [((1,), 200), ((2, 3), 40),
+                                             ((4, 6), 20), ((5, 7), 16)])
+def test_closed_form_is_the_dense_log_determinant(orders, n_blocks):
+    # dimension 193 to 201: np.linalg.slogdet of lam - T_N, by LU
+    op = _dense_section(orders, n_blocks)
+    lams = _disk(np.random.default_rng(n_blocks), 16)
+    sign, log_abs = np.linalg.slogdet(lams[:, None, None] * np.eye(op.dim)
+                                      - op.matrix)
+    gap, tol = _closed_form_gap(op, log_abs + 1j * np.angle(sign), lams)
+    assert (gap <= tol).all(), (gap / tol).max()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_suite_factorization_passes_and_its_control_fails(seed):
+    ok = suite_factorization(seed=seed)
+    assert ok.passed and ok.failures == 0 and ok.checks == 4 * 32
+    assert ok.detail["cases"]["2,3"]["dim"] >= 501
+    for case in ok.detail["cases"].values():
+        # the gate is resolved: rounding of a correct spectrum uses a few
+        # per cent of the derived tolerance
+        assert 0.0 < case["gap"] < 0.1 * case["tolerance"]
+        assert case["margin"] == case["tolerance"] - case["gap"]
+    # the spectrum of the operator with weights 2^-n / (d + 1) misses the
+    # closed form of the true one at every point
+    bad = suite_factorization(seed=seed, corrupt=True)
+    assert not bad.passed and bad.failures == bad.checks == ok.checks
+    assert all(c["margin"] < 0.0 for c in bad.detail["cases"].values())
+
+
+def test_suite_factorization_catches_a_perturbed_eigenvalue(monkeypatch):
+    # negative control: one eigenvalue of each section moved by a relative
+    # 1e-9 fails the derived tolerance at every point
+    exact = verify.finite_spectrum
+
+    def perturbed(*args, **kwargs):
+        result = exact(*args, **kwargs)
+        rec = result.records[0]
+        result.records[0] = dataclasses.replace(
+            rec, value=rec.value * (1.0 + 1e-9))
+        return result
+
+    monkeypatch.setattr(verify, "finite_spectrum", perturbed)
+    bad = suite_factorization(seed=0)
+    assert not bad.passed and bad.failures == bad.checks
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_suite_connectivity_passes_and_its_control_fails(seed):
+    ok = suite_connectivity(seed=seed)
+    assert ok.passed and ok.checks == 8 and ok.failures == 0
+    # without the zeroing the control is the coupled section, which the
+    # search calls connected
+    bad = suite_connectivity(seed=seed, corrupt=True)
+    assert not bad.passed and bad.failures == 4
+    assert all(c["uncoupled"] for c in bad.detail["cases"].values())
+
+
+@pytest.mark.parametrize("suite", [suite_connectivity, suite_factorization])
+def test_section_suites_are_seeded(suite):
+    # the same seed gives the same report byte for byte; another seed
+    # draws another section size for every order set
+    def sizes(res):
+        return [c["n_blocks"] for c in res.detail["cases"].values()]
+
+    a, b, c = suite(seed=3), suite(seed=3), suite(seed=4)
+    assert dump_json(dataclasses.asdict(a)) == \
+        dump_json(dataclasses.asdict(b))
+    assert all(n != m for n, m in zip(sizes(a), sizes(c)))
 
 
 def _package_modules_called(fn):
