@@ -24,8 +24,8 @@ from .errors import BlockTooDeep, ExponentialUnresolved, SpectralForgeError
 from .finite import convergence_table, finite_spectrum, section_limit
 from .io import write_csv, write_json
 from .model import GroupUnionSpec, WeightSeq
-from .resolvent import CERTIFIED, SINGULAR, VERDICTS, _MAX_TERMS, \
-    _S_GAP_GUARD
+from .resolvent import CERTIFIED, SINGULAR, TAIL_INVALID, VERDICTS, \
+    _MAX_TERMS, _S_GAP_GUARD
 from .scanner import CERT_SLOP, scan_unit_circle
 from .semigroup import GeneratorSpec, SemigroupState, evolve, \
     mode_certificate, scan_imaginary_axis
@@ -211,7 +211,8 @@ def cmd_scan_circle(args) -> int:
         "certificates_ok": cert_ok,
     })
     print(f"scan-circle: {counts[CERTIFIED]} certified, "
-          f"{counts[SINGULAR]} withheld of {cfg['grid_size']} points; "
+          f"{counts[SINGULAR]} withheld, {counts[TAIL_INVALID]} tail-invalid "
+          f"of {cfg['grid_size']} points; "
           f"{len(report.certificates)} certificates "
           f"(max residual {max((c.residual for c in report.certificates), default=0.0):.3e})")
     return 0 if (rim_ok and cert_ok) else 1

@@ -5,11 +5,12 @@ so interrupted runs never leave partial artifacts.  Floats are rendered by
 repr (shortest round-trip form) in JSON and by %.17g in CSV so that equal
 inputs give byte-identical files.
 
-CSVs are written from a stream of column batches, ``_BATCH`` rows at a
-time.  A float64 ndarray column is rendered by :func:`_format_floats`,
-which gives exactly the bytes of ``'%.17g' % x`` for every cell; a NumPy
-``S`` (bytes) column is written as it is; any other column goes cell by
-cell through :func:`_format_cell`.
+CSVs are written from a stream of column batches, each cut into slices of
+about ``_CELLS`` float cells (2048 rows of five float columns).  The
+float64 ndarray columns of a slice are stacked into one buffer and
+rendered by one :func:`_format_floats` call, which gives exactly the bytes
+of ``'%.17g' % x`` for every cell; a NumPy ``S`` (bytes) column is written
+as it is; any other column goes cell by cell through :func:`_format_cell`.
 
 Why the float kernel is exact.  For finite nonzero x with decimal exponent
 E (corrected so that |x| * 10**(16-E) lies in [1e16, 1e17)), '%.17g' prints
@@ -21,8 +22,8 @@ most u relative, so |y - y*| <= 2u * 1e17 < 0.0109.  Hence N = round(y) is
 the correctly rounded 17-digit significand whenever frac(y) is at least
 ``_BAND`` = 0.0125 away from 1/2 and N is not 1e17.  Every other cell is
 undecided: it goes, with zeros and non-finite cells, to Python's own
-'%.17g' (one ``%`` per batch), which rounds exact ties to even.  That is
-2-3% of the cells of a typical column.
+'%.17g' (one ``%`` per slice, for all its float columns), which rounds
+exact ties to even.  That is 2-3% of the cells of a typical column.
 
 Platform note: the bound needs a long double with at least a 64-bit
 significand (x86-64 extended precision, IEEE quad).  Where
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import json
 import os
 import tempfile
@@ -101,6 +103,10 @@ _E_MIN, _E_MAX = -324, 308      # decimal exponents of nonzero doubles
 _BAND = 0.0125                  # undecided half-width around frac(y) = 1/2
 _WIDTH = 24                     # longest cell: -1.2345678901234567e-308
 _KERNEL_MIN = 256               # fewer cells are faster in Python alone
+# float cells formatted per slice: bounds the slice's cells, text and NumPy
+# temporaries, and spreads the kernel's fixed cost over every float column
+_CELLS = 5 * 2048
+_GATHER = 1024                  # rows of one gather block and of its lines
 
 # byte columns of a cell's source row: three NULs (so that the digit groups
 # start 4-aligned), the 17 digits, then constants; a layout is a list of
@@ -126,7 +132,7 @@ def _tables():
                       for k in range(_POW_LO, _POW_HI + 1)])
     groups = [f"{i:04d}" for i in range(10_000)]
     quads = np.frombuffer("".join(groups).encode(), dtype=np.uint32)
-    sig = np.array([len(g.rstrip("0")) for g in groups], dtype=np.int64)
+    sig = np.array([len(g.rstrip("0")) for g in groups], dtype=np.uint8)
     return pow10, quads, sig
 
 
@@ -155,8 +161,9 @@ class _Layouts:
         self.rows = np.zeros((_E_MAX - _E_MIN + 1, 2, 18, _WIDTH), np.uint8)
         self.built = np.zeros(_E_MAX - _E_MIN + 1, dtype=bool)
 
-    def lookup(self, exponent, negative, digits) -> np.ndarray:
-        at = exponent - _E_MIN
+    def table(self, at) -> np.ndarray:
+        """The layout rows, one per key, with those of every exponent
+        ``at + _E_MIN`` built."""
         if not self.built[at].all():
             for k in set(at[~self.built[at]].tolist()):
                 for neg in (0, 1):
@@ -164,8 +171,7 @@ class _Layouts:
                         row = _layout(k + _E_MIN, neg, s)
                         self.rows[k, neg, s, :len(row)] = row
                 self.built[k] = True
-        key = (at * 2 + negative) * 18 + digits
-        return np.take(self.rows.reshape(-1, _WIDTH), key, axis=0)
+        return self.rows.reshape(-1, _WIDTH)
 
 
 @functools.cache
@@ -174,28 +180,38 @@ def _layouts() -> _Layouts:
 
 
 class _FloatBuffers:
-    """Per-batch buffers of :func:`_format_floats` for batches of up to
-    ``size`` cells, made once per CSV and reused for every batch."""
+    """Buffers of :func:`_format_floats` for up to ``size`` cells, made once
+    per CSV and reused for every slice: the stacked float columns, the
+    cells' digits and text, and one gather block's source rows, layout
+    rows and intp index."""
 
     def __init__(self, size: int):
-        self.source = np.zeros((size, _SOURCE), dtype=np.uint8)
-        self.source[:, _DIGIT + 17:] = np.frombuffer(_TAIL, np.uint8)
-        self.index = np.empty((size, _WIDTH), dtype=np.intp)
+        self.values = np.empty(size)
+        # word 0 holds three NULs and the lead digit, words 1-4 the groups
+        self.digits = np.zeros((5, size), dtype=np.uint32)
         self.cells = np.empty((size, _WIDTH), dtype=np.uint8)
-        self.offsets = np.arange(size)[:, None] * _SOURCE
+        block = min(size, _GATHER)
+        self.source = np.empty((block, _SOURCE), dtype=np.uint8)
+        self.source[:, _DIGIT + 17:] = np.frombuffer(_TAIL, np.uint8)
+        self.rows = np.empty((block, _WIDTH), dtype=np.uint8)
+        self.index = np.empty((block, _WIDTH), dtype=np.intp)
+        self.offsets = np.arange(block)[:, None] * _SOURCE
 
 
-def _format_floats(x: np.ndarray, buffers: Optional[_FloatBuffers] = None):
+def _format_floats(x: np.ndarray, buffers: Optional[_FloatBuffers] = None,
+                   kernel: bool = True):
     """'%.17g' of every cell of the float64 array ``x``, as ``S24`` bytes.
 
-    The result is a view of ``buffers.cells``, valid until the next call
-    with the same buffers."""
+    With ``kernel`` false, or fewer than ``_KERNEL_MIN`` cells, every cell
+    takes Python's formatter.  The result is a view of ``buffers.cells``,
+    valid until the next call with the same buffers."""
     if buffers is None:
         buffers = _FloatBuffers(x.size)
     cells = buffers.cells[:x.size]
-    undecided = np.arange(x.size)
-    if x.size >= _KERNEL_MIN and _has_extended():
+    if kernel and x.size >= _KERNEL_MIN and _has_extended():
         undecided = _decide(x, buffers)
+    else:
+        undecided = np.arange(x.size)
     if undecided.size:
         text = ("%.17g\0" * undecided.size) % tuple(x[undecided].tolist())
         cells[undecided] = np.array(
@@ -206,79 +222,132 @@ def _format_floats(x: np.ndarray, buffers: Optional[_FloatBuffers] = None):
 
 def _decide(x: np.ndarray, buffers: _FloatBuffers) -> np.ndarray:
     """Fill the cells of ``x`` whose rounding the error bound decides;
-    return the indices of the others."""
+    return the indices of the others.
+
+    Its temporaries are one float64, three int64 and one long double array
+    of ``x.size``, written in place and reused as their values die (``take``
+    with ``mode="clip"`` fills ``out`` without a copy; every index is in
+    range); the long double one is freed once N is formed."""
     pow10, quads, sig = _tables()
+    size = x.size
     a = np.abs(x)
-    sure = np.isfinite(a) & (a != 0.0)
-    a[~sure] = 1.0
-    exponent = np.floor(np.log10(a)).astype(np.int64)
-    a = a.astype(np.longdouble)
-    y = a * pow10[16 - exponent - _POW_LO]
-    n = y.astype(np.int64)
+    sure = np.isfinite(a)
+    sure &= a != 0.0
+    np.putmask(a, ~sure, 1.0)
+    key, n, rest = np.empty((3, size), dtype=np.int64)
+    e = rest.view(np.float64)               # E as a float, until it is key
+    np.log10(a, out=e)
+    np.floor(e, out=e)
+    np.copyto(key, e, casting="unsafe")
+    np.subtract(16 - _POW_LO, key, out=rest)
+    y = np.take(pow10, rest, mode="clip")
+    y *= a
+    np.copyto(n, y, casting="unsafe")
     # log10 can round across a power of ten: move E by one there
-    step = (n >= 10**17).astype(np.int64) - (n < 10**16)
-    moved = np.flatnonzero(step)
+    moved = np.flatnonzero((n < 10**16) | (n >= 10**17))
     if moved.size:
-        exponent[moved] += step[moved]
-        y[moved] = a[moved] * pow10[16 - exponent[moved] - _POW_LO]
+        key[moved] += np.where(n[moved] < 10**16, -1, 1)
+        y[moved] = (a[moved].astype(np.longdouble)
+                    * pow10[16 - _POW_LO - key[moved]])
         n[moved] = y[moved].astype(np.int64)
     # y - n is exact, and a multiple of ulp(y) >= 2**-10 below 1
-    frac = (y - n).astype(np.float64)
+    np.subtract(y, n, out=y)
+    frac = a
+    np.copyto(frac, y, casting="unsafe")
+    del y, a
     n += frac > 0.5
-    sure &= np.abs(frac - 0.5) >= _BAND
-    sure &= (n >= 10**16) & (n < 10**17)
-    n[~sure] = 10**16
+    frac -= 0.5
+    np.abs(frac, out=frac)
+    sure &= frac >= _BAND
+    sure &= n >= 10**16
+    sure &= n < 10**17
+    np.putmask(n, ~sure, 10**16)
 
-    # the 17 digits: a lead digit and four groups of four
-    high = n // 10**8
-    low = n - high * 10**8
-    lead = high // 10**8
-    high -= lead * 10**8
-    g = [high // 10**4, None, low // 10**4, None]
-    g[1] = high - g[0] * 10**4
-    g[3] = low - g[2] * 10**4
-    source = buffers.source[:x.size]
-    source[:, _DIGIT] = lead + ord("0")
-    words = source.view(np.uint32)         # the groups start 4-aligned
-    for j in range(4):
-        words[:, 1 + j] = quads[g[j]]
-    # significant digits: the last nonzero group sets them
-    digits = 13 + sig[g[3]]
-    zero = np.flatnonzero(g[3] == 0)
-    for j in (2, 1, 0):
-        digits[zero] = 1 + 4 * j + sig[g[j][zero]]
-        zero = zero[g[j][zero] == 0]
+    # each cell's layout key, ((E - _E_MIN) * 2 + sign) * 18 + digits,
+    # built in place of E; the digits are added below
+    key -= _E_MIN
+    table = _layouts().table(key)
+    key *= 2
+    key += np.signbit(x)
+    key *= 18
 
-    rows = _layouts().lookup(exponent, np.signbit(x).view(np.uint8), digits)
-    index = buffers.index[:x.size]
-    np.add(buffers.offsets[:x.size], rows, out=index)
-    np.take(source.ravel(), index, out=buffers.cells[:x.size])
+    # the 17 digits: four groups of four from the right, then the lead
+    # digit; the last nonzero group sets the significant digits, 1 + 4j +
+    # its own for group j, and each group that is zero hands them down
+    digits = buffers.digits[:, :size]
+    group = frac.view(np.int64)
+    for j in (3, 2, 1, 0):
+        np.floor_divide(n, 10**4, out=rest)
+        np.multiply(rest, 10**4, out=group)
+        np.subtract(n, group, out=group)
+        n, rest = rest, n
+        np.take(quads, group, out=digits[1 + j], mode="clip")
+        if j == 3:
+            key += 13
+            key += sig[group]
+            zero = np.flatnonzero(group == 0)
+        else:
+            key[zero] += sig[group[zero]].astype(np.int64) - 4
+            zero = zero[group[zero] == 0]
+    n += ord("0")
+    digits[0].view(np.uint8).reshape(size, 4)[:, _DIGIT] = n
+
+    # block by block: the source rows (the digits as laid out in memory,
+    # then the constants), each cell's layout row, and the gather
+    source, rows, index = buffers.source, buffers.rows, buffers.index
+    words = source.view(np.uint32)          # the groups start 4-aligned
+    for lo in range(0, size, len(index)):
+        m = min(len(index), size - lo)
+        words[:m, :5] = digits[:, lo:lo + m].T
+        np.take(table, key[lo:lo + m], axis=0, out=rows[:m], mode="clip")
+        np.add(buffers.offsets[:m], rows[:m], out=index[:m])
+        np.take(source[:m].ravel(), index[:m], mode="clip",
+                out=buffers.cells[lo:lo + m])
     return np.flatnonzero(~sure)
 
 
-# rows formatted per batch: bounds the batch's cells and text, and keeps its
-# NumPy temporaries small enough to reuse freed heap
-_BATCH = 2048
+def _join_rows(cells: list) -> np.ndarray:
+    """CSV lines, as uint8, from runs of adjacent columns' NUL-padded cells.
 
-
-def _join_rows(cells: list) -> bytes:
-    """CSV lines from one batch of each column's NUL-padded ``S`` cells.
-
-    Each row is laid out with every cell in a slot of its column's width
-    followed by the separator; dropping the NUL padding leaves the line."""
-    widths = [c.itemsize for c in cells]
-    table = np.empty((len(cells[0]), sum(widths) + len(widths)), np.uint8)
+    Each entry of ``cells`` is a uint8 array (rows, columns, width) of
+    adjacent columns of one width.  Each row is laid out with every cell in
+    a slot of its column's width followed by the separator; dropping the
+    NUL padding leaves the line."""
+    width = sum(m * (w + 1) for _, m, w in (c.shape for c in cells))
+    table = np.full((len(cells[0]), width), ord(","), np.uint8)
     end = 0
-    for c, w in zip(cells, widths):
-        table[:, end:end + w] = c.view(np.uint8).reshape(-1, w)
-        table[:, end + w] = ord(",")
-        end += w + 1
+    for c in cells:
+        rows, m, w = c.shape
+        slots = table[:, end:end + m * (w + 1)]
+        slots.shape = (rows, m, w + 1)          # a view, never a copy
+        slots[:, :, :w] = c
+        end += m * (w + 1)
     table[:, -1] = ord("\n")
-    return table[table != 0].tobytes()
+    return table[table != 0]
+
+
+def _is_floats(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype == np.float64
+
+
+def _text_cells(column) -> np.ndarray:
+    """The NUL-padded cells, as uint8 (rows, width), of a column that is not
+    float64: an ``S`` array as it is, anything else cell by cell."""
+    if not (isinstance(column, np.ndarray) and column.dtype.kind == "S"):
+        column = np.array([_format_cell(c).encode() for c in column],
+                          dtype=bytes)
+    return np.ascontiguousarray(column).view(np.uint8).reshape(
+        len(column), -1)
+
+
+def _slice_rows(floats: int) -> int:
+    """Rows per slice of a batch with ``floats`` float64 array columns."""
+    return max(1, _CELLS // max(1, floats))
 
 
 def _pieces(header: Sequence[str], batches: Iterable):
-    """Each batch's columns, checked, in slices of at most ``_BATCH`` rows."""
+    """Each batch's columns, checked, in slices of about ``_CELLS`` float
+    cells, with whether the batch is long enough for the float kernel."""
     for columns in batches:
         columns = list(columns)
         if len(header) != len(columns):
@@ -287,36 +356,53 @@ def _pieces(header: Sequence[str], batches: Iterable):
         sizes = {len(c) for c in columns}
         if len(sizes) > 1:
             raise ValueError(f"columns of unequal length: {sorted(sizes)}")
-        for lo in range(0, sizes.pop() if sizes else 0, _BATCH):
-            yield [col[lo:lo + _BATCH] for col in columns]
+        rows = sizes.pop() if sizes else 0
+        step = _slice_rows(sum(map(_is_floats, columns)))
+        for lo in range(0, rows, step):
+            yield [col[lo:lo + step] for col in columns], rows >= _KERNEL_MIN
 
 
 def write_csv(path: str, header: Sequence[str], batches: Iterable):
     """Write the rows of ``batches`` to ``path`` as CSV, atomically.
 
     Each batch is a list of equal-length columns, one per header name; its
-    rows follow the previous batch's, ``_BATCH`` formatted at a time, so a
-    stream is written in memory bounded by one batch.  Text cells must not
-    contain NUL (rows are assembled in a NUL-padded table), and an ``S``
-    column's cells must be the bytes the file should hold.
+    rows follow the previous batch's.  A batch is formatted in slices of
+    about ``_CELLS`` float cells, all its float64 array columns in one
+    :func:`_format_floats` call, so a stream is written in memory bounded
+    by one slice.  Columns shorter than ``_KERNEL_MIN`` rows take Python's
+    formatter.  Text cells must not contain NUL (rows are assembled in a
+    NUL-padded table), and an ``S`` column's cells must be the bytes the
+    file should hold.
     """
     buffers = _FloatBuffers(0)
     with _atomic_open(path) as fh:
         fh.write((",".join(header) + "\n").encode())
-        for parts in _pieces(header, batches):
-            if len(buffers.cells) < len(parts[0]):
-                buffers = _FloatBuffers(len(parts[0]))
-            cells = []
-            for part in parts:
-                if isinstance(part, np.ndarray) and part.dtype == np.float64:
-                    # the buffers are reused by the next float column
-                    cells.append(_format_floats(part, buffers).copy())
-                elif isinstance(part, np.ndarray) and part.dtype.kind == "S":
-                    cells.append(np.ascontiguousarray(part))
+        for parts, kernel in _pieces(header, batches):
+            rows = len(parts[0])
+            floats = [part for part in parts if _is_floats(part)]
+            if floats:
+                size = rows * len(floats)
+                if len(buffers.values) < size:
+                    buffers = _FloatBuffers(size)
+                # the float columns stacked, then formatted in one call
+                values = buffers.values[:size].reshape(len(floats), rows)
+                for row, part in zip(values, floats):
+                    row[:] = part
+                text = _format_floats(values.ravel(), buffers, kernel)
+                text = text.view(np.uint8).reshape(len(floats), rows, _WIDTH)
+                text = text.transpose(1, 0, 2)
+            # runs of adjacent float columns join as one block of cells
+            cells, at = [], 0
+            for is_float, run in itertools.groupby(parts, _is_floats):
+                if is_float:
+                    end = at + len(list(run))
+                    cells.append(text[:, at:end])
+                    at = end
                 else:
-                    cells.append(np.array(
-                        [_format_cell(c).encode() for c in part], dtype=bytes))
-            fh.write(_join_rows(cells))
+                    cells.extend(_text_cells(c)[:, None] for c in run)
+            # the lines of one gather block at a time, so the table is small
+            for lo in range(0, rows, _GATHER):
+                fh.write(_join_rows([c[lo:lo + _GATHER] for c in cells]))
 
 
 def _jsonable(obj):

@@ -164,6 +164,24 @@ def test_scan_circle_small_grid(tmp_path):
     assert abs(cert["residual"] - cert["expected"]) <= cert["tolerance"]
 
 
+@pytest.mark.parametrize("argv", [["--orders", "1", "--grid", "8"],
+                                  ["--grid", "3600"]], ids=["8", "3600"])
+def test_scan_circle_summary_line_counts_every_point(tmp_path, capsys, argv):
+    # the printed counts are those of scan_circle.json, TailInvalid among
+    # them, and they sum to --grid
+    assert run(tmp_path, "scan-circle", *argv) == 0
+    line = capsys.readouterr().out
+    printed = re.match(r"scan-circle: (\d+) certified, (\d+) withheld, "
+                       r"(\d+) tail-invalid of (\d+) points;", line)
+    certified, withheld, tail, grid = map(int, printed.groups())
+    counts = read_json(tmp_path / "scan_circle.json")["counts"]
+    assert (certified, withheld, tail) == (
+        counts["CertifiedResolvent"], counts["SingularCandidate"],
+        counts["TailInvalid"])
+    assert tail == 1                    # the target point at theta = 0
+    assert certified + withheld + tail == grid == int(argv[-1])
+
+
 def test_scan_circle_certificates_cover_targets(tmp_path):
     rc = run(tmp_path, "scan-circle", "--orders", "2,3", "--grid", "60")
     assert rc == 0

@@ -1,13 +1,15 @@
 """Artifact writers."""
 
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from spectral_forge import cli, io
-from spectral_forge.io import _BATCH, _format_cell, write_csv, write_json
+from spectral_forge.io import _format_cell, _slice_rows, write_csv, \
+    write_json
 from spectral_forge.model import GroupUnionSpec, WeightSeq
 from spectral_forge.scanner import scan_unit_circle
 
@@ -60,6 +62,19 @@ def test_artifacts_follow_the_umask(tmp_path, umask, mode):
         assert os.stat(tmp_path / name).st_mode & 0o777 == mode
 
 
+# rows per slice of a batch with five float64 columns, as the scan's; a
+# test that cuts across slices gives its batch five float columns
+_ROWS = _slice_rows(5)
+
+
+def _five_floats(columns):
+    """``columns`` and after them enough float64 columns for five in all."""
+    n = len(columns[0])
+    floats = sum(map(io._is_floats, columns))
+    return list(columns) + [np.arange(n) * (k + 0.5) / 3
+                            for k in range(5 - floats)]
+
+
 def _general_path(header, columns):
     """The per-cell formatter applied to every row: the reference bytes."""
     return "".join(",".join(map(_format_cell, row)) + "\n"
@@ -75,7 +90,7 @@ def _write(tmp_path, header, columns):
 def test_write_csv_formats_plain_batches_without_the_cell_formatter(
         tmp_path, monkeypatch):
     # float64 array columns take the array kernel, never the cell formatter
-    n = 2 * _BATCH + 3
+    n = 2 * _slice_rows(2) + 3
     columns = [np.arange(n) / 7, -np.arange(n) / 3]
     expected = _general_path(["a", "b"], columns)
     calls = []
@@ -88,7 +103,7 @@ def test_write_csv_formats_plain_batches_without_the_cell_formatter(
 def test_write_csv_takes_bytes_columns_as_they_are(tmp_path, monkeypatch):
     # a NumPy S column is written as its bytes; no cell reaches the cell
     # formatter, and an empty cell stays empty
-    n = 2 * _BATCH + 3
+    n = 2 * _slice_rows(1) + 3
     labels = np.array([b"CertifiedResolvent", b"SingularCandidate",
                        b""])[np.arange(n) % 3]
     columns = [np.arange(n) / 7, labels]
@@ -102,8 +117,8 @@ def test_write_csv_takes_bytes_columns_as_they_are(tmp_path, monkeypatch):
                 [0, *range(1, n + 1, 2)])
 
 
-@pytest.mark.parametrize("at", [0, 1, 2 * _BATCH - 1, 2 * _BATCH,
-                                2 * _BATCH + 1, 4 * _BATCH + 5])
+@pytest.mark.parametrize("at", [0, 1, 2 * _ROWS - 1, 2 * _ROWS,
+                                2 * _ROWS + 1, 4 * _ROWS + 5])
 @pytest.mark.parametrize("column,cell", [
     (0, 3), (0, True), (0, np.float64(0.1)), (0, np.int64(-7)),
     (1, 5), (1, np.str_("y")), (1, 2.5), (1, False)],
@@ -111,47 +126,50 @@ def test_write_csv_takes_bytes_columns_as_they_are(tmp_path, monkeypatch):
          "str-int", "str-np_str", "str-float", "str-bool"])
 def test_write_csv_mixed_batches_match_the_cell_formatter(tmp_path, at,
                                                           column, cell):
-    # one cell of another type, mid-file or at a batch boundary, makes its
-    # column a list for the cell formatter; the float64 array column next
-    # to it takes the kernel; every batch renders the same bytes
-    n = 4 * _BATCH + 10
+    # one cell of another type, mid-file or at a slice boundary, makes its
+    # column a list for the cell formatter; the float64 array columns next
+    # to it take the kernel; every slice renders the same bytes
+    n = 4 * _ROWS + 10
     columns = [np.arange(n) / 3, ["r%d" % i for i in range(n)]]
     columns[column] = list(columns[column])
     columns[column][at] = cell
-    assert _write(tmp_path, ["a", "b"], columns) == \
-        _general_path(["a", "b"], columns)
+    columns = _five_floats(columns)
+    header = list("abcdefg")[:len(columns)]
+    assert _write(tmp_path, header, columns) == \
+        _general_path(header, columns)
 
 
 @pytest.mark.parametrize("edges", [
-    [], [0, 1], [1, 2, 3], [7], [_BATCH - 1], [_BATCH + 1, 2 * _BATCH + 1],
+    [], [0, 1], [1, 2, 3], [7], [_ROWS - 1], [_ROWS + 1, 2 * _ROWS + 1],
     [300, 3000]], ids=lambda e: "-".join(map(str, e)) or "one")
 def test_write_csv_batches_follow_each_other_row_for_row(tmp_path, edges):
     # a stream of batches cut anywhere, also into empty and one-row batches
     # or a small batch before a large one, writes the bytes of one batch
-    n = 3 * _BATCH + 5
+    n = 3 * _ROWS + 5
     labels = np.array([b"ab", b"c", b""])[np.arange(n) % 3]
-    columns = [np.arange(n) / 7, labels, ["r%d" % i for i in range(n)]]
+    columns = _five_floats([np.arange(n) / 7, labels,
+                            ["r%d" % i for i in range(n)]])
+    header = list("abcdefg")
     cuts = [0, *edges, n]
     batches = [[col[lo:hi] for col in columns]
                for lo, hi in zip(cuts, cuts[1:])]
     target = tmp_path / "out.csv"
-    write_csv(str(target), ["a", "b", "c"], iter(batches))
-    assert target.read_bytes() == \
-        _write(tmp_path, ["a", "b", "c"], columns).encode()
+    write_csv(str(target), header, iter(batches))
+    assert target.read_bytes() == _write(tmp_path, header, columns).encode()
 
 
 def test_write_csv_bad_later_batch_leaves_no_file(tmp_path):
-    good = [np.zeros(2 * _BATCH), np.zeros(2 * _BATCH)]
+    good = [np.zeros(2 * _slice_rows(2)), np.zeros(2 * _slice_rows(2))]
     with pytest.raises(ValueError, match="2 header names for 1 columns"):
         write_csv(str(tmp_path / "out.csv"), ["a", "b"],
                   [good, good, [np.zeros(3)]])
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("at", [0, 2 * _BATCH - 1, 2 * _BATCH + 2])
+@pytest.mark.parametrize("at", [0, 2 * _ROWS - 1, 2 * _ROWS + 2])
 def test_write_csv_ragged_columns_leave_no_file(tmp_path, at):
     # a column of another length must not shift the cells of its rows
-    n = 2 * _BATCH + 5
+    n = 2 * _ROWS + 5
     with pytest.raises(ValueError, match="unequal length"):
         write_csv(str(tmp_path / "out.csv"), ["a", "b"],
                   [[np.arange(n, dtype=float), -np.arange(at, dtype=float)]])
@@ -187,14 +205,13 @@ def test_write_csv_without_rows_writes_the_header_only(tmp_path, batches):
     assert target.read_text() == "theta,verdict\n"
 
 
-@pytest.mark.parametrize("n", [5, 2 * _BATCH, 2 * _BATCH + 1,
-                               6 * _BATCH - 7])
+@pytest.mark.parametrize("n", [5, 2 * _ROWS, 2 * _ROWS + 1, 6 * _ROWS - 7])
 def test_write_csv_failure_mid_batch_leaves_no_file(tmp_path, n):
-    # the bad cell sits inside the first, at the end of, or after a batch
+    # the bad cell sits inside the first, at the end of, or after a slice
     target = tmp_path / "scan.csv"
     with pytest.raises(TypeError, match="cannot format object"):
-        write_csv(str(target), ["theta", "verdict"],
-                  [_theta_verdict(6 * _BATCH + 10, n - 1)])
+        write_csv(str(target), list("tvabcd"),
+                  [_five_floats(_theta_verdict(6 * _ROWS + 10, n - 1))])
     assert os.listdir(tmp_path) == []
 
 
@@ -334,6 +351,149 @@ def test_scan_csv_leaves_few_cells_to_python(tmp_path, monkeypatch):
 
     monkeypatch.setattr(io, "_decide", spy)
     assert cli.main(["scan-circle", "--out", str(tmp_path)]) == 0
+    # one call per CSV slice for all five float columns, not one per column
+    assert [size for size, _ in seen] == [5 * 2048, 5 * (3600 - 2048)]
     cells, undecided = map(sum, zip(*seen))
     assert cells == 5 * 3600
     assert 0 < undecided <= 0.03 * cells
+
+
+# ---------------------------------------------------------------------------
+# one formatting pass per slice
+# ---------------------------------------------------------------------------
+
+def test_the_cell_budget_sets_the_rows_per_slice():
+    # scan-circle's five float columns keep 2048-row slices; evolve.csv's
+    # eleven get 930 rows, and --trace-blocks 200 (203 columns) 50
+    assert io._CELLS == 5 * 2048
+    assert [_slice_rows(k) for k in (0, 1, 2, 5, 11, 203, 20_000)] == \
+        [10240, 10240, 5120, 2048, 930, 50, 1]
+
+
+def _formatted_sizes(monkeypatch):
+    """Spy on _format_floats: the cell count of each call."""
+    sizes = []
+    format_floats = io._format_floats
+
+    def spy(x, buffers=None, kernel=True):
+        sizes.append(x.size)
+        return format_floats(x, buffers, kernel)
+
+    monkeypatch.setattr(io, "_format_floats", spy)
+    return sizes
+
+
+def _evolve_batch(samples, blocks):
+    """The columns of evolve.csv: t, mass and head, then one zero-stride
+    column per traced block, as cmd_evolve passes them."""
+    t = np.linspace(0.0, 500.0, samples)
+    return [t, 1.0 + np.sin(t) * 1e-13, np.exp(-t / 70.0)] + [
+        np.broadcast_to(2.0 * np.pi * np.exp(-k / 3.0) / 7.0, t.shape)
+        for k in range(1, blocks + 1)]
+
+
+def test_fused_writer_matches_the_cell_formatter_on_an_evolve_batch(
+        tmp_path, monkeypatch):
+    columns = _evolve_batch(2001, 8)
+    header = ["t", "mass", "head"] + [f"block_mass_{k}" for k in range(1, 9)]
+    expected = _general_path(header, columns)
+    sizes = _formatted_sizes(monkeypatch)
+    assert _write(tmp_path, header, columns) == expected
+    # every float column of a slice in one call, 930 rows a slice
+    assert sizes == [11 * 930, 11 * 930, 11 * 141]
+
+
+def test_fused_writer_takes_strided_views(tmp_path):
+    # lams.real and lams.imag of a complex array have a 16-byte stride
+    theta = np.arange(3 * _ROWS + 17) / 997.0
+    lams = np.exp(1j * theta)
+    columns = [theta, lams.real, lams.imag, lams[::-1].imag]
+    assert not lams.real.flags.c_contiguous
+    header = ["theta", "re", "im", "rev"]
+    assert _write(tmp_path, header, columns) == _general_path(header, columns)
+
+
+def test_fused_writer_keeps_the_column_order_around_other_columns(tmp_path):
+    # float columns on both sides of S and list columns, and runs of them
+    n = 2 * _ROWS + 9
+    labels = np.array([b"CertifiedResolvent", b"", b"x"])[np.arange(n) % 3]
+    columns = [np.arange(n) / 7, labels, -np.arange(n) / 3,
+               np.arange(n) * 1e-300, ["r%d" % i for i in range(n)],
+               np.sqrt(np.arange(n)), labels]
+    header = list("abcdefg")
+    text_columns = [c if c is not labels else [b.decode() for b in c]
+                    for c in columns]
+    assert _write(tmp_path, header, columns) == \
+        _general_path(header, text_columns)
+
+
+@pytest.mark.parametrize("floats", [1, 5, 11])
+@pytest.mark.parametrize("side", [-1, 1])
+def test_cuts_next_to_a_budgeted_slice_write_the_same_bytes(tmp_path, floats,
+                                                            side):
+    # a batch cut one row before or after a full slice, so that the next
+    # slice starts one row early or late, writes the bytes of one batch
+    rows = _slice_rows(floats)
+    n = 2 * rows + 7
+    columns = [np.arange(n) * (k + 1) / 7 for k in range(floats)]
+    columns.insert(1, np.array([b"ab", b"c"])[np.arange(n) % 2])
+    header = [f"c{k}" for k in range(len(columns))]
+    cut = rows + side
+    target = tmp_path / "cut.csv"
+    write_csv(str(target), header,
+              [[c[:cut] for c in columns], [c[cut:] for c in columns]])
+    assert target.read_text() == _general_path(
+        header, [c if c.dtype != "S2" else [b.decode() for b in c]
+                 for c in columns])
+
+
+def test_short_columns_take_python_formatter_whatever_their_cells(
+        monkeypatch, tmp_path):
+    # eigs.csv at N = 40: 201 rows of three float columns stay on Python's
+    # formatter, though the slice holds more than _KERNEL_MIN cells
+    n = io._KERNEL_MIN - 55
+    columns = [np.arange(n) / 7, -np.arange(n) / 3, ["k"] * n,
+               np.arange(n) * 1e-17]
+    monkeypatch.setattr(io, "_decide", None)        # must not be reached
+    header = ["re", "im", "kind", "residual"]
+    assert _write(tmp_path, header, columns) == _general_path(header, columns)
+
+
+def _scan_batch(points):
+    """The six columns of one scan chunk of ``points`` rows."""
+    theta = 2.0 * np.pi * np.arange(points) / points
+    lams = np.exp(1j * theta)
+    verdicts = np.array([b"CertifiedResolvent", b"SingularCandidate",
+                         b"TailInvalid"])[np.arange(points) % 3]
+    return [theta, lams.real, lams.imag, verdicts, np.abs(np.sin(theta)),
+            1.0 / (1e-3 + np.abs(np.cos(theta)))]
+
+
+# transient peak allowed to one CSV: about 250 bytes per float cell of a
+# slice (stacked values, source rows, cells, the kernel's temporaries)
+_PEAK = 250 * 5 * 2048
+
+
+def _write_peak(tmp_path, columns):
+    tracemalloc.start()
+    try:
+        write_csv(str(tmp_path / "peak.csv"),
+                  [f"c{k}" for k in range(len(columns))], [columns])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape", ["evolve-203", "scan-chunk"])
+@pytest.mark.parametrize("budget", ["budgeted", "whole-batch"])
+def test_write_csv_peak_memory_is_bounded_by_the_cell_budget(
+        tmp_path, monkeypatch, shape, budget):
+    # negative control: without the cell budget the whole batch goes into
+    # one formatting call, and the peak grows with the batch
+    columns = (_evolve_batch(2001, 200) if shape == "evolve-203"
+               else _scan_batch(8192))
+    _write_peak(tmp_path, columns)          # tables and layouts built once
+    if budget == "whole-batch":
+        monkeypatch.setattr(io, "_CELLS", 10**9)
+    peak = _write_peak(tmp_path, columns)
+    assert (peak <= _PEAK) == (budget == "budgeted")
