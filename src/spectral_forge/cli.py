@@ -24,17 +24,12 @@ from .errors import BlockTooDeep, ExponentialUnresolved, SpectralForgeError
 from .finite import convergence_table, finite_spectrum, section_limit
 from .io import write_csv, write_json
 from .model import GroupUnionSpec, WeightSeq
-from .resolvent import CERTIFIED, SINGULAR, TAIL_INVALID, VERDICTS, \
-    _MAX_TERMS, _S_GAP_GUARD
+from .resolvent import CERTIFIED, SINGULAR, TAIL_INVALID, VERDICT_LABELS, \
+    VERDICTS
 from .scanner import CERT_SLOP, scan_unit_circle
 from .semigroup import GeneratorSpec, SemigroupState, evolve, \
     mode_certificate, scan_imaginary_axis
 from .verify import SUITE_NAMES, run_suites
-
-_CONFIG_KEYS = {
-    "orders", "truncation_depth", "grid_size",
-    "exclusion_radius", "seed", "out",
-}
 
 _DEFAULTS = {
     "orders": (2, 3),
@@ -68,10 +63,10 @@ def _load_config(path: str) -> dict:
         raise UsageError(f"config: {path} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise UsageError("config: top level must be a JSON object")
-    unknown = set(cfg) - _CONFIG_KEYS
+    unknown = set(cfg) - set(_DEFAULTS)
     if unknown:
         raise UsageError(f"config: unknown keys {sorted(unknown)}; "
-                         f"allowed: {sorted(_CONFIG_KEYS)}")
+                         f"allowed: {sorted(_DEFAULTS)}")
     return cfg
 
 
@@ -171,7 +166,6 @@ def cmd_scan_circle(args) -> int:
     except BlockTooDeep as exc:
         raise UsageError(f"cert-block: {exc}; use a shallower block")
 
-    labels = np.array(VERDICTS, dtype=bytes)
     tally = np.zeros(len(VERDICTS), dtype=np.int64)
     empirical_m, rim_ok = 0.0, True
 
@@ -185,7 +179,7 @@ def cmd_scan_circle(args) -> int:
             rim &= np.isfinite(c.block_bounds)
             empirical_m = max(empirical_m, float(
                 np.max(c.block_bounds, where=rim, initial=0.0)))
-            yield [c.thetas, c.lams.real, c.lams.imag, labels[c.codes],
+            yield [c.thetas, c.lams.real, c.lams.imag, VERDICT_LABELS[c.codes],
                    c.den_lower, c.block_bounds]
 
     write_csv(_out_path(cfg, "scan_circle.csv"),
@@ -296,29 +290,22 @@ def _parse_betas(text: Optional[str]) -> List[float]:
 
 def cmd_scan_axis(args) -> int:
     cfg = _resolve_config(args)
-    g = GeneratorSpec(cfg["truncation_depth"])
-    betas = _parse_betas(args.betas)
-    report = scan_imaginary_axis(g, betas)
+    report = scan_imaginary_axis(GeneratorSpec(cfg["truncation_depth"]),
+                                 _parse_betas(args.betas))
 
     write_csv(_out_path(cfg, "scan_axis.csv"),
               ["beta", "verdict", "denominator_abs_lower"],
-              [[report.betas,
-                np.where(report.certified, CERTIFIED.encode(),
-                         SINGULAR.encode()),
+              [[report.betas, VERDICT_LABELS[report.codes],
                 report.denominator_abs_lower]])
 
-    # expected verdicts: certified strictly inside the unit gap, singular
-    # at beta = 0 and beyond |beta| = 1, with the scan's own gap guard
-    b = report.betas
-    expected = np.minimum(np.abs(b), 1.0 - np.abs(b)) > _S_GAP_GUARD
-    mismatches = b[report.certified != expected].tolist()
+    mismatches = report.betas[report.codes != report.expected].tolist()
     write_json(_out_path(cfg, "scan_axis.json"), {
-        "depth": g.depth,
-        "series_terms": min(g.depth, _MAX_TERMS),
+        "depth": report.depth,
+        "series_terms": report.series_terms,
         "counts": report.counts(),
         "mismatched_betas": mismatches,
     })
-    print(f"semigroup scan-axis: {report.counts()} over {b.size} "
+    print(f"semigroup scan-axis: {report.counts()} over {report.betas.size} "
           f"points, {len(mismatches)} unexpected verdicts")
     return 0 if not mismatches else 1
 
@@ -428,24 +415,23 @@ def cmd_verify(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run configuration")
-    common.add_argument("--depth", type=int, default=None,
-                        help="series truncation depth (default 40)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for all randomised checks")
     common.add_argument("--out", default=None,
                         help="output directory for CSV/JSON artifacts")
-
-    orders_arg = dict(default=None,
-                      help="comma-separated cyclic orders, e.g. 2,3")
+    # each flag below is declared once and given to the commands that read it
+    orders = argparse.ArgumentParser(add_help=False)
+    orders.add_argument("--orders", default=None,
+                        help="comma-separated cyclic orders, e.g. 2,3")
+    depth = argparse.ArgumentParser(add_help=False)
+    depth.add_argument("--depth", type=int, default=None,
+                       help="series truncation depth (default 40)")
 
     parser = argparse.ArgumentParser(
         prog="spectral-forge",
         description="certified spectra of head-coupled cyclic shift systems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("scan-circle", parents=[common],
+    p = sub.add_parser("scan-circle", parents=[common, orders, depth],
                        help="classify unit-circle points for the operator")
-    p.add_argument("--orders", **orders_arg)
     p.add_argument("--grid", type=int, default=None,
                    help="number of grid angles (default 3600)")
     p.add_argument("--exclusion", type=float, default=None,
@@ -456,9 +442,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "2,3)")
     p.set_defaults(func=cmd_scan_circle)
 
-    p = sub.add_parser("eigs", parents=[common],
+    p = sub.add_parser("eigs", parents=[common, orders],
                        help="full spectrum of a finite section")
-    p.add_argument("--orders", **orders_arg)
     p.add_argument("--N", dest="n_blocks", type=int, default=12,
                    help="number of retained blocks, at least 1 (at most "
                         "967 for orders 2,3)")
@@ -466,9 +451,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="keep raw weights (head column sums to 1 - 2^-N)")
     p.set_defaults(func=cmd_eigs)
 
-    p = sub.add_parser("convergence", parents=[common],
+    p = sub.add_parser("convergence", parents=[common, orders],
                        help="distance of section spectra to the target set")
-    p.add_argument("--orders", **orders_arg)
     p.add_argument("--n-max", type=int, default=12,
                    help="largest section size, at least 1 (at most 967 "
                         "for orders 2,3); rows whose bound is within the "
@@ -477,6 +461,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the seeded property suites")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed for all randomised checks")
     p.add_argument("--suites", default=None,
                    help=f"comma-separated subset of {list(SUITE_NAMES)}")
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
@@ -485,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sg = sub.add_parser("semigroup", help="continuous-time construction")
     sgsub = sg.add_subparsers(dest="subcommand", required=True)
 
-    p = sgsub.add_parser("scan-axis", parents=[common],
+    p = sgsub.add_parser("scan-axis", parents=[common, depth],
                          help="classify imaginary-axis points")
     p.add_argument("--betas", default=None,
                    help="comma-separated finite beta values, e.g. "
@@ -496,7 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p._negative_number_matcher = re.compile(r"-\.?\d")
     p.set_defaults(func=cmd_scan_axis)
 
-    p = sgsub.add_parser("cert", parents=[common],
+    p = sgsub.add_parser("cert", parents=[common, depth],
                          help="single-mode approximate eigenvalue certificates")
     p.add_argument("--r", required=True,
                    help="comma-separated rational speeds >= 1, e.g. 1,3/2,7/3")
@@ -504,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="which recurrence of the speed to use, from 1")
     p.set_defaults(func=cmd_cert)
 
-    p = sgsub.add_parser("evolve", parents=[common],
+    p = sgsub.add_parser("evolve", parents=[common, depth],
                          help="orbit of the semigroup with mass trace")
     p.add_argument("--t", type=float, default=10.0,
                    help="final time, finite and >= 0")

@@ -47,7 +47,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import RootCountMismatch
-from .model import GroupUnionSpec, WeightSeq, apply_operator, union_points
+from .model import (GroupUnionSpec, WeightSeq, apply_operator, union_points,
+                    union_values)
 
 __all__ = [
     "FiniteSection",
@@ -480,11 +481,11 @@ def convergence_table(spec: GroupUnionSpec, w: WeightSeq,
     Each row carries a tolerance tau_N = (2N + 32) eps, with eps = 2^-52,
     and passes when distance <= bound + tau_N.  tau_N bounds the error of
     the computed distance to the witness eigenvalue v, |v - u| <= tilde_q_N:
-    * a block witness: u and zeta are ``cmath.exp`` of an angle formed with
-      three roundings (pi, the quotient j/m, the product), each within
-      11 eps of the exact point; 1 - tilde_q and the products add 1.5 eps,
-      the differences eps, the modulus (2 ulps of a value below 2) 2 eps:
-      26.5 eps in all;
+    * a block witness: u and zeta are the complex exponential of an angle
+      formed with three roundings (pi, the quotient j/m, the product),
+      each within 11 eps of the exact point; 1 - tilde_q and the products
+      add 1.5 eps, the differences eps, the modulus (2 ulps of a value
+      below 2) 2 eps: 26.5 eps in all;
     * the secular root at 1: the bisection ends where the computed g
       changes sign, and g falls with slope <= -1, so the root found is
       within delta of the exact one, with delta the error of g near x = 0:
@@ -501,7 +502,7 @@ def convergence_table(spec: GroupUnionSpec, w: WeightSeq,
     if n_max < 1:
         raise ValueError("need at least one block")
     angles = union_points(spec)
-    us = np.array([cmath.exp(2j * math.pi * float(a)) for a in angles])
+    us = union_values(spec)
     zetas = np.array(list(_block_zetas(spec)), dtype=complex)
     q_all = w.values(n_max)
     sections, brackets, nearest = [], [], []

@@ -8,9 +8,8 @@ has no head; the second has the scalar denominator
 certifies over an array of parameters.  The same primitive certifies the
 semigroup's denominator on the imaginary axis.
 
-Whether a point lies in the resolvent set of T is decided by the scanner's
-certification kernel, which combines that series with the gap to the
-spectrum of S.
+Both scans take each point's verdict from ``verdict_codes``, which combines
+that series with the gap to the spectrum of S that the scan measures.
 """
 
 from __future__ import annotations
@@ -20,16 +19,40 @@ import math
 import numpy as np
 
 __all__ = [
-    "coupling_series_batch",
-    "CERTIFIED", "SINGULAR", "TAIL_INVALID", "VERDICTS", "verdict_counts",
+    "coupling_series_batch", "series_terms", "UNIT_ROUNDOFF", "gamma",
+    "CERTIFIED", "SINGULAR", "TAIL_INVALID", "VERDICTS", "VERDICT_LABELS",
+    "verdict_codes", "verdict_counts",
 ]
 
 # verdict labels used by the scanners and the CLI
 CERTIFIED = "CertifiedResolvent"
 SINGULAR = "SingularCandidate"
 TAIL_INVALID = "TailInvalid"
-# the verdicts in the order of their uint8 codes
+# the verdicts in the order of their uint8 codes, as str and as bytes
 VERDICTS = (CERTIFIED, SINGULAR, TAIL_INVALID)
+VERDICT_LABELS = np.array(VERDICTS, dtype=bytes)
+
+# guard for the strict circles inequality |lam - 1 + q| > q * (1 + GUARD)
+_TAIL_GUARD = 1e-9
+# terms of the coupling series summed at most; the rest weighs 2^-300
+_MAX_TERMS = 300
+# |lam|^2 outside this range gets no denominator disk (radius inf)
+_LAM2_MIN, _LAM2_MAX = 2.0 ** -200, 2.0 ** 200
+UNIT_ROUNDOFF = 2.0 ** -53
+# certified gap to the block-diagonal spectrum below which no certificate
+# is issued
+_S_GAP_GUARD = 1e-9
+
+
+def verdict_codes(gap, den_lower, valid, withheld) -> np.ndarray:
+    """Each point's uint8 index into ``VERDICTS``: TailInvalid where the
+    tail guard ``valid`` fails, else SingularCandidate where the
+    certificate is ``withheld``, the certified gap to sigma(S) is at most
+    1e-9 or the denominator's certified lower bound is not positive (never
+    a claim of spectrum membership), else CertifiedResolvent."""
+    singular = (gap <= _S_GAP_GUARD) | (den_lower <= 0.0) | withheld
+    return np.where(valid, singular.astype(np.uint8),
+                    np.uint8(VERDICTS.index(TAIL_INVALID)))
 
 
 def verdict_counts(codes: np.ndarray) -> dict:
@@ -38,25 +61,19 @@ def verdict_counts(codes: np.ndarray) -> dict:
     return dict(zip(VERDICTS, np.bincount(codes, minlength=3).tolist()))
 
 
-# guard for the strict circles inequality |lam - 1 + q| > q * (1 + GUARD)
-_TAIL_GUARD = 1e-9
-# terms of the coupling series summed at most; the rest weighs 2^-300
-_MAX_TERMS = 300
-# |lam|^2 outside this range gets no denominator disk (radius inf)
-_LAM2_MIN, _LAM2_MAX = 2.0 ** -200, 2.0 ** 200
-_UNIT_ROUNDOFF = 2.0 ** -53
-# certified gap to the block-diagonal spectrum below which no certificate
-# is issued
-_S_GAP_GUARD = 1e-9
-
-
 # ---------------------------------------------------------------------------
 # certified coupling series
 # ---------------------------------------------------------------------------
 
-def _gamma(k: int) -> float:
-    """Higham's gamma_k = k u / (1 - k u) for the unit roundoff u."""
-    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+def gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u) for the unit roundoff u: the
+    relative error bound of k successive roundings."""
+    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
+
+
+def series_terms(depth: int) -> int:
+    """Terms of the coupling series summed at ``depth``; the rest is tail."""
+    return min(depth, _MAX_TERMS)
 
 
 def coupling_series_batch(w: WeightSeq, lams, depth: int):
@@ -108,7 +125,7 @@ def coupling_series_batch(w: WeightSeq, lams, depth: int):
     Outside that range of |lam| the radius is inf.
     """
     lam = np.asarray(lams, dtype=complex)
-    n_sum = min(depth, _MAX_TERMS)
+    n_sum = series_terms(depth)
     x = lam.real - 1.0
     y = np.ascontiguousarray(lam.imag)
     yy = y * y
@@ -134,11 +151,11 @@ def coupling_series_batch(w: WeightSeq, lams, depth: int):
         den.real = 1.0 - (re * lr + im * y) / lam2
         den.imag = -((im * lr - re * y) / lam2)
         m_sum = 1.0 + 2.0 ** -40                         # M
-        div = math.sqrt(2.0) * _gamma(5)
-        c_n = ((min(n_sum, 54) - 1) * _UNIT_ROUNDOFF * m_sum + _gamma(11)
-               + div * m_sum * (1.0 + _UNIT_ROUNDOFF)
-               + _UNIT_ROUNDOFF * m_sum)
+        div = math.sqrt(2.0) * gamma(5)
+        c_n = ((min(n_sum, 54) - 1) * UNIT_ROUNDOFF * m_sum + gamma(11)
+               + div * m_sum * (1.0 + UNIT_ROUNDOFF)
+               + UNIT_ROUNDOFF * m_sum)
         radius = ((w.tail_mass(n_sum) + c_n) / np.abs(lam)
-                  + _UNIT_ROUNDOFF) * (1.0 + 2.0 ** -48)
+                  + UNIT_ROUNDOFF) * (1.0 + 2.0 ** -48)
     radius[~((lam2 >= _LAM2_MIN) & (lam2 <= _LAM2_MAX))] = np.inf
     return den, radius, valid

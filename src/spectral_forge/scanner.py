@@ -25,7 +25,7 @@ import numpy as np
 from .errors import BlockTooDeep, NotInTargetSet
 from .model import (GroupUnionSpec, WeightSeq, apply_operator, union_points,
                     union_values)
-from .resolvent import coupling_series_batch, _MAX_TERMS, _S_GAP_GUARD
+from .resolvent import coupling_series_batch, series_terms, verdict_codes
 
 __all__ = [
     "CERT_SLOP",
@@ -98,23 +98,21 @@ def residual_certificate(spec: GroupUnionSpec, w: WeightSeq,
             f"q_{block_index} = {q:.3e} is within the {CERT_SLOP:g} rounding "
             f"slop of 0, so the residual check could not fail")
 
-    lam = complex(np.exp(2j * np.pi * float(angle)))
-
-    z = np.zeros(spec.d, dtype=complex)
     zeta = np.exp(2j * np.pi * float(angle))
+    z = np.zeros(spec.d, dtype=complex)
     for i in range(m):
         z[off + i] = zeta ** (-i) / m
     inner = abs(z.sum())
 
     x = np.zeros(1 + block_index * spec.d, dtype=complex)
     x[-spec.d:] = z
-    r = apply_operator(spec, w, x) - lam * x
+    r = apply_operator(spec, w, x) - zeta * x
     # the l1 norm, each block's sum first: the order the artifacts pin
     resid = float(abs(r[0])
                   + np.abs(r[1:]).reshape(-1, spec.d).sum(axis=1).sum())
     expected = q * (1.0 + inner)
-    return EigCertificate(angle, lam, block_index, z, inner, resid, expected,
-                          bool(abs(resid - expected) <= CERT_SLOP))
+    return EigCertificate(angle, complex(zeta), block_index, z, inner, resid,
+                          expected, bool(abs(resid - expected) <= CERT_SLOP))
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +155,10 @@ def _circle_kernel(spec: GroupUnionSpec, w: WeightSeq, lams, depth: int,
                    exclusion_radius: float = 0.0) -> _CircleBatch:
     """Certify every spectral parameter in ``lams``, on the circle or off it.
 
-    TailInvalid: the series has no valid tail bound (lam on or next to the
-    distinguished direction through 1).  SingularCandidate: lam lies on an
-    exclusion arc, its certified gap to sigma(S) collapses (always at
-    lam = 0) or its denominator disk contains 0; never a claim of spectrum
-    membership.  CertifiedResolvent: lam is rigorously in the resolvent set.
-    The denominator disk and the tail guard are ``coupling_series_batch``'s.
+    Verdicts are ``resolvent.verdict_codes``'s, withheld on the exclusion
+    arcs: TailInvalid next to the distinguished direction through 1, and
+    SingularCandidate at lam = 0, where the gap to sigma(S) collapses.  The
+    denominator disk and the tail guard are ``coupling_series_batch``'s.
 
     sigma(S) is {0}, every r * zeta with r = 1 - q_n, and the peripheral
     set; the gap checks n <= depth explicitly and covers n > depth by
@@ -277,9 +273,7 @@ def _circle_kernel(spec: GroupUnionSpec, w: WeightSeq, lams, depth: int,
 
     # certification is withheld on the exclusion arcs
     out = near <= exclusion_radius
-    withheld = (gap <= _S_GAP_GUARD) | (low <= 0.0) | out
-    verdict = withheld.astype(np.uint8)      # CERTIFIED 0, SINGULAR 1
-    verdict[~valid] = 2                      # TAIL_INVALID
+    verdict = verdict_codes(gap, low, valid, out)
     low[~valid] = 0.0
     return _CircleBatch(den, den_radius, low, gap, bounds, near, out, valid,
                         verdict)
@@ -327,5 +321,5 @@ def scan_unit_circle(spec: GroupUnionSpec, w: WeightSeq,
     return ScanReport(certificates, {
         "orders": list(spec.orders), "grid_size": grid_size,
         "exclusion_radius": exclusion_radius, "depth": depth,
-        "series_terms": min(depth, _MAX_TERMS), "cert_block": cert_block,
+        "series_terms": series_terms(depth), "cert_block": cert_block,
     }, chunks())

@@ -33,7 +33,9 @@ import numpy as np
 
 from .errors import ExponentialUnresolved
 from .model import WeightSeq
-from .resolvent import _S_GAP_GUARD, coupling_series_batch, verdict_counts
+from .resolvent import (CERTIFIED, UNIT_ROUNDOFF, VERDICTS,
+                        coupling_series_batch, gamma, series_terms,
+                        verdict_codes, verdict_counts)
 
 __all__ = [
     "TWO_PI",
@@ -266,17 +268,20 @@ def mode_certificate(g: GeneratorSpec, r, occurrence: int = 1) -> ModeCertificat
 
 @dataclass
 class AxisReport:
-    """Per-beta columns of an axis scan."""
+    """Per-beta columns of an axis scan: ``codes`` and ``expected``, the
+    codes if no denominator disk held 0, index ``resolvent.VERDICTS``."""
 
     betas: np.ndarray
-    certified: np.ndarray
+    codes: np.ndarray
+    expected: np.ndarray
     denominator_abs_lower: np.ndarray
+    depth: int
+    series_terms: int
 
     def counts(self) -> dict:
         """The nonzero verdict counts, keyed in the order of
         ``resolvent.VERDICTS``."""
-        codes = (~self.certified).astype(np.uint8)   # CERTIFIED 0, SINGULAR 1
-        return {k: v for k, v in verdict_counts(codes).items() if v}
+        return {k: v for k, v in verdict_counts(self.codes).items() if v}
 
 
 def scan_imaginary_axis(g: GeneratorSpec, betas) -> AxisReport:
@@ -297,10 +302,13 @@ def scan_imaginary_axis(g: GeneratorSpec, betas) -> AxisReport:
     if not np.all(np.isfinite(beta)):
         raise ValueError("betas must be finite")
     den, rad, _ = coupling_series_batch(g.weights, 1.0 + 1j * beta, g.depth)
-    mod = np.abs(den)
+    low = np.fmax(0.0, np.abs(den) - rad)
     gap = np.minimum(np.abs(beta), 1.0 - np.abs(beta))
-    certified = (gap > _S_GAP_GUARD) & (mod > rad)
-    return AxisReport(beta, certified, np.where(certified, mod - rad, 0.0))
+    codes = verdict_codes(gap, low, True, False)
+    expected = verdict_codes(gap, np.inf, True, False)
+    certified = codes == VERDICTS.index(CERTIFIED)
+    return AxisReport(beta, codes, expected, np.where(certified, low, 0.0),
+                      g.depth, series_terms(g.depth))
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +326,6 @@ def chain_generator(g: GeneratorSpec, n_blocks: int) -> np.ndarray:
     return m
 
 
-# unit roundoff of binary64, and the relative error bound gamma_k = k u /
-# (1 - k u) of k successive roundings (Higham, Accuracy and Stability of
-# Numerical Algorithms, 2nd ed., section 3.1)
-_U = 2.0 ** -53
-
-
-def _gamma(k: int) -> float:
-    return k * _U / (1.0 - k * _U)
-
-
 def _taylor_tail(tau: float, theta: float, k: int) -> float:
     """Bound on the 1-norm of sum_{j>k} X^j/j! for X >= 0 with ||X||_1 =
     theta < 1, given a bound tau on ||X^k/k!||_1: each further term is at
@@ -339,7 +337,8 @@ def _taylor_tail(tau: float, theta: float, k: int) -> float:
 # the most Taylor terms any input needs: the first K whose tail bound at
 # theta = 1/2 is at most u (the bound grows with theta)
 _TAYLOR_MAX = next(k for k in range(1, 64)
-                   if _taylor_tail(0.5 ** k / math.factorial(k), 0.5, k) <= _U)
+                   if _taylor_tail(0.5 ** k / math.factorial(k), 0.5, k)
+                   <= UNIT_ROUNDOFF)
 
 
 def _taylor_degree(theta: float) -> int:
@@ -348,7 +347,7 @@ def _taylor_degree(theta: float) -> int:
     tau = 1.0
     for k in range(1, _TAYLOR_MAX):
         tau *= theta / k
-        if _taylor_tail(tau, theta, k) <= _U:
+        if _taylor_tail(tau, theta, k) <= UNIT_ROUNDOFF:
             return k
     return _TAYLOR_MAX
 
@@ -442,7 +441,7 @@ def expm(a: np.ndarray) -> np.ndarray:
         norm = max(float(np.ldexp(b, -p).sum(axis=0).max()),   # b/2^p is
                    math.ldexp(alpha, -p))                       # <= n
         s = max(0, p + math.frexp(norm)[1] + 1)
-    delta = _gamma(_TAYLOR_MAX * (n + 3) + 5) + _gamma(n)
+    delta = gamma(_TAYLOR_MAX * (n + 3) + 5) + gamma(n)
     # exp(2^s delta) - 1 > 1, compared in logarithms so nothing overflows
     if s + math.log2(delta) > math.log2(math.log(2.0)):
         raise ExponentialUnresolved(

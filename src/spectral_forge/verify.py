@@ -22,7 +22,7 @@ from .errors import NoSamples
 from .finite import FiniteSection, finite_spectrum
 from .io import substream
 from .model import GroupUnionSpec, WeightSeq, stochasticity_check
-from .resolvent import coupling_series_batch
+from .resolvent import UNIT_ROUNDOFF, coupling_series_batch
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite", "run_suites"]
 
@@ -144,7 +144,6 @@ def suite_stochasticity(seed: int = 0, corrupt: bool = False) -> SuiteResult:
 _SECTIONS = (((1,), 30, 60), ((2, 3), 100, 110), ((4, 6), 10, 20),
              ((5, 7), 8, 16))
 _POINTS = 32                    # seeded lam per section
-_U = 2.0 ** -53                 # unit roundoff
 
 
 def _sections(rng: np.random.Generator):
@@ -179,7 +178,7 @@ def _log_sum(f: np.ndarray, err):
     mod = np.abs(f)
     logs = np.log(mod) + 1j * np.arctan2(f.imag, f.real)
     size = np.abs(logs.real) + np.abs(logs.imag)
-    bound = (err / mod).sum(-1) + _U * (
+    bound = (err / mod).sum(-1) + UNIT_ROUNDOFF * (
         5.0 * (1.0 + size) + math.ceil(math.log2(f.shape[-1])) * size).sum(-1)
     while logs.shape[-1] > 1:       # an odd last term waits a level
         h = logs.shape[-1] // 2
@@ -205,7 +204,7 @@ def _log_char_poly(sec: FiniteSection, lams: np.ndarray):
             lm, rm = lm * lam, rm * r
         factors.append(lm - rm)
         errs.append(3 * m * (np.abs(lm) + rm))
-    return _log_sum(np.hstack(factors), _U * np.hstack(errs))
+    return _log_sum(np.hstack(factors), UNIT_ROUNDOFF * np.hstack(errs))
 
 
 def _factorization_gaps(sec: FiniteSection, values: np.ndarray,
@@ -224,12 +223,13 @@ def _factorization_gaps(sec: FiniteSection, values: np.ndarray,
       two, the quotient 5) (8 + |lam - 1| / |z_n|) |t_n|, its sum
       (N - 1) sum |t_n|, the division by lam 5;
     * A - B and its reduction: 4 (|A| + |B| + 4)."""
-    kappa = (2 * sec.n_blocks + 32) * 2.0 * _U
+    kappa = (2 * sec.n_blocks + 32) * 2.0 * UNIT_ROUNDOFF
     a, err_a = _log_sum(lams[:, None] - values, kappa)
     b, err_b = _log_char_poly(sec, lams)
     g = a - b
     gap = np.hypot(g.real, (g.imag + np.pi) % (2 * np.pi) - np.pi)
-    return gap, 2.0 * (err_a + err_b + 4 * _U * (abs(a) + abs(b) + 4.0))
+    return gap, 2.0 * (err_a + err_b
+                       + 4 * UNIT_ROUNDOFF * (abs(a) + abs(b) + 4.0))
 
 
 def suite_factorization(seed: int = 0, corrupt: bool = False) -> SuiteResult:

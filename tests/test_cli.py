@@ -116,6 +116,34 @@ def test_the_package_imports_no_third_party_module_but_numpy(tmp_path):
     assert list(_third_party_imports(lazy)) == ["numpy", "scipy"]
 
 
+def _private_imports(path):
+    """'module.name' for each underscore name imported from a sibling."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith(
+                    "spectral_forge")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield f"{node.module}.{alias.name}"
+
+
+def test_no_module_imports_a_private_name_of_another(tmp_path):
+    # a guard, a bound or a helper has one owner; its siblings use what
+    # that owner makes public
+    src = pathlib.Path(cli.__file__).parent
+    found = [f"{path.name}: {name}" for path in sorted(src.glob("*.py"))
+             for name in _private_imports(path)]
+    assert found == []
+    # the scan sees both forms, and lets public names through
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\n"
+                     "from .resolvent import VERDICTS, _S_GAP_GUARD\n"
+                     "from spectral_forge.io import _slice_rows\n")
+    assert list(_private_imports(probe)) == [
+        "resolvent._S_GAP_GUARD", "spectral_forge.io._slice_rows"]
+
+
 def test_every_public_name_resolves():
     # each module's __all__ names only objects the module defines, and
     # the package re-exports only names that its modules make public
@@ -845,6 +873,40 @@ def test_depth_is_bounded_where_the_tail_radius_underflows(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "truncation_depth" in err and "underflows" in err
     assert not (tmp_path / "bad").exists()
+
+
+_COMMANDS = {
+    "scan-circle": ["scan-circle", "--grid", "16"],
+    "eigs": ["eigs", "--N", "3"],
+    "convergence": ["convergence", "--n-max", "3"],
+    "verify": ["verify", "--suites", "denominator"],
+    "scan-axis": ["semigroup", "scan-axis", "--betas", "0.5"],
+    "cert": ["semigroup", "cert", "--r", "3/2"],
+    "evolve": ["semigroup", "evolve", "--t", "1", "--samples", "3"],
+}
+# the commands that read each flag; the others do not declare it
+_READERS = {"--depth": ("scan-circle", "scan-axis", "cert", "evolve"),
+            "--seed": ("verify",)}
+_FLAG_CASES = [(name, flag, name in readers)
+               for flag, readers in _READERS.items() for name in _COMMANDS]
+
+
+@pytest.mark.parametrize(
+    "name,flag,declared", _FLAG_CASES,
+    ids=[f"{name}{flag}-{'kept' if kept else 'refused'}"
+         for name, flag, kept in _FLAG_CASES])
+def test_depth_and_seed_only_where_a_command_reads_them(tmp_path, name, flag,
+                                                        declared):
+    # a flag a command would ignore is refused by the parser (exit 2)
+    # before anything runs; a flag it reads still runs
+    argv = [*_COMMANDS[name], flag, "45", "--out", str(tmp_path / "out")]
+    if declared:
+        assert cli.main(argv) == 0
+    else:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
 
 def test_bad_orders_flag(tmp_path):

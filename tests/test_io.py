@@ -1,5 +1,7 @@
 """Artifact writers."""
 
+import hashlib
+import itertools
 import os
 import tracemalloc
 from fractions import Fraction
@@ -87,6 +89,20 @@ def _write(tmp_path, header, columns):
     return target.read_text()
 
 
+def _assert_same_text(got, expected):
+    """``got == expected`` for two CSV texts, reported by their sha256
+    digests and the first line that differs: an assert of the strings
+    themselves makes pytest diff 10^4-10^5 lines, which runs for minutes."""
+    digests = [hashlib.sha256(t.encode()).hexdigest() for t in (got, expected)]
+    if digests[0] != digests[1]:
+        lines = itertools.zip_longest(got.splitlines(True),
+                                      expected.splitlines(True))
+        at, (line, want) = next((i, pair) for i, pair in enumerate(lines, 1)
+                                if pair[0] != pair[1])
+        pytest.fail(f"sha256 {digests[0][:16]} != {digests[1][:16]}: line "
+                    f"{at} is {line!r}, expected {want!r}")
+
+
 def test_write_csv_formats_plain_batches_without_the_cell_formatter(
         tmp_path, monkeypatch):
     # float64 array columns take the array kernel, never the cell formatter
@@ -96,7 +112,7 @@ def test_write_csv_formats_plain_batches_without_the_cell_formatter(
     calls = []
     monkeypatch.setattr(io, "_format_cell",
                         lambda x: calls.append(x) or _format_cell(x))
-    assert _write(tmp_path, ["a", "b"], columns) == expected
+    _assert_same_text(_write(tmp_path, ["a", "b"], columns), expected)
     assert calls == []
 
 
@@ -110,11 +126,12 @@ def test_write_csv_takes_bytes_columns_as_they_are(tmp_path, monkeypatch):
     expected = _general_path(["a", "v"],
                              [columns[0], [c.decode() for c in labels]])
     monkeypatch.setattr(io, "_format_cell", None)       # must not be reached
-    assert _write(tmp_path, ["a", "v"], columns) == expected
+    _assert_same_text(_write(tmp_path, ["a", "v"], columns), expected)
     # a strided S column too
-    assert _write(tmp_path, ["a", "v"], [columns[0][::2], labels[::2]]) == \
+    _assert_same_text(
+        _write(tmp_path, ["a", "v"], [columns[0][::2], labels[::2]]),
         "".join(expected.splitlines(True)[i] for i in
-                [0, *range(1, n + 1, 2)])
+                [0, *range(1, n + 1, 2)]))
 
 
 @pytest.mark.parametrize("at", [0, 1, 2 * _ROWS - 1, 2 * _ROWS,
@@ -135,8 +152,8 @@ def test_write_csv_mixed_batches_match_the_cell_formatter(tmp_path, at,
     columns[column][at] = cell
     columns = _five_floats(columns)
     header = list("abcdefg")[:len(columns)]
-    assert _write(tmp_path, header, columns) == \
-        _general_path(header, columns)
+    _assert_same_text(_write(tmp_path, header, columns),
+                      _general_path(header, columns))
 
 
 @pytest.mark.parametrize("edges", [
@@ -155,7 +172,8 @@ def test_write_csv_batches_follow_each_other_row_for_row(tmp_path, edges):
                for lo, hi in zip(cuts, cuts[1:])]
     target = tmp_path / "out.csv"
     write_csv(str(target), header, iter(batches))
-    assert target.read_bytes() == _write(tmp_path, header, columns).encode()
+    _assert_same_text(target.read_bytes().decode(),
+                      _write(tmp_path, header, columns))
 
 
 def test_write_csv_bad_later_batch_leaves_no_file(tmp_path):
@@ -191,8 +209,8 @@ def test_write_csv_special_floats_match_the_cell_formatter(tmp_path):
     # the same values as np.float64 cells take the cell formatter
     general = [[np.float64(x) for x in specials], ["s"] * len(specials)]
     text = _write(tmp_path, ["x", "s"], fast)
-    assert text == _general_path(["x", "s"], fast)
-    assert text == _write(tmp_path, ["x", "s"], general)
+    _assert_same_text(text, _general_path(["x", "s"], fast))
+    _assert_same_text(text, _write(tmp_path, ["x", "s"], general))
     assert text.splitlines()[1:4] == ["-0,s", "0,s", "nan,s"]
 
 
@@ -398,7 +416,7 @@ def test_fused_writer_matches_the_cell_formatter_on_an_evolve_batch(
     header = ["t", "mass", "head"] + [f"block_mass_{k}" for k in range(1, 9)]
     expected = _general_path(header, columns)
     sizes = _formatted_sizes(monkeypatch)
-    assert _write(tmp_path, header, columns) == expected
+    _assert_same_text(_write(tmp_path, header, columns), expected)
     # every float column of a slice in one call, 930 rows a slice
     assert sizes == [11 * 930, 11 * 930, 11 * 141]
 
@@ -410,7 +428,8 @@ def test_fused_writer_takes_strided_views(tmp_path):
     columns = [theta, lams.real, lams.imag, lams[::-1].imag]
     assert not lams.real.flags.c_contiguous
     header = ["theta", "re", "im", "rev"]
-    assert _write(tmp_path, header, columns) == _general_path(header, columns)
+    _assert_same_text(_write(tmp_path, header, columns),
+                      _general_path(header, columns))
 
 
 def test_fused_writer_keeps_the_column_order_around_other_columns(tmp_path):
@@ -423,8 +442,8 @@ def test_fused_writer_keeps_the_column_order_around_other_columns(tmp_path):
     header = list("abcdefg")
     text_columns = [c if c is not labels else [b.decode() for b in c]
                     for c in columns]
-    assert _write(tmp_path, header, columns) == \
-        _general_path(header, text_columns)
+    _assert_same_text(_write(tmp_path, header, columns),
+                      _general_path(header, text_columns))
 
 
 @pytest.mark.parametrize("floats", [1, 5, 11])
@@ -442,9 +461,9 @@ def test_cuts_next_to_a_budgeted_slice_write_the_same_bytes(tmp_path, floats,
     target = tmp_path / "cut.csv"
     write_csv(str(target), header,
               [[c[:cut] for c in columns], [c[cut:] for c in columns]])
-    assert target.read_text() == _general_path(
+    _assert_same_text(target.read_text(), _general_path(
         header, [c if c.dtype != "S2" else [b.decode() for b in c]
-                 for c in columns])
+                 for c in columns]))
 
 
 def test_short_columns_take_python_formatter_whatever_their_cells(
@@ -456,7 +475,8 @@ def test_short_columns_take_python_formatter_whatever_their_cells(
                np.arange(n) * 1e-17]
     monkeypatch.setattr(io, "_decide", None)        # must not be reached
     header = ["re", "im", "kind", "residual"]
-    assert _write(tmp_path, header, columns) == _general_path(header, columns)
+    _assert_same_text(_write(tmp_path, header, columns),
+                      _general_path(header, columns))
 
 
 def _scan_batch(points):

@@ -10,13 +10,17 @@ import cmath
 
 from spectral_forge import semigroup
 from spectral_forge.errors import BlockTooDeep
-from spectral_forge.resolvent import (CERTIFIED, SINGULAR,
+from spectral_forge.resolvent import (CERTIFIED, SINGULAR, VERDICTS,
                                       coupling_series_batch)
 from spectral_forge.semigroup import (TWO_PI, GeneratorSpec,
                                       RationalSchedule, SemigroupState,
                                       apply_generator, chain_generator,
                                       evolve, expm, mode_certificate,
                                       scan_imaginary_axis)
+
+
+CERTIFIED_CODE = VERDICTS.index(CERTIFIED)
+SINGULAR_CODE = VERDICTS.index(SINGULAR)
 
 
 @pytest.fixture(scope="module")
@@ -181,19 +185,22 @@ def test_scalar_queries_are_batches_of_one(gen):
     for i, beta in enumerate(betas.tolist()):
         assert _axis_denominator(gen, beta) == (den[i], radius[i])
         one = scan_imaginary_axis(gen, [beta])
-        assert one.certified[0] == rep.certified[i]
+        assert one.codes[0] == rep.codes[i]
+        assert one.expected[0] == rep.expected[i]
         assert one.denominator_abs_lower[0] == rep.denominator_abs_lower[i]
 
 
 def test_scan_axis_uses_the_scalar_verdict_rule(gen):
     betas = _EDGE_BETAS + [0.05 * k for k in range(-25, 26)]
     rep = scan_imaginary_axis(gen, betas)
-    for beta, got, low in zip(rep.betas.tolist(), rep.certified,
-                              rep.denominator_abs_lower):
+    for beta, got, want, low in zip(rep.betas.tolist(), rep.codes,
+                                    rep.expected, rep.denominator_abs_lower):
         den, radius = _axis_denominator(gen, beta)
         gap = min(abs(beta), 1.0 - abs(beta))
         certified = gap > 1e-9 and np.abs(den) > radius
-        assert got == certified
+        assert got == (CERTIFIED_CODE if certified else SINGULAR_CODE)
+        # the expectation is the gap alone: certified strictly inside it
+        assert want == (CERTIFIED_CODE if gap > 1e-9 else SINGULAR_CODE)
         assert low == (np.abs(den) - radius if certified else 0.0)
     assert scan_imaginary_axis(gen, [0.0, 0.5]).counts() == \
         {CERTIFIED: 1, SINGULAR: 1}
@@ -219,13 +226,14 @@ def test_generator_denominator_depth_monotone(gen):
 def test_scan_axis_verdicts(gen):
     betas = [0.0, 0.1, -0.1, 0.5, 0.9, -0.9, 1.0, -1.3]
     rep = scan_imaginary_axis(gen, betas)
-    verdicts = dict(zip(rep.betas.tolist(), rep.certified.tolist()))
+    certified = rep.codes == CERTIFIED_CODE
+    verdicts = dict(zip(rep.betas.tolist(), certified.tolist()))
     assert not verdicts[0.0]
     assert not verdicts[1.0]
     assert not verdicts[-1.3]
     for b in (0.1, -0.1, 0.5, 0.9, -0.9):
         assert verdicts[b]
-    assert (rep.denominator_abs_lower[rep.certified] > 0.5).all()
+    assert (rep.denominator_abs_lower[certified] > 0.5).all()
 
 
 def test_mode_certificates_residual_is_exactly_the_weight(gen):
