@@ -10,6 +10,7 @@ verification failed, 2 bad usage or configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -283,6 +284,9 @@ def _parse_betas(text: Optional[str]) -> List[float]:
     except ValueError:
         raise UsageError(f"betas: {text!r} is not a comma-separated "
                          "list of floats")
+    if not betas:
+        raise UsageError(f"betas: {text!r} names no beta, so nothing "
+                         "would be scanned")
     if not all(map(math.isfinite, betas)):
         raise UsageError(f"betas: {text!r} holds a non-finite value")
     return betas
@@ -412,6 +416,10 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+# built once per process, on the first main() call and not at import; each
+# command records its handler's name, which main() looks up in this module
+# on every call, so a handler rebound here after the build is the one to run
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run configuration")
@@ -440,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="block index used for residual certificates; its "
                         "weight q_n must exceed 1e-14 (n <= 44 for orders "
                         "2,3)")
-    p.set_defaults(func=cmd_scan_circle)
+    p.set_defaults(handler="cmd_scan_circle")
 
     p = sub.add_parser("eigs", parents=[common, orders],
                        help="full spectrum of a finite section")
@@ -449,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "967 for orders 2,3)")
     p.add_argument("--no-renormalize", action="store_true",
                    help="keep raw weights (head column sums to 1 - 2^-N)")
-    p.set_defaults(func=cmd_eigs)
+    p.set_defaults(handler="cmd_eigs")
 
     p = sub.add_parser("convergence", parents=[common, orders],
                        help="distance of section spectra to the target set")
@@ -457,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="largest section size, at least 1 (at most 967 "
                         "for orders 2,3); rows whose bound is within the "
                         "distance's rounding tolerance read 'unresolved'")
-    p.set_defaults(func=cmd_convergence)
+    p.set_defaults(handler="cmd_convergence")
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the seeded property suites")
@@ -466,7 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suites", default=None,
                    help=f"comma-separated subset of {list(SUITE_NAMES)}")
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(handler="cmd_verify")
 
     sg = sub.add_parser("semigroup", help="continuous-time construction")
     sgsub = sg.add_subparsers(dest="subcommand", required=True)
@@ -480,7 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # argparse reads '-0.9' as a value but '-0.9,0.2' as an option; widen
     # its negative-number rule to anything that starts like a number
     p._negative_number_matcher = re.compile(r"-\.?\d")
-    p.set_defaults(func=cmd_scan_axis)
+    p.set_defaults(handler="cmd_scan_axis")
 
     p = sgsub.add_parser("cert", parents=[common, depth],
                          help="single-mode approximate eigenvalue certificates")
@@ -488,7 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated rational speeds >= 1, e.g. 1,3/2,7/3")
     p.add_argument("--occurrence", type=int, default=1,
                    help="which recurrence of the speed to use, from 1")
-    p.set_defaults(func=cmd_cert)
+    p.set_defaults(handler="cmd_cert")
 
     p = sgsub.add_parser("evolve", parents=[common, depth],
                          help="orbit of the semigroup with mass trace")
@@ -500,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="start from a single mode 'n,k' instead of the head")
     p.add_argument("--trace-blocks", type=int, default=8,
                    help="number of leading block masses in the CSV, >= 0")
-    p.set_defaults(func=cmd_evolve)
+    p.set_defaults(handler="cmd_evolve")
 
     return parser
 
@@ -509,7 +517,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return globals()[args.handler](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

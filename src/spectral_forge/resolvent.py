@@ -128,11 +128,11 @@ def coupling_series_batch(w: WeightSeq, lams, depth: int):
     n_sum = series_terms(depth)
     x = lam.real - 1.0
     y = np.ascontiguousarray(lam.imag)
-    yy = y * y
     re, im = np.zeros(lam.shape), np.zeros(lam.shape)
     ar, s, t = (np.empty(lam.shape) for _ in range(3))
     q1 = w.value(1)
     with np.errstate(all="ignore"):
+        yy = y * y
         valid = (x + q1) ** 2 + yy > (q1 * (1.0 + _TAIL_GUARD)) ** 2
         for n, q in enumerate(w.values(n_sum).tolist(), 1):
             c = math.ldexp(q, -n)

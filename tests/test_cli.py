@@ -1,5 +1,6 @@
 """End-to-end runs of the command line entry points (in process)."""
 
+import argparse
 import ast
 import csv
 import dataclasses
@@ -659,6 +660,25 @@ def test_semigroup_scan_axis_rejects_non_finite_betas(tmp_path, betas,
     assert not (tmp_path / "scan_axis.csv").exists()
 
 
+@pytest.mark.parametrize("betas", ["", ","], ids=["empty", "comma"])
+def test_semigroup_scan_axis_refuses_an_empty_beta_list(tmp_path, capsys,
+                                                        betas):
+    # an empty list would pass with nothing scanned
+    assert run(tmp_path, "semigroup", "scan-axis", f"--betas={betas}") == 2
+    assert "names no beta" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_semigroup_scan_axis_huge_beta_warns_nothing(tmp_path, capsys):
+    # |beta|^2 overflows to inf; the series squares it under its errstate
+    # (a RuntimeWarning is an error here) and the point is withheld
+    assert run(tmp_path, "semigroup", "scan-axis", "--betas=-1e200") == 0
+    assert capsys.readouterr().err == ""
+    summary = read_json(tmp_path / "scan_axis.json")
+    assert summary["counts"] == {"SingularCandidate": 1}
+    assert summary["mismatched_betas"] == []
+
+
 def test_semigroup_evolve(tmp_path):
     rc = run(tmp_path, "semigroup", "evolve", "--t", "2.0",
              "--samples", "5", "--trace-blocks", "3")
@@ -920,3 +940,104 @@ def test_out_directory_is_created(tmp_path):
                    "--out", str(nested)])
     assert rc == 0
     assert os.path.exists(nested / "eigs.json")
+
+
+# ---------------------------------------------------------------------------
+# the parser: built once per process, handlers looked up by name per call
+# ---------------------------------------------------------------------------
+
+def test_importing_the_cli_builds_no_parser(tmp_path):
+    # the build waits for the first main() call; after it the cache holds
+    # the one parser, so the probe reads the cache (the control)
+    out = _fresh_interpreter(
+        "import spectral_forge.cli as cli; "
+        "print(cli._build_parser.cache_info().currsize); "
+        f"cli.main(['eigs', '--N', '2', '--out', {str(tmp_path)!r}]); "
+        "print(cli._build_parser.cache_info().currsize)")
+    assert out.splitlines()[0] == "0"
+    assert out.splitlines()[-1] == "1"
+
+
+def test_two_main_calls_build_the_parser_once(tmp_path, monkeypatch):
+    # counted on the class itself: a subclass bound as
+    # argparse.ArgumentParser would recurse, as argparse's __init__ names
+    # the class through its module global
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._build_parser.cache_clear()
+    try:
+        assert run(tmp_path / "a", "eigs", "--N", "2") == 0
+        first = len(built)
+        assert run(tmp_path / "b", "scan-circle", "--grid", "8") == 0
+    finally:
+        cli._build_parser.cache_clear()
+    # the control: the first call's build is counted
+    assert first > 0
+    assert len(built) == first
+
+
+def test_a_handler_rebound_after_the_first_call_is_the_one_that_runs(
+        tmp_path, monkeypatch):
+    # a tracer or a test replaces cmd_* on the module once the parser
+    # exists; main() must call the replacement, not the handler it saw
+    # when it built the parser
+    assert run(tmp_path / "a", "eigs", "--N", "2") == 0
+    seen = []
+
+    def spy(args):
+        seen.append(args.n_blocks)
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_eigs", spy)
+    assert run(tmp_path / "b", "eigs", "--N", "3") == 7
+    assert seen == [3]
+    assert not (tmp_path / "b").exists()
+
+
+def test_a_refused_argv_leaves_nothing_to_the_next_call(tmp_path, capsys):
+    good = ["eigs", "--N", "3"]
+    assert run(tmp_path / "alone", *good) == 0
+    alone = capsys.readouterr().out
+    # refused by the parser after it has read --orders and --no-renormalize
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path / "refused", *good, "--orders", "1", "--no-renormalize",
+            "--depth", "7")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --depth 7" in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
+    assert run(tmp_path / "after", *good) == 0
+    assert capsys.readouterr().out == alone
+    # the control: had the refused flags carried over, the bytes would differ
+    assert run(tmp_path / "leaked", *good, "--orders", "1",
+               "--no-renormalize") == 0
+    for name in ("eigs.csv", "eigs.json"):
+        expected = (tmp_path / "alone" / name).read_bytes()
+        assert (tmp_path / "after" / name).read_bytes() == expected
+        assert (tmp_path / "leaked" / name).read_bytes() != expected
+
+
+def _help_text(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["scan-circle", "--help"], ["semigroup", "scan-axis", "--help"],
+], ids=["top", "scan-circle", "scan-axis"])
+def test_help_text_is_the_same_on_every_call(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    # what main() printed when it built a parser per call
+    expected = _help_text(cli._build_parser.__wrapped__().parse_args, argv,
+                          capsys)
+    assert [_help_text(cli.main, argv, capsys) for _ in range(2)] == \
+        [expected] * 2
+    # the control: another command's help is another text
+    assert _help_text(cli.main, ["eigs", "--help"], capsys) != expected
