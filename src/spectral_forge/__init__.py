@@ -14,7 +14,7 @@ oracles live with the tests, not in the package.
 
 from .errors import (BlockTooDeep, ExponentialUnresolved, NoSamples,
                      NotInTargetSet, RootCountMismatch, SpectralForgeError)
-from .model import (GroupUnionSpec, WeightSeq, apply_operator,
+from .model import (GroupUnionSpec, apply_operator, dyadic_weights,
                     stochasticity_check, union_points, union_values)
 from .resolvent import (CERTIFIED, SINGULAR, TAIL_INVALID,
                         coupling_series_batch)

@@ -22,9 +22,10 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import BlockTooDeep, ExponentialUnresolved, SpectralForgeError
-from .finite import convergence_table, finite_spectrum, section_limit
+from .finite import (FiniteSection, convergence_table, finite_spectrum,
+                     section_limit)
 from .io import write_csv, write_json
-from .model import GroupUnionSpec, WeightSeq
+from .model import GroupUnionSpec
 from .resolvent import CERTIFIED, SINGULAR, TAIL_INVALID, VERDICT_LABELS, \
     VERDICTS
 from .scanner import CERT_SLOP, scan_unit_circle
@@ -135,14 +136,9 @@ def _out_path(cfg: dict, name: str) -> str:
     return os.path.join(out, name)
 
 
-def _single_operator(cfg: dict):
-    spec = GroupUnionSpec(cfg["orders"])
-    return spec, WeightSeq.dyadic_single(spec.d)
-
-
-def _check_section_size(name: str, n_blocks: int, w: WeightSeq,
+def _check_section_size(name: str, n_blocks: int, spec: GroupUnionSpec,
                         renormalize: bool = True):
-    limit = section_limit(w, renormalize)
+    limit = section_limit(spec, renormalize)
     if not 1 <= n_blocks <= limit:
         raise UsageError(
             f"{name}: need a section size in [1, {limit}], got {n_blocks}; "
@@ -156,12 +152,12 @@ def _check_section_size(name: str, n_blocks: int, w: WeightSeq,
 
 def cmd_scan_circle(args) -> int:
     cfg = _resolve_config(args)
-    spec, w = _single_operator(cfg)
+    spec = GroupUnionSpec(cfg["orders"])
     if args.cert_block < 1:
         raise UsageError(f"cert-block: need a block index >= 1, "
                          f"got {args.cert_block}")
     try:
-        report = scan_unit_circle(spec, w, cfg["grid_size"],
+        report = scan_unit_circle(spec, cfg["grid_size"],
                                   float(cfg["exclusion_radius"]),
                                   cfg["truncation_depth"], args.cert_block)
     except BlockTooDeep as exc:
@@ -215,10 +211,10 @@ def cmd_scan_circle(args) -> int:
 
 def cmd_eigs(args) -> int:
     cfg = _resolve_config(args)
-    spec, w = _single_operator(cfg)
-    _check_section_size("N", args.n_blocks, w, not args.no_renormalize)
-    result = finite_spectrum(spec, w, args.n_blocks,
-                             renormalize=not args.no_renormalize)
+    spec = GroupUnionSpec(cfg["orders"])
+    _check_section_size("N", args.n_blocks, spec, not args.no_renormalize)
+    result = finite_spectrum(FiniteSection.of(
+        spec, args.n_blocks, renormalize=not args.no_renormalize))
     sec = result.section
 
     values = result.values()
@@ -251,9 +247,9 @@ def cmd_eigs(args) -> int:
 
 def cmd_convergence(args) -> int:
     cfg = _resolve_config(args)
-    spec, w = _single_operator(cfg)
-    _check_section_size("n-max", args.n_max, w)
-    rows = convergence_table(spec, w, args.n_max)
+    spec = GroupUnionSpec(cfg["orders"])
+    _check_section_size("n-max", args.n_max, spec)
+    rows = convergence_table(spec, args.n_max)
     write_csv(_out_path(cfg, "convergence.csv"),
               ["n_blocks", "angle", "distance", "bound", "within_bound"],
               [[[r.n_blocks for r in rows], [str(r.angle) for r in rows],

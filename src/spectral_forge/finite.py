@@ -1,8 +1,9 @@
 """Finite sections of the coupled operator and their full spectra.
 
 Keeping the head and the first N blocks (dimension 1 + N*d) and
-renormalising the weights so the column masses stay exactly one gives a
-stochastic matrix T_N whose spectrum splits in closed form:
+renormalising the weights q_n = 2^-n / d by the partial mass 1 - 2^-N, so
+the column masses stay exactly one, gives a stochastic matrix T_N whose
+spectrum splits in closed form:
 
 * block eigenvalues: each block n contributes the spectrum of (1-q_n)P
   restricted to the complement of the single all-ones direction that
@@ -20,10 +21,12 @@ stochastic matrix T_N whose spectrum splits in closed form:
   ``secular_roots`` hands it every bracket of one section.
 
 ``finite_spectrum`` assembles no section: the section is its weights
-(``FiniteSection``), each eigenpair's residual comes from the one block its
-vector touches or from the flat forward map ``model.apply_operator``, and
-column sums and connectivity come in closed form and from the sparse
-pattern, so ``eigs`` costs O(N d) memory and time per eigenvector.
+(``FiniteSection.tilde_q``), which ``secular_roots`` and
+``finite_spectrum`` take as they are, so a control can hand them other
+weights.  Each eigenpair's residual comes from the one block its vector
+touches or from the flat forward map ``model.apply_operator``, and column
+sums and connectivity come in closed form and from the sparse pattern, so
+``eigs`` costs O(N d) memory and time per eigenvector.
 ``verify`` checks the spectrum against the closed form det(lam - T_N) =
 lam phi_N(lam) prod_n prod_k (lam^m_k - (1 - q_n)^m_k), m_k the cyclic
 orders; the dense section and the cofactor determinant are test oracles.
@@ -47,8 +50,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import RootCountMismatch
-from .model import (GroupUnionSpec, WeightSeq, apply_operator, union_points,
-                    union_values)
+from .model import (GroupUnionSpec, apply_operator, dyadic_weights,
+                    union_points, union_values)
 
 __all__ = [
     "FiniteSection",
@@ -71,22 +74,21 @@ class FiniteSection:
     never assembled; the layout is that of ``model.apply_operator``."""
 
     spec: GroupUnionSpec
-    weights: WeightSeq
     n_blocks: int
     renormalized: bool
     tilde_q: np.ndarray       # the (possibly renormalised) weights used
 
     @classmethod
-    def of(cls, spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
+    def of(cls, spec: GroupUnionSpec, n_blocks: int,
            renormalize: bool = True) -> "FiniteSection":
         """The section of ``n_blocks`` blocks, its weights q_1 .. q_N scaled
-        by 1/(1 - tail mass) when renormalising."""
+        by 1/(1 - 2^-N), one over the partial mass, when renormalising."""
         if n_blocks < 1:
             raise ValueError("need at least one block")
-        qs = w.values(n_blocks)
+        qs = dyadic_weights(n_blocks, spec.d)
         if renormalize:
-            qs = qs / w.partial_mass(n_blocks)
-        return cls(spec, w, n_blocks, renormalize, qs)
+            qs = qs / (1.0 - 2.0 ** -n_blocks)
+        return cls(spec, n_blocks, renormalize, qs)
 
     @property
     def dim(self) -> int:
@@ -231,20 +233,19 @@ def _bisect(d: int, sections: Sequence[np.ndarray], sec: np.ndarray,
     return 1.0 - x
 
 
-def secular_roots(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
-                  renormalize: bool = True) -> np.ndarray:
-    """All N+1 zeros of the secular function, real and ascending: the
-    bisection of every interlacing bracket of the one section."""
-    qs = FiniteSection.of(spec, w, n_blocks, renormalize).tilde_q
-    lo, hi = _brackets(spec.d, qs)
-    return _bisect(spec.d, [qs], np.zeros(lo.size, dtype=np.intp), lo, hi)
+def secular_roots(section: FiniteSection) -> np.ndarray:
+    """All N+1 zeros of the section's secular function, real and
+    ascending: the bisection of every interlacing bracket."""
+    d, qs = section.spec.d, section.tilde_q
+    lo, hi = _brackets(d, qs)
+    return _bisect(d, [qs], np.zeros(lo.size, dtype=np.intp), lo, hi)
 
 
-def section_limit(w: WeightSeq, renormalize: bool = True) -> int:
+def section_limit(spec: GroupUnionSpec, renormalize: bool = True) -> int:
     """Largest section size N whose bisection floor eps * q~_N, with q~_N
     the section's last and smallest weight, is still a normal float."""
     def normal(n):
-        q = w.value(n) / w.partial_mass(n) if renormalize else w.value(n)
+        q = FiniteSection.of(spec, n, renormalize).tilde_q[-1]
         return _EPS * q >= np.finfo(float).tiny
 
     good, bad = 0, 1
@@ -328,9 +329,9 @@ def _block_eig_vectors(spec: GroupUnionSpec):
 _RESIDUAL_ROWS = 32
 
 
-def finite_spectrum(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
-                    renormalize: bool = True) -> SpectrumResult:
-    """Complete eigenvalue list of the finite section.
+def finite_spectrum(section: FiniteSection) -> SpectrumResult:
+    """Complete eigenvalue list of the finite section, with its weights
+    ``tilde_q``.
 
     Block eigenvalues come with their closed-form eigenvectors; secular
     roots come from the interlacing solve and are re-expanded into head
@@ -345,9 +346,8 @@ def finite_spectrum(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
     * the secular eigenvectors go through ``model.apply_operator`` with
       the section's weights q~, ``_RESIDUAL_ROWS`` of them a call.
     """
+    spec, qs = section.spec, section.tilde_q
     d = spec.d
-    section = FiniteSection.of(spec, w, n_blocks, renormalize)
-    qs = section.tilde_q
 
     zetas, vs = _block_eig_vectors(spec)
     damp = (1.0 - qs)[:, None]
@@ -356,12 +356,12 @@ def finite_spectrum(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
     head = np.abs(qs[:, None] * vs.sum(axis=1))
     block_res = (head + np.abs(r).sum(axis=2)) / np.abs(vs).sum(axis=1)
     records = [EigRecord(lam, "block", res, n)
-               for n, lams, ress in zip(range(1, n_blocks + 1),
+               for n, lams, ress in zip(range(1, section.n_blocks + 1),
                                         block_lams.tolist(),
                                         block_res.tolist())
                for lam, res in zip(lams, ress)]
 
-    lams = secular_roots(spec, w, n_blocks, renormalize)
+    lams = secular_roots(section)
     # x = 1 - lam lies strictly inside its bracket, but rounding lam can put
     # the recovered x on a pole; clamping keeps every coefficient finite
     lo, hi = _brackets(d, qs)
@@ -371,7 +371,7 @@ def finite_spectrum(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
         vecs = np.ones((lam.size, section.dim))
         vecs[:, 1:] = np.repeat(qs / (qs - xs[i:i + _RESIDUAL_ROWS, None]),
                                 d, axis=1)
-        r = apply_operator(spec, w, vecs, qs) - lam * vecs
+        r = apply_operator(spec, vecs, qs) - lam * vecs
         res = np.abs(r).sum(axis=1) / np.abs(vecs).sum(axis=1)
         records.extend(EigRecord(complex(v), "secular", e)
                        for v, e in zip(lam[:, 0].tolist(), res.tolist()))
@@ -450,7 +450,7 @@ def _first_brackets(a: np.ndarray, b: np.ndarray, us: np.ndarray,
     return first
 
 
-def convergence_table(spec: GroupUnionSpec, w: WeightSeq,
+def convergence_table(spec: GroupUnionSpec,
                       n_max: int) -> List[ConvergenceRow]:
     """dist(u, sigma(T_N)) for every target point u and N <= n_max.
 
@@ -504,10 +504,9 @@ def convergence_table(spec: GroupUnionSpec, w: WeightSeq,
     angles = union_points(spec)
     us = union_values(spec)
     zetas = np.array(list(_block_zetas(spec)), dtype=complex)
-    q_all = w.values(n_max)
     sections, brackets, nearest = [], [], []
     for n_blocks in range(1, n_max + 1):
-        qs = q_all[:n_blocks] / w.partial_mass(n_blocks)
+        qs = FiniteSection.of(spec, n_blocks).tilde_q
         blocks = ((1.0 - qs)[:, None] * zetas).ravel()
         sections.append(qs)
         brackets.append(_brackets(spec.d, qs))

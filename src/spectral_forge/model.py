@@ -15,8 +15,9 @@ soon as the masses d*q_n sum to one; the default dyadic rule q_n = 2^-n / d
 does exactly that, with the exact tail identity sum_{n>N} d*q_n = 2^-N.
 
 This module provides the spec of the permutation part (``GroupUnionSpec``),
-the dyadic weights (``WeightSeq``) and the forward map ``apply_operator`` on
-finite-support vectors.
+the weight rule (``dyadic_weights``, its unit d here and 2 pi for the
+semigroup) and the forward map ``apply_operator`` on finite-support
+vectors.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 __all__ = [
     "GroupUnionSpec",
-    "WeightSeq",
+    "dyadic_weights",
     "union_points",
     "union_values",
     "apply_operator",
@@ -106,62 +107,22 @@ def union_values(spec: GroupUnionSpec) -> np.ndarray:
 # weights
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightSeq:
-    """Dyadic coupling weights q_n = 2^-n / unit.
+def dyadic_weights(depth: int, unit: float) -> np.ndarray:
+    """The coupling weights q_1 .. q_depth, q_n = 2^-n / unit.
 
-    ``kind`` is "single" (mass unit d, masses d*q_n) or "semigroup" (mass
-    unit 2*pi).  The masses unit*q_n = 2^-n satisfy
-    sum_{n>N} unit*q_n = 2^-N exactly, also in floating point.
+    The discrete operator's unit is d, the semigroup's 2 pi: the masses
+    unit * q_n = 2^-n then satisfy sum_{n>N} unit * q_n = 2^-N exactly,
+    also in floating point, and sum_{n<=N} unit * q_n = 1 - 2^-N.  A single
+    q_n is the same float as ``2.0 ** -n / unit``.
     """
-
-    kind: str
-    mass_unit: float
-
-    def __post_init__(self):
-        if self.kind not in ("single", "semigroup"):
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-        q1 = self.value(1)
-        hi = 0.5 if self.kind == "single" else 1.0
-        if not 0.0 < q1 <= hi:
-            raise ValueError(f"q_1 = {q1} outside (0, {hi}]")
-
-    @classmethod
-    def dyadic_single(cls, d: int) -> "WeightSeq":
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        return cls("single", float(d))
-
-    @classmethod
-    def dyadic_semigroup(cls) -> "WeightSeq":
-        return cls("semigroup", 2.0 * math.pi)
-
-    def value(self, n: int) -> float:
-        """q_n (n >= 1)."""
-        if n < 1:
-            raise ValueError("weights are indexed from 1")
-        return 2.0 ** -n / self.mass_unit
-
-    def tail_mass(self, n: int) -> float:
-        """Exact value of sum_{m>n} unit * q_m."""
-        if n < 0:
-            raise ValueError("tail index must be >= 0")
-        return 2.0 ** -n
-
-    def partial_mass(self, n: int) -> float:
-        """sum_{m<=n} unit * q_m, via the exact tail rule."""
-        return self.tail_mass(0) - self.tail_mass(n)
-
-    def values(self, depth: int) -> np.ndarray:
-        """q_1 .. q_depth as an array."""
-        return np.ldexp(1.0, -np.arange(1, depth + 1)) / self.mass_unit
+    return np.ldexp(1.0, -np.arange(1, depth + 1)) / unit
 
 
 # ---------------------------------------------------------------------------
 # forward operator
 # ---------------------------------------------------------------------------
 
-def apply_operator(spec: GroupUnionSpec, w: WeightSeq, x: np.ndarray,
+def apply_operator(spec: GroupUnionSpec, x: np.ndarray,
                    weights: Optional[np.ndarray] = None) -> np.ndarray:
     """Forward map T x for a finite-support vector, or for a stack of them
     along a leading axis.
@@ -174,15 +135,14 @@ def apply_operator(spec: GroupUnionSpec, w: WeightSeq, x: np.ndarray,
     q_1 .. q_N: with a section's renormalised weights the result is that
     section's matrix times x.  Real input gives a real result.
     """
-    if w.kind != "single":
-        raise ValueError("apply_operator needs a single-operator weight rule")
     x = np.asarray(x)
     x = x.astype(np.result_type(x, float), copy=False)
     n_blocks, partial = divmod(x.shape[-1] - 1, spec.d) if x.ndim else (0, 0)
     if x.ndim not in (1, 2) or n_blocks < 1 or partial:
         raise ValueError(f"expected a head and whole blocks of {spec.d}, "
                          f"got shape {x.shape}")
-    q = w.values(n_blocks) if weights is None else np.asarray(weights, float)
+    q = (dyadic_weights(n_blocks, spec.d) if weights is None
+         else np.asarray(weights, float))
     if q.shape != (n_blocks,):
         raise ValueError(f"{q.shape} weights for {n_blocks} blocks")
     q = q[:, None]
@@ -207,8 +167,8 @@ class StochasticityReport:
     max_negativity: float       # worst entrywise negativity of T f
 
 
-def stochasticity_check(spec: GroupUnionSpec, w: WeightSeq, trials: int = 50,
-                        seed: int = 0) -> StochasticityReport:
+def stochasticity_check(spec: GroupUnionSpec, trials: int = 50, seed: int = 0,
+                        unit: Optional[float] = None) -> StochasticityReport:
     """Random-vector measurement of how far T is from preserving mass and
     positivity.
 
@@ -216,10 +176,12 @@ def stochasticity_check(spec: GroupUnionSpec, w: WeightSeq, trials: int = 50,
     summed over its support and then over the closed-form tail
     f_0 q_n 1 until the tail's remaining mass |f_0| 2^-n is at most 1e-16;
     that remainder is added to the defect.  The tail's sign is that of
-    Re f_0.  The pass/fail comparison is the caller's.
+    Re f_0.  The pass/fail comparison is the caller's.  ``unit`` replaces
+    the weights' unit d, so a control can break the operator.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x510C]))
     d = spec.d
+    unit = d if unit is None else unit
     worst_defect = 0.0
     worst_neg = 0.0
     for _ in range(trials):
@@ -233,7 +195,8 @@ def stochasticity_check(spec: GroupUnionSpec, w: WeightSeq, trials: int = 50,
         f[0] = head
         for n, b in zip(idx, blocks):
             f[1 + (n - 1) * d:1 + n * d] = b
-        tf = apply_operator(spec, w, f)
+        q = dyadic_weights(depth + 1, unit)
+        tf = apply_operator(spec, f, q[:-1])
 
         nf = abs(head)
         for b in blocks:                      # in the order drawn
@@ -245,19 +208,19 @@ def stochasticity_check(spec: GroupUnionSpec, w: WeightSeq, trials: int = 50,
         # |f_0| 2^-stop is at most 1e-16; halving is exact, so with
         # |f_0| 2^-depth = f 2^e and 1e-16 = g 2^k (f, g in [1/2, 1)) that
         # is e - k blocks further, one more where f > g
-        stop, rem = depth, abs(head) * w.tail_mass(depth)
+        stop, rem = depth, abs(head) * 2.0 ** -depth
         if rem > 1e-16:
             (f, e), (g, k) = math.frexp(rem), math.frexp(1e-16)
             stop += e - k + (f > g)
-            rem = abs(head) * w.tail_mass(stop)
+            rem = abs(head) * 2.0 ** -stop
             # added one term at a time after the support mass
-            tail = np.abs(head * w.values(stop)[depth:]) * d
+            tail = np.abs(head * dyadic_weights(stop, unit)[depth:]) * d
             ntf = np.cumsum(np.concatenate(([ntf], tail)))[-1]
         worst_defect = max(worst_defect, abs(ntf - nf) / nf + rem / nf)
 
         neg = min(0.0, float(np.min(tf[1:].real)))
         neg = min(neg, min(0.0, tf[0].real))
         # the tail's largest coefficient is head * q_{depth+1}
-        neg = min(neg, min(0.0, head.real * w.value(depth + 1)))
+        neg = min(neg, min(0.0, head.real * q[-1]))
         worst_neg = min(worst_neg, neg)
     return StochasticityReport(trials, float(worst_defect), float(-worst_neg))

@@ -18,6 +18,8 @@ import math
 
 import numpy as np
 
+from .model import dyadic_weights
+
 __all__ = [
     "coupling_series_batch", "series_terms", "UNIT_ROUNDOFF", "gamma",
     "CERTIFIED", "SINGULAR", "TAIL_INVALID", "VERDICTS", "VERDICT_LABELS",
@@ -76,12 +78,14 @@ def series_terms(depth: int) -> int:
     return min(depth, _MAX_TERMS)
 
 
-def coupling_series_batch(w: WeightSeq, lams, depth: int):
+def coupling_series_batch(unit: float, lams, depth: int):
     """Certified rank-one denominator D(lam) = 1 - lam^-1 sum_n t_n, with
-    t_n = 2^-n q_n / a_n and a_n = lam - 1 + q_n, over an array of lam.
+    t_n = 2^-n q_n / a_n and a_n = lam - 1 + q_n, over an array of lam,
+    for the weights q_n = 2^-n / unit.
 
-    sum_n t_n is <q, R(lam, S) q> for the discrete operator and h(beta) for
-    the semigroup at lam = 1 + i beta, so D serves both constructions.
+    sum_n t_n is <q, R(lam, S) q> for the discrete operator (unit d) and
+    h(beta) for the semigroup (unit 2 pi) at lam = 1 + i beta, so D serves
+    both constructions.
     Returns ``(den, radius, valid)``: the centre of D (complex), a radius
     with |D - den| <= radius, and ``valid``, the tail guard
     |a_1| > q_1 (1 + 1e-9).  The disks |lam - 1 + q| <= q (1 + g) grow and
@@ -107,8 +111,8 @@ def coupling_series_batch(w: WeightSeq, lams, depth: int):
       min(u |partial sum|, |computed t_k|) per part, the partial sums stay
       below M = 1 + 2^-40 and |computed t_k| <= 2^-k (1 + gamma_11), so the
       additions k = 2..N err by at most (min(N, 54) - 1) u M;
-    - the terms n > N, the tail included, weigh at most 2^-N, which is
-      ``tail_mass(depth)`` whenever depth <= 300;
+    - the terms n > N, the tail included, weigh at most 2^-N, the tail
+      mass 2^-depth whenever depth <= 300;
     - the division by lam, as S conj(lam) / |lam|^2, errs by at most
       sqrt(2) gamma_5 |S| / |lam|;
     - the subtraction from 1 errs by at most
@@ -130,11 +134,11 @@ def coupling_series_batch(w: WeightSeq, lams, depth: int):
     y = np.ascontiguousarray(lam.imag)
     re, im = np.zeros(lam.shape), np.zeros(lam.shape)
     ar, s, t = (np.empty(lam.shape) for _ in range(3))
-    q1 = w.value(1)
+    q1 = 0.5 / unit
     with np.errstate(all="ignore"):
         yy = y * y
         valid = (x + q1) ** 2 + yy > (q1 * (1.0 + _TAIL_GUARD)) ** 2
-        for n, q in enumerate(w.values(n_sum).tolist(), 1):
+        for n, q in enumerate(dyadic_weights(n_sum, unit).tolist(), 1):
             c = math.ldexp(q, -n)
             np.add(x, q, out=ar)
             np.multiply(ar, ar, out=s)
@@ -155,7 +159,7 @@ def coupling_series_batch(w: WeightSeq, lams, depth: int):
         c_n = ((min(n_sum, 54) - 1) * UNIT_ROUNDOFF * m_sum + gamma(11)
                + div * m_sum * (1.0 + UNIT_ROUNDOFF)
                + UNIT_ROUNDOFF * m_sum)
-        radius = ((w.tail_mass(n_sum) + c_n) / np.abs(lam)
+        radius = ((2.0 ** -n_sum + c_n) / np.abs(lam)
                   + UNIT_ROUNDOFF) * (1.0 + 2.0 ** -48)
     radius[~((lam2 >= _LAM2_MIN) & (lam2 <= _LAM2_MAX))] = np.inf
     return den, radius, valid

@@ -23,8 +23,8 @@ from typing import Iterator, List, NamedTuple
 import numpy as np
 
 from .errors import BlockTooDeep, NotInTargetSet
-from .model import (GroupUnionSpec, WeightSeq, apply_operator, union_points,
-                    union_values)
+from .model import (GroupUnionSpec, apply_operator, dyadic_weights,
+                    union_points, union_values)
 from .resolvent import coupling_series_batch, series_terms, verdict_codes
 
 __all__ = [
@@ -72,8 +72,7 @@ class EigCertificate:
     matches: bool
 
 
-def residual_certificate(spec: GroupUnionSpec, w: WeightSeq,
-                         target: Fraction,
+def residual_certificate(spec: GroupUnionSpec, target: Fraction,
                          block_index: int = 30) -> EigCertificate:
     """Build the deep-block certificate for one point of the target set.
 
@@ -92,7 +91,7 @@ def residual_certificate(spec: GroupUnionSpec, w: WeightSeq,
         raise NotInTargetSet(f"angle {target} not in the target set")
     if block_index < 1:
         raise ValueError("block_index must be >= 1")
-    q = w.value(block_index)
+    q = 2.0 ** -block_index / spec.d
     if q <= CERT_SLOP:
         raise BlockTooDeep(
             f"q_{block_index} = {q:.3e} is within the {CERT_SLOP:g} rounding "
@@ -106,7 +105,7 @@ def residual_certificate(spec: GroupUnionSpec, w: WeightSeq,
 
     x = np.zeros(1 + block_index * spec.d, dtype=complex)
     x[-spec.d:] = z
-    r = apply_operator(spec, w, x) - zeta * x
+    r = apply_operator(spec, x) - zeta * x
     # the l1 norm, each block's sum first: the order the artifacts pin
     resid = float(abs(r[0])
                   + np.abs(r[1:]).reshape(-1, spec.d).sum(axis=1).sum())
@@ -151,7 +150,7 @@ class _CircleBatch(NamedTuple):
     verdict: np.ndarray      # uint8 index into resolvent.VERDICTS
 
 
-def _circle_kernel(spec: GroupUnionSpec, w: WeightSeq, lams, depth: int,
+def _circle_kernel(spec: GroupUnionSpec, lams, depth: int,
                    exclusion_radius: float = 0.0) -> _CircleBatch:
     """Certify every spectral parameter in ``lams``, on the circle or off it.
 
@@ -187,10 +186,11 @@ def _circle_kernel(spec: GroupUnionSpec, w: WeightSeq, lams, depth: int,
     """
     lam = np.asarray(lams, dtype=complex)
     zeta = union_values(spec)
-    radii = np.unique(1.0 - w.values(depth))    # ascending, each once
-    q_limit = w.value(depth + 1)
+    qs = dyadic_weights(depth + 1, spec.d)
+    radii = np.unique(1.0 - qs[:-1])      # ascending, each once
+    q_limit = qs[-1]
 
-    den, den_radius, valid = coupling_series_batch(w, lam, depth)
+    den, den_radius, valid = coupling_series_batch(spec.d, lam, depth)
     rho = np.abs(lam)
     # fmax: the undefined disk at lam = 0 (and at subnormal |lam|, where
     # the radius is inf) gets the lower bound 0; the gap |lam| decides there
@@ -279,9 +279,9 @@ def _circle_kernel(spec: GroupUnionSpec, w: WeightSeq, lams, depth: int,
                         verdict)
 
 
-def scan_unit_circle(spec: GroupUnionSpec, w: WeightSeq,
-                     grid_size: int = 3600, exclusion_radius: float = 0.05,
-                     depth: int = 40, cert_block: int = 30) -> ScanReport:
+def scan_unit_circle(spec: GroupUnionSpec, grid_size: int = 3600,
+                     exclusion_radius: float = 0.05, depth: int = 40,
+                     cert_block: int = 30) -> ScanReport:
     """Classify every grid point exp(2*pi*i*j/grid_size), as a stream.
 
     The residual certificates come first, so that a ``cert_block`` too
@@ -294,7 +294,7 @@ def scan_unit_circle(spec: GroupUnionSpec, w: WeightSeq,
     """
     if grid_size < 1:
         raise ValueError("grid_size must be positive")
-    certificates = [residual_certificate(spec, w, a, cert_block)
+    certificates = [residual_certificate(spec, a, cert_block)
                     for a in union_points(spec)]
 
     # one chunk's columns, refilled per chunk, made below the kernels' heap
@@ -308,7 +308,7 @@ def scan_unit_circle(spec: GroupUnionSpec, w: WeightSeq,
             np.divide(np.arange(start, start + part.thetas.size), grid_size,
                       out=part.thetas)
             np.exp(2j * np.pi * part.thetas, out=part.lams)
-            k = _circle_kernel(spec, w, part.lams, depth, exclusion_radius)
+            k = _circle_kernel(spec, part.lams, depth, exclusion_radius)
             for column, value in zip(part[2:], (k.verdict, k.den_lower,
                                                 k.block_bound, k.excluded)):
                 column[...] = value

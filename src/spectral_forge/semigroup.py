@@ -9,16 +9,18 @@ where D differentiates (multiplication by i*k on Fourier mode k) and the
 speed schedule (w_n) enumerates the rationals in [1, 2] so that every value
 recurs infinitely often.  A state is the head plus flat arrays of (block,
 mode, coefficient) entries; the mass functional is f_0 + sum_n 2*pi*f_{n,0}
-and the weights q_n = 2^-n / (2*pi) make the coupling vector q a unit mass.
+and the weights q_n = 2^-n / (2*pi), ``model.dyadic_weights`` with the unit
+2*pi, make the coupling vector q a unit mass.
 
 Purely imaginary spectral parameters are probed through the certified
 denominator 1 - h(beta)/(i*beta+1) with h(beta) = sum_n 2*pi*q_n^2 /
 (i*beta + q_n), which is the discrete operator's denominator at
 lam = 1 + i*beta and comes from the same primitive,
-``resolvent.coupling_series_batch``; approximate point spectrum on
-the axis is exhibited by single-Fourier-mode states whose residual equals
-q_n exactly.  Orbits are sampled by stepping the head/mode-0 chain from one
-time to the next with a memoised matrix exponential.
+``resolvent.coupling_series_batch`` with the unit 2*pi; approximate point
+spectrum on the axis is exhibited by single-Fourier-mode states whose
+residual equals q_n exactly.  Orbits are sampled by stepping the
+head/mode-0 chain from one time to the next with a memoised matrix
+exponential.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import ClassVar, List
 import numpy as np
 
 from .errors import ExponentialUnresolved
-from .model import WeightSeq
+from .model import dyadic_weights
 from .resolvent import (CERTIFIED, UNIT_ROUNDOFF, VERDICTS,
                         coupling_series_batch, gamma, series_terms,
                         verdict_codes, verdict_counts)
@@ -130,7 +132,6 @@ class GeneratorSpec:
     q_n = 2^-n / (2 pi) and the one rational speed schedule are fixed."""
 
     depth: int = 40
-    weights: ClassVar[WeightSeq] = WeightSeq.dyadic_semigroup()
     schedule: ClassVar[RationalSchedule] = RationalSchedule()
 
     def __post_init__(self):
@@ -194,7 +195,7 @@ class SemigroupState:
 
 def _rates(g: GeneratorSpec, n: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Per-entry multipliers i w_n k - q_n of the block part of A."""
-    return np.array([1j * g.omega_float(a, b) - g.weights.value(a)
+    return np.array([1j * g.omega_float(a, b) - 2.0 ** -a / TWO_PI
                      for a, b in zip(n.tolist(), k.tolist())], dtype=complex)
 
 
@@ -214,7 +215,7 @@ def apply_generator(g: GeneratorSpec, f: SemigroupState,
     if f.head != 0:
         feed = np.arange(1, g.depth + 1)
         n, k = np.concatenate([n, feed]), np.concatenate([k, 0 * feed])
-        c = np.concatenate([c, f.head * g.weights.values(g.depth)])
+        c = np.concatenate([c, f.head * dyadic_weights(g.depth, TWO_PI)])
     return SemigroupState((-1.0 - lam) * f.head + pairing, n, k, c)
 
 
@@ -255,7 +256,7 @@ def mode_certificate(g: GeneratorSpec, r, occurrence: int = 1) -> ModeCertificat
         k = (r.numerator - 1) // r.denominator     # largest integer < r
         omega = r / k
     n = g.schedule.index_of(omega, occurrence)
-    q = g.weights.value(n)
+    q = 2.0 ** -n / TWO_PI
     z = SemigroupState.single_mode(n, k, 1.0 / TWO_PI)
     resid = float(apply_generator(g, z, 1j * float(r)).norm1())
     return ModeCertificate(r, omega, k, n, q, resid,
@@ -301,7 +302,7 @@ def scan_imaginary_axis(g: GeneratorSpec, betas) -> AxisReport:
     beta = np.fromiter(betas, dtype=float)
     if not np.all(np.isfinite(beta)):
         raise ValueError("betas must be finite")
-    den, rad, _ = coupling_series_batch(g.weights, 1.0 + 1j * beta, g.depth)
+    den, rad, _ = coupling_series_batch(TWO_PI, 1.0 + 1j * beta, g.depth)
     low = np.fmax(0.0, np.abs(den) - rad)
     gap = np.minimum(np.abs(beta), 1.0 - np.abs(beta))
     codes = verdict_codes(gap, low, True, False)
@@ -317,7 +318,7 @@ def scan_imaginary_axis(g: GeneratorSpec, betas) -> AxisReport:
 
 def chain_generator(g: GeneratorSpec, n_blocks: int) -> np.ndarray:
     """Generator of the closed head/mode-0 subsystem, size n_blocks + 1."""
-    qs = g.weights.values(n_blocks)
+    qs = dyadic_weights(n_blocks, TWO_PI)
     m = np.zeros((n_blocks + 1, n_blocks + 1))
     m[0, 0] = -1.0
     m[0, 1:] = TWO_PI * qs

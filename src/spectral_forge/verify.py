@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NoSamples
 from .finite import FiniteSection, finite_spectrum
 from .io import substream
-from .model import GroupUnionSpec, WeightSeq, stochasticity_check
+from .model import GroupUnionSpec, dyadic_weights, stochasticity_check
 from .resolvent import UNIT_ROUNDOFF, coupling_series_batch
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite", "run_suites"]
@@ -68,14 +68,12 @@ def suite_denominator(seed: int = 0, corrupt: bool = False) -> SuiteResult:
     with localcontext() as ctx:
         ctx.prec = 60
         for d in (1, 5, 10, 12):         # orders (1,), (2,3), (4,6), (5,7)
-            w = WeightSeq.dyadic_single(d)
             for depth in (20, 60):
                 mod = np.r_[np.ones(3), 0.5 + 1.5 * rng.random(3)]
                 lams = mod * np.exp(2j * np.pi * rng.random(6))
-                den, radius, valid = coupling_series_batch(w, lams, depth)
+                den, radius, valid = coupling_series_batch(d, lams, depth)
                 if corrupt:
-                    radius = w.tail_mass(depth) / np.abs(lams) \
-                        * (1.0 + 2.0 ** -48)
+                    radius = 2.0 ** -depth / np.abs(lams) * (1.0 + 2.0 ** -48)
                 invalid += int(np.count_nonzero(~valid))
                 terms = [(1 / Decimal(d << n), 1 / Decimal(d << 2 * n))
                          for n in range(1, depth + 1)]
@@ -93,7 +91,7 @@ def suite_denominator(seed: int = 0, corrupt: bool = False) -> SuiteResult:
                     ei = Decimal(c.imag) - (sr * y - si * lr) / l2
                     err2 = er * er + ei * ei
                     slack = Decimal(r) - 18 * u - (
-                        Decimal(w.tail_mass(depth)) + (2 * depth + 32) * u
+                        Decimal(2.0 ** -depth) + (2 * depth + 32) * u
                     ) / l2.sqrt()
                     checks += 1
                     failures += slack < 0 or err2 > slack * slack
@@ -121,8 +119,8 @@ def suite_stochasticity(seed: int = 0, corrupt: bool = False) -> SuiteResult:
     details: Dict[str, dict] = {}
     for orders in ((1,), (2, 3), (4, 6)):
         spec = GroupUnionSpec(orders)
-        w = WeightSeq.dyadic_single(spec.d + int(corrupt))
-        rep = stochasticity_check(spec, w, trials=40, seed=seed)
+        rep = stochasticity_check(spec, trials=40, seed=seed,
+                                  unit=spec.d + int(corrupt))
         checks += rep.trials
         if rep.max_norm_defect > 1e-12 or rep.max_negativity > 1e-15:
             failures += 1
@@ -150,8 +148,7 @@ def _sections(rng: np.random.Generator):
     """(orders label, section) per order set, N drawn from its range."""
     for orders, lo, hi in _SECTIONS:
         spec, n_blocks = GroupUnionSpec(orders), int(rng.integers(lo, hi + 1))
-        yield ",".join(map(str, orders)), FiniteSection.of(
-            spec, WeightSeq.dyadic_single(spec.d), n_blocks)
+        yield ",".join(map(str, orders)), FiniteSection.of(spec, n_blocks)
 
 
 def suite_connectivity(seed: int = 0, corrupt: bool = False) -> SuiteResult:
@@ -238,12 +235,15 @@ def suite_factorization(seed: int = 0, corrupt: bool = False) -> SuiteResult:
     of radius 2 per seeded section.  A wrong multiset makes the two sides
     differ as analytic functions, so almost every lam shows it.  Each case
     reports gap, tolerance and margin at its largest gap over tolerance.
-    ``corrupt`` takes the spectrum with the weights 2^-n / (d + 1)."""
+    ``corrupt`` takes the spectrum of the section with the weights
+    2^-n / (d + 1), renormalised."""
     rng = substream(seed, "factorization")
     failures, cases = 0, {}
     for label, sec in _sections(rng):
-        values = finite_spectrum(sec.spec, WeightSeq.dyadic_single(
-            sec.spec.d + int(corrupt)), sec.n_blocks).values()
+        n = sec.n_blocks
+        taken = replace(sec, tilde_q=dyadic_weights(n, sec.spec.d + 1)
+                        / (1.0 - 2.0 ** -n)) if corrupt else sec
+        values = finite_spectrum(taken).values()
         lams = 2.0 * np.sqrt(rng.random(_POINTS)) \
             * np.exp(2j * np.pi * rng.random(_POINTS))
         gap, tol = _factorization_gaps(sec, values, lams)

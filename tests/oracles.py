@@ -15,7 +15,7 @@ import numpy as np
 
 from spectral_forge import finite
 from spectral_forge.finite import FiniteSection
-from spectral_forge.model import GroupUnionSpec, WeightSeq
+from spectral_forge.model import GroupUnionSpec
 
 # (orders, n_blocks) of small sections the cofactor expansion handles; the
 # largest has dimension 16
@@ -42,7 +42,7 @@ class FiniteOperator(FiniteSection):
     matrix: np.ndarray
 
 
-def build_finite_section(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
+def build_finite_section(spec: GroupUnionSpec, n_blocks: int,
                          renormalize: bool = True) -> FiniteOperator:
     """Head plus blocks 1..n_blocks as a dense matrix.
 
@@ -50,7 +50,7 @@ def build_finite_section(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
     head column sums to exactly one; block columns always do.  Without it
     the head column sums to the partial mass 1 - 2^-N.
     """
-    d, qs = spec.d, FiniteSection.of(spec, w, n_blocks, renormalize).tilde_q
+    d, qs = spec.d, FiniteSection.of(spec, n_blocks, renormalize).tilde_q
     dim = 1 + n_blocks * d
     p = permutation_matrix(spec)
     a = np.zeros((dim, dim))
@@ -60,7 +60,7 @@ def build_finite_section(spec: GroupUnionSpec, w: WeightSeq, n_blocks: int,
         a[sl, 0] = q                    # head feeds every block entry
         a[0, sl] = q                    # blocks feed the head
         a[sl, sl] = (1.0 - q) * p
-    return FiniteOperator(spec, w, n_blocks, renormalize, qs, a)
+    return FiniteOperator(spec, n_blocks, renormalize, qs, a)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +167,8 @@ class CrosscheckReport:
     passed: bool
 
 
-def factorization_crosscheck(spec: GroupUnionSpec, w: WeightSeq,
-                             n_blocks: int, seed: int = 0) -> CrosscheckReport:
+def factorization_crosscheck(spec: GroupUnionSpec, n_blocks: int,
+                             seed: int = 0) -> CrosscheckReport:
     """Polynomial identity test: eigenvalue multiset vs characteristic
     polynomial.
 
@@ -179,8 +179,8 @@ def factorization_crosscheck(spec: GroupUnionSpec, w: WeightSeq,
     multiset.
     """
     # looked up at call time, so a test can patch the spectrum
-    result = finite.finite_spectrum(spec, w, n_blocks)
-    a = build_finite_section(spec, w, n_blocks).matrix
+    result = finite.finite_spectrum(FiniteSection.of(spec, n_blocks))
+    a = build_finite_section(spec, n_blocks).matrix
     dim = result.section.dim
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFAC7]))
     zs = 2.0 * (rng.random(2 * dim) + 1j * rng.random(2 * dim)) - (1 + 1j)

@@ -12,14 +12,15 @@ import numpy as np
 
 from oracles import (build_finite_section, factorization_crosscheck,
                      strongly_connected)
-from spectral_forge.finite import finite_spectrum
+from spectral_forge.finite import FiniteSection, finite_spectrum
 from spectral_forge.io import dump_json
-from spectral_forge.model import GroupUnionSpec, WeightSeq, union_values
+from spectral_forge.model import GroupUnionSpec, union_values
 from spectral_forge.resolvent import CERTIFIED, VERDICTS, \
     coupling_series_batch
 from spectral_forge.scanner import _circle_kernel, scan_unit_circle
-from spectral_forge.semigroup import (GeneratorSpec, SemigroupState, evolve,
-                                      mode_certificate, scan_imaginary_axis)
+from spectral_forge.semigroup import (TWO_PI, GeneratorSpec, SemigroupState,
+                                      evolve, mode_certificate,
+                                      scan_imaginary_axis)
 from spectral_forge.verify import run_suite, run_suites
 
 
@@ -28,15 +29,10 @@ def _report(name: str, ok: bool, detail: str):
     assert ok, f"{name}: {detail}"
 
 
-def _operator(orders):
-    spec = GroupUnionSpec(orders)
-    return spec, WeightSeq.dyadic_single(spec.d)
-
-
 def test_1_unit_circle_scan_certifies_everything_off_the_targets():
-    spec, w = _operator((2, 3))
+    spec = GroupUnionSpec((2, 3))
     t0 = time.perf_counter()
-    rep = scan_unit_circle(spec, w, 3600, 0.05, 40, cert_block=30)
+    rep = scan_unit_circle(spec, 3600, 0.05, 40, cert_block=30)
     rim = np.concatenate([c.codes[~c.excluded] for c in rep.chunks])
     elapsed = time.perf_counter() - t0
 
@@ -58,14 +54,14 @@ def test_2_coupling_series_stays_strictly_below_one():
     failures = 0
     worst = 0.0
     for orders in ((1,), (2,), (3,), (2, 3), (4, 6)):
-        spec, w = _operator(orders)
+        spec = GroupUnionSpec(orders)
         targets = union_values(spec)
         lams = []
         while len(lams) < 100:
             lam = np.exp(2j * np.pi * rng.random())
             if np.min(np.abs(targets - lam)) >= 0.05:
                 lams.append(lam)
-        k = _circle_kernel(spec, w, lams, 40)
+        k = _circle_kernel(spec, lams, 40)
         upper = np.abs(1.0 - k.den) + k.den_radius
         worst = max(worst, float(upper.max()))
         failures += int(np.count_nonzero(~(upper < 1.0) | ~k.valid))
@@ -92,18 +88,18 @@ def test_3_certified_denominator_holds_the_exact_series():
 
 def test_5_finite_sections_reproduce_the_peripheral_targets():
     t0 = time.perf_counter()
-    spec, w = _operator((2, 3))
-    result = finite_spectrum(spec, w, 12)
+    spec = GroupUnionSpec((2, 3))
+    result = finite_spectrum(FiniteSection.of(spec, 12))
     vals = result.values()
     col = result.section.column_sums()
-    q12 = w.value(12) / (1.0 - 2.0 ** -12)
+    q12 = FiniteSection.of(spec, 12).tilde_q[-1]
 
     ok_count = len(result) == 61
     ok_resid = result.max_residual() <= 1e-9
     ok_cols = float(np.abs(col - 1.0).max()) <= 1e-12
     # the pattern search eigs runs, and the dense search as its oracle
     ok_conn = result.section.strongly_connected() and \
-        strongly_connected(build_finite_section(spec, w, 12).matrix)
+        strongly_connected(build_finite_section(spec, 12).matrix)
     mods = np.abs(vals)
     peripheral = vals[mods >= 1.0 - 1e-10]
     ok_per = abs(mods.max() - 1.0) <= 1e-10 and \
@@ -112,7 +108,7 @@ def test_5_finite_sections_reproduce_the_peripheral_targets():
     ok_targets = max(gaps) <= 2.0 * q12
 
     ok_cross = all(
-        factorization_crosscheck(*_operator(o), n).passed
+        factorization_crosscheck(GroupUnionSpec(o), n).passed
         for o, n in (((1,), 3), ((2,), 3), ((3,), 3), ((2, 3), 3)))
     elapsed = time.perf_counter() - t0
     _report("5 finite sections",
@@ -131,7 +127,7 @@ def test_6_imaginary_axis_scan_and_mode_certificates():
     rep = scan_imaginary_axis(g, betas)
     ok_axis = (rep.codes == VERDICTS.index(CERTIFIED)).all()
 
-    den0, rad0, _ = coupling_series_batch(g.weights, [1.0 + 0j], g.depth)
+    den0, rad0, _ = coupling_series_batch(TWO_PI, [1.0 + 0j], g.depth)
     ok_zero = den0[0] == 2.0 ** -40 and not abs(den0[0]) > rad0[0]
 
     certs = [mode_certificate(g, Fraction(r)) for r in ("1", "3/2", "2", "7/3")]
@@ -151,7 +147,7 @@ def test_7_evolution_conserves_mass_and_decays_single_modes():
     chain = [ft.head.real] + [ft.coeff(n, 0).real for n in range(1, 41)]
     ok_pos = min(chain) >= -1e-10
 
-    q6 = g.weights.value(6)
+    q6 = 2.0 ** -6 / TWO_PI
     z = SemigroupState.single_mode(6, 1, 1.0 / (2.0 * np.pi))
     decay = max(abs(evolve(g, z, t).norm1() - np.exp(-q6 * t))
                 for t in (0.5, 5.0, 50.0))

@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from spectral_forge.model import GroupUnionSpec, WeightSeq
+from spectral_forge.model import GroupUnionSpec, dyadic_weights
 from spectral_forge.scanner import _circle_kernel
 
 ORDERS = [(1,), (2, 3), (4, 6), (5, 7)]
@@ -26,23 +26,18 @@ IDS = ["1", "2,3", "4,6", "5,7"]
 TERMS = 200
 
 
-def _setup(orders):
-    spec = GroupUnionSpec(orders)
-    return spec, WeightSeq.dyadic_single(spec.d)
-
-
-def _rim(spec, w, points=52):
+def _rim(spec, points=52):
     """Evenly spaced non-excluded points of the default grid 3600."""
     lams = np.exp(2j * np.pi * np.arange(3600) / 3600)
-    rim = lams[~_circle_kernel(spec, w, lams, 20, 0.05).excluded]
+    rim = lams[~_circle_kernel(spec, lams, 20, 0.05).excluded]
     return rim[np.linspace(0, rim.size - 1, points).round().astype(int)]
 
 
 @functools.lru_cache(maxsize=None)
 def _truth(orders):
     """The rim points and D at each of them, to 50 digits."""
-    spec, w = _setup(orders)
-    lams = _rim(spec, w)
+    spec = GroupUnionSpec(orders)
+    lams = _rim(spec)
     d = spec.d
     with mpmath.workdps(50):
         qs = [mpmath.mpf(2) ** -n / d for n in range(1, TERMS + 1)]
@@ -56,9 +51,9 @@ def _truth(orders):
 
 def _errors(orders, depth):
     """|den - D| and the kernel's radius at every rim point."""
-    spec, w = _setup(orders)
+    spec = GroupUnionSpec(orders)
     lams, values = _truth(orders)
-    k = _circle_kernel(spec, w, lams, depth)
+    k = _circle_kernel(spec, lams, depth)
     assert k.valid.all()
     with mpmath.workdps(50):
         err = np.array([float(abs(mpmath.mpc(c.real, c.imag) - v))
@@ -85,10 +80,10 @@ def test_audit_catches_a_dropped_tail_radius(orders):
 def test_audit_catches_a_tail_only_radius(orders):
     # negative control: at depth 60 the tail 2^-60 / |lam| alone, without
     # the rounding bound, is below the rounding error of the float sum
-    spec, w = _setup(orders)
+    spec = GroupUnionSpec(orders)
     lams, _ = _truth(orders)
     err, _ = _errors(orders, 60)
-    missed = err > w.tail_mass(60) / np.abs(lams)
+    missed = err > 2.0 ** -60 / np.abs(lams)
     assert missed.mean() > 0.9, f"missed at {missed.sum()} of {missed.size}"
 
 
@@ -110,23 +105,24 @@ def test_gap_is_a_lower_bound_within_the_tail_weight(orders, depth):
     # the kernel's gap is min over n <= depth and |lam - zeta| - q_{depth+1}
     # for the rest: never above the true distance, and below it by at most
     # q_{depth+1} (plus rounding)
-    spec, w = _setup(orders)
+    spec = GroupUnionSpec(orders)
     rng = np.random.default_rng(sum(orders) * 100 + depth)
     zeta = np.exp(2j * np.pi * np.array(
         [j / m for m in orders for j in range(m)]))
-    damped = 1.0 - np.array([w.value(3), w.value(depth), w.value(depth + 2)])
+    qs = dyadic_weights(depth + 2, spec.d)
+    damped = 1.0 - qs[[2, depth - 1, depth + 1]]
     lams = np.concatenate([
         [0.0, 0.5j, 1.0, -1.0],
         damped * zeta[-1],
         rng.uniform(0.0, 1.2, 40) * np.exp(2j * np.pi * rng.random(40)),
         np.exp(2j * np.pi * rng.random(40)),
     ])
-    gap = _circle_kernel(spec, w, lams, depth).gap
+    gap = _circle_kernel(spec, lams, depth).gap
     slack = 4 * np.finfo(float).eps
     for lam, g in zip(lams, gap):
         true = _brute_gap(orders, complex(lam))
         assert g <= true + slack
-        assert g >= true - w.value(depth + 1) - slack
+        assert g >= true - qs[depth] - slack
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +138,9 @@ def _block_truth(orders):
     """120 rim points and, for n <= 60, the exact value at each of them of
     max_m sum_{j<m} |mu|^j / |mu^m - 1| / r, mu = lam / r, r = 1 - q_n
     as the kernel rounds it."""
-    spec, w = _setup(orders)
-    lams = _rim(spec, w, points=120)
-    radii = 1.0 - w.values(max(BOUND_DEPTHS))
+    spec = GroupUnionSpec(orders)
+    lams = _rim(spec, points=120)
+    radii = 1.0 - dyadic_weights(max(BOUND_DEPTHS), spec.d)
     with mpmath.workdps(50):
         truth = np.empty((radii.size, lams.size), dtype=object)
         for i, r in enumerate(radii):
@@ -176,9 +172,9 @@ def _bound_errors(orders, depth, bounds):
 @pytest.mark.parametrize("depth", BOUND_DEPTHS)
 @pytest.mark.parametrize("orders", ORDERS, ids=IDS)
 def test_block_bound_matches_the_exact_formula(orders, depth):
-    spec, w = _setup(orders)
+    spec = GroupUnionSpec(orders)
     lams, _, _ = _block_truth(orders)
-    bounds = _circle_kernel(spec, w, lams, depth).block_bound
+    bounds = _circle_kernel(spec, lams, depth).block_bound
     err = _bound_errors(orders, depth, bounds)
     assert err.max() <= BOUND_RTOL, f"worst {err.max() / BOUND_RTOL:.3g} tol"
 

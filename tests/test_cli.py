@@ -326,7 +326,7 @@ def test_scan_circle_zero_residual_fails_the_certificate_check(tmp_path,
     # miss on the certificate and fail
     lam = np.exp(2j * np.pi / 3)
     monkeypatch.setattr(scanner, "apply_operator",
-                        lambda spec, w, vec: lam * vec)
+                        lambda spec, vec: lam * vec)
     assert run(tmp_path, "scan-circle", "--grid", "60") == 1
     summary = read_json(tmp_path / "scan_circle.json")
     assert summary["certificates_ok"] is False
@@ -434,10 +434,10 @@ def test_convergence_gate_fails_a_resolved_row_only(tmp_path, monkeypatch,
                                                     n_blocks, cell, rc):
     # negative control: a distance pushed past bound + tau fails a resolved
     # row and the command; an unresolved row does not decide the exit code
-    def pushed(spec, w, n_max):
+    def pushed(spec, n_max):
         return [dataclasses.replace(r, distance=2.0 * (r.bound + r.tolerance))
                 if r.n_blocks == n_blocks and r.angle == 0 else r
-                for r in convergence_table(spec, w, n_max)]
+                for r in convergence_table(spec, n_max)]
 
     monkeypatch.setattr(cli, "convergence_table", pushed)
     assert run(tmp_path, "convergence", "--n-max", "50") == rc
@@ -538,6 +538,20 @@ def test_verify_report_is_pinned(tmp_path, seed, digest):
     # factorization suites on seeded matrix-free sections: the pattern
     # search and the closed-form determinant
     assert run(tmp_path, "verify", "--seed", seed) == 0
+    assert hashlib.sha256(
+        (tmp_path / "verify.json").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed,digest", [
+    ("0", "77958c38ae3ab367cb875bf302679d0981930fce304e72b8dcd84904bdad1abd"),
+    ("7", "5e37dcfe762e01b0a115f69e5b17a0e556947c762f0b800826ac7480b3e5f6db"),
+], ids=["seed-0", "seed-7"])
+def test_verify_corrupt_report_is_pinned(tmp_path, seed, digest):
+    # sha256 of verify.json with every negative control on: the widened
+    # denominator radius, the stochasticity and factorization runs on the
+    # weights 2^-n / (d + 1), the connectivity control left coupled.  Each
+    # control must break its suite in exactly the same numbers
+    assert run(tmp_path, "verify", "--seed", seed, "--corrupt") == 1
     assert hashlib.sha256(
         (tmp_path / "verify.json").read_bytes()).hexdigest() == digest
 

@@ -16,13 +16,7 @@ from spectral_forge import finite
 from spectral_forge.finite import (FiniteSection, _block_eig_vectors,
                                    _block_zetas, convergence_table,
                                    finite_spectrum, secular_roots)
-from spectral_forge.model import (GroupUnionSpec, WeightSeq, union_points,
-                                  union_values)
-
-
-def _setup(orders):
-    spec = GroupUnionSpec(orders)
-    return spec, WeightSeq.dyadic_single(spec.d)
+from spectral_forge.model import GroupUnionSpec, union_points, union_values
 
 
 def _multiset_gap(a, b):
@@ -43,17 +37,17 @@ def _multiset_gap(a, b):
 # ---------------------------------------------------------------------------
 
 def test_smallest_section_is_the_swap():
-    spec, w = _setup((1,))
-    op = build_finite_section(spec, w, 1)
+    spec = GroupUnionSpec((1,))
+    op = build_finite_section(spec, 1)
     assert np.array_equal(op.matrix, [[0.0, 1.0], [1.0, 0.0]])
     assert op.tilde_q[0] == 1.0
 
 
 def test_column_sums_renormalized_and_raw():
-    spec, w = _setup((2, 3))
-    op = build_finite_section(spec, w, 10)
+    spec = GroupUnionSpec((2, 3))
+    op = build_finite_section(spec, 10)
     assert np.abs(op.column_sums() - 1.0).max() < 1e-12
-    raw = build_finite_section(spec, w, 10, renormalize=False)
+    raw = build_finite_section(spec, 10, renormalize=False)
     cols = raw.column_sums()
     assert cols[0] == pytest.approx(1.0 - 2.0 ** -10, abs=1e-15)
     assert np.abs(cols[1:] - 1.0).max() < 1e-15
@@ -61,18 +55,18 @@ def test_column_sums_renormalized_and_raw():
 
 @pytest.mark.parametrize("orders", [(1,), (2, 3), (4, 6), (5, 7)])
 def test_closed_form_column_sums_are_the_dense_ones_bitwise(orders):
-    spec, w = _setup(orders)
+    spec = GroupUnionSpec(orders)
     for n in [*range(1, 31), 60, 100]:
         for renormalize in (True, False):
-            op = build_finite_section(spec, w, n, renormalize)
+            op = build_finite_section(spec, n, renormalize)
             assert op.column_sums().tobytes() == \
                 op.matrix.sum(axis=0).tobytes(), (n, renormalize)
 
 
 def test_section_matches_operator_structure():
-    spec, w = _setup((2,))
-    op = build_finite_section(spec, w, 3, renormalize=False)
-    q2 = w.value(2)
+    spec = GroupUnionSpec((2,))
+    op = build_finite_section(spec, 3, renormalize=False)
+    q2 = 2.0 ** -2 / spec.d
     block = op.matrix[3:5, 3:5]
     assert np.allclose(block, (1.0 - q2) * np.array([[0, 1], [1, 0]]))
     assert np.allclose(op.matrix[0, 3:5], q2)
@@ -80,9 +74,9 @@ def test_section_matches_operator_structure():
 
 
 def test_build_rejects_empty_section():
-    spec, w = _setup((2,))
+    spec = GroupUnionSpec((2,))
     with pytest.raises(ValueError):
-        build_finite_section(spec, w, 0)
+        build_finite_section(spec, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +132,10 @@ def test_strongly_connected_agrees_with_scipy_on_every_section(orders):
     # on the section's sparse pattern, which eigs runs, against the dense
     # search and SciPy on the assembled matrix; all weights 0 zero the head
     # row and column of the pattern
-    spec, w = _setup(orders)
+    spec = GroupUnionSpec(orders)
     for n in range(1, 41):
         for renormalize in (True, False):
-            op = build_finite_section(spec, w, n, renormalize)
+            op = build_finite_section(spec, n, renormalize)
             uncoupled = op.matrix.copy()
             uncoupled[0, :] = uncoupled[:, 0] = 0.0
             zeroed = dataclasses.replace(op, tilde_q=np.zeros(n))
@@ -156,8 +150,8 @@ def test_strongly_connected_agrees_with_scipy_on_every_section(orders):
 
 def test_sections_strongly_connected_and_control():
     for orders in [(1,), (2, 3), (4, 6)]:
-        spec, w = _setup(orders)
-        op = build_finite_section(spec, w, 4)
+        spec = GroupUnionSpec(orders)
+        op = build_finite_section(spec, 4)
         assert strongly_connected(op.matrix)
         broken = op.matrix.copy()
         broken[0, :] = 0.0
@@ -175,11 +169,11 @@ def test_secular_roots_against_dense_oracle():
     for orders, n_blocks in [((1,), 1), ((1,), 4), ((2,), 3), ((2, 3), 5),
                              ((2, 3), 40), ((2, 3), 80), ((4, 6), 40),
                              ((4, 6), 80), ((5, 7), 40), ((5, 7), 80)]:
-        spec, w = _setup(orders)
-        roots = secular_roots(spec, w, n_blocks)
+        spec = GroupUnionSpec(orders)
+        roots = secular_roots(FiniteSection.of(spec, n_blocks))
         assert np.isrealobj(roots)
         assert len(roots) == n_blocks + 1
-        qs = build_finite_section(spec, w, n_blocks).tilde_q
+        qs = build_finite_section(spec, n_blocks).tilde_q
         chain = np.zeros((n_blocks + 1, n_blocks + 1))
         chain[0, 1:] = chain[1:, 0] = np.sqrt(spec.d) * qs
         chain[1:, 1:][np.diag_indices(n_blocks)] = 1.0 - qs
@@ -187,10 +181,10 @@ def test_secular_roots_against_dense_oracle():
         assert np.abs(roots - ref).max() <= 1e-12, (orders, n_blocks)
 
 
-def _reference_secular_roots(spec, w, n_blocks, renormalize=True):
+def _reference_secular_roots(spec, n_blocks, renormalize=True):
     """Oracle: every bracket bisected until its ends are neighbouring
     floats or, next to x = 0, narrower than eps times the smallest pole."""
-    qs = FiniteSection.of(spec, w, n_blocks, renormalize).tilde_q
+    qs = FiniteSection.of(spec, n_blocks, renormalize).tilde_q
     dq2 = spec.d * qs ** 2
     lo, hi = finite._brackets(spec.d, qs)
     start = lo.copy()
@@ -212,11 +206,12 @@ def _reference_secular_roots(spec, w, n_blocks, renormalize=True):
 def test_secular_roots_bitwise_the_full_bisection(orders):
     # a bracket stops once both ends give the same lam = 1 - x; the roots
     # must be those of bisecting every bracket to the end
-    spec, w = _setup(orders)
+    spec = GroupUnionSpec(orders)
     for n_blocks in [*range(1, 70), 100, 200, 967]:
         for renormalize in (True, False):
-            assert secular_roots(spec, w, n_blocks, renormalize).tobytes() \
-                == _reference_secular_roots(spec, w, n_blocks,
+            section = FiniteSection.of(spec, n_blocks, renormalize)
+            assert secular_roots(section).tobytes() \
+                == _reference_secular_roots(spec, n_blocks,
                                             renormalize).tobytes(), \
                 (n_blocks, renormalize)
 
@@ -228,10 +223,10 @@ def test_batched_bisection_is_bitwise_per_section(monkeypatch, orders,
     # all brackets of sections 1..60 in one loop give each section's roots,
     # in gathered runs of many sections or of one section each
     monkeypatch.setattr(finite, "_RUN_CELLS", run_cells)
-    spec, w = _setup(orders)
+    spec = GroupUnionSpec(orders)
     sections, lo, hi, sec = [], [], [], []
     for n_blocks in range(1, 61):
-        qs = FiniteSection.of(spec, w, n_blocks).tilde_q
+        qs = FiniteSection.of(spec, n_blocks).tilde_q
         b_lo, b_hi = finite._brackets(spec.d, qs)
         sections.append(qs)
         lo.append(b_lo)
@@ -241,26 +236,27 @@ def test_batched_bisection_is_bitwise_per_section(monkeypatch, orders,
     roots = finite._bisect(spec.d, sections, sec, np.concatenate(lo),
                            np.concatenate(hi))
     for n_blocks in range(1, 61):
+        section = FiniteSection.of(spec, n_blocks)
         assert roots[sec == n_blocks - 1].tobytes() == \
-            secular_roots(spec, w, n_blocks).tobytes(), n_blocks
+            secular_roots(section).tobytes(), n_blocks
 
 
 def test_section_limit_is_the_last_normal_bisection_floor():
     # orders 2,3: q~_N = 2^-N / 5 from N = 54 on, and eps * q~_N is normal
     # while 2^-(52 + N) / 5 >= 2^-1022
-    spec, w = _setup((2, 3))
-    limit = finite.section_limit(w)
+    spec = GroupUnionSpec((2, 3))
+    limit = finite.section_limit(spec)
     assert limit == 967
     for n_blocks, normal in ((limit, True), (limit + 1, False)):
         floor = np.finfo(float).eps * 2.0 ** -n_blocks / 5.0
         assert bool(floor >= np.finfo(float).tiny) is normal
-    assert finite.section_limit(w, renormalize=False) == 967
-    assert finite.section_limit(WeightSeq.dyadic_single(1)) == 970
+    assert finite.section_limit(spec, renormalize=False) == 967
+    assert finite.section_limit(GroupUnionSpec((1,))) == 970
 
 
 def test_secular_roots_include_one_exactly():
-    spec, w = _setup((2, 3))
-    roots = secular_roots(spec, w, 6)
+    spec = GroupUnionSpec((2, 3))
+    roots = secular_roots(FiniteSection.of(spec, 6))
     assert np.min(np.abs(roots - 1.0)) < 1e-12
 
 
@@ -273,18 +269,18 @@ def test_secular_roots_include_one_exactly():
     ((1,), 60), ((2,), 60),     # deep poles 1 - q_n that round to 1.0
 ])
 def test_finite_spectrum_matches_dense_eigensolver(orders, n_blocks):
-    spec, w = _setup(orders)
-    result = finite_spectrum(spec, w, n_blocks)
+    spec = GroupUnionSpec(orders)
+    result = finite_spectrum(FiniteSection.of(spec, n_blocks))
     assert len(result) == result.section.dim
     assert result.max_residual() < 1e-9
-    ref = np.linalg.eigvals(build_finite_section(spec, w, n_blocks).matrix)
+    ref = np.linalg.eigvals(build_finite_section(spec, n_blocks).matrix)
     assert _multiset_gap(result.values(), ref) < 1e-8
 
 
 _U = np.finfo(float).eps / 2            # unit roundoff
 
 
-def _dense_residuals(spec, w, n_blocks, renormalize):
+def _dense_residuals(spec, n_blocks, renormalize):
     """Every eigenpair of the section as ``finite_spectrum`` builds it, in
     its order, with ||a v - lam v||_1 / ||v||_1 on the assembled matrix a
     and a bound on the rounding of any evaluation of that quotient.
@@ -306,10 +302,10 @@ def _dense_residuals(spec, w, n_blocks, renormalize):
     the division add (dim + 4) u times the residual.  Two routes differ by
     at most twice that.
     """
-    a = build_finite_section(spec, w, n_blocks, renormalize).matrix
+    a = build_finite_section(spec, n_blocks, renormalize).matrix
     abs_a = np.abs(a)
     d = spec.d
-    qs = FiniteSection.of(spec, w, n_blocks, renormalize).tilde_q
+    qs = FiniteSection.of(spec, n_blocks, renormalize).tilde_q
     k = np.count_nonzero(a, axis=1)
     pairs = []
     _, vs = _block_eig_vectors(spec)
@@ -319,7 +315,7 @@ def _dense_residuals(spec, w, n_blocks, renormalize):
             vec = np.zeros(a.shape[0], dtype=complex)
             vec[1 + (n - 1) * d:1 + n * d] = v
             pairs.append((damp * zeta, "block", n, vec))
-    lams = secular_roots(spec, w, n_blocks, renormalize)
+    lams = secular_roots(FiniteSection.of(spec, n_blocks, renormalize))
     lo, hi = finite._brackets(d, qs)
     xs = np.clip(1.0 - lams, np.nextafter(lo, hi), np.nextafter(hi, lo))
     for lam, x in zip(lams, xs):
@@ -344,12 +340,13 @@ def _worst_residual_gap(orders, sizes):
     """Largest |residual - dense residual| / bound over every eigenpair of
     the given sections, both normalisations; the values, kinds, blocks and
     order must be those of the dense route."""
-    spec, w = _setup(orders)
+    spec = GroupUnionSpec(orders)
     worst = 0.0
     for n_blocks in sizes:
         for renormalize in (True, False):
-            result = finite_spectrum(spec, w, n_blocks, renormalize)
-            ref = _dense_residuals(spec, w, n_blocks, renormalize)
+            result = finite_spectrum(
+                FiniteSection.of(spec, n_blocks, renormalize))
+            ref = _dense_residuals(spec, n_blocks, renormalize)
             assert [(r.kind, r.block_index) for r in result.records] == \
                 [(kind, n) for _, kind, n, _, _ in ref]
             assert result.values().tobytes() == \
@@ -375,8 +372,8 @@ def test_mis_signed_head_feed_fails_the_dense_oracle(monkeypatch):
     # moves the secular residuals far past the bound
     exact = finite.apply_operator
 
-    def mis_signed(spec, w, x, weights):
-        return exact(spec, w, x, weights) - np.concatenate(
+    def mis_signed(spec, x, weights):
+        return exact(spec, x, weights) - np.concatenate(
             ([0.0], 2.0 * np.repeat(weights, spec.d))) * x[..., :1]
 
     monkeypatch.setattr(finite, "apply_operator", mis_signed)
@@ -390,8 +387,8 @@ def test_finite_spectrum_assembles_no_section(monkeypatch):
     # the dense section and its search exist only among the test oracles
     monkeypatch.setattr(oracles, "build_finite_section", refuse)
     monkeypatch.setattr(oracles, "strongly_connected", refuse)
-    spec, w = _setup((2, 3))
-    result = finite_spectrum(spec, w, 40)
+    spec = GroupUnionSpec((2, 3))
+    result = finite_spectrum(FiniteSection.of(spec, 40))
     assert len(result) == result.section.dim == 201
     assert result.section.strongly_connected()
 
@@ -400,10 +397,10 @@ def test_finite_spectrum_memory_is_linear_in_the_section():
     # orders 2,3 at the largest N: the dense section alone would be
     # 4836^2 doubles, 187 MB; the residuals take 32 secular eigenvectors
     # a call
-    spec, w = _setup((2, 3))
+    spec = GroupUnionSpec((2, 3))
     tracemalloc.start()
     try:
-        result = finite_spectrum(spec, w, 967)
+        result = finite_spectrum(FiniteSection.of(spec, 967))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -415,8 +412,8 @@ def test_finite_spectrum_memory_is_linear_in_the_section():
 def test_finite_spectrum_block_multiplicities():
     # two cyclic factors: each block contributes the damped eigenvalue
     # (1 - q_n) itself once, from the difference of the fixed vectors
-    spec, w = _setup((2, 3))
-    result = finite_spectrum(spec, w, 3)
+    spec = GroupUnionSpec((2, 3))
+    result = finite_spectrum(FiniteSection.of(spec, 3))
     for n in range(1, 4):
         damp = 1.0 - result.section.tilde_q[n - 1]
         hits = [r for r in result.records
@@ -425,8 +422,8 @@ def test_finite_spectrum_block_multiplicities():
 
 
 def test_finite_spectrum_peripheral_only_at_one():
-    spec, w = _setup((2, 3))
-    result = finite_spectrum(spec, w, 8)
+    spec = GroupUnionSpec((2, 3))
+    result = finite_spectrum(FiniteSection.of(spec, 8))
     vals = result.values()
     mods = np.abs(vals)
     assert mods.max() == pytest.approx(1.0, abs=1e-12)
@@ -436,12 +433,12 @@ def test_finite_spectrum_peripheral_only_at_one():
 
 
 def test_finite_spectrum_no_renormalize_variant():
-    spec, w = _setup((2,))
-    result = finite_spectrum(spec, w, 4, renormalize=False)
+    spec = GroupUnionSpec((2,))
+    result = finite_spectrum(FiniteSection.of(spec, 4, renormalize=False))
     assert len(result) == result.section.dim
     assert result.max_residual() < 1e-9
     ref = np.linalg.eigvals(
-        build_finite_section(spec, w, 4, renormalize=False).matrix)
+        build_finite_section(spec, 4, renormalize=False).matrix)
     assert _multiset_gap(result.values(), ref) < 1e-8
 
 
@@ -516,8 +513,8 @@ def test_cofactor_det_is_bitwise_the_per_subset_expansion_on_verify_sections(
         orders, n_blocks):
     # dimensions 4 to 16; the per-subset reference visits all 2^16 subsets
     # of the largest, the pruned expansion about one in sixty
-    spec, w = _setup(orders)
-    a = build_finite_section(spec, w, n_blocks).matrix
+    spec = GroupUnionSpec(orders)
+    a = build_finite_section(spec, n_blocks).matrix
     lams = _disk_points(np.random.default_rng(11), 2 * a.shape[0])
     assert (cofactor_det_batch(a, lams).tobytes()
             == _per_subset_dets(a, lams).tobytes())
@@ -525,8 +522,8 @@ def test_cofactor_det_is_bitwise_the_per_subset_expansion_on_verify_sections(
 
 @pytest.mark.parametrize("orders,n_blocks", SMALL_SECTIONS)
 def test_cofactor_det_matches_numpy_on_the_verify_sections(orders, n_blocks):
-    spec, w = _setup(orders)
-    a = build_finite_section(spec, w, n_blocks).matrix
+    spec = GroupUnionSpec(orders)
+    a = build_finite_section(spec, n_blocks).matrix
     lams = _disk_points(np.random.default_rng(7), 2 * a.shape[0])
     np.testing.assert_allclose(cofactor_det_batch(a, lams),
                                _dense_dets(a, lams), rtol=1e-10)
@@ -548,8 +545,8 @@ def test_cofactor_det_memory_stays_at_the_reachable_layers():
     # dim 16 at 32 points: two layers of structurally nonzero minors, at
     # most 146 subsets each; the full 2^16 * 32 table alone is 33.5 MB, and
     # two full popcount layers of C(16, 8) * 32 values 13.2 MB
-    spec, w = _setup((2, 3))
-    a = build_finite_section(spec, w, 3).matrix
+    spec = GroupUnionSpec((2, 3))
+    a = build_finite_section(spec, 3).matrix
     lams = _disk_points(np.random.default_rng(3), 32)
     tracemalloc.start()
     try:
@@ -568,8 +565,8 @@ def test_cofactor_det_refuses_large_matrices():
 def test_factorization_crosscheck_all_small_cases():
     for orders, n_blocks in [((1,), 3), ((2,), 3), ((3,), 2), ((5,), 3),
                              ((2, 3), 2), ((2, 3), 3)]:
-        spec, w = _setup(orders)
-        rep = factorization_crosscheck(spec, w, n_blocks)
+        spec = GroupUnionSpec(orders)
+        rep = factorization_crosscheck(spec, n_blocks)
         assert rep.passed, (orders, n_blocks, rep.max_rel_error)
         assert rep.max_rel_error < 1e-8
         assert rep.samples == 2 * rep.dim
@@ -585,18 +582,18 @@ def test_factorization_crosscheck_catches_a_perturbed_eigenvalue(monkeypatch):
         result.records[0] = dataclasses.replace(rec, value=rec.value + 1e-6)
         return result
 
-    spec, w = _setup((2, 3))
-    assert factorization_crosscheck(spec, w, 2).passed
+    spec = GroupUnionSpec((2, 3))
+    assert factorization_crosscheck(spec, 2).passed
     monkeypatch.setattr(finite, "finite_spectrum", perturbed)
-    rep = factorization_crosscheck(spec, w, 2)
+    rep = factorization_crosscheck(spec, 2)
     assert not rep.passed
     assert rep.max_rel_error > 1e-8
 
 
 def test_factorization_crosscheck_is_seeded():
-    spec, w = _setup((2,))
-    a = factorization_crosscheck(spec, w, 2, seed=5)
-    b = factorization_crosscheck(spec, w, 2, seed=5)
+    spec = GroupUnionSpec((2,))
+    a = factorization_crosscheck(spec, 2, seed=5)
+    b = factorization_crosscheck(spec, 2, seed=5)
     assert a.max_rel_error == b.max_rel_error
 
 
@@ -604,12 +601,12 @@ def test_factorization_crosscheck_is_seeded():
 # convergence toward the target set
 # ---------------------------------------------------------------------------
 
-def _oracle_convergence(spec, w, n_max):
+def _oracle_convergence(spec, n_max):
     """The per-section route: each section's full spectrum, then the
     nearest eigenvalue to every target."""
     rows = []
     for n_blocks in range(1, n_max + 1):
-        result = finite_spectrum(spec, w, n_blocks)
+        result = finite_spectrum(FiniteSection.of(spec, n_blocks))
         vals = result.values()
         bound = 2.0 * float(result.section.tilde_q[-1])
         for angle in union_points(spec):
@@ -625,9 +622,9 @@ def _fields(rows):
 
 @pytest.mark.parametrize("orders", [(1,), (2,), (2, 3), (4, 6), (5, 7)])
 def test_convergence_matches_the_per_section_oracle_bitwise(orders):
-    spec, w = _setup(orders)
-    rows = convergence_table(spec, w, 60)
-    assert _fields(rows) == _oracle_convergence(spec, w, 60)
+    spec = GroupUnionSpec(orders)
+    rows = convergence_table(spec, 60)
+    assert _fields(rows) == _oracle_convergence(spec, 60)
 
 
 def test_convergence_assembles_no_section(monkeypatch):
@@ -636,8 +633,8 @@ def test_convergence_assembles_no_section(monkeypatch):
 
     monkeypatch.setattr(finite, "finite_spectrum", refuse)
     monkeypatch.setattr(oracles, "build_finite_section", refuse)
-    spec, w = _setup((2, 3))
-    assert len(convergence_table(spec, w, 16)) == 16 * 4
+    spec = GroupUnionSpec((2, 3))
+    assert len(convergence_table(spec, 16)) == 16 * 4
 
 
 def _bisected(monkeypatch, orders, n_max):
@@ -648,8 +645,8 @@ def _bisected(monkeypatch, orders, n_max):
                         lambda d, sections, sec, lo, hi:
                         sizes.append(lo.size) or bisect(d, sections, sec,
                                                         lo, hi))
-    spec, w = _setup(orders)
-    convergence_table(spec, w, n_max)
+    spec = GroupUnionSpec(orders)
+    convergence_table(spec, n_max)
     return sizes
 
 
@@ -681,9 +678,9 @@ def test_pruning_the_bracket_at_one_fails_the_oracle(monkeypatch):
         return prune(a, b, us, near) & ~((a <= 1.0) & (1.0 <= b))
 
     monkeypatch.setattr(finite, "_kept_brackets", drop_one)
-    spec, w = _setup((2, 3))
-    rows = _fields(convergence_table(spec, w, 16))
-    oracle = _oracle_convergence(spec, w, 16)
+    spec = GroupUnionSpec((2, 3))
+    rows = _fields(convergence_table(spec, 16))
+    oracle = _oracle_convergence(spec, 16)
     changed = [r[:2] for r, o in zip(rows, oracle) if r != o]
     assert changed == [(n, 0) for n in range(1, 17)]
 
@@ -691,8 +688,8 @@ def test_pruning_the_bracket_at_one_fails_the_oracle(monkeypatch):
 def test_convergence_rows_resolved_up_to_the_rounding_tolerance():
     # tau_N = (2N + 32) eps; orders 2,3 have bound 2 q~_N = 2^(1-N) / 5
     # above it up to N = 43
-    spec, w = _setup((2, 3))
-    rows = convergence_table(spec, w, 60)
+    spec = GroupUnionSpec((2, 3))
+    rows = convergence_table(spec, 60)
     eps = np.finfo(float).eps
     for r in rows:
         assert r.tolerance == (2 * r.n_blocks + 32) * eps
@@ -717,14 +714,14 @@ def test_convergence_row_gate_can_fail():
 
 
 def test_convergence_refuses_an_empty_table():
-    spec, w = _setup((2,))
+    spec = GroupUnionSpec((2,))
     with pytest.raises(ValueError):
-        convergence_table(spec, w, 0)
+        convergence_table(spec, 0)
 
 
 def test_convergence_rows_within_bound():
-    spec, w = _setup((2, 3))
-    rows = convergence_table(spec, w, 9)
+    spec = GroupUnionSpec((2, 3))
+    rows = convergence_table(spec, 9)
     assert len(rows) == 9 * 4
     assert all(r.ok for r in rows)
     # the distance for u != 1 tracks the damping weight itself
@@ -737,7 +734,7 @@ def test_convergence_rows_within_bound():
 
 
 def test_convergence_distances_decrease():
-    spec, w = _setup((2,))
-    rows = convergence_table(spec, w, 8)
+    spec = GroupUnionSpec((2,))
+    rows = convergence_table(spec, 8)
     half = [r.distance for r in rows if r.angle != 0]
     assert all(a > b for a, b in zip(half, half[1:]))

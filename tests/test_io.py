@@ -12,7 +12,7 @@ import pytest
 from spectral_forge import cli, io
 from spectral_forge.io import _format_cell, _slice_rows, write_csv, \
     write_json
-from spectral_forge.model import GroupUnionSpec, WeightSeq
+from spectral_forge.model import GroupUnionSpec
 from spectral_forge.scanner import scan_unit_circle
 
 
@@ -290,8 +290,7 @@ def _oracle_columns():
                                   _ties(rng, False, 1500)])
     for orders, depth, grid in (((2, 3), 40, 3600), ((4, 6), 60, 20011)):
         spec = GroupUnionSpec(orders)
-        rep = scan_unit_circle(spec, WeightSeq.dyadic_single(spec.d), grid,
-                               0.05, depth)
+        rep = scan_unit_circle(spec, grid, 0.05, depth)
         for c in rep.chunks:
             for col in (c.thetas, c.lams.real, c.lams.imag, c.den_lower,
                         c.block_bounds):

@@ -10,8 +10,8 @@ import pytest
 
 from spectral_forge import cli, scanner
 from spectral_forge.errors import BlockTooDeep, NotInTargetSet
-from spectral_forge.model import (GroupUnionSpec, WeightSeq, union_points,
-                                  union_values)
+from spectral_forge.model import (GroupUnionSpec, dyadic_weights,
+                                  union_points, union_values)
 from spectral_forge.resolvent import (CERTIFIED, SINGULAR, TAIL_INVALID,
                                       VERDICTS, _S_GAP_GUARD,
                                       coupling_series_batch, verdict_counts)
@@ -21,55 +21,50 @@ SINGULAR_CODE = VERDICTS.index(SINGULAR)
 TAIL_INVALID_CODE = VERDICTS.index(TAIL_INVALID)
 
 
-def _setup(orders):
-    spec = GroupUnionSpec(orders)
-    return spec, WeightSeq.dyadic_single(spec.d)
-
-
 # ---------------------------------------------------------------------------
 # residual certificates
 # ---------------------------------------------------------------------------
 
 def test_certificate_residual_closed_form():
-    spec, w = _setup((2, 3))
+    spec = GroupUnionSpec((2, 3))
     n = 5
-    q = w.value(n)
+    q = 2.0 ** -n / spec.d
     # away from 1 the Fourier vector sums to zero: residual q_n exactly
-    c = residual_certificate(spec, w, Fraction(1, 3), block_index=n)
+    c = residual_certificate(spec, Fraction(1, 3), block_index=n)
     assert c.inner_abs < 1e-15
     assert c.residual == pytest.approx(q, rel=1e-12)
     # at 1 the inner product is 1: residual 2 q_n
-    c1 = residual_certificate(spec, w, Fraction(0), block_index=n)
+    c1 = residual_certificate(spec, Fraction(0), block_index=n)
     assert c1.inner_abs == pytest.approx(1.0, abs=1e-15)
     assert c1.residual == pytest.approx(2.0 * q, rel=1e-12)
 
 
 def test_certificate_vector_is_normalised_eigenvector_of_block():
-    spec, w = _setup((2, 3))
-    c = residual_certificate(spec, w, Fraction(1, 2), 4)
+    spec = GroupUnionSpec((2, 3))
+    c = residual_certificate(spec, Fraction(1, 2), 4)
     assert np.abs(c.vector).sum() == pytest.approx(1.0)
     pv = spec.permute(c.vector)
     assert np.allclose(pv, c.value * c.vector, atol=1e-14)
 
 
 def test_certificate_rejects_off_target_points():
-    spec, w = _setup((2, 3))
+    spec = GroupUnionSpec((2, 3))
     with pytest.raises(NotInTargetSet):
-        residual_certificate(spec, w, Fraction(1, 5))
+        residual_certificate(spec, Fraction(1, 5))
 
 
 def test_certificate_takes_fraction_targets_modulo_one():
-    spec, w = _setup((2, 3))
-    assert residual_certificate(spec, w, Fraction(4, 3), 8).angle == \
+    spec = GroupUnionSpec((2, 3))
+    assert residual_certificate(spec, Fraction(4, 3), 8).angle == \
         Fraction(1, 3)
     with pytest.raises(NotInTargetSet,
                        match="angle 6/5 not in the target set"):
-        residual_certificate(spec, w, Fraction(6, 5))
+        residual_certificate(spec, Fraction(6, 5))
 
 
 def test_certificate_residual_shrinks_with_depth():
-    spec, w = _setup((3,))
-    res = [residual_certificate(spec, w, Fraction(1, 3), n).residual
+    spec = GroupUnionSpec((3,))
+    res = [residual_certificate(spec, Fraction(1, 3), n).residual
            for n in (5, 10, 20, 30)]
     assert all(a > b for a, b in zip(res, res[1:]))
     assert res[-1] == pytest.approx(2.0 ** -30 / 3, rel=1e-9)
@@ -81,16 +76,17 @@ def test_certificate_residual_shrinks_with_depth():
 def test_certificate_gate_holds_down_to_the_slop(orders):
     # every block with q_n above the slop passes the two-sided check, with
     # the rounding error far inside it; deeper blocks are refused by type
-    spec, w = _setup(orders)
-    deepest = max(n for n in range(1, 61) if w.value(n) > scanner.CERT_SLOP)
+    spec = GroupUnionSpec(orders)
+    qs = dyadic_weights(60, spec.d)
+    deepest = max(n for n in range(1, 61) if qs[n - 1] > scanner.CERT_SLOP)
     for angle in union_points(spec):
         for n in range(1, deepest + 1):
-            c = residual_certificate(spec, w, angle, n)
-            closed = w.value(n) * (1.0 + c.inner_abs)
+            c = residual_certificate(spec, angle, n)
+            closed = qs[n - 1] * (1.0 + c.inner_abs)
             assert abs(c.residual - closed) <= 4 * np.finfo(float).eps
             assert c.matches
         with pytest.raises(BlockTooDeep):
-            residual_certificate(spec, w, angle, deepest + 1)
+            residual_certificate(spec, angle, deepest + 1)
 
 
 @pytest.mark.parametrize("block", [30, 38, 40, 44])
@@ -98,11 +94,11 @@ def test_certificate_gate_rejects_a_zero_residual(monkeypatch, block):
     # negative control: an operator that maps z to lam * z leaves residual 0,
     # which must fail at every block the gate admits, not only at shallow
     # ones (an absolute 1e-12 check accepted it from block 38 on)
-    spec, w = _setup((2, 3))
+    spec = GroupUnionSpec((2, 3))
     lam = np.exp(2j * np.pi / 3)
     monkeypatch.setattr(scanner, "apply_operator",
-                        lambda spec, w, vec: lam * vec)
-    c = residual_certificate(spec, w, Fraction(1, 3), block)
+                        lambda spec, vec: lam * vec)
+    c = residual_certificate(spec, Fraction(1, 3), block)
     assert c.residual == 0.0
     assert c.matches is False
 
@@ -119,8 +115,8 @@ def _whole(report):
 
 
 def test_scan_small_grid_single_group():
-    spec, w = _setup((1,))
-    rep = _whole(scan_unit_circle(spec, w, grid_size=8,
+    spec = GroupUnionSpec((1,))
+    rep = _whole(scan_unit_circle(spec, grid_size=8,
                                   exclusion_radius=0.05))
     counts = verdict_counts(rep.codes)
     assert counts[CERTIFIED] == 7
@@ -132,11 +128,11 @@ def test_scan_small_grid_single_group():
 
 def test_scan_matches_pointwise_certification():
     # every scan point is the kernel's answer to a batch of one, bit for bit
-    spec, w = _setup((2, 3))
-    rep = _whole(scan_unit_circle(spec, w, grid_size=180,
+    spec = GroupUnionSpec((2, 3))
+    rep = _whole(scan_unit_circle(spec, grid_size=180,
                                   exclusion_radius=0.05))
     for i in range(len(rep.thetas)):
-        ref = scanner._circle_kernel(spec, w, [rep.lams[i]], 40, 0.05)
+        ref = scanner._circle_kernel(spec, [rep.lams[i]], 40, 0.05)
         assert rep.codes[i] == ref.verdict[0]
         assert rep.den_lower[i] == ref.den_lower[0]
         assert rep.block_bounds[i] == ref.block_bound[0]
@@ -144,8 +140,8 @@ def test_scan_matches_pointwise_certification():
 
 
 def test_scan_withholds_certification_on_exclusion_arcs():
-    spec, w = _setup((2, 3))
-    rep = _whole(scan_unit_circle(spec, w, grid_size=720,
+    spec = GroupUnionSpec((2, 3))
+    rep = _whole(scan_unit_circle(spec, grid_size=720,
                                   exclusion_radius=0.1))
     assert np.isin(rep.codes[rep.excluded],
                    [SINGULAR_CODE, TAIL_INVALID_CODE]).all()
@@ -155,8 +151,8 @@ def test_scan_withholds_certification_on_exclusion_arcs():
 
 def test_scan_verdicts_conjugation_symmetric():
     # the construction has real coefficients, so theta and 1-theta agree
-    spec, w = _setup((2, 3))
-    rep = _whole(scan_unit_circle(spec, w, grid_size=360))
+    spec = GroupUnionSpec((2, 3))
+    rep = _whole(scan_unit_circle(spec, grid_size=360))
     n = len(rep.thetas)
     for i in range(1, n // 2):
         assert rep.codes[i] == rep.codes[n - i]
@@ -165,8 +161,8 @@ def test_scan_verdicts_conjugation_symmetric():
 
 
 def test_scan_empirical_bound_and_metadata():
-    spec, w = _setup((2,))
-    rep = scan_unit_circle(spec, w, grid_size=90, depth=25)
+    spec = GroupUnionSpec((2,))
+    rep = scan_unit_circle(spec, grid_size=90, depth=25)
     assert rep.metadata["depth"] == 25
     assert rep.metadata["orders"] == [2]
     rim = _whole(rep)
@@ -176,23 +172,23 @@ def test_scan_empirical_bound_and_metadata():
 
 
 def test_scan_default_certificates_cover_target_set():
-    spec, w = _setup((2, 3))
-    rep = scan_unit_circle(spec, w, grid_size=12)
+    spec = GroupUnionSpec((2, 3))
+    rep = scan_unit_circle(spec, grid_size=12)
     assert [c.angle for c in rep.certificates] == union_points(spec)
     # deep default block: residuals at the 1e-10 scale
     for c in rep.certificates:
-        assert c.residual <= 2.0 * w.value(30) + 1e-14
+        assert c.residual <= 2.0 * 2.0 ** -30 / spec.d + 1e-14
 
 
 def test_scan_certifies_no_point_before_the_stream_is_read(monkeypatch):
     # the certificates are built at once; the grid only as it is iterated
-    spec, w = _setup((2, 3))
+    spec = GroupUnionSpec((2, 3))
     calls = []
     kernel = scanner._circle_kernel
     monkeypatch.setattr(scanner, "_circle_kernel",
-                        lambda *a: calls.append(len(a[2])) or kernel(*a))
+                        lambda *a: calls.append(len(a[1])) or kernel(*a))
     monkeypatch.setattr(scanner, "_CHUNK", 5)
-    rep = scan_unit_circle(spec, w, grid_size=12)
+    rep = scan_unit_circle(spec, grid_size=12)
     assert len(rep.certificates) == 4 and calls == []
     sizes = [len(c.thetas) for c in rep.chunks]
     assert sizes == calls == [5, 5, 2]
@@ -268,15 +264,15 @@ def test_kernel_memory_does_not_grow_with_depth():
     # the series runs over n on chunk-length buffers, so the peak is
     # O(chunk); chunk x (depth + 1) complex temporaries would take 262 MB
     # at depth 1000
-    spec, w = _setup((2, 3))
+    spec = GroupUnionSpec((2, 3))
     lams = np.exp(2j * np.pi * (np.arange(scanner._CHUNK) + 0.5)
                   / scanner._CHUNK)
-    scanner._circle_kernel(spec, w, lams, 40, 0.05)     # one-time setup
+    scanner._circle_kernel(spec, lams, 40, 0.05)        # one-time setup
     peaks = []
     for depth in (40, 1000):
         tracemalloc.start()
         try:
-            scanner._circle_kernel(spec, w, lams, depth, 0.05)
+            scanner._circle_kernel(spec, lams, depth, 0.05)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -296,8 +292,8 @@ def test_kernel_calls_the_series_through_its_traced_name(monkeypatch):
         return coupling_series_batch(*args, **kwargs)
 
     monkeypatch.setattr(scanner, "coupling_series_batch", spy)
-    spec, w = _setup((2, 3))
-    rep = scan_unit_circle(spec, w, grid_size=100, depth=30)
+    spec = GroupUnionSpec((2, 3))
+    rep = scan_unit_circle(spec, grid_size=100, depth=30)
     assert calls == []
     for _ in rep.chunks:
         pass
@@ -308,7 +304,7 @@ def test_kernel_calls_the_series_through_its_traced_name(monkeypatch):
 # the kernel against the full distance matrix
 # ---------------------------------------------------------------------------
 
-def _full_matrix_kernel(spec, w, lams, depth, exclusion_radius, rings):
+def _full_matrix_kernel(spec, lams, depth, exclusion_radius, rings):
     """The kernel with the gap taken over every ring point (1 - q) zeta at
     once and the block bound over every q, for ``rings`` = the q of each
     ring; the reference arithmetic.
@@ -319,7 +315,7 @@ def _full_matrix_kernel(spec, w, lams, depth, exclusion_radius, rings):
     Horner's rule and the powers of r by repeated multiplication."""
     lam = np.asarray(lams, dtype=complex)
     zeta = union_values(spec)
-    den, den_radius, valid = coupling_series_batch(w, lam, depth)
+    den, den_radius, valid = coupling_series_batch(spec.d, lam, depth)
     with np.errstate(invalid="ignore"):
         low = np.fmax(0.0, np.abs(den) - den_radius)
     c = (lam.real[:, None] * zeta.real[None, :]
@@ -330,11 +326,12 @@ def _full_matrix_kernel(spec, w, lams, depth, exclusion_radius, rings):
     for r in 1.0 - rings:
         ring = np.sqrt((r - c) * (r - c) + s * s)
         per_block = np.minimum(per_block, ring.min(axis=1))
+    qs = dyadic_weights(depth + 1, spec.d)
     near = np.min(np.abs(lam[:, None] - zeta[None, :]), axis=1)
-    limit = near - w.value(depth + 1)
+    limit = near - qs[-1]
     gap = np.maximum(0.0, np.minimum.reduce([np.abs(lam), per_block, limit]))
     bounds = np.zeros(lam.shape)
-    for q in w.values(depth):
+    for q in qs[:-1]:
         r = 1.0 - q
         a = np.abs(lam) * (1.0 / r)
         for m in set(spec.orders):
@@ -361,7 +358,7 @@ def _full_matrix_kernel(spec, w, lams, depth, exclusion_radius, rings):
                                 valid, verdict)
 
 
-def _oracle_points(spec, w, depth):
+def _oracle_points(spec, depth):
     """Circle grid, root midpoints on and off the circle and on rings,
     random points off the circle, tiny |lam| and lam = 0; and, on the rays
     of the roots 1 and -1 (where Re(lam conj(zeta)) is exactly c), points
@@ -370,16 +367,16 @@ def _oracle_points(spec, w, depth):
     rng = np.random.default_rng(depth)
     angles = np.array([float(a) for a in union_points(spec)] + [1.0])
     mid = np.exp(1j * np.pi * (angles[:-1] + angles[1:]))
-    radii = 1.0 - np.array([0.0, 0.5, 0.1, -0.2, w.value(1), w.value(2),
-                            w.value(depth)])
+    qs = dyadic_weights(depth + 1, spec.d)
+    radii = 1.0 - np.array([0.0, 0.5, 0.1, -0.2, qs[0], qs[1], qs[depth - 1]])
     tiny = np.array([1e-6, 3e-9, 1e-300, 5e-324]) * \
         np.exp(2j * np.pi * rng.random(4))
-    rings = np.unique(1.0 - w.values(depth))
+    rings = np.unique(1.0 - qs[:-1])
     one = np.nextafter(1.0, 0.0)
     cs = np.concatenate([
         rings, (rings[:-1] + rings[1:]) / 2.0,
         [0.5 * rings[0], 1.0, 1.0 + 1e-3, 2.0, one, one - 2.0 ** -52,
-         1.0 - w.value(depth + 1)]])
+         1.0 - qs[-1]]])
     on_rays = (cs[:, None] + 1j * np.array([0.0, 1e-9, 1e-3, 0.2])[None, :])
     return np.concatenate([
         np.exp(2j * np.pi * np.arange(720) / 720),
@@ -410,11 +407,12 @@ def test_kernel_matches_the_full_distance_matrix(orders, depth):
     # the two nearest roots give every field of the full |lam - (1-q) zeta|
     # minimum, bit for bit; at depth 200 most 1 - q_n round to 1, so the
     # kernel's one pass per distinct radius stands in for many blocks
-    spec, w = _setup(orders)
-    lams = _oracle_points(spec, w, depth)
-    ref = _full_matrix_kernel(spec, w, lams, depth, 0.05, w.values(depth))
+    spec = GroupUnionSpec(orders)
+    lams = _oracle_points(spec, depth)
+    ref = _full_matrix_kernel(spec, lams, depth, 0.05,
+                              dyadic_weights(depth, spec.d))
     assert _mismatched_fields(
-        scanner._circle_kernel(spec, w, lams, depth, 0.05), ref) == []
+        scanner._circle_kernel(spec, lams, depth, 0.05), ref) == []
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -423,11 +421,12 @@ def test_kernel_matches_the_full_distance_matrix(orders, depth):
 def test_kernel_oracle_catches_shifted_rings(orders, depth):
     # negative control: a kernel whose rings run over q_2..q_{depth+1}
     # differs from the reference in its gap on these points
-    spec, w = _setup(orders)
-    lams = _oracle_points(spec, w, depth)
-    ref = _full_matrix_kernel(spec, w, lams, depth, 0.05, w.values(depth))
-    shifted = _full_matrix_kernel(spec, w, lams, depth, 0.05,
-                                  w.values(depth + 1)[1:])
+    spec = GroupUnionSpec(orders)
+    lams = _oracle_points(spec, depth)
+    ref = _full_matrix_kernel(spec, lams, depth, 0.05,
+                              dyadic_weights(depth, spec.d))
+    shifted = _full_matrix_kernel(spec, lams, depth, 0.05,
+                                  dyadic_weights(depth + 1, spec.d)[1:])
     assert "gap" in _mismatched_fields(shifted, ref)
 
 
@@ -438,12 +437,13 @@ def test_kernel_oracle_catches_a_shifted_bracket(orders, depth, monkeypatch):
     # negative control: a radius lookup one index too high brackets c
     # between the two radii above it, and misses the nearer one below c
     # (at depth 1 there is one radius and nothing to shift)
-    spec, w = _setup(orders)
-    lams = _oracle_points(spec, w, depth)
-    ref = _full_matrix_kernel(spec, w, lams, depth, 0.05, w.values(depth))
+    spec = GroupUnionSpec(orders)
+    lams = _oracle_points(spec, depth)
+    ref = _full_matrix_kernel(spec, lams, depth, 0.05,
+                              dyadic_weights(depth, spec.d))
     search = np.searchsorted
     monkeypatch.setattr(np, "searchsorted", lambda a, v: search(a, v) + 1)
-    got = scanner._circle_kernel(spec, w, lams, depth, 0.05)
+    got = scanner._circle_kernel(spec, lams, depth, 0.05)
     assert "gap" in _mismatched_fields(got, ref)
 
 
@@ -452,8 +452,8 @@ def test_kernel_oracle_catches_a_shifted_bracket(orders, depth, monkeypatch):
 def test_kernel_is_silent_at_subnormal_lambda(size):
     # the series quotient overflows below |lam| ~ 1e-308; the kernel must
     # not warn, and the gap |lam| still withholds the certificate
-    spec, w = _setup((2, 3))
+    spec = GroupUnionSpec((2, 3))
     lam = size * np.exp(0.3j)
-    k = scanner._circle_kernel(spec, w, [lam], 40, 0.05)
+    k = scanner._circle_kernel(spec, [lam], 40, 0.05)
     assert k.verdict[0] == SINGULAR_CODE
     assert k.gap[0] == abs(lam)

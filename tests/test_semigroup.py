@@ -119,24 +119,24 @@ def test_block_generator_multipliers(gen):
     f = SemigroupState(2.0, [1, 6], [1, 1], [1.0, 1.0])
     bf = apply_generator(gen, f)             # no mode 0: B f off the head
     assert bf.head == -2.0
-    q1 = gen.weights.value(1)
+    q1 = 2.0 ** -1 / TWO_PI
     assert bf.coeff(1, 1) == pytest.approx(1j - q1)
     # block 6 runs at speed 3/2
-    q6 = gen.weights.value(6)
+    q6 = 2.0 ** -6 / TWO_PI
     assert bf.coeff(6, 1) == pytest.approx(1.5j - q6)
 
 
 def test_apply_generator_couples_head_and_masses(gen):
     f = SemigroupState(1.0, [2], [0], [0.25])
     af = apply_generator(gen, f)
-    q2 = gen.weights.value(2)
+    q2 = 2.0 ** -2 / TWO_PI
     # head receives <q, f> and loses itself
     assert af.head == pytest.approx(-1.0 + TWO_PI * q2 * 0.25)
     # block 2 mode 0: decay of its own mass plus the head feed
     assert af.coeff(2, 0) == pytest.approx(-q2 * 0.25 + q2 * 1.0)
     # a deep block receives the head feed only
     assert af.coeff(gen.depth, 0) == pytest.approx(
-        gen.weights.value(gen.depth))
+        (2.0 ** -gen.depth / TWO_PI))
 
 
 def test_mass_derivative_telescopes(gen):
@@ -153,7 +153,7 @@ def test_mass_derivative_telescopes(gen):
 def _axis_denominator(g, beta, depth=40):
     """D at i*beta and its radius, from the shared series as a batch of
     one at lam = 1 + i*beta."""
-    den, radius, _ = coupling_series_batch(g.weights, [1.0 + 1j * beta],
+    den, radius, _ = coupling_series_batch(TWO_PI, [1.0 + 1j * beta],
                                            depth)
     return den[0], radius[0]
 
@@ -162,8 +162,8 @@ def test_generator_series_brute_force():
     gen = GeneratorSpec()
     for beta in (0.0, 0.25, -0.7):
         den, radius = _axis_denominator(gen, beta)
-        h = sum(TWO_PI * gen.weights.value(n) ** 2
-                / (1j * beta + gen.weights.value(n)) for n in range(1, 200))
+        h = sum(TWO_PI * (2.0 ** -n / TWO_PI) ** 2
+                / (1j * beta + (2.0 ** -n / TWO_PI)) for n in range(1, 200))
         assert abs(den - (1.0 - h / (1j * beta + 1.0))) <= radius
         assert radius >= 2.0 ** -40 / abs(1j * beta + 1.0)
 
@@ -180,7 +180,7 @@ _EDGE_BETAS = [0.0, -0.0, 1.0, -1.0, 1e-7, -1e-7, 0.999999, -0.999999]
 
 def test_scalar_queries_are_batches_of_one(gen):
     betas = np.array(_EDGE_BETAS + [0.3, -2.5])
-    den, radius, _ = coupling_series_batch(gen.weights, 1.0 + 1j * betas, 40)
+    den, radius, _ = coupling_series_batch(TWO_PI, 1.0 + 1j * betas, 40)
     rep = scan_imaginary_axis(gen, betas)
     for i, beta in enumerate(betas.tolist()):
         assert _axis_denominator(gen, beta) == (den[i], radius[i])
@@ -337,7 +337,7 @@ def test_evolve_conserves_mass_and_positivity(gen):
 
 def test_evolve_single_mode_decay(gen):
     z = SemigroupState.single_mode(6, 1, 1.0 / TWO_PI)
-    q6 = gen.weights.value(6)
+    q6 = 2.0 ** -6 / TWO_PI
     for t in (0.5, 3.0, 25.0):
         zt = evolve(gen, z, t)
         assert abs(zt.norm1() - math.exp(-q6 * t)) < 1e-10
@@ -349,7 +349,7 @@ def test_evolve_single_mode_decay(gen):
 def test_evolve_deep_blocks_decay_decoupled(gen):
     f0 = SemigroupState(0j, [45], [0], [1.0])   # beyond the chain depth
     ft = evolve(gen, f0, 2.0)
-    q45 = gen.weights.value(45)
+    q45 = 2.0 ** -45 / TWO_PI
     assert abs(ft.coeff(45, 0) - math.exp(-2.0 * q45)) < 1e-14
 
 
@@ -385,7 +385,7 @@ def _per_time_evolve(g, f0, t, n_chain=None):
         if k == 0 and n <= n_chain:
             v0[n] += c
             continue
-        q = g.weights.value(n)
+        q = 2.0 ** -n / TWO_PI
         rate = (1j * g.omega_float(n, k) - q) if k != 0 else -q
         entries[n, k] = c * cmath.exp(rate * t)
     vt = expm(t * chain_generator(g, n_chain)) @ v0

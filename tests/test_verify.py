@@ -11,8 +11,7 @@ from spectral_forge import verify
 from spectral_forge.errors import NoSamples
 from spectral_forge.finite import finite_spectrum
 from spectral_forge.io import dump_json
-from spectral_forge.model import (GroupUnionSpec, WeightSeq,
-                                  stochasticity_check)
+from spectral_forge.model import GroupUnionSpec, stochasticity_check
 from spectral_forge.verify import (SUITE_NAMES, run_suite,
                                    suite_connectivity, suite_denominator,
                                    suite_factorization, suite_stochasticity)
@@ -40,8 +39,8 @@ def _stub_series(monkeypatch, change):
     """Route the suite's kernel through ``change(den, radius, valid)``."""
     kernel = verify.coupling_series_batch
 
-    def stub(w, lams, depth):
-        return change(*kernel(w, lams, depth))
+    def stub(unit, lams, depth):
+        return change(*kernel(unit, lams, depth))
 
     monkeypatch.setattr(verify, "coupling_series_batch", stub)
 
@@ -72,8 +71,8 @@ def test_suite_stochasticity_control_breaks_the_operator(seed):
     assert not bad.passed and bad.failures == 3
     for orders in ((1,), (2, 3), (4, 6)):
         spec = GroupUnionSpec(orders)
-        broken = stochasticity_check(
-            spec, WeightSeq.dyadic_single(spec.d + 1), trials=40, seed=seed)
+        broken = stochasticity_check(spec, trials=40, seed=seed,
+                                     unit=spec.d + 1)
         case = bad.detail["cases"][",".join(map(str, orders))]
         assert case["max_norm_defect"] == broken.max_norm_defect > 1e-12
 
@@ -94,14 +93,12 @@ def _closed_form_gap(op, log_det, lams):
     for the section's computed spectrum at the same lam."""
     g = log_det - verify._log_char_poly(op, lams)[0]
     gap = np.hypot(g.real, (g.imag + np.pi) % (2 * np.pi) - np.pi)
-    values = finite_spectrum(op.spec, op.weights, op.n_blocks).values()
+    values = finite_spectrum(op).values()
     return gap, verify._factorization_gaps(op, values, lams)[1]
 
 
 def _dense_section(orders, n_blocks):
-    spec = GroupUnionSpec(orders)
-    return build_finite_section(spec, WeightSeq.dyadic_single(spec.d),
-                                n_blocks)
+    return build_finite_section(GroupUnionSpec(orders), n_blocks)
 
 
 @pytest.mark.parametrize("orders,n_blocks", SMALL_SECTIONS)
