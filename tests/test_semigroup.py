@@ -136,7 +136,7 @@ def test_apply_generator_couples_head_and_masses(gen):
     assert af.coeff(2, 0) == pytest.approx(-q2 * 0.25 + q2 * 1.0)
     # a deep block receives the head feed only
     assert af.coeff(gen.depth, 0) == pytest.approx(
-        (2.0 ** -gen.depth / TWO_PI))
+        2.0 ** -gen.depth / TWO_PI)
 
 
 def test_mass_derivative_telescopes(gen):
@@ -163,7 +163,7 @@ def test_generator_series_brute_force():
     for beta in (0.0, 0.25, -0.7):
         den, radius = _axis_denominator(gen, beta)
         h = sum(TWO_PI * (2.0 ** -n / TWO_PI) ** 2
-                / (1j * beta + (2.0 ** -n / TWO_PI)) for n in range(1, 200))
+                / (1j * beta + 2.0 ** -n / TWO_PI) for n in range(1, 200))
         assert abs(den - (1.0 - h / (1j * beta + 1.0))) <= radius
         assert radius >= 2.0 ** -40 / abs(1j * beta + 1.0)
 
