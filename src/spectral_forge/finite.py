@@ -25,8 +25,8 @@ spectrum splits in closed form:
 ``finite_spectrum`` take as they are, so a control can hand them other
 weights.  Each eigenpair's residual comes from the one block its vector
 touches or from the flat forward map ``model.apply_operator``, and column
-sums and connectivity come in closed form and from the sparse pattern, so
-``eigs`` costs O(N d) memory and time per eigenvector.
+sums and connectivity come in closed form, so ``eigs`` costs O(N d)
+memory and time per eigenvector.
 ``verify`` checks the spectrum against the closed form det(lam - T_N) =
 lam phi_N(lam) prod_n prod_k (lam^m_k - (1 - q_n)^m_k), m_k the cyclic
 orders; the dense section and the cofactor determinant are test oracles.
@@ -103,30 +103,17 @@ class FiniteSection:
         return np.r_[np.cumsum(qs)[-1], qs + (1.0 - qs)]
 
     def strongly_connected(self) -> bool:
-        """Strong connectivity of the section's sparse pattern: the head
-        and each block entry feed each other where q~_n != 0, and P moves
-        each block entry into the next of its cycle where 1 - q~_n != 0.
-        Vertex 0 must reach every vertex along the edges and against them;
-        each step of the search is one pass over the O(dim) edges, and in
-        a coupled section every vertex is one edge from 0 both ways."""
-        d, q = self.spec.d, np.repeat(self.tilde_q, self.spec.d)
-        first = 1 + d * np.arange(self.n_blocks)[:, None]
-        entry = (first + np.arange(d)).ravel()
-        source = (first + self.spec.gather).ravel()
-        fed, moved = entry[q != 0.0], (1.0 - q) != 0.0
-        src = np.r_[np.zeros_like(fed), fed, source[moved]]
-        dst = np.r_[fed, np.zeros_like(fed), entry[moved]]
-        for a, b in ((src, dst), (dst, src)):
-            seen = np.arange(self.dim) == 0
-            frontier = seen.copy()
-            while frontier.any():
-                reached = np.zeros_like(seen)
-                reached[b[frontier[a]]] = True
-                frontier = reached & ~seen
-                seen |= frontier
-            if not seen.all():
-                return False
-        return True
+        """Strong connectivity of the section's sparse pattern, in closed
+        form: connected exactly when every q~_n is nonzero.
+
+        The head and each entry of block n feed each other, both ways,
+        exactly where q~_n != 0; every other edge is P's, from a block
+        entry to the next of its cycle inside the same block.  So if every
+        q~_n != 0, every vertex is one edge from the head both ways.  If
+        some q~_n == 0, no edge enters block n from outside it (P's cycles
+        stay inside the block), so the head never reaches it.  q~_n = 1
+        removes P's edges from block n but not its head edges."""
+        return bool(np.all(self.tilde_q != 0.0))
 
 
 # ---------------------------------------------------------------------------

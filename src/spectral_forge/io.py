@@ -6,8 +6,8 @@ repr (shortest round-trip form) in JSON and by %.17g in CSV so that equal
 inputs give byte-identical files.
 
 CSVs are written from a stream of column batches, each cut into slices of
-about ``_CELLS`` float cells (2048 rows of five float columns).  The
-float64 ndarray columns of a slice are stacked into one buffer and
+about ``_CELLS`` float cells (2560 rows of the scan's four float columns).
+The float64 ndarray columns of a slice are stacked into one buffer and
 rendered by one :func:`_format_floats` call, which gives exactly the bytes
 of ``'%.17g' % x`` for every cell; a NumPy ``S`` (bytes) column is written
 as it is; any other column goes cell by cell through :func:`_format_cell`.

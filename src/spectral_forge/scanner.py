@@ -126,7 +126,6 @@ class ScanChunk(NamedTuple):
     lams: np.ndarray
     codes: np.ndarray            # uint8 index of each point's verdict
     den_lower: np.ndarray
-    block_bounds: np.ndarray
     excluded: np.ndarray
 
 
@@ -143,7 +142,6 @@ class _CircleBatch(NamedTuple):
     den_radius: np.ndarray   # its certified radius
     den_lower: np.ndarray    # certified lower bound of |den|, 0 if invalid
     gap: np.ndarray          # certified lower bound of dist(lam, sigma(S))
-    block_bound: np.ndarray  # largest observed block-resolvent l1 norm
     dist: np.ndarray         # distance to the peripheral set
     excluded: np.ndarray     # dist <= exclusion_radius
     valid: np.ndarray        # the tail guard holds (at n = 1, so at every n)
@@ -170,19 +168,8 @@ def _circle_kernel(spec: GroupUnionSpec, lams, depth: int,
     r, so one of the two radii bracketing c attains that minimum
     (``searchsorted``), and since fl(t^2), fl(t^2 + s^2) and sqrt are
     monotone in |t|, the result is bit for bit the minimum of the same
-    expression over every radius.
-
-    The block bound is the measured stand-in for the uniform bound the
-    compactness argument provides; reported, never asserted.  It is the
-    largest sum_{j<m} |mu|^j / (r |mu^m - 1|), mu = lam / r, over the radii
-    r and the orders m, evaluated as the equal
-    S_m(|lam| / r) r^(m-1) / |lam^m - r^m| with S_m(a) = sum_{j<m} a^j.
-    lam^m is formed once per point by repeated multiplication; per distinct
-    radius only real arithmetic runs: a = |lam| * (1/r), S_m(a) by one
-    Horner chain over the sorted orders (no 0/0 at a = 1 and no
-    cancellation near it, unlike (a^m - 1) / (a - 1); Higham 2002, ch. 5),
-    and |lam^m - r^m| from the real and imaginary parts.  Each result
-    depends on its own point alone, so a scalar query is a batch of one.
+    expression over every radius.  Each result depends on its own point
+    alone, so a scalar query is a batch of one.
     """
     lam = np.asarray(lams, dtype=complex)
     zeta = union_values(spec)
@@ -191,7 +178,6 @@ def _circle_kernel(spec: GroupUnionSpec, lams, depth: int,
     q_limit = qs[-1]
 
     den, den_radius, valid = coupling_series_batch(spec.d, lam, depth)
-    rho = np.abs(lam)
     # fmax: the undefined disk at lam = 0 (and at subnormal |lam|, where
     # the radius is inf) gets the lower bound 0; the gap |lam| decides there
     with np.errstate(invalid="ignore"):
@@ -227,56 +213,13 @@ def _circle_kernel(spec: GroupUnionSpec, lams, depth: int,
         t = np.minimum(np.abs(radii[below] - c), np.abs(radii[above] - c))
         np.minimum(per_block, np.sqrt(t * t + s * s), out=per_block)
     limit = near - q_limit
-    gap = np.maximum(0.0, np.minimum.reduce([rho, per_block, limit]))
-
-    # lam^m for each order, with the real part and the squared imaginary
-    # part kept.  Each product goes to the other buffer: NumPy computes a
-    # one-element product in place without the fused multiply-add of its
-    # vector loop, so a batch of one would not match the scan
-    orders = sorted(set(spec.orders))
-    parts = []
-    power, spare = lam.copy(), np.empty_like(lam)
-    for m in range(1, orders[-1] + 1):
-        if m > 1:
-            np.multiply(power, lam, out=spare)
-            power, spare = spare, power
-        if m in orders:
-            parts.append((m, power.real.copy(), power.imag * power.imag))
-
-    # one pass per distinct radius: blocks whose radius rounds to the same
-    # float (n >~ 51 at d = 5) have the same block bound, and max does not
-    # depend on the order
-    bounds = np.zeros(lam.shape)
-    a, acc, dist, ratio = (np.empty(lam.shape) for _ in range(4))
-    for r in radii.tolist():
-        rpow = [1.0]
-        for _ in range(orders[-1]):
-            rpow.append(rpow[-1] * r)
-        np.multiply(rho, 1.0 / r, out=a)
-        acc.fill(1.0)
-        terms = 1
-        for m, re, im2 in parts:
-            # S_{j+1} = S_j a + 1, continued from the previous order
-            for _ in range(m - terms):
-                np.multiply(acc, a, out=acc)
-                np.add(acc, 1.0, out=acc)
-            terms = m
-            # |lam^m - r^m|, floored so that a hit on sigma(S) stays finite
-            np.subtract(re, rpow[m], out=dist)
-            np.multiply(dist, dist, out=dist)
-            np.add(dist, im2, out=dist)
-            np.sqrt(dist, out=dist)
-            np.maximum(dist, 1e-300, out=dist)
-            np.multiply(acc, rpow[m - 1], out=ratio)
-            np.divide(ratio, dist, out=ratio)
-            np.maximum(bounds, ratio, out=bounds)
+    gap = np.maximum(0.0, np.minimum.reduce([np.abs(lam), per_block, limit]))
 
     # certification is withheld on the exclusion arcs
     out = near <= exclusion_radius
     verdict = verdict_codes(gap, low, valid, out)
     low[~valid] = 0.0
-    return _CircleBatch(den, den_radius, low, gap, bounds, near, out, valid,
-                        verdict)
+    return _CircleBatch(den, den_radius, low, gap, near, out, valid, verdict)
 
 
 def scan_unit_circle(spec: GroupUnionSpec, grid_size: int = 3600,
@@ -300,7 +243,7 @@ def scan_unit_circle(spec: GroupUnionSpec, grid_size: int = 3600,
     # one chunk's columns, refilled per chunk, made below the kernels' heap
     size = min(grid_size, _CHUNK)
     columns = ScanChunk(*(np.empty(size, dtype=t) for t in (
-        float, complex, np.uint8, float, float, bool)))
+        float, complex, np.uint8, float, bool)))
 
     def chunks():
         for start in range(0, grid_size, size):
@@ -310,7 +253,7 @@ def scan_unit_circle(spec: GroupUnionSpec, grid_size: int = 3600,
             np.exp(2j * np.pi * part.thetas, out=part.lams)
             k = _circle_kernel(spec, part.lams, depth, exclusion_radius)
             for column, value in zip(part[2:], (k.verdict, k.den_lower,
-                                                k.block_bound, k.excluded)):
+                                                k.excluded)):
                 column[...] = value
             # ``k`` lives until the next kernel returns, so that the heap is
             # not trimmed and faulted in again; no kernel follows the last

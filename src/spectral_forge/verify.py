@@ -152,10 +152,10 @@ def _sections(rng: np.random.Generator):
 
 
 def suite_connectivity(seed: int = 0, corrupt: bool = False) -> SuiteResult:
-    """``FiniteSection.strongly_connected``, the search ``eigs`` runs, must
-    call each seeded section connected and, as a negative control, the
-    section with every weight zero disconnected.  ``corrupt`` skips the
-    zeroing, so the control stays coupled."""
+    """``FiniteSection.strongly_connected``, the closed form ``eigs``
+    reports, must call each seeded section connected and, as a negative
+    control, the section with every weight zero disconnected.  ``corrupt``
+    skips the zeroing, so the control stays coupled."""
     failures, cases = 0, {}
     for label, sec in _sections(substream(seed, "connectivity")):
         control = sec if corrupt else replace(sec, tilde_q=0.0 * sec.tilde_q)

@@ -6,9 +6,7 @@ exact dyadic weights and lam taken exactly from its float.  The kernel's
 disk must hold that value at 52 rim points of the default scan, at every
 depth up to the deepest the CLI accepts.  The gap
 to sigma(S) is checked against a brute-force minimum over the explicit
-spectrum {0}, (1 - q_n) zeta for n <= 200, and U itself.  The empirical
-block bound is checked against the same formula evaluated in 50 digits
-from the kernel's float inputs lam and r = 1 - q_n.
+spectrum {0}, (1 - q_n) zeta for n <= 200, and U itself.
 """
 
 import cmath
@@ -26,11 +24,11 @@ IDS = ["1", "2,3", "4,6", "5,7"]
 TERMS = 200
 
 
-def _rim(spec, points=52):
-    """Evenly spaced non-excluded points of the default grid 3600."""
+def _rim(spec):
+    """52 evenly spaced non-excluded points of the default grid 3600."""
     lams = np.exp(2j * np.pi * np.arange(3600) / 3600)
     rim = lams[~_circle_kernel(spec, lams, 20, 0.05).excluded]
-    return rim[np.linspace(0, rim.size - 1, points).round().astype(int)]
+    return rim[np.linspace(0, rim.size - 1, 52).round().astype(int)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -124,81 +122,3 @@ def test_gap_is_a_lower_bound_within_the_tail_weight(orders, depth):
         assert g <= true + slack
         assert g >= true - qs[depth] - slack
 
-
-# ---------------------------------------------------------------------------
-# the empirical block bound
-# ---------------------------------------------------------------------------
-
-BOUND_RTOL = 32 * np.finfo(float).eps
-BOUND_DEPTHS = [20, 40, 60]
-
-
-@functools.lru_cache(maxsize=None)
-def _block_truth(orders):
-    """120 rim points and, for n <= 60, the exact value at each of them of
-    max_m sum_{j<m} |mu|^j / |mu^m - 1| / r, mu = lam / r, r = 1 - q_n
-    as the kernel rounds it."""
-    spec = GroupUnionSpec(orders)
-    lams = _rim(spec, points=120)
-    radii = 1.0 - dyadic_weights(max(BOUND_DEPTHS), spec.d)
-    with mpmath.workdps(50):
-        truth = np.empty((radii.size, lams.size), dtype=object)
-        for i, r in enumerate(radii):
-            r = mpmath.mpf(r)
-            for k, lam in enumerate(lams):
-                mu = mpmath.mpc(lam.real, lam.imag) / r
-                truth[i, k] = max(_geometric(abs(mu), m) / abs(mu ** m - 1)
-                                  for m in set(orders)) / r
-    return lams, radii, truth
-
-
-def _geometric(a, m):
-    """sum_{j<m} a^j."""
-    total = term = mpmath.mpf(1)
-    for _ in range(m - 1):
-        term *= a
-        total += term
-    return total
-
-
-def _bound_errors(orders, depth, bounds):
-    """Relative error of ``bounds`` against the exact block bound at depth."""
-    lams, _, truth = _block_truth(orders)
-    with mpmath.workdps(50):
-        return np.array([float(abs(mpmath.mpf(b) - t) / t) for b, t in
-                         zip(bounds, truth[:depth].max(axis=0))])
-
-
-@pytest.mark.parametrize("depth", BOUND_DEPTHS)
-@pytest.mark.parametrize("orders", ORDERS, ids=IDS)
-def test_block_bound_matches_the_exact_formula(orders, depth):
-    spec = GroupUnionSpec(orders)
-    lams, _, _ = _block_truth(orders)
-    bounds = _circle_kernel(spec, lams, depth).block_bound
-    err = _bound_errors(orders, depth, bounds)
-    assert err.max() <= BOUND_RTOL, f"worst {err.max() / BOUND_RTOL:.3g} tol"
-
-
-def _horner_without_final_one(orders, depth):
-    """The block bound with sum_{j<m} |mu|^j evaluated by Horner's rule
-    whose last step drops its + 1."""
-    lams, radii, _ = _block_truth(orders)
-    bounds = np.zeros(lams.shape)
-    for r in radii[:depth]:
-        mu = lams / r
-        for m in set(orders):
-            acc = np.ones(lams.shape)
-            for step in range(m - 1):
-                acc = acc * np.abs(mu) + (step < m - 2)
-            bounds = np.maximum(bounds, acc / np.abs(mu ** m - 1.0) / r)
-    return bounds
-
-
-@pytest.mark.parametrize("depth", BOUND_DEPTHS)
-@pytest.mark.parametrize("orders", ORDERS[1:], ids=IDS[1:])
-def test_block_bound_audit_catches_a_dropped_horner_term(orders, depth):
-    # negative control: without the j = 0 term the sum is off by about 1/m
-    # relative, far above the tolerance at every point (order 1 has no
-    # Horner step to mutate)
-    err = _bound_errors(orders, depth, _horner_without_final_one(orders, depth))
-    assert (err > BOUND_RTOL).all()

@@ -177,7 +177,7 @@ def test_scan_circle_small_grid(tmp_path):
     assert rc == 0
     header, rows = read_csv(tmp_path / "scan_circle.csv")
     assert header == ["theta", "re_lambda", "im_lambda", "verdict",
-                      "denominator_abs_lower", "empirical_block_bound"]
+                      "denominator_abs_lower"]
     assert len(rows) == 8
     verdicts = [r[3] for r in rows]
     assert verdicts.count("CertifiedResolvent") == 7
@@ -191,6 +191,24 @@ def test_scan_circle_small_grid(tmp_path):
     assert cert["matches"] is True
     assert cert["tolerance"] == 1e-14
     assert abs(cert["residual"] - cert["expected"]) <= cert["tolerance"]
+
+
+@pytest.mark.parametrize("orders,exclusion,rim", [
+    ("97", "0.05", False), ("360", "0.05", False), ("96,97", "0.05", False),
+    ("97", "0.01", True)])
+def test_scan_circle_passes_only_with_a_rim(tmp_path, capsys, orders,
+                                            exclusion, rim):
+    # arcs of radius 0.05 around 97 or more roots cover the whole circle,
+    # so nothing off the targets is certified and the run must not pass;
+    # arcs of radius 0.01 leave a rim between 97 roots, certified throughout
+    rc = run(tmp_path, "scan-circle", "--orders", orders,
+             "--exclusion", exclusion)
+    summary = read_json(tmp_path / "scan_circle.json")
+    assert (rc, summary["all_nonexcluded_certified"]) == (1 - rim, rim)
+    assert summary["certificates_ok"] is True
+    assert (summary["counts"]["CertifiedResolvent"] > 0) is rim
+    assert ("no grid point lies off the exclusion arcs"
+            in capsys.readouterr().err) is not rim
 
 
 @pytest.mark.parametrize("argv", [["--orders", "1", "--grid", "8"],
@@ -221,17 +239,16 @@ def test_scan_circle_certificates_cover_targets(tmp_path):
 
 def test_scan_circle_default_artifacts_are_pinned(tmp_path):
     # sha256 of the default run (orders 2,3, grid 3600, depth 40), as
-    # written with the block bound S_m(|lam|/r) r^(m-1) / |lam^m - r^m|
-    # and the denominator radius that includes rounding; any byte that
-    # moves is a regression
+    # written with the denominator radius that includes rounding; any byte
+    # that moves is a regression
     assert run(tmp_path, "scan-circle") == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("scan_circle.csv", "scan_circle.json")}
     assert digests == {
-        "scan_circle.csv": "6dc9d3b189301f8e719c7ad55c4c70bc8f915020b935fc"
-                           "fffa9be8e86ab06e64",
-        "scan_circle.json": "4d6495249ab8f5de6b0cb445d4fa8b45e676ef446556939"
-                            "025f0455619ab9315",
+        "scan_circle.csv": "d9adf4f9a8fdc90b77f149aa1f7c4c858f0ce18b9f9a94"
+                           "3b0d179496b5ef8947",
+        "scan_circle.json": "25f9fa8ee5828eb24c020168a63d5ac5dca02d2c53c3ec"
+                            "d1b8b5e7fc546597d8",
     }
 
 
@@ -241,45 +258,16 @@ def sha256_of(tmp_path, *names):
 
 
 def test_scan_circle_multi_chunk_artifacts_are_pinned(tmp_path):
-    # grid 20011 spans three scan chunks and five CSV batches; sha256 as
-    # written with the block bound S_m(|lam|/r) r^(m-1) / |lam^m - r^m|
-    # and the denominator radius that includes rounding
+    # grid 20011 spans three scan chunks and ten CSV slices; sha256 as
+    # written with the denominator radius that includes rounding
     assert run(tmp_path, "scan-circle", "--orders", "4,6", "--depth", "60",
                "--grid", "20011") == 0
     assert sha256_of(tmp_path, "scan_circle.csv", "scan_circle.json") == {
-        "scan_circle.csv": "aff6a4462987f06254b30f154de781e489633087f305f1"
-                           "bde7ccba025e90359c",
-        "scan_circle.json": "d7c43291fea80859e65cadcabd849a87ff6f1daba7c36b"
-                            "ab4ed22f8e8c37d939",
+        "scan_circle.csv": "8d1c9312783bad35d5f76dcfaeed84da2cdb6db2a7178c"
+                           "59fbd1e8427e256845",
+        "scan_circle.json": "edfbfd34fcd4441c55a2352a309fe9d7aef373940f46f2"
+                            "501c36937577000cf9",
     }
-
-
-def sha256_without_block_bound(tmp_path):
-    """sha256 of scan_circle.csv without its last column (the empirical
-    block bound) and of scan_circle.json without empirical_resolvent_bound."""
-    with open(tmp_path / "scan_circle.csv", "rb") as fh:
-        columns = b"".join(line.rsplit(b",", 1)[0] + b"\n" for line in fh)
-    summary = read_json(tmp_path / "scan_circle.json")
-    del summary["empirical_resolvent_bound"]
-    return (hashlib.sha256(columns).hexdigest(),
-            hashlib.sha256(json.dumps(summary, sort_keys=True)
-                           .encode()).hexdigest())
-
-
-@pytest.mark.parametrize("argv,digests", [
-    ([], ("d9adf4f9a8fdc90b77f149aa1f7c4c858f0ce18b9f9a943b0d179496b5ef8947",
-          "46c3759b61fe201dcd6066108b2c9b5d387480d47b5048e7453ab0738413c471")),
-    (["--orders", "4,6", "--depth", "60", "--grid", "20011"],
-     ("8d1c9312783bad35d5f76dcfaeed84da2cdb6db2a7178c59fbd1e8427e256845",
-      "0f2a77c1bb85893b6ecd12c026cd72e0f1fe5c38b533e079a05b395cbb8510da")),
-], ids=["default", "grid-20011"])
-def test_scan_circle_columns_outside_the_block_bound_are_pinned(
-        tmp_path, argv, digests):
-    # angle, lambda, verdict and the denominator lower bound do not depend
-    # on how the block bound is evaluated; sha256 as written with the
-    # denominator radius that includes rounding
-    assert run(tmp_path, "scan-circle", *argv) == 0
-    assert sha256_without_block_bound(tmp_path) == digests
 
 
 @pytest.mark.parametrize("depth,terms", [(1, 1), (40, 40), (300, 300),

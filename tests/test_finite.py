@@ -11,7 +11,7 @@ import pytest
 import oracles
 from oracles import (SMALL_SECTIONS, build_finite_section,
                      cofactor_det_batch, factorization_crosscheck,
-                     strongly_connected)
+                     permutation_matrix, strongly_connected)
 from spectral_forge import finite
 from spectral_forge.finite import (FiniteSection, _block_eig_vectors,
                                    _block_zetas, convergence_table,
@@ -125,13 +125,27 @@ def _scipy_strongly_connected(matrix):
     return count == 1
 
 
+def _reweighted(op, block, q):
+    """``op`` with the weight of ``block`` set to ``q``: the section, and
+    the dense matrix assembled with that weight."""
+    d = op.spec.d
+    rows = slice(1 + (block - 1) * d, 1 + block * d)
+    a = op.matrix.copy()
+    a[rows, 0] = a[0, rows] = q
+    a[rows, rows] = (1.0 - q) * permutation_matrix(op.spec)
+    tilde_q = op.tilde_q.copy()
+    tilde_q[block - 1] = q
+    return FiniteSection(op.spec, op.n_blocks, op.renormalized, tilde_q), a
+
+
 @pytest.mark.parametrize("orders", [(1,), (2, 3), (4, 6), (5, 7)])
 def test_strongly_connected_agrees_with_scipy_on_every_section(orders):
-    # the sections eigs checks (N = 1..40, both normalisations) and the
-    # coupled and uncoupled ones the connectivity suite builds: the search
-    # on the section's sparse pattern, which eigs runs, against the dense
-    # search and SciPy on the assembled matrix; all weights 0 zero the head
-    # row and column of the pattern
+    # the sections eigs checks (N = 1..40, both normalisations), the
+    # coupled and uncoupled ones the connectivity suite builds, and each
+    # section with its middle weight set to 0 (that block is cut off) or to
+    # 1 (P's edges in it vanish, its head edges stay): the closed form,
+    # which eigs runs, against the dense search and SciPy on the assembled
+    # matrix; all weights 0 zero the head row and column of the pattern
     spec = GroupUnionSpec(orders)
     for n in range(1, 41):
         for renormalize in (True, False):
@@ -143,7 +157,13 @@ def test_strongly_connected_agrees_with_scipy_on_every_section(orders):
                 is True
             assert zeroed.strongly_connected() is \
                 strongly_connected(uncoupled) is False
-            for m in (op.matrix, uncoupled):
+            cut, cut_matrix = _reweighted(op, (n + 1) // 2, 0.0)
+            full, full_matrix = _reweighted(op, (n + 1) // 2, 1.0)
+            assert cut.strongly_connected() is \
+                strongly_connected(cut_matrix) is False
+            assert full.strongly_connected() is \
+                strongly_connected(full_matrix) is True
+            for m in (op.matrix, uncoupled, cut_matrix, full_matrix):
                 assert _scipy_strongly_connected(m) in (None,
                                                         strongly_connected(m))
 

@@ -13,7 +13,7 @@ from spectral_forge import cli, io
 from spectral_forge.io import _format_cell, _slice_rows, write_csv, \
     write_json
 from spectral_forge.model import GroupUnionSpec
-from spectral_forge.scanner import scan_unit_circle
+from spectral_forge.scanner import _circle_kernel, scan_unit_circle
 
 
 def _theta_verdict(n, bad_at):
@@ -64,8 +64,8 @@ def test_artifacts_follow_the_umask(tmp_path, umask, mode):
         assert os.stat(tmp_path / name).st_mode & 0o777 == mode
 
 
-# rows per slice of a batch with five float64 columns, as the scan's; a
-# test that cuts across slices gives its batch five float columns
+# rows per slice of a batch with five float64 columns; a test that cuts
+# across slices gives its batch five float columns
 _ROWS = _slice_rows(5)
 
 
@@ -288,13 +288,16 @@ def _oracle_columns():
                                  for k in range(-324, 308)])
     yield "ties", np.concatenate([_ties(rng, True, 1500),
                                   _ties(rng, False, 1500)])
+    # the scan's float columns, and the kernel's 1 / gap at the same points
+    # (1 to 2e4, and inf where the gap is 0)
     for orders, depth, grid in (((2, 3), 40, 3600), ((4, 6), 60, 20011)):
         spec = GroupUnionSpec(orders)
         rep = scan_unit_circle(spec, grid, 0.05, depth)
         for c in rep.chunks:
-            for col in (c.thetas, c.lams.real, c.lams.imag, c.den_lower,
-                        c.block_bounds):
+            for col in (c.thetas, c.lams.real, c.lams.imag, c.den_lower):
                 yield "scan", col
+            with np.errstate(divide="ignore"):
+                yield "scan", 1.0 / _circle_kernel(spec, c.lams, depth).gap
 
 
 def test_format_floats_matches_python_on_a_million_values():
@@ -368,10 +371,10 @@ def test_scan_csv_leaves_few_cells_to_python(tmp_path, monkeypatch):
 
     monkeypatch.setattr(io, "_decide", spy)
     assert cli.main(["scan-circle", "--out", str(tmp_path)]) == 0
-    # one call per CSV slice for all five float columns, not one per column
-    assert [size for size, _ in seen] == [5 * 2048, 5 * (3600 - 2048)]
+    # one call per CSV slice for all four float columns, not one per column
+    assert [size for size, _ in seen] == [4 * 2560, 4 * (3600 - 2560)]
     cells, undecided = map(sum, zip(*seen))
-    assert cells == 5 * 3600
+    assert cells == 4 * 3600
     assert 0 < undecided <= 0.03 * cells
 
 
@@ -380,11 +383,11 @@ def test_scan_csv_leaves_few_cells_to_python(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_the_cell_budget_sets_the_rows_per_slice():
-    # scan-circle's five float columns keep 2048-row slices; evolve.csv's
+    # scan-circle's four float columns get 2560-row slices; evolve.csv's
     # eleven get 930 rows, and --trace-blocks 200 (203 columns) 50
     assert io._CELLS == 5 * 2048
-    assert [_slice_rows(k) for k in (0, 1, 2, 5, 11, 203, 20_000)] == \
-        [10240, 10240, 5120, 2048, 930, 50, 1]
+    assert [_slice_rows(k) for k in (0, 1, 2, 4, 5, 11, 203, 20_000)] == \
+        [10240, 10240, 5120, 2560, 2048, 930, 50, 1]
 
 
 def _formatted_sizes(monkeypatch):
@@ -479,13 +482,12 @@ def test_short_columns_take_python_formatter_whatever_their_cells(
 
 
 def _scan_batch(points):
-    """The six columns of one scan chunk of ``points`` rows."""
+    """The five columns of one scan chunk of ``points`` rows."""
     theta = 2.0 * np.pi * np.arange(points) / points
     lams = np.exp(1j * theta)
     verdicts = np.array([b"CertifiedResolvent", b"SingularCandidate",
                          b"TailInvalid"])[np.arange(points) % 3]
-    return [theta, lams.real, lams.imag, verdicts, np.abs(np.sin(theta)),
-            1.0 / (1e-3 + np.abs(np.cos(theta)))]
+    return [theta, lams.real, lams.imag, verdicts, np.abs(np.sin(theta))]
 
 
 # transient peak allowed to one CSV: about 250 bytes per float cell of a

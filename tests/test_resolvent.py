@@ -20,13 +20,6 @@ def _point(spec, lam, depth=40):
     return _circle_kernel(spec, [lam], depth)
 
 
-def _cyclic_matrix(m):
-    c = np.zeros((m, m))
-    for i in range(m):
-        c[(i + 1) % m, i] = 1.0
-    return c
-
-
 # ---------------------------------------------------------------------------
 # the gap to sigma(S)
 # ---------------------------------------------------------------------------
@@ -199,26 +192,3 @@ def test_certified_point_denominator_lower_bound():
     assert k.den_lower[0] > 0.0
     assert k.den_lower[0] <= abs(k.den[0])
 
-
-# ---------------------------------------------------------------------------
-# observed block bounds
-# ---------------------------------------------------------------------------
-
-def test_block_resolvent_bound_matches_dense():
-    spec = GroupUnionSpec((2,))
-    lam = 1j
-    bound = _point(spec, lam, depth=6).block_bound[0]
-    c = _cyclic_matrix(2)
-    worst = 0.0
-    for n in range(1, 7):
-        q = 2.0 ** -n / spec.d
-        inv = np.linalg.inv(lam * np.eye(2) - (1.0 - q) * c)
-        worst = max(worst, np.abs(inv).sum(axis=0).max())
-    assert bound == pytest.approx(worst, rel=1e-12)
-
-
-def test_block_resolvent_bound_blows_up_on_spectrum():
-    # on the damped copy of -1 the block determinant vanishes; the kernel
-    # floors it at 1e-300, so the bound is astronomically large
-    spec = GroupUnionSpec((2,))
-    assert _point(spec, -(1.0 - 2.0 ** -2 / spec.d)).block_bound[0] >= 1e300

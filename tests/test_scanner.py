@@ -135,7 +135,6 @@ def test_scan_matches_pointwise_certification():
         ref = scanner._circle_kernel(spec, [rep.lams[i]], 40, 0.05)
         assert rep.codes[i] == ref.verdict[0]
         assert rep.den_lower[i] == ref.den_lower[0]
-        assert rep.block_bounds[i] == ref.block_bound[0]
         assert rep.excluded[i] == ref.excluded[0]
 
 
@@ -160,15 +159,11 @@ def test_scan_verdicts_conjugation_symmetric():
                                                  rel=1e-12, abs=1e-15)
 
 
-def test_scan_empirical_bound_and_metadata():
+def test_scan_metadata():
     spec = GroupUnionSpec((2,))
     rep = scan_unit_circle(spec, grid_size=90, depth=25)
     assert rep.metadata["depth"] == 25
     assert rep.metadata["orders"] == [2]
-    rim = _whole(rep)
-    bounds = rim.block_bounds[~rim.excluded]
-    assert np.isfinite(bounds).all()
-    assert bounds.max() >= 1.0      # resolvent norms near the rim are >= 1
 
 
 def test_scan_default_certificates_cover_target_set():
@@ -209,20 +204,20 @@ def test_scan_csv_rows_shape_and_determinism(tmp_path):
     assert csv1 == csv2
     rows = csv1.decode().splitlines()[1:]
     assert len(rows) == 60
-    assert {len(r.split(",")) for r in rows} == {6}
+    assert {len(r.split(",")) for r in rows} == {5}
 
 
-# chunk 2048 is the CSV batch; a chunk of 3000 ends inside a CSV batch; the
-# grids 295, 4097, 6001 and 16385 leave one point in the last chunk
+# chunk 2560 is the CSV slice; a chunk of 3000 ends inside a CSV slice; the
+# grids 295, 4097, 5121, 6001 and 16385 leave one point in the last chunk
 @pytest.mark.parametrize("chunk,grid", [
-    (1, 300), (7, 300), (7, 295), (2048, 4097), (3000, 6001),
+    (1, 300), (7, 300), (7, 295), (2048, 4097), (2560, 5121), (3000, 6001),
     (scanner._CHUNK, 2 * scanner._CHUNK + 1),
     (scanner._CHUNK, 2 * scanner._CHUNK + 301)])
 def test_scan_does_not_depend_on_the_chunk_size(chunk, grid, tmp_path,
                                                 monkeypatch):
-    # the streamed command writes the bytes and folds the counts, the rim
-    # maximum and the rim flag of one chunk over the whole grid; at depth 1
-    # and narrow arcs the rim holds withheld points, so the flag is false
+    # the streamed command writes the bytes and folds the counts and the
+    # rim flag of one chunk over the whole grid; at depth 1 and narrow arcs
+    # the rim holds withheld points, so the flag is false
     for depth, exclusion in (("40", "0.05"), ("1", "0.01")):
         flags = ("--orders", "4,6", "--depth", depth, "--exclusion",
                  exclusion)
@@ -231,8 +226,7 @@ def test_scan_does_not_depend_on_the_chunk_size(chunk, grid, tmp_path,
         monkeypatch.setattr(scanner, "_CHUNK", chunk)
         got = _scan_circle(tmp_path, f"got{depth}", grid, *flags)
         assert got[:2] == ref[:2]
-        for key in ("counts", "empirical_resolvent_bound",
-                    "all_nonexcluded_certified"):
+        for key in ("counts", "all_nonexcluded_certified"):
             assert got[2][key] == ref[2][key], key
         assert got[2] == ref[2]
     assert ref[0] == 1 and not ref[2]["all_nonexcluded_certified"]
@@ -251,8 +245,8 @@ def _scan_circle_peak(tmp_path, grid) -> int:
 
 def test_scan_circle_memory_does_not_grow_with_the_grid(tmp_path,
                                                         monkeypatch):
-    # scan and CSV together: a column spanning the grid (42 bytes a point
-    # over the six per-point columns) adds 1.3 MB at 16 times the grid
+    # scan and CSV together: a column spanning the grid (34 bytes a point
+    # over the five per-point columns) adds 1.1 MB at 16 times the grid
     monkeypatch.setattr(scanner, "_CHUNK", 512)
     _scan_circle_peak(tmp_path, 2048)               # one-time tables
     small = _scan_circle_peak(tmp_path, 2048)
@@ -306,13 +300,10 @@ def test_kernel_calls_the_series_through_its_traced_name(monkeypatch):
 
 def _full_matrix_kernel(spec, lams, depth, exclusion_radius, rings):
     """The kernel with the gap taken over every ring point (1 - q) zeta at
-    once and the block bound over every q, for ``rings`` = the q of each
-    ring; the reference arithmetic.
+    once, for ``rings`` = the q of each ring; the reference arithmetic.
 
     Each ring distance is sqrt((r - c)^2 + s^2) with c + i s = lam conj(zeta)
-    taken in real arithmetic for every root, and each block term is
-    S_m(|lam| / r) r^(m-1) / max(|lam^m - r^m|, 1e-300), with S_m by
-    Horner's rule and the powers of r by repeated multiplication."""
+    taken in real arithmetic for every root."""
     lam = np.asarray(lams, dtype=complex)
     zeta = union_values(spec)
     den, den_radius, valid = coupling_series_batch(spec.d, lam, depth)
@@ -330,32 +321,14 @@ def _full_matrix_kernel(spec, lams, depth, exclusion_radius, rings):
     near = np.min(np.abs(lam[:, None] - zeta[None, :]), axis=1)
     limit = near - qs[-1]
     gap = np.maximum(0.0, np.minimum.reduce([np.abs(lam), per_block, limit]))
-    bounds = np.zeros(lam.shape)
-    for q in qs[:-1]:
-        r = 1.0 - q
-        a = np.abs(lam) * (1.0 / r)
-        for m in set(spec.orders):
-            power = lam
-            for _ in range(m - 1):
-                power = power * lam
-            r_m = r_m1 = 1.0
-            for _ in range(m):
-                r_m1, r_m = r_m, r_m * r
-            dist = np.sqrt((power.real - r_m) * (power.real - r_m)
-                           + power.imag * power.imag)
-            total = np.ones(lam.shape)
-            for _ in range(m - 1):
-                total = total * a + 1.0
-            bounds = np.maximum(
-                bounds, total * r_m1 / np.maximum(dist, 1e-300))
     out = near <= exclusion_radius
     withheld = (gap <= _S_GAP_GUARD) | (low <= 0.0) | out
     verdict = np.zeros(lam.shape, dtype=np.uint8)
     verdict[valid & withheld] = SINGULAR_CODE
     verdict[~valid] = TAIL_INVALID_CODE
     low[~valid] = 0.0
-    return scanner._CircleBatch(den, den_radius, low, gap, bounds, near, out,
-                                valid, verdict)
+    return scanner._CircleBatch(den, den_radius, low, gap, near, out, valid,
+                                verdict)
 
 
 def _oracle_points(spec, depth):
@@ -405,8 +378,8 @@ _KERNEL_IDS = ["1", "2,3", "4,6", "5,7", "2,3,5"]
 @pytest.mark.parametrize("orders", _KERNEL_ORDERS, ids=_KERNEL_IDS)
 def test_kernel_matches_the_full_distance_matrix(orders, depth):
     # the two nearest roots give every field of the full |lam - (1-q) zeta|
-    # minimum, bit for bit; at depth 200 most 1 - q_n round to 1, so the
-    # kernel's one pass per distinct radius stands in for many blocks
+    # minimum, bit for bit; at depth 200 most 1 - q_n round to 1, so each
+    # of the kernel's distinct radii stands in for many blocks
     spec = GroupUnionSpec(orders)
     lams = _oracle_points(spec, depth)
     ref = _full_matrix_kernel(spec, lams, depth, 0.05,
