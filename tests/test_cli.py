@@ -270,6 +270,27 @@ def test_scan_circle_multi_chunk_artifacts_are_pinned(tmp_path):
     }
 
 
+@pytest.mark.parametrize("argv,digests", [
+    ([], ("d9adf4f9a8fdc90b77f149aa1f7c4c858f0ce18b9f9a943b0d179496b5ef8947",
+          "46c3759b61fe201dcd6066108b2c9b5d387480d47b5048e7453ab0738413c471")),
+    (["--orders", "4,6", "--depth", "60", "--grid", "20011"],
+     ("8d1c9312783bad35d5f76dcfaeed84da2cdb6db2a7178c59fbd1e8427e256845",
+      "0f2a77c1bb85893b6ecd12c026cd72e0f1fe5c38b533e079a05b395cbb8510da")),
+], ids=["default", "grid-20011"])
+def test_scan_circle_columns_outside_the_block_bound_are_pinned(
+        tmp_path, argv, digests):
+    # the digests pinned, before its deletion, for every column and key but
+    # the empirical block bound; the scan now writes exactly those columns,
+    # so the whole CSV and the key-sorted JSON must still hash to them
+    assert run(tmp_path, "scan-circle", *argv) == 0
+    summary = read_json(tmp_path / "scan_circle.json")
+    assert "empirical_resolvent_bound" not in summary
+    assert (hashlib.sha256((tmp_path / "scan_circle.csv").read_bytes())
+            .hexdigest(),
+            hashlib.sha256(json.dumps(summary, sort_keys=True).encode())
+            .hexdigest()) == digests
+
+
 @pytest.mark.parametrize("depth,terms", [(1, 1), (40, 40), (300, 300),
                                          (301, 300), (1074, 300)])
 def test_scan_json_reports_the_series_terms_summed(tmp_path, depth, terms):
