@@ -15,7 +15,7 @@ oracles live with the tests, not in the package.
 from .errors import (BlockTooDeep, ExponentialUnresolved, NoSamples,
                      NotInTargetSet, RootCountMismatch, SpectralForgeError)
 from .model import (GroupUnionSpec, apply_operator, dyadic_weights,
-                    stochasticity_check, union_points, union_values)
+                    union_points, union_values)
 from .resolvent import (CERTIFIED, SINGULAR, TAIL_INVALID,
                         coupling_series_batch)
 from .scanner import EigCertificate, ScanChunk, ScanReport, \

@@ -29,7 +29,7 @@ from .model import GroupUnionSpec
 from .resolvent import CERTIFIED, SINGULAR, TAIL_INVALID, VERDICT_LABELS, \
     VERDICTS
 from .scanner import CERT_SLOP, scan_unit_circle
-from .semigroup import GeneratorSpec, SemigroupState, evolve, \
+from .semigroup import TWO_PI, GeneratorSpec, SemigroupState, evolve, \
     mode_certificate, scan_imaginary_axis
 from .verify import SUITE_NAMES, run_suites
 
@@ -348,7 +348,7 @@ def cmd_evolve(args) -> int:
     if args.mode:
         try:
             n, k = (int(s) for s in args.mode.split(","))
-            f0 = SemigroupState.single_mode(n, k, 1.0 / (2.0 * np.pi))
+            f0 = SemigroupState.single_mode(n, k, 1.0 / TWO_PI)
         except ValueError:
             raise UsageError(f"mode: {args.mode!r} is not 'n,k' with a "
                              "block index n >= 1")
@@ -373,7 +373,7 @@ def cmd_evolve(args) -> int:
     # np.max propagates NaN, and a NaN drift fails the gate below
     worst_drift = float(np.max(np.abs(mass - mass0)))
     cols = [times, mass, ft.head.real] + [
-        np.broadcast_to(2.0 * np.pi * ft.coeff(n, 0).real, times.shape)
+        np.broadcast_to(TWO_PI * ft.coeff(n, 0).real, times.shape)
         for n in range(1, args.trace_blocks + 1)]
 
     headers = ["t", "mass", "head"] + \

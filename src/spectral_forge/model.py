@@ -23,7 +23,6 @@ vectors.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -36,7 +35,6 @@ __all__ = [
     "union_points",
     "union_values",
     "apply_operator",
-    "stochasticity_check",
 ]
 
 
@@ -154,73 +152,3 @@ def apply_operator(spec: GroupUnionSpec, x: np.ndarray,
     out[..., 1:] = ((1.0 - q) * spec.permute(blocks)
                     + x[..., :1, None] * q).reshape(x.shape[:-1] + (-1,))
     return out
-
-
-# ---------------------------------------------------------------------------
-# stochasticity property check
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StochasticityReport:
-    trials: int
-    max_norm_defect: float      # worst relative | ||Tf|| - ||f|| |
-    max_negativity: float       # worst entrywise negativity of T f
-
-
-def stochasticity_check(spec: GroupUnionSpec, trials: int = 50, seed: int = 0,
-                        unit: Optional[float] = None) -> StochasticityReport:
-    """Random-vector measurement of how far T is from preserving mass and
-    positivity.
-
-    Draws non-negative vectors on up to 12 blocks.  The l1 norm of T f is
-    summed over its support and then over the closed-form tail
-    f_0 q_n 1 until the tail's remaining mass |f_0| 2^-n is at most 1e-16;
-    that remainder is added to the defect.  The tail's sign is that of
-    Re f_0.  The pass/fail comparison is the caller's.  ``unit`` replaces
-    the weights' unit d, so a control can break the operator.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x510C]))
-    d = spec.d
-    unit = d if unit is None else unit
-    worst_defect = 0.0
-    worst_neg = 0.0
-    for _ in range(trials):
-        nblocks = int(rng.integers(1, 7))
-        idx = [int(n) for n in
-               rng.choice(np.arange(1, 13), size=nblocks, replace=False)]
-        blocks = [rng.random(d) for _ in idx]
-        head = complex(rng.random())
-        depth = max(idx)
-        f = np.zeros(1 + depth * d, dtype=complex)
-        f[0] = head
-        for n, b in zip(idx, blocks):
-            f[1 + (n - 1) * d:1 + n * d] = b
-        q = dyadic_weights(depth + 1, unit)
-        tf = apply_operator(spec, f, q[:-1])
-
-        nf = abs(head)
-        for b in blocks:                      # in the order drawn
-            nf += float(np.abs(b).sum())
-        ntf = abs(tf[0])
-        for s in np.abs(tf[1:]).reshape(depth, d).sum(axis=1).tolist():
-            ntf += s
-        # the tail runs to the first block ``stop`` whose remainder
-        # |f_0| 2^-stop is at most 1e-16; halving is exact, so with
-        # |f_0| 2^-depth = f 2^e and 1e-16 = g 2^k (f, g in [1/2, 1)) that
-        # is e - k blocks further, one more where f > g
-        stop, rem = depth, abs(head) * 2.0 ** -depth
-        if rem > 1e-16:
-            (f, e), (g, k) = math.frexp(rem), math.frexp(1e-16)
-            stop += e - k + (f > g)
-            rem = abs(head) * 2.0 ** -stop
-            # added one term at a time after the support mass
-            tail = np.abs(head * dyadic_weights(stop, unit)[depth:]) * d
-            ntf = np.cumsum(np.concatenate(([ntf], tail)))[-1]
-        worst_defect = max(worst_defect, abs(ntf - nf) / nf + rem / nf)
-
-        neg = min(0.0, float(np.min(tf[1:].real)))
-        neg = min(neg, min(0.0, tf[0].real))
-        # the tail's largest coefficient is head * q_{depth+1}
-        neg = min(neg, min(0.0, head.real * q[-1]))
-        worst_neg = min(worst_neg, neg)
-    return StochasticityReport(trials, float(worst_defect), float(-worst_neg))

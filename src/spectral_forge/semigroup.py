@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import ClassVar, List
+from typing import ClassVar
 
 import numpy as np
 
@@ -61,57 +61,58 @@ TWO_PI = 2.0 * math.pi
 # rational speed schedule
 # ---------------------------------------------------------------------------
 
+def _totients(n: int) -> list:
+    """phi(0), ..., phi(n), by the sieve phi(m) = m prod_{p | m} (1 - 1/p)."""
+    phi = list(range(n + 1))
+    for p in range(2, n + 1):
+        if phi[p] == p:                            # p is prime
+            for m in range(p, n + 1, p):
+                phi[m] -= phi[m] // p
+    return phi
+
+
 class RationalSchedule:
     """Enumeration of Q cap [1,2] with every value recurring infinitely often.
 
     The base list orders the rationals by denominator, then numerator, in
-    lowest terms: 1, 2, 3/2, 4/3, 5/3, 5/4, 7/4, ...  The schedule pairs
+    lowest terms: 1, 2, 3/2, 4/3, 5/3, 5/4, 7/4, ...  Denominator 1 holds
+    two of them and every s >= 2 holds phi(s), so p/s sits at 1 + sum_{t<s}
+    phi(t) plus the count of p' in (s, p] coprime to s.  The schedule pairs
     base index i with occurrence m along anti-diagonals, so w_n sweeps
     1, 1, 2, 1, 2, 3/2, 1, ...
     """
-
-    def __init__(self):
-        self._base: List[Fraction] = []
-        self._next_den = 1
-
-    def _extend(self, count: int):
-        while len(self._base) < count:
-            s = self._next_den
-            for p in range(s, 2 * s + 1):
-                if math.gcd(p, s) == 1:
-                    self._base.append(Fraction(p, s))
-            self._next_den += 1
 
     def base_rational(self, i: int) -> Fraction:
         """i-th rational of the base enumeration (1-indexed)."""
         if i < 1:
             raise ValueError("base index starts at 1")
-        self._extend(i)
-        return self._base[i - 1]
+        n = 1                       # enough denominators to reach i
+        while 1 + sum(phi := _totients(n)) < i:
+            n *= 2
+        s, start = 1, 1             # start: 1 + sum_{t<s} phi(t)
+        while start + phi[s] < i:
+            start, s = start + phi[s], s + 1
+        rank, j = i - start, 0      # the rank-th j coprime to s: p = s + j
+        while rank:
+            j += 1
+            rank -= math.gcd(j, s) == 1
+        return Fraction(s + j, s)
 
     def base_index(self, r) -> int:
         """Position of r in the base enumeration (lowest terms compared)."""
         r = Fraction(r)
         if not 1 <= r <= 2:
             raise ValueError(f"{r} is outside [1, 2]")
-        i = 0
-        for s in range(1, r.denominator + 1):
-            for p in range(s, 2 * s + 1):
-                if math.gcd(p, s) == 1:
-                    i += 1
-                    if (p, s) == (r.numerator, r.denominator):
-                        return i
-        raise ValueError(f"{r} not reached")      # pragma: no cover
+        s = r.denominator
+        return 1 + sum(_totients(s - 1)) + sum(
+            math.gcd(j, s) == 1 for j in range(1, r.numerator - s + 1))
 
     def omega(self, n: int) -> Fraction:
         """Speed of block n (exact rational)."""
         if n < 1:
             raise ValueError("blocks are indexed from 1")
-        t = 2
-        while (t - 1) * t // 2 < n:
-            t += 1
-        i = n - (t - 2) * (t - 1) // 2
-        return self.base_rational(i)
+        m = (1 + math.isqrt(8 * n - 7)) // 2      # anti-diagonal m + 1
+        return self.base_rational(n - m * (m - 1) // 2)
 
     def index_of(self, r, occurrence: int = 1) -> int:
         """Block index of the ``occurrence``-th appearance of speed r."""

@@ -1,12 +1,12 @@
 """Seeded property suites bundled behind the ``verify`` command.
 
 Each suite checks one pillar of the construction against an independent
-route (exact decimal arithmetic, the closed-form characteristic
-polynomial, the graph search ``eigs`` runs on the sparse pattern, with a
-negative control) and reports a machine-readable pass/fail record.  The
-``corrupt`` flag breaks one thing in each suite, a bound, the operator or
-the control, so the harness can be shown to catch regressions; no
-control adds to a reported number.
+route (exact decimal arithmetic, every column of the forward map, the
+closed-form characteristic polynomial, the connectivity ``eigs`` reports
+on coupled and uncoupled sections) and reports a machine-readable
+pass/fail record.  The ``corrupt`` flag breaks one thing in each suite, a
+bound, the operator or the control, so the harness can be shown to catch
+regressions; no control adds to a reported number.
 """
 
 from __future__ import annotations
@@ -14,15 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, replace
 from decimal import Decimal, localcontext
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from .errors import NoSamples
 from .finite import FiniteSection, finite_spectrum
 from .io import substream
-from .model import GroupUnionSpec, dyadic_weights, stochasticity_check
-from .resolvent import UNIT_ROUNDOFF, coupling_series_batch
+from .model import GroupUnionSpec, apply_operator, dyadic_weights
+from .resolvent import UNIT_ROUNDOFF, coupling_series_batch, gamma
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite", "run_suites"]
 
@@ -109,28 +109,41 @@ def suite_denominator(seed: int = 0, corrupt: bool = False) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 def suite_stochasticity(seed: int = 0, corrupt: bool = False) -> SuiteResult:
-    """The forward map must preserve mass and positivity.
+    """Every column of T on 12 blocks must have l1 mass 1 and no negative
+    entry, for the orders (1,), (2,3) and (4,6); ``seed`` draws nothing.
 
-    ``corrupt`` breaks the operator: weights 2^-n / (d + 1) leave the head
-    column mass d / (d + 1), which the check must measure.
+    ``apply_operator`` on the stacked identity of the raw section gives
+    T's columns, which by linearity settle mass and positivity for every
+    vector on that support.  The head column's mass adds its closed-form
+    tail 2^-N.  A column's mass is a sum of at most N d nonzero entries
+    and that tail, each entry a weight rounded once (or 1 - q_n, one
+    rounding more, in a column of two entries), so with the subtraction of
+    1 it is within gamma_{N d + 2} of 1.  An entry is negative where it is
+    not its own absolute value, which also catches a NaN.  ``corrupt``
+    passes the weights 2^-n / (d + 1), which leave the head column's mass
+    near d / (d + 1).
     """
-    checks = failures = 0
-    worst = 0.0
-    details: Dict[str, dict] = {}
+    n = 12
+    failures, cases = 0, {}
     for orders in ((1,), (2, 3), (4, 6)):
         spec = GroupUnionSpec(orders)
-        rep = stochasticity_check(spec, trials=40, seed=seed,
-                                  unit=spec.d + int(corrupt))
-        checks += rep.trials
-        if rep.max_norm_defect > 1e-12 or rep.max_negativity > 1e-15:
-            failures += 1
-        worst = max(worst, rep.max_norm_defect)
-        details[",".join(map(str, orders))] = {
-            "max_norm_defect": rep.max_norm_defect,
-            "max_negativity": rep.max_negativity,
-        }
-    return SuiteResult("stochasticity", failures == 0, checks, failures,
-                       {"worst_defect": worst, "cases": details})
+        x = np.eye(1 + n * spec.d)
+        q = dyadic_weights(n, spec.d + int(corrupt))
+        cols = apply_operator(spec, x, q)
+        size = np.abs(cols)
+        defect = np.abs(size.sum(axis=1) + x[:, 0] * 2.0 ** -n - 1.0)
+        negative = cols != size
+        tol = gamma(n * spec.d + 2)
+        bad = np.flatnonzero(~(defect <= tol) | negative.any(axis=1))
+        failures += bad.size
+        worst = float(defect.max())
+        cases[",".join(map(str, orders))] = {
+            "columns": x.shape[0], "tolerance": tol, "worst_defect": worst,
+            "margin": tol - worst, "negative_entries": int(negative.sum()),
+            "failed_columns": bad.tolist()}
+    return SuiteResult("stochasticity", failures == 0,
+                       sum(c["columns"] for c in cases.values()), failures,
+                       {"n_blocks": n, "cases": cases})
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,8 @@ def test_5_finite_sections_reproduce_the_peripheral_targets():
     ok_count = len(result) == 61
     ok_resid = result.max_residual() <= 1e-9
     ok_cols = float(np.abs(col - 1.0).max()) <= 1e-12
-    # the pattern search eigs runs, and the dense search as its oracle
+    # the closed form eigs reports (every weight nonzero), and the dense
+    # edge search as its oracle
     ok_conn = result.section.strongly_connected() and \
         strongly_connected(build_finite_section(spec, 12).matrix)
     mods = np.abs(vals)

@@ -539,27 +539,29 @@ def test_verify_reports_are_reproducible(tmp_path):
 
 
 @pytest.mark.parametrize("seed,digest", [
-    ("0", "d7afa7341cd7ef5033ea4b8335c143e083a58d247f599cec3961463e9bdcc52e"),
-    ("7", "84f184389feb290384caad5bc48d88d67ebe7b4987c08f5cdceef8500bb34c70"),
+    ("0", "f18d1332c4e777643005ef3a013da14bbffc7e883c32b64a156ba7b51e823126"),
+    ("7", "875daccb06d3317b400aa9f3928e83b37263d92551159942d92463e046d74497"),
 ], ids=["seed-0", "seed-7"])
 def test_verify_report_is_pinned(tmp_path, seed, digest):
-    # sha256 of verify.json as written with the connectivity and
-    # factorization suites on seeded matrix-free sections: the pattern
-    # search and the closed-form determinant
+    # sha256 of verify.json as written with the stochasticity suite on the
+    # forward map's columns, and the connectivity and factorization suites
+    # on seeded matrix-free sections: the closed-form connectivity and the
+    # closed-form determinant
     assert run(tmp_path, "verify", "--seed", seed) == 0
     assert hashlib.sha256(
         (tmp_path / "verify.json").read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("seed,digest", [
-    ("0", "77958c38ae3ab367cb875bf302679d0981930fce304e72b8dcd84904bdad1abd"),
-    ("7", "5e37dcfe762e01b0a115f69e5b17a0e556947c762f0b800826ac7480b3e5f6db"),
+    ("0", "c20ffa13cf356f86194232f5a4f94d56e11755d0f6c5ec0d9e36ad6e1c0ea704"),
+    ("7", "0f6ebf714abb0e43026d593a51d6fd61f160649037512899806d2ae2252fbf0e"),
 ], ids=["seed-0", "seed-7"])
 def test_verify_corrupt_report_is_pinned(tmp_path, seed, digest):
     # sha256 of verify.json with every negative control on: the widened
-    # denominator radius, the stochasticity and factorization runs on the
-    # weights 2^-n / (d + 1), the connectivity control left coupled.  Each
-    # control must break its suite in exactly the same numbers
+    # denominator radius, the forward map's columns and the section's
+    # spectrum on the weights 2^-n / (d + 1), the connectivity control left
+    # coupled.  Each control must break its suite in exactly the same
+    # numbers
     assert run(tmp_path, "verify", "--seed", seed, "--corrupt") == 1
     assert hashlib.sha256(
         (tmp_path / "verify.json").read_bytes()).hexdigest() == digest

@@ -8,8 +8,7 @@ import pytest
 
 from oracles import build_finite_section, permutation_matrix
 from spectral_forge.model import (GroupUnionSpec, apply_operator,
-                                  dyadic_weights, stochasticity_check,
-                                  union_points, union_values)
+                                  dyadic_weights, union_points, union_values)
 from spectral_forge.scanner import _circle_kernel
 from spectral_forge.semigroup import TWO_PI
 
@@ -211,89 +210,3 @@ def test_weight_vector_has_unit_norm():
     assert q[0] == 0.0
     assert (q[1:] == np.repeat(dyadic_weights(40, spec.d), spec.d)).all()
     assert abs(np.abs(q).sum() + 2.0 ** -40 - 1.0) <= 1e-15
-
-
-def test_stochasticity_check_passes():
-    spec = GroupUnionSpec((2, 3))
-    rep = stochasticity_check(spec, trials=30, seed=3)
-    assert rep.trials == 30
-    assert rep.max_norm_defect <= 1e-12
-    assert rep.max_negativity <= 1e-15
-
-
-def _loop_norm_defect(spec, unit, trials, seed):
-    """The worst norm defect with the tail summed the way the closed form
-    replaced: one block at a time until |f_0| 2^-n <= 1e-16, for the
-    weights 2^-n / unit."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x510C]))
-    d = spec.d
-    worst = 0.0
-    for _ in range(trials):
-        nblocks = int(rng.integers(1, 7))
-        idx = [int(n) for n in
-               rng.choice(np.arange(1, 13), size=nblocks, replace=False)]
-        blocks = [rng.random(d) for _ in idx]
-        head = complex(rng.random())
-        depth = max(idx)
-        f = np.zeros(1 + depth * d, dtype=complex)
-        f[0] = head
-        for n, b in zip(idx, blocks):
-            f[1 + (n - 1) * d:1 + n * d] = b
-        tf = apply_operator(spec, f, dyadic_weights(depth, unit))
-        nf = abs(head)
-        for b in blocks:
-            nf += float(np.abs(b).sum())
-        ntf = abs(tf[0])
-        for s in np.abs(tf[1:]).reshape(depth, d).sum(axis=1).tolist():
-            ntf += s
-        n, rem = depth, abs(head) * 2.0 ** -depth
-        while rem > 1e-16:
-            n += 1
-            ntf += abs(head * (2.0 ** -n / unit)) * d
-            rem = abs(head) * 2.0 ** -n
-        worst = max(worst, abs(ntf - nf) / nf + rem / nf)
-    return worst
-
-
-@pytest.mark.parametrize("orders", [(1,), (2, 3), (4, 6), (5, 7)])
-def test_closed_form_tail_is_the_loop(orders):
-    # the tail's stop from frexp and its one cumsum give the loop's defect
-    # exactly, for the stochastic weights and the corrupt ones of verify
-    spec = GroupUnionSpec(orders)
-    for unit in (spec.d, spec.d + 1):
-        for seed in range(6):
-            rep = stochasticity_check(spec, trials=40, seed=seed, unit=unit)
-            assert rep.max_norm_defect == _loop_norm_defect(spec, unit, 40,
-                                                            seed)
-
-
-class _GivenHeads:
-    """A seeded generator whose scalar draws, the trials' heads, come from
-    a given list instead."""
-
-    def __init__(self, rng, heads):
-        self._rng, self._heads = rng, iter(heads)
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
-
-    def random(self, size=None):
-        return next(self._heads) if size is None else self._rng.random(size)
-
-
-def test_closed_form_tail_stops_where_the_loop_does_on_the_boundary(
-        monkeypatch):
-    # heads whose remainders land exactly on 1e-16 after some halvings, and
-    # one float either side of it: the loop stops at the first remainder
-    # <= 1e-16, and so must the closed form
-    heads = [h for m in range(20, 54)
-             for h in (np.nextafter(1e-16 * 2.0 ** m, 0.0), 1e-16 * 2.0 ** m,
-                       np.nextafter(1e-16 * 2.0 ** m, 1.0))]
-    seeded = np.random.default_rng
-    spec = GroupUnionSpec((2, 3))
-    unit = spec.d + 1                            # a defect that shows
-    for first in range(0, len(heads), 6):
-        monkeypatch.setattr(np.random, "default_rng", lambda seq: _GivenHeads(
-            seeded(seq), heads[first:first + 6]))
-        rep = stochasticity_check(spec, trials=6, unit=unit)
-        assert rep.max_norm_defect == _loop_norm_defect(spec, unit, 6, 0)

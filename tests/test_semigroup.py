@@ -1,6 +1,7 @@
 """Rational speed schedule, flat states, generator, axis scan, evolution."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -63,6 +64,34 @@ def test_index_of_inverts_omega():
         r = s.omega(n)
         seen[r] = seen.get(r, 0) + 1
         assert s.index_of(r, seen[r]) == n
+
+
+def _enumeration(max_den):
+    """The base list by its definition: denominators 1, 2, ..., then
+    numerators ascending, lowest terms only."""
+    return [Fraction(p, s) for s in range(1, max_den + 1)
+            for p in range(s, 2 * s + 1) if math.gcd(p, s) == 1]
+
+
+def test_closed_form_schedule_is_the_enumeration():
+    s = RationalSchedule()
+    base = _enumeration(60)
+    positions = list(range(1, len(base) + 1))
+    assert [s.base_rational(i) for i in positions] == base
+    assert [s.base_index(r) for r in base] == positions
+    # block n walks the anti-diagonals t = i + m of (base index i,
+    # occurrence m), i ascending
+    walk = [base[i - 1] for t in range(2, 80) for i in range(1, t)]
+    assert [s.omega(n) for n in range(1, len(walk) + 1)] == walk
+
+
+def test_index_of_is_fast_for_a_large_denominator():
+    # 4999/2500 sits past about 1.9 million rationals of the base list
+    s = RationalSchedule()
+    t0 = time.perf_counter()
+    n = s.index_of(Fraction(4999, 2500))
+    assert time.perf_counter() - t0 < 0.5
+    assert s.omega(n) == Fraction(4999, 2500)
 
 
 def test_every_speed_recurs(gen):

@@ -11,7 +11,7 @@ from spectral_forge import verify
 from spectral_forge.errors import NoSamples
 from spectral_forge.finite import finite_spectrum
 from spectral_forge.io import dump_json
-from spectral_forge.model import GroupUnionSpec, stochasticity_check
+from spectral_forge.model import GroupUnionSpec
 from spectral_forge.verify import (SUITE_NAMES, run_suite,
                                    suite_connectivity, suite_denominator,
                                    suite_factorization, suite_stochasticity)
@@ -64,17 +64,50 @@ def test_suite_denominator_without_valid_points_raises(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_suite_stochasticity_control_breaks_the_operator(seed):
-    # the control's weights 2^-n / (d + 1) leave the head column mass
-    # d / (d + 1); the suite reports the defect the check measures on that
-    # operator, not a correct defect shifted by a constant
+    # the control's weights 2^-n / (d + 1) leave the head column's mass
+    # d / (d + 1) (1 - 2^-12) + 2^-12; every other column keeps mass 1
+    ok = suite_stochasticity(seed=seed)
+    assert ok.passed and ok.failures == 0 and ok.checks == 13 + 61 + 121
+    # the rounding of a correct column uses a small part of gamma_{Nd+2}
+    for case in ok.detail["cases"].values():
+        assert case["failed_columns"] == [] and case["negative_entries"] == 0
+        assert 0.0 <= case["worst_defect"] <= 0.2 * case["tolerance"]
     bad = suite_stochasticity(seed=seed, corrupt=True)
+    assert not bad.passed and bad.failures == 3 and bad.checks == ok.checks
+    for label, case in bad.detail["cases"].items():
+        d = sum(map(int, label.split(",")))
+        assert case["failed_columns"] == [0]
+        assert case["negative_entries"] == 0
+        assert case["worst_defect"] == pytest.approx(
+            (1.0 - 2.0 ** -12) / (d + 1), rel=1e-12)
+        assert case["margin"] == case["tolerance"] - case["worst_defect"] < 0
+
+
+def test_suite_stochasticity_catches_one_negative_entry(monkeypatch):
+    # negative control: column 1's head entry q_1 with its sign flipped
+    # keeps every column's l1 mass, so only the positivity check sees it
+    exact = verify.apply_operator
+
+    def flipped(*args):
+        out = exact(*args)
+        out[1, 0] = -out[1, 0]
+        return out
+
+    monkeypatch.setattr(verify, "apply_operator", flipped)
+    bad = suite_stochasticity()
     assert not bad.passed and bad.failures == 3
-    for orders in ((1,), (2, 3), (4, 6)):
-        spec = GroupUnionSpec(orders)
-        broken = stochasticity_check(spec, trials=40, seed=seed,
-                                     unit=spec.d + 1)
-        case = bad.detail["cases"][",".join(map(str, orders))]
-        assert case["max_norm_defect"] == broken.max_norm_defect > 1e-12
+    for case in bad.detail["cases"].values():
+        assert case["failed_columns"] == [1]
+        assert case["negative_entries"] == 1 and case["margin"] >= 0.0
+
+
+def test_suite_stochasticity_draws_nothing_from_the_seed():
+    # the columns are the whole check, so the record is the same at every
+    # seed, with and without the control
+    for corrupt in (False, True):
+        a, *rest = (dump_json(dataclasses.asdict(
+            suite_stochasticity(seed=s, corrupt=corrupt))) for s in range(10))
+        assert all(b == a for b in rest)
 
 
 # ---------------------------------------------------------------------------
