@@ -44,8 +44,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
@@ -57,7 +57,6 @@ __all__ = [
     "FiniteSection",
     "secular_roots",
     "section_limit",
-    "EigRecord",
     "SpectrumResult",
     "finite_spectrum",
     "convergence_table",
@@ -249,27 +248,41 @@ def section_limit(spec: GroupUnionSpec, renormalize: bool = True) -> int:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EigRecord:
-    value: complex
-    kind: str                   # "block" | "secular"
-    residual: float
-    block_index: Optional[int] = None
-
-
-@dataclass
 class SpectrumResult:
-    section: FiniteSection
-    records: List[EigRecord] = field(default_factory=list)
+    """Every eigenvalue of a section, in ascending angle then modulus, with
+    the residual ||T v - lam v||_1 / ||v||_1 of its eigenpair and the block
+    n >= 1 of a block eigenvalue, 0 for a secular root."""
 
-    def values(self) -> np.ndarray:
-        return np.array([r.value for r in self.records])
+    section: FiniteSection
+    values: np.ndarray          # complex
+    residuals: np.ndarray       # float
+    blocks: np.ndarray          # int
 
     def __len__(self):
-        return len(self.records)
+        return self.values.size
+
+    @property
+    def records(self) -> np.recarray:
+        """Rows (value, residual, block), for readers taking one at a time."""
+        return np.rec.fromarrays([self.values, self.residuals, self.blocks],
+                                 names="value,residual,block")
 
     def max_residual(self) -> float:
         """Largest residual; NaN when any residual is NaN."""
-        return float(np.max([r.residual for r in self.records]))
+        return float(np.max(self.residuals))
+
+    def peripheral(self) -> np.ndarray:
+        """The values of largest modulus, in ``values`` order: the Perron
+        root, the largest secular root, alone, since every q~_n > 0 makes the
+        section irreducible and a q~_n < 1 aperiodic (cycles of lengths 2 and
+        3 through the head, or an order-1 self-loop; Seneta 2006, ch. 1).
+        With every q~_n = 1 it has period 2, and -rho, the smallest, joins."""
+        roots = np.flatnonzero(self.blocks == 0)
+        real = self.values.real[roots]
+        ends = [real.argmax()]
+        if np.all(self.section.tilde_q == 1.0):
+            ends.append(real.argmin())
+        return self.values[np.sort(roots[ends])]
 
 
 def _block_zetas(spec: GroupUnionSpec):
@@ -317,8 +330,8 @@ _RESIDUAL_ROWS = 32
 
 
 def finite_spectrum(section: FiniteSection) -> SpectrumResult:
-    """Complete eigenvalue list of the finite section, with its weights
-    ``tilde_q``.
+    """Every eigenvalue of the finite section, with its weights
+    ``tilde_q``, as the arrays of a ``SpectrumResult``.
 
     Block eigenvalues come with their closed-form eigenvectors; secular
     roots come from the interlacing solve and are re-expanded into head
@@ -342,34 +355,36 @@ def finite_spectrum(section: FiniteSection) -> SpectrumResult:
     r = damp[..., None] * spec.permute(vs) - block_lams[..., None] * vs
     head = np.abs(qs[:, None] * vs.sum(axis=1))
     block_res = (head + np.abs(r).sum(axis=2)) / np.abs(vs).sum(axis=1)
-    records = [EigRecord(lam, "block", res, n)
-               for n, lams, ress in zip(range(1, section.n_blocks + 1),
-                                        block_lams.tolist(),
-                                        block_res.tolist())
-               for lam, res in zip(lams, ress)]
 
     lams = secular_roots(section)
     # x = 1 - lam lies strictly inside its bracket, but rounding lam can put
     # the recovered x on a pole; clamping keeps every coefficient finite
     lo, hi = _brackets(d, qs)
     xs = np.clip(1.0 - lams, np.nextafter(lo, hi), np.nextafter(hi, lo))
+    secular_res = np.empty_like(lams)
     for i in range(0, lams.size, _RESIDUAL_ROWS):
         lam = lams[i:i + _RESIDUAL_ROWS, None]
         vecs = np.ones((lam.size, section.dim))
         vecs[:, 1:] = np.repeat(qs / (qs - xs[i:i + _RESIDUAL_ROWS, None]),
                                 d, axis=1)
         r = apply_operator(spec, vecs, qs) - lam * vecs
-        res = np.abs(r).sum(axis=1) / np.abs(vecs).sum(axis=1)
-        records.extend(EigRecord(complex(v), "secular", e)
-                       for v, e in zip(lam[:, 0].tolist(), res.tolist()))
+        secular_res[i:i + lam.size] = \
+            np.abs(r).sum(axis=1) / np.abs(vecs).sum(axis=1)
 
-    if len(records) != section.dim:
+    values = np.r_[block_lams.ravel(), lams]
+    if values.size != section.dim:
         raise RootCountMismatch(
-            f"{len(records)} eigenvalues for dimension {section.dim}")
-    records.sort(key=lambda r: (round(math.atan2(r.value.imag,
-                                                 r.value.real), 12),
-                                abs(r.value)))
-    return SpectrumResult(section, records)
+            f"{values.size} eigenvalues for dimension {section.dim}")
+    blocks = np.r_[np.repeat(np.arange(1, section.n_blocks + 1), zetas.size),
+                   np.zeros(lams.size, dtype=int)]
+    # by angle rounded to 12 digits, then modulus, ties in the order above
+    # (a stable sort); Python's round and abs, which NumPy's need not match
+    keys = [(round(math.atan2(z.imag, z.real), 12), abs(z))
+            for z in values.tolist()]
+    order = sorted(range(values.size), key=keys.__getitem__)
+    return SpectrumResult(section, values[order],
+                          np.r_[block_res.ravel(), secular_res][order],
+                          blocks[order])
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,7 @@ def suite_factorization(seed: int = 0, corrupt: bool = False) -> SuiteResult:
         n = sec.n_blocks
         taken = replace(sec, tilde_q=dyadic_weights(n, sec.spec.d + 1)
                         / (1.0 - 2.0 ** -n)) if corrupt else sec
-        values = finite_spectrum(taken).values()
+        values = finite_spectrum(taken).values
         lams = 2.0 * np.sqrt(rng.random(_POINTS)) \
             * np.exp(2j * np.pi * rng.random(_POINTS))
         gap, tol = _factorization_gaps(sec, values, lams)

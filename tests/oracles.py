@@ -186,7 +186,7 @@ def factorization_crosscheck(spec: GroupUnionSpec, n_blocks: int,
     zs = 2.0 * (rng.random(2 * dim) + 1j * rng.random(2 * dim)) - (1 + 1j)
     lams = 2.0 * zs / np.maximum(1.0, np.abs(zs))   # clamp into |z| <= 2
     dets = cofactor_det_batch(a, lams)
-    prods = np.prod(lams[:, None] - result.values()[None, :], axis=1)
+    prods = np.prod(lams[:, None] - result.values[None, :], axis=1)
     scale = np.maximum(1.0, np.maximum(np.abs(dets), np.abs(prods)))
     err = float(np.max(np.abs(dets - prods) / scale))
     return CrosscheckReport(n_blocks, dim, len(lams), err,

@@ -90,7 +90,7 @@ def test_5_finite_sections_reproduce_the_peripheral_targets():
     t0 = time.perf_counter()
     spec = GroupUnionSpec((2, 3))
     result = finite_spectrum(FiniteSection.of(spec, 12))
-    vals = result.values()
+    vals = result.values
     col = result.section.column_sums()
     q12 = FiniteSection.of(spec, 12).tilde_q[-1]
 

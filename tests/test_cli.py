@@ -18,8 +18,8 @@ import pytest
 
 import numpy as np
 
-from spectral_forge import cli, io, scanner
-from spectral_forge.finite import EigRecord, convergence_table, finite_spectrum
+from spectral_forge import cli, io, scanner, semigroup
+from spectral_forge.finite import convergence_table, finite_spectrum
 from spectral_forge.verify import SUITE_NAMES
 
 
@@ -381,14 +381,27 @@ def test_eigs_nan_residual_fails_the_gate(tmp_path, monkeypatch):
     # a NaN after a finite residual must not slip past the max
     def with_nan(*args, **kwargs):
         result = finite_spectrum(*args, **kwargs)
-        bad = result.records[1]
-        result.records[1] = EigRecord(bad.value, bad.kind, math.nan,
-                                      bad.block_index)
+        result.residuals[1] = math.nan
         return result
 
     monkeypatch.setattr(cli, "finite_spectrum", with_nan)
     assert run(tmp_path, "eigs", "--orders", "2,3", "--N", "3") == 1
     assert math.isnan(read_json(tmp_path / "eigs.json")["max_residual"])
+
+
+@pytest.mark.parametrize("orders,n_blocks,count", [
+    ("2,3", "12", 1), ("2,3", "40", 1), ("1", "1", 2)])
+def test_eigs_peripheral_values_follow_perron_frobenius(tmp_path, orders,
+                                                        n_blocks, count):
+    # the Perron root alone, except on the period-2 swap T_1 = [[0, 1],
+    # [1, 0]] of orders (1,) at N = 1, which adds -rho; a window of 1e-10
+    # on the moduli listed 51 values at N = 40
+    assert run(tmp_path, "eigs", "--orders", orders, "--N", n_blocks) == 0
+    summary = read_json(tmp_path / "eigs.json")
+    top = [complex(v["re"], v["im"]) for v in summary["peripheral_values"]]
+    assert len(top) == count
+    assert top[0] == summary["spectral_radius"]
+    assert [abs(z) for z in top] == [summary["spectral_radius"]] * count
 
 
 def test_eigs_raw_truncation_head_sum(tmp_path):
@@ -788,19 +801,53 @@ def test_semigroup_evolve_refuses_a_step_no_digit_of_which_is_certified(
     assert not (tmp_path / "evolve.csv").exists()
 
 
+def _drift_and_tolerance(out):
+    m = re.search(r"mass drift (\S+) \(tolerance (\S+)\)", out)
+    return float(m.group(1)), float(m.group(2))
+
+
 def test_semigroup_evolve_long_steps_leave_the_drift_gate_to_decide(
         tmp_path, capsys):
     # a step of 5e11 is still certified: every row is finite and
     # nonnegative, and the depth-40 chain's mass leak, 2^-40 of the head
-    # (about 0.0043) per unit time, about 4e-3 by t = 1e12, fails the
-    # drift gate honestly
+    # (about 0.0043) per unit time, about 4e-3 by t = 1e12, lies within
+    # the leak the gate allows, 2^-40 t ||f0||_1 = 0.91
     assert run(tmp_path, "semigroup", "evolve", "--t", "1e12",
-               "--samples", "3") == 1
-    drift = re.search(r"mass drift (\S+) ", capsys.readouterr().out)
-    assert 3e-3 < float(drift.group(1)) < 5e-3
+               "--samples", "3") == 0
+    drift, tol = _drift_and_tolerance(capsys.readouterr().out)
+    assert 3e-3 < drift < 5e-3 < tol
     _, rows = read_csv(tmp_path / "evolve.csv")
     values = [float(v) for r in rows for v in r]
     assert all(math.isfinite(v) and v >= 0.0 for v in values)
+
+
+def test_semigroup_evolve_allows_the_shallow_chains_own_leak(tmp_path,
+                                                            capsys):
+    # column 0 of the depth-20 chain generator sums to -2^-20, so by t = 5
+    # the mass has leaked 1.09e-6, inside 1e-8 + 2^-20 * 5 * ||f0||_1
+    assert run(tmp_path, "semigroup", "evolve", "--depth", "20", "--t", "5",
+               "--samples", "11") == 0
+    drift, tol = _drift_and_tolerance(capsys.readouterr().out)
+    assert 1e-6 < drift < tol < 5e-6
+
+
+def test_semigroup_evolve_doubled_feed_fails_the_drift_gate(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    # negative control: a chain whose head feeds its blocks twice over
+    # gains mass far beyond the leak the gate allows
+    exact = semigroup.chain_generator
+
+    def doubled(g, n_blocks):
+        m = exact(g, n_blocks)
+        m[1:, 0] *= 2.0
+        return m
+
+    monkeypatch.setattr(semigroup, "chain_generator", doubled)
+    assert run(tmp_path, "semigroup", "evolve", "--depth", "20", "--t", "5",
+               "--samples", "11") == 1
+    drift, tol = _drift_and_tolerance(capsys.readouterr().out)
+    assert drift > 1.0 > 1e-5 > tol
 
 
 def test_semigroup_evolve_refuses_negative_trace_blocks(tmp_path, capsys):

@@ -294,7 +294,7 @@ def test_finite_spectrum_matches_dense_eigensolver(orders, n_blocks):
     assert len(result) == result.section.dim
     assert result.max_residual() < 1e-9
     ref = np.linalg.eigvals(build_finite_section(spec, n_blocks).matrix)
-    assert _multiset_gap(result.values(), ref) < 1e-8
+    assert _multiset_gap(result.values, ref) < 1e-8
 
 
 _U = np.finfo(float).eps / 2            # unit roundoff
@@ -367,13 +367,13 @@ def _worst_residual_gap(orders, sizes):
             result = finite_spectrum(
                 FiniteSection.of(spec, n_blocks, renormalize))
             ref = _dense_residuals(spec, n_blocks, renormalize)
-            assert [(r.kind, r.block_index) for r in result.records] == \
-                [(kind, n) for _, kind, n, _, _ in ref]
-            assert result.values().tobytes() == \
+            # a block eigenvalue carries its block n >= 1, a secular root 0
+            assert result.blocks.tolist() == [n or 0 for _, _, n, _, _ in ref]
+            assert result.values.tobytes() == \
                 np.array([lam for lam, *_ in ref]).tobytes()
-            worst = max(worst, max(abs(r.residual - res) / slack
+            worst = max(worst, max(abs(r - res) / slack
                                    for r, (*_, res, slack)
-                                   in zip(result.records, ref)))
+                                   in zip(result.residuals.tolist(), ref)))
     return worst
 
 
@@ -436,20 +436,74 @@ def test_finite_spectrum_block_multiplicities():
     result = finite_spectrum(FiniteSection.of(spec, 3))
     for n in range(1, 4):
         damp = 1.0 - result.section.tilde_q[n - 1]
-        hits = [r for r in result.records
-                if r.kind == "block" and abs(r.value - damp) < 1e-13]
-        assert len(hits) == 1
+        hits = (result.blocks > 0) & (np.abs(result.values - damp) < 1e-13)
+        assert np.count_nonzero(hits) == 1
 
 
 def test_finite_spectrum_peripheral_only_at_one():
     spec = GroupUnionSpec((2, 3))
     result = finite_spectrum(FiniteSection.of(spec, 8))
-    vals = result.values()
+    vals = result.values
     mods = np.abs(vals)
     assert mods.max() == pytest.approx(1.0, abs=1e-12)
     at_top = vals[mods > 1.0 - 1e-10]
     assert len(at_top) == 1
     assert abs(at_top[0] - 1.0) < 1e-10
+
+
+def test_spectrum_arrays_are_in_angle_then_modulus_order():
+    spec = GroupUnionSpec((4, 6))
+    result = finite_spectrum(FiniteSection.of(spec, 12))
+    dim = result.section.dim
+    assert len(result) == dim
+    assert result.values.shape == result.residuals.shape == \
+        result.blocks.shape == (dim,)
+    assert result.values.dtype == complex
+    assert result.residuals.dtype == float
+    assert result.blocks.dtype.kind == "i"
+    keys = [(round(math.atan2(z.imag, z.real), 12), abs(z))
+            for z in result.values.tolist()]
+    assert keys == sorted(keys)
+    # each block holds d - 1 eigenvalues, and block 0 the N + 1 roots
+    assert np.bincount(result.blocks).tolist() == [13] + [spec.d - 1] * 12
+    assert np.all(result.values.imag[result.blocks == 0] == 0.0)
+    assert [r.residual for r in result.records] == result.residuals.tolist()
+    assert result.max_residual() == result.residuals.max() < 1e-9
+    # a NaN after finite residuals must not slip past the max
+    result.residuals[-1] = math.nan
+    assert math.isnan(result.max_residual())
+
+
+@pytest.mark.parametrize("renormalize", [True, False])
+@pytest.mark.parametrize("n_blocks", [12, 40, 100])
+@pytest.mark.parametrize("orders", [(1,), (2, 3), (4, 6), (5, 7)])
+def test_the_perron_root_is_the_only_peripheral_value(orders, n_blocks,
+                                                      renormalize):
+    # a window of 1e-10 on the moduli held up to 351 values at N = 100
+    section = FiniteSection.of(GroupUnionSpec(orders), n_blocks, renormalize)
+    result = finite_spectrum(section)
+    (top,) = result.peripheral()
+    assert top == secular_roots(section)[-1]
+    assert top.real == np.abs(result.values).max()
+
+
+def test_the_period_two_section_has_two_peripheral_values():
+    # orders (1,) at N = 1, renormalised: q~_1 = 1 and T_1 = [[0, 1], [1, 0]]
+    spec = GroupUnionSpec((1,))
+    result = finite_spectrum(FiniteSection.of(spec, 1))
+    assert result.peripheral().tolist() == [0.9999999999999998,
+                                            -0.9999999999999998]
+    # raw, q_1 = 1/2 keeps the self-loop: one value, (1 + sqrt 5) / 4
+    (top,) = finite_spectrum(FiniteSection.of(spec, 1, False)).peripheral()
+    assert top == pytest.approx((1.0 + math.sqrt(5.0)) / 4.0, rel=1e-15)
+    # control: a weight of 1 on orders (2,) leaves only the head and block
+    # edges, a bipartite graph of period 2 with spectrum +-sqrt 2 and 0
+    real = FiniteSection.of(GroupUnionSpec((2,)), 1)
+    assert len(finite_spectrum(real).peripheral()) == 1
+    swap = dataclasses.replace(real, tilde_q=np.ones(1))
+    plus, minus = finite_spectrum(swap).peripheral()
+    assert plus == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert minus == pytest.approx(-math.sqrt(2.0), rel=1e-15)
 
 
 def test_finite_spectrum_no_renormalize_variant():
@@ -459,7 +513,7 @@ def test_finite_spectrum_no_renormalize_variant():
     assert result.max_residual() < 1e-9
     ref = np.linalg.eigvals(
         build_finite_section(spec, 4, renormalize=False).matrix)
-    assert _multiset_gap(result.values(), ref) < 1e-8
+    assert _multiset_gap(result.values, ref) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +652,7 @@ def test_factorization_crosscheck_catches_a_perturbed_eigenvalue(monkeypatch):
 
     def perturbed(*args, **kwargs):
         result = exact(*args, **kwargs)
-        rec = result.records[0]
-        result.records[0] = dataclasses.replace(rec, value=rec.value + 1e-6)
+        result.values[0] += 1e-6
         return result
 
     spec = GroupUnionSpec((2, 3))
@@ -627,7 +680,7 @@ def _oracle_convergence(spec, n_max):
     rows = []
     for n_blocks in range(1, n_max + 1):
         result = finite_spectrum(FiniteSection.of(spec, n_blocks))
-        vals = result.values()
+        vals = result.values
         bound = 2.0 * float(result.section.tilde_q[-1])
         for angle in union_points(spec):
             u = cmath.exp(2j * math.pi * float(angle))
