@@ -357,6 +357,9 @@ def cmd_evolve(args) -> int:
     if args.samples < 1:
         raise UsageError(f"samples: need at least one sample, got "
                          f"{args.samples}")
+    if args.samples == 1 and args.t > 0.0:
+        raise UsageError(f"samples: one sample is t = 0 alone; need at "
+                         f"least two to reach t={args.t}")
     if args.trace_blocks < 0:
         raise UsageError(f"trace-blocks: need 0 or more, got "
                          f"{args.trace_blocks}")
@@ -505,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=10.0,
                    help="final time, finite and >= 0")
     p.add_argument("--samples", type=int, default=51,
-                   help="number of trace samples, at least 1")
+                   help="number of trace samples, at least 1 (2 when t > 0)")
     p.add_argument("--mode", default=None,
                    help="start from a single mode 'n,k' instead of the head")
     p.add_argument("--trace-blocks", type=int, default=8,

@@ -33,11 +33,12 @@ orders; the dense section and the cofactor determinant are test oracles.
 
 ``convergence_table`` needs only the eigenvalue nearest to each target
 point u, for every N up to n_max, so it assembles no section: the block
-eigenvalues give each target's nearest block distance in closed form, and
-only the brackets whose lam-interval comes that close to some u are
-bisected, those of all sections in one loop.  Where no block eigenvalue is
-near u, the bracket nearest Re u is bisected first, and its root prunes
-the rest.
+eigenvalues give each target's nearest block distance in closed form.
+The secular roots are real and ascending, one per bracket, so the root
+nearest u lies in the bracket whose lam-interval holds Re u or in one of
+its two neighbours.  Only those are bisected, and only for a target whose
+|Im u| is below its nearest block distance, those of all sections in one
+loop.
 """
 
 from __future__ import annotations
@@ -411,47 +412,6 @@ class ConvergenceRow:
         return self.distance <= self.bound + self.tolerance
 
 
-# relative slack on the nearest block distance when pruning brackets
-_PRUNE_MARGIN = 2.0 ** -48
-
-
-def _gaps(a: np.ndarray, b: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Real gap from Re us[k] to each lam-interval [a, b], brackets by
-    targets (0 where the interval holds Re u)."""
-    re = us.real
-    return np.maximum(np.maximum(a[:, None] - re, re - b[:, None]), 0.0)
-
-
-def _kept_brackets(a: np.ndarray, b: np.ndarray, us: np.ndarray,
-                   near: np.ndarray) -> np.ndarray:
-    """Brackets whose lam-interval [a, b] may hold a root strictly nearer
-    to some target us[k] than ``near[k]``, the distance of an eigenvalue
-    already found (a root no nearer leaves the minimum as it is).
-
-    The distance from u to [a, b] is formed with the operations that form a
-    root's distance: the real gap from Re u to the nearer end and the
-    complex modulus with Im u.
-    """
-    to_interval = np.abs(_gaps(a, b, us) + 1j * us.imag)
-    return (to_interval < near * (1.0 + _PRUNE_MARGIN)).any(axis=1)
-
-
-def _first_brackets(a: np.ndarray, b: np.ndarray, us: np.ndarray,
-                    near: np.ndarray) -> np.ndarray:
-    """For each target us[k] whose nearest block eigenvalue, at distance
-    ``near[k]``, is farther than both ends of the bracket nearest Re u:
-    that bracket, whose root is then nearer than every block eigenvalue.
-    Bisected first, it gives the other brackets a tighter distance to be
-    pruned with.  The choice moves only the count of brackets bisected,
-    never a distance.
-    """
-    idx = _gaps(a, b, us).argmin(axis=0)
-    far = np.maximum(np.abs(a[idx] - us), np.abs(b[idx] - us))
-    first = np.zeros(a.size, dtype=bool)
-    first[idx[far < near]] = True
-    return first
-
-
 def convergence_table(spec: GroupUnionSpec,
                       n_max: int) -> List[ConvergenceRow]:
     """dist(u, sigma(T_N)) for every target point u and N <= n_max.
@@ -461,24 +421,27 @@ def convergence_table(spec: GroupUnionSpec,
 
     Computed without assembling any section.  The block eigenvalues of T_N
     are (1 - tilde_q_n) zeta, n <= N, in closed form, which gives each
-    target's nearest block distance.  The secular roots are real, one in
-    each interlacing bracket, and a root in [a, b] is no nearer to u than
-    the interval is.  Where no block eigenvalue comes as near to u as the
-    far end of the bracket nearest Re u (orders 1 and 2 at u = 1), that
-    bracket is bisected first (``_first_brackets``), and its root's distance
-    joins the block distances.  Any other bracket is bisected only if its
-    interval comes nearer to some target than the nearest distance found so
-    far times 1 + 2^-48.  The margin is safe: for any lam in [a, b] the
-    rounded lam - Re u is at least the rounded gap, since rounding is
-    monotone, so only the complex modulus can make a pruned root's computed
-    distance smaller than the interval's; NumPy's modulus is within 2 ulps
-    of the exact one (1.9 at most on 80 000 samples against 200-bit
-    arithmetic), and 2^-48 = 16 eps covers up to 7 ulps on either side.
-    The first brackets of all sections are bisected together
-    (``_bisect``), then the kept ones; a root does not depend on its batch,
-    so every distance, the minimum over the block eigenvalues and the
-    bisected roots, equals bit for bit the minimum over the whole spectrum
-    that ``finite_spectrum`` lists.
+    target's nearest block distance.  The secular roots are real and
+    ascending, one in each interlacing bracket (Golub 1973; Bunch, Nielsen
+    and Sorensen 1978), so at most three of them can be nearest to u.  Let
+    k be the first bracket whose lam-interval ends at or above Re u
+    (``np.searchsorted``).  Every root below bracket k - 1 is below the
+    root of k - 1, which is below Re u, and every root above bracket k + 1
+    is above the root of k + 1, which is at or above Re u.  The computed
+    roots keep that order: each lies in its bracket's rounded interval,
+    since lam = 1 - x rounds monotonically, and so does the rounded gap
+    lam - Re u.  The modulus with the fixed Im u grows with that gap,
+    exactly so at u = 1 where Im u = 0, and for a correctly rounded hypot
+    elsewhere.  So brackets k - 1, k and k + 1 are bisected, and no other.
+    A target whose |Im u| is at least its nearest block distance needs
+    none: a root's computed distance is never below |Im u|, so it cannot
+    lower the minimum.  (Only targets on the real axis get past that test:
+    a non-real u of order m has |Im u| >= sin(2 pi / m) > 1/m, and the
+    block eigenvalue (1 - tilde_q_N) u lies within tilde_q_N <= 1/d of it.)
+    The brackets of all sections are bisected in one ``_bisect`` call; a
+    root does not depend on its batch, so every distance, the minimum over
+    the block eigenvalues and the bisected roots, equals bit for bit the
+    minimum over the whole spectrum that ``finite_spectrum`` lists.
 
     Each row carries a tolerance tau_N = (2N + 32) eps, with eps = 2^-52,
     and passes when distance <= bound + tau_N.  tau_N bounds the error of
@@ -506,32 +469,25 @@ def convergence_table(spec: GroupUnionSpec,
     angles = union_points(spec)
     us = union_values(spec)
     zetas = np.array(list(_block_zetas(spec)), dtype=complex)
-    sections, brackets, nearest = [], [], []
+    sections, nearest, picked = [], [], []
     for n_blocks in range(1, n_max + 1):
         qs = FiniteSection.of(spec, n_blocks).tilde_q
         blocks = ((1.0 - qs)[:, None] * zetas).ravel()
+        near = np.abs(blocks[:, None] - us).min(axis=0, initial=np.inf)
+        lo, hi = _brackets(spec.d, qs)
+        # the bracket whose lam-interval holds Re u, and its two neighbours,
+        # for the targets a root could still come nearer to than a block
+        k = np.searchsorted(1.0 - lo, us.real[np.abs(us.imag) < near])
+        pick = np.zeros(lo.size, dtype=bool)
+        pick[np.clip(k[:, None] + [-1, 0, 1], 0, n_blocks)] = True
         sections.append(qs)
-        brackets.append(_brackets(spec.d, qs))
-        nearest.append(np.abs(blocks[:, None] - us).min(axis=0,
-                                                        initial=np.inf))
+        nearest.append(near)
+        picked.append((lo[pick], hi[pick]))
     dist = np.array(nearest)
-
-    def bisect(masks):
-        """Bisect the masked brackets of every section together and fold
-        their roots' distances into ``dist``."""
-        sec = np.concatenate([np.full(m.sum(), k)
-                              for k, m in enumerate(masks)])
-        ends = [np.concatenate([b[m] for b, m in zip(side, masks)])
-                for side in zip(*brackets)]
-        roots = _bisect(spec.d, sections, sec, *ends)
-        np.minimum.at(dist, sec, np.abs(roots.astype(complex)[:, None] - us))
-
-    first = [_first_brackets(1.0 - b_hi, 1.0 - b_lo, us, near)
-             for (b_lo, b_hi), near in zip(brackets, nearest)]
-    if any(m.any() for m in first):
-        bisect(first)
-    bisect([_kept_brackets(1.0 - b_hi, 1.0 - b_lo, us, near) & ~m
-            for (b_lo, b_hi), near, m in zip(brackets, dist, first)])
+    sec = np.repeat(np.arange(n_max), [a.size for a, _ in picked])
+    roots = _bisect(spec.d, sections, sec,
+                    *(np.concatenate(side) for side in zip(*picked)))
+    np.minimum.at(dist, sec, np.abs(roots.astype(complex)[:, None] - us))
 
     rows = []
     for n_blocks, qs, row in zip(range(1, n_max + 1), sections,

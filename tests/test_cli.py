@@ -865,6 +865,15 @@ def test_semigroup_evolve_single_sample(tmp_path):
     assert rows == [["0", "1", "1"] + ["0"] * 8]
 
 
+def test_semigroup_evolve_refuses_one_sample_past_t_zero(tmp_path, capsys):
+    # one sample is t = 0 alone: the orbit would never be evolved, yet the
+    # run would report samples to t = 5 and pass its gate
+    assert run(tmp_path, "semigroup", "evolve", "--t", "5",
+               "--samples", "1") == 2
+    assert "need at least two to reach t=5.0" in capsys.readouterr().err
+    assert not (tmp_path / "evolve.csv").exists()
+
+
 def test_semigroup_evolve_nan_mass_fails_the_drift_gate(tmp_path,
                                                         monkeypatch, capsys):
     # negative control: a NaN in the orbit must fail the gate, where

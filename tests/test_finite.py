@@ -693,11 +693,18 @@ def _fields(rows):
     return [(r.n_blocks, r.angle, r.distance, r.bound) for r in rows]
 
 
-@pytest.mark.parametrize("orders", [(1,), (2,), (2, 3), (4, 6), (5, 7)])
+# n-max 60 unless listed; orders 1 and 2, whose only eigenvalue near u = 1
+# is a secular root, also at 200
+_ORACLE_N_MAX = {(1,): (60, 200), (2,): (60, 200), (96, 97): (8,)}
+
+
+@pytest.mark.parametrize("orders", [(1,), (2,), (2, 3), (4, 6), (5, 7),
+                                    (3,), (12,), (2, 3, 5), (96, 97)])
 def test_convergence_matches_the_per_section_oracle_bitwise(orders):
     spec = GroupUnionSpec(orders)
-    rows = convergence_table(spec, 60)
-    assert _fields(rows) == _oracle_convergence(spec, 60)
+    for n_max in _ORACLE_N_MAX.get(orders, (60,)):
+        rows = convergence_table(spec, n_max)
+        assert _fields(rows) == _oracle_convergence(spec, n_max)
 
 
 def test_convergence_assembles_no_section(monkeypatch):
@@ -723,39 +730,39 @@ def _bisected(monkeypatch, orders, n_max):
     return sizes
 
 
-@pytest.mark.parametrize("orders,kept", [((1,), 16), ((2,), 32),
-                                         ((2, 3), 47), ((5, 7), 32)])
-def test_convergence_bisects_only_the_kept_brackets(monkeypatch, orders,
-                                                    kept):
-    # orders 1 and 2 have no block eigenvalue near u = 1, so each section
-    # bisects the bracket that holds 1 first, and its root prunes every
-    # other bracket for that target: of the 2 + 3 + ... + 17 brackets of
-    # n-max 16, order 1 keeps only those 16 and order 2 adds one per
-    # section for u = -1
-    assert sum(_bisected(monkeypatch, orders, 16)) == kept
+@pytest.mark.parametrize("orders,n_max,picked", [
+    ((1,), 16, 32), ((2,), 16, 61), ((2, 3), 16, 61), ((5, 7), 16, 32),
+    ((1,), 60, 127)])
+def test_convergence_bisects_the_brackets_around_re_u_once(
+        monkeypatch, orders, n_max, picked):
+    # one call for all sections.  Only real targets get past the block
+    # distance: u = 1 picks the last bracket, which holds 1, and the one
+    # below it, u = -1 brackets 0 and 1, so order 1 bisects 2 per section
+    # and orders (2,) and (2, 3) 4 (3 at N = 2, 2 at N = 1).  From N = 54 on,
+    # 1 - q~_54 rounds to 1, so bracket 53 already ends at 1 and bracket 54
+    # joins as k + 1: 120 + 7 at n-max 60
+    assert _bisected(monkeypatch, orders, n_max) == [picked]
 
 
-def test_convergence_prunes_orders_one_with_the_root_at_one(monkeypatch):
-    # n-max 60: the 60 brackets that hold 1 first, then the 35 whose
-    # interval still comes within the distance of the root at 1, against
-    # all 1890 when only block eigenvalues pruned
-    assert _bisected(monkeypatch, (1,), 60) == [60, 35]
+def test_dropping_the_bracket_above_re_u_fails_the_oracle(monkeypatch):
+    # negative control: a rule that never bisects bracket k + 1, the one
+    # whose lam-interval starts at or above Re u = 1, loses the nearest
+    # root wherever 1 - q~_N rounds to 1, and with it the distance 0 at
+    # N = 54 .. 60; the oracle's own bisection runs before the patch
+    spec = GroupUnionSpec((1,))
+    oracle = _oracle_convergence(spec, 60)
+    bisect = finite._bisect
 
+    def drop_above(d, sections, sec, lo, hi):
+        keep = 1.0 - hi < 1.0
+        roots = np.full(lo.size, np.inf)
+        roots[keep] = bisect(d, sections, sec[keep], lo[keep], hi[keep])
+        return roots
 
-def test_pruning_the_bracket_at_one_fails_the_oracle(monkeypatch):
-    # negative control: a pruning that drops the bracket whose interval
-    # holds Re u = 1 changes every u = 1 row
-    prune = finite._kept_brackets
-
-    def drop_one(a, b, us, near):
-        return prune(a, b, us, near) & ~((a <= 1.0) & (1.0 <= b))
-
-    monkeypatch.setattr(finite, "_kept_brackets", drop_one)
-    spec = GroupUnionSpec((2, 3))
-    rows = _fields(convergence_table(spec, 16))
-    oracle = _oracle_convergence(spec, 16)
+    monkeypatch.setattr(finite, "_bisect", drop_above)
+    rows = _fields(convergence_table(spec, 60))
     changed = [r[:2] for r, o in zip(rows, oracle) if r != o]
-    assert changed == [(n, 0) for n in range(1, 17)]
+    assert changed == [(n, 0) for n in range(54, 61)]
 
 
 def test_convergence_rows_resolved_up_to_the_rounding_tolerance():
