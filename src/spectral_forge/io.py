@@ -15,21 +15,21 @@ as it is; any other column goes cell by cell through :func:`_format_cell`.
 Why the float kernel is exact.  For finite nonzero x with decimal exponent
 E (corrected so that |x| * 10**(16-E) lies in [1e16, 1e17)), '%.17g' prints
 the integer N nearest to y* = |x| * 10**(16-E), ties to even.  The kernel
-computes y in ``np.longdouble`` from a table of 10**k (k in [-310, 345])
-parsed from the strings "1e<k>", each within half an ulp.  With a 64-bit
-significand, u = 2**-64, the table entry and the product each err by at
-most u relative, so |y - y*| <= 2u * 1e17 < 0.0109.  Hence N = round(y) is
-the correctly rounded 17-digit significand whenever frac(y) is at least
-``_BAND`` = 0.0125 away from 1/2 and N is not 1e17.  Every other cell is
-undecided: it goes, with zeros and non-finite cells, to Python's own
-'%.17g' (one ``%`` per slice, for all its float columns), which rounds
-exact ties to even.  That is 2-3% of the cells of a typical column.
-
-Platform note: the bound needs a long double with at least a 64-bit
-significand (x86-64 extended precision, IEEE quad).  Where
-``np.longdouble`` is plain double (MSVC, Apple arm64) every cell takes
-Python's formatter, so the bytes are the same everywhere and only the time
-differs.
+forms y* in float64 double-double arithmetic (Dekker 1971).  A table holds
+10**k for k in [-280, 280] as hi + lo, hi correctly rounded and lo =
+fl(10**k - hi), so hi + lo is within 2**-106 hi of 10**k.  Dekker's
+TwoProduct gives a * hi = p + e exactly, p = fl(a * hi), from Veltkamp's
+halves of a and of hi; p >= 2**53 is an integer.  Then r = fl(e + fl(a *
+lo)), N = p + floor(r) before rounding, and frac = r - floor(r).  With p <
+2**57, |e| <= 8 and |a * lo| < 16, the two roundings in r err by at most
+2**-50 and 2**-49, the table's remainder by a * 2**-106 hi < 2**-49, and
+frac's subtraction by 2**-53: in all below 5e-15.  Hence N = round(p + r)
+is the correctly rounded 17-digit significand whenever frac is at least
+``_BAND`` = 2**-40 away from 1/2 and N is not 1e17.  Every other cell is
+undecided: it goes to Python's own '%.17g' (one ``%`` per slice, for all
+its float columns), which rounds exact ties to even.  So do zeros,
+non-finite cells and cells with E outside [-263, 295], where 16 - E +- 1
+leaves the table.  Of a typical column, that is the zeros alone.
 """
 
 from __future__ import annotations
@@ -98,9 +98,11 @@ def _format_cell(x) -> str:
 # %.17g of a float64 array
 # ---------------------------------------------------------------------------
 
-_POW_LO, _POW_HI = -310, 345    # the 10**k table covers 16 - E, E +- 1
+_POW_LO, _POW_HI = -280, 280    # the 10**k table covers 16 - E, E +- 1
+_E_LO, _E_HI = 17 + _POW_LO, 15 + _POW_HI   # the E the kernel decides
 _E_MIN, _E_MAX = -324, 308      # decimal exponents of nonzero doubles
-_BAND = 0.0125                  # undecided half-width around frac(y) = 1/2
+_SPLIT = 2.0**27 + 1            # Veltkamp's split of a 53-bit significand
+_BAND = 2.0**-40                # undecided half-width around frac(y) = 1/2
 _WIDTH = 24                     # longest cell: -1.2345678901234567e-308
 _KERNEL_MIN = 256               # fewer cells are faster in Python alone
 # float cells formatted per slice: bounds the slice's cells, text and NumPy
@@ -118,22 +120,32 @@ _DOT, _MINUS, _E, _PLUS, _CHAR0 = (_DIGIT + 17 + _TAIL.index(c)
 _SOURCE = _DIGIT + 17 + len(_TAIL)
 
 
-def _has_extended() -> bool:
-    """Whether ``np.longdouble`` carries the 64-bit significand the error
-    bound assumes."""
-    return np.finfo(np.longdouble).nmant >= 63
+def _power(k: int):
+    """10**k as hi + lo: hi correctly rounded, lo = fl(10**k - hi); both
+    from integers, whose true division rounds correctly."""
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    hi = num / den
+    m, q = hi.as_integer_ratio()
+    return hi, (num * q - m * den) / (den * q)
 
 
 @functools.cache
 def _tables():
-    """10**k in long double, 4-digit ASCII groups as uint32, and the
-    significant digits of each group (its length without trailing zeros)."""
-    pow10 = np.array([np.longdouble(f"1e{k}")
-                      for k in range(_POW_LO, _POW_HI + 1)])
+    """10**k for k in [_POW_LO, _POW_HI] as the rows hi, lo and hi's
+    Veltkamp halves; the bounds [low, high) of the |x| whose E lies in
+    [_E_LO, _E_HI], the first doubles at or above 10**_E_LO and
+    10**(_E_HI + 1); 4-digit ASCII groups as uint32, and the significant
+    digits of each group (its length without trailing zeros)."""
+    hi, lo = np.array([_power(k) for k in range(_POW_LO, _POW_HI + 1)]).T
+    c = hi * _SPLIT
+    head = c - (c - hi)
+    pow10 = np.stack([hi, lo, head, hi - head])
+    bounds = [h if rest <= 0 else np.nextafter(h, np.inf)
+              for h, rest in map(_power, (_E_LO, _E_HI + 1))]
     groups = [f"{i:04d}" for i in range(10_000)]
     quads = np.frombuffer("".join(groups).encode(), dtype=np.uint32)
     sig = np.array([len(g.rstrip("0")) for g in groups], dtype=np.uint8)
-    return pow10, quads, sig
+    return pow10, bounds, quads, sig
 
 
 def _layout(exponent: int, negative: bool, digits: int) -> list:
@@ -182,11 +194,12 @@ def _layouts() -> _Layouts:
 class _FloatBuffers:
     """Buffers of :func:`_format_floats` for up to ``size`` cells, made once
     per CSV and reused for every slice: the stacked float columns, the
-    cells' digits and text, and one gather block's source rows, layout
-    rows and intp index."""
+    double-double product's six temporaries, the cells' digits and text,
+    and one gather block's source rows, layout rows and intp index."""
 
     def __init__(self, size: int):
         self.values = np.empty(size)
+        self.product = np.empty((6, size))
         # word 0 holds three NULs and the lead digit, words 1-4 the groups
         self.digits = np.zeros((5, size), dtype=np.uint32)
         self.cells = np.empty((size, _WIDTH), dtype=np.uint8)
@@ -208,7 +221,7 @@ def _format_floats(x: np.ndarray, buffers: Optional[_FloatBuffers] = None,
     if buffers is None:
         buffers = _FloatBuffers(x.size)
     cells = buffers.cells[:x.size]
-    if kernel and x.size >= _KERNEL_MIN and _has_extended():
+    if kernel and x.size >= _KERNEL_MIN:
         undecided = _decide(x, buffers)
     else:
         undecided = np.arange(x.size)
@@ -220,19 +233,58 @@ def _format_floats(x: np.ndarray, buffers: Optional[_FloatBuffers] = None,
     return cells.view(f"S{_WIDTH}").ravel()
 
 
+def _two_product(a: np.ndarray, at: np.ndarray, t: np.ndarray):
+    """Dekker's TwoProduct of ``a`` and hi, the high part of the table's
+    10**k at ``at``: p = fl(a * hi) into t[0] and a * hi - p, exactly, into
+    t[5], from the Veltkamp halves of a and of hi; t[1:5] are scratch."""
+    hi, _, hi_head, hi_tail = _tables()[0]
+    np.take(hi, at, out=t[0], mode="clip")
+    t[0] *= a
+    np.multiply(a, _SPLIT, out=t[1])
+    np.subtract(t[1], a, out=t[2])
+    t[1] -= t[2]                            # a's head
+    np.subtract(a, t[1], out=t[2])          # a's tail
+    np.take(hi_head, at, out=t[3], mode="clip")
+    np.take(hi_tail, at, out=t[4], mode="clip")
+    np.multiply(t[1], t[3], out=t[5])
+    t[5] -= t[0]
+    t[1] *= t[4]
+    t[5] += t[1]
+    t[3] *= t[2]
+    t[5] += t[3]
+    t[2] *= t[4]
+    t[5] += t[2]
+
+
+def _scaled(a: np.ndarray, at: np.ndarray, t: np.ndarray, n: np.ndarray):
+    """a * 10**k, k = ``at`` + _POW_LO, as n + frac: the integer n into
+    ``n``, and frac, in [0, 1) and within 5e-15, into t[5]; ``at`` is
+    overwritten."""
+    _two_product(a, at, t)
+    np.take(_tables()[0][1], at, out=t[1], mode="clip")
+    t[1] *= a
+    t[5] += t[1]                            # r = e + fl(a * lo)
+    np.floor(t[5], out=t[1])
+    t[5] -= t[1]
+    np.copyto(n, t[0], casting="unsafe")    # p is an integer below 2**57
+    np.copyto(at, t[1], casting="unsafe")
+    n += at
+
+
 def _decide(x: np.ndarray, buffers: _FloatBuffers) -> np.ndarray:
     """Fill the cells of ``x`` whose rounding the error bound decides;
     return the indices of the others.
 
-    Its temporaries are one float64, three int64 and one long double array
-    of ``x.size``, written in place and reused as their values die (``take``
-    with ``mode="clip"`` fills ``out`` without a copy; every index is in
-    range); the long double one is freed once N is formed."""
-    pow10, quads, sig = _tables()
+    Its temporaries are the six float64 rows of ``buffers.product``, and
+    one float64, three int64 and one bool array of ``x.size``, written in
+    place and reused as their values die (``take`` with ``mode="clip"``
+    fills ``out`` without a copy; every index is in range)."""
+    _, (low, high), quads, sig = _tables()
     size = x.size
     a = np.abs(x)
-    sure = np.isfinite(a)
-    sure &= a != 0.0
+    # zeros, non-finite cells and E outside [_E_LO, _E_HI] go to Python
+    sure = a >= low
+    sure &= a < high
     np.putmask(a, ~sure, 1.0)
     key, n, rest = np.empty((3, size), dtype=np.int64)
     e = rest.view(np.float64)               # E as a float, until it is key
@@ -240,21 +292,16 @@ def _decide(x: np.ndarray, buffers: _FloatBuffers) -> np.ndarray:
     np.floor(e, out=e)
     np.copyto(key, e, casting="unsafe")
     np.subtract(16 - _POW_LO, key, out=rest)
-    y = np.take(pow10, rest, mode="clip")
-    y *= a
-    np.copyto(n, y, casting="unsafe")
+    t = buffers.product[:, :size]
+    _scaled(a, rest, t, n)
+    frac = t[5]
     # log10 can round across a power of ten: move E by one there
     moved = np.flatnonzero((n < 10**16) | (n >= 10**17))
     if moved.size:
         key[moved] += np.where(n[moved] < 10**16, -1, 1)
-        y[moved] = (a[moved].astype(np.longdouble)
-                    * pow10[16 - _POW_LO - key[moved]])
-        n[moved] = y[moved].astype(np.int64)
-    # y - n is exact, and a multiple of ulp(y) >= 2**-10 below 1
-    np.subtract(y, n, out=y)
-    frac = a
-    np.copyto(frac, y, casting="unsafe")
-    del y, a
+        part, whole = np.empty((6, moved.size)), np.empty_like(n[moved])
+        _scaled(a[moved], 16 - _POW_LO - key[moved], part, whole)
+        n[moved], frac[moved] = whole, part[5]
     n += frac > 0.5
     frac -= 0.5
     np.abs(frac, out=frac)
@@ -275,7 +322,7 @@ def _decide(x: np.ndarray, buffers: _FloatBuffers) -> np.ndarray:
     # digit; the last nonzero group sets the significant digits, 1 + 4j +
     # its own for group j, and each group that is zero hands them down
     digits = buffers.digits[:, :size]
-    group = frac.view(np.int64)
+    group = a.view(np.int64)
     for j in (3, 2, 1, 0):
         np.floor_divide(n, 10**4, out=rest)
         np.multiply(rest, 10**4, out=group)

@@ -759,15 +759,17 @@ def test_semigroup_evolve_csv_is_pinned(tmp_path, mode, digest):
     (["semigroup", "scan-axis"], "scan_axis.csv"),
     (["semigroup", "evolve"], "evolve.csv"),
     (["semigroup", "evolve", "--mode", "3,0"], "evolve.csv"),
+    (["semigroup", "evolve", "--t", "500", "--samples", "2001"],
+     "evolve.csv"),
 ], ids=["scan-default", "scan-20011", "eigs", "convergence", "scan-axis",
-        "evolve-head", "evolve-mode-3-0"])
+        "evolve-head", "evolve-mode-3-0", "evolve-t500"])
 def test_pinned_csvs_do_not_need_extended_precision(tmp_path, monkeypatch,
                                                     argv, name):
-    # the pinned CSVs come from the float kernel where long double has a
-    # 64-bit significand; with every cell sent to Python's '%.17g' instead,
-    # as on platforms without one, not a byte may move
+    # the pinned CSVs come from the float kernel; with every cell sent to
+    # Python's '%.17g' instead (the kernel's threshold above any row
+    # count), not a byte may move
     assert run(tmp_path / "kernel", *argv) == 0
-    monkeypatch.setattr(io, "_has_extended", lambda: False)
+    monkeypatch.setattr(io, "_KERNEL_MIN", 10**9)
     assert run(tmp_path / "python", *argv) == 0
     assert (tmp_path / "kernel" / name).read_bytes() == \
         (tmp_path / "python" / name).read_bytes()

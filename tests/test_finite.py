@@ -5,6 +5,7 @@ import dataclasses
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -763,6 +764,87 @@ def test_dropping_the_bracket_above_re_u_fails_the_oracle(monkeypatch):
     rows = _fields(convergence_table(spec, 60))
     changed = [r[:2] for r, o in zip(rows, oracle) if r != o]
     assert changed == [(n, 0) for n in range(54, 61)]
+
+
+def _mp_zero(g, dg, lo, hi):
+    """The zero of the strictly decreasing ``g`` in (lo, hi): Newton steps
+    from the midpoint, a bisection wherever a step leaves the bracket."""
+    x = (lo + hi) / 2
+    while True:
+        gx = g(x)
+        lo, hi = (x, hi) if gx > 0 else (lo, x)
+        step = x - gx / dg(x)
+        if not lo < step < hi:
+            step = (lo + hi) / 2
+        if abs(step - x) < mpmath.mpf(10) ** -40 or step in (lo, hi):
+            return step
+        x = step
+
+
+def _mp_secular_roots(d, qs):
+    """The N + 1 secular roots lam = 1 - x at 50 digits, one in each
+    interval between the poles x = q_n and beyond the outer two, where
+    g(x) = 1 - x - sum_n d q_n^2 / (q_n - x) falls from +inf to -inf."""
+    def g(x):
+        return 1 - x - mpmath.fsum(d * q * q / (q - x) for q in qs)
+
+    def dg(x):
+        return -1 - mpmath.fsum(d * q * q / (q - x) ** 2 for q in qs)
+
+    poles = sorted(qs)
+    # outer ends where g has the sign of the far side: 1 - x dominates
+    # once |x| exceeds 1 + d * sum q_n by a margin
+    reach = 2 + d * mpmath.fsum(qs)
+    ends = [poles[0] - reach, *poles, poles[-1] + reach]
+    return [1 - _mp_zero(g, dg, a, b) for a, b in zip(ends, ends[1:])]
+
+
+def _mp_distances(spec, n_max):
+    """dist(u, sigma(T_N)) at 50 digits for every row of
+    ``convergence_table``, in its order, with the section's float weights
+    taken as exact: the block eigenvalues (1 - q~_n) zeta exactly, the
+    secular roots by :func:`_mp_secular_roots`, not by ``finite._bisect``."""
+    with mpmath.workdps(50):
+        targets = [mpmath.expjpi(2 * mpmath.mpf(a.numerator) / a.denominator)
+                   for a in union_points(spec)]
+        zetas = [mpmath.expjpi(2 * mpmath.mpf(j) / m)
+                 for m in spec.orders for j in range(1, m)]
+        zetas += [mpmath.mpf(1)] * (len(spec.orders) - 1)
+        out = []
+        for n_blocks in range(1, n_max + 1):
+            qs = [mpmath.mpf(float(q))
+                  for q in FiniteSection.of(spec, n_blocks).tilde_q]
+            values = [(1 - q) * z for q in qs for z in zetas]
+            values += _mp_secular_roots(spec.d, qs)
+            out.extend(min(abs(v - u) for v in values) for u in targets)
+        return out
+
+
+def _off_the_50_digit_distance(spec, n_max):
+    """Rows whose distance is farther than their own tolerance tau_N from
+    the 50-digit distance."""
+    rows = convergence_table(spec, n_max)
+    exact = _mp_distances(spec, n_max)
+    assert len(rows) == len(exact)
+    return [(r.n_blocks, r.angle) for r, x in zip(rows, exact)
+            if abs(mpmath.mpf(r.distance) - x) > r.tolerance]
+
+
+@pytest.mark.parametrize("orders", [(1,), (2, 3), (5, 7)],
+                         ids=lambda o: "-".join(map(str, o)))
+def test_convergence_distances_match_50_digits_within_tau(orders):
+    # an oracle that does not share _bisect: the bound tau_N that the
+    # docstring derives holds against the spectrum at 50 digits
+    assert _off_the_50_digit_distance(GroupUnionSpec(orders), 16) == []
+
+
+def test_a_broken_bisection_fails_the_50_digit_check(monkeypatch):
+    # negative control: a _bisect that returns the midpoint of each initial
+    # bracket puts the Perron root q~_N / 2 from u = 1, far outside tau_N
+    monkeypatch.setattr(finite, "_bisect",
+                        lambda d, sections, sec, lo, hi: 1.0 - 0.5 * (lo + hi))
+    off = _off_the_50_digit_distance(GroupUnionSpec((2, 3)), 16)
+    assert {(n, 0) for n in range(1, 17)} <= set(off)
 
 
 def test_convergence_rows_resolved_up_to_the_rounding_tolerance():

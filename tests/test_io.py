@@ -128,10 +128,10 @@ def test_write_csv_takes_bytes_columns_as_they_are(tmp_path, monkeypatch):
     monkeypatch.setattr(io, "_format_cell", None)       # must not be reached
     _assert_same_text(_write(tmp_path, ["a", "v"], columns), expected)
     # a strided S column too
+    lines = expected.splitlines(True)
     _assert_same_text(
         _write(tmp_path, ["a", "v"], [columns[0][::2], labels[::2]]),
-        "".join(expected.splitlines(True)[i] for i in
-                [0, *range(1, n + 1, 2)]))
+        "".join(lines[i] for i in [0, *range(1, n + 1, 2)]))
 
 
 @pytest.mark.parametrize("at", [0, 1, 2 * _ROWS - 1, 2 * _ROWS,
@@ -267,6 +267,18 @@ def _ties(rng, odd: bool, count: int):
     return np.concatenate([x, -x])
 
 
+def _edge_cells(rng, count: int):
+    """Cells with E at each edge of the kernel's range and one step beyond,
+    mantissas in [1.5, 9.5) so that rounding keeps E, and the range's
+    bounds and their predecessors."""
+    low, high = io._tables()[1]
+    return np.concatenate([
+        s * (1.5 + 8.0 * rng.random(count)) * float(f"1e{k}")
+        for k in (io._E_LO - 1, io._E_LO, io._E_HI, io._E_HI + 1)
+        for s in (1, -1)] + [np.array(
+            [low, np.nextafter(low, 0), high, np.nextafter(high, 0)])])
+
+
 def _oracle_columns():
     rng = np.random.default_rng(20261018)
     pows = [float(f"1e{k}") for k in range(-323, 309)]
@@ -288,6 +300,21 @@ def _oracle_columns():
                                  for k in range(-324, 308)])
     yield "ties", np.concatenate([_ties(rng, True, 1500),
                                   _ties(rng, False, 1500)])
+    # E = -5 / -4 and 16 / 17, where '%.17g' switches between the fixed and
+    # the exponent form, and integer-valued cells
+    yield "form switch", np.concatenate([
+        s * (1.0 + 9.0 * rng.random(5000)) * 10.0 ** k
+        for k in (-5, -4, 16, 17) for s in (1, -1)])
+    yield "integers", np.concatenate([
+        [1.0, 500.0, 1e16, -1.0, -500.0, -1e16],
+        np.arange(1.0, 20_001.0), 500.0 * np.arange(1.0, 2001.0),
+        rng.integers(0, 2**53, 20_000).astype(float)])
+    # evolve.csv's t column, at its defaults and at --t 500 --samples 2001
+    yield "evolve t", np.concatenate([np.linspace(0.0, 10.0, 51),
+                                      np.linspace(0.0, 500.0, 2001)])
+    # the edge exponents of the 10**k table and one beyond each, which
+    # Python formats
+    yield "table edges", _edge_cells(rng, 2000)
     # the scan's float columns, and the kernel's 1 / gap at the same points
     # (1 to 2e4, and inf where the gap is 0)
     for orders, depth, grid in (((2, 3), 40, 3600), ((4, 6), 60, 20011)):
@@ -315,31 +342,86 @@ def test_ties_need_the_undecided_band(monkeypatch):
     odd, even = _ties(rng, True, 1500), _ties(rng, False, 1500)
     assert odd.size > 4000 and even.size > 4000
     assert _mismatches(odd) == [] and _mismatches(even) == []
-    if not io._has_extended():
-        pytest.skip("every cell takes Python's formatter here")
     monkeypatch.setattr(io, "_BAND", 0.0)
     assert len(_mismatches(odd)) == odd.size
     assert _mismatches(even) == []
 
 
-def test_powers_of_ten_are_within_half_an_ulp():
-    if not io._has_extended():
-        pytest.skip("the table is used only with extended precision")
+def test_the_product_needs_its_error_term(monkeypatch):
+    # negative control: with TwoProduct's exact error e dropped, r keeps
+    # only fl(a * lo), up to 8 off, and the oracle fails
+    two_product = io._two_product
+
+    def without_error(a, at, t):
+        two_product(a, at, t)
+        t[5] = 0.0
+
+    monkeypatch.setattr(io, "_two_product", without_error)
+    failed = {name for name, x in _oracle_columns() if _mismatches(x)}
+    assert {"bits", "uniform", "normal", "scan", "integers"} <= failed
+
+
+def _exact(v) -> Fraction:
+    return Fraction(*float(v).as_integer_ratio())
+
+
+def _significant_bits(v) -> int:
+    m = abs(float(v).as_integer_ratio()[0])
+    return (m // (m & -m)).bit_length() if m else 0
+
+
+def test_powers_of_ten_are_double_doubles_exact_to_half_an_ulp_of_lo():
+    # hi is 10**k correctly rounded: no neighbouring double is nearer;
+    # lo is the remainder 10**k - hi to half an ulp; hi's Veltkamp halves
+    # add up to hi and have 26 significant bits each, so that their
+    # products with a's halves are exact
     pow10 = io._tables()[0]
-    assert pow10.size == io._POW_HI - io._POW_LO + 1 == 656
-    far = []
-    for k, v in zip(range(io._POW_LO, io._POW_HI + 1), pow10):
-        err = abs(Fraction(*v.as_integer_ratio()) - Fraction(10) ** k)
-        if err > Fraction(*np.spacing(v).as_integer_ratio()) / 2:
-            far.append(k)
-    assert far == []
+    assert pow10.shape == (4, io._POW_HI - io._POW_LO + 1) == (4, 561)
+    bad = []
+    for k, (hi, lo, head, tail) in zip(range(io._POW_LO, io._POW_HI + 1),
+                                       pow10.T):
+        exact = Fraction(10) ** k
+        err = abs(_exact(hi) - exact)
+        if any(abs(_exact(np.nextafter(hi, to)) - exact) < err
+               for to in (0.0, np.inf)):
+            bad.append((k, "hi"))
+        rest = exact - _exact(hi) - _exact(lo)
+        if abs(rest) > abs(_exact(np.spacing(lo))) / 2:
+            bad.append((k, "lo"))
+        if (_exact(head) + _exact(tail) != _exact(hi)
+                or max(map(_significant_bits, (head, tail))) > 26):
+            bad.append((k, "halves"))
+    assert bad == []
+    # the table's exact powers carry no remainder
+    assert all(pow10[1, -io._POW_LO + k] == 0.0 for k in range(23))
 
 
-def test_python_formatter_covers_every_cell_without_extended_precision(
-        monkeypatch):
+def test_the_range_bounds_are_the_first_doubles_of_their_decades():
+    low, high = io._tables()[1]
+    for bound, k in ((low, io._E_LO), (high, io._E_HI + 1)):
+        assert _exact(bound) >= Fraction(10) ** k
+        assert _exact(np.nextafter(bound, 0)) < Fraction(10) ** k
+
+
+def test_cells_beyond_the_table_go_to_python():
+    # E one step outside [_E_LO, _E_HI] leaves 16 - E +- 1 outside the
+    # table: those cells, and only those, are undecided, and still match
+    x = _edge_cells(np.random.default_rng(11), 1000)
+    assert _mismatches(x) == []
+    undecided = io._decide(x, io._FloatBuffers(x.size))
+    low, high = io._tables()[1]
+    beyond = np.flatnonzero((np.abs(x) < low) | (np.abs(x) >= high))
+    assert beyond.size == 4 * 1000 + 2
+    assert undecided.tolist() == beyond.tolist()
+
+
+def test_python_formatter_covers_every_cell_without_the_kernel(monkeypatch):
+    # with the kernel switched off, or a threshold above the cell count,
+    # every cell takes Python's formatter
     x = np.tile([0.1, -2.5e-300, 123456789.0, np.nan], io._KERNEL_MIN)
     monkeypatch.setattr(io, "_decide", None)        # must not be reached
-    monkeypatch.setattr(io, "_has_extended", lambda: False)
+    assert io._format_floats(x, kernel=False).tolist() == _python_cells(x)
+    monkeypatch.setattr(io, "_KERNEL_MIN", x.size + 1)
     assert io._format_floats(x).tolist() == _python_cells(x)
 
 
@@ -357,25 +439,28 @@ def test_small_batches_skip_the_kernel(monkeypatch):
 
 def test_scan_csv_leaves_few_cells_to_python(tmp_path, monkeypatch):
     # a silent fall onto Python's formatter would show here: every float
-    # cell of the default scan must reach the kernel, and about 2.5% of
-    # them sit in the band around 1/2 (plus the zeros)
-    if np.finfo(np.longdouble).nmant < 63:
-        pytest.skip("long double has no 64-bit significand here")
+    # cell of the default scan must reach the kernel, and the kernel
+    # decides every one of them but the zeros
     seen = []
     decide = io._decide
 
     def spy(x, buffers):
         undecided = decide(x, buffers)
-        seen.append((x.size, undecided.size))
+        seen.append((x.size, undecided.tolist(),
+                     np.flatnonzero(x == 0.0).tolist()))
         return undecided
 
     monkeypatch.setattr(io, "_decide", spy)
     assert cli.main(["scan-circle", "--out", str(tmp_path)]) == 0
     # one call per CSV slice for all four float columns, not one per column
-    assert [size for size, _ in seen] == [4 * 2560, 4 * (3600 - 2560)]
-    cells, undecided = map(sum, zip(*seen))
-    assert cells == 4 * 3600
-    assert 0 < undecided <= 0.03 * cells
+    assert [size for size, _, _ in seen] == [4 * 2560, 4 * (3600 - 2560)]
+    assert [undecided for _, undecided, _ in seen] == \
+        [zeros for _, _, zeros in seen]
+    # the zero cells, counted from the file's four float columns
+    rows = (tmp_path / "scan_circle.csv").read_text().splitlines()[1:]
+    zeros = sum(cell in ("0", "-0") for row in rows
+                for k, cell in enumerate(row.split(",")) if k != 3)
+    assert 0 < sum(len(undecided) for _, undecided, _ in seen) == zeros
 
 
 # ---------------------------------------------------------------------------
