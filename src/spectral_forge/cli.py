@@ -4,14 +4,13 @@ Subcommands map one-to-one onto the library surface: ``scan-circle``,
 ``eigs`` and ``convergence`` probe the discrete-time operator, ``semigroup
 scan-axis/cert/evolve`` probe the continuous-time one, and ``verify`` runs
 the seeded property suites.  Exit codes: 0 all checks passed, 1 a numeric
-verification failed, 2 bad usage or configuration.
+verification failed, 2 bad usage.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import re
@@ -33,107 +32,50 @@ from .semigroup import TWO_PI, GeneratorSpec, SemigroupState, evolve, \
     mode_certificate, scan_imaginary_axis
 from .verify import SUITE_NAMES, run_suites
 
-_DEFAULTS = {
-    "orders": (2, 3),
-    "truncation_depth": 40,
-    "grid_size": 3600,
-    "exclusion_radius": 0.05,
-    "seed": 0,
-    "out": ".",
-}
-
 # deepest series truncation whose dyadic tail radius 2^-depth is still a
 # positive float; 2.0**-1075 rounds to 0
 _MAX_DEPTH = 1074
 
 
 class UsageError(Exception):
-    """Configuration or argument problem; maps to exit status 2."""
+    """Argument problem; maps to exit status 2."""
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# flag checks
 # ---------------------------------------------------------------------------
 
-def _load_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"config: cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config: {path} is not valid JSON: {exc}")
-    if not isinstance(cfg, dict):
-        raise UsageError("config: top level must be a JSON object")
-    unknown = set(cfg) - set(_DEFAULTS)
-    if unknown:
-        raise UsageError(f"config: unknown keys {sorted(unknown)}; "
-                         f"allowed: {sorted(_DEFAULTS)}")
-    return cfg
+# the range of each checked flag, applied where a command declares it
+_RANGES = (
+    ("depth", lambda v: 1 <= v <= _MAX_DEPTH,
+     f"an integer in [1, {_MAX_DEPTH}]; beyond {_MAX_DEPTH} the tail radius "
+     f"2^-depth underflows to 0"),
+    ("grid", lambda v: v >= 1, "a positive integer"),
+    ("exclusion", lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"),
+    ("seed", lambda v: v >= 0, "an integer >= 0"),
+    ("out", bool, "a directory path"),
+)
 
 
-def _is_int(x) -> bool:
-    # JSON true/false arrive as bool, which is a subclass of int
-    return isinstance(x, int) and not isinstance(x, bool)
+def _check_flags(args) -> None:
+    """Refuse an out-of-range flag value before anything is written, and
+    turn ``--orders`` into its ``GroupUnionSpec``."""
+    for flag, ok, need in _RANGES:
+        if hasattr(args, flag) and not ok(getattr(args, flag)):
+            raise UsageError(f"{flag}: need {need}, got "
+                             f"{getattr(args, flag)!r}")
+    if hasattr(args, "orders"):
+        try:
+            args.orders = GroupUnionSpec(
+                [s for s in args.orders.replace(" ", "").split(",") if s])
+        except ValueError as exc:
+            raise UsageError(f"orders: need a comma-separated list of "
+                             f"integers >= 1, got {args.orders!r} ({exc})")
 
 
-def _resolve_config(args) -> dict:
-    """Merge defaults, the config file and the flags, and check every value.
-
-    Config values come from outside the program, so each one is checked
-    for type and range here; a bad one is a UsageError (exit 2).
-    """
-    cfg = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        cfg.update(_load_config(args.config))
-    for key, attr in (("truncation_depth", "depth"), ("seed", "seed"),
-                      ("out", "out"), ("orders", "orders"),
-                      ("grid_size", "grid"), ("exclusion_radius", "exclusion")):
-        val = getattr(args, attr, None)
-        if val is not None:
-            cfg[key] = val
-
-    orders = cfg["orders"]
-    items = list(orders) if isinstance(orders, (list, tuple)) else \
-        [s for s in str(orders).replace(" ", "").split(",") if s]
-    try:
-        # integers, or strings of integers as the --orders flag gives them
-        parsed = tuple(int(x) if isinstance(x, str) else x for x in items)
-    except ValueError:
-        parsed = ()
-    if not parsed or not all(map(_is_int, parsed)):
-        raise UsageError(f"orders: {orders!r} is not a non-empty "
-                         "comma-separated list of integers")
-    bad = [m for m in parsed if m < 1]
-    if bad:
-        raise UsageError(f"orders: cyclic orders must be >= 1, got {bad}")
-    cfg["orders"] = parsed
-
-    depth = cfg["truncation_depth"]
-    if not _is_int(depth) or not 1 <= depth <= _MAX_DEPTH:
-        raise UsageError(
-            f"truncation_depth: need an integer in [1, {_MAX_DEPTH}], got "
-            f"{depth!r}; beyond {_MAX_DEPTH} the tail radius 2^-depth "
-            f"underflows to 0")
-    if not _is_int(cfg["grid_size"]) or cfg["grid_size"] < 1:
-        raise UsageError(f"grid_size: need a positive integer, got "
-                         f"{cfg['grid_size']!r}")
-    radius = cfg["exclusion_radius"]
-    if not (isinstance(radius, (int, float)) and not isinstance(radius, bool)
-            and 0.0 <= radius < 1.0):
-        raise UsageError(f"exclusion_radius: need a number in [0, 1), got "
-                         f"{radius!r}")
-    if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
-        raise UsageError(f"seed: need an integer >= 0, got {cfg['seed']!r}")
-    if not isinstance(cfg["out"], str) or not cfg["out"]:
-        raise UsageError(f"out: need a directory path, got {cfg['out']!r}")
-    return cfg
-
-
-def _out_path(cfg: dict, name: str) -> str:
-    out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
-    return os.path.join(out, name)
+def _out_path(args, name: str) -> str:
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
 
 
 def _check_section_size(name: str, n_blocks: int, spec: GroupUnionSpec,
@@ -151,15 +93,13 @@ def _check_section_size(name: str, n_blocks: int, spec: GroupUnionSpec,
 # ---------------------------------------------------------------------------
 
 def cmd_scan_circle(args) -> int:
-    cfg = _resolve_config(args)
-    spec = GroupUnionSpec(cfg["orders"])
+    spec = args.orders
     if args.cert_block < 1:
         raise UsageError(f"cert-block: need a block index >= 1, "
                          f"got {args.cert_block}")
     try:
-        report = scan_unit_circle(spec, cfg["grid_size"],
-                                  float(cfg["exclusion_radius"]),
-                                  cfg["truncation_depth"], args.cert_block)
+        report = scan_unit_circle(spec, args.grid, args.exclusion, args.depth,
+                                  args.cert_block)
     except BlockTooDeep as exc:
         raise UsageError(f"cert-block: {exc}; use a shallower block")
 
@@ -177,7 +117,7 @@ def cmd_scan_circle(args) -> int:
             yield [c.thetas, c.lams.real, c.lams.imag, VERDICT_LABELS[c.codes],
                    c.den_lower]
 
-    write_csv(_out_path(cfg, "scan_circle.csv"),
+    write_csv(_out_path(args, "scan_circle.csv"),
               ["theta", "re_lambda", "im_lambda", "verdict",
                "denominator_abs_lower"], batches())
     # a rim with no grid point on it certifies nothing off the targets
@@ -188,7 +128,7 @@ def cmd_scan_circle(args) -> int:
     cert_ok = all(c.matches for c in report.certificates)
     counts = dict(zip(VERDICTS, tally.tolist()))
 
-    write_json(_out_path(cfg, "scan_circle.json"), {
+    write_json(_out_path(args, "scan_circle.json"), {
         "metadata": report.metadata,
         "counts": counts,
         "certificates": [{
@@ -202,26 +142,25 @@ def cmd_scan_circle(args) -> int:
     })
     print(f"scan-circle: {counts[CERTIFIED]} certified, "
           f"{counts[SINGULAR]} withheld, {counts[TAIL_INVALID]} tail-invalid "
-          f"of {cfg['grid_size']} points; "
+          f"of {args.grid} points; "
           f"{len(report.certificates)} certificates "
           f"(max residual {max((c.residual for c in report.certificates), default=0.0):.3e})")
     if not rim_seen:
         print(f"scan-circle: no grid point lies off the exclusion arcs "
-              f"(radius {cfg['exclusion_radius']}), so nothing off the "
+              f"(radius {args.exclusion}), so nothing off the "
               f"target set is certified", file=sys.stderr)
     return 0 if (rim_ok and cert_ok) else 1
 
 
 def cmd_eigs(args) -> int:
-    cfg = _resolve_config(args)
-    spec = GroupUnionSpec(cfg["orders"])
+    spec = args.orders
     _check_section_size("N", args.n_blocks, spec, not args.no_renormalize)
     result = finite_spectrum(FiniteSection.of(
         spec, args.n_blocks, renormalize=not args.no_renormalize))
     sec = result.section
 
     values = result.values
-    write_csv(_out_path(cfg, "eigs.csv"), ["re", "im", "kind", "residual"],
+    write_csv(_out_path(args, "eigs.csv"), ["re", "im", "kind", "residual"],
               [[values.real, values.imag,
                 ["block" if n else "secular" for n in result.blocks.tolist()],
                 result.residuals]])
@@ -240,7 +179,7 @@ def cmd_eigs(args) -> int:
         "spectral_radius": float(np.abs(values).max()),
         "peripheral_values": result.peripheral(),
     }
-    write_json(_out_path(cfg, "eigs.json"), summary)
+    write_json(_out_path(args, "eigs.json"), summary)
     print(f"eigs: {len(result)} eigenvalues of the {sec.dim}-dimensional "
           f"section, max residual {result.max_residual():.3e}, "
           f"head column sum {col[0]:.12f}")
@@ -248,11 +187,10 @@ def cmd_eigs(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    cfg = _resolve_config(args)
-    spec = GroupUnionSpec(cfg["orders"])
+    spec = args.orders
     _check_section_size("n-max", args.n_max, spec)
     rows = convergence_table(spec, args.n_max)
-    write_csv(_out_path(cfg, "convergence.csv"),
+    write_csv(_out_path(args, "convergence.csv"),
               ["n_blocks", "angle", "distance", "bound", "within_bound"],
               [[[r.n_blocks for r in rows], [str(r.angle) for r in rows],
                 np.array([r.distance for r in rows]),
@@ -291,17 +229,15 @@ def _parse_betas(text: Optional[str]) -> List[float]:
 
 
 def cmd_scan_axis(args) -> int:
-    cfg = _resolve_config(args)
-    report = scan_imaginary_axis(GeneratorSpec(cfg["truncation_depth"]),
-                                 _parse_betas(args.betas))
+    report = scan_imaginary_axis(GeneratorSpec(), _parse_betas(args.betas))
 
-    write_csv(_out_path(cfg, "scan_axis.csv"),
+    write_csv(_out_path(args, "scan_axis.csv"),
               ["beta", "verdict", "denominator_abs_lower"],
               [[report.betas, VERDICT_LABELS[report.codes],
                 report.denominator_abs_lower]])
 
     mismatches = report.betas[report.codes != report.expected].tolist()
-    write_json(_out_path(cfg, "scan_axis.json"), {
+    write_json(_out_path(args, "scan_axis.json"), {
         "depth": report.depth,
         "series_terms": report.series_terms,
         "counts": report.counts(),
@@ -321,15 +257,14 @@ def _parse_rationals(text: str) -> List[Fraction]:
 
 
 def cmd_cert(args) -> int:
-    cfg = _resolve_config(args)
-    g = GeneratorSpec(cfg["truncation_depth"])
+    g = GeneratorSpec()
     speeds = _parse_rationals(args.r)
     if not speeds or min(speeds) < 1:
         raise UsageError(f"r: need one or more speeds >= 1, got {args.r!r}")
     if args.occurrence < 1:
         raise UsageError(f"occurrence: need 1 or more, got {args.occurrence}")
     certs = [mode_certificate(g, r, args.occurrence) for r in speeds]
-    write_json(_out_path(cfg, "semigroup_cert.json"), [{
+    write_json(_out_path(args, "semigroup_cert.json"), [{
         "r": str(c.r), "omega": str(c.omega), "k": c.k, "n": c.block_index,
         "q_n": c.q_n, "residual": c.residual, "matches": c.matches,
     } for c in certs])
@@ -341,8 +276,7 @@ def cmd_cert(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    cfg = _resolve_config(args)
-    g = GeneratorSpec(cfg["truncation_depth"])
+    g = GeneratorSpec(args.depth)
     f0 = SemigroupState(1.0)
     if args.mode:
         try:
@@ -380,7 +314,7 @@ def cmd_evolve(args) -> int:
 
     headers = ["t", "mass", "head"] + \
         [f"block_mass_{n}" for n in range(1, args.trace_blocks + 1)]
-    write_csv(_out_path(cfg, "evolve.csv"), headers, [cols])
+    write_csv(_out_path(args, "evolve.csv"), headers, [cols])
     # the chain's own leak: column 0 of its generator sums to -2^-depth, and
     # |head| <= ||f0||_1 as the orbit contracts l1; a mode-0 entry c past the
     # chain decays alone, losing at most 2^-depth 2 pi |c| per unit time
@@ -396,7 +330,6 @@ def cmd_evolve(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    cfg = _resolve_config(args)
     names = None
     if args.suites is not None:
         names = [s for s in args.suites.replace(" ", "").split(",") if s]
@@ -408,8 +341,8 @@ def cmd_verify(args) -> int:
         if unknown:
             raise UsageError(f"suites: unknown {sorted(unknown)}; "
                              f"choices: {list(SUITE_NAMES)}")
-    report = run_suites(names, seed=cfg["seed"], corrupt=args.corrupt)
-    write_json(_out_path(cfg, "verify.json"), report)
+    report = run_suites(names, seed=args.seed, corrupt=args.corrupt)
+    write_json(_out_path(args, "verify.json"), report)
     for name, res in report["suites"].items():
         status = "PASS" if res["passed"] else "FAIL"
         print(f"verify {name}: {status} "
@@ -427,16 +360,17 @@ def cmd_verify(args) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON run configuration")
-    common.add_argument("--out", default=None,
-                        help="output directory for CSV/JSON artifacts")
+    common.add_argument("--out", default=".",
+                        help="output directory for CSV/JSON artifacts "
+                             "(default .)")
     # each flag below is declared once and given to the commands that read it
     orders = argparse.ArgumentParser(add_help=False)
-    orders.add_argument("--orders", default=None,
-                        help="comma-separated cyclic orders, e.g. 2,3")
+    orders.add_argument("--orders", default="2,3",
+                        help="comma-separated cyclic orders (default 2,3)")
     depth = argparse.ArgumentParser(add_help=False)
-    depth.add_argument("--depth", type=int, default=None,
-                       help="series truncation depth (default 40)")
+    depth.add_argument("--depth", type=int, default=40,
+                       help=f"series truncation depth, at most {_MAX_DEPTH} "
+                            f"(default 40)")
 
     parser = argparse.ArgumentParser(
         prog="spectral-forge",
@@ -445,10 +379,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan-circle", parents=[common, orders, depth],
                        help="classify unit-circle points for the operator")
-    p.add_argument("--grid", type=int, default=None,
+    p.add_argument("--grid", type=int, default=3600,
                    help="number of grid angles (default 3600)")
-    p.add_argument("--exclusion", type=float, default=None,
-                   help="radius of the withheld arcs around target points")
+    p.add_argument("--exclusion", type=float, default=0.05,
+                   help="radius of the withheld arcs around target points, "
+                        "in [0, 1) (default 0.05)")
     p.add_argument("--cert-block", type=int, default=30,
                    help="block index used for residual certificates; its "
                         "weight q_n must exceed 1e-14 (n <= 44 for orders "
@@ -474,8 +409,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the seeded property suites")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for all randomised checks")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for all randomised checks (default 0)")
     p.add_argument("--suites", default=None,
                    help=f"comma-separated subset of {list(SUITE_NAMES)}")
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
@@ -484,7 +419,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sg = sub.add_parser("semigroup", help="continuous-time construction")
     sgsub = sg.add_subparsers(dest="subcommand", required=True)
 
-    p = sgsub.add_parser("scan-axis", parents=[common, depth],
+    # scan-axis and cert run at GeneratorSpec's own depth: no caller varies
+    # it, and cert's output does not depend on it
+    p = sgsub.add_parser("scan-axis", parents=[common],
                          help="classify imaginary-axis points")
     p.add_argument("--betas", default=None,
                    help="comma-separated finite beta values, e.g. "
@@ -495,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p._negative_number_matcher = re.compile(r"-\.?\d")
     p.set_defaults(handler="cmd_scan_axis")
 
-    p = sgsub.add_parser("cert", parents=[common, depth],
+    p = sgsub.add_parser("cert", parents=[common],
                          help="single-mode approximate eigenvalue certificates")
     p.add_argument("--r", required=True,
                    help="comma-separated rational speeds >= 1, e.g. 1,3/2,7/3")
@@ -522,6 +459,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_flags(args)
         return globals()[args.handler](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

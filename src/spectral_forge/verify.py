@@ -291,11 +291,12 @@ def run_suite(name: str, seed: int = 0, corrupt: bool = False) -> SuiteResult:
 
 def run_suites(names: Optional[List[str]] = None, seed: int = 0,
                corrupt: bool = False) -> dict:
-    """Run the named suites (all by default); JSON-ready report.
+    """Run the named suites (all by default), each once in the order first
+    named; JSON-ready report.
 
     An empty list is refused: a report that checked nothing would pass.
     """
-    names = list(SUITE_NAMES) if names is None else list(names)
+    names = list(SUITE_NAMES) if names is None else list(dict.fromkeys(names))
     if not names:
         raise ValueError("no suite to run: an empty report would pass "
                          "without checking anything")

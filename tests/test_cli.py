@@ -18,7 +18,7 @@ import pytest
 
 import numpy as np
 
-from spectral_forge import cli, io, scanner, semigroup
+from spectral_forge import cli, io, scanner, semigroup, verify
 from spectral_forge.finite import convergence_table, finite_spectrum
 from spectral_forge.verify import SUITE_NAMES
 
@@ -294,15 +294,15 @@ def test_scan_circle_columns_outside_the_block_bound_are_pinned(
 @pytest.mark.parametrize("depth,terms", [(1, 1), (40, 40), (300, 300),
                                          (301, 300), (1074, 300)])
 def test_scan_json_reports_the_series_terms_summed(tmp_path, depth, terms):
-    # --depth reaches 1074, but the coupling series stops after 300 terms
+    # --depth reaches 1074, but the coupling series stops after 300 terms;
+    # scan-axis takes no --depth and sums the default 40
     assert run(tmp_path, "scan-circle", "--grid", "12",
                "--depth", str(depth)) == 0
-    assert run(tmp_path, "semigroup", "scan-axis", "--betas", "0.5",
-               "--depth", str(depth)) == 0
-    for name in ("scan_circle.json", "scan_axis.json"):
-        summary = read_json(tmp_path / name)
-        meta = summary.get("metadata", summary)
-        assert (meta["depth"], meta["series_terms"]) == (depth, terms)
+    assert run(tmp_path, "semigroup", "scan-axis", "--betas", "0.5") == 0
+    meta = read_json(tmp_path / "scan_circle.json")["metadata"]
+    assert (meta["depth"], meta["series_terms"]) == (depth, terms)
+    summary = read_json(tmp_path / "scan_axis.json")
+    assert (summary["depth"], summary["series_terms"]) == (40, 40)
 
 
 @pytest.mark.parametrize("block", ["0", "-3", "45", "60"])
@@ -506,6 +506,24 @@ def test_verify_single_suite(tmp_path):
     assert report["suites"]["denominator"]["failures"] == 0
 
 
+def test_verify_runs_a_repeated_suite_once(tmp_path, monkeypatch):
+    # the report keys each suite by name, so a second run of a repeated
+    # name would be work that no record shows
+    calls = []
+    real = verify._SUITES["factorization"]
+
+    def counting(**kwargs):
+        calls.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setitem(verify._SUITES, "factorization", counting)
+    assert run(tmp_path, "verify", "--suites",
+               "factorization,denominator,factorization") == 0
+    assert len(calls) == 1
+    assert sorted(read_json(tmp_path / "verify.json")["suites"]) == \
+        ["denominator", "factorization"]
+
+
 def test_verify_corrupt_control_fails(tmp_path):
     assert run(tmp_path, "verify", "--corrupt") == 1
     report = read_json(tmp_path / "verify.json")
@@ -686,7 +704,7 @@ def test_semigroup_scan_axis_betas_space_form(tmp_path):
                                     "0.20000000000000001"]
     # an option after --betas is still read as an option, not as the list
     with pytest.raises(SystemExit) as exc:
-        run(tmp_path, "semigroup", "scan-axis", "--betas", "--depth", "3")
+        run(tmp_path, "semigroup", "scan-axis", "--betas", "--out", "x")
     assert exc.value.code == 2
 
 
@@ -894,78 +912,13 @@ def test_semigroup_evolve_nan_mass_fails_the_drift_gate(tmp_path,
 
 
 # ---------------------------------------------------------------------------
-# configuration plumbing
+# flags
 # ---------------------------------------------------------------------------
-
-def test_config_file_round_trip(tmp_path):
-    cfg = tmp_path / "run.json"
-    out = tmp_path / "from_config"
-    cfg.write_text(json.dumps({
-        "orders": [2], "grid_size": 12, "exclusion_radius": 0.1,
-        "out": str(out),
-    }))
-    assert cli.main(["scan-circle", "--config", str(cfg)]) == 0
-    _, rows = read_csv(out / "scan_circle.csv")
-    assert len(rows) == 12
-
-
-def test_config_flag_overrides_file(tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"orders": [1], "grid_size": 12}))
-    rc = run(tmp_path, "scan-circle", "--config", str(cfg), "--grid", "16")
-    assert rc == 0
-    _, rows = read_csv(tmp_path / "scan_circle.csv")
-    assert len(rows) == 16
-
-
-@pytest.mark.parametrize("payload", [
-    {"grid": 10},                          # unknown key
-    {"weight_rule": "dyadic"},             # the weights are fixed: no key
-    {"truncation_depth": 0},
-    {"exclusion_radius": 1.5},
-    # accepted and ignored: scan-circle ran the single operator whatever
-    # it said; now an unknown key
-    {"construction": "semigroup"},
-    # values of the wrong type, which used to crash with a traceback (exit
-    # 1, the "verification failed" code) or run with a silently changed
-    # value (true as depth 1, 2.5 as order 2)
-    {"grid_size": "100"}, {"grid_size": 50.5}, {"grid_size": None},
-    {"grid_size": True},
-    {"exclusion_radius": "x"}, {"exclusion_radius": None},
-    {"exclusion_radius": True},
-    {"truncation_depth": True}, {"truncation_depth": None},
-    {"truncation_depth": 40.0},
-    {"orders": [2.5, 3]}, {"orders": [True, 3]}, {"orders": None},
-    {"orders": []},
-    {"seed": "abc"}, {"seed": None}, {"seed": -1},
-    {"out": 5},
-])
-def test_config_rejections(tmp_path, capsys, payload):
-    # a config file is input from outside: every bad value exits 2 with its
-    # key named; every command resolves the config the same way
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(payload))
-    out = tmp_path / "out"
-    flags = [] if "out" in payload else ["--out", str(out)]
-    assert cli.main(["scan-circle", "--config", str(cfg), *flags]) == 2
-    key, = payload
-    assert key in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_config_unknown_key_lists_the_allowed_ones(tmp_path, capsys):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"construction": "semigroup"}))
-    assert run(tmp_path, "verify", "--config", str(cfg)) == 2
-    assert "unknown keys ['construction']; allowed: ['exclusion_radius', " \
-        "'grid_size', 'orders', 'out', 'seed', 'truncation_depth']" \
-        in capsys.readouterr().err
-
 
 @pytest.mark.parametrize("command", [
     ["scan-circle", "--grid", "16"],
-    ["semigroup", "scan-axis", "--betas=-0.5,0,0.5"],
-], ids=["scan-circle", "scan-axis"])
+    ["semigroup", "evolve", "--t", "1", "--samples", "3"],
+], ids=["scan-circle", "evolve"])
 def test_depth_is_bounded_where_the_tail_radius_underflows(tmp_path, capsys,
                                                           command):
     # 2^-1074 is the smallest positive float; at 1075 every certified radius
@@ -974,7 +927,8 @@ def test_depth_is_bounded_where_the_tail_radius_underflows(tmp_path, capsys,
     capsys.readouterr()
     assert run(tmp_path / "bad", *command, "--depth", "1075") == 2
     err = capsys.readouterr().err
-    assert "truncation_depth" in err and "underflows" in err
+    assert "depth: need an integer in [1, 1074]" in err
+    assert "underflows" in err
     assert not (tmp_path / "bad").exists()
 
 
@@ -988,8 +942,9 @@ _COMMANDS = {
     "evolve": ["semigroup", "evolve", "--t", "1", "--samples", "3"],
 }
 # the commands that read each flag; the others do not declare it
-_READERS = {"--depth": ("scan-circle", "scan-axis", "cert", "evolve"),
-            "--seed": ("verify",)}
+_READERS = {"--depth": ("scan-circle", "evolve"),
+            "--seed": ("verify",),
+            "--config": ()}
 _FLAG_CASES = [(name, flag, name in readers)
                for flag, readers in _READERS.items() for name in _COMMANDS]
 
@@ -1012,9 +967,33 @@ def test_depth_and_seed_only_where_a_command_reads_them(tmp_path, name, flag,
         assert not (tmp_path / "out").exists()
 
 
-def test_bad_orders_flag(tmp_path):
-    assert run(tmp_path, "scan-circle", "--orders", "0") == 2
-    assert run(tmp_path, "scan-circle", "--orders", "a,b") == 2
+@pytest.mark.parametrize("command,flag,value", [
+    ("scan-circle", "--depth", "0"),
+    ("scan-circle", "--depth", "1075"),
+    ("scan-circle", "--grid", "0"),
+    ("scan-circle", "--exclusion", "1.5"),
+    ("scan-circle", "--exclusion", "-0.1"),
+    ("scan-circle", "--exclusion", "nan"),
+    ("scan-circle", "--exclusion", "inf"),
+    ("verify", "--seed", "-1"),
+    ("eigs", "--out", ""),
+    ("scan-circle", "--orders", "0"),
+    ("scan-circle", "--orders", "a,b"),
+    ("scan-circle", "--orders", ""),
+    ("convergence", "--orders", "2.5,3"),
+])
+def test_bad_flag_values_exit_2(tmp_path, capsys, monkeypatch, command, flag,
+                                value):
+    # every value out of its flag's range exits 2 with the flag named and
+    # writes nothing; an empty --out would write into the working directory
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    argv = [*_COMMANDS[command], flag, value]
+    if flag != "--out":
+        argv += ["--out", str(out)]
+    assert cli.main(argv) == 2
+    assert f"{flag[2:]}: need" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_directory_is_created(tmp_path):
