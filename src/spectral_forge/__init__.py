@@ -12,8 +12,9 @@ form of the sections' characteristic polynomial.  The dense and cofactor
 oracles live with the tests, not in the package.
 """
 
-from .errors import (BlockTooDeep, ExponentialUnresolved, NoSamples,
-                     NotInTargetSet, RootCountMismatch, SpectralForgeError)
+from .errors import (BlockIndexOverflow, BlockTooDeep, ExponentialUnresolved,
+                     NoSamples, NotInTargetSet, RootCountMismatch,
+                     SpectralForgeError)
 from .model import (GroupUnionSpec, apply_operator, dyadic_weights,
                     union_points, union_values)
 from .resolvent import (CERTIFIED, SINGULAR, TAIL_INVALID,

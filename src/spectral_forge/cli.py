@@ -5,6 +5,13 @@ Subcommands map one-to-one onto the library surface: ``scan-circle``,
 scan-axis/cert/evolve`` probe the continuous-time one, and ``verify`` runs
 the seeded property suites.  Exit codes: 0 all checks passed, 1 a numeric
 verification failed, 2 bad usage.
+
+Each value-taking flag declares its domain once, as its argparse ``type``
+(``_domain``), so a malformed and an out-of-range value are refused alike:
+``error: argument --grid: need an integer >= 1, got '0'``.  A command
+checks only what needs two inputs, in the same format, and every usage
+error, from the parser or a command, makes main() return 2 before
+anything is written.
 """
 
 from __future__ import annotations
@@ -16,11 +23,11 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import List, Optional
 
 import numpy as np
 
-from .errors import BlockTooDeep, ExponentialUnresolved, SpectralForgeError
+from .errors import BlockIndexOverflow, BlockTooDeep, ExponentialUnresolved, \
+    SpectralForgeError
 from .finite import (FiniteSection, convergence_table, finite_spectrum,
                      section_limit)
 from .io import write_csv, write_json
@@ -41,36 +48,48 @@ class UsageError(Exception):
     """Argument problem; maps to exit status 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``UsageError`` where argparse would print usage and exit 2, so
+    that main() returns 2 for every refused argv; subparsers inherit it."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 # ---------------------------------------------------------------------------
-# flag checks
+# flag domains
 # ---------------------------------------------------------------------------
 
-# the range of each checked flag, applied where a command declares it
-_RANGES = (
-    ("depth", lambda v: 1 <= v <= _MAX_DEPTH,
-     f"an integer in [1, {_MAX_DEPTH}]; beyond {_MAX_DEPTH} the tail radius "
-     f"2^-depth underflows to 0"),
-    ("grid", lambda v: v >= 1, "a positive integer"),
-    ("exclusion", lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"),
-    ("seed", lambda v: v >= 0, "an integer >= 0"),
-    ("out", bool, "a directory path"),
-)
-
-
-def _check_flags(args) -> None:
-    """Refuse an out-of-range flag value before anything is written, and
-    turn ``--orders`` into its ``GroupUnionSpec``."""
-    for flag, ok, need in _RANGES:
-        if hasattr(args, flag) and not ok(getattr(args, flag)):
-            raise UsageError(f"{flag}: need {need}, got "
-                             f"{getattr(args, flag)!r}")
-    if hasattr(args, "orders"):
+def _domain(convert, ok, need: str):
+    """An argparse ``type``: ``convert`` parses the text and ``ok`` checks
+    the value, so a malformed and an out-of-range value of a flag get the
+    one message ``argument --flag: need <need>, got <text>``."""
+    def parse(text: str):
         try:
-            args.orders = GroupUnionSpec(
-                [s for s in args.orders.replace(" ", "").split(",") if s])
-        except ValueError as exc:
-            raise UsageError(f"orders: need a comma-separated list of "
-                             f"integers >= 1, got {args.orders!r} ({exc})")
+            value = convert(text)
+            if ok(value):
+                return value
+        except (ValueError, ArithmeticError):
+            pass
+        raise argparse.ArgumentTypeError(f"need {need}, got {text!r}")
+
+    parse.need = need
+    return parse
+
+
+def _items(convert):
+    """A comma-separated list, blanks dropped, each item converted."""
+    return lambda text: [convert(s) for s in text.replace(" ", "").split(",")
+                         if s]
+
+
+def _at_least(low: int):
+    return _domain(int, lambda v: v >= low, f"an integer >= {low}")
+
+
+def _single_mode(text: str) -> SemigroupState:
+    n, k = (int(s) for s in text.split(","))
+    return SemigroupState.single_mode(n, k, 1.0 / TWO_PI)
 
 
 def _out_path(args, name: str) -> str:
@@ -78,14 +97,14 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
-def _check_section_size(name: str, n_blocks: int, spec: GroupUnionSpec,
+def _check_section_size(flag: str, n_blocks: int, spec: GroupUnionSpec,
                         renormalize: bool = True):
     limit = section_limit(spec, renormalize)
-    if not 1 <= n_blocks <= limit:
+    if n_blocks > limit:
         raise UsageError(
-            f"{name}: need a section size in [1, {limit}], got {n_blocks}; "
-            f"beyond {limit} the bisection floor eps * q_N is no longer a "
-            f"normal float")
+            f"argument {flag}: need a section size in [1, {limit}], got "
+            f"{n_blocks}; beyond {limit} the bisection floor eps * q_N is no "
+            f"longer a normal float")
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +112,12 @@ def _check_section_size(name: str, n_blocks: int, spec: GroupUnionSpec,
 # ---------------------------------------------------------------------------
 
 def cmd_scan_circle(args) -> int:
-    spec = args.orders
-    if args.cert_block < 1:
-        raise UsageError(f"cert-block: need a block index >= 1, "
-                         f"got {args.cert_block}")
     try:
-        report = scan_unit_circle(spec, args.grid, args.exclusion, args.depth,
-                                  args.cert_block)
+        report = scan_unit_circle(args.orders, args.grid, args.exclusion,
+                                  args.depth, args.cert_block)
     except BlockTooDeep as exc:
-        raise UsageError(f"cert-block: {exc}; use a shallower block")
+        raise UsageError(f"argument --cert-block: {exc}; use a shallower "
+                         f"block")
 
     tally = np.zeros(len(VERDICTS), dtype=np.int64)
     rim_seen, rim_ok = False, True
@@ -154,7 +170,7 @@ def cmd_scan_circle(args) -> int:
 
 def cmd_eigs(args) -> int:
     spec = args.orders
-    _check_section_size("N", args.n_blocks, spec, not args.no_renormalize)
+    _check_section_size("--N", args.n_blocks, spec, not args.no_renormalize)
     result = finite_spectrum(FiniteSection.of(
         spec, args.n_blocks, renormalize=not args.no_renormalize))
     sec = result.section
@@ -188,7 +204,7 @@ def cmd_eigs(args) -> int:
 
 def cmd_convergence(args) -> int:
     spec = args.orders
-    _check_section_size("n-max", args.n_max, spec)
+    _check_section_size("--n-max", args.n_max, spec)
     rows = convergence_table(spec, args.n_max)
     write_csv(_out_path(args, "convergence.csv"),
               ["n_blocks", "angle", "distance", "bound", "within_bound"],
@@ -210,26 +226,12 @@ def cmd_convergence(args) -> int:
 # semigroup commands
 # ---------------------------------------------------------------------------
 
-def _parse_betas(text: Optional[str]) -> List[float]:
-    if text is None:
-        # default grid: +-0.05..0.95 plus the showcase point beta = 0
-        ks = np.arange(-19, 20)
-        return [round(0.05 * k, 10) for k in ks]
-    try:
-        betas = [float(s) for s in text.replace(" ", "").split(",") if s]
-    except ValueError:
-        raise UsageError(f"betas: {text!r} is not a comma-separated "
-                         "list of floats")
-    if not betas:
-        raise UsageError(f"betas: {text!r} names no beta, so nothing "
-                         "would be scanned")
-    if not all(map(math.isfinite, betas)):
-        raise UsageError(f"betas: {text!r} holds a non-finite value")
-    return betas
-
-
 def cmd_scan_axis(args) -> int:
-    report = scan_imaginary_axis(GeneratorSpec(), _parse_betas(args.betas))
+    betas = args.betas
+    if betas is None:
+        # default grid: +-0.05..0.95 plus the showcase point beta = 0
+        betas = [round(0.05 * k, 10) for k in np.arange(-19, 20)]
+    report = scan_imaginary_axis(GeneratorSpec(), betas)
 
     write_csv(_out_path(args, "scan_axis.csv"),
               ["beta", "verdict", "denominator_abs_lower"],
@@ -248,22 +250,13 @@ def cmd_scan_axis(args) -> int:
     return 0 if not mismatches else 1
 
 
-def _parse_rationals(text: str) -> List[Fraction]:
-    try:
-        return [Fraction(s) for s in text.replace(" ", "").split(",") if s]
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"r: {text!r} is not a comma-separated list "
-                         "of rationals like 3/2")
-
-
 def cmd_cert(args) -> int:
     g = GeneratorSpec()
-    speeds = _parse_rationals(args.r)
-    if not speeds or min(speeds) < 1:
-        raise UsageError(f"r: need one or more speeds >= 1, got {args.r!r}")
-    if args.occurrence < 1:
-        raise UsageError(f"occurrence: need 1 or more, got {args.occurrence}")
-    certs = [mode_certificate(g, r, args.occurrence) for r in speeds]
+    try:
+        certs = [mode_certificate(g, r, args.occurrence) for r in args.r]
+    except BlockIndexOverflow as exc:
+        flag = "--occurrence" if exc.first_fits else "--r"
+        raise UsageError(f"argument {flag}: {exc}")
     write_json(_out_path(args, "semigroup_cert.json"), [{
         "r": str(c.r), "omega": str(c.omega), "k": c.k, "n": c.block_index,
         "q_n": c.q_n, "residual": c.residual, "matches": c.matches,
@@ -277,33 +270,17 @@ def cmd_cert(args) -> int:
 
 def cmd_evolve(args) -> int:
     g = GeneratorSpec(args.depth)
-    f0 = SemigroupState(1.0)
-    if args.mode:
-        try:
-            n, k = (int(s) for s in args.mode.split(","))
-            f0 = SemigroupState.single_mode(n, k, 1.0 / TWO_PI)
-        except ValueError:
-            raise UsageError(f"mode: {args.mode!r} is not 'n,k' with a "
-                             "block index n >= 1")
-
-    if not (math.isfinite(args.t) and args.t >= 0.0):
-        raise UsageError(f"t: need a finite final time >= 0, got {args.t}")
-    if args.samples < 1:
-        raise UsageError(f"samples: need at least one sample, got "
-                         f"{args.samples}")
+    f0 = SemigroupState(1.0) if args.mode is None else args.mode
     if args.samples == 1 and args.t > 0.0:
-        raise UsageError(f"samples: one sample is t = 0 alone; need at "
-                         f"least two to reach t={args.t}")
-    if args.trace_blocks < 0:
-        raise UsageError(f"trace-blocks: need 0 or more, got "
-                         f"{args.trace_blocks}")
+        raise UsageError(f"argument --samples: one sample is t = 0 alone; "
+                         f"need at least two to reach t={args.t}")
 
     times = np.linspace(0.0, args.t, args.samples)
     try:
         ft = evolve(g, f0, times)
     except ExponentialUnresolved as exc:
-        raise UsageError(f"t: {args.t} over {args.samples} samples steps "
-                         f"too far to certify: {exc}")
+        raise UsageError(f"argument --t: {args.t} over {args.samples} "
+                         f"samples steps too far to certify: {exc}")
     mass = ft.mass().real
     mass0 = f0.mass().real
     # np.max propagates NaN, and a NaN drift fails the gate below
@@ -330,18 +307,7 @@ def cmd_evolve(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    names = None
-    if args.suites is not None:
-        names = [s for s in args.suites.replace(" ", "").split(",") if s]
-        if not names:
-            raise UsageError(f"suites: {args.suites!r} names no suite, so "
-                             f"nothing would be checked; choices: "
-                             f"{list(SUITE_NAMES)}")
-        unknown = set(names) - set(SUITE_NAMES)
-        if unknown:
-            raise UsageError(f"suites: unknown {sorted(unknown)}; "
-                             f"choices: {list(SUITE_NAMES)}")
-    report = run_suites(names, seed=args.seed, corrupt=args.corrupt)
+    report = run_suites(args.suites, seed=args.seed, corrupt=args.corrupt)
     write_json(_out_path(args, "verify.json"), report)
     for name, res in report["suites"].items():
         status = "PASS" if res["passed"] else "FAIL"
@@ -361,30 +327,38 @@ def cmd_verify(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=".",
+                        type=_domain(str, bool, "a directory path"),
                         help="output directory for CSV/JSON artifacts "
                              "(default .)")
     # each flag below is declared once and given to the commands that read it
     orders = argparse.ArgumentParser(add_help=False)
-    orders.add_argument("--orders", default="2,3",
+    orders.add_argument("--orders", default="2,3", type=_domain(
+                            lambda text: GroupUnionSpec(_items(int)(text)),
+                            lambda spec: True,
+                            "a comma-separated list of integers >= 1"),
                         help="comma-separated cyclic orders (default 2,3)")
     depth = argparse.ArgumentParser(add_help=False)
-    depth.add_argument("--depth", type=int, default=40,
+    depth.add_argument("--depth", default=40, type=_domain(
+                           int, lambda v: 1 <= v <= _MAX_DEPTH,
+                           f"an integer in [1, {_MAX_DEPTH}] (the tail radius "
+                           f"2^-depth underflows to 0 past {_MAX_DEPTH})"),
                        help=f"series truncation depth, at most {_MAX_DEPTH} "
                             f"(default 40)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spectral-forge",
         description="certified spectra of head-coupled cyclic shift systems")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scan-circle", parents=[common, orders, depth],
                        help="classify unit-circle points for the operator")
-    p.add_argument("--grid", type=int, default=3600,
+    p.add_argument("--grid", type=_at_least(1), default=3600,
                    help="number of grid angles (default 3600)")
-    p.add_argument("--exclusion", type=float, default=0.05,
+    p.add_argument("--exclusion", default=0.05, type=_domain(
+                       float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"),
                    help="radius of the withheld arcs around target points, "
                         "in [0, 1) (default 0.05)")
-    p.add_argument("--cert-block", type=int, default=30,
+    p.add_argument("--cert-block", type=_at_least(1), default=30,
                    help="block index used for residual certificates; its "
                         "weight q_n must exceed 1e-14 (n <= 44 for orders "
                         "2,3)")
@@ -392,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eigs", parents=[common, orders],
                        help="full spectrum of a finite section")
-    p.add_argument("--N", dest="n_blocks", type=int, default=12,
+    p.add_argument("--N", dest="n_blocks", type=_at_least(1), default=12,
                    help="number of retained blocks, at least 1 (at most "
                         "967 for orders 2,3)")
     p.add_argument("--no-renormalize", action="store_true",
@@ -401,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convergence", parents=[common, orders],
                        help="distance of section spectra to the target set")
-    p.add_argument("--n-max", type=int, default=12,
+    p.add_argument("--n-max", type=_at_least(1), default=12,
                    help="largest section size, at least 1 (at most 967 "
                         "for orders 2,3); rows whose bound is within the "
                         "distance's rounding tolerance read 'unresolved'")
@@ -409,9 +383,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the seeded property suites")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_at_least(0), default=0,
                    help="seed for all randomised checks (default 0)")
-    p.add_argument("--suites", default=None,
+    p.add_argument("--suites", default=None, type=_domain(
+                       _items(str), lambda v: v and set(v) <= set(SUITE_NAMES),
+                       f"a non-empty comma-separated subset of "
+                       f"{list(SUITE_NAMES)}"),
                    help=f"comma-separated subset of {list(SUITE_NAMES)}")
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(handler="cmd_verify")
@@ -423,7 +400,10 @@ def _build_parser() -> argparse.ArgumentParser:
     # it, and cert's output does not depend on it
     p = sgsub.add_parser("scan-axis", parents=[common],
                          help="classify imaginary-axis points")
-    p.add_argument("--betas", default=None,
+    p.add_argument("--betas", default=None, type=_domain(
+                       _items(float),
+                       lambda v: v and all(map(math.isfinite, v)),
+                       "a non-empty comma-separated list of finite numbers"),
                    help="comma-separated finite beta values, e.g. "
                         "--betas -0.9,0.2 or --betas=-0.9,0.2 (default "
                         "grid in [-0.95, 0.95] including 0)")
@@ -434,21 +414,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sgsub.add_parser("cert", parents=[common],
                          help="single-mode approximate eigenvalue certificates")
-    p.add_argument("--r", required=True,
+    p.add_argument("--r", required=True, type=_domain(
+                       _items(Fraction), lambda v: v and min(v) >= 1,
+                       "one or more speeds >= 1, comma-separated like 3/2,2"),
                    help="comma-separated rational speeds >= 1, e.g. 1,3/2,7/3")
-    p.add_argument("--occurrence", type=int, default=1,
+    p.add_argument("--occurrence", type=_at_least(1), default=1,
                    help="which recurrence of the speed to use, from 1")
     p.set_defaults(handler="cmd_cert")
 
     p = sgsub.add_parser("evolve", parents=[common, depth],
                          help="orbit of the semigroup with mass trace")
-    p.add_argument("--t", type=float, default=10.0,
+    p.add_argument("--t", default=10.0, type=_domain(
+                       float, lambda v: math.isfinite(v) and v >= 0.0,
+                       "a finite final time >= 0"),
                    help="final time, finite and >= 0")
-    p.add_argument("--samples", type=int, default=51,
+    p.add_argument("--samples", type=_at_least(1), default=51,
                    help="number of trace samples, at least 1 (2 when t > 0)")
-    p.add_argument("--mode", default=None,
+    p.add_argument("--mode", default=None, type=_domain(
+                       _single_mode, lambda f0: True,
+                       "'n,k': integers with a block index n >= 1"),
                    help="start from a single mode 'n,k' instead of the head")
-    p.add_argument("--trace-blocks", type=int, default=8,
+    p.add_argument("--trace-blocks", type=_at_least(0), default=8,
                    help="number of leading block masses in the CSV, >= 0")
     p.set_defaults(handler="cmd_evolve")
 
@@ -456,10 +442,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        _check_flags(args)
+        args = _build_parser().parse_args(argv)
         return globals()[args.handler](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

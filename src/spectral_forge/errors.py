@@ -16,6 +16,15 @@ class BlockTooDeep(SpectralForgeError):
     a residual check against q_n could no longer fail there."""
 
 
+class BlockIndexOverflow(SpectralForgeError):
+    """A speed's block index past 2^63 - 1, which no int64 state entry
+    holds; ``first_fits`` tells whether its first occurrence fits."""
+
+    def __init__(self, message: str, first_fits: bool):
+        super().__init__(message)
+        self.first_fits = first_fits
+
+
 class ExponentialUnresolved(SpectralForgeError):
     """A matrix exponential needs so many squarings that its a-priori
     rounding bound exceeds the result itself: no digit would be certified."""

@@ -33,7 +33,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ExponentialUnresolved
+from .errors import BlockIndexOverflow, ExponentialUnresolved
 from .model import dyadic_weights
 from .resolvent import (CERTIFIED, UNIT_ROUNDOFF, VERDICTS,
                         coupling_series_batch, gamma, series_terms,
@@ -69,6 +69,22 @@ def _totients(n: int) -> list:
             for m in range(p, n + 1, p):
                 phi[m] -= phi[m] // p
     return phi
+
+
+def _totient_sum_floor(n: int) -> int:
+    """A lower bound on phi(1) + ... + phi(n), with no table: the ordered
+    pairs in [1, n]^2 are 2 (phi(1) + ... + phi(n)) - 1 coprime ones and at
+    most sum_p (n/p)^2 < 0.4523 n^2 that share a prime p (P(2) = 0.45225)."""
+    return (5477 * n * n // 10000 + 1) // 2
+
+
+def _block(i: int, m: int) -> int:
+    """Block index of base index i at occurrence m, on anti-diagonal i + m."""
+    return (i + m - 2) * (i + m - 1) // 2 + i
+
+
+# the largest block index an int64 state entry holds
+MAX_BLOCK = 2 ** 63 - 1
 
 
 class RationalSchedule:
@@ -115,12 +131,25 @@ class RationalSchedule:
         return self.base_rational(n - m * (m - 1) // 2)
 
     def index_of(self, r, occurrence: int = 1) -> int:
-        """Block index of the ``occurrence``-th appearance of speed r."""
+        """Block index of the ``occurrence``-th appearance of speed r.
+
+        Past ``MAX_BLOCK`` it raises ``BlockIndexOverflow``, decided on a
+        lower bound of r's base index before any totient table is sized
+        by r's denominator, then on the exact index."""
         if occurrence < 1:
             raise ValueError("occurrence starts at 1")
-        i = self.base_index(r)
-        t = i + occurrence                 # the anti-diagonal of (i, m)
-        return (t - 2) * (t - 1) // 2 + i
+        r = Fraction(r)
+        i = 1 + _totient_sum_floor(r.denominator - 1)
+        exact = _block(i, 1) <= MAX_BLOCK
+        if exact:
+            i = self.base_index(r)
+        n = _block(i, occurrence)
+        if n > MAX_BLOCK:
+            raise BlockIndexOverflow(
+                f"occurrence {occurrence} of speed {r} lies at block index "
+                f"{'' if exact else 'at least '}{n}, past 2^63 - 1",
+                _block(i, 1) <= MAX_BLOCK)
+        return n
 
 
 # ---------------------------------------------------------------------------

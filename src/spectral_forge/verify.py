@@ -2,11 +2,10 @@
 
 Each suite checks one pillar of the construction against an independent
 route (exact decimal arithmetic, every column of the forward map, the
-closed-form characteristic polynomial, the connectivity ``eigs`` reports
-on coupled and uncoupled sections) and reports a machine-readable
+closed-form characteristic polynomial) and reports a machine-readable
 pass/fail record.  The ``corrupt`` flag breaks one thing in each suite, a
-bound, the operator or the control, so the harness can be shown to catch
-regressions; no control adds to a reported number.
+bound or the operator, so the harness can be shown to catch regressions;
+no control adds to a reported number.
 """
 
 from __future__ import annotations
@@ -147,7 +146,7 @@ def suite_stochasticity(seed: int = 0, corrupt: bool = False) -> SuiteResult:
 
 
 # ---------------------------------------------------------------------------
-# matrix-free sections: connectivity and the closed-form determinant
+# matrix-free sections: the closed-form determinant
 # ---------------------------------------------------------------------------
 
 # (orders, smallest N, largest N) of the seeded sections; orders 2,3 have
@@ -155,30 +154,6 @@ def suite_stochasticity(seed: int = 0, corrupt: bool = False) -> SuiteResult:
 _SECTIONS = (((1,), 30, 60), ((2, 3), 100, 110), ((4, 6), 10, 20),
              ((5, 7), 8, 16))
 _POINTS = 32                    # seeded lam per section
-
-
-def _sections(rng: np.random.Generator):
-    """(orders label, section) per order set, N drawn from its range."""
-    for orders, lo, hi in _SECTIONS:
-        spec, n_blocks = GroupUnionSpec(orders), int(rng.integers(lo, hi + 1))
-        yield ",".join(map(str, orders)), FiniteSection.of(spec, n_blocks)
-
-
-def suite_connectivity(seed: int = 0, corrupt: bool = False) -> SuiteResult:
-    """``FiniteSection.strongly_connected``, the closed form ``eigs``
-    reports, must call each seeded section connected and, as a negative
-    control, the section with every weight zero disconnected.  ``corrupt``
-    skips the zeroing, so the control stays coupled."""
-    failures, cases = 0, {}
-    for label, sec in _sections(substream(seed, "connectivity")):
-        control = sec if corrupt else replace(sec, tilde_q=0.0 * sec.tilde_q)
-        coupled = sec.strongly_connected()
-        uncoupled = control.strongly_connected()
-        failures += (not coupled) + uncoupled
-        cases[label] = {"n_blocks": sec.n_blocks, "coupled": coupled,
-                        "uncoupled": uncoupled}
-    return SuiteResult("connectivity", failures == 0, 2 * len(cases),
-                       failures, {"cases": cases})
 
 
 def _log_sum(f: np.ndarray, err):
@@ -252,8 +227,9 @@ def suite_factorization(seed: int = 0, corrupt: bool = False) -> SuiteResult:
     2^-n / (d + 1), renormalised."""
     rng = substream(seed, "factorization")
     failures, cases = 0, {}
-    for label, sec in _sections(rng):
-        n = sec.n_blocks
+    for orders, lo, hi in _SECTIONS:
+        n = int(rng.integers(lo, hi + 1))
+        sec = FiniteSection.of(GroupUnionSpec(orders), n)
         taken = replace(sec, tilde_q=dyadic_weights(n, sec.spec.d + 1)
                         / (1.0 - 2.0 ** -n)) if corrupt else sec
         values = finite_spectrum(taken).values
@@ -262,9 +238,9 @@ def suite_factorization(seed: int = 0, corrupt: bool = False) -> SuiteResult:
         gap, tol = _factorization_gaps(sec, values, lams)
         failures += int(np.count_nonzero(~(gap <= tol)))
         k = int(np.argmax(gap / tol))
-        cases[label] = {"n_blocks": sec.n_blocks, "dim": sec.dim,
-                        "gap": float(gap[k]), "tolerance": float(tol[k]),
-                        "margin": float(tol[k] - gap[k])}
+        cases[",".join(map(str, orders))] = {
+            "n_blocks": n, "dim": sec.dim, "gap": float(gap[k]),
+            "tolerance": float(tol[k]), "margin": float(tol[k] - gap[k])}
     return SuiteResult("factorization", failures == 0,
                        _POINTS * len(cases), failures, {"cases": cases})
 
@@ -276,7 +252,6 @@ def suite_factorization(seed: int = 0, corrupt: bool = False) -> SuiteResult:
 _SUITES = {
     "denominator": suite_denominator,
     "stochasticity": suite_stochasticity,
-    "connectivity": suite_connectivity,
     "factorization": suite_factorization,
 }
 

@@ -426,17 +426,22 @@ def test_convergence_table(tmp_path):
     (["convergence", "--n-max"], "convergence_table"),
     (["eigs", "--N"], "finite_spectrum"),
 ], ids=["convergence", "eigs"])
-@pytest.mark.parametrize("size", ["0", "-3", "968"])
+@pytest.mark.parametrize("size,need", [
+    ("0", "need an integer >= 1"),
+    ("-3", "need an integer >= 1"),
+    ("968", "need a section size in [1, 967]"),
+], ids=["0", "-3", "968"])
 def test_out_of_range_section_sizes_exit_2(tmp_path, monkeypatch, capsys,
-                                           argv, work, size):
-    # 968 is one past the last section of orders 2,3 whose bisection floor
-    # eps * q~_N is a normal float; nothing is computed or written
+                                           argv, work, size, need):
+    # the parser refuses a size below 1; 968 is one past the last section
+    # of orders 2,3 whose bisection floor eps * q~_N is a normal float, which
+    # the command checks against --orders; nothing is computed or written
     def refuse(*args, **kwargs):
         raise AssertionError(f"{work} ran for an out-of-range size")
 
     monkeypatch.setattr(cli, work, refuse)
     assert run(tmp_path, *argv, size) == 2
-    assert "need a section size in [1, 967]" in capsys.readouterr().err
+    assert f"argument {argv[-1]}: {need}" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 
@@ -558,7 +563,7 @@ def test_verify_suites_naming_no_suite_is_usage_error(tmp_path, capsys,
                                                       suites):
     # a gate that checked nothing must not pass
     assert run(tmp_path, "verify", "--suites", suites) == 2
-    assert "names no suite" in capsys.readouterr().err
+    assert "argument --suites: need a non-empty" in capsys.readouterr().err
     assert not (tmp_path / "verify.json").exists()
 
 
@@ -570,29 +575,27 @@ def test_verify_reports_are_reproducible(tmp_path):
 
 
 @pytest.mark.parametrize("seed,digest", [
-    ("0", "f18d1332c4e777643005ef3a013da14bbffc7e883c32b64a156ba7b51e823126"),
-    ("7", "875daccb06d3317b400aa9f3928e83b37263d92551159942d92463e046d74497"),
+    ("0", "ba2bb163c11530b718f9618a3dc0053ea35abb1045301ee220e57b76664a9ae3"),
+    ("7", "bb9e8697d1878c94df590de5783bb6571a0867037af5e56dae613d89b622c67b"),
 ], ids=["seed-0", "seed-7"])
 def test_verify_report_is_pinned(tmp_path, seed, digest):
     # sha256 of verify.json as written with the stochasticity suite on the
-    # forward map's columns, and the connectivity and factorization suites
-    # on seeded matrix-free sections: the closed-form connectivity and the
-    # closed-form determinant
+    # forward map's columns and the factorization suite on seeded
+    # matrix-free sections against the closed-form determinant
     assert run(tmp_path, "verify", "--seed", seed) == 0
     assert hashlib.sha256(
         (tmp_path / "verify.json").read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("seed,digest", [
-    ("0", "c20ffa13cf356f86194232f5a4f94d56e11755d0f6c5ec0d9e36ad6e1c0ea704"),
-    ("7", "0f6ebf714abb0e43026d593a51d6fd61f160649037512899806d2ae2252fbf0e"),
+    ("0", "7b48356bfb1e02fc1bd2bf747380b1f16b87c08684c9d55045be12fe0e0346eb"),
+    ("7", "13005c3b247d65d0f57483af673fa50433f1003667946d70f725ae7609d1534c"),
 ], ids=["seed-0", "seed-7"])
 def test_verify_corrupt_report_is_pinned(tmp_path, seed, digest):
     # sha256 of verify.json with every negative control on: the widened
     # denominator radius, the forward map's columns and the section's
-    # spectrum on the weights 2^-n / (d + 1), the connectivity control left
-    # coupled.  Each control must break its suite in exactly the same
-    # numbers
+    # spectrum on the weights 2^-n / (d + 1).  Each control must break its
+    # suite in exactly the same numbers
     assert run(tmp_path, "verify", "--seed", seed, "--corrupt") == 1
     assert hashlib.sha256(
         (tmp_path / "verify.json").read_bytes()).hexdigest() == digest
@@ -635,8 +638,10 @@ def test_semigroup_cert_rejects_small_speed(tmp_path):
 @pytest.mark.parametrize("argv,reason", [
     (["--r", ","], "need one or more speeds >= 1"),
     (["--r", ""], "need one or more speeds >= 1"),
-    (["--r", "3/2", "--occurrence", "0"], "occurrence: need 1 or more"),
-    (["--r", "3/2", "--occurrence", "-1"], "occurrence: need 1 or more"),
+    (["--r", "3/2", "--occurrence", "0"],
+     "argument --occurrence: need an integer >= 1"),
+    (["--r", "3/2", "--occurrence", "-1"],
+     "argument --occurrence: need an integer >= 1"),
 ], ids=["comma", "empty", "occurrence-0", "occurrence-negative"])
 def test_semigroup_cert_refuses_bad_input(tmp_path, capsys, argv, reason):
     # an empty speed list would pass with nothing certified
@@ -693,7 +698,7 @@ def test_semigroup_scan_axis_default_artifacts_are_pinned(tmp_path):
     }
 
 
-def test_semigroup_scan_axis_betas_space_form(tmp_path):
+def test_semigroup_scan_axis_betas_space_form(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run(a, "semigroup", "scan-axis", "--betas", "-0.9,0.2") == 0
     assert run(b, "semigroup", "scan-axis", "--betas=-0.9,0.2") == 0
@@ -703,16 +708,22 @@ def test_semigroup_scan_axis_betas_space_form(tmp_path):
     assert [r[0] for r in rows] == ["-0.90000000000000002",
                                     "0.20000000000000001"]
     # an option after --betas is still read as an option, not as the list
-    with pytest.raises(SystemExit) as exc:
-        run(tmp_path, "semigroup", "scan-axis", "--betas", "--out", "x")
-    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(tmp_path, "semigroup", "scan-axis", "--betas", "--out",
+               "x") == 2
+    assert "argument --betas: expected one argument" in \
+        capsys.readouterr().err
+
+
+_BETAS_NEED = ("argument --betas: need a non-empty comma-separated list of "
+               "finite numbers")
 
 
 @pytest.mark.parametrize("betas", ["nan", "0.5,inf", "-inf"])
 def test_semigroup_scan_axis_rejects_non_finite_betas(tmp_path, betas,
                                                       capsys):
     assert run(tmp_path, "semigroup", "scan-axis", f"--betas={betas}") == 2
-    assert "non-finite" in capsys.readouterr().err
+    assert _BETAS_NEED in capsys.readouterr().err
     assert not (tmp_path / "scan_axis.csv").exists()
 
 
@@ -721,7 +732,7 @@ def test_semigroup_scan_axis_refuses_an_empty_beta_list(tmp_path, capsys,
                                                         betas):
     # an empty list would pass with nothing scanned
     assert run(tmp_path, "semigroup", "scan-axis", f"--betas={betas}") == 2
-    assert "names no beta" in capsys.readouterr().err
+    assert _BETAS_NEED in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -804,7 +815,8 @@ def test_semigroup_evolve_rejects_bad_final_times(tmp_path, t, capsys):
 def test_semigroup_evolve_rejects_too_few_samples(tmp_path, samples, capsys):
     # a gate over no samples would pass without checking anything
     assert run(tmp_path, "semigroup", "evolve", "--samples", samples) == 2
-    assert "at least one sample" in capsys.readouterr().err
+    assert "argument --samples: need an integer >= 1" in \
+        capsys.readouterr().err
     assert not (tmp_path / "evolve.csv").exists()
 
 
@@ -872,7 +884,8 @@ def test_semigroup_evolve_doubled_feed_fails_the_drift_gate(tmp_path,
 
 def test_semigroup_evolve_refuses_negative_trace_blocks(tmp_path, capsys):
     assert run(tmp_path, "semigroup", "evolve", "--trace-blocks", "-2") == 2
-    assert "trace-blocks: need 0 or more" in capsys.readouterr().err
+    assert "argument --trace-blocks: need an integer >= 0" in \
+        capsys.readouterr().err
     assert not (tmp_path / "evolve.csv").exists()
     assert run(tmp_path, "semigroup", "evolve", "--trace-blocks", "0") == 0
     assert read_csv(tmp_path / "evolve.csv")[0] == ["t", "mass", "head"]
@@ -953,47 +966,117 @@ _FLAG_CASES = [(name, flag, name in readers)
     "name,flag,declared", _FLAG_CASES,
     ids=[f"{name}{flag}-{'kept' if kept else 'refused'}"
          for name, flag, kept in _FLAG_CASES])
-def test_depth_and_seed_only_where_a_command_reads_them(tmp_path, name, flag,
-                                                        declared):
+def test_depth_and_seed_only_where_a_command_reads_them(tmp_path, capsys,
+                                                        name, flag, declared):
     # a flag a command would ignore is refused by the parser (exit 2)
     # before anything runs; a flag it reads still runs
     argv = [*_COMMANDS[name], flag, "45", "--out", str(tmp_path / "out")]
     if declared:
         assert cli.main(argv) == 0
     else:
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
+        assert cli.main(argv) == 2
+        assert f"unrecognized arguments: {flag} 45" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command,flag,value", [
     ("scan-circle", "--depth", "0"),
     ("scan-circle", "--depth", "1075"),
+    ("scan-circle", "--depth", "x"),
     ("scan-circle", "--grid", "0"),
+    ("scan-circle", "--grid", "x"),
     ("scan-circle", "--exclusion", "1.5"),
     ("scan-circle", "--exclusion", "-0.1"),
     ("scan-circle", "--exclusion", "nan"),
     ("scan-circle", "--exclusion", "inf"),
+    ("scan-circle", "--exclusion", "x"),
+    ("scan-circle", "--cert-block", "0"),
+    ("scan-circle", "--cert-block", "x"),
     ("verify", "--seed", "-1"),
+    ("verify", "--seed", "x"),
+    ("verify", "--suites", "nope"),
+    ("verify", "--suites", ","),
     ("eigs", "--out", ""),
+    ("eigs", "--N", "0"),
+    ("eigs", "--N", "x"),
+    ("convergence", "--n-max", "0"),
+    ("convergence", "--n-max", "x"),
     ("scan-circle", "--orders", "0"),
     ("scan-circle", "--orders", "a,b"),
     ("scan-circle", "--orders", ""),
     ("convergence", "--orders", "2.5,3"),
+    ("scan-axis", "--betas", "nan"),
+    ("scan-axis", "--betas", "a,b"),
+    ("cert", "--r", "1/2"),
+    ("cert", "--r", "x"),
+    ("cert", "--occurrence", "0"),
+    ("cert", "--occurrence", "x"),
+    ("evolve", "--t", "-1"),
+    ("evolve", "--t", "x"),
+    ("evolve", "--samples", "0"),
+    ("evolve", "--samples", "x"),
+    ("evolve", "--mode", "0,1"),
+    ("evolve", "--mode", "banana"),
+    ("evolve", "--trace-blocks", "-1"),
+    ("evolve", "--trace-blocks", "x"),
 ])
 def test_bad_flag_values_exit_2(tmp_path, capsys, monkeypatch, command, flag,
                                 value):
-    # every value out of its flag's range exits 2 with the flag named and
-    # writes nothing; an empty --out would write into the working directory
+    # a malformed and an out-of-range value of a flag are refused alike by
+    # its domain in the parser: exit 2, the flag named as typed, nothing
+    # written; an empty --out would write into the working directory
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
-    argv = [*_COMMANDS[command], flag, value]
+    argv = [*_COMMANDS[command], f"{flag}={value}"]
     if flag != "--out":
         argv += ["--out", str(out)]
     assert cli.main(argv) == 2
-    assert f"{flag[2:]}: need" in capsys.readouterr().err
+    assert f"error: argument {flag}: need " in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,flag,block", [
+    (["--r", "3/2", "--occurrence", "4294967295"], "--occurrence",
+     "block index 9223372039002259459"),
+    (["--r", "118871/118870"], "--r", "block index 9223473658208392446"),
+    (["--r", "1000000001/1000000000"], "--r", "block index at least "),
+], ids=["occurrence", "denominator", "huge-denominator"])
+def test_semigroup_cert_refuses_a_block_past_int64(tmp_path, capsys, argv,
+                                                   flag, block):
+    # no int64 state entry holds a block index past 2^63 - 1; the refusal
+    # names the flag at fault and the block, and writes nothing.  The last
+    # speed is refused on a bound of its base index, before a totient table
+    # of 10^9 entries is built
+    assert run(tmp_path, "semigroup", "cert", *argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: " in err and block in err
+    assert "past 2^63 - 1" in err
+    assert os.listdir(tmp_path) == []
+
+
+def _untyped_options(parser, command=()):
+    """(command, flag) of each value-taking option, through every level of
+    subcommands, whose type declares no domain (``cli._domain``)."""
+    found = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found += _untyped_options(sub, command + (name,))
+        elif action.option_strings and action.nargs != 0 and \
+                not getattr(action.type, "need", ""):
+            found.append((" ".join(command), action.option_strings[0]))
+    return found
+
+
+def test_every_value_taking_option_declares_its_domain():
+    # a sweep over each command's input range reads it from the parser
+    assert _untyped_options(cli._build_parser.__wrapped__()) == []
+    # the control: a copy of the parser with one plain option fails
+    parser = cli._build_parser.__wrapped__()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    commands.choices["eigs"].add_argument("--plain", type=int)
+    assert _untyped_options(parser) == [("eigs", "--plain")]
 
 
 def test_out_directory_is_created(tmp_path):
@@ -1067,10 +1150,8 @@ def test_a_refused_argv_leaves_nothing_to_the_next_call(tmp_path, capsys):
     assert run(tmp_path / "alone", *good) == 0
     alone = capsys.readouterr().out
     # refused by the parser after it has read --orders and --no-renormalize
-    with pytest.raises(SystemExit) as exc:
-        run(tmp_path / "refused", *good, "--orders", "1", "--no-renormalize",
-            "--depth", "7")
-    assert exc.value.code == 2
+    assert run(tmp_path / "refused", *good, "--orders", "1",
+               "--no-renormalize", "--depth", "7") == 2
     assert "unrecognized arguments: --depth 7" in capsys.readouterr().err
     assert not (tmp_path / "refused").exists()
     assert run(tmp_path / "after", *good) == 0

@@ -141,12 +141,12 @@ def _reweighted(op, block, q):
 
 @pytest.mark.parametrize("orders", [(1,), (2, 3), (4, 6), (5, 7)])
 def test_strongly_connected_agrees_with_scipy_on_every_section(orders):
-    # the sections eigs checks (N = 1..40, both normalisations), the
-    # coupled and uncoupled ones the connectivity suite builds, and each
-    # section with its middle weight set to 0 (that block is cut off) or to
-    # 1 (P's edges in it vanish, its head edges stay): the closed form,
-    # which eigs runs, against the dense search and SciPy on the assembled
-    # matrix; all weights 0 zero the head row and column of the pattern
+    # the sections eigs checks (N = 1..40, both normalisations), each also
+    # with every weight zeroed (uncoupled) and with its middle weight set
+    # to 0 (that block is cut off) or to 1 (P's edges in it vanish, its
+    # head edges stay): the closed form, which eigs runs, against the dense
+    # search and SciPy on the assembled matrix; all weights 0 zero the head
+    # row and column of the pattern
     spec = GroupUnionSpec(orders)
     for n in range(1, 41):
         for renormalize in (True, False):

@@ -10,7 +10,7 @@ import pytest
 import cmath
 
 from spectral_forge import semigroup
-from spectral_forge.errors import BlockTooDeep
+from spectral_forge.errors import BlockIndexOverflow, BlockTooDeep
 from spectral_forge.resolvent import (CERTIFIED, SINGULAR, VERDICTS,
                                       coupling_series_batch)
 from spectral_forge.semigroup import (TWO_PI, GeneratorSpec,
@@ -92,6 +92,30 @@ def test_index_of_is_fast_for_a_large_denominator():
     n = s.index_of(Fraction(4999, 2500))
     assert time.perf_counter() - t0 < 0.5
     assert s.omega(n) == Fraction(4999, 2500)
+
+
+def test_mode_certificate_refuses_a_block_past_int64(gen):
+    # the last occurrence of 3/2 whose block an int64 state entry holds,
+    # and the next one; then the first occurrence of a speed whose
+    # denominator would size a totient table of 10^9 entries, refused on a
+    # bound of its base index alone
+    cert = mode_certificate(gen, Fraction(3, 2), 4294967294)
+    assert cert.block_index == 9223372034707292163 <= semigroup.MAX_BLOCK
+    with pytest.raises(BlockIndexOverflow, match="block index "
+                       "9223372039002259459, past") as exc:
+        mode_certificate(gen, Fraction(3, 2), 4294967295)
+    assert exc.value.first_fits
+    t0 = time.perf_counter()
+    with pytest.raises(BlockIndexOverflow, match="at least") as exc:
+        mode_certificate(gen, Fraction(1000000001, 1000000000))
+    assert time.perf_counter() - t0 < 0.01
+    assert not exc.value.first_fits
+
+
+def test_totient_sum_floor_is_a_lower_bound():
+    sums = np.cumsum(semigroup._totients(3000))
+    assert all(semigroup._totient_sum_floor(n) <= sums[n]
+               for n in range(3001))
 
 
 def test_every_speed_recurs(gen):

@@ -12,14 +12,12 @@ from spectral_forge.errors import NoSamples
 from spectral_forge.finite import finite_spectrum
 from spectral_forge.io import dump_json
 from spectral_forge.model import GroupUnionSpec
-from spectral_forge.verify import (SUITE_NAMES, run_suite,
-                                   suite_connectivity, suite_denominator,
+from spectral_forge.verify import (SUITE_NAMES, run_suite, suite_denominator,
                                    suite_factorization, suite_stochasticity)
 
 
 def test_suite_names():
-    assert SUITE_NAMES == ("denominator", "stochasticity", "connectivity",
-                           "factorization")
+    assert SUITE_NAMES == ("denominator", "stochasticity", "factorization")
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -189,18 +187,7 @@ def test_suite_factorization_catches_a_perturbed_eigenvalue(monkeypatch):
     assert not bad.passed and bad.failures == bad.checks
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7])
-def test_suite_connectivity_passes_and_its_control_fails(seed):
-    ok = suite_connectivity(seed=seed)
-    assert ok.passed and ok.checks == 8 and ok.failures == 0
-    # without the zeroing the control is the coupled section, which the
-    # search calls connected
-    bad = suite_connectivity(seed=seed, corrupt=True)
-    assert not bad.passed and bad.failures == 4
-    assert all(c["uncoupled"] for c in bad.detail["cases"].values())
-
-
-@pytest.mark.parametrize("suite", [suite_connectivity, suite_factorization])
+@pytest.mark.parametrize("suite", [suite_factorization])
 def test_section_suites_are_seeded(suite):
     # the same seed gives the same report byte for byte; another seed
     # draws another section size for every order set
