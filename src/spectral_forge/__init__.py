@@ -23,9 +23,9 @@ from .scanner import EigCertificate, ScanChunk, ScanReport, \
     residual_certificate, scan_unit_circle
 from .finite import (FiniteSection, SpectrumResult, convergence_table,
                      finite_spectrum)
-from .semigroup import (GeneratorSpec, ModeCertificate, RationalSchedule,
-                        SemigroupState, apply_generator, chain_generator,
-                        evolve, mode_certificate, scan_imaginary_axis)
+from .semigroup import (ModeCertificate, SemigroupState, apply_generator,
+                        chain_generator, evolve, mode_certificate,
+                        scan_imaginary_axis)
 from .verify import run_suite, run_suites
 
 __version__ = "0.1.0"

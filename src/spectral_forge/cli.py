@@ -31,12 +31,12 @@ from .errors import BlockIndexOverflow, BlockTooDeep, ExponentialUnresolved, \
 from .finite import (FiniteSection, convergence_table, finite_spectrum,
                      section_limit)
 from .io import write_csv, write_json
-from .model import GroupUnionSpec
+from .model import DEFAULT_DEPTH, GroupUnionSpec
 from .resolvent import CERTIFIED, SINGULAR, TAIL_INVALID, VERDICT_LABELS, \
     VERDICTS
 from .scanner import CERT_SLOP, scan_unit_circle
-from .semigroup import TWO_PI, GeneratorSpec, SemigroupState, evolve, \
-    mode_certificate, scan_imaginary_axis
+from .semigroup import TWO_PI, SemigroupState, evolve, mode_certificate, \
+    scan_imaginary_axis
 from .verify import SUITE_NAMES, run_suites
 
 # deepest series truncation whose dyadic tail radius 2^-depth is still a
@@ -85,6 +85,13 @@ def _items(convert):
 
 def _at_least(low: int):
     return _domain(int, lambda v: v >= low, f"an integer >= {low}")
+
+
+def _speed(text: str) -> Fraction:
+    """p, p/q or p.f, 30 digits a part: Fraction('1e10000000') takes seconds."""
+    if not re.fullmatch(r"[0-9]{1,30}([/.][0-9]{1,30})?", text):
+        raise ValueError(text)
+    return Fraction(text)
 
 
 def _single_mode(text: str) -> SemigroupState:
@@ -231,7 +238,7 @@ def cmd_scan_axis(args) -> int:
     if betas is None:
         # default grid: +-0.05..0.95 plus the showcase point beta = 0
         betas = [round(0.05 * k, 10) for k in np.arange(-19, 20)]
-    report = scan_imaginary_axis(GeneratorSpec(), betas)
+    report = scan_imaginary_axis(betas)
 
     write_csv(_out_path(args, "scan_axis.csv"),
               ["beta", "verdict", "denominator_abs_lower"],
@@ -251,9 +258,8 @@ def cmd_scan_axis(args) -> int:
 
 
 def cmd_cert(args) -> int:
-    g = GeneratorSpec()
     try:
-        certs = [mode_certificate(g, r, args.occurrence) for r in args.r]
+        certs = [mode_certificate(r, args.occurrence) for r in args.r]
     except BlockIndexOverflow as exc:
         flag = "--occurrence" if exc.first_fits else "--r"
         raise UsageError(f"argument {flag}: {exc}")
@@ -269,7 +275,6 @@ def cmd_cert(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    g = GeneratorSpec(args.depth)
     f0 = SemigroupState(1.0) if args.mode is None else args.mode
     if args.samples == 1 and args.t > 0.0:
         raise UsageError(f"argument --samples: one sample is t = 0 alone; "
@@ -277,7 +282,7 @@ def cmd_evolve(args) -> int:
 
     times = np.linspace(0.0, args.t, args.samples)
     try:
-        ft = evolve(g, f0, times)
+        ft = evolve(f0, times, args.depth)
     except ExponentialUnresolved as exc:
         raise UsageError(f"argument --t: {args.t} over {args.samples} "
                          f"samples steps too far to certify: {exc}")
@@ -296,7 +301,7 @@ def cmd_evolve(args) -> int:
     # |head| <= ||f0||_1 as the orbit contracts l1; a mode-0 entry c past the
     # chain decays alone, losing at most 2^-depth 2 pi |c| per unit time
     tol = 1e-8 * max(1.0, abs(mass0)) \
-        + 2.0 ** -g.depth * args.t * float(f0.norm1())
+        + 2.0 ** -args.depth * args.t * float(f0.norm1())
     print(f"semigroup evolve: {times.size} samples to t={args.t}, "
           f"mass drift {worst_drift:.3e} (tolerance {tol:.3e})")
     return 0 if worst_drift <= tol else 1
@@ -338,12 +343,12 @@ def _build_parser() -> argparse.ArgumentParser:
                             "a comma-separated list of integers >= 1"),
                         help="comma-separated cyclic orders (default 2,3)")
     depth = argparse.ArgumentParser(add_help=False)
-    depth.add_argument("--depth", default=40, type=_domain(
+    depth.add_argument("--depth", default=DEFAULT_DEPTH, type=_domain(
                            int, lambda v: 1 <= v <= _MAX_DEPTH,
                            f"an integer in [1, {_MAX_DEPTH}] (the tail radius "
                            f"2^-depth underflows to 0 past {_MAX_DEPTH})"),
                        help=f"series truncation depth, at most {_MAX_DEPTH} "
-                            f"(default 40)")
+                            "(default %(default)s)")
 
     parser = _Parser(
         prog="spectral-forge",
@@ -396,8 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sg = sub.add_parser("semigroup", help="continuous-time construction")
     sgsub = sg.add_subparsers(dest="subcommand", required=True)
 
-    # scan-axis and cert run at GeneratorSpec's own depth: no caller varies
-    # it, and cert's output does not depend on it
+    # scan-axis runs at the default depth; cert's output depends on no depth
     p = sgsub.add_parser("scan-axis", parents=[common],
                          help="classify imaginary-axis points")
     p.add_argument("--betas", default=None, type=_domain(
@@ -415,8 +419,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sgsub.add_parser("cert", parents=[common],
                          help="single-mode approximate eigenvalue certificates")
     p.add_argument("--r", required=True, type=_domain(
-                       _items(Fraction), lambda v: v and min(v) >= 1,
-                       "one or more speeds >= 1, comma-separated like 3/2,2"),
+                       _items(_speed), lambda v: v and min(v) >= 1,
+                       "one or more speeds >= 1 written p, p/q or p.f in at "
+                       "most 30 digits a part, comma-separated like 3/2,2"),
                    help="comma-separated rational speeds >= 1, e.g. 1,3/2,7/3")
     p.add_argument("--occurrence", type=_at_least(1), default=1,
                    help="which recurrence of the speed to use, from 1")

@@ -16,8 +16,8 @@ does exactly that, with the exact tail identity sum_{n>N} d*q_n = 2^-N.
 
 This module provides the spec of the permutation part (``GroupUnionSpec``),
 the weight rule (``dyadic_weights``, its unit d here and 2 pi for the
-semigroup) and the forward map ``apply_operator`` on finite-support
-vectors.
+semigroup), the default truncation depth (``DEFAULT_DEPTH``) and the
+forward map ``apply_operator`` on finite-support vectors.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import numpy as np
 
 __all__ = [
     "GroupUnionSpec",
+    "DEFAULT_DEPTH",
     "dyadic_weights",
     "union_points",
     "union_values",
@@ -104,6 +105,9 @@ def union_values(spec: GroupUnionSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------
+
+DEFAULT_DEPTH = 40
+
 
 def dyadic_weights(depth: int, unit: float) -> np.ndarray:
     """The coupling weights q_1 .. q_depth, q_n = 2^-n / unit.

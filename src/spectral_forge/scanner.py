@@ -23,8 +23,8 @@ from typing import Iterator, List, NamedTuple
 import numpy as np
 
 from .errors import BlockTooDeep, NotInTargetSet
-from .model import (GroupUnionSpec, apply_operator, dyadic_weights,
-                    union_points, union_values)
+from .model import (DEFAULT_DEPTH, GroupUnionSpec, apply_operator,
+                    dyadic_weights, union_points, union_values)
 from .resolvent import coupling_series_batch, series_terms, verdict_codes
 
 __all__ = [
@@ -223,7 +223,8 @@ def _circle_kernel(spec: GroupUnionSpec, lams, depth: int,
 
 
 def scan_unit_circle(spec: GroupUnionSpec, grid_size: int = 3600,
-                     exclusion_radius: float = 0.05, depth: int = 40,
+                     exclusion_radius: float = 0.05,
+                     depth: int = DEFAULT_DEPTH,
                      cert_block: int = 30) -> ScanReport:
     """Classify every grid point exp(2*pi*i*j/grid_size), as a stream.
 

@@ -10,7 +10,8 @@ speed schedule (w_n) enumerates the rationals in [1, 2] so that every value
 recurs infinitely often.  A state is the head plus flat arrays of (block,
 mode, coefficient) entries; the mass functional is f_0 + sum_n 2*pi*f_{n,0}
 and the weights q_n = 2^-n / (2*pi), ``model.dyadic_weights`` with the unit
-2*pi, make the coupling vector q a unit mass.
+2*pi, make the coupling vector q a unit mass.  Both are fixed, and every
+truncation depth defaults to ``model.DEFAULT_DEPTH``.
 
 Purely imaginary spectral parameters are probed through the certified
 denominator 1 - h(beta)/(i*beta+1) with h(beta) = sum_n 2*pi*q_n^2 /
@@ -29,20 +30,21 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import ClassVar
 
 import numpy as np
 
 from .errors import BlockIndexOverflow, ExponentialUnresolved
-from .model import dyadic_weights
+from .model import DEFAULT_DEPTH, dyadic_weights
 from .resolvent import (CERTIFIED, UNIT_ROUNDOFF, VERDICTS,
                         coupling_series_batch, gamma, series_terms,
                         verdict_codes, verdict_counts)
 
 __all__ = [
     "TWO_PI",
-    "RationalSchedule",
-    "GeneratorSpec",
+    "base_rational",
+    "base_index",
+    "omega",
+    "index_of",
     "SemigroupState",
     "apply_generator",
     "ModeCertificate",
@@ -87,92 +89,72 @@ def _block(i: int, m: int) -> int:
 MAX_BLOCK = 2 ** 63 - 1
 
 
-class RationalSchedule:
-    """Enumeration of Q cap [1,2] with every value recurring infinitely often.
+def base_rational(i: int) -> Fraction:
+    """i-th rational (from 1) of the base list of Q cap [1, 2], ordered by
+    denominator, then numerator, in lowest terms: 1, 2, 3/2, 4/3, 5/3, 5/4,
+    7/4, ..."""
+    if i < 1:
+        raise ValueError("base index starts at 1")
+    n = 1                       # enough denominators to reach i
+    while 1 + sum(phi := _totients(n)) < i:
+        n *= 2
+    s, start = 1, 1             # start: 1 + sum_{t<s} phi(t)
+    while start + phi[s] < i:
+        start, s = start + phi[s], s + 1
+    rank, j = i - start, 0      # the rank-th j coprime to s: p = s + j
+    while rank:
+        j += 1
+        rank -= math.gcd(j, s) == 1
+    return Fraction(s + j, s)
 
-    The base list orders the rationals by denominator, then numerator, in
-    lowest terms: 1, 2, 3/2, 4/3, 5/3, 5/4, 7/4, ...  Denominator 1 holds
-    two of them and every s >= 2 holds phi(s), so p/s sits at 1 + sum_{t<s}
-    phi(t) plus the count of p' in (s, p] coprime to s.  The schedule pairs
-    base index i with occurrence m along anti-diagonals, so w_n sweeps
-    1, 1, 2, 1, 2, 3/2, 1, ...
-    """
 
-    def base_rational(self, i: int) -> Fraction:
-        """i-th rational of the base enumeration (1-indexed)."""
-        if i < 1:
-            raise ValueError("base index starts at 1")
-        n = 1                       # enough denominators to reach i
-        while 1 + sum(phi := _totients(n)) < i:
-            n *= 2
-        s, start = 1, 1             # start: 1 + sum_{t<s} phi(t)
-        while start + phi[s] < i:
-            start, s = start + phi[s], s + 1
-        rank, j = i - start, 0      # the rank-th j coprime to s: p = s + j
-        while rank:
-            j += 1
-            rank -= math.gcd(j, s) == 1
-        return Fraction(s + j, s)
+def base_index(r) -> int:
+    """Position of r in the base list.  Denominator 1 holds two rationals
+    and every s >= 2 holds phi(s), so p/s in lowest terms sits at
+    1 + sum_{t<s} phi(t) plus the count of p' in (s, p] coprime to s."""
+    r = Fraction(r)
+    if not 1 <= r <= 2:
+        raise ValueError(f"{r} is outside [1, 2]")
+    s = r.denominator
+    return 1 + sum(_totients(s - 1)) + sum(
+        math.gcd(j, s) == 1 for j in range(1, r.numerator - s + 1))
 
-    def base_index(self, r) -> int:
-        """Position of r in the base enumeration (lowest terms compared)."""
-        r = Fraction(r)
-        if not 1 <= r <= 2:
-            raise ValueError(f"{r} is outside [1, 2]")
-        s = r.denominator
-        return 1 + sum(_totients(s - 1)) + sum(
-            math.gcd(j, s) == 1 for j in range(1, r.numerator - s + 1))
 
-    def omega(self, n: int) -> Fraction:
-        """Speed of block n (exact rational)."""
-        if n < 1:
-            raise ValueError("blocks are indexed from 1")
-        m = (1 + math.isqrt(8 * n - 7)) // 2      # anti-diagonal m + 1
-        return self.base_rational(n - m * (m - 1) // 2)
+def omega(n: int) -> Fraction:
+    """Speed w_n of block n (exact rational).  The schedule pairs base index
+    i with occurrence m along anti-diagonals, so every value recurs
+    infinitely often and w_n sweeps 1, 1, 2, 1, 2, 3/2, 1, ..."""
+    if n < 1:
+        raise ValueError("blocks are indexed from 1")
+    m = (1 + math.isqrt(8 * n - 7)) // 2      # anti-diagonal m + 1
+    return base_rational(n - m * (m - 1) // 2)
 
-    def index_of(self, r, occurrence: int = 1) -> int:
-        """Block index of the ``occurrence``-th appearance of speed r.
 
-        Past ``MAX_BLOCK`` it raises ``BlockIndexOverflow``, decided on a
-        lower bound of r's base index before any totient table is sized
-        by r's denominator, then on the exact index."""
-        if occurrence < 1:
-            raise ValueError("occurrence starts at 1")
-        r = Fraction(r)
-        i = 1 + _totient_sum_floor(r.denominator - 1)
-        exact = _block(i, 1) <= MAX_BLOCK
-        if exact:
-            i = self.base_index(r)
-        n = _block(i, occurrence)
-        if n > MAX_BLOCK:
-            raise BlockIndexOverflow(
-                f"occurrence {occurrence} of speed {r} lies at block index "
-                f"{'' if exact else 'at least '}{n}, past 2^63 - 1",
-                _block(i, 1) <= MAX_BLOCK)
-        return n
+def index_of(r, occurrence: int = 1) -> int:
+    """Block index of the ``occurrence``-th appearance of speed r.
+
+    Past ``MAX_BLOCK`` it raises ``BlockIndexOverflow``, decided on a
+    lower bound of r's base index before any totient table is sized by
+    r's denominator, then on the exact index."""
+    if occurrence < 1:
+        raise ValueError("occurrence starts at 1")
+    r = Fraction(r)
+    i = 1 + _totient_sum_floor(r.denominator - 1)
+    exact = _block(i, 1) <= MAX_BLOCK
+    if exact:
+        i = base_index(r)
+    n = _block(i, occurrence)
+    if n > MAX_BLOCK:
+        raise BlockIndexOverflow(
+            f"occurrence {occurrence} of speed {r} lies at block index "
+            f"{'' if exact else 'at least '}{n}, past 2^63 - 1",
+            _block(i, 1) <= MAX_BLOCK)
+    return n
 
 
 # ---------------------------------------------------------------------------
-# generator spec and states
+# states
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """The generator at truncation depth ``depth``: the dyadic weights
-    q_n = 2^-n / (2 pi) and the one rational speed schedule are fixed."""
-
-    depth: int = 40
-    schedule: ClassVar[RationalSchedule] = RationalSchedule()
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-
-    def omega_float(self, n: int, k: int = 1) -> float:
-        # one rounding of the exact rational product, so that
-        # float(w_n * k) == float(r) whenever w_n * k == r exactly
-        return float(self.schedule.omega(n) * k)
-
 
 @dataclass(frozen=True, eq=False)
 class SemigroupState:
@@ -223,29 +205,33 @@ class SemigroupState:
 # generator action
 # ---------------------------------------------------------------------------
 
-def _rates(g: GeneratorSpec, n: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _rates(n: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Per-entry multipliers i w_n k - q_n of the block part of A."""
-    return np.array([1j * g.omega_float(a, b) - 2.0 ** -a / TWO_PI
+    # one rounding of the exact rational product, so that
+    # float(w_n * k) == float(r) whenever w_n * k == r exactly
+    return np.array([1j * float(omega(a) * b) - 2.0 ** -a / TWO_PI
                      for a, b in zip(n.tolist(), k.tolist())], dtype=complex)
 
 
-def apply_generator(g: GeneratorSpec, f: SemigroupState,
-                    lam: complex = 0.0) -> SemigroupState:
+def apply_generator(f: SemigroupState, lam: complex = 0.0,
+                    depth: int = DEFAULT_DEPTH) -> SemigroupState:
     """(A - lam) f for a state without a time axis, with
     A f = B f + f_0 * q + <q, f> * e.
 
     The head-driven coupling term f_0 * q has unbounded support; it is
-    truncated at the spec depth, which perturbs the mass balance by at most
+    truncated at ``depth`` >= 1, which perturbs the mass balance by at most
     |f_0| * 2^-depth (9.1e-13 at the default depth).  Its entries are
     appended, not merged, to those of B f.
     """
-    rate = _rates(g, f.n, f.k)
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    rate = _rates(f.n, f.k)
     pairing = -TWO_PI * np.sum(rate.real[f.k == 0] * f.c[f.k == 0])
     n, k, c = f.n, f.k, (rate - lam) * f.c
     if f.head != 0:
-        feed = np.arange(1, g.depth + 1)
+        feed = np.arange(1, depth + 1)
         n, k = np.concatenate([n, feed]), np.concatenate([k, 0 * feed])
-        c = np.concatenate([c, f.head * dyadic_weights(g.depth, TWO_PI)])
+        c = np.concatenate([c, f.head * dyadic_weights(depth, TWO_PI)])
     return SemigroupState((-1.0 - lam) * f.head + pairing, n, k, c)
 
 
@@ -276,20 +262,20 @@ class ModeCertificate:
     matches: bool
 
 
-def mode_certificate(g: GeneratorSpec, r, occurrence: int = 1) -> ModeCertificate:
+def mode_certificate(r, occurrence: int = 1) -> ModeCertificate:
     r = Fraction(r)
     if r < 1:
         raise ValueError(f"speed target {r} must be >= 1")
     if r <= 2:
-        k, omega = 1, r
+        k, speed = 1, r
     else:
         k = (r.numerator - 1) // r.denominator     # largest integer < r
-        omega = r / k
-    n = g.schedule.index_of(omega, occurrence)
+        speed = r / k
+    n = index_of(speed, occurrence)
     q = 2.0 ** -n / TWO_PI
     z = SemigroupState.single_mode(n, k, 1.0 / TWO_PI)
-    resid = float(apply_generator(g, z, 1j * float(r)).norm1())
-    return ModeCertificate(r, omega, k, n, q, resid,
+    resid = float(apply_generator(z, 1j * float(r)).norm1())
+    return ModeCertificate(r, speed, k, n, q, resid,
                            abs(resid - q) <= 1e-12)
 
 
@@ -315,9 +301,9 @@ class AxisReport:
         return {k: v for k, v in verdict_counts(self.codes).items() if v}
 
 
-def scan_imaginary_axis(g: GeneratorSpec, betas) -> AxisReport:
+def scan_imaginary_axis(betas) -> AxisReport:
     """Classify i*beta for each requested beta, in one call of
-    ``coupling_series_batch`` at lam = 1 + i*beta.
+    ``coupling_series_batch`` at lam = 1 + i*beta, at the default depth.
 
     A point is certified only when the denominator disk excludes zero and
     i*beta keeps a positive distance to the closure of the block spectra,
@@ -332,21 +318,22 @@ def scan_imaginary_axis(g: GeneratorSpec, betas) -> AxisReport:
     beta = np.fromiter(betas, dtype=float)
     if not np.all(np.isfinite(beta)):
         raise ValueError("betas must be finite")
-    den, rad, _ = coupling_series_batch(TWO_PI, 1.0 + 1j * beta, g.depth)
+    den, rad, _ = coupling_series_batch(TWO_PI, 1.0 + 1j * beta,
+                                        DEFAULT_DEPTH)
     low = np.fmax(0.0, np.abs(den) - rad)
     gap = np.minimum(np.abs(beta), 1.0 - np.abs(beta))
     codes = verdict_codes(gap, low, True, False)
     expected = verdict_codes(gap, np.inf, True, False)
     certified = codes == VERDICTS.index(CERTIFIED)
     return AxisReport(beta, codes, expected, np.where(certified, low, 0.0),
-                      g.depth, series_terms(g.depth))
+                      DEFAULT_DEPTH, series_terms(DEFAULT_DEPTH))
 
 
 # ---------------------------------------------------------------------------
 # time evolution
 # ---------------------------------------------------------------------------
 
-def chain_generator(g: GeneratorSpec, n_blocks: int) -> np.ndarray:
+def chain_generator(n_blocks: int) -> np.ndarray:
     """Generator of the closed head/mode-0 subsystem, size n_blocks + 1."""
     qs = dyadic_weights(n_blocks, TWO_PI)
     m = np.zeros((n_blocks + 1, n_blocks + 1))
@@ -500,14 +487,15 @@ def expm(a: np.ndarray) -> np.ndarray:
     return e
 
 
-def evolve(g: GeneratorSpec, f0: SemigroupState, t) -> SemigroupState:
+def evolve(f0: SemigroupState, t,
+           depth: int = DEFAULT_DEPTH) -> SemigroupState:
     """Semigroup orbit e^{tA} f0 at a time t or an ascending array of times.
 
     Modes k != 0 decay in closed form by exp((i w_n k - q_n) t).  The head
-    and the mode-0 coefficients of blocks 1..g.depth form a closed linear
-    system with generator M; mode-0 content beyond the chain depth
-    evolves by its decoupled decay only, the neglected head feed being
-    bounded in mass by 2^-g.depth.  The chain steps from sample to
+    and the mode-0 coefficients of blocks 1..depth (depth >= 1) form a
+    closed linear system with generator M; mode-0 content beyond the chain
+    depth evolves by its decoupled decay only, the neglected head feed
+    being bounded in mass by 2^-depth.  The chain steps from sample to
     sample, v_k = expm(dt_k M) v_{k-1} with dt_k = t_k - t_{k-1} and
     t_0 = 0, one scaling-and-squaring exponential per distinct increment:
     a uniform grid from 0 needs one, its dt_k are exact (Sterbenz) and sum
@@ -515,7 +503,7 @@ def evolve(g: GeneratorSpec, f0: SemigroupState, t) -> SemigroupState:
     entrywise nonnegative by construction, so a nonnegative chain stays
     nonnegative.  A step too long for expm's error bound raises
     ``ExponentialUnresolved``.
-    f0 has no time axis.  The result holds the chain blocks 1..g.depth
+    f0 has no time axis.  The result holds the chain blocks 1..depth
     at mode 0, then the entries of f0 that decay in closed form.  An array
     of times gives it a leading time axis; a scalar t, the first row.
     """
@@ -524,19 +512,20 @@ def evolve(g: GeneratorSpec, f0: SemigroupState, t) -> SemigroupState:
     if not (np.all(np.isfinite(ts)) and np.all(steps >= 0.0)):
         raise ValueError("evolution runs forward in time: need finite, "
                          "ascending times >= 0")
-    n_chain = g.depth
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
 
-    chained = (f0.k == 0) & (f0.n <= n_chain)
-    v = np.zeros(n_chain + 1, dtype=complex)
+    chained = (f0.k == 0) & (f0.n <= depth)
+    v = np.zeros(depth + 1, dtype=complex)
     v[0] = f0.head
     np.add.at(v, f0.n[chained], f0.c[chained])
     n, k, c = f0.n[~chained], f0.k[~chained], f0.c[~chained]
     # one row per time: the head, the chain blocks, the closed-form decays
-    out = np.empty((ts.size, n_chain + 1 + n.size), dtype=complex)
-    chain, decays = out[:, :n_chain + 1], out[:, n_chain + 1:]
-    np.multiply(c, np.exp(np.multiply.outer(ts, _rates(g, n, k))), out=decays)
+    out = np.empty((ts.size, depth + 1 + n.size), dtype=complex)
+    chain, decays = out[:, :depth + 1], out[:, depth + 1:]
+    np.multiply(c, np.exp(np.multiply.outer(ts, _rates(n, k))), out=decays)
 
-    m = chain_generator(g, n_chain)
+    m = chain_generator(depth)
     # complex once per increment: a real step times the complex state
     # would be cast to complex again on every product
     step = lru_cache(maxsize=16)(lambda dt: expm(dt * m).astype(complex))
@@ -544,6 +533,6 @@ def evolve(g: GeneratorSpec, f0: SemigroupState, t) -> SemigroupState:
         v = chain[i] = step(dt) @ v
     row = slice(None) if np.ndim(t) else 0
     return SemigroupState(out[row, 0],
-                          np.concatenate([np.arange(1, n_chain + 1), n]),
-                          np.concatenate([np.zeros(n_chain, int), k]),
+                          np.concatenate([np.arange(1, depth + 1), n]),
+                          np.concatenate([np.zeros(depth, int), k]),
                           out[row, 1:])

@@ -14,13 +14,12 @@ from oracles import (build_finite_section, factorization_crosscheck,
                      strongly_connected)
 from spectral_forge.finite import FiniteSection, finite_spectrum
 from spectral_forge.io import dump_json
-from spectral_forge.model import GroupUnionSpec, union_values
+from spectral_forge.model import DEFAULT_DEPTH, GroupUnionSpec, union_values
 from spectral_forge.resolvent import CERTIFIED, VERDICTS, \
     coupling_series_batch
 from spectral_forge.scanner import _circle_kernel, scan_unit_circle
-from spectral_forge.semigroup import (TWO_PI, GeneratorSpec, SemigroupState,
-                                      evolve, mode_certificate,
-                                      scan_imaginary_axis)
+from spectral_forge.semigroup import (TWO_PI, SemigroupState, evolve,
+                                      mode_certificate, scan_imaginary_axis)
 from spectral_forge.verify import run_suite, run_suites
 
 
@@ -123,15 +122,14 @@ def test_5_finite_sections_reproduce_the_peripheral_targets():
 
 def test_6_imaginary_axis_scan_and_mode_certificates():
     t0 = time.perf_counter()
-    g = GeneratorSpec()
     betas = [s * k / 10.0 for k in range(1, 10) for s in (+1, -1)]
-    rep = scan_imaginary_axis(g, betas)
+    rep = scan_imaginary_axis(betas)
     ok_axis = (rep.codes == VERDICTS.index(CERTIFIED)).all()
 
-    den0, rad0, _ = coupling_series_batch(TWO_PI, [1.0 + 0j], g.depth)
+    den0, rad0, _ = coupling_series_batch(TWO_PI, [1.0 + 0j], DEFAULT_DEPTH)
     ok_zero = den0[0] == 2.0 ** -40 and not abs(den0[0]) > rad0[0]
 
-    certs = [mode_certificate(g, Fraction(r)) for r in ("1", "3/2", "2", "7/3")]
+    certs = [mode_certificate(Fraction(r)) for r in ("1", "3/2", "2", "7/3")]
     ok_cert = all(c.matches and abs(c.residual - c.q_n) <= 1e-12
                   for c in certs)
     elapsed = time.perf_counter() - t0
@@ -141,8 +139,7 @@ def test_6_imaginary_axis_scan_and_mode_certificates():
 
 
 def test_7_evolution_conserves_mass_and_decays_single_modes():
-    g = GeneratorSpec()
-    ft = evolve(g, SemigroupState(1.0), 50.0)
+    ft = evolve(SemigroupState(1.0), 50.0)
     drift = abs(ft.mass().real - 1.0)
     ok_mass = drift <= 1e-8
     chain = [ft.head.real] + [ft.coeff(n, 0).real for n in range(1, 41)]
@@ -150,7 +147,7 @@ def test_7_evolution_conserves_mass_and_decays_single_modes():
 
     q6 = 2.0 ** -6 / TWO_PI
     z = SemigroupState.single_mode(6, 1, 1.0 / (2.0 * np.pi))
-    decay = max(abs(evolve(g, z, t).norm1() - np.exp(-q6 * t))
+    decay = max(abs(evolve(z, t).norm1() - np.exp(-q6 * t))
                 for t in (0.5, 5.0, 50.0))
     ok_decay = decay <= 1e-10
     _report("7 evolution", ok_mass and ok_pos and ok_decay,

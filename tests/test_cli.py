@@ -629,6 +629,11 @@ def test_semigroup_cert_json_is_pinned(tmp_path):
                                "44c1f20017740a136d1d3a"}
 
 
+def test_semigroup_cert_reads_a_decimal_speed(tmp_path):
+    assert run(tmp_path, "semigroup", "cert", "--r", "1.5") == 0
+    assert read_json(tmp_path / "semigroup_cert.json")[0]["r"] == "3/2"
+
+
 def test_semigroup_cert_rejects_small_speed(tmp_path):
     assert run(tmp_path, "semigroup", "cert", "--r", "1/2") == 2
     assert run(tmp_path, "semigroup", "cert", "--r", "3/2,1/2") == 2
@@ -870,8 +875,8 @@ def test_semigroup_evolve_doubled_feed_fails_the_drift_gate(tmp_path,
     # gains mass far beyond the leak the gate allows
     exact = semigroup.chain_generator
 
-    def doubled(g, n_blocks):
-        m = exact(g, n_blocks)
+    def doubled(n_blocks):
+        m = exact(n_blocks)
         m[1:, 0] *= 2.0
         return m
 
@@ -913,8 +918,8 @@ def test_semigroup_evolve_nan_mass_fails_the_drift_gate(tmp_path,
     # max(0.0, nan) == 0.0 used to report a drift of zero
     real = cli.evolve
 
-    def poisoned(g, f0, t):
-        ft = real(g, f0, t)
+    def poisoned(f0, t, depth):
+        ft = real(f0, t, depth)
         ft.head[-1] = float("nan")
         return ft
 
@@ -1009,6 +1014,10 @@ def test_depth_and_seed_only_where_a_command_reads_them(tmp_path, capsys,
     ("scan-axis", "--betas", "a,b"),
     ("cert", "--r", "1/2"),
     ("cert", "--r", "x"),
+    ("cert", "--r", "1e5000"),
+    ("cert", "--r", "1e1000000"),
+    ("cert", "--r", "1_0/9"),
+    ("cert", "--r", "1." + "1" * 31),
     ("cert", "--occurrence", "0"),
     ("cert", "--occurrence", "x"),
     ("evolve", "--t", "-1"),
@@ -1040,7 +1049,8 @@ def test_bad_flag_values_exit_2(tmp_path, capsys, monkeypatch, command, flag,
      "block index 9223372039002259459"),
     (["--r", "118871/118870"], "--r", "block index 9223473658208392446"),
     (["--r", "1000000001/1000000000"], "--r", "block index at least "),
-], ids=["occurrence", "denominator", "huge-denominator"])
+    (["--r", "1." + "1" * 30], "--r", "block index at least "),
+], ids=["occurrence", "denominator", "huge-denominator", "thirty-digits"])
 def test_semigroup_cert_refuses_a_block_past_int64(tmp_path, capsys, argv,
                                                    flag, block):
     # no int64 state entry holds a block index past 2^63 - 1; the refusal

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from spectral_forge import semigroup
-from spectral_forge.semigroup import (GeneratorSpec, SemigroupState,
-                                      chain_generator, evolve, expm)
+from spectral_forge.model import DEFAULT_DEPTH
+from spectral_forge.semigroup import (SemigroupState, chain_generator,
+                                      evolve, expm)
 
 GATE = 1e-13
 TIMES = (1, 100, 500)
@@ -22,19 +23,19 @@ TIMES = (1, 100, 500)
 
 @pytest.fixture(scope="module")
 def audit():
-    g = GeneratorSpec()
     with mpmath.workdps(40):
-        e1 = mpmath.expm(mpmath.matrix(chain_generator(g, g.depth).tolist()))
+        e1 = mpmath.expm(mpmath.matrix(
+            chain_generator(DEFAULT_DEPTH).tolist()))
         powers = {1: e1}
         powers[100] = e1 ** 100
         powers[500] = powers[100] ** 5
-        heads = {t: [e[i, 0] for i in range(g.depth + 1)]
+        heads = {t: [e[i, 0] for i in range(DEFAULT_DEPTH + 1)]
                  for t, e in powers.items()}
 
     def error(t):
-        orbit = evolve(g, SemigroupState(1.0), np.linspace(0.0, t, 2001))
+        orbit = evolve(SemigroupState(1.0), np.linspace(0.0, t, 2001))
         got = [orbit.head[-1]] + [orbit.coeff(n, 0)[-1]
-                                  for n in range(1, g.depth + 1)]
+                                  for n in range(1, DEFAULT_DEPTH + 1)]
         with mpmath.workdps(40):
             return max(float(abs(mpmath.mpc(z) - ref))
                        for z, ref in zip(got, heads[t]))

@@ -19,8 +19,8 @@ from scipy.linalg import expm as scipy_expm
 
 from spectral_forge import semigroup
 from spectral_forge.errors import ExponentialUnresolved
-from spectral_forge.semigroup import (TWO_PI, GeneratorSpec, chain_generator,
-                                      expm)
+from spectral_forge.model import DEFAULT_DEPTH
+from spectral_forge.semigroup import TWO_PI, chain_generator, expm
 
 U = 2.0 ** -53
 STEPS = (0.25, 3.7, 50.0, 500.0)
@@ -51,8 +51,7 @@ def chain_bound(a, ref):
 
 @pytest.fixture(scope="module")
 def chain():
-    g = GeneratorSpec()
-    return chain_generator(g, g.depth)
+    return chain_generator(DEFAULT_DEPTH)
 
 
 @pytest.fixture(scope="module")

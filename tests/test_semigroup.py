@@ -13,10 +13,12 @@ from spectral_forge import semigroup
 from spectral_forge.errors import BlockIndexOverflow, BlockTooDeep
 from spectral_forge.resolvent import (CERTIFIED, SINGULAR, VERDICTS,
                                       coupling_series_batch)
-from spectral_forge.semigroup import (TWO_PI, GeneratorSpec,
-                                      RationalSchedule, SemigroupState,
-                                      apply_generator, chain_generator,
-                                      evolve, expm, mode_certificate,
+from spectral_forge.model import DEFAULT_DEPTH
+from spectral_forge.semigroup import (TWO_PI, SemigroupState,
+                                      apply_generator, base_index,
+                                      base_rational, chain_generator,
+                                      evolve, expm, index_of,
+                                      mode_certificate, omega,
                                       scan_imaginary_axis)
 
 
@@ -24,46 +26,37 @@ CERTIFIED_CODE = VERDICTS.index(CERTIFIED)
 SINGULAR_CODE = VERDICTS.index(SINGULAR)
 
 
-@pytest.fixture(scope="module")
-def gen():
-    return GeneratorSpec()
-
-
 # ---------------------------------------------------------------------------
 # rational schedule
 # ---------------------------------------------------------------------------
 
 def test_base_enumeration_prefix():
-    s = RationalSchedule()
     expect = [Fraction(1), Fraction(2), Fraction(3, 2), Fraction(4, 3),
               Fraction(5, 3), Fraction(5, 4), Fraction(7, 4)]
-    assert [s.base_rational(i) for i in range(1, 8)] == expect
+    assert [base_rational(i) for i in range(1, 8)] == expect
 
 
 def test_base_index_round_trip():
-    s = RationalSchedule()
     for i in range(1, 60):
-        assert s.base_index(s.base_rational(i)) == i
-    assert s.base_index(Fraction(7, 6)) == 12
+        assert base_index(base_rational(i)) == i
+    assert base_index(Fraction(7, 6)) == 12
     with pytest.raises(ValueError):
-        s.base_index(Fraction(5, 2))
+        base_index(Fraction(5, 2))
 
 
 def test_omega_diagonal_sweep():
-    s = RationalSchedule()
     expect = ["1", "1", "2", "1", "2", "3/2", "1", "2", "3/2", "4/3"]
-    assert [str(s.omega(n)) for n in range(1, 11)] == expect
+    assert [str(omega(n)) for n in range(1, 11)] == expect
 
 
 def test_index_of_inverts_omega():
-    s = RationalSchedule()
-    assert s.index_of(Fraction(3, 2)) == 6
-    assert s.index_of(Fraction(7, 6)) == 78
+    assert index_of(Fraction(3, 2)) == 6
+    assert index_of(Fraction(7, 6)) == 78
     seen = {}
     for n in range(1, 500):
-        r = s.omega(n)
+        r = omega(n)
         seen[r] = seen.get(r, 0) + 1
-        assert s.index_of(r, seen[r]) == n
+        assert index_of(r, seen[r]) == n
 
 
 def _enumeration(max_den):
@@ -74,40 +67,38 @@ def _enumeration(max_den):
 
 
 def test_closed_form_schedule_is_the_enumeration():
-    s = RationalSchedule()
     base = _enumeration(60)
     positions = list(range(1, len(base) + 1))
-    assert [s.base_rational(i) for i in positions] == base
-    assert [s.base_index(r) for r in base] == positions
+    assert [base_rational(i) for i in positions] == base
+    assert [base_index(r) for r in base] == positions
     # block n walks the anti-diagonals t = i + m of (base index i,
     # occurrence m), i ascending
     walk = [base[i - 1] for t in range(2, 80) for i in range(1, t)]
-    assert [s.omega(n) for n in range(1, len(walk) + 1)] == walk
+    assert [omega(n) for n in range(1, len(walk) + 1)] == walk
 
 
 def test_index_of_is_fast_for_a_large_denominator():
     # 4999/2500 sits past about 1.9 million rationals of the base list
-    s = RationalSchedule()
     t0 = time.perf_counter()
-    n = s.index_of(Fraction(4999, 2500))
+    n = index_of(Fraction(4999, 2500))
     assert time.perf_counter() - t0 < 0.5
-    assert s.omega(n) == Fraction(4999, 2500)
+    assert omega(n) == Fraction(4999, 2500)
 
 
-def test_mode_certificate_refuses_a_block_past_int64(gen):
+def test_mode_certificate_refuses_a_block_past_int64():
     # the last occurrence of 3/2 whose block an int64 state entry holds,
     # and the next one; then the first occurrence of a speed whose
     # denominator would size a totient table of 10^9 entries, refused on a
     # bound of its base index alone
-    cert = mode_certificate(gen, Fraction(3, 2), 4294967294)
+    cert = mode_certificate(Fraction(3, 2), 4294967294)
     assert cert.block_index == 9223372034707292163 <= semigroup.MAX_BLOCK
     with pytest.raises(BlockIndexOverflow, match="block index "
                        "9223372039002259459, past") as exc:
-        mode_certificate(gen, Fraction(3, 2), 4294967295)
+        mode_certificate(Fraction(3, 2), 4294967295)
     assert exc.value.first_fits
     t0 = time.perf_counter()
     with pytest.raises(BlockIndexOverflow, match="at least") as exc:
-        mode_certificate(gen, Fraction(1000000001, 1000000000))
+        mode_certificate(Fraction(1000000001, 1000000000))
     assert time.perf_counter() - t0 < 0.01
     assert not exc.value.first_fits
 
@@ -118,10 +109,9 @@ def test_totient_sum_floor_is_a_lower_bound():
                for n in range(3001))
 
 
-def test_every_speed_recurs(gen):
-    s = RationalSchedule()
+def test_every_speed_recurs():
     # the same rational appears at strictly increasing block indices
-    idx = [s.index_of(Fraction(4, 3), m) for m in range(1, 6)]
+    idx = [index_of(Fraction(4, 3), m) for m in range(1, 6)]
     assert idx == sorted(idx)
     assert len(set(idx)) == 5
 
@@ -168,9 +158,9 @@ def test_fourier_state_norm_bounds_the_multimode_l1_norm():
 # generator action
 # ---------------------------------------------------------------------------
 
-def test_block_generator_multipliers(gen):
+def test_block_generator_multipliers():
     f = SemigroupState(2.0, [1, 6], [1, 1], [1.0, 1.0])
-    bf = apply_generator(gen, f)             # no mode 0: B f off the head
+    bf = apply_generator(f)                  # no mode 0: B f off the head
     assert bf.head == -2.0
     q1 = 2.0 ** -1 / TWO_PI
     assert bf.coeff(1, 1) == pytest.approx(1j - q1)
@@ -179,31 +169,31 @@ def test_block_generator_multipliers(gen):
     assert bf.coeff(6, 1) == pytest.approx(1.5j - q6)
 
 
-def test_apply_generator_couples_head_and_masses(gen):
+def test_apply_generator_couples_head_and_masses():
     f = SemigroupState(1.0, [2], [0], [0.25])
-    af = apply_generator(gen, f)
+    af = apply_generator(f)
     q2 = 2.0 ** -2 / TWO_PI
     # head receives <q, f> and loses itself
     assert af.head == pytest.approx(-1.0 + TWO_PI * q2 * 0.25)
     # block 2 mode 0: decay of its own mass plus the head feed
     assert af.coeff(2, 0) == pytest.approx(-q2 * 0.25 + q2 * 1.0)
     # a deep block receives the head feed only
-    assert af.coeff(gen.depth, 0) == pytest.approx(
-        2.0 ** -gen.depth / TWO_PI)
+    assert af.coeff(DEFAULT_DEPTH, 0) == pytest.approx(
+        2.0 ** -DEFAULT_DEPTH / TWO_PI)
 
 
-def test_mass_derivative_telescopes(gen):
+def test_mass_derivative_telescopes():
     # d/dt mass = -head * 2^-depth exactly (the truncated coupling)
     f = SemigroupState(1.0, [5], [0], [0.125])
-    af = apply_generator(gen, f)
-    assert abs(af.mass() + 2.0 ** -gen.depth) < 1e-18
+    af = apply_generator(f)
+    assert abs(af.mass() + 2.0 ** -DEFAULT_DEPTH) < 1e-18
 
 
 # ---------------------------------------------------------------------------
 # certified series and denominator
 # ---------------------------------------------------------------------------
 
-def _axis_denominator(g, beta, depth=40):
+def _axis_denominator(beta, depth=DEFAULT_DEPTH):
     """D at i*beta and its radius, from the shared series as a batch of
     one at lam = 1 + i*beta."""
     den, radius, _ = coupling_series_batch(TWO_PI, [1.0 + 1j * beta],
@@ -212,17 +202,16 @@ def _axis_denominator(g, beta, depth=40):
 
 
 def test_generator_series_brute_force():
-    gen = GeneratorSpec()
     for beta in (0.0, 0.25, -0.7):
-        den, radius = _axis_denominator(gen, beta)
+        den, radius = _axis_denominator(beta)
         h = sum(TWO_PI * (2.0 ** -n / TWO_PI) ** 2
                 / (1j * beta + 2.0 ** -n / TWO_PI) for n in range(1, 200))
         assert abs(den - (1.0 - h / (1j * beta + 1.0))) <= radius
         assert radius >= 2.0 ** -40 / abs(1j * beta + 1.0)
 
 
-def test_generator_denominator_at_zero_is_the_tail(gen):
-    den, radius = _axis_denominator(gen, 0.0)
+def test_generator_denominator_at_zero_is_the_tail():
+    den, radius = _axis_denominator(0.0)
     # telescoping: sum_{n<=N} 2 pi q_n^2 / q_n = 1 - 2^-N, exactly in floats
     assert den == 2.0 ** -40
     assert not abs(den) > radius             # the disk touches the origin
@@ -231,43 +220,43 @@ def test_generator_denominator_at_zero_is_the_tail(gen):
 _EDGE_BETAS = [0.0, -0.0, 1.0, -1.0, 1e-7, -1e-7, 0.999999, -0.999999]
 
 
-def test_scalar_queries_are_batches_of_one(gen):
+def test_scalar_queries_are_batches_of_one():
     betas = np.array(_EDGE_BETAS + [0.3, -2.5])
     den, radius, _ = coupling_series_batch(TWO_PI, 1.0 + 1j * betas, 40)
-    rep = scan_imaginary_axis(gen, betas)
+    rep = scan_imaginary_axis(betas)
     for i, beta in enumerate(betas.tolist()):
-        assert _axis_denominator(gen, beta) == (den[i], radius[i])
-        one = scan_imaginary_axis(gen, [beta])
+        assert _axis_denominator(beta) == (den[i], radius[i])
+        one = scan_imaginary_axis([beta])
         assert one.codes[0] == rep.codes[i]
         assert one.expected[0] == rep.expected[i]
         assert one.denominator_abs_lower[0] == rep.denominator_abs_lower[i]
 
 
-def test_scan_axis_uses_the_scalar_verdict_rule(gen):
+def test_scan_axis_uses_the_scalar_verdict_rule():
     betas = _EDGE_BETAS + [0.05 * k for k in range(-25, 26)]
-    rep = scan_imaginary_axis(gen, betas)
+    rep = scan_imaginary_axis(betas)
     for beta, got, want, low in zip(rep.betas.tolist(), rep.codes,
                                     rep.expected, rep.denominator_abs_lower):
-        den, radius = _axis_denominator(gen, beta)
+        den, radius = _axis_denominator(beta)
         gap = min(abs(beta), 1.0 - abs(beta))
         certified = gap > 1e-9 and np.abs(den) > radius
         assert got == (CERTIFIED_CODE if certified else SINGULAR_CODE)
         # the expectation is the gap alone: certified strictly inside it
         assert want == (CERTIFIED_CODE if gap > 1e-9 else SINGULAR_CODE)
         assert low == (np.abs(den) - radius if certified else 0.0)
-    assert scan_imaginary_axis(gen, [0.0, 0.5]).counts() == \
+    assert scan_imaginary_axis([0.0, 0.5]).counts() == \
         {CERTIFIED: 1, SINGULAR: 1}
-    assert scan_imaginary_axis(gen, [0.5]).counts() == {CERTIFIED: 1}
-    assert scan_imaginary_axis(gen, []).counts() == {}
+    assert scan_imaginary_axis([0.5]).counts() == {CERTIFIED: 1}
+    assert scan_imaginary_axis([]).counts() == {}
     with pytest.raises(ValueError):
-        scan_imaginary_axis(gen, [0.5, float("nan")])
+        scan_imaginary_axis([0.5, float("nan")])
 
 
-def test_generator_denominator_depth_monotone(gen):
+def test_generator_denominator_depth_monotone():
     # a deeper certified disk is contained in the shallower one
     for beta in (0.1, 0.3, 0.5, 0.7, 0.9, -0.2, -0.8):
-        d40, r40 = _axis_denominator(gen, beta, 40)
-        d50, r50 = _axis_denominator(gen, beta, 50)
+        d40, r40 = _axis_denominator(beta, 40)
+        d50, r50 = _axis_denominator(beta, 50)
         assert abs(d50 - d40) + r50 <= r40 * 1.001
         assert abs(d40) > r40
 
@@ -276,9 +265,9 @@ def test_generator_denominator_depth_monotone(gen):
 # axis scan and certificates
 # ---------------------------------------------------------------------------
 
-def test_scan_axis_verdicts(gen):
+def test_scan_axis_verdicts():
     betas = [0.0, 0.1, -0.1, 0.5, 0.9, -0.9, 1.0, -1.3]
-    rep = scan_imaginary_axis(gen, betas)
+    rep = scan_imaginary_axis(betas)
     certified = rep.codes == CERTIFIED_CODE
     verdicts = dict(zip(rep.betas.tolist(), certified.tolist()))
     assert not verdicts[0.0]
@@ -289,27 +278,27 @@ def test_scan_axis_verdicts(gen):
     assert (rep.denominator_abs_lower[certified] > 0.5).all()
 
 
-def test_mode_certificates_residual_is_exactly_the_weight(gen):
+def test_mode_certificates_residual_is_exactly_the_weight():
     for r, k_exp, n_exp in [(Fraction(1), 1, 1), (Fraction(3, 2), 1, 6),
                             (Fraction(2), 1, 3), (Fraction(7, 3), 2, 78)]:
-        c = mode_certificate(gen, r)
+        c = mode_certificate(r)
         assert c.k == k_exp
         assert c.block_index == n_exp
         assert c.matches
         assert c.residual == c.q_n           # bitwise equal, no tolerance
 
 
-def test_mode_certificate_later_occurrence_is_deeper(gen):
-    c1 = mode_certificate(gen, Fraction(3, 2), occurrence=1)
-    c2 = mode_certificate(gen, Fraction(3, 2), occurrence=2)
+def test_mode_certificate_later_occurrence_is_deeper():
+    c1 = mode_certificate(Fraction(3, 2), occurrence=1)
+    c2 = mode_certificate(Fraction(3, 2), occurrence=2)
     assert c2.block_index > c1.block_index
     assert c2.residual < c1.residual
     assert c2.matches
 
 
-def test_mode_certificate_rejects_small_speeds(gen):
+def test_mode_certificate_rejects_small_speeds():
     with pytest.raises(ValueError):
-        mode_certificate(gen, Fraction(1, 2))
+        mode_certificate(Fraction(1, 2))
 
 
 # The certificate's gate is the absolute |residual - q_n| <= 1e-12, which
@@ -323,11 +312,11 @@ _OPEN_GATE = pytest.mark.xfail(strict=True, raises=AssertionError,
 
 
 @_OPEN_GATE
-def test_mode_certificate_refuses_a_block_whose_weight_underflows(gen):
+def test_mode_certificate_refuses_a_block_whose_weight_underflows():
     # q_1830 = 2^-1830 / (2 pi) rounds to 0.0, and a residual of 0.0 there
     # certifies nothing
     try:
-        c = mode_certificate(gen, Fraction(15, 7))
+        c = mode_certificate(Fraction(15, 7))
     except BlockTooDeep:
         return
     assert (c.block_index, c.q_n, c.residual) == (1830, 0.0, 0.0)
@@ -335,12 +324,12 @@ def test_mode_certificate_refuses_a_block_whose_weight_underflows(gen):
 
 
 @_OPEN_GATE
-def test_mode_certificate_gate_rejects_a_zero_residual(gen, monkeypatch):
+def test_mode_certificate_gate_rejects_a_zero_residual(monkeypatch):
     # negative control: a generator map that returns the zero state makes
     # the residual 0, which must not match q_78 = 5.3e-25
     monkeypatch.setattr(semigroup, "apply_generator",
-                        lambda g, z, lam: SemigroupState())
-    c = mode_certificate(gen, Fraction(7, 3))
+                        lambda z, lam: SemigroupState())
+    c = mode_certificate(Fraction(7, 3))
     assert (c.block_index, c.residual) == (78, 0.0)
     assert not c.matches
 
@@ -349,9 +338,9 @@ def test_mode_certificate_gate_rejects_a_zero_residual(gen, monkeypatch):
 # evolution
 # ---------------------------------------------------------------------------
 
-def test_chain_generator_columns_balance(gen):
+def test_chain_generator_columns_balance():
     n = 12
-    m = chain_generator(gen, n)
+    m = chain_generator(n)
     # weighted column sums vanish up to the truncated tail: the mass
     # functional pairs head with 1 and block n with 2 pi
     weights = np.ones(n + 1)
@@ -361,57 +350,57 @@ def test_chain_generator_columns_balance(gen):
     assert np.abs(bal[1:]).max() < 1e-15
 
 
-def test_evolve_identity_at_zero(gen):
+def test_evolve_identity_at_zero():
     f0 = SemigroupState(0.3, [2, 6], [0, 1], [0.1, 0.2j])
-    f = evolve(gen, f0, 0.0)
+    f = evolve(f0, 0.0)
     assert abs(f.head - 0.3) < 1e-15
     assert abs(f.coeff(2, 0) - 0.1) < 1e-15
     assert abs(f.coeff(6, 1) - 0.2j) < 1e-15
 
 
-def test_evolve_semigroup_property(gen):
+def test_evolve_semigroup_property():
     f0 = SemigroupState(1.0)
-    a = evolve(gen, evolve(gen, f0, 1.7), 2.3)
-    b = evolve(gen, f0, 4.0)
+    a = evolve(evolve(f0, 1.7), 2.3)
+    b = evolve(f0, 4.0)
     assert abs(a.head - b.head) < 1e-12
     for n in (1, 5, 17, 40):
         assert abs(a.coeff(n, 0) - b.coeff(n, 0)) < 1e-12
 
 
-def test_evolve_conserves_mass_and_positivity(gen):
+def test_evolve_conserves_mass_and_positivity():
     f0 = SemigroupState(1.0)
     for t in (1.0, 10.0, 50.0):
-        ft = evolve(gen, f0, t)
+        ft = evolve(f0, t)
         assert abs(ft.mass().real - 1.0) < 1e-8
         assert ft.head.real > 0.0
-        for n in range(1, gen.depth + 1):
+        for n in range(1, DEFAULT_DEPTH + 1):
             assert ft.coeff(n, 0).real >= -1e-10
 
 
-def test_evolve_single_mode_decay(gen):
+def test_evolve_single_mode_decay():
     z = SemigroupState.single_mode(6, 1, 1.0 / TWO_PI)
     q6 = 2.0 ** -6 / TWO_PI
     for t in (0.5, 3.0, 25.0):
-        zt = evolve(gen, z, t)
+        zt = evolve(z, t)
         assert abs(zt.norm1() - math.exp(-q6 * t)) < 1e-10
         # the phase advances at speed omega * k = 3/2
         expect = (1.0 / TWO_PI) * np.exp((1.5j - q6) * t)
         assert abs(zt.coeff(6, 1) - expect) < 1e-12
 
 
-def test_evolve_deep_blocks_decay_decoupled(gen):
+def test_evolve_deep_blocks_decay_decoupled():
     f0 = SemigroupState(0j, [45], [0], [1.0])   # beyond the chain depth
-    ft = evolve(gen, f0, 2.0)
+    ft = evolve(f0, 2.0)
     q45 = 2.0 ** -45 / TWO_PI
     assert abs(ft.coeff(45, 0) - math.exp(-2.0 * q45)) < 1e-14
 
 
-def test_evolve_approximates_generator(gen):
+def test_evolve_approximates_generator():
     f0 = SemigroupState(1.0, [3, 6], [0, 1], [0.2, 0.1])
-    af = apply_generator(gen, f0)
+    af = apply_generator(f0)
     errs = []
     for h in (1e-2, 1e-3, 1e-4):
-        fh = evolve(gen, f0, h)
+        fh = evolve(f0, h)
         errs.append(_combination((1.0 / h, fh), (-1.0 / h, f0),
                                  (-1.0, af)).norm1())
     slope = np.polyfit(np.log([1e-2, 1e-3, 1e-4]), np.log(errs), 1)[0]
@@ -427,22 +416,21 @@ def _combination(*terms):
                           np.concatenate([s * f.c for s, f in terms]))
 
 
-def _per_time_evolve(g, f0, t, n_chain=None):
+def _per_time_evolve(f0, t, depth=DEFAULT_DEPTH):
     """The one-exponential-per-time orbit that the stepped one replaced,
     with the same exponential and a Python exponential per entry."""
-    n_chain = g.depth if n_chain is None else n_chain
     entries = {}
-    v0 = np.zeros(n_chain + 1, dtype=complex)
+    v0 = np.zeros(depth + 1, dtype=complex)
     v0[0] = f0.head
     for n, k, c in zip(f0.n.tolist(), f0.k.tolist(), f0.c.tolist()):
-        if k == 0 and n <= n_chain:
+        if k == 0 and n <= depth:
             v0[n] += c
             continue
         q = 2.0 ** -n / TWO_PI
-        rate = (1j * g.omega_float(n, k) - q) if k != 0 else -q
+        rate = (1j * float(omega(n) * k) - q) if k != 0 else -q
         entries[n, k] = c * cmath.exp(rate * t)
-    vt = expm(t * chain_generator(g, n_chain)) @ v0
-    for n in range(1, n_chain + 1):
+    vt = expm(t * chain_generator(depth)) @ v0
+    for n in range(1, depth + 1):
         entries[n, 0] = entries.get((n, 0), 0j) + vt[n]
     return SemigroupState(vt[0], [n for n, _ in entries],
                           [k for _, k in entries], list(entries.values()))
@@ -463,49 +451,48 @@ def _bits(state):
 
 
 @pytest.mark.parametrize("f0", _STATES, ids=["head", "mixed", "mode"])
-def test_scalar_evolve_is_the_per_time_orbit(gen, f0):
+def test_scalar_evolve_is_the_per_time_orbit(f0):
     for t in (0.0, 0.25, 3.7, 50.0):
-        assert _bits(evolve(gen, f0, t)) == _bits(_per_time_evolve(gen, f0, t))
+        assert _bits(evolve(f0, t)) == _bits(_per_time_evolve(f0, t))
 
 
 @pytest.mark.parametrize("f0", _STATES, ids=["head", "mixed", "mode"])
-def test_batched_evolve_starts_as_the_scalar_calls(gen, f0):
+def test_batched_evolve_starts_as_the_scalar_calls(f0):
     times = np.linspace(0.0, 10.0, 51)
-    orbit = evolve(gen, f0, times)
+    orbit = evolve(f0, times)
     for i in (0, 1):
-        one = evolve(gen, f0, float(times[i]))
+        one = evolve(f0, float(times[i]))
         assert orbit.head[i] == one.head
         assert np.signbit(orbit.head[i].real) == np.signbit(one.head.real)
         for n, k, col in zip(orbit.n, orbit.k, orbit.c.T):
             assert col[i] == one.coeff(n, k)
     # the t = 0 row is the initial state itself
     assert orbit.head[0] == f0.head
-    for n in range(1, gen.depth + 1):
+    for n in range(1, DEFAULT_DEPTH + 1):
         assert orbit.coeff(n, 0)[0] == f0.coeff(n, 0)
 
 
-def test_batched_evolve_stays_close_and_nonnegative(gen):
+def test_batched_evolve_stays_close_and_nonnegative():
     f0 = SemigroupState(1.0)
     times = np.linspace(0.0, 500.0, 2001)
-    orbit = evolve(gen, f0, times)
+    orbit = evolve(f0, times)
+    blocks = range(1, DEFAULT_DEPTH + 1)
     chain = np.column_stack([orbit.head] + [orbit.coeff(n, 0)
-                                            for n in range(1, gen.depth + 1)])
+                                            for n in blocks])
     assert np.all(chain.imag == 0.0)
     assert np.all(chain.real >= 0.0)
     for i in (2, 7, 100, 1000, 2000):
-        ref = _per_time_evolve(gen, f0, float(times[i]))
-        ref_chain = [ref.head] + [ref.coeff(n, 0)
-                                  for n in range(1, gen.depth + 1)]
+        ref = _per_time_evolve(f0, float(times[i]))
+        ref_chain = [ref.head] + [ref.coeff(n, 0) for n in blocks]
         assert np.abs(chain[i] - ref_chain).max() <= 1e-13
     assert np.abs(orbit.mass().real - 1.0).max() <= 1e-8
 
 
-def test_batched_evolve_needs_one_exponential_per_increment(gen,
-                                                          monkeypatch):
+def test_batched_evolve_needs_one_exponential_per_increment(monkeypatch):
     calls = []
     monkeypatch.setattr(semigroup, "expm",
                         lambda a: calls.append(a) or expm(a))
-    evolve(gen, SemigroupState(1.0), np.linspace(0.0, 500.0, 2001))
+    evolve(SemigroupState(1.0), np.linspace(0.0, 500.0, 2001))
     assert len(calls) == 2                   # increments 0 and 0.25
 
 
@@ -513,6 +500,14 @@ def test_batched_evolve_needs_one_exponential_per_increment(gen,
                                [0.0, np.inf], -1.0, np.nan],
                          ids=["descending", "negative", "nan", "inf",
                               "negative-scalar", "nan-scalar"])
-def test_evolve_rejects_bad_times(gen, t):
+def test_evolve_rejects_bad_times(t):
     with pytest.raises(ValueError):
-        evolve(gen, SemigroupState(1.0), t)
+        evolve(SemigroupState(1.0), t)
+
+
+def test_depth_below_one_is_refused():
+    f0 = SemigroupState(1.0)
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        evolve(f0, 1.0, depth=0)
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        apply_generator(f0, depth=0)
