@@ -12,20 +12,18 @@ form of the sections' characteristic polynomial.  The dense and cofactor
 oracles live with the tests, not in the package.
 """
 
-from .errors import (BlockIndexOverflow, BlockTooDeep, ExponentialUnresolved,
-                     NoSamples, NotInTargetSet, RootCountMismatch,
-                     SpectralForgeError)
+from .errors import (BlockIndexOverflow, ExponentialUnresolved, NoSamples,
+                     NotInTargetSet, RootCountMismatch, SpectralForgeError)
 from .model import (GroupUnionSpec, apply_operator, dyadic_weights,
                     union_points, union_values)
-from .resolvent import (CERTIFIED, SINGULAR, TAIL_INVALID,
+from .resolvent import (CERTIFIED, SINGULAR, TAIL_INVALID, Certificate,
                         coupling_series_batch)
-from .scanner import EigCertificate, ScanChunk, ScanReport, \
-    residual_certificate, scan_unit_circle
+from .scanner import ScanChunk, ScanReport, residual_certificate, \
+    scan_unit_circle
 from .finite import (FiniteSection, SpectrumResult, convergence_table,
                      finite_spectrum)
-from .semigroup import (ModeCertificate, SemigroupState, apply_generator,
-                        chain_generator, evolve, mode_certificate,
-                        scan_imaginary_axis)
+from .semigroup import (SemigroupState, apply_generator, chain_generator,
+                        evolve, mode_certificate, scan_imaginary_axis)
 from .verify import run_suite, run_suites
 
 __version__ = "0.1.0"

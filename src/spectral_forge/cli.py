@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BlockIndexOverflow, BlockTooDeep, ExponentialUnresolved, \
+from .errors import BlockIndexOverflow, ExponentialUnresolved, \
     SpectralForgeError
 from .finite import (FiniteSection, convergence_table, finite_spectrum,
                      section_limit)
@@ -34,9 +34,9 @@ from .io import write_csv, write_json
 from .model import DEFAULT_DEPTH, GroupUnionSpec
 from .resolvent import CERTIFIED, SINGULAR, TAIL_INVALID, VERDICT_LABELS, \
     VERDICTS
-from .scanner import CERT_SLOP, scan_unit_circle
-from .semigroup import TWO_PI, SemigroupState, evolve, mode_certificate, \
-    scan_imaginary_axis
+from .scanner import scan_unit_circle
+from .semigroup import MAX_BLOCK, TWO_PI, SemigroupState, evolve, \
+    mode_certificate, scan_imaginary_axis
 from .verify import SUITE_NAMES, run_suites
 
 # deepest series truncation whose dyadic tail radius 2^-depth is still a
@@ -99,6 +99,12 @@ def _single_mode(text: str) -> SemigroupState:
     return SemigroupState.single_mode(n, k, 1.0 / TWO_PI)
 
 
+def _certificate_row(c, target: str, mode: str) -> dict:
+    row = c._asdict()
+    row[target], row[mode] = str(row.pop("target")), row.pop("mode")
+    return row
+
+
 def _out_path(args, name: str) -> str:
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
@@ -119,12 +125,8 @@ def _check_section_size(flag: str, n_blocks: int, spec: GroupUnionSpec,
 # ---------------------------------------------------------------------------
 
 def cmd_scan_circle(args) -> int:
-    try:
-        report = scan_unit_circle(args.orders, args.grid, args.exclusion,
-                                  args.depth, args.cert_block)
-    except BlockTooDeep as exc:
-        raise UsageError(f"argument --cert-block: {exc}; use a shallower "
-                         f"block")
+    report = scan_unit_circle(args.orders, args.grid, args.exclusion,
+                              args.depth, args.cert_block)
 
     tally = np.zeros(len(VERDICTS), dtype=np.int64)
     rim_seen, rim_ok = False, True
@@ -146,28 +148,23 @@ def cmd_scan_circle(args) -> int:
     # a rim with no grid point on it certifies nothing off the targets
     rim_ok = rim_ok and rim_seen
 
-    # each residual must match its closed form q_n * (1 + |<1, z>|) to
-    # within CERT_SLOP, which the scanner records as ``matches``
     cert_ok = all(c.matches for c in report.certificates)
     counts = dict(zip(VERDICTS, tally.tolist()))
 
     write_json(_out_path(args, "scan_circle.json"), {
         "metadata": report.metadata,
         "counts": counts,
-        "certificates": [{
-            "angle": str(c.angle), "re": c.value.real, "im": c.value.imag,
-            "block_index": c.block_index, "inner_abs": c.inner_abs,
-            "residual": c.residual, "expected": c.expected,
-            "tolerance": CERT_SLOP, "matches": c.matches,
-        } for c in report.certificates],
+        "certificates": [_certificate_row(c, "angle", "order")
+                         for c in report.certificates],
         "all_nonexcluded_certified": rim_ok,
         "certificates_ok": cert_ok,
     })
     print(f"scan-circle: {counts[CERTIFIED]} certified, "
           f"{counts[SINGULAR]} withheld, {counts[TAIL_INVALID]} tail-invalid "
           f"of {args.grid} points; "
-          f"{len(report.certificates)} certificates "
-          f"(max residual {max((c.residual for c in report.certificates), default=0.0):.3e})")
+          f"{len(report.certificates)} certificates, residual "
+          f"2^-{args.cert_block} * (1 + [u = 1])/{args.orders.d}, "
+          f"{sum(c.resolved for c in report.certificates)} cross-checked")
     if not rim_seen:
         print(f"scan-circle: no grid point lies off the exclusion arcs "
               f"(radius {args.exclusion}), so nothing off the "
@@ -263,14 +260,14 @@ def cmd_cert(args) -> int:
     except BlockIndexOverflow as exc:
         flag = "--occurrence" if exc.first_fits else "--r"
         raise UsageError(f"argument {flag}: {exc}")
-    write_json(_out_path(args, "semigroup_cert.json"), [{
-        "r": str(c.r), "omega": str(c.omega), "k": c.k, "n": c.block_index,
-        "q_n": c.q_n, "residual": c.residual, "matches": c.matches,
-    } for c in certs])
+    write_json(_out_path(args, "semigroup_cert.json"),
+               [_certificate_row(c, "r", "k") for c in certs])
     for c in certs:
-        print(f"cert r={c.r}: mode k={c.k} at block n={c.block_index} "
-              f"(speed {c.omega}), residual {c.residual:.6e} "
-              f"{'=' if c.matches else '!='} q_n")
+        check = (f"float {c.residual:.6e}, margin {c.margin:.1e}"
+                 if c.resolved else "identity alone")
+        print(f"cert r={c.target}: mode k={c.mode} at block "
+              f"n={c.block_index}, residual {c.identity} ({check})"
+              f"{'' if c.matches else ' FAILS'}")
     return 0 if all(c.matches for c in certs) else 1
 
 
@@ -363,10 +360,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"),
                    help="radius of the withheld arcs around target points, "
                         "in [0, 1) (default 0.05)")
-    p.add_argument("--cert-block", type=_at_least(1), default=30,
-                   help="block index used for residual certificates; its "
-                        "weight q_n must exceed 1e-14 (n <= 44 for orders "
-                        "2,3)")
+    p.add_argument("--cert-block", default=30, type=_domain(
+                       int, lambda v: 1 <= v <= MAX_BLOCK,
+                       "an integer in [1, 2^63 - 1]"),
+                   help="block index of the residual certificates (default 30)")
     p.set_defaults(handler="cmd_scan_circle")
 
     p = sub.add_parser("eigs", parents=[common, orders],

@@ -11,11 +11,6 @@ class NotInTargetSet(SpectralForgeError):
     """The requested point is not in the prescribed peripheral set."""
 
 
-class BlockTooDeep(SpectralForgeError):
-    """A certificate block whose weight q_n is within the rounding slop of 0:
-    a residual check against q_n could no longer fail there."""
-
-
 class BlockIndexOverflow(SpectralForgeError):
     """A speed's block index past 2^63 - 1, which no int64 state entry
     holds; ``first_fits`` tells whether its first occurrence fits."""

@@ -1,4 +1,5 @@
-"""The certified rank-one denominator and the verdict labels.
+"""The certified rank-one denominator, the verdict labels and the
+approximate-eigenvalue certificate of both constructions (``certify``).
 
 The block-diagonal part S = diag(0, (1-q_1)P, (1-q_2)P, ...) has an explicit
 resolvent, and the coupled operator T = S + (e x q) + (q x e) is reached from
@@ -15,6 +16,8 @@ that series with the gap to the spectrum of S that the scan measures.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -23,7 +26,7 @@ from .model import dyadic_weights
 __all__ = [
     "coupling_series_batch", "series_terms", "UNIT_ROUNDOFF", "gamma",
     "CERTIFIED", "SINGULAR", "TAIL_INVALID", "VERDICTS", "VERDICT_LABELS",
-    "verdict_codes", "verdict_counts",
+    "verdict_codes", "verdict_counts", "Certificate", "certify",
 ]
 
 # verdict labels used by the scanners and the CLI
@@ -163,3 +166,45 @@ def coupling_series_batch(unit: float, lams, depth: int):
                   + UNIT_ROUNDOFF) * (1.0 + 2.0 ** -48)
     radius[~((lam2 >= _LAM2_MIN) & (lam2 <= _LAM2_MAX))] = np.inf
     return den, radius, valid
+
+
+# ---------------------------------------------------------------------------
+# approximate eigenvalue certificates
+# ---------------------------------------------------------------------------
+
+class Certificate(NamedTuple):
+    """||(L - lam) x|| = 2^-n s, unit x in block n: L = T, lam = e^(2 pi i
+    target), x on a sub-block of order ``mode``; or L = A, lam = i target,
+    x the Fourier mode ``mode``; cross-check fields None unless resolved."""
+
+    target: Fraction
+    mode: int
+    block_index: int
+    identity: str            # 2^-n s, spelt out exactly
+    log2_residual: float     # log2(s) - n
+    matches: bool
+    resolved: bool = False
+    expected: Optional[float] = None
+    residual: Optional[float] = None
+    tolerance: Optional[float] = None
+    margin: Optional[float] = None
+
+
+def certify(target: Fraction, mode: int, n: int, scale: float, label: str,
+            premise: bool, slack: float, rel: float,
+            residual: Callable[[], float]) -> Certificate:
+    """The certificate of ||(L - lam) x|| = 2^-n s, s the float ``scale``
+    spelt ``label``.  It ``matches`` where ``premise`` holds and, if resolved,
+    |residual() - expected| <= tolerance: expected = 2^-n s, the tolerance
+    the caller's bound slack + rel * expected times 1 + 2^-48 (its own
+    evaluation).  It is resolved, and ``residual()`` (the forward map) run,
+    only where expected is normal and the tolerance below half of it."""
+    expected = math.ldexp(scale, -n)
+    tolerance = (slack + rel * expected) * (1.0 + 2.0 ** -48)
+    head = (target, mode, n, f"2^-{n} * {label}", math.log2(scale) - n)
+    if expected < 2.0 ** -1022 or not tolerance < 0.5 * expected:
+        return Certificate(*head, premise)
+    value = float(residual())
+    margin = tolerance - abs(value - expected)     # NaN fails it
+    return Certificate(*head, premise and margin >= 0.0, True, expected,
+                       value, tolerance, margin)

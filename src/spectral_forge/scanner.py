@@ -9,27 +9,26 @@ set never receive a resolvent certificate, whatever the denominator says
 there: floating-point scanning needs a buffer, so certification is withheld
 on the arcs (the certified lower bound is still recorded).
 
-For each peripheral point the complementary certificate is an explicit
-finite vector living in a single deep block whose image under the operator
-misses the eigenvalue equation by exactly q_n * (1 + |<1, z>|).
+For each peripheral point u the complementary certificate is a vector in
+one block n with residual exactly 2^-n (1 + [u = 1]) / d, at any n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 from typing import Iterator, List, NamedTuple
 
 import numpy as np
 
-from .errors import BlockTooDeep, NotInTargetSet
+from .errors import NotInTargetSet
 from .model import (DEFAULT_DEPTH, GroupUnionSpec, apply_operator,
                     dyadic_weights, union_points, union_values)
-from .resolvent import coupling_series_batch, series_terms, verdict_codes
+from .resolvent import (UNIT_ROUNDOFF, Certificate, certify,
+                        coupling_series_batch, gamma, series_terms,
+                        verdict_codes)
 
 __all__ = [
-    "CERT_SLOP",
-    "EigCertificate",
     "residual_certificate",
     "ScanChunk",
     "ScanReport",
@@ -40,78 +39,59 @@ __all__ = [
 # other kernel buffer is one chunk long
 _CHUNK = 8192
 
-# absolute rounding slop of a certificate residual against its closed form;
-# the worst error measured over orders (1,), (2,), (3,), (2,3), (4,6), (5,7),
-# every target point and blocks 1-60 is 2.75 eps = 6.1e-16
-CERT_SLOP = 1e-14
-
 
 # ---------------------------------------------------------------------------
 # approximate eigenvector certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EigCertificate:
-    """Residual certificate for one peripheral point.
-
-    ``vector`` is the l1-normalised discrete Fourier eigenvector of the
-    first cyclic sub-block whose spectrum contains the point, embedded in
-    block ``block_index``.  ``residual`` is ||(T - lam) z||_1 computed by
-    the forward map; it equals ``expected`` = q_n * (1 + inner_abs) in exact
-    arithmetic, and ``matches`` records whether it does up to
-    ``CERT_SLOP``.
-    """
-
-    angle: Fraction
-    value: complex
-    block_index: int
-    vector: np.ndarray
-    inner_abs: float
-    residual: float
-    expected: float
-    matches: bool
-
-
 def residual_certificate(spec: GroupUnionSpec, target: Fraction,
-                         block_index: int = 30) -> EigCertificate:
-    """Build the deep-block certificate for one point of the target set.
+                         block_index: int = 30) -> Certificate:
+    """The certificate that lam = e^(2 pi i target) of the target set (else
+    NotInTargetSet) is an approximate eigenvalue of T: z_i = lam^-i / m on
+    the first cyclic sub-block, of order m, that carries lam, in block n of
+    x, gives (T - lam) x the head q_n <1, z> = q_n [lam = 1] and the block
+    part -q_n lam z, so ||(T - lam) x||_1 = rho = 2^-n (1 + [lam = 1]) / d.
 
-    ``target`` is an exact angle, a Fraction of a full turn.  Raises
-    NotInTargetSet when it is not a target point and BlockTooDeep when
-    q_n <= CERT_SLOP (the residual check could not fail there).  A
-    residual that misses its closed form is recorded, not raised.
+    Cross-check: each root comes from its turn reduced exactly into
+    [-1/2, 1/2], and glibc's cos, sin and hypot err by at most one ulp.
+    With u = 2^-53 and Higham's gamma_k, a root misses by e = pi gamma_3 +
+    sqrt(2) u, so ||z^ - z||_1 <= E = e + gamma_2 (1 + e), and ||T|| = 1
+    puts the exact norm of (T - lam^) x^ within D = 2 E + e (1 + E) of rho.
+    ``apply_operator`` adds a = (2 u + sqrt(2) gamma_2 (1 + e)) (1 + E) in
+    its products (Higham 2002, lemma 3.5), gamma_(d+2) of block n's norm
+    in its sum and gamma_(d+4) q_n ||z^|| in the head: |residual - rho| <=
+    (1 + gamma_(d+3)) (D + a) + (1 + E) gamma_(2d+8) rho, and expected is
+    within u rho of rho.  D + a = 41.4 u < rho / 2 down to block 44 at
+    d = 5, lam != 1, where the residual misses rho by 0.9 u.
     """
     angle = target % 1
-    # first cyclic sub-block containing the point in its spectrum; the
-    # target set is exactly the angles some sub-block carries
     for off, m in zip(spec.offsets, spec.orders):
-        if (angle * m).denominator == 1:
+        if m % angle.denominator == 0:
             break
     else:
         raise NotInTargetSet(f"angle {target} not in the target set")
     if block_index < 1:
         raise ValueError("block_index must be >= 1")
-    q = 2.0 ** -block_index / spec.d
-    if q <= CERT_SLOP:
-        raise BlockTooDeep(
-            f"q_{block_index} = {q:.3e} is within the {CERT_SLOP:g} rounding "
-            f"slop of 0, so the residual check could not fail")
+    inner = int(angle == 0)          # <1, z>, exactly
+    d, b = spec.d, angle.denominator
+    e = math.pi * gamma(3) + math.sqrt(2.0) * UNIT_ROUNDOFF
+    err_z = e + gamma(2) * (1.0 + e)                          # E
+    slack = 2.0 * err_z + e * (1.0 + err_z) + (1.0 + err_z) * (  # D + a
+        2.0 * UNIT_ROUNDOFF + math.sqrt(2.0) * gamma(2) * (1.0 + e))
 
-    zeta = np.exp(2j * np.pi * float(angle))
-    z = np.zeros(spec.d, dtype=complex)
-    for i in range(m):
-        z[off + i] = zeta ** (-i) / m
-    inner = abs(z.sum())
+    def residual() -> float:
+        # turns (1 - i) * angle, i <= m, reduced into [-1/2, 1/2): lam, then z
+        t = ((1 - np.arange(m + 1)) * angle.numerator + b // 2) % b - b // 2
+        roots = np.exp(2j * np.pi * (t / b))
+        x = np.zeros(1 + block_index * d, dtype=complex)
+        x[-d:][off:off + m] = roots[1:] / m
+        r = apply_operator(spec, x) - roots[0] * x
+        return abs(r[0]) + np.abs(r[1:]).reshape(-1, d).sum(axis=1).sum()
 
-    x = np.zeros(1 + block_index * spec.d, dtype=complex)
-    x[-spec.d:] = z
-    r = apply_operator(spec, x) - zeta * x
-    # the l1 norm, each block's sum first: the order the artifacts pin
-    resid = float(abs(r[0])
-                  + np.abs(r[1:]).reshape(-1, spec.d).sum(axis=1).sum())
-    expected = q * (1.0 + inner)
-    return EigCertificate(angle, complex(zeta), block_index, z, inner, resid,
-                          expected, bool(abs(resid - expected) <= CERT_SLOP))
+    return certify(angle, m, block_index, (1 + inner) / d,
+                   f"(1 + {inner})/{d}", m % b == 0,
+                   (1.0 + gamma(d + 3)) * slack,
+                   (1.0 + err_z) * gamma(2 * d + 9), residual)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +110,7 @@ class ScanChunk(NamedTuple):
 
 
 class ScanReport(NamedTuple):
-    certificates: List[EigCertificate]
+    certificates: List[Certificate]
     metadata: dict
     chunks: Iterator[ScanChunk]  # one pass over the grid, chunk by chunk
 
@@ -228,12 +208,11 @@ def scan_unit_circle(spec: GroupUnionSpec, grid_size: int = 3600,
                      cert_block: int = 30) -> ScanReport:
     """Classify every grid point exp(2*pi*i*j/grid_size), as a stream.
 
-    The residual certificates come first, so that a ``cert_block`` too
-    deep for them (BlockTooDeep) is refused before any grid work.  The
-    grid is certified only as ``chunks`` is read, ``_CHUNK`` points at a
-    time by :func:`_circle_kernel`, into one chunk's buffers.  Each result
-    depends on its point alone, so the output does not depend on the chunk
-    size, and memory is bounded by one chunk at any grid size.  Conjugation
+    The residual certificates come first; the grid is certified only as
+    ``chunks`` is read, ``_CHUNK`` points at a time by
+    :func:`_circle_kernel`, into one chunk's buffers.  Each result depends
+    on its point alone, so the output does not depend on the chunk size,
+    and memory is bounded by one chunk at any grid size.  Conjugation
     symmetry of the construction is a test-side invariant, not enforced.
     """
     if grid_size < 1:

@@ -19,7 +19,7 @@ denominator 1 - h(beta)/(i*beta+1) with h(beta) = sum_n 2*pi*q_n^2 /
 lam = 1 + i*beta and comes from the same primitive,
 ``resolvent.coupling_series_batch`` with the unit 2*pi; approximate point
 spectrum on the axis is exhibited by single-Fourier-mode states whose
-residual equals q_n exactly.  Orbits are sampled by stepping the
+residual is exactly 2^-n / (2 pi).  Orbits are sampled by stepping the
 head/mode-0 chain from one time to the next with a memoised matrix
 exponential.
 """
@@ -35,8 +35,8 @@ import numpy as np
 
 from .errors import BlockIndexOverflow, ExponentialUnresolved
 from .model import DEFAULT_DEPTH, dyadic_weights
-from .resolvent import (CERTIFIED, UNIT_ROUNDOFF, VERDICTS,
-                        coupling_series_batch, gamma, series_terms,
+from .resolvent import (CERTIFIED, UNIT_ROUNDOFF, VERDICTS, Certificate,
+                        certify, coupling_series_batch, gamma, series_terms,
                         verdict_codes, verdict_counts)
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "index_of",
     "SemigroupState",
     "apply_generator",
-    "ModeCertificate",
     "mode_certificate",
     "AxisReport",
     "scan_imaginary_axis",
@@ -239,44 +238,31 @@ def apply_generator(f: SemigroupState, lam: complex = 0.0,
 # approximate eigenvalue certificates on the axis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModeCertificate:
-    """Single-mode state z with ||(A - i*r) z|| = q_n in exact arithmetic.
+def mode_certificate(r, occurrence: int = 1) -> Certificate:
+    """The certificate that i r, r >= 1 rational, is an approximate
+    eigenvalue of A: z, the Fourier mode k of mass one (k = 1 up to r = 2,
+    else the largest integer below r) at the ``occurrence``-th block n of
+    speed r / k, has no coupling term, so under the premise omega_n k = r,
+    ||(A - i r) z|| = |i (omega_n k - r) - q_n| = rho = 2^-n / (2 pi).
 
-    For rational r in [1,2] the mode is k=1 at speed w_n = r; for larger r
-    the mode index is the largest integer below r, putting the required
-    speed r/k back inside (1, 3/2].  ``matches`` records the absolute
-    1e-12 check of the evaluated residual against q_n.  In floats that
-    equality holds only while q_n is a normal number: where q_n is
-    subnormal the residual loses digits (r = 17/6, block 1035: 2.3e-11
-    relative off q_n), and where q_n is 0.0 the residual is 0.0 as well,
-    so the absolute check cannot fail there (r = 15/7, block 1830).
+    Cross-check: float(omega_n k) = float(r), so ``apply_generator``
+    cancels the imaginary part exactly and ``norm1`` returns
+    fl(2 pi fl(q_n c)), q_n = fl(2^-n / (2 pi)) and c = fl(1 / (2 pi)),
+    within gamma_5 rho of rho plus 2 pi 2^-1075 where q_n c is subnormal;
+    expected is within gamma_2 rho: the bound is gamma_8 rho + 2^-1072.
     """
-
-    r: Fraction
-    omega: Fraction
-    k: int
-    block_index: int
-    q_n: float
-    residual: float
-    matches: bool
-
-
-def mode_certificate(r, occurrence: int = 1) -> ModeCertificate:
     r = Fraction(r)
     if r < 1:
         raise ValueError(f"speed target {r} must be >= 1")
-    if r <= 2:
-        k, speed = 1, r
-    else:
-        k = (r.numerator - 1) // r.denominator     # largest integer < r
-        speed = r / k
-    n = index_of(speed, occurrence)
-    q = 2.0 ** -n / TWO_PI
-    z = SemigroupState.single_mode(n, k, 1.0 / TWO_PI)
-    resid = float(apply_generator(z, 1j * float(r)).norm1())
-    return ModeCertificate(r, speed, k, n, q, resid,
-                           abs(resid - q) <= 1e-12)
+    k = 1 if r <= 2 else (r.numerator - 1) // r.denominator  # largest < r
+    n = index_of(r / k, occurrence)
+
+    def residual() -> float:
+        z = SemigroupState.single_mode(n, k, 1.0 / TWO_PI)
+        return apply_generator(z, 1j * float(r)).norm1()
+
+    return certify(r, k, n, 1.0 / TWO_PI, "1/(2 pi)", omega(n) * k == r,
+                   2.0 ** -1072, gamma(8), residual)
 
 
 # ---------------------------------------------------------------------------

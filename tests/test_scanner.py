@@ -8,8 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spectral_forge import cli, scanner
-from spectral_forge.errors import BlockTooDeep, NotInTargetSet
+from spectral_forge import cli, model, scanner
+from spectral_forge.errors import NotInTargetSet
 from spectral_forge.model import (GroupUnionSpec, dyadic_weights,
                                   union_points, union_values)
 from spectral_forge.resolvent import (CERTIFIED, SINGULAR, TAIL_INVALID,
@@ -29,22 +29,36 @@ def test_certificate_residual_closed_form():
     spec = GroupUnionSpec((2, 3))
     n = 5
     q = 2.0 ** -n / spec.d
-    # away from 1 the Fourier vector sums to zero: residual q_n exactly
+    # away from 1 the Fourier vector sums to exactly zero: residual q_n
     c = residual_certificate(spec, Fraction(1, 3), block_index=n)
-    assert c.inner_abs < 1e-15
+    assert c.identity == "2^-5 * (1 + 0)/5"
+    assert c.expected == q
     assert c.residual == pytest.approx(q, rel=1e-12)
-    # at 1 the inner product is 1: residual 2 q_n
+    # at 1 the inner product is exactly 1: residual 2 q_n
     c1 = residual_certificate(spec, Fraction(0), block_index=n)
-    assert c1.inner_abs == pytest.approx(1.0, abs=1e-15)
+    assert c1.identity == "2^-5 * (1 + 1)/5"
+    assert c1.expected == 2.0 * q
     assert c1.residual == pytest.approx(2.0 * q, rel=1e-12)
+    assert c.matches and c1.matches
 
 
-def test_certificate_vector_is_normalised_eigenvector_of_block():
+def test_certificate_vector_is_normalised_eigenvector_of_block(
+        monkeypatch):
+    # the vector handed to the forward map: z in block 4 alone, l1 norm 1,
+    # and P z = u z for u = -1, the first sub-block's eigenvalue
     spec = GroupUnionSpec((2, 3))
+    seen = []
+    monkeypatch.setattr(scanner, "apply_operator",
+                        lambda s, x: seen.append(x.copy())
+                        or model.apply_operator(s, x))
     c = residual_certificate(spec, Fraction(1, 2), 4)
-    assert np.abs(c.vector).sum() == pytest.approx(1.0)
-    pv = spec.permute(c.vector)
-    assert np.allclose(pv, c.value * c.vector, atol=1e-14)
+    assert c.mode == 2 and c.matches
+    (x,) = seen
+    assert x.shape == (1 + 4 * spec.d,) and not x[:-spec.d].any()
+    z = x[-spec.d:]
+    assert np.abs(z).sum() == pytest.approx(1.0)
+    assert not z[2:].any()
+    assert np.allclose(spec.permute(z), -z, atol=1e-14)
 
 
 def test_certificate_rejects_off_target_points():
@@ -55,7 +69,7 @@ def test_certificate_rejects_off_target_points():
 
 def test_certificate_takes_fraction_targets_modulo_one():
     spec = GroupUnionSpec((2, 3))
-    assert residual_certificate(spec, Fraction(4, 3), 8).angle == \
+    assert residual_certificate(spec, Fraction(4, 3), 8).target == \
         Fraction(1, 3)
     with pytest.raises(NotInTargetSet,
                        match="angle 6/5 not in the target set"):
@@ -74,19 +88,27 @@ def test_certificate_residual_shrinks_with_depth():
                                     (5, 7)],
                          ids=["1", "2", "3", "2,3", "4,6", "5,7"])
 def test_certificate_gate_holds_down_to_the_slop(orders):
-    # every block with q_n above the slop passes the two-sided check, with
-    # the rounding error far inside it; deeper blocks are refused by type
+    # every resolved block passes the two-sided check, with the rounding
+    # error far inside it; from the first block where the tolerance reaches
+    # half the residual on, the record states the identity alone
     spec = GroupUnionSpec(orders)
     qs = dyadic_weights(60, spec.d)
-    deepest = max(n for n in range(1, 61) if qs[n - 1] > scanner.CERT_SLOP)
     for angle in union_points(spec):
-        for n in range(1, deepest + 1):
-            c = residual_certificate(spec, angle, n)
-            closed = qs[n - 1] * (1.0 + c.inner_abs)
+        inner = int(angle == 0)
+        certs = [residual_certificate(spec, angle, n) for n in range(1, 61)]
+        depth = sum(c.resolved for c in certs)
+        assert all(c.resolved for c in certs[:depth])
+        for n, c in enumerate(certs[:depth], 1):
+            closed = qs[n - 1] * (1.0 + inner)
+            assert c.expected == closed
             assert abs(c.residual - closed) <= 4 * np.finfo(float).eps
+            assert 0.0 < c.margin <= c.tolerance < closed / 2
             assert c.matches
-        with pytest.raises(BlockTooDeep):
-            residual_certificate(spec, angle, deepest + 1)
+        for n, c in enumerate(certs[depth:], depth + 1):
+            assert (c.expected, c.residual, c.tolerance) == (None,) * 3
+            assert c.identity == f"2^-{n} * (1 + {inner})/{spec.d}"
+            assert c.matches
+        assert 40 <= depth < 60
 
 
 @pytest.mark.parametrize("block", [30, 38, 40, 44])
@@ -169,7 +191,7 @@ def test_scan_metadata():
 def test_scan_default_certificates_cover_target_set():
     spec = GroupUnionSpec((2, 3))
     rep = scan_unit_circle(spec, grid_size=12)
-    assert [c.angle for c in rep.certificates] == union_points(spec)
+    assert [c.target for c in rep.certificates] == union_points(spec)
     # deep default block: residuals at the 1e-10 scale
     for c in rep.certificates:
         assert c.residual <= 2.0 * 2.0 ** -30 / spec.d + 1e-14

@@ -10,7 +10,7 @@ import pytest
 import cmath
 
 from spectral_forge import semigroup
-from spectral_forge.errors import BlockIndexOverflow, BlockTooDeep
+from spectral_forge.errors import BlockIndexOverflow
 from spectral_forge.resolvent import (CERTIFIED, SINGULAR, VERDICTS,
                                       coupling_series_batch)
 from spectral_forge.model import DEFAULT_DEPTH
@@ -282,10 +282,11 @@ def test_mode_certificates_residual_is_exactly_the_weight():
     for r, k_exp, n_exp in [(Fraction(1), 1, 1), (Fraction(3, 2), 1, 6),
                             (Fraction(2), 1, 3), (Fraction(7, 3), 2, 78)]:
         c = mode_certificate(r)
-        assert c.k == k_exp
+        assert c.mode == k_exp
         assert c.block_index == n_exp
-        assert c.matches
-        assert c.residual == c.q_n           # bitwise equal, no tolerance
+        assert c.matches and c.resolved
+        assert c.residual == c.expected      # bitwise equal, no tolerance
+        assert c.identity == f"2^-{n_exp} * 1/(2 pi)"
 
 
 def test_mode_certificate_later_occurrence_is_deeper():
@@ -301,29 +302,25 @@ def test_mode_certificate_rejects_small_speeds():
         mode_certificate(Fraction(1, 2))
 
 
-# The certificate's gate is the absolute |residual - q_n| <= 1e-12, which
-# cannot fail once q_n is below 1e-12 (from block 38 on).  A relative gate,
-# or BlockTooDeep where q_n is not a normal float, would close it; the two
-# tests below stay expected failures until then.
-_OPEN_GATE = pytest.mark.xfail(strict=True, raises=AssertionError,
-                               reason="the mode certificate's absolute "
-                                      "1e-12 gate cannot fail at deep "
-                                      "blocks")
+def test_mode_certificate_states_the_identity_where_the_weight_underflows(
+        monkeypatch):
+    # 2^-1830 / (2 pi) rounds to 0.0, so no float residual is claimed
+    # there: the identity is stated through n alone, and it holds only
+    # while its premise omega_n k = r does
+    c = mode_certificate(Fraction(15, 7))
+    assert (c.block_index, c.mode, c.resolved) == (1830, 2, False)
+    assert (c.expected, c.residual, c.tolerance, c.margin) == (None,) * 4
+    assert c.log2_residual == pytest.approx(-1830 - math.log2(2 * math.pi),
+                                            rel=0.0, abs=1e-12)
+    assert c.matches
+    # negative control: a speed one slot off in the schedule
+    index = semigroup.index_of
+    monkeypatch.setattr(semigroup, "index_of", lambda *a: index(*a) + 1)
+    off = mode_certificate(Fraction(15, 7))
+    assert (off.block_index, off.resolved) == (1831, False)
+    assert not off.matches
 
 
-@_OPEN_GATE
-def test_mode_certificate_refuses_a_block_whose_weight_underflows():
-    # q_1830 = 2^-1830 / (2 pi) rounds to 0.0, and a residual of 0.0 there
-    # certifies nothing
-    try:
-        c = mode_certificate(Fraction(15, 7))
-    except BlockTooDeep:
-        return
-    assert (c.block_index, c.q_n, c.residual) == (1830, 0.0, 0.0)
-    assert not c.matches
-
-
-@_OPEN_GATE
 def test_mode_certificate_gate_rejects_a_zero_residual(monkeypatch):
     # negative control: a generator map that returns the zero state makes
     # the residual 0, which must not match q_78 = 5.3e-25
