@@ -27,9 +27,10 @@ frac's subtraction by 2**-53: in all below 5e-15.  Hence N = round(p + r)
 is the correctly rounded 17-digit significand whenever frac is at least
 ``_BAND`` = 2**-40 away from 1/2 and N is not 1e17.  Every other cell is
 undecided: it goes to Python's own '%.17g' (one ``%`` per slice, for all
-its float columns), which rounds exact ties to even.  So do zeros,
-non-finite cells and cells with E outside [-263, 295], where 16 - E +- 1
-leaves the table.  Of a typical column, that is the zeros alone.
+its float columns), which rounds exact ties to even.  So do non-finite
+cells and cells with E outside [-263, 295], where 16 - E +- 1 leaves the
+table.  A zero has no E: the kernel writes it as the digit 0 in the
+form of E = 0, ``0`` or ``-0``.  Of a typical column, no cell is left.
 """
 
 from __future__ import annotations
@@ -226,11 +227,15 @@ def _format_floats(x: np.ndarray, buffers: Optional[_FloatBuffers] = None,
     else:
         undecided = np.arange(x.size)
     if undecided.size:
-        text = ("%.17g\0" * undecided.size) % tuple(x[undecided].tolist())
-        cells[undecided] = np.array(
-            text.split("\0")[:-1], dtype=f"S{_WIDTH}"
-        ).view(np.uint8).reshape(-1, _WIDTH)
+        cells[undecided] = _python_floats(x[undecided])
     return cells.view(f"S{_WIDTH}").ravel()
+
+
+def _python_floats(x: np.ndarray) -> np.ndarray:
+    """Python's '%.17g' of every cell of ``x`` as uint8 rows of _WIDTH."""
+    text = ("%.17g\0" * x.size) % tuple(x.tolist())
+    return np.array(text.split("\0")[:-1], dtype=f"S{_WIDTH}").view(
+        np.uint8).reshape(-1, _WIDTH)
 
 
 def _two_product(a: np.ndarray, at: np.ndarray, t: np.ndarray):
@@ -276,16 +281,19 @@ def _decide(x: np.ndarray, buffers: _FloatBuffers) -> np.ndarray:
     return the indices of the others.
 
     Its temporaries are the six float64 rows of ``buffers.product``, and
-    one float64, three int64 and one bool array of ``x.size``, written in
+    one float64, three int64 and two bool arrays of ``x.size``, written in
     place and reused as their values die (``take`` with ``mode="clip"``
     fills ``out`` without a copy; every index is in range)."""
     _, (low, high), quads, sig = _tables()
     size = x.size
     a = np.abs(x)
-    # zeros, non-finite cells and E outside [_E_LO, _E_HI] go to Python
+    # non-finite cells and E outside [_E_LO, _E_HI] go to Python; a zero
+    # stands in as 1 and is decided, its digits set to 0 below
     sure = a >= low
     sure &= a < high
+    zero = a == 0.0
     np.putmask(a, ~sure, 1.0)
+    sure |= zero
     key, n, rest = np.empty((3, size), dtype=np.int64)
     e = rest.view(np.float64)               # E as a float, until it is key
     np.log10(a, out=e)
@@ -309,6 +317,7 @@ def _decide(x: np.ndarray, buffers: _FloatBuffers) -> np.ndarray:
     sure &= n >= 10**16
     sure &= n < 10**17
     np.putmask(n, ~sure, 10**16)
+    np.putmask(n, zero, 0)                  # 0 or -0, in the form of E = 0
 
     # each cell's layout key, ((E - _E_MIN) * 2 + sign) * 18 + digits,
     # built in place of E; the digits are added below
@@ -332,10 +341,10 @@ def _decide(x: np.ndarray, buffers: _FloatBuffers) -> np.ndarray:
         if j == 3:
             key += 13
             key += sig[group]
-            zero = np.flatnonzero(group == 0)
+            tail = np.flatnonzero(group == 0)
         else:
-            key[zero] += sig[group[zero]].astype(np.int64) - 4
-            zero = zero[group[zero] == 0]
+            key[tail] += sig[group[tail]].astype(np.int64) - 4
+            tail = tail[group[tail] == 0]
     n += ord("0")
     digits[0].view(np.uint8).reshape(size, 4)[:, _DIGIT] = n
 

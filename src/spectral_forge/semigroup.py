@@ -484,10 +484,12 @@ def evolve(f0: SemigroupState, t,
     being bounded in mass by 2^-depth.  The chain steps from sample to
     sample, v_k = expm(dt_k M) v_{k-1} with dt_k = t_k - t_{k-1} and
     t_0 = 0, one scaling-and-squaring exponential per distinct increment:
-    a uniform grid from 0 needs one, its dt_k are exact (Sterbenz) and sum
-    to t_k, and expm(dt M), a sum and product of nonnegative matrices, is
-    entrywise nonnegative by construction, so a nonnegative chain stays
-    nonnegative.  A step too long for expm's error bound raises
+    a uniform grid from 0 needs two, dt = 0 for the t = 0 row and the grid
+    step, its dt_k are exact (Sterbenz) and sum to t_k, and expm(dt M), a
+    sum and product of nonnegative matrices, is entrywise nonnegative by
+    construction, so a nonnegative chain stays nonnegative.  A chain that
+    starts at 0 (no head, no mode-0 entry within the depth) stays +0.0 and
+    needs none.  A step too long for expm's error bound raises
     ``ExponentialUnresolved``.
     f0 has no time axis.  The result holds the chain blocks 1..depth
     at mode 0, then the entries of f0 that decay in closed form.  An array
@@ -511,12 +513,15 @@ def evolve(f0: SemigroupState, t,
     chain, decays = out[:, :depth + 1], out[:, depth + 1:]
     np.multiply(c, np.exp(np.multiply.outer(ts, _rates(n, k))), out=decays)
 
-    m = chain_generator(depth)
-    # complex once per increment: a real step times the complex state
-    # would be cast to complex again on every product
-    step = lru_cache(maxsize=16)(lambda dt: expm(dt * m).astype(complex))
-    for i, dt in enumerate(steps.tolist()):
-        v = chain[i] = step(dt) @ v
+    if not v.any():                 # e^{tM} 0 = 0: nothing to step
+        chain[...] = 0.0
+    else:
+        m = chain_generator(depth)
+        # complex once per increment: a real step times the complex state
+        # would be cast to complex again on every product
+        step = lru_cache(maxsize=16)(lambda dt: expm(dt * m).astype(complex))
+        for i, dt in enumerate(steps.tolist()):     # into the row, no copy
+            v = step(dt).dot(v, out=chain[i])
     row = slice(None) if np.ndim(t) else 0
     return SemigroupState(out[row, 0],
                           np.concatenate([np.arange(1, depth + 1), n]),

@@ -821,6 +821,23 @@ def test_semigroup_evolve_csv_is_pinned(tmp_path, mode, digest):
     assert sha256_of(tmp_path, "evolve.csv") == {"evolve.csv": digest}
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (["--mode", "5,-3"],
+     "65ff7b4cf3815cd0707f5a04c0703a28bce236064958d8a42c7544475bd7bfe4"),
+    (["--t", "500", "--samples", "2001"],
+     "69eb7fb3d445e43d76b2bcc5ab0847e5112b5889e377c49f32ba8c56bc3c492d"),
+    (["--t", "500", "--samples", "2001", "--mode", "5,-3"],
+     "a63fc8fee20facc9d8467f35bd28cadc10d2f3b95752ef94b162a218f1de6b9e"),
+], ids=["mode-5-m3", "head-t500", "mode-5-m3-t500"])
+def test_semigroup_evolve_csv_keeps_its_zeros_and_steps(tmp_path, argv,
+                                                        digest):
+    # sha256 of evolve.csv as written by the chain loop that copied each
+    # product into its row and stepped an all-zero chain, with every zero
+    # cell formatted by Python's '%.17g'
+    assert run(tmp_path, "semigroup", "evolve", *argv) == 0
+    assert sha256_of(tmp_path, "evolve.csv") == {"evolve.csv": digest}
+
+
 @pytest.mark.parametrize("argv,name", [
     (["scan-circle"], "scan_circle.csv"),
     (["scan-circle", "--orders", "4,6", "--depth", "60", "--grid", "20011"],

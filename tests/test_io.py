@@ -440,27 +440,83 @@ def test_small_batches_skip_the_kernel(monkeypatch):
 def test_scan_csv_leaves_few_cells_to_python(tmp_path, monkeypatch):
     # a silent fall onto Python's formatter would show here: every float
     # cell of the default scan must reach the kernel, and the kernel
-    # decides every one of them but the zeros
+    # decides every one of them, the zeros included
     seen = []
     decide = io._decide
 
     def spy(x, buffers):
         undecided = decide(x, buffers)
-        seen.append((x.size, undecided.tolist(),
-                     np.flatnonzero(x == 0.0).tolist()))
+        seen.append((x.size, undecided.tolist(), int((x == 0.0).sum())))
         return undecided
 
     monkeypatch.setattr(io, "_decide", spy)
     assert cli.main(["scan-circle", "--out", str(tmp_path)]) == 0
     # one call per CSV slice for all four float columns, not one per column
     assert [size for size, _, _ in seen] == [4 * 2560, 4 * (3600 - 2560)]
-    assert [undecided for _, undecided, _ in seen] == \
-        [zeros for _, _, zeros in seen]
+    assert [undecided for _, undecided, _ in seen] == [[], []]
     # the zero cells, counted from the file's four float columns
     rows = (tmp_path / "scan_circle.csv").read_text().splitlines()[1:]
     zeros = sum(cell in ("0", "-0") for row in rows
                 for k, cell in enumerate(row.split(",")) if k != 3)
-    assert 0 < sum(len(undecided) for _, undecided, _ in seen) == zeros
+    assert 0 < sum(count for _, _, count in seen) == zeros
+
+
+def _signed_zero_column():
+    """A float64 column of 4 * _KERNEL_MIN rows: +0.0 and -0.0 among
+    normal, subnormal and non-finite cells."""
+    rng = np.random.default_rng(37)
+    cells = np.concatenate([
+        [0.0, -0.0] * 300,
+        rng.standard_normal(200) * 10.0 ** rng.integers(-30, 30, 200),
+        rng.integers(1, 2**52, 100, dtype=np.uint64).view(np.float64),
+        -rng.integers(1, 2**52, 100, dtype=np.uint64).view(np.float64),
+        [np.nan, np.inf, -np.inf, 5e-324, -5e-324] * 20])
+    column = np.resize(rng.permutation(cells), 4 * io._KERNEL_MIN)
+    assert np.signbit(column[column == 0.0]).sum() >= 100
+    return column
+
+
+def _python_spy(monkeypatch):
+    """Spy on the Python fallback: the cells of each call."""
+    seen = []
+    python_floats = io._python_floats
+
+    def spy(x):
+        seen.append(x.copy())
+        return python_floats(x)
+
+    monkeypatch.setattr(io, "_python_floats", spy)
+    return seen
+
+
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "python"])
+def test_signed_zeros_format_as_percent_g(tmp_path, monkeypatch, kernel):
+    # the kernel writes 0 and -0 itself: Python's formatter sees no zero,
+    # but still every non-finite cell; without the kernel, every cell
+    x = _signed_zero_column()
+    seen = _python_spy(monkeypatch)
+    if not kernel:
+        monkeypatch.setattr(io, "_KERNEL_MIN", x.size + 1)
+    write_csv(str(tmp_path / "x.csv"), ["x"], [[x]])
+    assert (tmp_path / "x.csv").read_bytes() == \
+        b"x\n" + b"".join(b"%s\n" % c for c in _python_cells(x))
+    fallback = np.concatenate(seen)
+    if kernel:
+        assert not (fallback == 0.0).any()
+        assert (~np.isfinite(fallback)).sum() == (~np.isfinite(x)).sum()
+    else:
+        assert fallback.view(np.uint64).tolist() == \
+            x.view(np.uint64).tolist()
+
+
+def test_a_kernel_that_drops_the_sign_of_zero_fails(monkeypatch):
+    # negative control: a kernel that writes 0 for -0.0 as well
+    x = _signed_zero_column()
+    decide = io._decide
+    monkeypatch.setattr(io, "_decide",
+                        lambda y, b: decide(np.where(y == 0.0, 0.0, y), b))
+    minus_zero = np.flatnonzero((x == 0.0) & np.signbit(x))
+    assert _mismatches(x) == minus_zero.tolist()
 
 
 # ---------------------------------------------------------------------------

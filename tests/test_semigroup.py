@@ -493,6 +493,73 @@ def test_batched_evolve_needs_one_exponential_per_increment(monkeypatch):
     assert len(calls) == 2                   # increments 0 and 0.25
 
 
+def _copied_chain(f0, times, complex_steps=True):
+    """The head/mode-0 chain rows as the loop v = step(dt) @ v computes
+    them, one product and one copy per sample; with ``complex_steps``
+    false, the same loop in real arithmetic."""
+    m = chain_generator(DEFAULT_DEPTH)
+    v = np.zeros(DEFAULT_DEPTH + 1, dtype=complex)
+    v[0] = f0.head
+    for n, c in zip(f0.n[f0.k == 0], f0.c[f0.k == 0]):
+        v[n] += c
+    if not complex_steps:
+        v = v.real.copy()
+    rows = np.empty((times.size, v.size), dtype=v.dtype)
+    steps = {}
+    for i, dt in enumerate(np.diff(times, prepend=0.0).tolist()):
+        if dt not in steps:
+            e = expm(dt * m)
+            steps[dt] = e.astype(complex) if complex_steps else e
+        v = rows[i] = steps[dt] @ v
+    return rows
+
+
+def _chain_rows(orbit):
+    return np.column_stack([orbit.head, orbit.c[:, :DEFAULT_DEPTH]])
+
+
+_GRID = np.linspace(0.0, 500.0, 2001)
+
+
+@pytest.mark.parametrize("f0", [
+    SemigroupState(1.0), SemigroupState.single_mode(3, 0, 1 / TWO_PI),
+    SemigroupState.single_mode(5, -3, 1 / TWO_PI), SemigroupState(-0.0)],
+    ids=["head", "mode-3-0", "mode-5-m3", "head-minus-zero"])
+def test_evolve_chain_matches_the_copying_loop_bit_for_bit(f0):
+    # stepping in place into the orbit's rows, and not stepping a chain
+    # that starts at 0, leave every bit, the sign of a zero included
+    got = _chain_rows(evolve(f0, _GRID))
+    want = _copied_chain(f0, _GRID)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def test_the_bitwise_chain_comparison_can_fail():
+    # negative control: the real loop rounds otherwise from the second
+    # step on; the first is a column of e^{0.25 M}, exact either way
+    f0 = SemigroupState(1.0)
+    real = _copied_chain(f0, _GRID, complex_steps=False)
+    differs = np.flatnonzero((real != _copied_chain(f0, _GRID).real)
+                             .any(axis=1))
+    assert differs.size > 0 and differs[0] == 2
+
+
+@pytest.mark.parametrize("f0,exponentials", [
+    (SemigroupState(1.0), 2),
+    (SemigroupState.single_mode(5, -3, 1 / TWO_PI), 0)],
+    ids=["head", "mode-5-m3"])
+def test_a_chain_that_starts_at_zero_is_not_stepped(monkeypatch, f0,
+                                                    exponentials):
+    # the head start needs its two exponentials, dt = 0 and the grid step;
+    # a start with no head and no mode-0 entry needs none and is all +0.0
+    calls = []
+    monkeypatch.setattr(semigroup, "expm",
+                        lambda a: calls.append(a) or expm(a))
+    chain = _chain_rows(evolve(f0, _GRID)).view(float)
+    assert len(calls) == exponentials
+    assert chain.any() == (exponentials > 0)
+    assert not np.signbit(chain).any()
+
+
 @pytest.mark.parametrize("t", [[0.0, 2.0, 1.0], [-1.0, 0.0], [0.0, np.nan],
                                [0.0, np.inf], -1.0, np.nan],
                          ids=["descending", "negative", "nan", "inf",
