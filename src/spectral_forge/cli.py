@@ -182,7 +182,8 @@ def cmd_eigs(args) -> int:
     values = result.values
     write_csv(_out_path(args, "eigs.csv"), ["re", "im", "kind", "residual"],
               [[values.real, values.imag,
-                ["block" if n else "secular" for n in result.blocks.tolist()],
+                np.array(["block" if n else "secular"
+                          for n in result.blocks.tolist()], dtype=bytes),
                 result.residuals]])
 
     col = sec.column_sums()
@@ -209,21 +210,27 @@ def cmd_eigs(args) -> int:
 def cmd_convergence(args) -> int:
     spec = args.orders
     _check_section_size("--n-max", args.n_max, spec)
-    rows = convergence_table(spec, args.n_max)
+    table = convergence_table(spec, args.n_max)
+    angles = [str(a) for a in table.angles]
+    resolved = np.repeat(table.resolved, len(angles))
     write_csv(_out_path(args, "convergence.csv"),
               ["n_blocks", "angle", "distance", "bound", "within_bound"],
-              [[[r.n_blocks for r in rows], [str(r.angle) for r in rows],
-                np.array([r.distance for r in rows]),
-                np.array([r.bound for r in rows]),
-                [r.ok if r.resolved else "unresolved" for r in rows]]])
+              [[np.array([str(n) for n in range(1, args.n_max + 1)
+                          for _ in angles], dtype=bytes),
+                np.array(angles * args.n_max, dtype=bytes),
+                table.distance.ravel(), np.repeat(table.bound, len(angles)),
+                np.array([("true" if ok else "false") if res else "unresolved"
+                          for res, ok in zip(resolved.tolist(),
+                                             table.ok.ravel().tolist())],
+                         dtype=bytes)]])
     # rows whose bound is within the distance's rounding tolerance cannot
     # fail the check, so they do not decide the exit status
-    resolved = [r for r in rows if r.resolved]
-    worst = max((r.distance / r.bound for r in resolved), default=math.nan)
-    print(f"convergence: {len(rows)} rows up to N={args.n_max}, "
-          f"{len(rows) - len(resolved)} unresolved, "
+    ratio = table.distance[table.resolved] / table.bound[table.resolved, None]
+    worst = ratio.max() if ratio.size else math.nan
+    print(f"convergence: {resolved.size} rows up to N={args.n_max}, "
+          f"{(~resolved).sum()} unresolved, "
           f"worst resolved distance/bound = {worst:.3f}")
-    return 0 if all(r.ok for r in resolved) else 1
+    return 0 if table.ok[table.resolved].all() else 1
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -392,29 +392,21 @@ def finite_spectrum(section: FiniteSection) -> SpectrumResult:
 # convergence of the sections toward the target set
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n_blocks: int
-    angle: object               # Fraction of a full turn
-    distance: float
-    bound: float                # 2 * tilde_q_N
-    tolerance: float            # rounding tolerance tau_N of the distance
+class ConvergenceTable(NamedTuple):
+    """Distances of the sections' spectra to the target set, one row per
+    section size N = 1 .. n_max and one column per target angle."""
 
-    @property
-    def resolved(self) -> bool:
-        """False when rounding alone could move the distance by the whole
-        bound, so that the check below could not tell a right distance from
-        a wrong one."""
-        return self.bound > self.tolerance
-
-    @property
-    def ok(self) -> bool:
-        return self.distance <= self.bound + self.tolerance
+    angles: list                # each target u, a Fraction of a turn
+    distance: np.ndarray        # (n_max, |U|): dist(u, sigma(T_N))
+    bound: np.ndarray           # per N: 2 * tilde_q_N
+    tolerance: np.ndarray       # per N: rounding tolerance tau_N
+    resolved: np.ndarray        # per N: bound > tolerance
+    ok: np.ndarray              # per distance: distance <= bound + tolerance
 
 
-def convergence_table(spec: GroupUnionSpec,
-                      n_max: int) -> List[ConvergenceRow]:
-    """dist(u, sigma(T_N)) for every target point u and N <= n_max.
+def convergence_table(spec: GroupUnionSpec, n_max: int) -> ConvergenceTable:
+    """dist(u, sigma(T_N)) for every target point u and N <= n_max, with
+    the bound, tolerance and verdicts of each, as a ``ConvergenceTable``.
 
     The bound 2 * tilde_q_N comes from the damped block eigenvalue
     (1 - tilde_q_N) u next to u (u != 1) and from the secular root at 1.
@@ -443,9 +435,10 @@ def convergence_table(spec: GroupUnionSpec,
     the block eigenvalues and the bisected roots, equals bit for bit the
     minimum over the whole spectrum that ``finite_spectrum`` lists.
 
-    Each row carries a tolerance tau_N = (2N + 32) eps, with eps = 2^-52,
-    and passes when distance <= bound + tau_N.  tau_N bounds the error of
-    the computed distance to the witness eigenvalue v, |v - u| <= tilde_q_N:
+    Each section N carries a tolerance tau_N = (2N + 32) eps, with eps =
+    2^-52, and a distance passes (``ok``) when distance <= bound + tau_N.
+    tau_N bounds the error of the computed distance to the witness
+    eigenvalue v, |v - u| <= tilde_q_N:
     * a block witness: u and zeta are the complex exponential of an angle
       formed with three roundings (pi, the quotient j/m, the product),
       each within 11 eps of the exact point; 1 - tilde_q and the products
@@ -458,11 +451,12 @@ def convergence_table(spec: GroupUnionSpec,
       two subtractions, (N + 5.5) eps; the exact root lies within 1.5 eps
       of x = 0 (d * sum tilde_q_n = 1 up to two roundings per weight), and
       lam = 1 - x rounds once more: (N + 8) eps.
-    Both are below tau_N.  A row whose bound is at most tau_N is not
-    resolved (``ConvergenceRow.resolved``): rounding alone may then move the
-    distance by as much as the bound.  For a resolved row tilde_q_N >
-    (N + 16) eps, which also keeps the computed g of the bisection's last
-    ends within the bound used above.
+    Both are below tau_N.  A section whose bound is at most tau_N is not
+    ``resolved``: rounding alone may then move the distance by as much as
+    the bound, so the check could not tell a right distance from a wrong
+    one.  For a resolved section tilde_q_N > (N + 16) eps, which also keeps
+    the computed g of the bisection's last ends within the bound used
+    above.
     """
     if n_max < 1:
         raise ValueError("need at least one block")
@@ -489,11 +483,7 @@ def convergence_table(spec: GroupUnionSpec,
                     *(np.concatenate(side) for side in zip(*picked)))
     np.minimum.at(dist, sec, np.abs(roots.astype(complex)[:, None] - us))
 
-    rows = []
-    for n_blocks, qs, row in zip(range(1, n_max + 1), sections,
-                                 dist.tolist()):
-        bound = 2.0 * float(qs[-1])
-        tol = (2 * n_blocks + 32) * _EPS
-        rows.extend(ConvergenceRow(n_blocks, angle, distance, bound, tol)
-                    for angle, distance in zip(angles, row))
-    return rows
+    bound = 2.0 * np.array([qs[-1] for qs in sections])
+    tolerance = (2 * np.arange(1, n_max + 1) + 32) * _EPS
+    return ConvergenceTable(angles, dist, bound, tolerance, bound > tolerance,
+                            dist <= (bound + tolerance)[:, None])

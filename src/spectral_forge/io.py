@@ -7,10 +7,10 @@ inputs give byte-identical files.
 
 CSVs are written from a stream of column batches, each cut into slices of
 about ``_CELLS`` float cells (2560 rows of the scan's four float columns).
-The float64 ndarray columns of a slice are stacked into one buffer and
-rendered by one :func:`_format_floats` call, which gives exactly the bytes
-of ``'%.17g' % x`` for every cell; a NumPy ``S`` (bytes) column is written
-as it is; any other column goes cell by cell through :func:`_format_cell`.
+The float64 array columns of a slice are stacked into one buffer and
+rendered in one call, with exactly the bytes of ``'%.17g' % x`` for every
+cell; a NumPy ``S`` (bytes) column is written as it is; no other column
+is taken.
 
 Why the float kernel is exact.  For finite nonzero x with decimal exponent
 E (corrected so that |x| * 10**(16-E) lies in [1e16, 1e17)), '%.17g' prints
@@ -81,20 +81,6 @@ def atomic_write_text(path: str, text: str):
         fh.write(text.encode())
 
 
-def _format_cell(x) -> str:
-    if type(x) is float:
-        return "%.17g" % x
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return "%.17g" % float(x)
-    raise TypeError(f"cannot format {type(x).__name__} for CSV")
-
-
 # ---------------------------------------------------------------------------
 # %.17g of a float64 array
 # ---------------------------------------------------------------------------
@@ -105,7 +91,7 @@ _E_MIN, _E_MAX = -324, 308      # decimal exponents of nonzero doubles
 _SPLIT = 2.0**27 + 1            # Veltkamp's split of a 53-bit significand
 _BAND = 2.0**-40                # undecided half-width around frac(y) = 1/2
 _WIDTH = 24                     # longest cell: -1.2345678901234567e-308
-_KERNEL_MIN = 256               # fewer cells are faster in Python alone
+_KERNEL_MIN = 256               # shorter batches are faster in Python alone
 # float cells formatted per slice: bounds the slice's cells, text and NumPy
 # temporaries, and spreads the kernel's fixed cost over every float column
 _CELLS = 5 * 2048
@@ -212,20 +198,16 @@ class _FloatBuffers:
         self.offsets = np.arange(block)[:, None] * _SOURCE
 
 
-def _format_floats(x: np.ndarray, buffers: Optional[_FloatBuffers] = None,
-                   kernel: bool = True):
-    """'%.17g' of every cell of the float64 array ``x``, as ``S24`` bytes.
+def _format_floats(x: np.ndarray, buffers: Optional[_FloatBuffers] = None):
+    """'%.17g' of every cell of the float64 array ``x``, as ``S24`` bytes:
+    the kernel's cells, and Python's for the cells it leaves undecided.
 
-    With ``kernel`` false, or fewer than ``_KERNEL_MIN`` cells, every cell
-    takes Python's formatter.  The result is a view of ``buffers.cells``,
-    valid until the next call with the same buffers."""
+    The result is a view of ``buffers.cells``, valid until the next call
+    with the same buffers."""
     if buffers is None:
         buffers = _FloatBuffers(x.size)
     cells = buffers.cells[:x.size]
-    if kernel and x.size >= _KERNEL_MIN:
-        undecided = _decide(x, buffers)
-    else:
-        undecided = np.arange(x.size)
+    undecided = _decide(x, buffers)
     if undecided.size:
         cells[undecided] = _python_floats(x[undecided])
     return cells.view(f"S{_WIDTH}").ravel()
@@ -383,17 +365,7 @@ def _join_rows(cells: list) -> np.ndarray:
 
 
 def _is_floats(column) -> bool:
-    return isinstance(column, np.ndarray) and column.dtype == np.float64
-
-
-def _text_cells(column) -> np.ndarray:
-    """The NUL-padded cells, as uint8 (rows, width), of a column that is not
-    float64: an ``S`` array as it is, anything else cell by cell."""
-    if not (isinstance(column, np.ndarray) and column.dtype.kind == "S"):
-        column = np.array([_format_cell(c).encode() for c in column],
-                          dtype=bytes)
-    return np.ascontiguousarray(column).view(np.uint8).reshape(
-        len(column), -1)
+    return column.dtype == np.float64
 
 
 def _slice_rows(floats: int) -> int:
@@ -403,12 +375,19 @@ def _slice_rows(floats: int) -> int:
 
 def _pieces(header: Sequence[str], batches: Iterable):
     """Each batch's columns, checked, in slices of about ``_CELLS`` float
-    cells, with whether the batch is long enough for the float kernel."""
+    cells, with whether the batch has the ``_KERNEL_MIN`` rows that the
+    float kernel takes."""
     for columns in batches:
         columns = list(columns)
         if len(header) != len(columns):
             raise ValueError(f"{len(header)} header names for "
                              f"{len(columns)} columns")
+        for c in columns:
+            if not (isinstance(c, np.ndarray)
+                    and (_is_floats(c) or c.dtype.kind == "S")):
+                kind = getattr(c, "dtype", type(c).__name__)
+                raise TypeError(f"cannot format {kind} column for CSV: need "
+                                f"a float64 or S array")
         sizes = {len(c) for c in columns}
         if len(sizes) > 1:
             raise ValueError(f"columns of unequal length: {sorted(sizes)}")
@@ -422,13 +401,14 @@ def write_csv(path: str, header: Sequence[str], batches: Iterable):
     """Write the rows of ``batches`` to ``path`` as CSV, atomically.
 
     Each batch is a list of equal-length columns, one per header name; its
-    rows follow the previous batch's.  A batch is formatted in slices of
-    about ``_CELLS`` float cells, all its float64 array columns in one
-    :func:`_format_floats` call, so a stream is written in memory bounded
-    by one slice.  Columns shorter than ``_KERNEL_MIN`` rows take Python's
-    formatter.  Text cells must not contain NUL (rows are assembled in a
-    NUL-padded table), and an ``S`` column's cells must be the bytes the
-    file should hold.
+    rows follow the previous batch's.  A column is a float64 array, written
+    as '%.17g', or an ``S`` array, whose cells are the bytes the file
+    should hold and must not contain NUL (rows are assembled in a
+    NUL-padded table); any other column raises TypeError.  A batch is
+    formatted in slices of about ``_CELLS`` float cells, all its float
+    columns in one call, so a stream is written in memory bounded by one
+    slice.  A batch of fewer than ``_KERNEL_MIN`` rows takes Python's
+    formatter, every slice of a longer one the float kernel.
     """
     buffers = _FloatBuffers(0)
     with _atomic_open(path) as fh:
@@ -444,10 +424,12 @@ def write_csv(path: str, header: Sequence[str], batches: Iterable):
                 values = buffers.values[:size].reshape(len(floats), rows)
                 for row, part in zip(values, floats):
                     row[:] = part
-                text = _format_floats(values.ravel(), buffers, kernel)
+                text = (_format_floats(values.ravel(), buffers) if kernel
+                        else _python_floats(values.ravel()))
                 text = text.view(np.uint8).reshape(len(floats), rows, _WIDTH)
                 text = text.transpose(1, 0, 2)
-            # runs of adjacent float columns join as one block of cells
+            # runs of adjacent float columns join as one block of cells, and
+            # an S column's NUL-padded cells join as they are
             cells, at = [], 0
             for is_float, run in itertools.groupby(parts, _is_floats):
                 if is_float:
@@ -455,33 +437,27 @@ def write_csv(path: str, header: Sequence[str], batches: Iterable):
                     cells.append(text[:, at:end])
                     at = end
                 else:
-                    cells.extend(_text_cells(c)[:, None] for c in run)
+                    cells.extend(np.ascontiguousarray(c).view(np.uint8)
+                                 .reshape(rows, 1, -1) for c in run)
             # the lines of one gather block at a time, so the table is small
             for lo in range(0, rows, _GATHER):
                 fh.write(_join_rows([c[lo:lo + _GATHER] for c in cells]))
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
+def _default(obj):
+    """What json cannot write itself: NumPy scalars and arrays as Python
+    values, complex numbers as {"re", "im"}."""
     if isinstance(obj, (complex, np.complexfloating)):
         return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                    f"serializable")
 
 
 def dump_json(obj) -> str:
     """Canonical JSON text: sorted keys, repr floats, trailing newline."""
-    return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, default=_default, sort_keys=True, indent=2) + "\n"
 
 
 def write_json(path: str, obj):

@@ -99,8 +99,7 @@ def residual_certificate(spec: GroupUnionSpec, target: Fraction,
 # ---------------------------------------------------------------------------
 
 class ScanChunk(NamedTuple):
-    """One chunk's per-point columns: views of buffers that the next chunk
-    overwrites, so copy what must outlive the step of the iteration."""
+    """One chunk's per-point columns, each the chunk's own array."""
 
     thetas: np.ndarray
     lams: np.ndarray
@@ -126,6 +125,17 @@ class _CircleBatch(NamedTuple):
     excluded: np.ndarray     # dist <= exclusion_radius
     valid: np.ndarray        # the tail guard holds (at n = 1, so at every n)
     verdict: np.ndarray      # uint8 index into resolvent.VERDICTS
+
+
+def _two_nearest(to_root: np.ndarray):
+    """Per row of ``to_root``, its smallest entry and the columns of its two
+    smallest, each the earliest among exact ties (with one column, the
+    second is the first again); ``to_root`` is overwritten."""
+    first = to_root.argmin(axis=1)
+    rows = np.arange(len(to_root))
+    near = to_root[rows, first]
+    to_root[rows, first] = np.inf
+    return near, first, to_root.argmin(axis=1)
 
 
 def _circle_kernel(spec: GroupUnionSpec, lams, depth: int,
@@ -163,23 +173,8 @@ def _circle_kernel(spec: GroupUnionSpec, lams, depth: int,
     with np.errstate(invalid="ignore"):
         low = np.fmax(0.0, np.abs(den) - den_radius)
 
-    # the two nearest roots in one pass over the columns; ``near`` is their
-    # exact minimum.  At lam = 0 every root ties, but there the gap is 0
-    to_root = np.abs(lam[:, None] - zeta[None, :])
-    near = to_root[:, 0].copy()
-    first = np.zeros(lam.shape, dtype=np.intp)
-    runner_up = np.full(lam.shape, np.inf)
-    second = np.zeros(lam.shape, dtype=np.intp)
-    for k in range(1, zeta.size):
-        col = to_root[:, k]
-        closer = col < near
-        beats = ~closer & (col < runner_up)
-        np.copyto(runner_up, near, where=closer)
-        np.copyto(second, first, where=closer)
-        np.copyto(runner_up, col, where=beats)
-        np.copyto(second, k, where=beats)
-        np.copyto(near, col, where=closer)
-        np.copyto(first, k, where=closer)
+    # at lam = 0 every root ties, but there the gap is 0
+    near, first, second = _two_nearest(np.abs(lam[:, None] - zeta[None, :]))
 
     # the ring term of the gap, in closed form per root (with one root,
     # ``second`` is that root again)
@@ -210,36 +205,24 @@ def scan_unit_circle(spec: GroupUnionSpec, grid_size: int = 3600,
 
     The residual certificates come first; the grid is certified only as
     ``chunks`` is read, ``_CHUNK`` points at a time by
-    :func:`_circle_kernel`, into one chunk's buffers.  Each result depends
-    on its point alone, so the output does not depend on the chunk size,
-    and memory is bounded by one chunk at any grid size.  Conjugation
-    symmetry of the construction is a test-side invariant, not enforced.
+    :func:`_circle_kernel`, and each chunk is yielded as its own arrays.
+    Each result depends on its point alone, so the output does not depend
+    on the chunk size, and memory is bounded by one chunk at any grid
+    size.  Conjugation symmetry of the construction is a test-side
+    invariant, not enforced.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be positive")
     certificates = [residual_certificate(spec, a, cert_block)
                     for a in union_points(spec)]
 
-    # one chunk's columns, refilled per chunk, made below the kernels' heap
-    size = min(grid_size, _CHUNK)
-    columns = ScanChunk(*(np.empty(size, dtype=t) for t in (
-        float, complex, np.uint8, float, bool)))
-
     def chunks():
-        for start in range(0, grid_size, size):
-            part = ScanChunk(*(c[:grid_size - start] for c in columns))
-            np.divide(np.arange(start, start + part.thetas.size), grid_size,
-                      out=part.thetas)
-            np.exp(2j * np.pi * part.thetas, out=part.lams)
-            k = _circle_kernel(spec, part.lams, depth, exclusion_radius)
-            for column, value in zip(part[2:], (k.verdict, k.den_lower,
-                                                k.excluded)):
-                column[...] = value
-            # ``k`` lives until the next kernel returns, so that the heap is
-            # not trimmed and faulted in again; no kernel follows the last
-            if start + size >= grid_size:
-                del k, value
-            yield part
+        for start in range(0, grid_size, _CHUNK):
+            thetas = np.arange(start, min(start + _CHUNK, grid_size)) \
+                / grid_size
+            lams = np.exp(2j * np.pi * thetas)
+            k = _circle_kernel(spec, lams, depth, exclusion_radius)
+            yield ScanChunk(thetas, lams, k.verdict, k.den_lower, k.excluded)
 
     return ScanReport(certificates, {
         "orders": list(spec.orders), "grid_size": grid_size,

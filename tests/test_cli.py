@@ -3,7 +3,6 @@
 import argparse
 import ast
 import csv
-import dataclasses
 import hashlib
 import importlib
 import json
@@ -493,9 +492,13 @@ def test_convergence_gate_fails_a_resolved_row_only(tmp_path, monkeypatch,
     # negative control: a distance pushed past bound + tau fails a resolved
     # row and the command; an unresolved row does not decide the exit code
     def pushed(spec, n_max):
-        return [dataclasses.replace(r, distance=2.0 * (r.bound + r.tolerance))
-                if r.n_blocks == n_blocks and r.angle == 0 else r
-                for r in convergence_table(spec, n_max)]
+        table = convergence_table(spec, n_max)
+        limit = table.bound + table.tolerance
+        distance = table.distance.copy()
+        distance[n_blocks - 1, table.angles.index(0)] = \
+            2.0 * limit[n_blocks - 1]
+        return table._replace(distance=distance,
+                              ok=distance <= limit[:, None])
 
     monkeypatch.setattr(cli, "convergence_table", pushed)
     assert run(tmp_path, "convergence", "--n-max", "50") == rc
@@ -504,10 +507,10 @@ def test_convergence_gate_fails_a_resolved_row_only(tmp_path, monkeypatch,
 
 
 def test_eigs_and_convergence_csvs_are_pinned(tmp_path):
-    # sha256 as written by the per-cell CSV formatter: these rows carry
-    # np.float64, int and bool cells and take the formatter's general path;
-    # eigs.csv with the residuals taken through the flat map, not the
-    # assembled section (48 of 61 residuals moved, by 0.15 eps at most)
+    # sha256 as written when these rows' int, bool and np.float64 cells
+    # went through a per-cell formatter, now S and float64 columns; eigs.csv
+    # with the residuals taken through the flat map, not the assembled
+    # section (48 of 61 residuals moved, by 0.15 eps at most)
     assert run(tmp_path, "eigs") == 0
     assert run(tmp_path, "convergence", "--n-max", "16") == 0
     assert sha256_of(tmp_path, "eigs.csv", "convergence.csv") == {
@@ -814,8 +817,8 @@ def test_semigroup_evolve_mode_flag(tmp_path):
     ("3,0", "949efc2e3d6c4b205d2ed81e104312f120eb551443a47d017416e1a13e9206fa"),
 ], ids=["head", "mode-3-0"])
 def test_semigroup_evolve_csv_is_pinned(tmp_path, mode, digest):
-    # sha256 of evolve.csv at the default time and samples, as written by
-    # the per-cell CSV formatter
+    # sha256 of evolve.csv at the default time and samples, as written
+    # when every cell went through a per-cell formatter
     argv = ["semigroup", "evolve"] + (["--mode", mode] if mode else [])
     assert run(tmp_path, *argv) == 0
     assert sha256_of(tmp_path, "evolve.csv") == {"evolve.csv": digest}
@@ -843,19 +846,24 @@ def test_semigroup_evolve_csv_keeps_its_zeros_and_steps(tmp_path, argv,
     (["scan-circle", "--orders", "4,6", "--depth", "60", "--grid", "20011"],
      "scan_circle.csv"),
     (["eigs"], "eigs.csv"),
+    (["eigs", "--N", "60"], "eigs.csv"),
     (["convergence", "--n-max", "16"], "convergence.csv"),
+    (["convergence", "--n-max", "64"], "convergence.csv"),
     (["semigroup", "scan-axis"], "scan_axis.csv"),
     (["semigroup", "evolve"], "evolve.csv"),
     (["semigroup", "evolve", "--mode", "3,0"], "evolve.csv"),
     (["semigroup", "evolve", "--t", "500", "--samples", "2001"],
      "evolve.csv"),
-], ids=["scan-default", "scan-20011", "eigs", "convergence", "scan-axis",
-        "evolve-head", "evolve-mode-3-0", "evolve-t500"])
+], ids=["scan-default", "scan-20011", "eigs", "eigs-60", "convergence",
+        "convergence-64", "scan-axis", "evolve-head", "evolve-mode-3-0",
+        "evolve-t500"])
 def test_pinned_csvs_do_not_need_extended_precision(tmp_path, monkeypatch,
                                                     argv, name):
     # the pinned CSVs come from the float kernel; with every cell sent to
     # Python's '%.17g' instead (the kernel's threshold above any row
-    # count), not a byte may move
+    # count), not a byte may move.  The default eigs.csv and convergence.csv
+    # are shorter than the threshold; at N = 60 and n-max 64 they have 301
+    # and 256 rows, and reach the kernel
     assert run(tmp_path / "kernel", *argv) == 0
     monkeypatch.setattr(io, "_KERNEL_MIN", 10**9)
     assert run(tmp_path / "python", *argv) == 0

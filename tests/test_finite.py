@@ -4,6 +4,8 @@ import cmath
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -690,8 +692,29 @@ def _oracle_convergence(spec, n_max):
     return rows
 
 
-def _fields(rows):
-    return [(r.n_blocks, r.angle, r.distance, r.bound) for r in rows]
+class _Row(NamedTuple):
+    n_blocks: int
+    angle: Fraction
+    distance: float
+    bound: float
+    tolerance: float
+    resolved: bool
+    ok: bool
+
+
+def _rows(table):
+    """The table's arrays as rows, by N and then by target, in the order
+    of convergence.csv."""
+    return [_Row(n, angle, distance, bound, tol, res, ok)
+            for n, bound, tol, res, distances, oks in zip(
+                range(1, len(table.distance) + 1), table.bound.tolist(),
+                table.tolerance.tolist(), table.resolved.tolist(),
+                table.distance.tolist(), table.ok.tolist())
+            for angle, distance, ok in zip(table.angles, distances, oks)]
+
+
+def _fields(table):
+    return [(r.n_blocks, r.angle, r.distance, r.bound) for r in _rows(table)]
 
 
 # n-max 60 unless listed; orders 1 and 2, whose only eigenvalue near u = 1
@@ -704,8 +727,40 @@ _ORACLE_N_MAX = {(1,): (60, 200), (2,): (60, 200), (96, 97): (8,)}
 def test_convergence_matches_the_per_section_oracle_bitwise(orders):
     spec = GroupUnionSpec(orders)
     for n_max in _ORACLE_N_MAX.get(orders, (60,)):
-        rows = convergence_table(spec, n_max)
-        assert _fields(rows) == _oracle_convergence(spec, n_max)
+        table = convergence_table(spec, n_max)
+        assert _fields(table) == _oracle_convergence(spec, n_max)
+
+
+def _row_loop(spec, n_max, dist):
+    """The rows as the row-by-row table built them from the distances:
+    one object per cell, its bound and tolerance in Python floats."""
+    eps = float(np.finfo(float).eps)
+    rows = []
+    for n_blocks, row in zip(range(1, n_max + 1), dist.tolist()):
+        qs = FiniteSection.of(spec, n_blocks).tilde_q
+        bound = 2.0 * float(qs[-1])
+        tol = (2 * n_blocks + 32) * eps
+        rows.extend(_Row(n_blocks, angle, distance, bound, tol, bound > tol,
+                         distance <= bound + tol)
+                    for angle, distance in zip(union_points(spec), row))
+    return rows
+
+
+def _bits(row):
+    return tuple(v.hex() if isinstance(v, float) else v for v in row)
+
+
+@pytest.mark.parametrize("orders", [(1,), (2, 3), (4, 6), (5, 7)],
+                         ids=lambda o: "-".join(map(str, o)))
+def test_convergence_arrays_match_the_row_loop_bitwise(orders):
+    # every field of every cell, the floats by their bits
+    spec = GroupUnionSpec(orders)
+    table = convergence_table(spec, 60)
+    assert table.angles == union_points(spec)
+    assert table.distance.shape == (60, len(table.angles))
+    want = _row_loop(spec, 60, table.distance)
+    assert list(map(_bits, _rows(table))) == list(map(_bits, want))
+    assert {r.resolved for r in want} == {True, False}
 
 
 def test_convergence_assembles_no_section(monkeypatch):
@@ -715,7 +770,7 @@ def test_convergence_assembles_no_section(monkeypatch):
     monkeypatch.setattr(finite, "finite_spectrum", refuse)
     monkeypatch.setattr(oracles, "build_finite_section", refuse)
     spec = GroupUnionSpec((2, 3))
-    assert len(convergence_table(spec, 16)) == 16 * 4
+    assert convergence_table(spec, 16).distance.shape == (16, 4)
 
 
 def _bisected(monkeypatch, orders, n_max):
@@ -823,7 +878,7 @@ def _mp_distances(spec, n_max):
 def _off_the_50_digit_distance(spec, n_max):
     """Rows whose distance is farther than their own tolerance tau_N from
     the 50-digit distance."""
-    rows = convergence_table(spec, n_max)
+    rows = _rows(convergence_table(spec, n_max))
     exact = _mp_distances(spec, n_max)
     assert len(rows) == len(exact)
     return [(r.n_blocks, r.angle) for r, x in zip(rows, exact)
@@ -851,7 +906,7 @@ def test_convergence_rows_resolved_up_to_the_rounding_tolerance():
     # tau_N = (2N + 32) eps; orders 2,3 have bound 2 q~_N = 2^(1-N) / 5
     # above it up to N = 43
     spec = GroupUnionSpec((2, 3))
-    rows = convergence_table(spec, 60)
+    rows = _rows(convergence_table(spec, 60))
     eps = np.finfo(float).eps
     for r in rows:
         assert r.tolerance == (2 * r.n_blocks + 32) * eps
@@ -864,15 +919,29 @@ def test_convergence_rows_resolved_up_to_the_rounding_tolerance():
                and r.angle != 0)
 
 
-def test_convergence_row_gate_can_fail():
-    # negative control: a resolved distance just past bound + tau fails
-    row = finite.ConvergenceRow(10, 0, 0.0, 2e-4, 1e-15)
-    assert row.resolved and row.ok
-    past = dataclasses.replace(
-        row, distance=np.nextafter(row.bound + row.tolerance, 1.0))
-    assert past.resolved and not past.ok
-    # a bound at or below tau is not resolved, whatever the distance
-    assert not dataclasses.replace(row, bound=1e-15).resolved
+def test_convergence_row_gate_can_fail(monkeypatch):
+    # negative control: orders 1 have no block eigenvalue, so the distance
+    # at their one target, u = 1, is a secular root's.  Roots put at
+    # distances below 1 that are multiples of 2^-53, so that 1 - distance
+    # and the distance are exact: the largest at or inside bound + tau
+    # passes, the next one past it fails (from N = 2, where the bound
+    # falls below 1)
+    spec = GroupUnionSpec((1,))
+    table = convergence_table(spec, 60)
+    assert table.ok.all()
+    ulp = 2.0 ** -53
+    inside = np.floor((table.bound + table.tolerance) / ulp) * ulp
+    inside[0] = 0.5
+    for distance, ok in ((inside, True), (inside + ulp, False)):
+        monkeypatch.setattr(finite, "_bisect", lambda d, sections, sec, lo,
+                            hi: 1.0 - distance[sec])
+        pushed = _rows(convergence_table(spec, 60))
+        assert [r.distance for r in pushed] == distance.tolist()
+        assert pushed[0].ok and all(r.ok is ok for r in pushed[1:])
+        # a bound at or below tau is not resolved, whatever the distance
+        assert [r.resolved for r in pushed] == \
+            [r.bound > r.tolerance for r in pushed] == table.resolved.tolist()
+    assert table.resolved[9] and not table.resolved[-1]
 
 
 def test_convergence_refuses_an_empty_table():
@@ -883,7 +952,7 @@ def test_convergence_refuses_an_empty_table():
 
 def test_convergence_rows_within_bound():
     spec = GroupUnionSpec((2, 3))
-    rows = convergence_table(spec, 9)
+    rows = _rows(convergence_table(spec, 9))
     assert len(rows) == 9 * 4
     assert all(r.ok for r in rows)
     # the distance for u != 1 tracks the damping weight itself
@@ -897,6 +966,6 @@ def test_convergence_rows_within_bound():
 
 def test_convergence_distances_decrease():
     spec = GroupUnionSpec((2,))
-    rows = convergence_table(spec, 8)
+    rows = _rows(convergence_table(spec, 8))
     half = [r.distance for r in rows if r.angle != 0]
     assert all(a > b for a, b in zip(half, half[1:]))

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import os
 import tracemalloc
 from fractions import Fraction
@@ -10,18 +11,18 @@ import numpy as np
 import pytest
 
 from spectral_forge import cli, io
-from spectral_forge.io import _format_cell, _slice_rows, write_csv, \
-    write_json
+from spectral_forge.io import _slice_rows, dump_json, write_csv, write_json
 from spectral_forge.model import GroupUnionSpec
 from spectral_forge.scanner import _circle_kernel, scan_unit_circle
 
 
 def _theta_verdict(n, bad_at):
-    """theta and verdict columns of n rows; the verdict at ``bad_at`` is a
-    cell no formatter accepts."""
-    verdicts = ["ok"] * n
-    verdicts[bad_at] = object()
-    return [np.arange(n) / 7, verdicts]
+    """theta and verdict columns of n rows, as two batches cut at
+    ``bad_at``: the second's verdicts are an object array, which no
+    formatter accepts."""
+    columns = [np.arange(n) / 7, np.array([b"ok"] * n)]
+    bad = [columns[0][bad_at:], columns[1][bad_at:].astype(object)]
+    return [[c[:bad_at] for c in columns], bad]
 
 
 @pytest.mark.parametrize("existing", [None, b"theta,verdict\n0,old\n"])
@@ -32,22 +33,41 @@ def test_write_csv_leaves_no_partial_file_when_rows_fail(tmp_path, existing):
     # enough rows that the stream has reached the temp file before failing
     with pytest.raises(TypeError, match="cannot format object"):
         write_csv(str(target), ["theta", "verdict"],
-                  [_theta_verdict(20_000, 15_000)])
+                  _theta_verdict(20_000, 15_000))
     assert os.listdir(tmp_path) == ([] if existing is None else ["scan.csv"])
     if existing is not None:
         assert target.read_bytes() == existing
 
 
 def test_write_csv_formats_cells_by_type(tmp_path):
-    # a float64 array and NumPy float64 cells render to the same %.17g bytes
+    # a float64 column renders as %.17g and an S column as its bytes
     target = tmp_path / "out.csv"
-    write_csv(str(target), ["a", "b", "c", "d", "e"],
-              [[np.array([0.1, 1e-300]), [np.float64(0.1), np.float64(-0.0)],
-                [3, np.int64(0)], [True, np.bool_(False)], ["x", ""]]])
+    write_csv(str(target), ["a", "b", "c"],
+              [[np.array([0.1, 1e-300, -0.0]), np.array([b"x", b"", b"true"]),
+                np.array([3.0, 0.0, 1e17])]])
     assert target.read_text() == (
-        "a,b,c,d,e\n"
-        "0.10000000000000001,0.10000000000000001,3,true,x\n"
-        "1e-300,-0,0,false,\n")
+        "a,b,c\n"
+        "0.10000000000000001,x,3\n"
+        "1e-300,,0\n"
+        "-0,true,1e+17\n")
+
+
+@pytest.mark.parametrize("existing", [None, b"a,b\n0,old\n"],
+                         ids=["new", "existing"])
+@pytest.mark.parametrize("column", [
+    [0.5, 1.5], np.array([1, 2]), np.array([b"x", 1.5], dtype=object)],
+    ids=["list", "int64", "object"])
+def test_write_csv_refuses_other_columns(tmp_path, existing, column):
+    # two column kinds, float64 and S arrays: anything else is refused
+    # before a row is written, and an existing file stays as it was
+    target = tmp_path / "out.csv"
+    if existing is not None:
+        target.write_bytes(existing)
+    with pytest.raises(TypeError, match="need a float64 or S array"):
+        write_csv(str(target), ["a", "b"], [[np.zeros(2), column]])
+    assert os.listdir(tmp_path) == ([] if existing is None else ["out.csv"])
+    if existing is not None:
+        assert target.read_bytes() == existing
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
@@ -64,6 +84,39 @@ def test_artifacts_follow_the_umask(tmp_path, umask, mode):
         assert os.stat(tmp_path / name).st_mode & 0o777 == mode
 
 
+def _walked(obj):
+    """JSON values by a walk of the whole tree, as dump_json made them
+    before it handed json a ``default`` hook: the reference."""
+    if isinstance(obj, dict):
+        return {str(k): _walked(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_walked(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return {"re": float(obj.real), "im": float(obj.imag)}
+    if isinstance(obj, np.ndarray):
+        return [_walked(v) for v in obj.tolist()]
+    return obj
+
+
+def test_dump_json_writes_numpy_and_complex_values_as_the_walk_did():
+    obj = {"b": [np.bool_(True), np.int64(-3), np.float32(0.1),
+                 np.float64(0.1), 2.5, None, "s", True],
+           "a": {"c": np.array([[1.0, -0.0], [np.inf, np.nan]]),
+                 "z": np.array([1 + 2j, -0.0 - 1j]), "x": 1 + 0.5j,
+                 "y": np.complex64(0.5 - 1j), "t": (1, np.uint8(7)),
+                 "flags": np.array([True, False])}}
+    assert dump_json(obj) == \
+        json.dumps(_walked(obj), sort_keys=True, indent=2) + "\n"
+    with pytest.raises(TypeError, match="Fraction"):
+        dump_json({"angle": Fraction(1, 3)})
+
+
 # rows per slice of a batch with five float64 columns; a test that cuts
 # across slices gives its batch five float columns
 _ROWS = _slice_rows(5)
@@ -72,14 +125,21 @@ _ROWS = _slice_rows(5)
 def _five_floats(columns):
     """``columns`` and after them enough float64 columns for five in all."""
     n = len(columns[0])
-    floats = sum(map(io._is_floats, columns))
+    floats = sum(c.dtype == np.float64 for c in columns)
     return list(columns) + [np.arange(n) * (k + 0.5) / 3
                             for k in range(5 - floats)]
 
 
+def _cell(x) -> str:
+    """A reference cell: '%.17g' of a float, bytes as they are."""
+    if isinstance(x, str):
+        return x
+    return x.decode() if isinstance(x, bytes) else "%.17g" % x
+
+
 def _general_path(header, columns):
-    """The per-cell formatter applied to every row: the reference bytes."""
-    return "".join(",".join(map(_format_cell, row)) + "\n"
+    """The reference formatter applied to every row: the reference bytes."""
+    return "".join(",".join(map(_cell, row)) + "\n"
                    for row in [header, *zip(*columns)])
 
 
@@ -105,27 +165,25 @@ def _assert_same_text(got, expected):
 
 def test_write_csv_formats_plain_batches_without_the_cell_formatter(
         tmp_path, monkeypatch):
-    # float64 array columns take the array kernel, never the cell formatter
+    # float64 array columns take the array kernel, both columns of a slice
+    # in one call, the three-row last slice too
     n = 2 * _slice_rows(2) + 3
     columns = [np.arange(n) / 7, -np.arange(n) / 3]
     expected = _general_path(["a", "b"], columns)
-    calls = []
-    monkeypatch.setattr(io, "_format_cell",
-                        lambda x: calls.append(x) or _format_cell(x))
+    sizes = _formatted_sizes(monkeypatch)
     _assert_same_text(_write(tmp_path, ["a", "b"], columns), expected)
-    assert calls == []
+    assert sizes == [2 * _slice_rows(2), 2 * _slice_rows(2), 2 * 3]
 
 
-def test_write_csv_takes_bytes_columns_as_they_are(tmp_path, monkeypatch):
-    # a NumPy S column is written as its bytes; no cell reaches the cell
-    # formatter, and an empty cell stays empty
+def test_write_csv_takes_bytes_columns_as_they_are(tmp_path):
+    # a NumPy S column is written as its bytes, and an empty cell stays
+    # empty
     n = 2 * _slice_rows(1) + 3
     labels = np.array([b"CertifiedResolvent", b"SingularCandidate",
                        b""])[np.arange(n) % 3]
     columns = [np.arange(n) / 7, labels]
     expected = _general_path(["a", "v"],
                              [columns[0], [c.decode() for c in labels]])
-    monkeypatch.setattr(io, "_format_cell", None)       # must not be reached
     _assert_same_text(_write(tmp_path, ["a", "v"], columns), expected)
     # a strided S column too
     lines = expected.splitlines(True)
@@ -144,14 +202,18 @@ def test_write_csv_takes_bytes_columns_as_they_are(tmp_path, monkeypatch):
 def test_write_csv_mixed_batches_match_the_cell_formatter(tmp_path, at,
                                                           column, cell):
     # one cell of another type, mid-file or at a slice boundary, makes its
-    # column a list for the cell formatter; the float64 array columns next
-    # to it take the kernel; every slice renders the same bytes
+    # column a list: the batch is refused and no file is left; as its own
+    # array kind the column writes the reference bytes
     n = 4 * _ROWS + 10
-    columns = [np.arange(n) / 3, ["r%d" % i for i in range(n)]]
-    columns[column] = list(columns[column])
-    columns[column][at] = cell
-    columns = _five_floats(columns)
+    columns = _five_floats([np.arange(n) / 3,
+                            np.array([b"r%d" % i for i in range(n)])])
     header = list("abcdefg")[:len(columns)]
+    mixed = list(columns)
+    mixed[column] = list(columns[column])
+    mixed[column][at] = cell
+    with pytest.raises(TypeError, match="cannot format list column"):
+        _write(tmp_path, header, mixed)
+    assert os.listdir(tmp_path) == []
     _assert_same_text(_write(tmp_path, header, columns),
                       _general_path(header, columns))
 
@@ -165,7 +227,7 @@ def test_write_csv_batches_follow_each_other_row_for_row(tmp_path, edges):
     n = 3 * _ROWS + 5
     labels = np.array([b"ab", b"c", b""])[np.arange(n) % 3]
     columns = _five_floats([np.arange(n) / 7, labels,
-                            ["r%d" % i for i in range(n)]])
+                            np.array([b"r%d" % i for i in range(n)])])
     header = list("abcdefg")
     cuts = [0, *edges, n]
     batches = [[col[lo:hi] for col in columns]
@@ -201,21 +263,23 @@ def test_write_csv_header_must_name_every_column(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
-def test_write_csv_special_floats_match_the_cell_formatter(tmp_path):
+def test_write_csv_special_floats_match_the_cell_formatter(tmp_path,
+                                                          monkeypatch):
     # repeated so that the batch is large enough for the array kernel
     specials = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"),
                 1e-300, 5e-324, -5e-324, 1.7976931348623157e308, 0.1] * 30
-    fast = [np.array(specials), ["s"] * len(specials)]
-    # the same values as np.float64 cells take the cell formatter
-    general = [[np.float64(x) for x in specials], ["s"] * len(specials)]
-    text = _write(tmp_path, ["x", "s"], fast)
-    _assert_same_text(text, _general_path(["x", "s"], fast))
-    _assert_same_text(text, _write(tmp_path, ["x", "s"], general))
+    columns = [np.array(specials), np.array([b"s"] * len(specials))]
+    text = _write(tmp_path, ["x", "s"], columns)
+    _assert_same_text(text, _general_path(["x", "s"], columns))
+    # the same batch on Python's formatter alone
+    monkeypatch.setattr(io, "_KERNEL_MIN", len(specials) + 1)
+    _assert_same_text(text, _write(tmp_path, ["x", "s"], columns))
     assert text.splitlines()[1:4] == ["-0,s", "0,s", "nan,s"]
 
 
 @pytest.mark.parametrize("batches", [
-    [[[], []]], iter([iter([np.zeros(0), np.zeros(0)])]), []],
+    [[np.zeros(0), np.zeros(0, dtype="S1")]],
+    iter([iter([np.zeros(0), np.zeros(0)])]), []],
     ids=["list", "iterator", "no-batch"])
 def test_write_csv_without_rows_writes_the_header_only(tmp_path, batches):
     target = tmp_path / "out.csv"
@@ -225,11 +289,12 @@ def test_write_csv_without_rows_writes_the_header_only(tmp_path, batches):
 
 @pytest.mark.parametrize("n", [5, 2 * _ROWS, 2 * _ROWS + 1, 6 * _ROWS - 7])
 def test_write_csv_failure_mid_batch_leaves_no_file(tmp_path, n):
-    # the bad cell sits inside the first, at the end of, or after a slice
+    # the refused batch follows n - 1 rows written inside the first slice,
+    # at the end of one, or after it
     target = tmp_path / "scan.csv"
     with pytest.raises(TypeError, match="cannot format object"):
         write_csv(str(target), list("tvabcd"),
-                  [_five_floats(_theta_verdict(6 * _ROWS + 10, n - 1))])
+                  map(_five_floats, _theta_verdict(6 * _ROWS + 10, n - 1)))
     assert os.listdir(tmp_path) == []
 
 
@@ -415,26 +480,41 @@ def test_cells_beyond_the_table_go_to_python():
     assert undecided.tolist() == beyond.tolist()
 
 
-def test_python_formatter_covers_every_cell_without_the_kernel(monkeypatch):
-    # with the kernel switched off, or a threshold above the cell count,
-    # every cell takes Python's formatter
+def test_python_formatter_covers_every_cell_without_the_kernel(
+        tmp_path, monkeypatch):
+    # with the threshold above the batch's rows, every cell takes Python's
+    # formatter
     x = np.tile([0.1, -2.5e-300, 123456789.0, np.nan], io._KERNEL_MIN)
     monkeypatch.setattr(io, "_decide", None)        # must not be reached
-    assert io._format_floats(x, kernel=False).tolist() == _python_cells(x)
     monkeypatch.setattr(io, "_KERNEL_MIN", x.size + 1)
-    assert io._format_floats(x).tolist() == _python_cells(x)
+    write_csv(str(tmp_path / "x.csv"), ["x"], [[x]])
+    assert (tmp_path / "x.csv").read_bytes() == \
+        b"x\n" + b"".join(b"%s\n" % c for c in _python_cells(x))
 
 
-def test_small_batches_skip_the_kernel(monkeypatch):
-    # below _KERNEL_MIN cells the kernel's fixed cost exceeds Python's
-    x = np.arange(io._KERNEL_MIN) / 7
-    decided = []
+def _decided_sizes(monkeypatch):
+    """Spy on _decide: the cell count of each call."""
+    sizes = []
     decide = io._decide
     monkeypatch.setattr(io, "_decide",
-                        lambda x, b: decided.append(x.size) or decide(x, b))
-    assert io._format_floats(x[1:]).tolist() == _python_cells(x[1:])
-    assert io._format_floats(x).tolist() == _python_cells(x)
-    assert decided == [io._KERNEL_MIN]
+                        lambda x, b: sizes.append(x.size) or decide(x, b))
+    return sizes
+
+
+def test_small_batches_skip_the_kernel(tmp_path, monkeypatch):
+    # below _KERNEL_MIN rows the kernel's fixed cost exceeds Python's; the
+    # choice is the batch's, so with 100 float columns, 102 rows a slice,
+    # a batch of _KERNEL_MIN rows sends every slice to the kernel, the
+    # 52-row last one too, and one row fewer sends none
+    assert _slice_rows(100) == 102
+    header = [f"c{k}" for k in range(100)]
+    sizes = _decided_sizes(monkeypatch)
+    for rows, decided in ((io._KERNEL_MIN - 1, []),
+                          (io._KERNEL_MIN, [100 * 102, 100 * 102, 100 * 52])):
+        columns = [np.arange(rows) * (k + 1) / 7 for k in range(100)]
+        _assert_same_text(_write(tmp_path, header, columns),
+                          _general_path(header, columns))
+        assert sizes == decided
 
 
 def test_scan_csv_leaves_few_cells_to_python(tmp_path, monkeypatch):
@@ -536,9 +616,9 @@ def _formatted_sizes(monkeypatch):
     sizes = []
     format_floats = io._format_floats
 
-    def spy(x, buffers=None, kernel=True):
+    def spy(x, buffers=None):
         sizes.append(x.size)
-        return format_floats(x, buffers, kernel)
+        return format_floats(x, buffers)
 
     monkeypatch.setattr(io, "_format_floats", spy)
     return sizes
@@ -580,13 +660,12 @@ def test_fused_writer_keeps_the_column_order_around_other_columns(tmp_path):
     n = 2 * _ROWS + 9
     labels = np.array([b"CertifiedResolvent", b"", b"x"])[np.arange(n) % 3]
     columns = [np.arange(n) / 7, labels, -np.arange(n) / 3,
-               np.arange(n) * 1e-300, ["r%d" % i for i in range(n)],
+               np.arange(n) * 1e-300,
+               np.array([b"r%d" % i for i in range(n)]),
                np.sqrt(np.arange(n)), labels]
     header = list("abcdefg")
-    text_columns = [c if c is not labels else [b.decode() for b in c]
-                    for c in columns]
     _assert_same_text(_write(tmp_path, header, columns),
-                      _general_path(header, text_columns))
+                      _general_path(header, columns))
 
 
 @pytest.mark.parametrize("floats", [1, 5, 11])
@@ -604,9 +683,7 @@ def test_cuts_next_to_a_budgeted_slice_write_the_same_bytes(tmp_path, floats,
     target = tmp_path / "cut.csv"
     write_csv(str(target), header,
               [[c[:cut] for c in columns], [c[cut:] for c in columns]])
-    _assert_same_text(target.read_text(), _general_path(
-        header, [c if c.dtype != "S2" else [b.decode() for b in c]
-                 for c in columns]))
+    _assert_same_text(target.read_text(), _general_path(header, columns))
 
 
 def test_short_columns_take_python_formatter_whatever_their_cells(
@@ -614,7 +691,7 @@ def test_short_columns_take_python_formatter_whatever_their_cells(
     # eigs.csv at N = 40: 201 rows of three float columns stay on Python's
     # formatter, though the slice holds more than _KERNEL_MIN cells
     n = io._KERNEL_MIN - 55
-    columns = [np.arange(n) / 7, -np.arange(n) / 3, ["k"] * n,
+    columns = [np.arange(n) / 7, -np.arange(n) / 3, np.array([b"k"] * n),
                np.arange(n) * 1e-17]
     monkeypatch.setattr(io, "_decide", None)        # must not be reached
     header = ["re", "im", "kind", "residual"]

@@ -130,10 +130,8 @@ def test_certificate_gate_rejects_a_zero_residual(monkeypatch, block):
 # ---------------------------------------------------------------------------
 
 def _whole(report):
-    """The scan's chunks joined into whole-grid columns; each chunk is
-    copied before the next one overwrites its buffers."""
-    chunks = [[col.copy() for col in c] for c in report.chunks]
-    return scanner.ScanChunk(*map(np.concatenate, zip(*chunks)))
+    """The scan's chunks joined into whole-grid columns."""
+    return scanner.ScanChunk(*map(np.concatenate, zip(*report.chunks)))
 
 
 def test_scan_small_grid_single_group():
@@ -207,8 +205,11 @@ def test_scan_certifies_no_point_before_the_stream_is_read(monkeypatch):
     monkeypatch.setattr(scanner, "_CHUNK", 5)
     rep = scan_unit_circle(spec, grid_size=12)
     assert len(rep.certificates) == 4 and calls == []
-    sizes = [len(c.thetas) for c in rep.chunks]
-    assert sizes == calls == [5, 5, 2]
+    chunks = list(rep.chunks)
+    assert [len(c.thetas) for c in chunks] == calls == [5, 5, 2]
+    # each chunk is its own arrays, whole after the next one is made
+    assert np.concatenate([c.thetas for c in chunks]).tolist() == \
+        (np.arange(12) / 12).tolist()
 
 
 def _scan_circle(tmp_path, name, grid, *flags):
@@ -314,6 +315,73 @@ def test_kernel_calls_the_series_through_its_traced_name(monkeypatch):
     for _ in rep.chunks:
         pass
     assert calls == [(100, 30)]
+
+
+# ---------------------------------------------------------------------------
+# the two nearest roots
+# ---------------------------------------------------------------------------
+
+def _column_loop(to_root):
+    """The two nearest roots as one pass over the columns found them: the
+    minimum, its column and the runner-up's, each the earliest among
+    exact ties."""
+    near = to_root[:, 0].copy()
+    first = np.zeros(len(to_root), dtype=np.intp)
+    runner_up = np.full(len(to_root), np.inf)
+    second = np.zeros(len(to_root), dtype=np.intp)
+    for k in range(1, to_root.shape[1]):
+        col = to_root[:, k]
+        closer = col < near
+        beats = ~closer & (col < runner_up)
+        np.copyto(runner_up, near, where=closer)
+        np.copyto(second, first, where=closer)
+        np.copyto(runner_up, col, where=beats)
+        np.copyto(second, k, where=beats)
+        np.copyto(near, col, where=closer)
+        np.copyto(first, k, where=closer)
+    return near, first, second
+
+
+def _last_among_ties(to_root):
+    """Negative control: the two nearest, each the last among ties."""
+    last = to_root.shape[1] - 1
+    near, first, second = scanner._two_nearest(to_root[:, ::-1].copy())
+    return near, last - first, last - second
+
+
+def _nearest_inputs(orders):
+    """|lam - zeta| at lam = 0, where roots tie, and on a seeded grid of
+    points on and off the circle."""
+    zeta = union_values(GroupUnionSpec(orders))
+    rng = np.random.default_rng(20261022)
+    lam = np.r_[0.0, np.exp(2j * np.pi * rng.random(2048))
+                * rng.uniform(0.5, 1.5, 2048)]
+    return np.abs(lam[:, None] - zeta[None, :])
+
+
+@pytest.mark.parametrize("orders", [(1,), (2, 3), (96, 97), (360,)],
+                         ids=lambda o: "-".join(map(str, o)))
+def test_two_nearest_matches_the_column_loop(orders):
+    to_root = _nearest_inputs(orders)
+    want = _column_loop(to_root)
+    got = scanner._two_nearest(to_root.copy())
+    assert got[0].view(np.uint64).tolist() == want[0].view(np.uint64).tolist()
+    assert got[1].tolist() == want[1].tolist()
+    assert got[2].tolist() == want[2].tolist()
+    if len(orders) > 1 or orders[0] > 1:
+        assert got[2][0] != got[1][0]       # lam = 0 ties several roots
+
+
+@pytest.mark.parametrize("orders", [(2, 3), (96, 97), (360,)],
+                         ids=lambda o: "-".join(map(str, o)))
+def test_the_column_loop_comparison_sees_the_tie_rule(orders):
+    # negative control: keeping the last index among ties moves the
+    # columns at lam = 0, and only the columns
+    to_root = _nearest_inputs(orders)
+    want = _column_loop(to_root)
+    near, first, second = _last_among_ties(to_root)
+    assert near.tolist() == want[0].tolist()
+    assert (first[0], second[0]) != (want[1][0], want[2][0])
 
 
 # ---------------------------------------------------------------------------
